@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 from .agents import BudgetState, RuleBackend, rule_decide_inner, rule_understand
 from .core import EvaluatedDesign, History, IterationSummary, best_so_far
 from .diagnostics import analyze, render_text
-from .errors import EmptyHistory, InsufficientHistory, NoValidDesign, UnknownMethod
+from .errors import BudgetOverrun, EmptyHistory, InsufficientHistory, NoValidDesign, UnknownMethod
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
 from .optim.turbo import TurboState
@@ -156,6 +156,14 @@ def _best_and_charge(history: History) -> Tuple[Optional[EvaluatedDesign], Optio
         return None, None
     fresh = sum(1 for r in history.records[:idx] if not r.cached)
     return record, fresh
+
+
+def _check_budget(used: int, budget: RunBudget) -> None:
+    # a real check, not an assert: python -O must not drop it
+    if used > budget.total_evals:
+        raise BudgetOverrun(
+            f"{used} fresh evaluations charged against a budget of {budget.total_evals}"
+        )
 
 
 def _wall_exceeded(budget: RunBudget, t0: float) -> bool:
@@ -390,7 +398,7 @@ def run(
     if best_record is None:
         outcome = "no_valid_design"
         rec.log("event", event="no_valid_design")
-    assert used_total <= budget.total_evals, "budget overrun"
+    _check_budget(used_total, budget)
 
     result = RunResult(
         best=best_record,
@@ -536,7 +544,7 @@ def run_baseline(
     if best_record is None:
         outcome = "no_valid_design"
         rec.log("event", event="no_valid_design")
-    assert used <= budget.total_evals, "budget overrun"
+    _check_budget(used, budget)
 
     result = RunResult(
         best=best_record,

@@ -114,6 +114,12 @@ class SingularKernel(SizerForgeError):
     pass
 
 
+# --- run control ------------------------------------------------------------------
+
+class BudgetOverrun(SizerForgeError):
+    pass
+
+
 # --- evaluation -------------------------------------------------------------------
 
 class EvaluatorUnavailable(SizerForgeError):

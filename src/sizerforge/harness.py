@@ -7,8 +7,9 @@ as mean +/- std over the trials that produced a result, and a success
 rate over all trials, where a crashed trial counts as a failure.
 
 The success rate is recomputed here from each trial's best raw metrics
-via evaluate_spec; the controller's own feasibility flag is never
-trusted for reporting.
+via evaluate_spec, with the engine's figure of merit standing in for a
+``fom`` clause as in core.assess; the controller's own feasibility flag
+is never trusted for reporting.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import yaml
 from .agents import make_backend
 from .config import BenchmarkConfig, load_config
 from .controller import BASELINE_ALGORITHMS, RunBudget, RunResult, run, run_baseline
+from .core import FOM_METRIC, EvaluatedDesign
 from .errors import ConfigError
 from .specexpr import evaluate_spec, parse_spec
 
@@ -151,6 +153,15 @@ def _run_trial(
     return run(config, budget, backend, seed, workers=workers, results_dir=results_dir)
 
 
+def _passes(spec, record: EvaluatedDesign) -> bool:
+    """The spec verdict on a valid record's raw metrics.
+
+    Simulators need not report ``fom``, so the engine's figure of merit
+    stands in for it.
+    """
+    return evaluate_spec(spec, {**record.raw_metrics, FOM_METRIC: record.fom}).passed
+
+
 def _reported_design(result: RunResult, spec):
     """The design a trial hands back.
 
@@ -159,10 +170,7 @@ def _reported_design(result: RunResult, spec):
     by figure of merit (which can violate individual clauses). Spec
     satisfaction is recomputed clause by clause from raw metrics here.
     """
-    feasible = [
-        r for r in result.history.valid_records()
-        if evaluate_spec(spec, r.raw_metrics).passed
-    ]
+    feasible = [r for r in result.history.valid_records() if _passes(spec, r)]
     if feasible:
         # highest FoM; earliest evaluation on ties
         return max(feasible, key=lambda r: (r.fom, -r.eval_index))
@@ -256,6 +264,7 @@ def run_matrix(
                     trial_dir = str(Path(out_dir) / "trials" / slug)
                 try:
                     result = _run_trial(config, method, matrix.budget, seed, workers, trial_dir)
+                    reported = _reported_design(result, spec)
                 except Exception as exc:  # a broken cell must not sink the matrix
                     trial["error"] = f"{type(exc).__name__}: {exc}"
                     trials.append(trial)
@@ -266,7 +275,6 @@ def run_matrix(
                 trial["outcome"] = result.outcome
                 trial["trajectory"] = _trajectory(result)
                 trial["space_ranges"] = _space_ranges(result)
-                reported = _reported_design(result, spec)
                 if reported is not None:
                     trial["fom"] = reported.fom
                     trial["best_assignment"] = dict(reported.design.assignment)
@@ -274,7 +282,7 @@ def run_matrix(
                     trial["best_raw_metrics"] = raw
                     # success is recomputed from the raw metrics, not taken
                     # from the run result
-                    trial["feasible"] = evaluate_spec(spec, raw).passed
+                    trial["feasible"] = _passes(spec, reported)
                 trials.append(trial)
             cells.append(
                 {

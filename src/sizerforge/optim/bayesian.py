@@ -1,17 +1,25 @@
 """Bayesian proposals: GP surrogate plus greedy batch acquisition.
 
-Candidates are the full index-grid enumeration while the space stays at
-or under 20000 points, otherwise 2000 uniform draws. Batches are picked
-greedily with a constant-liar update between picks (the lie is the best
-observed value), so one fit serves a whole batch without duplicating
-picks.
+Candidates are the full index grid, as an array in the C order of
+``itertools.product``, while the space stays at or under 20000 points,
+otherwise 2000 uniform draws. Candidates already in the history are
+dropped by index vector (by mixed-radix flat index on the enumerated
+grid), so no design is built for a candidate until it is picked.
+
+Batches are picked greedily with a constant-liar update between picks
+(the lie is the best observed value), so the batch holds no duplicate.
+The GP is refit on the observations plus the lies before every pick:
+a lie changes the target variance and with it the kernel amplitude, so
+a refit is the exact posterior where a one-row factor update is not.
+The unscaled correlation of the candidates to the training points does
+not change between picks, so each batch keeps it in one buffer,
+computed once for the observations, and appends one column per lie.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +27,7 @@ from ..core import History
 from ..errors import InsufficientHistory
 from ..space import SearchSpace
 from .base import Proposal, in_space_valid, indices_of, materialize
-from .gp import ACQUISITIONS, GaussianProcess, acquisition
+from .gp import ACQUISITIONS, GaussianProcess, acquisition, correlation
 
 ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000
@@ -36,11 +44,32 @@ def normalize_rows(space: SearchSpace, rows: Sequence[Sequence[int]]) -> np.ndar
     return out
 
 
-def candidate_rows(space: SearchSpace, rng: random.Random) -> List[Tuple[int, ...]]:
-    sizes = [len(values) for _, values in space.active.items()]
+def candidate_rows(space: SearchSpace, rng: random.Random) -> np.ndarray:
+    """Candidate index vectors over the active lists, one per row."""
+    sizes = [len(values) for values in space.active.values()]
     if space.cardinality() <= ENUMERATION_LIMIT:
-        return list(itertools.product(*(range(m) for m in sizes)))
-    return [tuple(rng.randrange(m) for m in sizes) for _ in range(FALLBACK_CANDIDATES)]
+        # row i is the index vector whose mixed-radix flat index is i
+        return np.indices(sizes).reshape(len(sizes), space.cardinality()).T
+    return np.array([[rng.randrange(m) for m in sizes] for _ in range(FALLBACK_CANDIDATES)])
+
+
+def _unevaluated(space: SearchSpace, rows: np.ndarray, history: History) -> np.ndarray:
+    """Mask of the candidate rows whose design is not in the history.
+
+    Records outside the space have no index vector and match no row.
+    """
+    sizes = [len(values) for values in space.active.values()]
+    seen = {tuple(idx) for idx in (indices_of(space, r.design) for r in history.records)
+            if idx is not None}
+    if space.cardinality() > ENUMERATION_LIMIT:
+        return np.array([tuple(row) not in seen for row in rows.tolist()], dtype=bool)
+    keep = np.ones(len(rows), dtype=bool)
+    for idx in seen:
+        flat = 0
+        for i, m in zip(idx, sizes):
+            flat = flat * m + i
+        keep[flat] = False
+    return keep
 
 
 def propose_bayesian(
@@ -73,31 +102,36 @@ def propose_bayesian(
 
     rows = candidate_rows(space, rng)
     if not allow_resample:
-        evaluated = {r.design.id for r in history.records}
-        rows = [row for row in rows if materialize(space, row).id not in evaluated]
-    if not rows:
+        rows = rows[_unevaluated(space, rows, history)]
+    if not len(rows):
         return Proposal(designs=[], method="bayesian",
                         diagnostics={"note": "no unevaluated candidates"})
     cand = normalize_rows(space, rows)
 
+    n_picks = min(n_samples, len(rows))
+    gp = GaussianProcess()
+    # correlation of every candidate to the observations, then to each lie
+    corr = np.empty((len(rows), len(x) + n_picks))
+    corr[:, : len(x)] = correlation(cand, x, gp.length_scale)
+    best = float(np.max(y))
     picks: List[int] = []
     acq_values: List[float] = []
-    remaining = list(range(len(rows)))
-    liar = float(np.max(y))
+    remaining = np.arange(len(rows))
     x_fit, y_fit = x, y
-    for _ in range(min(n_samples, len(rows))):
-        gp = GaussianProcess().fit(x_fit, y_fit)
-        mu, sigma = gp.predict(cand[remaining])
-        scores = acquisition(acquisition_function, mu, sigma, float(np.max(y_fit)), weight)
+    for _ in range(n_picks):
+        gp.fit(x_fit, y_fit)
+        mu, sigma = gp.posterior(corr[remaining, : len(x_fit)])
+        scores = acquisition(acquisition_function, mu, sigma, best, weight)
         local_best = int(np.argmax(scores))
-        chosen = remaining.pop(local_best)
+        chosen = int(remaining[local_best])
         picks.append(chosen)
         acq_values.append(float(scores[local_best]))
-        if not remaining:
-            break
+        remaining = np.delete(remaining, local_best)
         # constant liar: pretend the pick returned the incumbent best
-        x_fit = np.vstack([x_fit, cand[chosen : chosen + 1]])
-        y_fit = np.append(y_fit, liar)
+        lie = cand[chosen : chosen + 1]
+        corr[:, len(x_fit)] = correlation(cand, lie, gp.length_scale)[:, 0]
+        x_fit = np.vstack([x_fit, lie])
+        y_fit = np.append(y_fit, best)
 
     designs = [materialize(space, rows[i]) for i in picks]
     return Proposal(

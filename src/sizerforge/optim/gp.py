@@ -9,6 +9,16 @@ for wide-spread objectives.
 
 Cholesky failures escalate the diagonal jitter tenfold up to 1e-2 before
 giving up with SingularKernel.
+
+Prediction is split in two: ``correlation`` gives the unscaled Matern
+correlation between two point sets, and ``GaussianProcess.posterior``
+turns the correlations of query points to the training points into the
+posterior mean and standard deviation. Because the correlation does not
+depend on the fitted amplitude or targets, a caller that refits on a
+growing training set (the Bayesian proposer's constant-liar loop) can
+keep one correlation buffer and append a column per new training point
+instead of recomputing every distance. ``predict`` is ``posterior`` of
+the freshly computed correlation.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from ..errors import SingularKernel
@@ -36,9 +47,9 @@ def matern25(dists: np.ndarray, length_scale: float) -> np.ndarray:
     return (1.0 + SQRT5 * r + 5.0 * r * r / 3.0) * np.exp(-SQRT5 * r)
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+def correlation(a: np.ndarray, b: np.ndarray, length_scale: float) -> np.ndarray:
+    """Unscaled Matern correlation between the rows of a and of b."""
+    return matern25(cdist(a, b), length_scale)
 
 
 class GaussianProcess:
@@ -64,7 +75,7 @@ class GaussianProcess:
         self._amplitude = variance if variance > 0 else 1.0
         centered = y - self._y_mean
 
-        k = self._amplitude * matern25(_pairwise(x, x), self.length_scale)
+        k = self._amplitude * correlation(x, x, self.length_scale)
         jitter = self.jitter
         while True:
             try:
@@ -83,10 +94,18 @@ class GaussianProcess:
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at each row of x."""
         x = np.asarray(x, dtype=float)
-        k_star = self._amplitude * matern25(_pairwise(x, self._x), self.length_scale)
+        return self.posterior(correlation(x, self._x, self.length_scale))
+
+    def posterior(self, corr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation from unscaled correlations.
+
+        ``corr[i, j]`` is ``correlation`` between query point i and the
+        j-th training point of the last fit, in fit order.
+        """
+        k_star = self._amplitude * corr
         mu = self._y_mean + k_star @ self._alpha
         v = cho_solve(self._factor, k_star.T)
-        prior = self._amplitude * matern25(np.zeros(len(x)), self.length_scale)
+        prior = self._amplitude * matern25(np.zeros(len(corr)), self.length_scale)
         var = prior - np.sum(k_star * v.T, axis=1)
         sigma = np.sqrt(np.maximum(var, 0.0))
         return mu, sigma

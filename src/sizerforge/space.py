@@ -272,7 +272,7 @@ def first_round_from_plan(config, plan) -> SearchSpace:
 
 
 def space_from_plan(config, plan, generation: int) -> SearchSpace:
-    """Regenerated space from an outer-loop plan (3-7 values per variable)."""
+    """Regenerated space from an outer-loop plan (2-7 values per variable)."""
     return _space_from_plan(config, plan, generation=generation, min_values=2, max_values=7)
 
 

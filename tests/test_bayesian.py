@@ -1,10 +1,15 @@
 """Gaussian-process regression and acquisition-driven batch proposals."""
 
+import itertools
+import random as pyrandom
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory
+from sizerforge.optim.base import in_space_valid, indices_of, materialize
 from sizerforge.optim.bayesian import candidate_rows, normalize_rows, propose_bayesian
 from sizerforge.optim.gp import GaussianProcess, acquisition, matern25
 from sizerforge.space import SearchSpace
@@ -209,4 +214,150 @@ def test_small_space_candidates_enumerate_fully():
     space = _space()
     rows = candidate_rows(space, pyrandom.Random(0))
     assert len(rows) == 81
-    assert len(set(rows)) == 81
+    # every index vector once, in the order of itertools.product
+    assert [tuple(row) for row in rows.tolist()] == list(itertools.product(range(9), range(9)))
+
+
+# ------------------------------------------- reference: the per-pick path
+#
+# The straightforward algorithm: every candidate row materialized and
+# hashed to drop evaluated designs, and every constant-liar pick
+# refitting the GP and recomputing all candidate distances by
+# broadcasting. The proposer's per-batch correlation buffer and index
+# filtering must pick the same designs with the same acquisition
+# values, bit for bit. (Broadcast sums and cdist agree bit for bit up
+# to 7 dimensions; numpy sums 8 or more terms pairwise.)
+
+
+def _pairwise(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
+def _reference_posterior(x, y, query):
+    amplitude = float(np.var(y)) or 1.0
+    y_mean = float(np.mean(y))
+    k = amplitude * matern25(_pairwise(x, x), 1.0)
+    jitter = 1e-6
+    while True:
+        try:
+            factor = cho_factor(k + jitter * np.eye(len(x)), lower=True)
+            break
+        except LinAlgError:
+            jitter *= 10.0
+            assert jitter <= 1e-2
+    alpha = cho_solve(factor, y - y_mean)
+    k_star = amplitude * matern25(_pairwise(query, x), 1.0)
+    mu = y_mean + k_star @ alpha
+    v = cho_solve(factor, k_star.T)
+    prior = amplitude * matern25(np.zeros(len(query)), 1.0)
+    var = prior - np.sum(k_star * v.T, axis=1)
+    return mu, np.sqrt(np.maximum(var, 0.0))
+
+
+def _reference_propose(space, history, n_samples, seed, acquisition_function, allow_resample):
+    weight = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}[acquisition_function]
+    observations = in_space_valid(history, space)
+    rng = pyrandom.Random(seed)
+    x = normalize_rows(space, [indices_of(space, r.design) for r in observations])
+    y = np.array([r.fom for r in observations], dtype=float)
+    sizes = [len(values) for values in space.active.values()]
+    if space.cardinality() <= 20_000:
+        rows = list(itertools.product(*(range(m) for m in sizes)))
+    else:
+        rows = [tuple(rng.randrange(m) for m in sizes) for _ in range(2_000)]
+    if not allow_resample:
+        evaluated = {r.design.id for r in history.records}
+        rows = [row for row in rows if materialize(space, row).id not in evaluated]
+    cand = normalize_rows(space, rows)
+    picks, values = [], []
+    remaining = list(range(len(rows)))
+    x_fit, y_fit = x, y
+    for _ in range(min(n_samples, len(rows))):
+        mu, sigma = _reference_posterior(x_fit, y_fit, cand[remaining])
+        scores = acquisition(acquisition_function, mu, sigma, float(np.max(y_fit)), weight)
+        local_best = int(np.argmax(scores))
+        chosen = remaining.pop(local_best)
+        picks.append(chosen)
+        values.append(float(scores[local_best]))
+        if not remaining:
+            break
+        x_fit = np.vstack([x_fit, cand[chosen : chosen + 1]])
+        y_fit = np.append(y_fit, float(np.max(y)))
+    return [materialize(space, rows[i]).id for i in picks], values, len(rows)
+
+
+def _mixed_history(space, rows, fixed_off):
+    """Valid records at rows, two failed records, two records outside the space."""
+    grid = space.full_grid
+    hist = History()
+
+    def add(assignment, fom, status="ok"):
+        hist.append(
+            EvaluatedDesign(
+                design=design_from(assignment),
+                raw_metrics={},
+                normalized={},
+                fom=fom,
+                feasible=False,
+                sim_status=status,
+                iteration=1,
+                method="lhs",
+                eval_index=hist.next_eval_index(),
+                wall_time=0.0,
+            )
+        )
+
+    rng = np.random.default_rng(len(rows))
+    for row in rows:
+        add(materialize(space, row).assignment, float(rng.uniform(0.1, 1.0)))
+    for row in rows[:2]:
+        shifted = [(i + 1) % len(v) for i, v in zip(row, space.active.values())]
+        add(materialize(space, shifted).assignment, None, status="sim_failed")
+    inside = materialize(space, rows[0]).assignment
+    first = next(iter(space.active))
+    add({**inside, first: grid[first][-1]}, 2.0)  # value outside the active list
+    add({**inside, **fixed_off}, 3.0)  # fixed pin moved
+    return hist
+
+
+def _narrowed_space(n_vars, n_active_values):
+    names = [f"W_{k}" for k in range(n_vars)]
+    return SearchSpace(
+        active={v: GRID[:n_active_values] for v in names[:-1]},
+        fixed={names[-1]: GRID[4]},
+        full_grid={v: GRID for v in names},
+        generation=1,
+    ), {names[-1]: GRID[5]}
+
+
+@pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB", "LCB"])
+@pytest.mark.parametrize("allow_resample", [False, True])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (3, 7, 6, 0),  # 49 enumerated candidates
+        (3, 3, 6, 0),  # 9 candidates: a batch that exhausts the grid
+        (7, 6, 5, 3),  # 6 active x 6 values > 20000: 2000 random draws
+    ],
+)
+def test_proposals_match_the_per_pick_reference(acquisition_function, allow_resample, shape):
+    n_vars, n_values, n_obs, seed = shape
+    space, fixed_off = _narrowed_space(n_vars, n_values)
+    # history rows come from the seed's own candidate draws, so that the
+    # random path has evaluated candidates to drop too
+    rows = [tuple(r) for r in candidate_rows(space, pyrandom.Random(seed)).tolist()]
+    picked = [rows[k] for k in range(0, len(rows), max(1, len(rows) // n_obs))][:n_obs]
+    hist = _mixed_history(space, picked, fixed_off)
+    n_samples = 5
+
+    got = propose_bayesian(space, hist, n_samples, seed, acquisition_function=acquisition_function,
+                           allow_resample=allow_resample)
+    want_ids, want_values, want_n = _reference_propose(
+        space, hist, n_samples, seed, acquisition_function, allow_resample
+    )
+    assert [d.id for d in got.designs] == want_ids
+    assert got.diagnostics["acquisition_values"] == want_values
+    assert got.diagnostics["n_candidates"] == want_n
+    if not allow_resample:
+        assert not any(hist.contains_design(i) for i in want_ids)
