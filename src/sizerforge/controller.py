@@ -9,6 +9,16 @@ History carries every evaluation across all loops and is never reset.
 fixed preset per algorithm; baselines always spend the whole budget and
 never stop early on feasibility, so their trajectories stay comparable.
 
+``run`` and ``run_baseline`` share one ``_Run``: its set-up, its
+``batch`` step (propose, lhs fallback on too little history, evaluate,
+charge, summarize, log, stall count, TuRBO bookkeeping) and its
+``finish`` (best record, budget check, result, artefacts). Each keeps
+only its own stop rules and its own source of decisions. ``run`` passes
+the scope ``{"loop": i}`` to every batch step and baselines pass ``{}``;
+the scope is merged into each entry the step logs. A baseline that ends
+on ``STALL_LIMIT`` all-cached batches reports the outcome ``stalled``;
+one whose method has nothing left to propose reports ``space_exhausted``.
+
 Both emit an ordered decision log with no timestamps, so two runs with
 identical inputs (or a replayed transcript) compare byte for byte.
 """
@@ -18,14 +28,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .agents import BudgetState, RuleBackend, rule_decide_inner, rule_understand
-from .core import EvaluatedDesign, History, IterationSummary, best_so_far
+from .core import EvaluatedDesign, History, IterationSummary, best_so_far, pct_change
 from .diagnostics import analyze, render_text
 from .errors import BudgetOverrun, EmptyHistory, InsufficientHistory, NoValidDesign, UnknownMethod
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
@@ -40,6 +49,11 @@ BASELINE_ALGORITHMS = ("lhs", "ga_baseline", "bo_baseline", "turbo_baseline")
 BO_INIT_SAMPLES = 10
 BO_BATCH_SIZE = 5
 TURBO_BATCH_SIZE = 20
+_BASELINE_BATCH = {
+    "ga_baseline": int(GA_BASELINE_PRESET["population"]),
+    "bo_baseline": BO_BATCH_SIZE,
+    "turbo_baseline": TURBO_BATCH_SIZE,
+}
 
 # consecutive all-cached batches before a loop is declared stalled;
 # elitism can re-propose the incumbent forever without charging budget
@@ -94,48 +108,19 @@ def child_seed(seed: int, loop: int, iteration: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class _Recorder:
-    """Ordered decision log. Entries are plain dicts, free of timestamps."""
-
-    def __init__(self):
-        self.entries: List[dict] = []
-
-    def log(self, kind: str, **payload) -> None:
-        self.entries.append({"kind": kind, **payload})
-
-
-def _space_record(space: SearchSpace) -> dict:
-    return {
-        "generation": space.generation,
-        "active": {v: list(vals) for v, vals in space.active.items()},
-        "fixed": dict(space.fixed),
-        "cardinality": space.cardinality(),
-    }
-
-
-def _improvement(prev: Optional[float], now: Optional[float]) -> float:
-    # mirrors improvement_pct's degenerate cases
-    if now is None:
-        return 0.0
-    if prev is None or prev == 0:
-        return math.inf if now > 0 else 0.0
-    return 100.0 * (now - prev) / abs(prev)
-
-
 def _append_summary(history: History, iteration: int, method: str, n_records: int) -> Optional[float]:
     try:
         best = best_so_far(history)[0].fom
     except (EmptyHistory, NoValidDesign):
         best = None
     prior = history.iteration_summaries
-    imp = _improvement(prior[-1].best_fom_so_far, best) if prior else None
     history.add_summary(
         IterationSummary(
             iteration=iteration,
             method=method,
             n_samples=n_records,
             best_fom_so_far=best,
-            improvement_pct=imp,
+            improvement_pct=pct_change(prior[-1].best_fom_so_far, best) if prior else None,
         )
     )
     return best
@@ -166,11 +151,6 @@ def _check_budget(used: int, budget: RunBudget) -> None:
         )
 
 
-def _wall_exceeded(budget: RunBudget, t0: float) -> bool:
-    limit = budget.wall_clock_limit_s
-    return limit is not None and (time.monotonic() - t0) > limit
-
-
 def _write_artifacts(results_dir: str, result: RunResult, loop_reports: List[Tuple[int, str]]) -> None:
     root = Path(results_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -181,10 +161,132 @@ def _write_artifacts(results_dir: str, result: RunResult, loop_reports: List[Tup
         json.dumps(result.to_record(), indent=2, sort_keys=True, default=float) + "\n"
     )
     for space in result.space_generations:
-        snap = json.dumps(_space_record(space), indent=2, sort_keys=True) + "\n"
+        snap = json.dumps(space.describe(), indent=2, sort_keys=True) + "\n"
         (root / f"space_gen{space.generation:02d}.json").write_text(snap)
     for loop_idx, text in loop_reports:
         (root / f"loop{loop_idx:02d}_report.txt").write_text(text)
+
+
+class _Run:
+    """State and steps shared by ``run`` and ``run_baseline``: set-up, batch, finish."""
+
+    def __init__(
+        self,
+        config,
+        budget: Optional[RunBudget],
+        evaluator: Optional[EvaluatorSpec],
+        workers: int,
+        keep_logs: bool,
+        results_dir: Optional[str],
+        turbo: Optional[TurboState] = None,
+    ):
+        self.t0 = time.monotonic()
+        self.config = config
+        self.budget = budget if budget is not None else RunBudget()
+        self.evaluator = evaluator if evaluator is not None else evaluator_from_config(config)
+        self.spec = parse_spec(config.user_specs_metric)
+        self.cache = ResultCache()
+        self.history = History()
+        self.decisions: List[dict] = []
+        self.loop_reports: List[Tuple[int, str]] = []
+        self.used = 0  # fresh evaluations charged; cache hits are free
+        self.stalled = 0  # consecutive all-cached batches
+        self.turbo = turbo
+        self.results_dir = results_dir
+        self._eval_options = dict(workers=workers, keep_logs=keep_logs, results_dir=results_dir)
+
+    def log(self, kind: str, **payload) -> None:
+        """Append one decision-log entry: a plain dict, free of timestamps."""
+        self.decisions.append({"kind": kind, **payload})
+
+    @property
+    def iteration(self) -> int:
+        """Iteration number of the next batch (one summary per batch)."""
+        return len(self.history.iteration_summaries) + 1
+
+    def out_of_time(self) -> bool:
+        limit = self.budget.wall_clock_limit_s
+        return limit is not None and (time.monotonic() - self.t0) > limit
+
+    def batch(self, space: SearchSpace, mcfg: MethodConfig, label: str, limit: int,
+              scope: dict, **extra) -> Optional[str]:
+        """Propose, evaluate, charge and log one batch of at most ``limit`` designs.
+
+        ``label`` names the batch in its records, summary and log entry,
+        whichever method proposed it; ``scope`` is merged into every
+        entry logged here and ``extra`` into the batch entry. Returns the
+        outcome that ends the loop (``space_exhausted`` or ``stalled``),
+        else None.
+        """
+        iteration = self.iteration
+        history = self.history
+        try:
+            proposal = propose(space, mcfg, history=history, allow_resample=False,
+                               turbo_state=self.turbo)
+        except InsufficientHistory as exc:
+            # too few in-space observations for a model-based method
+            self.log("event", event="insufficient_history_fallback", **scope,
+                     iteration=iteration, detail=str(exc))
+            fallback = dataclasses.replace(mcfg, method="lhs", parameters={})
+            proposal = propose(space, fallback, history=history, allow_resample=False)
+        designs = list(proposal.designs)[:limit]
+        if not designs:
+            self.log("event", event="space_exhausted", **scope, iteration=iteration)
+            return "space_exhausted"
+        if self.turbo is not None and proposal.diagnostics.get("restarted"):
+            self.log("event", event="turbo_restart", **scope, iteration=iteration,
+                     fraction=proposal.diagnostics.get("fraction"))
+        records = evaluate_batch(
+            self.config,
+            designs,
+            self.evaluator,
+            spec=self.spec,
+            cache=self.cache,
+            start_eval_index=history.next_eval_index(),
+            iteration=iteration,
+            method=label,
+            **self._eval_options,
+        )
+        history.append_batch(records)
+        fresh = sum(1 for r in records if not r.cached)
+        self.used += fresh
+        best = _append_summary(history, iteration, label, len(records))
+        self.log("batch", **scope, iteration=iteration, method=label, requested=mcfg.n_samples,
+                 evaluated=len(records), fresh=fresh, best_fom=best, **extra)
+        if self.turbo is not None:
+            self.turbo.update(max((r.fom for r in records if r.fom is not None), default=None))
+        self.stalled = self.stalled + 1 if fresh == 0 else 0
+        if self.stalled >= STALL_LIMIT:
+            self.log("event", event="method_stalled", **scope, iteration=iteration)
+            return "stalled"
+        return None
+
+    def report(self, loop: int, space: SearchSpace) -> None:
+        """Keep the loop's rendered diagnostics, once any batch has run."""
+        if self.history.iteration_summaries:
+            self.loop_reports.append((loop, render_text(analyze(self.history, space))))
+
+    def finish(self, outcome: str, outer_loops_used: int, spaces: List[SearchSpace]) -> RunResult:
+        best, evals_to_best = _best_and_charge(self.history)
+        if best is None:
+            outcome = "no_valid_design"
+            self.log("event", event="no_valid_design")
+        _check_budget(self.used, self.budget)
+        result = RunResult(
+            best=best,
+            feasible_found=_feasible(self.history),
+            evals_used=self.used,
+            evals_to_best=evals_to_best,
+            wall_time=time.monotonic() - self.t0,
+            outer_loops_used=outer_loops_used,
+            space_generations=spaces,
+            decisions=self.decisions,
+            history=self.history,
+            outcome=outcome,
+        )
+        if self.results_dir:
+            _write_artifacts(self.results_dir, result, self.loop_reports)
+        return result
 
 
 def run(
@@ -210,37 +312,30 @@ def run(
     grid without a planning round, no_oe forces every search batch to
     plain lhs, and no_srl allows a single outer loop only.
     """
-    t0 = time.monotonic()
-    budget = budget if budget is not None else RunBudget()
     backend = backend if backend is not None else RuleBackend()
-    evaluator = evaluator if evaluator is not None else evaluator_from_config(config)
-    spec = parse_spec(config.user_specs_metric)
-    cache = ResultCache(None)
-    history = History()
-    rec = _Recorder()
-    loop_reports: List[Tuple[int, str]] = []
+    job = _Run(config, budget, evaluator, workers, keep_logs, results_dir)
+    budget, history = job.budget, job.history
 
     if no_cu:
         understanding = rule_understand(config)
-        rec.log("understand", backend="rule", payload=understanding.to_wire())
+        job.log("understand", backend="rule", payload=understanding.to_wire())
     else:
         understanding = backend.understand(config)
-        rec.log("understand", backend=backend.name, payload=understanding.to_wire())
+        job.log("understand", backend=backend.name, payload=understanding.to_wire())
 
     if no_ssd:
         space = space_from_config(config)
-        rec.log("plan", backend="none", payload={"skipped": "full grid, no planning round"})
+        job.log("plan", backend="none", payload={"skipped": "full grid, no planning round"})
     else:
         n_opt = n_to_optimize if n_to_optimize is not None else min(4, len(config.variables))
         plan = backend.plan(config, understanding, n_opt)
         space = first_round_from_plan(config, plan)
         for var in config.variables:
             understanding.sensitivity[var] = plan.sensitivity_of(var)
-        rec.log("plan", backend=backend.name, payload=plan.to_wire())
+        job.log("plan", backend=backend.name, payload=plan.to_wire())
     snapshots = [space]
-    rec.log("space", **_space_record(space))
+    job.log("space", **space.describe())
 
-    used_total = 0
     prior_unfixes = 0
     outer_loops_used = 0
     outcome = "outer_cap"
@@ -248,28 +343,28 @@ def run(
 
     for loop_idx in range(n_loops):
         outer_loops_used = loop_idx + 1
-        inner_used = 0
-        inner_iter = 0
-        stalled = 0
+        scope = {"loop": loop_idx}
+        loop_start_used, loop_start_iteration = job.used, job.iteration
+        job.stalled = 0
         stop_run: Optional[str] = None
 
         while True:
-            if _wall_exceeded(budget, t0):
-                rec.log("event", event="wall_clock_limit", loop=loop_idx)
+            if job.out_of_time():
+                job.log("event", event="wall_clock_limit", **scope)
                 stop_run = "wall_clock"
                 break
             if _feasible(history):
-                rec.log("event", event="feasible_found", loop=loop_idx)
+                job.log("event", event="feasible_found", **scope)
                 break
             state = BudgetState(
-                total_remaining=budget.total_evals - used_total,
-                inner_remaining=budget.per_inner_loop - inner_used,
+                total_remaining=budget.total_evals - job.used,
+                inner_remaining=budget.per_inner_loop - (job.used - loop_start_used),
                 outer_loops_used=loop_idx,
                 prior_unfixes=prior_unfixes,
             )
             if state.remaining <= 0:
                 which = "total_budget_reached" if state.total_remaining <= 0 else "inner_cap_reached"
-                rec.log("event", event=which, loop=loop_idx)
+                job.log("event", event=which, **scope)
                 break
             report = analyze(history, space) if history.iteration_summaries else None
             if no_oe:
@@ -279,94 +374,44 @@ def run(
                     decision.parameters = {}
             else:
                 decision = backend.decide_inner(report, state, space, config=config, history=history)
-            iteration = len(history.iteration_summaries) + 1
-            rec.log("inner", loop=loop_idx, iteration=iteration, payload=decision.to_wire())
+            iteration = job.iteration
+            job.log("inner", **scope, iteration=iteration, payload=decision.to_wire())
             if decision.action != "search":
                 break
-            n = max(1, min(decision.n_samples, state.remaining))
             mcfg = MethodConfig(
                 method=decision.method,
-                n_samples=n,
+                n_samples=max(1, min(decision.n_samples, state.remaining)),
                 parameters=dict(decision.parameters),
-                seed=child_seed(seed, loop_idx, inner_iter),
+                seed=child_seed(seed, loop_idx, iteration - loop_start_iteration),
             )
-            try:
-                proposal = propose(space, mcfg, history=history, allow_resample=False)
-            except InsufficientHistory as exc:
-                # too few in-space observations for a model-based method
-                rec.log(
-                    "event",
-                    event="insufficient_history_fallback",
-                    loop=loop_idx,
-                    iteration=iteration,
-                    detail=str(exc),
-                )
-                mcfg = dataclasses.replace(mcfg, method="lhs", parameters={})
-                proposal = propose(space, mcfg, history=history, allow_resample=False)
-            designs = list(proposal.designs)[: state.remaining]
-            if not designs:
-                rec.log("event", event="space_exhausted", loop=loop_idx, iteration=iteration)
-                break
-            records = evaluate_batch(
-                config,
-                designs,
-                evaluator,
-                spec=spec,
-                cache=cache,
-                start_eval_index=history.next_eval_index(),
-                iteration=iteration,
-                method=decision.method,
-                workers=workers,
-                keep_logs=keep_logs,
-                results_dir=results_dir,
-            )
-            history.append_batch(records)
-            fresh = sum(1 for r in records if not r.cached)
-            used_total += fresh
-            inner_used += fresh
-            best = _append_summary(history, iteration, decision.method, len(records))
-            rec.log(
-                "batch",
-                loop=loop_idx,
-                iteration=iteration,
-                method=decision.method,
-                requested=n,
-                evaluated=len(records),
-                fresh=fresh,
-                best_fom=best,
-            )
-            inner_iter += 1
-            stalled = stalled + 1 if fresh == 0 else 0
-            if stalled >= STALL_LIMIT:
-                rec.log("event", event="method_stalled", loop=loop_idx, iteration=iteration)
+            if job.batch(space, mcfg, decision.method, state.remaining, scope) is not None:
                 break
 
-        if history.iteration_summaries:
-            loop_reports.append((loop_idx, render_text(analyze(history, space))))
+        job.report(loop_idx, space)
 
         if stop_run is not None:
             outcome = stop_run
             break
         if _feasible(history):
             outcome = "feasible"
-            rec.log("event", event="run_feasible", loop=loop_idx)
+            job.log("event", event="run_feasible", **scope)
             break
-        if used_total >= budget.total_evals:
+        if job.used >= budget.total_evals:
             outcome = "budget_exhausted"
-            rec.log("event", event="total_budget_exhausted", loop=loop_idx)
+            job.log("event", event="total_budget_exhausted", **scope)
             break
         if loop_idx == n_loops - 1:
             outcome = "outer_cap"
-            rec.log("event", event="outer_loop_cap", loop=loop_idx)
+            job.log("event", event="outer_loop_cap", **scope)
             break
         if not history.iteration_summaries:
             outcome = "space_exhausted"
-            rec.log("event", event="run_space_exhausted", loop=loop_idx)
+            job.log("event", event="run_space_exhausted", **scope)
             break
 
         report = analyze(history, space)
         state = BudgetState(
-            total_remaining=budget.total_evals - used_total,
+            total_remaining=budget.total_evals - job.used,
             inner_remaining=budget.per_inner_loop,
             outer_loops_used=loop_idx + 1,
             prior_unfixes=prior_unfixes,
@@ -374,7 +419,7 @@ def run(
         outer = backend.decide_outer(
             report, space, history, state, understanding=understanding, config=config
         )
-        rec.log("outer", loop=loop_idx, payload=outer.to_wire())
+        job.log("outer", **scope, payload=outer.to_wire())
         if outer.action == "converged":
             outcome = "converged"
             break
@@ -392,29 +437,9 @@ def run(
                 SpaceEdit(action="continue_current", rationale=outer.reasoning or "keep space"),
             )
         snapshots.append(space)
-        rec.log("space", **_space_record(space))
+        job.log("space", **space.describe())
 
-    best_record, evals_to_best = _best_and_charge(history)
-    if best_record is None:
-        outcome = "no_valid_design"
-        rec.log("event", event="no_valid_design")
-    _check_budget(used_total, budget)
-
-    result = RunResult(
-        best=best_record,
-        feasible_found=_feasible(history),
-        evals_used=used_total,
-        evals_to_best=evals_to_best,
-        wall_time=time.monotonic() - t0,
-        outer_loops_used=outer_loops_used,
-        space_generations=snapshots,
-        decisions=rec.entries,
-        history=history,
-        outcome=outcome,
-    )
-    if results_dir:
-        _write_artifacts(results_dir, result, loop_reports)
-    return result
+    return job.finish(outcome, outer_loops_used, snapshots)
 
 
 def run_baseline(
@@ -437,127 +462,34 @@ def run_baseline(
         raise UnknownMethod(
             f"unknown baseline {algorithm!r}; choose from {BASELINE_ALGORITHMS}"
         )
-    t0 = time.monotonic()
-    budget = budget if budget is not None else RunBudget()
-    evaluator = evaluator if evaluator is not None else evaluator_from_config(config)
-    spec = parse_spec(config.user_specs_metric)
-    cache = ResultCache(None)
-    history = History()
-    rec = _Recorder()
-    space = space_from_config(config)
-    rec.log("baseline", algorithm=algorithm, total_evals=budget.total_evals, seed=seed)
-    rec.log("space", **_space_record(space))
-
     turbo = TurboState() if algorithm == "turbo_baseline" else None
-    ga_pop = int(GA_BASELINE_PRESET["population"])
-    used = 0
-    iteration = 0
-    stalled = 0
-    outcome = "budget_exhausted"
+    job = _Run(config, budget, evaluator, workers, keep_logs, results_dir, turbo)
+    budget = job.budget
+    space = space_from_config(config)
+    job.log("baseline", algorithm=algorithm, total_evals=budget.total_evals, seed=seed)
+    job.log("space", **space.describe())
 
-    while used < budget.total_evals:
-        if _wall_exceeded(budget, t0):
-            rec.log("event", event="wall_clock_limit")
+    outcome = "budget_exhausted"
+    while job.used < budget.total_evals:
+        if job.out_of_time():
+            job.log("event", event="wall_clock_limit")
             outcome = "wall_clock"
             break
-        remaining = budget.total_evals - used
-        iteration += 1
-        if algorithm == "lhs":
-            method, n = "lhs", remaining
-        elif algorithm == "ga_baseline":
-            method, n = "ga_baseline", min(ga_pop, remaining)
-        elif algorithm == "turbo_baseline":
-            method, n = "turbo_baseline", min(TURBO_BATCH_SIZE, remaining)
-        elif iteration == 1:
-            method, n = "lhs", min(BO_INIT_SAMPLES, remaining)
-        else:
-            method, n = "bo_baseline", min(BO_BATCH_SIZE, remaining)
-
-        mcfg = MethodConfig(
-            method=method, n_samples=n, parameters={}, seed=child_seed(seed, 0, iteration - 1)
-        )
-        try:
-            proposal = propose(space, mcfg, history=history, allow_resample=False, turbo_state=turbo)
-        except InsufficientHistory as exc:
-            rec.log(
-                "event",
-                event="insufficient_history_fallback",
-                iteration=iteration,
-                detail=str(exc),
-            )
-            mcfg = dataclasses.replace(mcfg, method="lhs")
-            proposal = propose(space, mcfg, history=history, allow_resample=False)
-        designs = list(proposal.designs)[:remaining]
-        if not designs:
-            rec.log("event", event="space_exhausted", iteration=iteration)
-            outcome = "space_exhausted"
-            break
-        if turbo is not None and proposal.diagnostics.get("restarted"):
-            rec.log(
-                "event",
-                event="turbo_restart",
-                iteration=iteration,
-                fraction=proposal.diagnostics.get("fraction"),
-            )
-        records = evaluate_batch(
-            config,
-            designs,
-            evaluator,
-            spec=spec,
-            cache=cache,
-            start_eval_index=history.next_eval_index(),
-            iteration=iteration,
-            method=algorithm,
-            workers=workers,
-            keep_logs=keep_logs,
-            results_dir=results_dir,
-        )
-        history.append_batch(records)
-        fresh = sum(1 for r in records if not r.cached)
-        used += fresh
-        best = _append_summary(history, iteration, algorithm, len(records))
-        entry = dict(
-            iteration=iteration,
-            method=algorithm,
-            requested=n,
-            evaluated=len(records),
-            fresh=fresh,
-            best_fom=best,
-        )
+        remaining = budget.total_evals - job.used
+        iteration = job.iteration
+        extra = {}
         if algorithm == "bo_baseline" and iteration == 1:
-            entry["phase"] = "random_init"
-        rec.log("batch", **entry)
-        if turbo is not None:
-            batch_best = max((r.fom for r in records if r.fom is not None), default=None)
-            turbo.update(batch_best)
-        stalled = stalled + 1 if fresh == 0 else 0
-        if stalled >= STALL_LIMIT:
-            rec.log("event", event="method_stalled", iteration=iteration)
-            outcome = "space_exhausted"
+            method, n, extra = "lhs", BO_INIT_SAMPLES, {"phase": "random_init"}
+        else:
+            # lhs spends the whole remainder in one batch
+            method, n = algorithm, _BASELINE_BATCH.get(algorithm, remaining)
+        mcfg = MethodConfig(
+            method=method, n_samples=min(n, remaining), seed=child_seed(seed, 0, iteration - 1)
+        )
+        stop = job.batch(space, mcfg, algorithm, remaining, {}, **extra)
+        if stop is not None:
+            outcome = stop
             break
 
-    loop_reports: List[Tuple[int, str]] = []
-    if history.iteration_summaries:
-        loop_reports.append((0, render_text(analyze(history, space))))
-
-    best_record, evals_to_best = _best_and_charge(history)
-    if best_record is None:
-        outcome = "no_valid_design"
-        rec.log("event", event="no_valid_design")
-    _check_budget(used, budget)
-
-    result = RunResult(
-        best=best_record,
-        feasible_found=_feasible(history),
-        evals_used=used,
-        evals_to_best=evals_to_best,
-        wall_time=time.monotonic() - t0,
-        outer_loops_used=1,
-        space_generations=[space],
-        decisions=rec.entries,
-        history=history,
-        outcome=outcome,
-    )
-    if results_dir:
-        _write_artifacts(results_dir, result, loop_reports)
-    return result
+    job.report(0, space)
+    return job.finish(outcome, 1, [space])

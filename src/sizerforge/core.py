@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import logging
-import threading
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -114,41 +113,38 @@ class IterationSummary:
 class History:
     """Append-only record of all evaluations plus per-iteration summaries.
 
-    Appends go through one lock so a parallel batch evaluator can merge
-    results safely; readers always see a consistent prefix.
+    Only the run controller appends, one whole batch at a time after the
+    evaluator returns, so no append races another.
     """
 
     def __init__(self):
         self.records: List[EvaluatedDesign] = []
         self.iteration_summaries: List[IterationSummary] = []
         self.dedupe_index: Dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self.records)
 
     def append(self, record: EvaluatedDesign) -> None:
-        with self._lock:
-            expected = len(self.records) + 1
-            if record.eval_index != expected:
-                raise ValueError(
-                    f"eval_index must be dense: got {record.eval_index}, expected {expected}"
-                )
-            self.records.append(record)
-            self.dedupe_index.setdefault(record.design.id, record.eval_index)
+        expected = len(self.records) + 1
+        if record.eval_index != expected:
+            raise ValueError(
+                f"eval_index must be dense: got {record.eval_index}, expected {expected}"
+            )
+        self.records.append(record)
+        self.dedupe_index.setdefault(record.design.id, record.eval_index)
 
     def append_batch(self, records: Sequence[EvaluatedDesign]) -> None:
         for r in records:
             self.append(r)
 
     def add_summary(self, summary: IterationSummary) -> None:
-        with self._lock:
-            if self.iteration_summaries:
-                prev = self.iteration_summaries[-1].best_fom_so_far
-                cur = summary.best_fom_so_far
-                if prev is not None and (cur is None or cur < prev):
-                    raise ValueError("best_fom_so_far must be non-decreasing")
-            self.iteration_summaries.append(summary)
+        if self.iteration_summaries:
+            prev = self.iteration_summaries[-1].best_fom_so_far
+            cur = summary.best_fom_so_far
+            if prev is not None and (cur is None or cur < prev):
+                raise ValueError("best_fom_so_far must be non-decreasing")
+        self.iteration_summaries.append(summary)
 
     def next_eval_index(self) -> int:
         return len(self.records) + 1
@@ -275,21 +271,27 @@ def best_so_far(history: History) -> Tuple[EvaluatedDesign, int]:
     raise AssertionError("unreachable")
 
 
+def pct_change(ago: Optional[float], now: Optional[float]) -> float:
+    """Relative change from ``ago`` to ``now``, in percent.
+
+    An undefined ``now`` gives 0; with a zero (or undefined) reference
+    the value degenerates to +inf when ``now`` is positive, else 0.
+    """
+    if now is None:
+        return 0.0
+    if ago is None or ago == 0:
+        return math.inf if now > 0 else 0.0
+    return 100.0 * (now - ago) / abs(ago)
+
+
 def improvement_pct(history: History, window: int = 1) -> float:
     """Relative improvement of best-so-far over the last ``window`` summaries.
 
-    With a zero (or undefined) reference the value degenerates to +inf
-    when the current best is positive, else 0.
+    Degenerate references follow ``pct_change``.
     """
     summaries = history.iteration_summaries
     if window < 1 or len(summaries) < window + 1:
         raise InsufficientHistory(
             f"need at least {window + 1} iteration summaries, have {len(summaries)}"
         )
-    now = summaries[-1].best_fom_so_far
-    ago = summaries[-1 - window].best_fom_so_far
-    if now is None:
-        return 0.0
-    if ago is None or ago == 0:
-        return math.inf if now > 0 else 0.0
-    return 100.0 * (now - ago) / abs(ago)
+    return pct_change(summaries[-1 - window].best_fom_so_far, summaries[-1].best_fom_so_far)

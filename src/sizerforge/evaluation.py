@@ -2,11 +2,11 @@
 
 Two evaluator kinds sit behind one interface: a SPICE subprocess runner
 (batch-mode ngspice against rendered decks) and the analytic surrogate
-bench. Results are cached by a key derived from config content, design
-identity and evaluator settings, one file per key under
-``results_dir/cache/``, so repeated trials reuse simulations. Cache hits
-cost zero budget; failed simulations count against it (they cost real
-simulator time).
+bench. Results are cached in memory for the length of one run, by a key
+derived from config content, design identity and evaluator settings, so
+a design proposed again within the run is not simulated again. Cache
+hits cost zero budget; failed simulations count against it (they cost
+real simulator time).
 
 Surrogate evaluations record a wall time of 0.0: they are effectively
 free, and a fixed value keeps batch results field-for-field identical
@@ -16,7 +16,6 @@ whatever the worker count.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 import re
@@ -128,17 +127,9 @@ def surrogate_eval(model_id: str, assignment: Mapping[str, float],
 
 
 class ResultCache:
-    """Content-addressed store of scrape outcomes.
+    """In-memory, content-addressed store of scrape outcomes for one run."""
 
-    Values are deterministic per key, so concurrent writers are benign:
-    last writer wins with identical bytes. ``directory=None`` keeps the
-    cache purely in memory.
-    """
-
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = Path(directory) if directory else None
-        if self.directory:
-            self.directory.mkdir(parents=True, exist_ok=True)
+    def __init__(self):
         self._memory: Dict[str, dict] = {}
 
     @staticmethod
@@ -147,26 +138,10 @@ class ResultCache:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> Optional[dict]:
-        if key in self._memory:
-            return self._memory[key]
-        if self.directory:
-            path = self.directory / f"{key}.json"
-            if path.exists():
-                try:
-                    entry = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError):
-                    return None
-                self._memory[key] = entry
-                return entry
-        return None
+        return self._memory.get(key)
 
     def put(self, key: str, entry: dict) -> None:
         self._memory[key] = entry
-        if self.directory:
-            path = self.directory / f"{key}.json"
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
-            os.replace(tmp, path)
 
 
 def _core_metric_names(config: BenchmarkConfig) -> List[str]:
@@ -254,7 +229,7 @@ def evaluate_batch(
         )
     if spec is None:
         spec = parse_spec(config.user_specs_metric)
-    cache = cache if cache is not None else ResultCache(None)
+    cache = cache if cache is not None else ResultCache()
     keep_log_dir = Path(results_dir) / "logs" if (keep_logs and results_dir) else None
 
     keys = [ResultCache.key_for(config, d, evaluator) for d in designs]

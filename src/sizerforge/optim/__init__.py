@@ -1,13 +1,12 @@
 """Inner-loop method arsenal: orchestrated samplers plus standalone baselines."""
 
 from .base import Proposal
-from .pool import MethodConfig, PARAMETER_NAMES, propose, validate_method_config
+from .pool import MethodConfig, propose, validate_method_config
 from .turbo import TurboState
 
 __all__ = [
     "Proposal",
     "MethodConfig",
-    "PARAMETER_NAMES",
     "propose",
     "validate_method_config",
     "TurboState",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core import Design, EvaluatedDesign, History, design_from
 from ..space import SearchSpace, sample_validate
@@ -25,10 +25,6 @@ class Proposal:
     designs: List[Design]
     method: str
     diagnostics: Dict[str, object] = field(default_factory=dict)
-
-
-def active_items(space: SearchSpace) -> List[Tuple[str, Tuple[float, ...]]]:
-    return list(space.active.items())
 
 
 def materialize(space: SearchSpace, indices: Sequence[int]) -> Design:

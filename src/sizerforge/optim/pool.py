@@ -1,14 +1,18 @@
-"""Method dispatch and parameter validation for the arsenal.
+"""Method table and parameter validation for the arsenal.
 
-Each method accepts only its own parameter names; anything else is a
-BadParameter before any sampling happens. "optuna" is accepted as an
-alias for bayesian with PI acquisition since it shows up in strategy
-guidance without its own definition.
+``METHODS`` maps each method name to its proposer, the parameter names
+it accepts and a preset laid under the caller's parameters; ``_RANGES``
+bounds every parameter. A name outside a method's list, or a value
+outside its range, is a BadParameter before any sampling happens.
+"optuna" is accepted as an alias for bayesian with PI acquisition since
+it shows up in strategy guidance without its own definition.
 
-Baselines reuse the orchestrated samplers with pinned presets:
-ga_baseline = genetic(population 20, crossover 0.8, mutation 0.1),
-bo_baseline = bayesian(UCB, weight 2.0), turbo_baseline = trust-region
-LHS with external TurboState.
+``propose`` calls every proposer by keyword and relabels the proposal
+with the method name. The baselines are presets of the orchestrated
+samplers: ga_baseline = genetic(population 20, crossover 0.8, mutation
+0.1), bo_baseline = bayesian(UCB, weight 2.0); turbo_baseline is
+trust-region LHS and the only method handed the caller's TurboState.
+Defaults not preset here are the proposers' own signature defaults.
 """
 
 from __future__ import annotations
@@ -29,25 +33,33 @@ from .sampling import propose_lhs
 from .turbo import TurboState, propose_turbo_baseline
 
 ORCHESTRATED = ("lhs", "genetic", "bayesian", "adaptive", "annealing", "multistart")
-BASELINES = ("ga_baseline", "bo_baseline", "turbo_baseline")
-
-PARAMETER_NAMES: Dict[str, frozenset] = {
-    "lhs": frozenset(),
-    "genetic": frozenset({"mutation_rate", "crossover_rate", "tournament_size", "population"}),
-    "bayesian": frozenset({"acquisition_function", "exploration_weight"}),
-    "adaptive": frozenset({"explore_weight", "exploit_weight", "random_weight"}),
-    "annealing": frozenset({"initial_temperature", "cooling_rate"}),
-    "multistart": frozenset({"n_starts", "search_radius"}),
-    "ga_baseline": frozenset({"mutation_rate", "crossover_rate", "tournament_size", "population"}),
-    "bo_baseline": frozenset({"acquisition_function", "exploration_weight"}),
-    "turbo_baseline": frozenset(),
-}
 
 _ACQUISITIONS = ("EI", "UCB", "LCB", "PI")
 
 GA_BASELINE_PRESET = {"population": 20, "crossover_rate": 0.8, "mutation_rate": 0.1}
 BO_BASELINE_PRESET = {"acquisition_function": "UCB", "exploration_weight": 2.0}
 ADAPTIVE_DEFAULTS = {"explore_weight": 0.5, "exploit_weight": 0.5, "random_weight": 0.2}
+
+_GENETIC = ("mutation_rate", "crossover_rate", "tournament_size", "population")
+_BAYESIAN = ("acquisition_function", "exploration_weight")
+
+# parameter -> (type, low, high) with None for no bound, or the allowed
+# values; checked in this order
+_RANGES = {
+    "mutation_rate": (float, 0.0, 1.0),
+    "crossover_rate": (float, 0.0, 1.0),
+    "tournament_size": (int, 1, None),
+    "population": (int, 2, None),
+    "acquisition_function": _ACQUISITIONS,
+    "exploration_weight": (float, 0.0, None),
+    "initial_temperature": (float, 0.0, None),
+    "cooling_rate": (float, 0.0, 1.0),
+    "n_starts": (int, 1, None),
+    "search_radius": (int, 0, None),
+    "explore_weight": (float, 0.0, None),
+    "exploit_weight": (float, 0.0, None),
+    "random_weight": (float, 0.0, None),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,23 +70,22 @@ class MethodConfig:
     seed: int = 0
 
 
-def _require_number(name: str, value: object, low: float = None, high: float = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadParameter(f"{name} must be a number, got {value!r}")
-    x = float(value)
+def _check_range(name: str, value: object) -> None:
+    rule = _RANGES[name]
+    if not isinstance(rule[0], type):
+        if value not in rule:
+            raise BadParameter(f"{name} must be one of {rule}, got {value!r}")
+        return
+    kind, low, high = rule
+    accepted = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        noun = "a number" if kind is float else "an integer"
+        raise BadParameter(f"{name} must be {noun}, got {value!r}")
+    x = kind(value)
     if low is not None and x < low:
         raise BadParameter(f"{name} must be >= {low}, got {x}")
     if high is not None and x > high:
         raise BadParameter(f"{name} must be <= {high}, got {x}")
-    return x
-
-
-def _require_count(name: str, value: object, low: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadParameter(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise BadParameter(f"{name} must be >= {low}, got {value}")
-    return value
 
 
 def validate_method_config(config: MethodConfig) -> MethodConfig:
@@ -88,41 +99,17 @@ def validate_method_config(config: MethodConfig) -> MethodConfig:
     if method == "optuna":
         method = "bayesian"
         params.setdefault("acquisition_function", "PI")
-    if method not in PARAMETER_NAMES:
+    if method not in METHODS:
         raise UnknownMethod(f"unknown method {config.method!r}")
-    allowed = PARAMETER_NAMES[method]
+    allowed = METHODS[method][1]
     for name in params:
         if name not in allowed:
             raise BadParameter(f"{name!r} is not a parameter of {method}")
     if config.n_samples < 1:
         raise BadParameter(f"n_samples must be positive, got {config.n_samples}")
-
-    if "mutation_rate" in params:
-        _require_number("mutation_rate", params["mutation_rate"], 0.0, 1.0)
-    if "crossover_rate" in params:
-        _require_number("crossover_rate", params["crossover_rate"], 0.0, 1.0)
-    if "tournament_size" in params:
-        _require_count("tournament_size", params["tournament_size"], 1)
-    if "population" in params:
-        _require_count("population", params["population"], 2)
-    if "acquisition_function" in params:
-        acq = params["acquisition_function"]
-        if acq not in _ACQUISITIONS:
-            raise BadParameter(f"acquisition_function must be one of {_ACQUISITIONS}, got {acq!r}")
-    if "exploration_weight" in params:
-        _require_number("exploration_weight", params["exploration_weight"], 0.0)
-    if "initial_temperature" in params:
-        _require_number("initial_temperature", params["initial_temperature"], 0.0)
-    if "cooling_rate" in params:
-        _require_number("cooling_rate", params["cooling_rate"], 0.0, 1.0)
-    if "n_starts" in params:
-        _require_count("n_starts", params["n_starts"], 1)
-    if "search_radius" in params:
-        _require_count("search_radius", params["search_radius"], 0)
-    for w in ("explore_weight", "exploit_weight", "random_weight"):
-        if w in params:
-            _require_number(w, params[w], 0.0)
-
+    for name in _RANGES:
+        if name in params:
+            _check_range(name, params[name])
     return dataclasses.replace(config, method=method, parameters=params)
 
 
@@ -144,15 +131,16 @@ def _apportion(n: int, weights: Mapping[str, float]) -> Dict[str, int]:
 
 def _propose_adaptive(
     space: SearchSpace,
-    config: MethodConfig,
     history: Optional[History],
-    allow_resample: bool,
+    n_samples: int,
+    seed: int,
+    allow_resample: bool = False,
+    **weights: float,
 ) -> Proposal:
-    weights = dict(ADAPTIVE_DEFAULTS)
-    weights.update({k: float(v) for k, v in config.parameters.items()})
-    counts = _apportion(config.n_samples, weights)
+    weights = {**ADAPTIVE_DEFAULTS, **{k: float(v) for k, v in weights.items()}}
+    counts = _apportion(n_samples, weights)
 
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     seeds = {k: rng.randrange(2**32) for k in ("explore", "exploit", "random")}
 
     batches = []
@@ -165,25 +153,11 @@ def _propose_adaptive(
         n_valid = len(in_space_valid(history, space)) if history is not None else 0
         if n_valid >= MIN_OBSERVATIONS:
             exploit_method = "bayesian"
-            batches.append(
-                propose_bayesian(
-                    space,
-                    history,
-                    counts["exploit_weight"],
-                    seeds["exploit"],
-                    allow_resample=allow_resample,
-                )
-            )
-        else:
-            batches.append(
-                propose_multistart(
-                    space,
-                    history,
-                    counts["exploit_weight"],
-                    seeds["exploit"],
-                    allow_resample=allow_resample,
-                )
-            )
+        exploit = propose_bayesian if exploit_method == "bayesian" else propose_multistart
+        batches.append(
+            exploit(space, history, counts["exploit_weight"], seeds["exploit"],
+                    allow_resample=allow_resample)
+        )
     random_designs = []
     if counts["random_weight"]:
         rrng = random.Random(seeds["random"])
@@ -200,7 +174,7 @@ def _propose_adaptive(
             continue
         seen.add(design.id)
         merged.append(design)
-    merged = merged[: config.n_samples]
+    merged = merged[:n_samples]
     return Proposal(
         designs=merged,
         method="adaptive",
@@ -212,6 +186,20 @@ def _propose_adaptive(
     )
 
 
+# method -> (proposer, accepted parameter names, preset under the caller's)
+METHODS = {
+    "lhs": (propose_lhs, (), {}),
+    "genetic": (propose_genetic, _GENETIC, {}),
+    "bayesian": (propose_bayesian, _BAYESIAN, {}),
+    "adaptive": (_propose_adaptive, tuple(ADAPTIVE_DEFAULTS), {}),
+    "annealing": (propose_annealing, ("initial_temperature", "cooling_rate"), {}),
+    "multistart": (propose_multistart, ("n_starts", "search_radius"), {}),
+    "ga_baseline": (propose_genetic, _GENETIC, GA_BASELINE_PRESET),
+    "bo_baseline": (propose_bayesian, _BAYESIAN, BO_BASELINE_PRESET),
+    "turbo_baseline": (propose_turbo_baseline, (), {}),
+}
+
+
 def propose(
     space: SearchSpace,
     config: MethodConfig,
@@ -221,85 +209,16 @@ def propose(
 ) -> Proposal:
     """Validate the config and dispatch to the named method."""
     cfg = validate_method_config(config)
-    method = cfg.method
-    params = dict(cfg.parameters)
-
-    if method == "lhs":
-        return propose_lhs(space, cfg.n_samples, cfg.seed, history, allow_resample)
-    if method == "genetic":
-        return propose_genetic(
-            space,
-            history,
-            cfg.n_samples,
-            cfg.seed,
-            mutation_rate=params.get("mutation_rate", 0.2),
-            crossover_rate=params.get("crossover_rate", 0.8),
-            tournament_size=params.get("tournament_size", 3),
-            population=params.get("population"),
-            allow_resample=allow_resample,
-        )
-    if method == "bayesian":
-        return propose_bayesian(
-            space,
-            history,
-            cfg.n_samples,
-            cfg.seed,
-            acquisition_function=params.get("acquisition_function", "EI"),
-            exploration_weight=params.get("exploration_weight"),
-            allow_resample=allow_resample,
-        )
-    if method == "adaptive":
-        return _propose_adaptive(space, cfg, history, allow_resample)
-    if method == "annealing":
-        return propose_annealing(
-            space,
-            history,
-            cfg.n_samples,
-            cfg.seed,
-            initial_temperature=params.get("initial_temperature", 2.0),
-            cooling_rate=params.get("cooling_rate", 0.95),
-            allow_resample=allow_resample,
-        )
-    if method == "multistart":
-        return propose_multistart(
-            space,
-            history,
-            cfg.n_samples,
-            cfg.seed,
-            n_starts=params.get("n_starts", 5),
-            search_radius=params.get("search_radius", 2),
-            allow_resample=allow_resample,
-        )
-    if method == "ga_baseline":
-        preset = dict(GA_BASELINE_PRESET)
-        preset.update(params)
-        proposal = propose_genetic(
-            space,
-            history,
-            cfg.n_samples,
-            cfg.seed,
-            mutation_rate=preset["mutation_rate"],
-            crossover_rate=preset["crossover_rate"],
-            tournament_size=preset.get("tournament_size", 3),
-            population=preset["population"],
-            allow_resample=allow_resample,
-        )
-        return dataclasses.replace(proposal, method="ga_baseline")
-    if method == "bo_baseline":
-        preset = dict(BO_BASELINE_PRESET)
-        preset.update(params)
-        proposal = propose_bayesian(
-            space,
-            history,
-            cfg.n_samples,
-            cfg.seed,
-            acquisition_function=preset["acquisition_function"],
-            exploration_weight=preset["exploration_weight"],
-            allow_resample=allow_resample,
-        )
-        return dataclasses.replace(proposal, method="bo_baseline")
-    if method == "turbo_baseline":
-        return propose_turbo_baseline(
-            space, history, cfg.n_samples, cfg.seed, state=turbo_state, allow_resample=allow_resample
-        )
-    raise UnknownMethod(f"unknown method {method!r}")
+    proposer, _, preset = METHODS[cfg.method]
+    params = {**preset, **cfg.parameters}
+    if cfg.method == "turbo_baseline":
+        params["state"] = turbo_state
+    proposal = proposer(
+        space,
+        history=history,
+        n_samples=cfg.n_samples,
+        seed=cfg.seed,
+        allow_resample=allow_resample,
+        **params,
+    )
+    return dataclasses.replace(proposal, method=cfg.method)

@@ -7,7 +7,8 @@ halved otherwise. When the region collapses below one grid step in every
 variable, the search restarts from a fresh full-space LHS.
 
 The region state lives outside the proposer so repeated calls stay pure;
-the baseline loop owns a TurboState and feeds batch outcomes back via
+the controller's run object owns a TurboState for a turbo baseline, and
+its batch step (``_Run.batch``) feeds batch outcomes back via
 ``TurboState.update``.
 """
 

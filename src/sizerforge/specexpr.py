@@ -75,10 +75,6 @@ class SpecExpr:
     def pretty(self) -> str:
         return " AND ".join(c.pretty() for c in self.clauses)
 
-    @property
-    def metric_names(self) -> Tuple[str, ...]:
-        return tuple(c.metric for c in self.clauses)
-
 
 @dataclass(frozen=True)
 class ClauseResult:

@@ -54,11 +54,6 @@ class SurrogateModel:
     def metrics_for(self, assignment: Mapping[str, float]) -> Dict[str, float]:
         return self._metrics_fn(assignment)
 
-    def known_optimum(self) -> Tuple[Design, Optional[float]]:
-        """Oracle-certified global optimum; computed, never asserted."""
-        result = enumerate_oracle(self)
-        return result.best_design, result.best_fom
-
 
 def _easy_metrics(assignment: Mapping[str, float]) -> Dict[str, float]:
     a = assignment["a"]

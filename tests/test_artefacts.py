@@ -1,0 +1,90 @@
+"""Golden run artefacts: the baselines and the two-loop run, byte for byte.
+
+Each case writes its artefacts and pins one digest over
+``decision_log.jsonl``, ``history.jsonl``, ``space_gen*.json`` and
+``loop*_report.txt``. The digests were recorded before the two run
+loops shared one batch step, so any refactor of the loops must leave
+every decision, evaluation, space snapshot and loop report unchanged.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from sizerforge.agents import RuleBackend
+from sizerforge.config import load_config
+from sizerforge.controller import RunBudget, run, run_baseline
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PATTERNS = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
+
+# baselines: 60 evaluations, seed 0
+BASELINE_DIGESTS = {
+    ("lhs", "sota_med"): "0a54d03750fbec19bec1cc3d34d6003739b35a56c98aebea24ffd9bf7d4b0e4a",
+    ("ga_baseline", "sota_med"): "8f8b304f58418358fae0d8a7bac3a854b775a34d2c961b195fcdde1f71eca44d",
+    ("bo_baseline", "sota_med"): "1224c4febb0ad3a90591ad5a488ca71676db8d64d2533e569c9af8561cccda3d",
+    ("turbo_baseline", "sota_med"): "1967f05d123eff468732c481e9dbbc339f27f508a606f27d6c94a4780eb0f85c",
+    ("lhs", "sota_hard"): "02875da48d5b9078c97d341ffdc92b4c4349627ff681ec040f8a69374077c684",
+    ("ga_baseline", "sota_hard"): "6e46c4129af88b756fafbcd9d2b89168c59b79857f15fe5b28c5157ccbce0475",
+    ("bo_baseline", "sota_hard"): "a71aa781679867550d7d04a31f259d1e60f821a9f3f0ed8aa19323a2e3c3bc7d",
+    ("turbo_baseline", "sota_hard"): "10664dbd30aba464461ae0db49ff6414768535b43e8143c1ada15e7c4ab76339",
+}
+
+# rule backend on sota_hard, default budget, seed 0; sota_hard reaches a
+# second outer loop without ablation and the outer cap under no_oe
+RUN_DIGESTS = {
+    None: "4fd0995966ddc23e9739107ce7b7dd576f5db4d5cc52163504f3555fa2f2ff6c",
+    "no_oe": "ca583820b32de4f97240b64842eef93cb5828a5fb0fad8915ab24d527ee223f1",
+    "no_ssd": "8b7aaa0abac494a140d4eb97555dd5b23674529f1a8ac9dcc32ae3660dde53ca",
+    "no_srl": "e58f9e734110c955c9e12c67db6a9f7e74b86ed7191e33e9104b86a52ce11ce8",
+    "no_cu": "4fd0995966ddc23e9739107ce7b7dd576f5db4d5cc52163504f3555fa2f2ff6c",
+}
+
+
+def artefact_digest(results_dir: Path) -> str:
+    h = hashlib.sha256()
+    paths = sorted({p for pattern in PATTERNS for p in results_dir.glob(pattern)})
+    assert paths, "no artefacts written"
+    for path in paths:
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _check(result, budget, results_dir):
+    assert [r.eval_index for r in result.history.records] == list(
+        range(1, len(result.history.records) + 1)
+    )
+    assert result.evals_used <= budget.total_evals
+    return artefact_digest(results_dir)
+
+
+def _baseline_digest(algorithm, name, workers, tmp_path):
+    out = tmp_path / f"{algorithm}_{name}_w{workers}"
+    budget = RunBudget(total_evals=60)
+    config = load_config(str(CONFIGS / f"{name}.yaml"))
+    result = run_baseline(config, algorithm, budget, 0, workers=workers, results_dir=str(out))
+    return _check(result, budget, out)
+
+
+def _run_digest(ablation, workers, tmp_path):
+    out = tmp_path / f"run_{ablation}_w{workers}"
+    budget = RunBudget()
+    flags = {ablation: True} if ablation else {}
+    config = load_config(str(CONFIGS / "sota_hard.yaml"))
+    result = run(config, budget, RuleBackend(), 0, workers=workers, results_dir=str(out), **flags)
+    return _check(result, budget, out)
+
+
+@pytest.mark.parametrize("algorithm,name", sorted(BASELINE_DIGESTS))
+def test_baseline_artefacts_match_golden(algorithm, name, tmp_path):
+    digest = _baseline_digest(algorithm, name, 1, tmp_path)
+    assert digest == BASELINE_DIGESTS[(algorithm, name)]
+    assert _baseline_digest(algorithm, name, 2, tmp_path) == digest
+
+
+@pytest.mark.parametrize("ablation", list(RUN_DIGESTS))
+def test_run_artefacts_match_golden(ablation, tmp_path):
+    digest = _run_digest(ablation, 1, tmp_path)
+    assert digest == RUN_DIGESTS[ablation]
+    assert _run_digest(ablation, 2, tmp_path) == digest

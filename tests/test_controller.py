@@ -58,3 +58,47 @@ def test_budget_overrun_raises(overcharging_evaluator, algorithm):
             run(config, budget, RuleBackend(), 0)
         else:
             run_baseline(config, algorithm, budget, 0)
+
+
+def test_baseline_stall_reports_stalled():
+    # ga elitism re-proposes cached designs until STALL_LIMIT batches charge nothing
+    config = load_config(str(CONFIGS / "sota_med.yaml"))
+    result = run_baseline(config, "ga_baseline", RunBudget(total_evals=60), 0)
+    stalls = [e for e in result.decisions if e.get("event") == "method_stalled"]
+    assert result.outcome == "stalled"
+    assert len(stalls) == 1
+
+
+def test_baseline_grid_exhaustion_reports_space_exhausted():
+    # sota_easy is an 81-point grid, far below a 300-eval budget
+    config = load_config(str(CONFIGS / "sota_easy.yaml"))
+    result = run_baseline(config, "lhs", RunBudget(total_evals=300), 0)
+    assert result.outcome == "space_exhausted"
+    assert result.evals_used == 81
+
+
+@pytest.mark.parametrize("algorithm", ["bo_baseline", "autosizer"])
+def test_each_batch_calls_the_controllers_evaluate_batch(monkeypatch, algorithm):
+    # perfbench times the layers by rebinding these controller globals
+    calls = {"propose": 0, "evaluate_batch": 0}
+
+    def counted(name):
+        real = getattr(controller, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(controller, name, counted(name))
+    config = load_config(str(CONFIGS / "sota_hard.yaml"))
+    budget = RunBudget(total_evals=40)
+    if algorithm == "autosizer":
+        result = run(config, budget, RuleBackend(), 0)
+    else:
+        result = run_baseline(config, algorithm, budget, 0)
+    batches = [e for e in result.decisions if e["kind"] == "batch"]
+    assert batches
+    assert calls["evaluate_batch"] == len(batches)
+    assert calls["propose"] >= len(batches)
