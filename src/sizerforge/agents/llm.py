@@ -1,11 +1,14 @@
 """Model-backed decision layer: transport, transcripts, prompt rendering.
 
-Each decision is a single prompt/response exchange. Responses go through
-parse_agent_json plus op-specific validation (grid snapping, method and
-variable-name checks); a rejected response earns exactly one retry with
-the rejection reason echoed into the re-prompt, after which the rule
-policy takes over. Transport failures take the same exit. A run never
-aborts because the model misbehaved.
+Each decision is a single prompt/response exchange, run by one
+``LlmBackend._decide`` step for all four operations: the prompt and the
+schema share the operation's name (understanding, plan, inner, outer).
+Responses go through parse_agent_json plus op-specific validation (grid
+snapping, method and variable-name checks); a rejected response earns
+exactly one retry with the rejection reason echoed into the re-prompt,
+after which the rule policy takes over. Transport failures take the
+same exit, and every fallback is logged and kept on ``fallbacks``. A run
+never aborts because the model misbehaved.
 
 Transports share one interface, ``complete(prompt, params) -> text``:
 HttpTransport speaks the common chat-completion JSON shape, configured
@@ -34,7 +37,6 @@ from ..errors import (
     ConfigError,
     IllegalPlan,
     JsonUnparseable,
-    LlmSchemaViolation,
     LlmTransport,
     PlanIncomplete,
     SchemaViolation,
@@ -480,58 +482,51 @@ class LlmBackend:
 
     # -- shared ask/parse/validate ladder ------------------------------
 
-    def _ask(self, kind: str, template: str, mapping: Mapping[str, str], schema: str, validate):
-        prompt, _ = render_template(template, mapping)
-        last_error = None
-        for attempt in range(2):
-            ask = prompt
-            if attempt:
-                ask = (
-                    prompt
-                    + "\n\n## PREVIOUS ATTEMPT REJECTED\n"
-                    + f"Your previous response was rejected: {last_error}\n"
-                    + "Respond again with ONLY the corrected JSON object."
-                )
-            raw = self.transport.complete(ask, GENERATION_PARAMS)
-            if self.transcripts is not None:
-                self.transcripts.record(kind, ask, GENERATION_PARAMS, raw)
-            repairs: List[str] = []
-            try:
-                decision = parse_agent_json(raw, schema, repairs)
-                decision = validate(decision) if validate is not None else decision
-            except _REJECTABLE as exc:
-                last_error = str(exc)
-                self._log(f"{kind}: response rejected ({exc})")
-                continue
-            for note in repairs:
-                self._log(f"{kind}: {note}")
-            return decision
-        raise LlmSchemaViolation(f"{kind}: retry also rejected: {last_error}")
-
-    def _fallback(self, kind: str, exc: Exception, produce):
-        self.fallbacks.append({"op": kind, "reason": str(exc)})
-        self._log(f"{kind}: falling back to the rule policy ({exc})")
-        return produce()
+    def _decide(self, kind: str, context: Mapping[str, str], validate, fallback):
+        """One decision: the ``kind`` prompt rendered with ``context``,
+        the reply parsed by the ``kind`` schema and checked by
+        ``validate``, one echo-retry after a rejection. A second
+        rejection or a transport failure is logged as a fallback and the
+        rule policy's ``fallback()`` answers instead."""
+        prompt, _ = render_template(load_prompt(kind), context)
+        ask = prompt
+        try:
+            for _ in range(2):
+                raw = self.transport.complete(ask, GENERATION_PARAMS)
+                if self.transcripts is not None:
+                    self.transcripts.record(kind, ask, GENERATION_PARAMS, raw)
+                repairs: List[str] = []
+                try:
+                    decision = parse_agent_json(raw, kind, repairs)
+                    decision = validate(decision) if validate is not None else decision
+                except _REJECTABLE as exc:
+                    last_error = str(exc)
+                    self._log(f"{kind}: response rejected ({exc})")
+                    ask = (
+                        prompt
+                        + "\n\n## PREVIOUS ATTEMPT REJECTED\n"
+                        + f"Your previous response was rejected: {last_error}\n"
+                        + "Respond again with ONLY the corrected JSON object."
+                    )
+                    continue
+                for note in repairs:
+                    self._log(f"{kind}: {note}")
+                return decision
+            reason = f"{kind}: retry also rejected: {last_error}"
+        except (LlmTransport, Timeout) as exc:
+            reason = str(exc)
+        self.fallbacks.append({"op": kind, "reason": reason})
+        self._log(f"{kind}: falling back to the rule policy ({reason})")
+        return fallback()
 
     # -- operations -----------------------------------------------------
 
     def understand(self, config) -> CircuitUnderstanding:
-        def validate(understanding: CircuitUnderstanding) -> CircuitUnderstanding:
-            # impact prose keyed by unknown metrics is tolerated; the
-            # sensitivity map stays empty until the plan response ranks
-            # the variables
-            return understanding
-
-        try:
-            return self._ask(
-                "understanding",
-                load_prompt("understanding"),
-                understanding_context(config),
-                "understanding",
-                validate,
-            )
-        except (LlmTransport, Timeout, LlmSchemaViolation) as exc:
-            return self._fallback("understanding", exc, lambda: rule_understand(config))
+        # impact prose keyed by unknown metrics is tolerated; the
+        # sensitivity map stays empty until the plan response ranks the
+        # variables
+        return self._decide("understanding", understanding_context(config), None,
+                            lambda: rule_understand(config))
 
     def plan(self, config, understanding: CircuitUnderstanding, n_to_optimize: int) -> SpacePlan:
         def validate(plan: SpacePlan) -> SpacePlan:
@@ -545,18 +540,8 @@ class LlmBackend:
             first_round_from_plan(config, plan)  # dry run, raises on bad coverage
             return plan
 
-        try:
-            return self._ask(
-                "plan",
-                load_prompt("plan"),
-                plan_context(config, understanding, n_to_optimize),
-                "plan",
-                validate,
-            )
-        except (LlmTransport, Timeout, LlmSchemaViolation) as exc:
-            return self._fallback(
-                "plan", exc, lambda: rule_plan(config, understanding, n_to_optimize)
-            )
+        return self._decide("plan", plan_context(config, understanding, n_to_optimize), validate,
+                            lambda: rule_plan(config, understanding, n_to_optimize))
 
     def decide_inner(
         self,
@@ -586,18 +571,8 @@ class LlmBackend:
                     decision.n_samples = remaining
             return decision
 
-        try:
-            return self._ask(
-                "inner",
-                load_prompt("inner"),
-                inner_context(report, budget, space, config),
-                "inner",
-                validate,
-            )
-        except (LlmTransport, Timeout, LlmSchemaViolation) as exc:
-            return self._fallback(
-                "inner", exc, lambda: rule_decide_inner(report, budget, space)
-            )
+        return self._decide("inner", inner_context(report, budget, space, config), validate,
+                            lambda: rule_decide_inner(report, budget, space))
 
     def decide_outer(
         self,
@@ -617,17 +592,7 @@ class LlmBackend:
                 space_from_plan(config, decision.plan, generation=space.generation + 1)
             return decision
 
-        try:
-            return self._ask(
-                "outer",
-                load_prompt("outer"),
-                outer_context(report, space, history, budget, config),
-                "outer",
-                validate,
-            )
-        except (LlmTransport, Timeout, LlmSchemaViolation) as exc:
-            return self._fallback(
-                "outer",
-                exc,
-                lambda: rule_decide_outer(report, space, history, budget, understanding),
-            )
+        return self._decide(
+            "outer", outer_context(report, space, history, budget, config), validate,
+            lambda: rule_decide_outer(report, space, history, budget, understanding),
+        )

@@ -18,22 +18,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..errors import JsonUnparseable, SchemaViolation
+from ..space import ACTIONS
 
-OUTER_ACTIONS = (
-    "continue_current",
-    "expand_ranges",
-    "narrow_ranges",
-    "unfix_variables",
-    "change_focus",
-    "converged",
-)
 CONFIDENCE_LEVELS = ("high", "medium", "low")
 IMPACT_LEVELS = ("critical", "high", "medium", "low")
 SENSITIVITY_LEVELS = ("high", "medium", "low")
 RISK_LEVELS = ("low", "medium", "high")
 INNER_ACTIONS = ("search", "stop")
-
-SCHEMAS = ("understanding", "plan", "inner", "outer")
 
 
 # ---------------------------------------------------------------- objects
@@ -129,7 +120,7 @@ class InnerDecision:
 
 @dataclass
 class OuterDecision:
-    action: str  # one of OUTER_ACTIONS
+    action: str  # one of space.ACTIONS
     target: str = ""
     reasoning: str = ""
     changes_from_previous: str = ""
@@ -446,7 +437,7 @@ def _validate_outer(data: Mapping) -> OuterDecision:
         ),
         optional=("variable_ranking", "optimization_configuration", "search_space_summary"),
     )
-    action = _as_enum(data["action_taken"], "action_taken", OUTER_ACTIONS)
+    action = _as_enum(data["action_taken"], "action_taken", ACTIONS)
     confidence = _as_enum(data["confidence"], "confidence", CONFIDENCE_LEVELS)
     plan: Optional[SpacePlan] = None
     has_plan = "optimization_configuration" in data

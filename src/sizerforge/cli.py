@@ -17,8 +17,8 @@ from .agents import make_backend
 from .config import load_config, render_deck
 from .controller import BASELINE_ALGORITHMS, RunBudget, run, run_baseline
 from .errors import ConfigError, SizerForgeError
-from .evaluation import EvaluatorSpec, evaluator_from_config
-from .harness import load_matrix, render_table, run_matrix
+from .evaluation import evaluator_from_config
+from .harness import load_matrix, render_table, reported_design, run_matrix
 from .specexpr import parse_spec
 from .surrogates import enumerate_oracle, get_model
 
@@ -111,9 +111,11 @@ def cmd_run(args) -> int:
         )
 
     print(f"outcome: {result.outcome}")
-    if result.best is not None:
-        print(f"best FoM {result.best.fom:.6f} at {_fmt_assignment(result.best.design.assignment)}")
-        metrics = ", ".join(f"{k}={v:.6g}" for k, v in result.best.raw_metrics.items())
+    reported = reported_design(result)
+    if reported is not None:
+        where = _fmt_assignment(reported.design.assignment)
+        print(f"reported design: FoM {reported.fom:.6f} at {where}")
+        metrics = ", ".join(f"{k}={v:.6g}" for k, v in reported.raw_metrics.items())
         print(f"metrics: {metrics}")
     else:
         print("no valid design found")

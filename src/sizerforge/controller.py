@@ -221,14 +221,13 @@ class _Run:
         iteration = self.iteration
         history = self.history
         try:
-            proposal = propose(space, mcfg, history=history, allow_resample=False,
-                               turbo_state=self.turbo)
+            proposal = propose(space, mcfg, history, turbo_state=self.turbo)
         except InsufficientHistory as exc:
             # too few in-space observations for a model-based method
             self.log("event", event="insufficient_history_fallback", **scope,
                      iteration=iteration, detail=str(exc))
             fallback = dataclasses.replace(mcfg, method="lhs", parameters={})
-            proposal = propose(space, fallback, history=history, allow_resample=False)
+            proposal = propose(space, fallback, history)
         designs = list(proposal.designs)[:limit]
         if not designs:
             self.log("event", event="space_exhausted", **scope, iteration=iteration)
@@ -299,7 +298,6 @@ def run(
     workers: int = 1,
     keep_logs: bool = False,
     results_dir: Optional[str] = None,
-    n_to_optimize: Optional[int] = None,
     no_cu: bool = False,
     no_ssd: bool = False,
     no_oe: bool = False,
@@ -327,8 +325,7 @@ def run(
         space = space_from_config(config)
         job.log("plan", backend="none", payload={"skipped": "full grid, no planning round"})
     else:
-        n_opt = n_to_optimize if n_to_optimize is not None else min(4, len(config.variables))
-        plan = backend.plan(config, understanding, n_opt)
+        plan = backend.plan(config, understanding, min(4, len(config.variables)))
         space = first_round_from_plan(config, plan)
         for var in config.variables:
             understanding.sensitivity[var] = plan.sensitivity_of(var)

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import EmptyHistory, InsufficientHistory, MissingMetric, NoValidDesign
@@ -246,10 +246,6 @@ def assess(
         if clause.threshold != 0:
             normalized[clause.metric] = spec_metrics[clause.metric] / clause.threshold
     return fom, verdict.passed, normalized
-
-
-def _fom_key(record: EvaluatedDesign) -> float:
-    return record.fom if record.fom is not None else float("-inf")
 
 
 def best_so_far(history: History) -> Tuple[EvaluatedDesign, int]:

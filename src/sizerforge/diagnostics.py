@@ -9,8 +9,8 @@ is golden-file tested, so its wording is append-only.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 from .core import EvaluatedDesign, History, improvement_pct
 from .errors import EmptyHistory, InsufficientHistory
@@ -98,9 +98,7 @@ def top_designs(history: History, top_k: int) -> List[EvaluatedDesign]:
     return ranked[:top_k]
 
 
-def variable_impact(
-    history: History, space: SearchSpace, top_k: int = TOP_K
-) -> Dict[str, Dict[str, object]]:
+def variable_impact(history: History, space: SearchSpace) -> Dict[str, Dict[str, object]]:
     """Per active variable: top-k value range, frequency counts, convergence.
 
     Counts are sorted by frequency descending, value ascending on ties.
@@ -109,7 +107,7 @@ def variable_impact(
     """
     if not history.records:
         raise EmptyHistory("no evaluations to analyze")
-    top = top_designs(history, top_k)
+    top = top_designs(history, TOP_K)
     impact: Dict[str, Dict[str, object]] = {}
     for var in space.active:
         values = [r.design.assignment[var] for r in top]
@@ -177,13 +175,7 @@ def _boundary_issues(
     return issues
 
 
-def analyze(
-    history: History,
-    space: SearchSpace,
-    top_k: int = TOP_K,
-    stagnation_iters: int = STAGNATION_ITERS,
-    improvement_threshold_pct: float = IMPROVEMENT_THRESHOLD_PCT,
-) -> DiagnosticsReport:
+def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
     """Pure function of a history snapshot and the current space."""
     summaries = history.iteration_summaries
     if not summaries:
@@ -196,17 +188,17 @@ def analyze(
     except InsufficientHistory:
         recent_pct = None
 
-    top = top_designs(history, top_k)
+    top = top_designs(history, TOP_K)
     k = len(top)
     impact = (
-        variable_impact(history, space, top_k)
+        variable_impact(history, space)
         if history.records
         else {v: {"min": None, "max": None, "counts": [], "converged": False} for v in space.active}
     )
 
     issues = _boundary_issues(impact, space, k)
     streak = _stagnation_streak(progression)
-    stagnant = streak >= stagnation_iters
+    stagnant = streak >= STAGNATION_ITERS
     if stagnant:
         issues.append(
             Issue(
@@ -221,17 +213,17 @@ def analyze(
     if stagnant:
         status = "stagnant"
         reason = (
-            f"recent improvements < {improvement_threshold_pct:g}% "
+            f"recent improvements < {IMPROVEMENT_THRESHOLD_PCT:g}% "
             f"({(recent_pct or 0.0):.2f}%); best FOM unchanged for "
             f"{streak} consecutive iterations"
         )
-    elif recent_pct is not None and recent_pct < improvement_threshold_pct:
+    elif recent_pct is not None and recent_pct < IMPROVEMENT_THRESHOLD_PCT:
         status = "converging"
-        reason = f"recent improvements < {improvement_threshold_pct:g}% ({recent_pct:.2f}%)"
+        reason = f"recent improvements < {IMPROVEMENT_THRESHOLD_PCT:g}% ({recent_pct:.2f}%)"
     else:
         status = "improving"
         reason = (
-            f"recent improvement {recent_pct:.2f}% >= {improvement_threshold_pct:g}%"
+            f"recent improvement {recent_pct:.2f}% >= {IMPROVEMENT_THRESHOLD_PCT:g}%"
             if recent_pct is not None
             else "trend not yet established"
         )
@@ -265,7 +257,7 @@ def analyze(
     if not issues and status == "converging":
         actions.append(
             f"Consider stopping due to recent improvements < "
-            f"{improvement_threshold_pct:g}% ({recent_pct:.2f}%)"
+            f"{IMPROVEMENT_THRESHOLD_PCT:g}% ({recent_pct:.2f}%)"
         )
 
     methods: Dict[str, int] = {}

@@ -158,9 +158,5 @@ class Timeout(SizerForgeError):
     pass
 
 
-class LlmSchemaViolation(SizerForgeError):
-    pass
-
-
 class IllegalPlan(SizerForgeError):
     pass

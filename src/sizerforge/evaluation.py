@@ -2,11 +2,13 @@
 
 Two evaluator kinds sit behind one interface: a SPICE subprocess runner
 (batch-mode ngspice against rendered decks) and the analytic surrogate
-bench. Results are cached in memory for the length of one run, by a key
-derived from config content, design identity and evaluator settings, so
-a design proposed again within the run is not simulated again. Cache
-hits cost zero budget; failed simulations count against it (they cost
-real simulator time).
+bench. ``evaluate_batch`` takes the run's parsed spec and its result
+cache. Results are cached in memory for the length of one run, by a key
+derived from config content, design identity and the evaluator (the
+surrogate model or the simulator executable), so a design proposed
+again within the run is not simulated again. Cache hits cost zero
+budget; failed simulations count against it (they cost real simulator
+time).
 
 Surrogate evaluations record a wall time of 0.0: they are effectively
 free, and a fixed value keeps batch results field-for-field identical
@@ -17,14 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import random
 import re
 import shutil
 import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -39,7 +40,7 @@ from .core import (
     assess,
 )
 from .errors import EvaluatorUnavailable, UnknownModel
-from .specexpr import SpecExpr, parse_spec, split_directions
+from .specexpr import SpecExpr
 from .surrogates import get_model
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -57,14 +58,12 @@ class EvaluatorSpec:
     executable: str = "ngspice"
     timeout_s: float = 60.0
     workdir: Optional[str] = None
-    corner: str = "tt"
     model_id: Optional[str] = None
-    noise: float = 0.0
 
     def canonical(self) -> str:
         if self.kind == "surrogate":
-            return f"surrogate:{self.model_id}:noise={self.noise!r}"
-        return f"spice:{self.executable}:corner={self.corner}"
+            return f"surrogate:{self.model_id}"
+        return f"spice:{self.executable}"
 
     def __post_init__(self):
         if self.kind not in ("spice", "surrogate"):
@@ -109,21 +108,9 @@ def scrape_metrics(log: str, expected: Sequence[str]) -> MetricScrape:
     return MetricScrape(values=found, raw_log=log, missing=missing)
 
 
-def surrogate_eval(model_id: str, assignment: Mapping[str, float],
-                   noise: float = 0.0) -> Dict[str, float]:
-    """Closed-form metrics for one assignment; pure and deterministic.
-
-    Nonzero noise perturbs each metric with a gaussian seeded by the
-    design content, so results stay reproducible across processes.
-    """
-    model = get_model(model_id)
-    metrics = model.metrics_for(assignment)
-    if noise > 0:
-        from .core import design_from
-
-        rng = random.Random(design_from(assignment).id)
-        metrics = {k: v * (1.0 + noise * rng.gauss(0.0, 1.0)) for k, v in metrics.items()}
-    return metrics
+def surrogate_eval(model_id: str, assignment: Mapping[str, float]) -> Dict[str, float]:
+    """Closed-form metrics for one assignment; pure and deterministic."""
+    return get_model(model_id).metrics_for(assignment)
 
 
 class ResultCache:
@@ -195,7 +182,7 @@ def _run_spice(config: BenchmarkConfig, design: Design,
 
 def _evaluate_one(config, design, evaluator, keep_log_dir):
     if evaluator.kind == "surrogate":
-        metrics = surrogate_eval(evaluator.model_id, design.assignment, evaluator.noise)
+        metrics = surrogate_eval(evaluator.model_id, design.assignment)
         return {"raw_metrics": metrics, "sim_status": SIM_OK, "reason": ""}, 0.0
     return _run_spice(config, design, evaluator, keep_log_dir)
 
@@ -205,8 +192,8 @@ def evaluate_batch(
     designs: Sequence[Design],
     evaluator: EvaluatorSpec,
     *,
-    spec: Optional[SpecExpr] = None,
-    cache: Optional[ResultCache] = None,
+    spec: SpecExpr,
+    cache: ResultCache,
     start_eval_index: int = 1,
     iteration: int = 0,
     method: str = "",
@@ -227,9 +214,6 @@ def evaluate_batch(
             f"spice executable {evaluator.executable!r} not found on PATH; "
             "install it or select the surrogate evaluator"
         )
-    if spec is None:
-        spec = parse_spec(config.user_specs_metric)
-    cache = cache if cache is not None else ResultCache()
     keep_log_dir = Path(results_dir) / "logs" if (keep_logs and results_dir) else None
 
     keys = [ResultCache.key_for(config, d, evaluator) for d in designs]

@@ -6,10 +6,10 @@ follow the usual benchmark table shape: FoM, evaluations and wall time
 as mean +/- std over the trials that produced a result, and a success
 rate over all trials, where a crashed trial counts as a failure.
 
-The success rate is recomputed here from each trial's best raw metrics
-via evaluate_spec, with the engine's figure of merit standing in for a
-``fom`` clause as in core.assess; the controller's own feasibility flag
-is never trusted for reporting.
+Each trial reports one design, chosen by ``reported_design``: the best
+design that meets the spec, else the best by figure of merit. A trial
+succeeds when its reported design meets the spec, which is the record's
+own ``feasible`` flag from ``core.assess``.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import yaml
 
 from .agents import make_backend
 from .config import BenchmarkConfig, load_config
 from .controller import BASELINE_ALGORITHMS, RunBudget, RunResult, run, run_baseline
-from .core import FOM_METRIC, EvaluatedDesign
+from .core import EvaluatedDesign
 from .errors import ConfigError
-from .specexpr import evaluate_spec, parse_spec
 
 DEFAULT_TRIALS = 3
 
@@ -153,24 +152,17 @@ def _run_trial(
     return run(config, budget, backend, seed, workers=workers, results_dir=results_dir)
 
 
-def _passes(spec, record: EvaluatedDesign) -> bool:
-    """The spec verdict on a valid record's raw metrics.
-
-    Simulators need not report ``fom``, so the engine's figure of merit
-    stands in for it.
-    """
-    return evaluate_spec(spec, {**record.raw_metrics, FOM_METRIC: record.fom}).passed
-
-
-def _reported_design(result: RunResult, spec):
-    """The design a trial hands back.
+def reported_design(result: RunResult) -> Optional[EvaluatedDesign]:
+    """The design a run hands back.
 
     A sizing run that reached a satisfying design reports its best such
     design; only a run that never met the spec falls back to the best
-    by figure of merit (which can violate individual clauses). Spec
-    satisfaction is recomputed clause by clause from raw metrics here.
+    by figure of merit (which can violate individual clauses). A
+    record's ``feasible`` flag is ``core.assess``'s spec verdict on its
+    raw metrics, with the engine's figure of merit standing in for a
+    ``fom`` clause.
     """
-    feasible = [r for r in result.history.valid_records() if _passes(spec, r)]
+    feasible = [r for r in result.history.valid_records() if r.feasible]
     if feasible:
         # highest FoM; earliest evaluation on ties
         return max(feasible, key=lambda r: (r.fom, -r.eval_index))
@@ -237,7 +229,6 @@ def run_matrix(
     cells = []
     for circuit_path in matrix.circuits:
         config = load_config(circuit_path)
-        spec = parse_spec(config.user_specs_metric)
         for method in matrix.methods:
             trials = []
             for seed in seeds:
@@ -264,7 +255,7 @@ def run_matrix(
                     trial_dir = str(Path(out_dir) / "trials" / slug)
                 try:
                     result = _run_trial(config, method, matrix.budget, seed, workers, trial_dir)
-                    reported = _reported_design(result, spec)
+                    reported = reported_design(result)
                 except Exception as exc:  # a broken cell must not sink the matrix
                     trial["error"] = f"{type(exc).__name__}: {exc}"
                     trials.append(trial)
@@ -278,11 +269,8 @@ def run_matrix(
                 if reported is not None:
                     trial["fom"] = reported.fom
                     trial["best_assignment"] = dict(reported.design.assignment)
-                    raw = dict(reported.raw_metrics)
-                    trial["best_raw_metrics"] = raw
-                    # success is recomputed from the raw metrics, not taken
-                    # from the run result
-                    trial["feasible"] = _passes(spec, reported)
+                    trial["best_raw_metrics"] = dict(reported.raw_metrics)
+                    trial["feasible"] = reported.feasible
                 trials.append(trial)
             cells.append(
                 {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core import History
 from ..space import SearchSpace
@@ -43,10 +43,9 @@ def metropolis_accept(delta: float, temperature: float, rng: random.Random) -> b
 class _NeighborProxy:
     """fom lookup with nearest-evaluated-neighbor fallback."""
 
-    def __init__(self, space: SearchSpace, history: Optional[History]):
+    def __init__(self, space: SearchSpace, history: History):
         self.exact: Dict[Tuple[int, ...], float] = {}
-        records = in_space_valid(history, space) if history is not None else []
-        for r in records:
+        for r in in_space_valid(history, space):
             row = indices_of(space, r.design)
             self.exact.setdefault(tuple(row), r.fom)
 
@@ -67,18 +66,17 @@ class _NeighborProxy:
 
 def propose_annealing(
     space: SearchSpace,
-    history: Optional[History],
+    history: History,
     n_samples: int,
     seed: int,
     initial_temperature: float = DEFAULT_T0,
     cooling_rate: float = DEFAULT_COOLING,
-    allow_resample: bool = False,
 ) -> Proposal:
     rng = random.Random(seed)
     sizes = [len(values) for _, values in space.active.items()]
     proxy = _NeighborProxy(space, history)
 
-    incumbent = best_record(in_space_valid(history, space)) if history is not None else None
+    incumbent = best_record(in_space_valid(history, space))
     if incumbent is not None:
         current = tuple(indices_of(space, incumbent.design))
     else:
@@ -104,9 +102,7 @@ def propose_annealing(
                 accepted += 1
                 if candidate not in seen:
                     seen.add(candidate)
-                    design = materialize(space, candidate)
-                    already = history is not None and history.contains_design(design.id)
-                    if allow_resample or not already:
+                    if not history.contains_design(materialize(space, candidate).id):
                         batch.append(candidate)
         temperature *= cooling_rate
 

@@ -5,9 +5,12 @@ lists, which keeps every proposal grid-valid by construction. Fixed
 variables are attached at materialization time so a Design always covers
 the full variable set.
 
-Proposals deduplicate against history by default; a method resubmits an
-already-evaluated design only deliberately (GA elitism, degenerate
-multistart), and the evaluation cache serves those for free.
+Every proposer takes ``(space, history, n_samples, seed, **params)``
+and drops designs the history already holds (``unevaluated``, or the
+same ``History.contains_design`` test inline where a proposer stops once
+its batch is full). A method resubmits an evaluated design only
+deliberately (GA elitism, degenerate multistart), and the evaluation
+cache serves those for free.
 """
 
 from __future__ import annotations
@@ -50,11 +53,8 @@ def in_space_valid(history: History, space: SearchSpace) -> List[EvaluatedDesign
     return [r for r in history.valid_records() if sample_validate(space, r.design)]
 
 
-def dedupe_against_history(
-    designs: Sequence[Design], history: Optional[History], allow_resample: bool
-) -> List[Design]:
-    if allow_resample or history is None:
-        return list(designs)
+def unevaluated(designs: Sequence[Design], history: History) -> List[Design]:
+    """The designs the history holds no record of, in order."""
     return [d for d in designs if not history.contains_design(d.id)]
 
 

@@ -79,7 +79,6 @@ def propose_bayesian(
     seed: int,
     acquisition_function: str = "EI",
     exploration_weight: Optional[float] = None,
-    allow_resample: bool = False,
 ) -> Proposal:
     if acquisition_function not in ACQUISITIONS:
         raise ValueError(f"unknown acquisition {acquisition_function!r}")
@@ -101,8 +100,7 @@ def propose_bayesian(
     y = np.array([r.fom for r in observations], dtype=float)
 
     rows = candidate_rows(space, rng)
-    if not allow_resample:
-        rows = rows[_unevaluated(space, rows, history)]
+    rows = rows[_unevaluated(space, rows, history)]
     if not len(rows):
         return Proposal(designs=[], method="bayesian",
                         diagnostics={"note": "no unevaluated candidates"})

@@ -21,10 +21,10 @@ from ..space import SearchSpace
 from .base import (
     Proposal,
     best_record,
-    dedupe_against_history,
     in_space_valid,
     indices_of,
     materialize,
+    unevaluated,
 )
 from .sampling import lhs_index_rows
 
@@ -47,24 +47,22 @@ def crossover_uniform(p1: List[int], p2: List[int], rng: random.Random) -> List[
 
 def propose_genetic(
     space: SearchSpace,
-    history: Optional[History],
+    history: History,
     n_samples: int,
     seed: int,
     mutation_rate: float = 0.2,
     crossover_rate: float = 0.8,
     tournament_size: int = 3,
     population: Optional[int] = None,
-    allow_resample: bool = False,
 ) -> Proposal:
     rng = random.Random(seed)
     n = population if population is not None else n_samples
     sizes = [len(values) for _, values in space.active.items()]
 
-    parents = in_space_valid(history, space) if history is not None else []
+    parents = in_space_valid(history, space)
     if len(parents) < 2:
         rows = lhs_index_rows(space, n, rng)
-        designs = [materialize(space, row) for row in rows]
-        designs = dedupe_against_history(designs, history, allow_resample)
+        designs = unevaluated([materialize(space, row) for row in rows], history)
         return Proposal(
             designs=designs,
             method="genetic",
@@ -90,8 +88,7 @@ def propose_genetic(
         offspring_rows.append(child)
         provenance.append({"parents": [p1.design.id, p2.design.id]})
 
-    offspring = [materialize(space, row) for row in offspring_rows]
-    offspring = dedupe_against_history(offspring, history, allow_resample)
+    offspring = unevaluated([materialize(space, row) for row in offspring_rows], history)
     # elitism: incumbent always re-enters the evaluated set (cache hit, free)
     designs = [elite.design] + [d for d in offspring if d.id != elite.design.id]
     designs = designs[:n]

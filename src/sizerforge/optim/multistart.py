@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core import History
 from ..space import SearchSpace
@@ -35,18 +35,16 @@ def neighborhood_rows(row: Tuple[int, ...], sizes: List[int], radius: int):
 
 def propose_multistart(
     space: SearchSpace,
-    history: Optional[History],
+    history: History,
     n_samples: int,
     seed: int,
     n_starts: int = DEFAULT_N_STARTS,
     search_radius: int = DEFAULT_RADIUS,
-    allow_resample: bool = False,
 ) -> Proposal:
     rng = random.Random(seed)
     sizes = [len(values) for _, values in space.active.items()]
 
-    ranked = in_space_valid(history, space) if history is not None else []
-    ranked = sorted(ranked, key=lambda r: (-r.fom, r.eval_index))
+    ranked = sorted(in_space_valid(history, space), key=lambda r: (-r.fom, r.eval_index))
     starts: List[Tuple[int, ...]] = []
     seen_ids = set()
     for record in ranked:
@@ -84,8 +82,7 @@ def propose_multistart(
                 continue
             if row in in_batch:
                 continue
-            design = materialize(space, row)
-            if not allow_resample and history is not None and history.contains_design(design.id):
+            if history.contains_design(materialize(space, row).id):
                 continue
             in_batch.add(row)
             chosen.append(row)

@@ -7,11 +7,12 @@ outside its range, is a BadParameter before any sampling happens.
 "optuna" is accepted as an alias for bayesian with PI acquisition since
 it shows up in strategy guidance without its own definition.
 
-``propose`` calls every proposer by keyword and relabels the proposal
-with the method name. The baselines are presets of the orchestrated
-samplers: ga_baseline = genetic(population 20, crossover 0.8, mutation
-0.1), bo_baseline = bayesian(UCB, weight 2.0); turbo_baseline is
-trust-region LHS and the only method handed the caller's TurboState.
+``propose`` calls every proposer as ``(space, history, n_samples, seed,
+**params)`` and relabels the proposal with the method name. The
+baselines are presets of the orchestrated samplers: ga_baseline =
+genetic(population 20, crossover 0.8, mutation 0.1), bo_baseline =
+bayesian(UCB, weight 2.0); turbo_baseline is trust-region LHS and the
+only method handed the caller's TurboState.
 Defaults not preset here are the proposers' own signature defaults.
 """
 
@@ -25,16 +26,15 @@ from ..core import History
 from ..errors import BadParameter, UnknownMethod
 from ..space import SearchSpace
 from .annealing import propose_annealing
-from .base import Proposal, dedupe_against_history, in_space_valid, materialize, uniform_indices
+from .base import Proposal, in_space_valid, materialize, unevaluated, uniform_indices
 from .bayesian import MIN_OBSERVATIONS, propose_bayesian
 from .genetic import propose_genetic
+from .gp import ACQUISITIONS
 from .multistart import propose_multistart
 from .sampling import propose_lhs
 from .turbo import TurboState, propose_turbo_baseline
 
 ORCHESTRATED = ("lhs", "genetic", "bayesian", "adaptive", "annealing", "multistart")
-
-_ACQUISITIONS = ("EI", "UCB", "LCB", "PI")
 
 GA_BASELINE_PRESET = {"population": 20, "crossover_rate": 0.8, "mutation_rate": 0.1}
 BO_BASELINE_PRESET = {"acquisition_function": "UCB", "exploration_weight": 2.0}
@@ -50,7 +50,7 @@ _RANGES = {
     "crossover_rate": (float, 0.0, 1.0),
     "tournament_size": (int, 1, None),
     "population": (int, 2, None),
-    "acquisition_function": _ACQUISITIONS,
+    "acquisition_function": ACQUISITIONS,
     "exploration_weight": (float, 0.0, None),
     "initial_temperature": (float, 0.0, None),
     "cooling_rate": (float, 0.0, 1.0),
@@ -130,12 +130,7 @@ def _apportion(n: int, weights: Mapping[str, float]) -> Dict[str, int]:
 
 
 def _propose_adaptive(
-    space: SearchSpace,
-    history: Optional[History],
-    n_samples: int,
-    seed: int,
-    allow_resample: bool = False,
-    **weights: float,
+    space: SearchSpace, history: History, n_samples: int, seed: int, **weights: float
 ) -> Proposal:
     weights = {**ADAPTIVE_DEFAULTS, **{k: float(v) for k, v in weights.items()}}
     counts = _apportion(n_samples, weights)
@@ -145,19 +140,13 @@ def _propose_adaptive(
 
     batches = []
     if counts["explore_weight"]:
-        batches.append(
-            propose_lhs(space, counts["explore_weight"], seeds["explore"], history, allow_resample)
-        )
+        batches.append(propose_lhs(space, history, counts["explore_weight"], seeds["explore"]))
     exploit_method = "multistart"
     if counts["exploit_weight"]:
-        n_valid = len(in_space_valid(history, space)) if history is not None else 0
-        if n_valid >= MIN_OBSERVATIONS:
+        if len(in_space_valid(history, space)) >= MIN_OBSERVATIONS:
             exploit_method = "bayesian"
         exploit = propose_bayesian if exploit_method == "bayesian" else propose_multistart
-        batches.append(
-            exploit(space, history, counts["exploit_weight"], seeds["exploit"],
-                    allow_resample=allow_resample)
-        )
+        batches.append(exploit(space, history, counts["exploit_weight"], seeds["exploit"]))
     random_designs = []
     if counts["random_weight"]:
         rrng = random.Random(seeds["random"])
@@ -165,7 +154,7 @@ def _propose_adaptive(
             materialize(space, uniform_indices(space, rrng))
             for _ in range(counts["random_weight"])
         ]
-        random_designs = dedupe_against_history(draws, history, allow_resample)
+        random_designs = unevaluated(draws, history)
 
     seen = set()
     merged = []
@@ -203,8 +192,7 @@ METHODS = {
 def propose(
     space: SearchSpace,
     config: MethodConfig,
-    history: Optional[History] = None,
-    allow_resample: bool = False,
+    history: History,
     turbo_state: Optional[TurboState] = None,
 ) -> Proposal:
     """Validate the config and dispatch to the named method."""
@@ -213,12 +201,5 @@ def propose(
     params = {**preset, **cfg.parameters}
     if cfg.method == "turbo_baseline":
         params["state"] = turbo_state
-    proposal = proposer(
-        space,
-        history=history,
-        n_samples=cfg.n_samples,
-        seed=cfg.seed,
-        allow_resample=allow_resample,
-        **params,
-    )
+    proposal = proposer(space, history, cfg.n_samples, cfg.seed, **params)
     return dataclasses.replace(proposal, method=cfg.method)

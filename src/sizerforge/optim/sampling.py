@@ -9,11 +9,11 @@ seed-deterministic.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from ..core import History
 from ..space import SearchSpace
-from .base import Proposal, dedupe_against_history, materialize
+from .base import Proposal, materialize, unevaluated
 
 
 def stratified_column(m: int, n: int, rng: random.Random) -> List[int]:
@@ -35,15 +35,8 @@ def lhs_index_rows(space: SearchSpace, n: int, rng: random.Random) -> List[List[
     return [[col[row] for col in columns] for row in range(n)]
 
 
-def propose_lhs(
-    space: SearchSpace,
-    n_samples: int,
-    seed: int,
-    history: Optional[History] = None,
-    allow_resample: bool = False,
-) -> Proposal:
+def propose_lhs(space: SearchSpace, history: History, n_samples: int, seed: int) -> Proposal:
     rng = random.Random(seed)
     rows = lhs_index_rows(space, n_samples, rng)
-    designs = [materialize(space, row) for row in rows]
-    designs = dedupe_against_history(designs, history, allow_resample)
+    designs = unevaluated([materialize(space, row) for row in rows], history)
     return Proposal(designs=designs, method="lhs", diagnostics={"requested": n_samples})

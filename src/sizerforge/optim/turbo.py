@@ -24,10 +24,10 @@ from ..space import SearchSpace
 from .base import (
     Proposal,
     best_record,
-    dedupe_against_history,
     in_space_valid,
     indices_of,
     materialize,
+    unevaluated,
 )
 from .sampling import stratified_column
 
@@ -84,18 +84,17 @@ def window_bounds(center: int, m: int, fraction: float) -> Tuple[int, int]:
 
 def propose_turbo_baseline(
     space: SearchSpace,
-    history: Optional[History],
+    history: History,
     n_samples: int,
     seed: int,
     state: Optional[TurboState] = None,
-    allow_resample: bool = False,
 ) -> Proposal:
     if state is None:
         state = TurboState()
     rng = random.Random(seed)
     sizes = [len(values) for _, values in space.active.items()]
 
-    incumbent = best_record(in_space_valid(history, space)) if history is not None else None
+    incumbent = best_record(in_space_valid(history, space))
     restarted = False
     if state.collapsed(sizes):
         state.restart()
@@ -114,8 +113,7 @@ def propose_turbo_baseline(
         column = stratified_column(hi - lo + 1, n_samples, rng)
         columns.append([lo + idx for idx in column])
     rows = [[col[row] for col in columns] for row in range(n_samples)]
-    designs = [materialize(space, row) for row in rows]
-    designs = dedupe_against_history(designs, history, allow_resample)
+    designs = unevaluated([materialize(space, row) for row in rows], history)
     return Proposal(
         designs=designs,
         method="turbo_baseline",

@@ -79,19 +79,19 @@ def test_proposal_walks_from_incumbent():
 
 
 def test_cold_start_without_history():
-    proposal = propose_annealing(_space(), None, 5, seed=2)
+    proposal = propose_annealing(_space(), History(), 5, seed=2)
     assert 0 < len(proposal.designs) <= 5
 
 
 def test_step_budget_bounds_the_walk():
     space = _space()
-    proposal = propose_annealing(space, None, 4, seed=3)
+    proposal = propose_annealing(space, History(), 4, seed=3)
     assert proposal.diagnostics["steps"] <= 60 * 4
 
 
 def test_temperature_cools_geometrically():
     space = _space()
-    proposal = propose_annealing(space, None, 5, seed=4,
+    proposal = propose_annealing(space, History(), 5, seed=4,
                                  initial_temperature=2.0, cooling_rate=0.9)
     d = proposal.diagnostics
     assert d["initial_temperature"] == 2.0

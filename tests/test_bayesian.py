@@ -255,7 +255,7 @@ def _reference_posterior(x, y, query):
     return mu, np.sqrt(np.maximum(var, 0.0))
 
 
-def _reference_propose(space, history, n_samples, seed, acquisition_function, allow_resample):
+def _reference_propose(space, history, n_samples, seed, acquisition_function):
     weight = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}[acquisition_function]
     observations = in_space_valid(history, space)
     rng = pyrandom.Random(seed)
@@ -266,9 +266,8 @@ def _reference_propose(space, history, n_samples, seed, acquisition_function, al
         rows = list(itertools.product(*(range(m) for m in sizes)))
     else:
         rows = [tuple(rng.randrange(m) for m in sizes) for _ in range(2_000)]
-    if not allow_resample:
-        evaluated = {r.design.id for r in history.records}
-        rows = [row for row in rows if materialize(space, row).id not in evaluated]
+    evaluated = {r.design.id for r in history.records}
+    rows = [row for row in rows if materialize(space, row).id not in evaluated]
     cand = normalize_rows(space, rows)
     picks, values = [], []
     remaining = list(range(len(rows)))
@@ -332,7 +331,6 @@ def _narrowed_space(n_vars, n_active_values):
 
 
 @pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB", "LCB"])
-@pytest.mark.parametrize("allow_resample", [False, True])
 @pytest.mark.parametrize(
     "shape",
     [
@@ -341,7 +339,7 @@ def _narrowed_space(n_vars, n_active_values):
         (7, 6, 5, 3),  # 6 active x 6 values > 20000: 2000 random draws
     ],
 )
-def test_proposals_match_the_per_pick_reference(acquisition_function, allow_resample, shape):
+def test_proposals_match_the_per_pick_reference(acquisition_function, shape):
     n_vars, n_values, n_obs, seed = shape
     space, fixed_off = _narrowed_space(n_vars, n_values)
     # history rows come from the seed's own candidate draws, so that the
@@ -351,13 +349,11 @@ def test_proposals_match_the_per_pick_reference(acquisition_function, allow_resa
     hist = _mixed_history(space, picked, fixed_off)
     n_samples = 5
 
-    got = propose_bayesian(space, hist, n_samples, seed, acquisition_function=acquisition_function,
-                           allow_resample=allow_resample)
+    got = propose_bayesian(space, hist, n_samples, seed, acquisition_function=acquisition_function)
     want_ids, want_values, want_n = _reference_propose(
-        space, hist, n_samples, seed, acquisition_function, allow_resample
+        space, hist, n_samples, seed, acquisition_function
     )
     assert [d.id for d in got.designs] == want_ids
     assert got.diagnostics["acquisition_values"] == want_values
     assert got.diagnostics["n_candidates"] == want_n
-    if not allow_resample:
-        assert not any(hist.contains_design(i) for i in want_ids)
+    assert not any(hist.contains_design(i) for i in want_ids)

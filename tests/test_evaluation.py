@@ -1,0 +1,73 @@
+"""The SPICE evaluator path against stand-in simulators written per test.
+
+Each stand-in is a shell script invoked as ``<script> -b DECK``, like
+batch-mode ngspice: one prints the metrics, one exits non-zero, one
+sleeps past the timeout and one omits a metric. A failing simulation
+becomes a record with its status and never aborts the batch; a design
+repeated in the batch is served from the cache with zero wall time.
+"""
+
+import os
+from pathlib import Path
+
+import pytest
+
+from sizerforge.config import load_config
+from sizerforge.core import METRIC_MISSING, SIM_FAILED, SIM_OK, design_from
+from sizerforge.evaluation import EvaluatorSpec, ResultCache, evaluate_batch
+from sizerforge.specexpr import parse_spec
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# sota_easy reports gain_db and power_uw; spec "gain_db > 25 AND power_uw < 60"
+STANDINS = {
+    "prints": 'echo "gain_db = 3.0e1"\necho "power_uw[0] = 40"\necho "deck $2"\n',
+    "exits": 'echo "gain_db = 30"\necho "power_uw = 40"\nexit 3\n',
+    "sleeps": "exec sleep 10\n",
+    "omits": 'echo "gain_db = 30"\n',
+}
+
+EXPECTED = {
+    "prints": (SIM_OK, ""),
+    "exits": (SIM_FAILED, "exit status 3"),
+    "sleeps": (SIM_FAILED, "timeout"),
+    "omits": (METRIC_MISSING, "missing metrics: ['power_uw']"),
+}
+
+
+def _standin(directory: Path, name: str) -> str:
+    path = directory / f"ngspice_{name}"
+    path.write_text("#!/bin/sh\n" + STANDINS[name])
+    path.chmod(0o755)
+    return str(path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(STANDINS))
+def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, name, workers):
+    config = load_config(str(CONFIGS / "sota_easy.yaml"))
+    evaluator = EvaluatorSpec(kind="spice", executable=_standin(tmp_path, name),
+                              timeout_s=0.5, workdir=str(tmp_path))
+    cache = ResultCache()
+    first = design_from({"a": 0.84, "b": 1.05})
+    second = design_from({"a": 1.26, "b": 2.52})
+    records = evaluate_batch(
+        config, [first, second, first], evaluator,
+        spec=parse_spec(config.user_specs_metric), cache=cache,
+        start_eval_index=4, iteration=2, method="lhs", workers=workers,
+    )
+
+    status, reason = EXPECTED[name]
+    assert [r.sim_status for r in records] == [status] * 3
+    assert [r.eval_index for r in records] == [4, 5, 6]
+    assert [r.cached for r in records] == [False, False, True]
+    assert records[2].wall_time == 0.0
+    assert all(r.wall_time > 0.0 for r in records[:2])
+    assert cache.get(ResultCache.key_for(config, first, evaluator))["reason"] == reason
+    if name == "prints":
+        assert dict(records[0].raw_metrics) == {"gain_db": 30.0, "power_uw": 40.0}
+        assert records[0].fom is not None and records[0].feasible
+    else:
+        assert all(r.fom is None and not r.feasible for r in records)
+    # decks are temporary: nothing is left in the work directory but the stand-in
+    assert os.listdir(tmp_path) == [f"ngspice_{name}"]

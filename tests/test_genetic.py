@@ -39,7 +39,7 @@ def _seed_history(space, pairs):
 
 
 def test_cold_start_falls_back_to_lhs_seeding():
-    proposal = propose_genetic(_space(), None, 10, seed=1)
+    proposal = propose_genetic(_space(), History(), 10, seed=1)
     assert proposal.method == "genetic"
     assert proposal.diagnostics["fallback"] == "lhs_seeding"
     assert proposal.diagnostics["parents_available"] == 0

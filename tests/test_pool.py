@@ -148,6 +148,6 @@ def test_adaptive_thin_history_uses_multistart():
 
 def test_method_config_seed_changes_proposals():
     space = _space()
-    a = propose(space, MethodConfig(method="lhs", n_samples=8, seed=0))
-    b = propose(space, MethodConfig(method="lhs", n_samples=8, seed=1))
+    a = propose(space, MethodConfig(method="lhs", n_samples=8, seed=0), History())
+    b = propose(space, MethodConfig(method="lhs", n_samples=8, seed=1), History())
     assert [d.id for d in a.designs] != [d.id for d in b.designs]

@@ -65,7 +65,7 @@ def test_lhs_rows_stratify_every_column():
 
 def test_propose_lhs_designs_live_in_space():
     space = _space()
-    proposal = propose_lhs(space, 12, seed=5)
+    proposal = propose_lhs(space, History(), 12, seed=5)
     assert proposal.method == "lhs"
     assert len(proposal.designs) == 12
     for d in proposal.designs:
@@ -75,27 +75,24 @@ def test_propose_lhs_designs_live_in_space():
 
 def test_propose_lhs_seed_determinism():
     space = _space()
-    a = propose_lhs(space, 10, seed=42)
-    b = propose_lhs(space, 10, seed=42)
-    c = propose_lhs(space, 10, seed=43)
+    a = propose_lhs(space, History(), 10, seed=42)
+    b = propose_lhs(space, History(), 10, seed=42)
+    c = propose_lhs(space, History(), 10, seed=43)
     assert [d.id for d in a.designs] == [d.id for d in b.designs]
     assert [d.id for d in a.designs] != [d.id for d in c.designs]
 
 
 def test_propose_lhs_drops_already_evaluated():
     space = _space()
-    first = propose_lhs(space, 10, seed=7)
+    first = propose_lhs(space, History(), 10, seed=7)
     hist = History()
     for d in first.designs:
         _note(hist, d, 0.5)
-    again = propose_lhs(space, 10, seed=7, history=hist)
+    again = propose_lhs(space, hist, 10, seed=7)
     assert not set(d.id for d in again.designs) & set(d.id for d in first.designs)
-    # allow_resample turns the dedupe off
-    resampled = propose_lhs(space, 10, seed=7, history=hist, allow_resample=True)
-    assert [d.id for d in resampled.designs] == [d.id for d in first.designs]
 
 
 def test_propose_lhs_requested_count_in_diagnostics():
     space = _space()
-    proposal = propose_lhs(space, 30, seed=1)
+    proposal = propose_lhs(space, History(), 30, seed=1)
     assert proposal.diagnostics["requested"] == 30
