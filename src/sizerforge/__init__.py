@@ -14,7 +14,6 @@ from .core import (
     History,
     IterationSummary,
     assess,
-    best_so_far,
     compute_fom,
     design_from,
     improvement_pct,
@@ -50,7 +49,6 @@ __all__ = [
     "analyze",
     "apply_edit",
     "assess",
-    "best_so_far",
     "compute_fom",
     "design_from",
     "enumerate_oracle",

@@ -32,7 +32,6 @@ class BudgetState:
 
     total_remaining: int
     inner_remaining: int
-    outer_loops_used: int = 0
     prior_unfixes: int = 0
 
     @property
@@ -76,14 +75,15 @@ def rule_understand(config) -> CircuitUnderstanding:
     )
 
 
+def _by_sensitivity(names: List[str], understanding: Optional[CircuitUnderstanding]) -> List[str]:
+    """Sensitivity first (critical > high > medium > low), then list order."""
+    sens = understanding.sensitivity if understanding else {}
+    return sorted(names, key=lambda v: _SENSITIVITY_ORDER.get(sens.get(v, "medium"), 2))
+
+
 def rank_variables(config, understanding: CircuitUnderstanding) -> List[str]:
     """Sensitivity first (critical > high > medium > low), then declaration."""
-    variables = list(config.variables)
-    sens = understanding.sensitivity if understanding else {}
-    return sorted(
-        variables,
-        key=lambda v: (_SENSITIVITY_ORDER.get(sens.get(v, "medium"), 2), variables.index(v)),
-    )
+    return _by_sensitivity(list(config.variables), understanding)
 
 
 def _even_indices(m: int, k: int = 5) -> List[int]:
@@ -295,14 +295,30 @@ def _outer(action, edit, reason, changes, confidence="medium") -> OuterDecision:
     )
 
 
-def _best_fixed_var(space: SearchSpace, understanding: Optional[CircuitUnderstanding]) -> Optional[str]:
-    if not space.fixed:
-        return None
-    sens = understanding.sensitivity if understanding else {}
-    fixed_vars = [v for v in space.full_grid if v in space.fixed]
-    return min(
-        fixed_vars,
-        key=lambda v: (_SENSITIVITY_ORDER.get(sens.get(v, "medium"), 2), fixed_vars.index(v)),
+def _best_fixed_var(space: SearchSpace, understanding: Optional[CircuitUnderstanding]) -> str:
+    """The most sensitive fixed variable; the space must have one."""
+    return _by_sensitivity([v for v in space.full_grid if v in space.fixed], understanding)[0]
+
+
+def _unfix_best(space: SearchSpace, understanding: Optional[CircuitUnderstanding],
+                budget: BudgetState, reason: str, rationale: str) -> OuterDecision:
+    """Unfix the most sensitive fixed variable on a 5-value window (7 after
+    an earlier unfix). ``reason`` and ``rationale`` are format strings over
+    ``var`` and ``n``, the window length."""
+    var = _best_fixed_var(space, understanding)
+    n_values = 7 if budget.prior_unfixes > 0 else 5
+    window = unfix_window(space.full_grid[var], space.fixed[var], n_values)
+    names = {"var": var, "n": len(window)}
+    edit = SpaceEdit(
+        action="unfix_variables",
+        unfix={var: window},
+        rationale=rationale.format(**names),
+    )
+    return _outer(
+        "unfix_variables",
+        edit,
+        reason.format(**names),
+        f"{var} promoted from fixed to active",
     )
 
 
@@ -329,19 +345,10 @@ def rule_decide_outer(
     boundary_issues = [i for i in report.issues if i.kind != "stagnation"]
 
     if stagnant and space.fixed:
-        var = _best_fixed_var(space, understanding)
-        n_values = 7 if budget.prior_unfixes > 0 else 5
-        window = unfix_window(space.full_grid[var], space.fixed[var], n_values)
-        edit = SpaceEdit(
-            action="unfix_variables",
-            unfix={var: window},
-            rationale=f"stagnation with {var} still fixed",
-        )
-        return _outer(
-            "unfix_variables",
-            edit,
-            f"stagnation detected; unfixing {var} with {len(window)} values",
-            f"{var} promoted from fixed to active",
+        return _unfix_best(
+            space, understanding, budget,
+            reason="stagnation detected; unfixing {var} with {n} values",
+            rationale="stagnation with {var} still fixed",
         )
 
     if boundary_issues:
@@ -353,19 +360,10 @@ def rule_decide_outer(
             for i in boundary_issues
         )
         if dead_side and space.fixed:
-            var = _best_fixed_var(space, understanding)
-            n_values = 7 if budget.prior_unfixes > 0 else 5
-            window = unfix_window(space.full_grid[var], space.fixed[var], n_values)
-            edit = SpaceEdit(
-                action="unfix_variables",
-                unfix={var: window},
+            return _unfix_best(
+                space, understanding, budget,
+                reason="flagged boundary sits at the grid end; unfixing {var}",
                 rationale="boundary at grid end; opening a fixed dimension instead",
-            )
-            return _outer(
-                "unfix_variables",
-                edit,
-                f"flagged boundary sits at the grid end; unfixing {var}",
-                f"{var} promoted from fixed to active",
             )
 
         expand: Dict[str, Dict[str, int]] = {}

@@ -18,7 +18,7 @@ from .config import load_config, render_deck
 from .controller import BASELINE_ALGORITHMS, RunBudget, run, run_baseline
 from .errors import ConfigError, SizerForgeError
 from .evaluation import evaluator_from_config
-from .harness import load_matrix, render_table, reported_design, run_matrix
+from .harness import load_matrix, render_table, run_matrix
 from .specexpr import parse_spec
 from .surrogates import enumerate_oracle, get_model
 
@@ -34,9 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--method", default="autosizer",
                        choices=("autosizer",) + BASELINE_ALGORITHMS,
                        help="two-loop autosizer or a single-loop baseline")
-    p_run.add_argument("--budget", type=int, default=300)
-    p_run.add_argument("--inner-cap", type=int, default=100)
-    p_run.add_argument("--outer-cap", type=int, default=3)
+    p_run.add_argument("--budget", type=int, default=RunBudget.total_evals)
+    p_run.add_argument("--inner-cap", type=int, default=RunBudget.per_inner_loop)
+    p_run.add_argument("--outer-cap", type=int, default=RunBudget.max_outer_loops)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--evaluator", choices=("spice", "surrogate"),
                        help="override the config's evaluator")
@@ -111,11 +111,11 @@ def cmd_run(args) -> int:
         )
 
     print(f"outcome: {result.outcome}")
-    reported = reported_design(result)
-    if reported is not None:
-        where = _fmt_assignment(reported.design.assignment)
-        print(f"reported design: FoM {reported.fom:.6f} at {where}")
-        metrics = ", ".join(f"{k}={v:.6g}" for k, v in reported.raw_metrics.items())
+    best = result.best
+    if best is not None:
+        where = _fmt_assignment(best.design.assignment)
+        print(f"reported design: FoM {best.fom:.6f} at {where}")
+        metrics = ", ".join(f"{k}={v:.6g}" for k, v in best.raw_metrics.items())
         print(f"metrics: {metrics}")
     else:
         print("no valid design found")

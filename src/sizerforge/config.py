@@ -94,7 +94,6 @@ class BenchmarkConfig:
     subckt_template: str
     testbench_template: str
     passthrough: Dict[str, object] = field(default_factory=dict)
-    source_text: str = ""
 
     def grid_for(self, var: str) -> List[float]:
         # one universal grid for every width variable
@@ -102,9 +101,6 @@ class BenchmarkConfig:
 
     def full_grid_cardinality(self) -> int:
         return len(self.w_values) ** len(self.variables)
-
-    def fingerprint_text(self) -> str:
-        return self.source_text or serialize_config(self)
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,6 @@ def parse_config(source: str) -> BenchmarkConfig:
         subckt_template=str(doc["ota_subckt_template"]),
         testbench_template=str(doc["testbench_template"]),
         passthrough=passthrough,
-        source_text=source,
     )
     _check_templates_resolvable(config)
     return config
@@ -271,52 +266,3 @@ def render_deck(config: BenchmarkConfig, assignment: Mapping[str, float]) -> Ren
     substitutions = dict(used_netlist)
     substitutions.update(used_tb)
     return RenderedDeck(netlist_text, testbench_text, substitutions)
-
-
-class _BlockStr(str):
-    pass
-
-
-def _block_representer(dumper, data):
-    return dumper.represent_scalar("tag:yaml.org,2002:str", data, style="|")
-
-
-class _ConfigDumper(yaml.SafeDumper):
-    pass
-
-
-_ConfigDumper.add_representer(_BlockStr, _block_representer)
-
-
-def serialize_config(config: BenchmarkConfig) -> str:
-    """Emit a document that parses back field-for-field equal."""
-    doc = {
-        "name": config.name,
-        "pdk_lib_path": config.pdk_lib_path,
-        "results_dir": config.results_dir,
-        "user_specs": config.user_specs,
-        "user_specs_metric": config.user_specs_metric,
-        "params": dict(config.params),
-        "variable": {v: None for v in config.variables},
-        "W_values": list(config.w_values),
-        "width_scales": {k: [b, m] for k, (b, m) in config.width_scales.items()},
-        "subckt_name": config.subckt_name,
-        "subckt_pins": list(config.subckt_pins),
-        "testbench_signals": dict(config.testbench_signals),
-        "metrics": list(config.metrics),
-        "ota_subckt_template": _BlockStr(config.subckt_template),
-        "testbench_template": _BlockStr(config.testbench_template),
-    }
-    doc.update(config.passthrough)
-    return yaml.dump(doc, Dumper=_ConfigDumper, sort_keys=False, width=4096)
-
-
-def config_equal(a: BenchmarkConfig, b: BenchmarkConfig) -> bool:
-    """Field-for-field equality, ignoring the raw source text."""
-    fields = (
-        "name", "pdk_lib_path", "results_dir", "user_specs", "user_specs_metric",
-        "params", "variables", "w_values", "width_scales", "subckt_name",
-        "subckt_pins", "testbench_signals", "metrics", "subckt_template",
-        "testbench_template", "passthrough",
-    )
-    return all(getattr(a, f) == getattr(b, f) for f in fields)

@@ -12,7 +12,7 @@ never stop early on feasibility, so their trajectories stay comparable.
 ``run`` and ``run_baseline`` share one ``_Run``: its set-up, its
 ``batch`` step (propose, lhs fallback on too little history, evaluate,
 charge, summarize, log, stall count, TuRBO bookkeeping) and its
-``finish`` (best record, budget check, result, artefacts). Each keeps
+``finish`` (reported design, budget check, result, artefacts). Each keeps
 only its own stop rules and its own source of decisions. ``run`` passes
 the scope ``{"loop": i}`` to every batch step and baselines pass ``{}``;
 the scope is merged into each entry the step logs. A baseline that ends
@@ -34,9 +34,9 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .agents import BudgetState, RuleBackend, rule_decide_inner, rule_understand
-from .core import EvaluatedDesign, History, IterationSummary, best_so_far, pct_change
+from .core import EvaluatedDesign, History, IterationSummary, pct_change
 from .diagnostics import analyze, render_text
-from .errors import BudgetOverrun, EmptyHistory, InsufficientHistory, NoValidDesign, UnknownMethod
+from .errors import BudgetOverrun, InsufficientHistory, UnknownMethod
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
 from .optim.turbo import TurboState
@@ -77,6 +77,13 @@ class RunBudget:
 
 @dataclass
 class RunResult:
+    """What a run hands back, and what ``result.json`` records.
+
+    ``best`` is ``History.reported()``: the best design that meets the
+    spec, else the best by figure of merit. ``evals_to_best`` counts the
+    fresh evaluations up to and including it.
+    """
+
     best: Optional[EvaluatedDesign]
     feasible_found: bool
     evals_used: int
@@ -109,10 +116,7 @@ def child_seed(seed: int, loop: int, iteration: int) -> int:
 
 
 def _append_summary(history: History, iteration: int, method: str, n_records: int) -> Optional[float]:
-    try:
-        best = best_so_far(history)[0].fom
-    except (EmptyHistory, NoValidDesign):
-        best = None
+    best = max((r.fom for r in history.valid_records()), default=None)
     prior = history.iteration_summaries
     history.add_summary(
         IterationSummary(
@@ -124,23 +128,6 @@ def _append_summary(history: History, iteration: int, method: str, n_records: in
         )
     )
     return best
-
-
-def _feasible(history: History) -> bool:
-    return any(r.feasible for r in history.records)
-
-
-def _best_and_charge(history: History) -> Tuple[Optional[EvaluatedDesign], Optional[int]]:
-    """Best record plus the fresh evaluations charged up to attaining it.
-
-    Cache hits are free, so the charge can be below the raw eval index.
-    """
-    try:
-        record, idx = best_so_far(history)
-    except (EmptyHistory, NoValidDesign):
-        return None, None
-    fresh = sum(1 for r in history.records[:idx] if not r.cached)
-    return record, fresh
 
 
 def _check_budget(used: int, budget: RunBudget) -> None:
@@ -266,14 +253,18 @@ class _Run:
             self.loop_reports.append((loop, render_text(analyze(self.history, space))))
 
     def finish(self, outcome: str, outer_loops_used: int, spaces: List[SearchSpace]) -> RunResult:
-        best, evals_to_best = _best_and_charge(self.history)
+        best = self.history.reported()
+        evals_to_best = None
         if best is None:
             outcome = "no_valid_design"
             self.log("event", event="no_valid_design")
+        else:
+            # cache hits are free, so the charge can be below the eval index
+            evals_to_best = sum(1 for r in self.history.records[: best.eval_index] if not r.cached)
         _check_budget(self.used, self.budget)
         result = RunResult(
             best=best,
-            feasible_found=_feasible(self.history),
+            feasible_found=self.history.feasible_found(),
             evals_used=self.used,
             evals_to_best=evals_to_best,
             wall_time=time.monotonic() - self.t0,
@@ -350,13 +341,12 @@ def run(
                 job.log("event", event="wall_clock_limit", **scope)
                 stop_run = "wall_clock"
                 break
-            if _feasible(history):
+            if history.feasible_found():
                 job.log("event", event="feasible_found", **scope)
                 break
             state = BudgetState(
                 total_remaining=budget.total_evals - job.used,
                 inner_remaining=budget.per_inner_loop - (job.used - loop_start_used),
-                outer_loops_used=loop_idx,
                 prior_unfixes=prior_unfixes,
             )
             if state.remaining <= 0:
@@ -389,7 +379,7 @@ def run(
         if stop_run is not None:
             outcome = stop_run
             break
-        if _feasible(history):
+        if history.feasible_found():
             outcome = "feasible"
             job.log("event", event="run_feasible", **scope)
             break
@@ -410,7 +400,6 @@ def run(
         state = BudgetState(
             total_remaining=budget.total_evals - job.used,
             inner_remaining=budget.per_inner_loop,
-            outer_loops_used=loop_idx + 1,
             prior_unfixes=prior_unfixes,
         )
         outer = backend.decide_outer(

@@ -1,5 +1,10 @@
 """Figure-of-merit computation, feasibility, design identity and history.
 
+``rank_key`` is the one ranking of evaluated designs: highest figure of
+merit first, earliest eval index on ties. ``History.best`` is the best
+valid record by that key and ``History.reported`` the design a run hands
+back: the best feasible record, else ``best``.
+
 The scalar objective is the product of normalized maximize-metrics over
 the product of normalized minimize-metrics, each normalized by its
 specification target. A failed figure of merit (any normalized value
@@ -23,7 +28,7 @@ import logging
 from dataclasses import dataclass, asdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import EmptyHistory, InsufficientHistory, MissingMetric, NoValidDesign
+from .errors import InsufficientHistory, MissingMetric
 from .specexpr import Comparison, SpecExpr, evaluate_spec, split_directions
 
 log = logging.getLogger(__name__)
@@ -110,6 +115,15 @@ class IterationSummary:
         return asdict(self)
 
 
+def rank_key(record: EvaluatedDesign) -> Tuple[float, int]:
+    """Ranks valid records: highest FoM first, earliest eval index on ties.
+
+    ``max(records, key=rank_key)`` is the best record, and
+    ``sorted(records, key=rank_key, reverse=True)`` puts them best first.
+    """
+    return record.fom, -record.eval_index
+
+
 class History:
     """Append-only record of all evaluations plus per-iteration summaries.
 
@@ -154,6 +168,19 @@ class History:
 
     def valid_records(self) -> List[EvaluatedDesign]:
         return [r for r in self.records if r.sim_status == SIM_OK and r.fom is not None]
+
+    def best(self) -> Optional[EvaluatedDesign]:
+        """The best valid record by ``rank_key``; None when there is none."""
+        return max(self.valid_records(), key=rank_key, default=None)
+
+    def reported(self) -> Optional[EvaluatedDesign]:
+        """The design a run hands back: its best record that meets the
+        spec, else its best record, which may violate clauses."""
+        feasible = [r for r in self.valid_records() if r.feasible]
+        return max(feasible, key=rank_key, default=None) or self.best()
+
+    def feasible_found(self) -> bool:
+        return any(r.feasible for r in self.records)
 
     def to_jsonl(self) -> str:
         lines = [json.dumps({"kind": "evaluation", **r.to_record()}, sort_keys=True)
@@ -246,25 +273,6 @@ def assess(
         if clause.threshold != 0:
             normalized[clause.metric] = spec_metrics[clause.metric] / clause.threshold
     return fom, verdict.passed, normalized
-
-
-def best_so_far(history: History) -> Tuple[EvaluatedDesign, int]:
-    """Best valid record and the eval index that first attained its value.
-
-    Failed values rank below every finite value; ties break to the
-    earliest eval index, so the returned record is the first attaining
-    one and ``evals_to_best`` is simply its 1-based ordinal.
-    """
-    if not history.records:
-        raise EmptyHistory("history has no records")
-    valid = history.valid_records()
-    if not valid:
-        raise NoValidDesign("no record with a valid figure of merit")
-    best_value = max(r.fom for r in valid)
-    for record in valid:
-        if record.fom == best_value:
-            return record, record.eval_index
-    raise AssertionError("unreachable")
 
 
 def pct_change(ago: Optional[float], now: Optional[float]) -> float:

@@ -12,7 +12,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from .core import EvaluatedDesign, History, improvement_pct
+from .core import EvaluatedDesign, History, improvement_pct, rank_key
 from .errors import EmptyHistory, InsufficientHistory
 from .space import SearchSpace
 
@@ -42,17 +42,6 @@ class Issue:
     k: int = 0
     value: Optional[float] = None
 
-    def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "variable": self.variable,
-            "evidence": self.evidence,
-            "severity": self.severity,
-            "count": self.count,
-            "k": self.k,
-            "value": self.value,
-        }
-
 
 @dataclass
 class DiagnosticsReport:
@@ -61,15 +50,6 @@ class DiagnosticsReport:
     issues: List[Issue]
     impact: Dict[str, Dict[str, object]]
     recommendations: Dict[str, object]
-
-    def to_record(self) -> dict:
-        return {
-            "status_summary": dict(self.status_summary),
-            "convergence": dict(self.convergence),
-            "issues": [i.to_record() for i in self.issues],
-            "impact": {v: dict(stats) for v, stats in self.impact.items()},
-            "recommendations": dict(self.recommendations),
-        }
 
 
 def _fmt_value(x: float) -> str:
@@ -92,10 +72,8 @@ def _rel_equal(a: Optional[float], b: Optional[float]) -> bool:
 
 
 def top_designs(history: History, top_k: int) -> List[EvaluatedDesign]:
-    """k best valid records, FoM descending, earliest eval index on ties."""
-    valid = history.valid_records()
-    ranked = sorted(valid, key=lambda r: (-r.fom, r.eval_index))
-    return ranked[:top_k]
+    """k best valid records by ``rank_key``, best first; repeats of a design stay."""
+    return sorted(history.valid_records(), key=rank_key, reverse=True)[:top_k]
 
 
 def variable_impact(history: History, space: SearchSpace) -> Dict[str, Dict[str, object]]:
@@ -278,7 +256,7 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
         "last_method": summaries[-1].method,
         "best_fom": best_fom,
         "best_iteration": best_iteration,
-        "feasible_found": any(r.feasible for r in history.records),
+        "feasible_found": history.feasible_found(),
         "top_k_fom_std": statistics.pstdev(top_foms) if top_foms else None,
     }
     convergence = {

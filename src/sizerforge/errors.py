@@ -75,10 +75,6 @@ class EmptyHistory(SizerForgeError):
     pass
 
 
-class NoValidDesign(SizerForgeError):
-    pass
-
-
 class InsufficientHistory(SizerForgeError):
     pass
 

@@ -3,10 +3,9 @@
 Two evaluator kinds sit behind one interface: a SPICE subprocess runner
 (batch-mode ngspice against rendered decks) and the analytic surrogate
 bench. ``evaluate_batch`` takes the run's parsed spec and its result
-cache. Results are cached in memory for the length of one run, by a key
-derived from config content, design identity and the evaluator (the
-surrogate model or the simulator executable), so a design proposed
-again within the run is not simulated again. Cache hits cost zero
+cache. Results are cached in memory for the length of one run, keyed by
+design identity (one run has one config and one evaluator), so a design
+proposed again within the run is not simulated again. Cache hits cost zero
 budget; failed simulations count against it (they cost real simulator
 time).
 
@@ -17,7 +16,6 @@ whatever the worker count.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import shutil
@@ -60,11 +58,6 @@ class EvaluatorSpec:
     workdir: Optional[str] = None
     model_id: Optional[str] = None
 
-    def canonical(self) -> str:
-        if self.kind == "surrogate":
-            return f"surrogate:{self.model_id}"
-        return f"spice:{self.executable}"
-
     def __post_init__(self):
         if self.kind not in ("spice", "surrogate"):
             raise ValueError(f"unknown evaluator kind {self.kind!r}")
@@ -86,7 +79,6 @@ def evaluator_from_config(config: BenchmarkConfig) -> EvaluatorSpec:
 @dataclass(frozen=True)
 class MetricScrape:
     values: Dict[str, float]
-    raw_log: str
     missing: List[str]
 
 
@@ -105,7 +97,7 @@ def scrape_metrics(log: str, expected: Sequence[str]) -> MetricScrape:
         if name in wanted:
             found[wanted[name]] = float(match.group(2))
     missing = [name for name in expected if name not in found]
-    return MetricScrape(values=found, raw_log=log, missing=missing)
+    return MetricScrape(values=found, missing=missing)
 
 
 def surrogate_eval(model_id: str, assignment: Mapping[str, float]) -> Dict[str, float]:
@@ -120,9 +112,9 @@ class ResultCache:
         self._memory: Dict[str, dict] = {}
 
     @staticmethod
-    def key_for(config: BenchmarkConfig, design: Design, evaluator: EvaluatorSpec) -> str:
-        payload = "\n".join((config.fingerprint_text(), design.id, evaluator.canonical()))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    def key_for(design: Design) -> str:
+        # one run has one config and one evaluator, so the design is the key
+        return design.id
 
     def get(self, key: str) -> Optional[dict]:
         return self._memory.get(key)
@@ -216,7 +208,7 @@ def evaluate_batch(
         )
     keep_log_dir = Path(results_dir) / "logs" if (keep_logs and results_dir) else None
 
-    keys = [ResultCache.key_for(config, d, evaluator) for d in designs]
+    keys = [ResultCache.key_for(d) for d in designs]
     # first occurrence of each key computes; later ones are in-batch hits
     first_slot: Dict[str, int] = {}
     todo: List[int] = []

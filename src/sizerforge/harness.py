@@ -6,10 +6,11 @@ follow the usual benchmark table shape: FoM, evaluations and wall time
 as mean +/- std over the trials that produced a result, and a success
 rate over all trials, where a crashed trial counts as a failure.
 
-Each trial reports one design, chosen by ``reported_design``: the best
-design that meets the spec, else the best by figure of merit. A trial
-succeeds when its reported design meets the spec, which is the record's
-own ``feasible`` flag from ``core.assess``.
+Each trial reports the design its run hands back (``RunResult.best``,
+which is ``History.reported()``): the best design that meets the spec,
+else the best by figure of merit. A trial succeeds when that design
+meets the spec, which is the record's own ``feasible`` flag from
+``core.assess``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import yaml
 from .agents import make_backend
 from .config import BenchmarkConfig, load_config
 from .controller import BASELINE_ALGORITHMS, RunBudget, RunResult, run, run_baseline
-from .core import EvaluatedDesign
 from .errors import ConfigError
 
 DEFAULT_TRIALS = 3
@@ -106,9 +106,9 @@ def parse_matrix(source: str) -> TrialMatrix:
     if not isinstance(raw_budget, dict):
         raise ConfigError("'budget' must be a mapping")
     budget = RunBudget(
-        total_evals=int(raw_budget.get("total_evals", 300)),
-        per_inner_loop=int(raw_budget.get("per_inner_loop", 100)),
-        max_outer_loops=int(raw_budget.get("max_outer_loops", 3)),
+        total_evals=int(raw_budget.get("total_evals", RunBudget.total_evals)),
+        per_inner_loop=int(raw_budget.get("per_inner_loop", RunBudget.per_inner_loop)),
+        max_outer_loops=int(raw_budget.get("max_outer_loops", RunBudget.max_outer_loops)),
         wall_clock_limit_s=raw_budget.get("wall_clock_limit_s"),
     )
     return TrialMatrix(
@@ -150,23 +150,6 @@ def _run_trial(
     spec = method.split(":", 1)[1] if ":" in method else "rule"
     backend = make_backend(spec)  # fresh per trial: replay cursors are stateful
     return run(config, budget, backend, seed, workers=workers, results_dir=results_dir)
-
-
-def reported_design(result: RunResult) -> Optional[EvaluatedDesign]:
-    """The design a run hands back.
-
-    A sizing run that reached a satisfying design reports its best such
-    design; only a run that never met the spec falls back to the best
-    by figure of merit (which can violate individual clauses). A
-    record's ``feasible`` flag is ``core.assess``'s spec verdict on its
-    raw metrics, with the engine's figure of merit standing in for a
-    ``fom`` clause.
-    """
-    feasible = [r for r in result.history.valid_records() if r.feasible]
-    if feasible:
-        # highest FoM; earliest evaluation on ties
-        return max(feasible, key=lambda r: (r.fom, -r.eval_index))
-    return result.best
 
 
 def _trajectory(result: RunResult) -> List[tuple]:
@@ -255,7 +238,6 @@ def run_matrix(
                     trial_dir = str(Path(out_dir) / "trials" / slug)
                 try:
                     result = _run_trial(config, method, matrix.budget, seed, workers, trial_dir)
-                    reported = reported_design(result)
                 except Exception as exc:  # a broken cell must not sink the matrix
                     trial["error"] = f"{type(exc).__name__}: {exc}"
                     trials.append(trial)
@@ -266,11 +248,11 @@ def run_matrix(
                 trial["outcome"] = result.outcome
                 trial["trajectory"] = _trajectory(result)
                 trial["space_ranges"] = _space_ranges(result)
-                if reported is not None:
-                    trial["fom"] = reported.fom
-                    trial["best_assignment"] = dict(reported.design.assignment)
-                    trial["best_raw_metrics"] = dict(reported.raw_metrics)
-                    trial["feasible"] = reported.feasible
+                if result.best is not None:
+                    trial["fom"] = result.best.fom
+                    trial["best_assignment"] = dict(result.best.design.assignment)
+                    trial["best_raw_metrics"] = dict(result.best.raw_metrics)
+                    trial["feasible"] = result.best.feasible
                 trials.append(trial)
             cells.append(
                 {

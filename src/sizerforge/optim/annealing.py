@@ -14,16 +14,9 @@ import math
 import random
 from typing import Dict, List, Tuple
 
-from ..core import History
+from ..core import History, rank_key
 from ..space import SearchSpace
-from .base import (
-    Proposal,
-    best_record,
-    in_space_valid,
-    indices_of,
-    materialize,
-    uniform_indices,
-)
+from .base import Proposal, materialize, observations, uniform_indices
 
 DEFAULT_T0 = 2.0
 DEFAULT_COOLING = 0.95
@@ -43,10 +36,9 @@ def metropolis_accept(delta: float, temperature: float, rng: random.Random) -> b
 class _NeighborProxy:
     """fom lookup with nearest-evaluated-neighbor fallback."""
 
-    def __init__(self, space: SearchSpace, history: History):
+    def __init__(self, obs):
         self.exact: Dict[Tuple[int, ...], float] = {}
-        for r in in_space_valid(history, space):
-            row = indices_of(space, r.design)
+        for r, row in obs:
             self.exact.setdefault(tuple(row), r.fom)
 
     def value(self, row: Tuple[int, ...]) -> float:
@@ -74,11 +66,11 @@ def propose_annealing(
 ) -> Proposal:
     rng = random.Random(seed)
     sizes = [len(values) for _, values in space.active.items()]
-    proxy = _NeighborProxy(space, history)
+    obs = observations(space, history)
+    proxy = _NeighborProxy(obs)
 
-    incumbent = best_record(in_space_valid(history, space))
-    if incumbent is not None:
-        current = tuple(indices_of(space, incumbent.design))
+    if obs:
+        current = tuple(max(obs, key=lambda ob: rank_key(ob[0]))[1])
     else:
         current = tuple(uniform_indices(space, rng))
 

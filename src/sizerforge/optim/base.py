@@ -5,22 +5,25 @@ lists, which keeps every proposal grid-valid by construction. Fixed
 variables are attached at materialization time so a Design always covers
 the full variable set.
 
-Every proposer takes ``(space, history, n_samples, seed, **params)``
-and drops designs the history already holds (``unevaluated``, or the
-same ``History.contains_design`` test inline where a proposer stops once
-its batch is full). A method resubmits an evaluated design only
-deliberately (GA elitism, degenerate multistart), and the evaluation
-cache serves those for free.
+Every proposer takes ``(space, history, n_samples, seed, **params)``.
+The methods that learn from the history read ``observations``: each
+valid record inside the space with its index vector, in history order,
+checked against the space once per call. They rank records by
+``core.rank_key``. Every proposer drops designs the history already
+holds (``unevaluated``, or the same ``History.contains_design`` test
+inline where a proposer stops once its batch is full). A method
+resubmits an evaluated design only deliberately (GA elitism, degenerate
+multistart), and the evaluation cache serves those for free.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..core import Design, EvaluatedDesign, History, design_from
-from ..space import SearchSpace, sample_validate
+from ..space import SearchSpace, index_rows
 
 
 @dataclass
@@ -38,19 +41,11 @@ def materialize(space: SearchSpace, indices: Sequence[int]) -> Design:
     return design_from(assignment)
 
 
-def indices_of(space: SearchSpace, design: Design) -> Optional[List[int]]:
-    """Inverse of materialize; None when the design is outside the space."""
-    if not sample_validate(space, design):
-        return None
-    out = []
-    for var, values in space.active.items():
-        out.append(values.index(design.assignment[var]))
-    return out
-
-
-def in_space_valid(history: History, space: SearchSpace) -> List[EvaluatedDesign]:
-    """Valid records whose designs live inside the current space."""
-    return [r for r in history.valid_records() if sample_validate(space, r.design)]
+def observations(space: SearchSpace, history: History) -> List[Tuple[EvaluatedDesign, List[int]]]:
+    """(record, index vector) of each valid record inside the space, in history order."""
+    valid = history.valid_records()
+    rows = index_rows(space, (r.design for r in valid))
+    return [(r, row) for r, row in zip(valid, rows) if row is not None]
 
 
 def unevaluated(designs: Sequence[Design], history: History) -> List[Design]:
@@ -60,14 +55,3 @@ def unevaluated(designs: Sequence[Design], history: History) -> List[Design]:
 
 def uniform_indices(space: SearchSpace, rng: random.Random) -> List[int]:
     return [rng.randrange(len(values)) for _, values in space.active.items()]
-
-
-def best_record(records: Sequence[EvaluatedDesign]) -> Optional[EvaluatedDesign]:
-    """Highest figure of merit, earliest eval index on ties."""
-    best = None
-    for r in records:
-        if r.fom is None:
-            continue
-        if best is None or r.fom > best.fom:
-            best = r
-    return best

@@ -25,8 +25,8 @@ import numpy as np
 
 from ..core import History
 from ..errors import InsufficientHistory
-from ..space import SearchSpace
-from .base import Proposal, in_space_valid, indices_of, materialize
+from ..space import SearchSpace, index_rows
+from .base import Proposal, materialize, observations
 from .gp import ACQUISITIONS, GaussianProcess, acquisition, correlation
 
 ENUMERATION_LIMIT = 20_000
@@ -59,7 +59,7 @@ def _unevaluated(space: SearchSpace, rows: np.ndarray, history: History) -> np.n
     Records outside the space have no index vector and match no row.
     """
     sizes = [len(values) for values in space.active.values()]
-    seen = {tuple(idx) for idx in (indices_of(space, r.design) for r in history.records)
+    seen = {tuple(idx) for idx in index_rows(space, (r.design for r in history.records))
             if idx is not None}
     if space.cardinality() > ENUMERATION_LIMIT:
         return np.array([tuple(row) not in seen for row in rows.tolist()], dtype=bool)
@@ -87,17 +87,16 @@ def propose_bayesian(
         if exploration_weight is not None
         else _DEFAULT_WEIGHT[acquisition_function]
     )
-    observations = in_space_valid(history, space)
-    if len(observations) < MIN_OBSERVATIONS:
+    obs = observations(space, history)
+    if len(obs) < MIN_OBSERVATIONS:
         raise InsufficientHistory(
             f"bayesian proposals need >= {MIN_OBSERVATIONS} valid in-space "
-            f"evaluations, have {len(observations)}"
+            f"evaluations, have {len(obs)}"
         )
 
     rng = random.Random(seed)
-    obs_rows = [indices_of(space, r.design) for r in observations]
-    x = normalize_rows(space, obs_rows)
-    y = np.array([r.fom for r in observations], dtype=float)
+    x = normalize_rows(space, [row for _, row in obs])
+    y = np.array([r.fom for r, _ in obs], dtype=float)
 
     rows = candidate_rows(space, rng)
     rows = rows[_unevaluated(space, rows, history)]

@@ -16,16 +16,9 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from ..core import History
+from ..core import History, rank_key
 from ..space import SearchSpace
-from .base import (
-    Proposal,
-    best_record,
-    in_space_valid,
-    indices_of,
-    materialize,
-    unevaluated,
-)
+from .base import Proposal, materialize, observations, unevaluated
 from .sampling import lhs_index_rows
 
 MUTATION_STEPS = (-2, -1, 1, 2)
@@ -37,8 +30,10 @@ def mutate_gene(idx: int, m: int, rng: random.Random) -> int:
 
 
 def tournament(pool, k: int, rng: random.Random):
+    """The fittest of k uniform draws from (record, index vector) pairs;
+    the earliest draw on ties."""
     picks = [pool[rng.randrange(len(pool))] for _ in range(k)]
-    return max(picks, key=lambda r: r.fom)
+    return max(picks, key=lambda ob: ob[0].fom)
 
 
 def crossover_uniform(p1: List[int], p2: List[int], rng: random.Random) -> List[int]:
@@ -59,7 +54,7 @@ def propose_genetic(
     n = population if population is not None else n_samples
     sizes = [len(values) for _, values in space.active.items()]
 
-    parents = in_space_valid(history, space)
+    parents = observations(space, history)
     if len(parents) < 2:
         rows = lhs_index_rows(space, n, rng)
         designs = unevaluated([materialize(space, row) for row in rows], history)
@@ -69,15 +64,13 @@ def propose_genetic(
             diagnostics={"fallback": "lhs_seeding", "parents_available": len(parents)},
         )
 
-    elite = best_record(parents)
+    elite = max(parents, key=lambda ob: rank_key(ob[0]))[0]
     offspring_rows: List[List[int]] = []
     provenance: List[dict] = []
     budget = n - 1  # first slot goes to the elite
     for _ in range(max(0, budget)):
-        p1 = tournament(parents, tournament_size, rng)
-        p2 = tournament(parents, tournament_size, rng)
-        g1 = indices_of(space, p1.design)
-        g2 = indices_of(space, p2.design)
+        p1, g1 = tournament(parents, tournament_size, rng)
+        p2, g2 = tournament(parents, tournament_size, rng)
         if rng.random() < crossover_rate:
             child = crossover_uniform(g1, g2, rng)
         else:

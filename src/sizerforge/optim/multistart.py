@@ -15,9 +15,9 @@ import itertools
 import random
 from typing import List, Tuple
 
-from ..core import History
+from ..core import History, rank_key
 from ..space import SearchSpace
-from .base import Proposal, in_space_valid, indices_of, materialize
+from .base import Proposal, materialize, observations
 from .sampling import lhs_index_rows
 
 DEFAULT_N_STARTS = 5
@@ -44,14 +44,14 @@ def propose_multistart(
     rng = random.Random(seed)
     sizes = [len(values) for _, values in space.active.items()]
 
-    ranked = sorted(in_space_valid(history, space), key=lambda r: (-r.fom, r.eval_index))
+    ranked = sorted(observations(space, history), key=lambda ob: rank_key(ob[0]), reverse=True)
     starts: List[Tuple[int, ...]] = []
     seen_ids = set()
-    for record in ranked:
+    for record, row in ranked:
         if record.design.id in seen_ids:
             continue
         seen_ids.add(record.design.id)
-        starts.append(tuple(indices_of(space, record.design)))
+        starts.append(tuple(row))
         if len(starts) == n_starts:
             break
     padded = 0

@@ -26,7 +26,7 @@ from ..core import History
 from ..errors import BadParameter, UnknownMethod
 from ..space import SearchSpace
 from .annealing import propose_annealing
-from .base import Proposal, in_space_valid, materialize, unevaluated, uniform_indices
+from .base import Proposal, materialize, observations, unevaluated, uniform_indices
 from .bayesian import MIN_OBSERVATIONS, propose_bayesian
 from .genetic import propose_genetic
 from .gp import ACQUISITIONS
@@ -143,7 +143,7 @@ def _propose_adaptive(
         batches.append(propose_lhs(space, history, counts["explore_weight"], seeds["explore"]))
     exploit_method = "multistart"
     if counts["exploit_weight"]:
-        if len(in_space_valid(history, space)) >= MIN_OBSERVATIONS:
+        if len(observations(space, history)) >= MIN_OBSERVATIONS:
             exploit_method = "bayesian"
         exploit = propose_bayesian if exploit_method == "bayesian" else propose_multistart
         batches.append(exploit(space, history, counts["exploit_weight"], seeds["exploit"]))

@@ -19,16 +19,9 @@ import math
 import random
 from typing import List, Optional, Tuple
 
-from ..core import History
+from ..core import History, rank_key
 from ..space import SearchSpace
-from .base import (
-    Proposal,
-    best_record,
-    in_space_valid,
-    indices_of,
-    materialize,
-    unevaluated,
-)
+from .base import Proposal, materialize, observations, unevaluated
 from .sampling import stratified_column
 
 INIT_FRACTION = 0.8
@@ -94,16 +87,16 @@ def propose_turbo_baseline(
     rng = random.Random(seed)
     sizes = [len(values) for _, values in space.active.items()]
 
-    incumbent = best_record(in_space_valid(history, space))
+    obs = observations(space, history)
     restarted = False
     if state.collapsed(sizes):
         state.restart()
         restarted = True
 
-    if incumbent is None or restarted:
+    if not obs or restarted:
         windows = [(0, m - 1) for m in sizes]
     else:
-        center = indices_of(space, incumbent.design)
+        center = max(obs, key=lambda ob: rank_key(ob[0]))[1]
         windows = [
             window_bounds(idx, m, state.fraction) for idx, m in zip(center, sizes)
         ]

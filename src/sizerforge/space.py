@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import prod
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import Design
 from .errors import IllegalEdit, PlanIncomplete, ValueOffGrid
@@ -95,19 +95,26 @@ def space_from_config(config) -> SearchSpace:
     return full_space({v: config.grid_for(v) for v in config.variables})
 
 
+def index_rows(space: SearchSpace, designs: Iterable[Design]) -> List[Optional[List[int]]]:
+    """Each design's index vector over the active lists, or None where the
+    design lies outside the space: its variables differ from the grid's,
+    a pin is not matched or an active value is not in its list."""
+    position = [(var, {v: i for i, v in enumerate(values)}) for var, values in space.active.items()]
+    variables, pins = space.full_grid.keys(), space.fixed.items()
+    rows: List[Optional[List[int]]] = []
+    for design in designs:
+        assignment = design.assignment
+        row = None
+        if assignment.keys() == variables and all(assignment[v] == pin for v, pin in pins):
+            row = [index.get(assignment[var]) for var, index in position]
+        rows.append(None if row is None or None in row else row)
+    return rows
+
+
 def sample_validate(space: SearchSpace, design: Design) -> bool:
     """True iff the design matches every fixed pin exactly and every
     active value lies inside the active list. Never raises."""
-    assignment = design.assignment
-    if set(assignment) != set(space.full_grid):
-        return False
-    for var, pinned in space.fixed.items():
-        if assignment[var] != pinned:
-            return False
-    for var, values in space.active.items():
-        if assignment[var] not in values:
-            return False
-    return True
+    return index_rows(space, [design])[0] is not None
 
 
 @dataclass(frozen=True)
@@ -128,16 +135,6 @@ class SpaceEdit:
     unfix: Mapping[str, Tuple[float, ...]] = field(default_factory=dict)
     fix: Mapping[str, float] = field(default_factory=dict)
     rationale: str = ""
-
-    def to_record(self) -> dict:
-        return {
-            "action": self.action,
-            "expand": {k: dict(v) for k, v in self.expand.items()},
-            "narrow": {k: list(v) for k, v in self.narrow.items()},
-            "unfix": {k: list(v) for k, v in self.unfix.items()},
-            "fix": dict(self.fix),
-            "rationale": self.rationale,
-        }
 
 
 def unfix_window(grid: Sequence[float], pin: float, n_values: int) -> Tuple[float, ...]:

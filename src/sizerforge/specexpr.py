@@ -60,10 +60,6 @@ class Comparison:
             return value <= self.threshold
         raise ValueError(f"unknown operator {self.op!r}")
 
-    @property
-    def direction(self) -> str:
-        return "maximize" if self.op in MAXIMIZE_OPS else "minimize"
-
     def pretty(self) -> str:
         return f"{self.metric} {self.op} {_format_number(self.threshold)}"
 

@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory
-from sizerforge.optim.base import in_space_valid, indices_of, materialize
+from sizerforge.optim.base import materialize, observations
 from sizerforge.optim.bayesian import candidate_rows, normalize_rows, propose_bayesian
 from sizerforge.optim.gp import GaussianProcess, acquisition, matern25
 from sizerforge.space import SearchSpace
@@ -257,10 +257,10 @@ def _reference_posterior(x, y, query):
 
 def _reference_propose(space, history, n_samples, seed, acquisition_function):
     weight = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}[acquisition_function]
-    observations = in_space_valid(history, space)
+    obs = observations(space, history)
     rng = pyrandom.Random(seed)
-    x = normalize_rows(space, [indices_of(space, r.design) for r in observations])
-    y = np.array([r.fom for r in observations], dtype=float)
+    x = normalize_rows(space, [row for _, row in obs])
+    y = np.array([r.fom for r, _ in obs], dtype=float)
     sizes = [len(values) for values in space.active.values()]
     if space.cardinality() <= 20_000:
         rows = list(itertools.product(*(range(m) for m in sizes)))

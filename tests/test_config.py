@@ -5,14 +5,12 @@ from pathlib import Path
 import pytest
 
 from sizerforge.config import (
-    config_equal,
     extract_placeholders,
     format_value,
     load_config,
     parse_config,
     render_deck,
     render_template,
-    serialize_config,
 )
 from sizerforge.errors import (
     BadScaleRef,
@@ -125,12 +123,6 @@ def test_render_deck_off_grid_value(bench):
     assignment["W_diff_base"] = 0.9
     with pytest.raises(ValueOffGrid):
         render_deck(bench, assignment)
-
-
-def test_minimal_config_round_trip():
-    config = parse_config(MINIMAL)
-    again = parse_config(serialize_config(config))
-    assert config_equal(config, again)
 
 
 def test_missing_required_key():

@@ -102,3 +102,18 @@ def test_each_batch_calls_the_controllers_evaluate_batch(monkeypatch, algorithm)
     assert batches
     assert calls["evaluate_batch"] == len(batches)
     assert calls["propose"] >= len(batches)
+
+
+def test_result_json_reports_the_design_the_run_hands_back(tmp_path):
+    # sota_easy: "gain_db > 25 AND power_uw < 60"; the best FoM alone
+    # (gain_db 16.97) fails the gain clause, so result.json must name the
+    # feasible design that `sizerforge run` prints
+    config = load_config(str(CONFIGS / "sota_easy.yaml"))
+    result = run(config, RunBudget(total_evals=40), seed=0, results_dir=str(tmp_path))
+    record = json.loads((tmp_path / "result.json").read_text())
+    best = record["best"]
+    assert record["feasible_found"] and best["feasible"]
+    assert round(best["raw_metrics"]["gain_db"], 2) == 26.51
+    assert best["assignment"] == {"a": 1.68, "b": 1.26}
+    assert record["evals_to_best"] == 2
+    assert best["eval_index"] == result.best.eval_index == result.history.reported().eval_index

@@ -12,12 +12,12 @@ from sizerforge.core import (
     History,
     IterationSummary,
     assess,
-    best_so_far,
     compute_fom,
     design_from,
     improvement_pct,
+    rank_key,
 )
-from sizerforge.errors import EmptyHistory, InsufficientHistory, NoValidDesign
+from sizerforge.errors import InsufficientHistory
 from sizerforge.specexpr import parse_spec, split_directions
 
 BENCH = parse_spec("fom > 0.100 AND dc_gain_db > 55 AND ugbw > 10 AND power_dc < 50")
@@ -227,23 +227,55 @@ def test_history_jsonl_round_trip_fields():
 # ---------------------------------------------------------------- best/improvement
 
 
-def test_best_so_far_prefers_earliest_on_ties():
+def test_best_prefers_earliest_on_ties():
     hist = History()
     hist.append(_record(1, 0.3))
     hist.append(_record(2, 0.7))
     hist.append(_record(3, 0.7))
-    best, at = best_so_far(hist)
-    assert best.eval_index == 2
-    assert at == 2
+    assert hist.best().eval_index == 2
 
 
-def test_best_so_far_error_cases():
+def test_best_and_reported_are_none_without_a_valid_record():
     hist = History()
-    with pytest.raises(EmptyHistory):
-        best_so_far(hist)
+    assert hist.best() is None and hist.reported() is None
     hist.append(_record(1, None, status="sim_failed"))
-    with pytest.raises(NoValidDesign):
-        best_so_far(hist)
+    hist.append(_record(2, None))
+    assert hist.best() is None and hist.reported() is None
+    assert not hist.feasible_found()
+
+
+def test_reported_prefers_a_feasible_record_over_a_better_fom():
+    hist = History()
+    hist.append(_record(1, 0.9))
+    hist.append(_record(2, 0.4, feasible=True))
+    hist.append(_record(3, 0.6, feasible=True))
+    hist.append(_record(4, None, status="sim_failed"))
+    assert hist.best().eval_index == 1
+    assert hist.reported().eval_index == 3
+    assert hist.feasible_found()
+
+
+def test_reported_ties_go_to_the_earliest_feasible_record():
+    hist = History()
+    hist.append(_record(1, 0.5))
+    hist.append(_record(2, 0.5, feasible=True))
+    hist.append(_record(3, 0.5, feasible=True, cached=True))
+    assert hist.best().eval_index == 1
+    assert hist.reported().eval_index == 2
+
+
+def test_reported_falls_back_to_best_when_nothing_is_feasible():
+    hist = History()
+    hist.append(_record(1, 0.2))
+    hist.append(_record(2, 0.8))
+    hist.append(_record(3, 0.8))
+    assert hist.reported() is hist.best()
+    assert hist.reported().eval_index == 2
+
+
+def test_rank_key_orders_best_first():
+    records = [_record(1, 0.3), _record(2, 0.7), _record(3, 0.7), _record(4, 0.1)]
+    assert [r.eval_index for r in sorted(records, key=rank_key, reverse=True)] == [2, 3, 1, 4]
 
 
 def test_improvement_pct_window():

@@ -63,7 +63,7 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, name, workers
     assert [r.cached for r in records] == [False, False, True]
     assert records[2].wall_time == 0.0
     assert all(r.wall_time > 0.0 for r in records[:2])
-    assert cache.get(ResultCache.key_for(config, first, evaluator))["reason"] == reason
+    assert cache.get(ResultCache.key_for(first))["reason"] == reason
     if name == "prints":
         assert dict(records[0].raw_metrics) == {"gain_db": 30.0, "power_uw": 40.0}
         assert records[0].fom is not None and records[0].feasible

@@ -3,6 +3,7 @@
 import random
 
 from sizerforge.core import EvaluatedDesign, History, design_from
+from sizerforge.optim.base import observations
 from sizerforge.optim.genetic import crossover_uniform, mutate_gene, propose_genetic, tournament
 from sizerforge.space import SearchSpace
 
@@ -104,10 +105,10 @@ def test_mutate_gene_clamps_at_bounds():
 def test_tournament_picks_the_fittest_of_its_draws():
     space = _space()
     hist = _seed_history(space, [((0, 0), 0.1), ((1, 1), 0.9), ((2, 2), 0.5)])
-    pool = hist.valid_records()
+    pool = observations(space, hist)
     # k = len(pool) guarantees at least one draw of everything over repeats
     rng = random.Random(4)
-    wins = {tournament(pool, 3, rng).fom for _ in range(50)}
+    wins = {tournament(pool, 3, rng)[0].fom for _ in range(50)}
     assert 0.9 in wins
     assert min(wins) >= 0.1
 

@@ -73,7 +73,7 @@ def _inner(method, n_samples, **extra):
 
 
 def _budget():
-    return BudgetState(total_remaining=40, inner_remaining=40, outer_loops_used=0, prior_unfixes=0)
+    return BudgetState(total_remaining=40, inner_remaining=40, prior_unfixes=0)
 
 
 def test_fenced_and_prose_wrapped_replies_are_repaired(tmp_path, config):

@@ -1,0 +1,123 @@
+"""Property: every proposer stays on the grid, inside the space, off the history.
+
+Spaces are random (two to four variables, some pinned, active lists of
+two or more grid values) and so are histories: records inside and
+outside the space, failed simulations and failed figures of merit,
+feasible and infeasible records, and repeats of one design. Only GA
+elitism (the incumbent leads the batch) and multistart at radius 0 (the
+starts themselves) resubmit an evaluated design.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sizerforge.core import EvaluatedDesign, History, design_from
+from sizerforge.errors import InsufficientHistory
+from sizerforge.optim.pool import MethodConfig, propose
+from sizerforge.optim.turbo import TurboState
+from sizerforge.space import SearchSpace, sample_validate, validate_space
+
+GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89)
+NAMES = ("W_a", "W_b", "W_c", "W_d")
+
+METHODS = {
+    "lhs": st.just({}),
+    "genetic": st.fixed_dictionaries({"mutation_rate": st.sampled_from([0.0, 0.2, 1.0])}),
+    "ga_baseline": st.just({}),
+    "bayesian": st.fixed_dictionaries(
+        {"acquisition_function": st.sampled_from(["EI", "PI", "UCB", "LCB"])}
+    ),
+    "bo_baseline": st.just({}),
+    "adaptive": st.just({}),
+    "annealing": st.just({}),
+    "multistart": st.fixed_dictionaries(
+        {"n_starts": st.integers(1, 4), "search_radius": st.integers(0, 2)}
+    ),
+    "turbo_baseline": st.just({}),
+}
+
+
+@st.composite
+def spaces(draw):
+    names = NAMES[: draw(st.integers(2, 4))]
+    active_names = draw(
+        st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True)
+    )
+    active, fixed = {}, {}
+    for var in names:
+        if var in active_names:
+            values = draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=4, unique=True))
+            active[var] = tuple(sorted(values))
+        else:
+            fixed[var] = draw(st.sampled_from(GRID))
+    space = SearchSpace(active=active, fixed=fixed, full_grid={v: GRID for v in names})
+    validate_space(space)
+    return space
+
+
+@st.composite
+def histories(draw, space):
+    hist = History()
+    designs = []
+    for _ in range(draw(st.integers(0, 24))):
+        if designs and draw(st.integers(0, 5)) == 0:
+            design = draw(st.sampled_from(designs))  # a repeat
+        elif draw(st.booleans()):
+            assignment = dict(space.fixed)
+            for var, values in space.active.items():
+                assignment[var] = draw(st.sampled_from(values))
+            design = design_from(assignment)
+        else:
+            # anywhere on the full grid, so often outside the space
+            design = design_from({v: draw(st.sampled_from(GRID)) for v in space.full_grid})
+        designs.append(design)
+        status = draw(st.sampled_from(["ok", "ok", "ok", "sim_failed"]))
+        fom = None
+        if status == "ok" and draw(st.integers(0, 4)):
+            fom = draw(st.floats(0.01, 10.0))
+        hist.append(EvaluatedDesign(
+            design=design,
+            raw_metrics={},
+            normalized={},
+            fom=fom,
+            feasible=fom is not None and draw(st.booleans()),
+            sim_status=status,
+            iteration=1,
+            method="lhs",
+            eval_index=hist.next_eval_index(),
+            wall_time=0.0,
+        ))
+    return hist
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_proposals_stay_on_the_grid_inside_the_space_and_off_the_history(method, data):
+    space = data.draw(spaces())
+    history = data.draw(histories(space))
+    params = data.draw(METHODS[method])
+    config = MethodConfig(
+        method=method,
+        n_samples=data.draw(st.integers(1, 8)),
+        parameters=params,
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+    )
+    try:
+        proposal = propose(space, config, history, turbo_state=TurboState())
+    except InsufficientHistory:
+        return  # the controller falls back to lhs
+
+    for design in proposal.designs:
+        assert all(design.assignment[v] in GRID for v in space.full_grid)
+        assert sample_validate(space, design)
+
+    resubmitted = [d for d in proposal.designs if history.contains_design(d.id)]
+    if method == "multistart" and params["search_radius"] == 0:
+        return
+    if method in ("genetic", "ga_baseline") and "elite" in proposal.diagnostics:
+        assert [d.id for d in resubmitted] == [proposal.diagnostics["elite"]]
+        assert proposal.designs[0].id == proposal.diagnostics["elite"]
+        return
+    assert resubmitted == []
