@@ -1,5 +1,6 @@
-"""The command line: what ``sizerforge run`` prints."""
+"""The command line: what ``run``, ``validate`` and ``oracle`` print."""
 
+import json
 from pathlib import Path
 
 from sizerforge.cli import main
@@ -17,3 +18,30 @@ def test_run_prints_the_design_that_meets_the_spec(capsys):
     metrics = dict(item.split("=") for item in lines[2].removeprefix("metrics: ").split(", "))
     assert float(metrics["gain_db"]) > 25 and float(metrics["power_uw"]) < 60
     assert lines[3].startswith("feasible: yes | evals: 11/40")
+
+
+def test_validate_reports_the_config_and_its_grid(capsys):
+    assert main(["validate", str(CONFIGS / "sota_hard.yaml")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "config: sota_hard",
+        "variables: W_tail_base, W_diff_base, W_casc_base, W_load_base",
+        "grid: 9 values per variable, 6561 combinations",
+        "metrics: dc_gain_db, ugbw, power_dc, fom",
+        "spec clauses: 4",
+        "templates render cleanly",
+        "OK",
+    ]
+
+
+def test_oracle_prints_the_enumerated_grid_as_json(capsys):
+    assert main(["oracle", "sota_easy"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["model"] == "sota_easy"
+    assert (record["total_count"], record["feasible_count"]) == (81, 45)
+    assert sorted(record["best_assignment"]) == ["a", "b"]
+    assert isinstance(record["best_fom"], float)
+
+
+def test_unknown_surrogate_is_an_error_not_a_traceback(capsys):
+    assert main(["oracle", "no_such_model"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -9,6 +9,7 @@ run-level test pins the whole decision log and every backend message.
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -215,3 +216,164 @@ def test_replayed_run_logs_every_repair_rejection_and_fallback(tmp_path, config)
 
     log = (tmp_path / "out" / "decision_log.jsonl").read_bytes()
     assert hashlib.sha256(log).hexdigest() == GOLDEN_REPLAY_LOG
+
+
+# ------------------------------------------------- the outer loop via replay
+
+
+def _ranking(names):
+    return [{"rank": i, "variable": v, "impact_on_target": "high", "reasoning": "crafted"}
+            for i, v in enumerate(names, start=1)]
+
+
+def _optimize(rank, values, sensitivity, **extra):
+    return {"rank": rank, "search_space": values, "num_choices": len(values),
+            "range_reasoning": "crafted", "expected_behavior": "crafted",
+            "sensitivity": sensitivity, **extra}
+
+
+def _fixed(rank, value, **extra):
+    return {"rank": rank, "fixed_value": value, "fixed_reasoning": "crafted",
+            "why_this_value": "crafted", "risk_if_suboptimal": "medium", **extra}
+
+
+RANKED = ["W_diff_base", "W_load_base", "W_tail_base", "W_casc_base"]
+UNDERSTANDING_REPLY = {
+    "circuit_topology_overview": "telescopic OTA: tail, input pair, cascodes, loads",
+    "optimization_variables_mapping": "each base width scales one device group",
+    "optimization_variables_impact": {"fom": "the pair and the loads dominate"},
+    "variable_interactions": "cascode and load widths trade gain for headroom",
+    "key_insights_for_optimization": ["pair first", "loads second", "cascodes last"],
+}
+PLAN_REPLY = {
+    "optimization_target": "fom",
+    "num_variables_to_optimize": 3,
+    "variable_ranking": _ranking(RANKED),
+    "optimization_configuration": {
+        "variables_to_optimize": {
+            "W_diff_base": _optimize(1, [0.84, 1.26, 1.68, 2.1, 2.52], "high"),
+            "W_load_base": _optimize(2, [0.84, 1.26, 1.68, 2.1, 2.52], "medium"),
+            "W_tail_base": _optimize(3, [0.84, 1.68, 2.52], "low"),
+        },
+        "variables_fixed": {"W_casc_base": _fixed(4, 1.68)},
+    },
+    "search_space_summary": {"original_full_space": 6561, "reduced_search_space": 75,
+                             "reduction_factor": "87.48", "calculation": "5*5*3",
+                             "explanation": "crafted"},
+}
+# numeric strings throughout, one off-grid value (1.27) and both outer-only fields
+NARROW_REPLY = {
+    "optimization_target": "fom",
+    "regeneration_reasoning": "the top designs sit low on the pair and the loads",
+    "action_taken": "narrow_ranges",
+    "changes_from_previous": "pair and loads narrowed",
+    "expected_improvement": 5,
+    "confidence": "medium",
+    "variable_ranking": _ranking(RANKED),
+    "optimization_configuration": {
+        "variables_to_optimize": {
+            "W_diff_base": _optimize("1", ["0.84", "1.05", "1.27"], "high",
+                                     change_from_previous="narrowed to the low end"),
+            "W_load_base": _optimize(2, [0.84, 1.05, 1.26], "medium",
+                                     change_from_previous="narrowed"),
+            "W_tail_base": _optimize(3, [0.84, 1.68, 2.52], "low"),
+        },
+        "variables_fixed": {"W_casc_base": _fixed(4, "1.68", change_from_previous="unchanged")},
+    },
+    "search_space_summary": {"original_full_space": "6561", "reduced_search_space": 27,
+                             "reduction_factor": "243", "calculation": "3*3*3",
+                             "explanation": "crafted", "change_factor": "75 -> 27"},
+}
+CONVERGED_REPLY = {
+    "optimization_target": "fom",
+    "regeneration_reasoning": "nothing left to refine",
+    "action_taken": "converged",
+    "changes_from_previous": "none",
+    "expected_improvement": "none",
+    "confidence": "high",
+    "variable_ranking": _ranking(RANKED[:1]),  # stray without a configuration
+}
+STOP_REPLY = {
+    "action": "stop",
+    "method": "lhs",  # stray on a stop
+    "n_samples": 5,
+    "parameters": {},
+    "reasoning": "enough for this space",
+    "confidence": "high",
+    "expected_improvement": "none",
+    "convergence_assessment": "plateau",
+}
+
+# sota_hard, 60 evaluations, 30 per inner loop, three outer loops, seed 0
+GOLDEN_OUTER_REPLAY = "2896b0f8a37aec87712ff84a05a2c61ad57312c0471a70b7bbcb9b79a0f225fc"
+
+
+def _artefact_digest(results_dir: Path) -> str:
+    h = hashlib.sha256()
+    patterns = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
+    for path in sorted({p for pattern in patterns for p in results_dir.glob(pattern)}):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_path, config):
+    replies = [
+        json.dumps(UNDERSTANDING_REPLY),
+        json.dumps(PLAN_REPLY),
+        _inner("lhs", 12),
+        _inner("optuna", 4),
+        json.dumps(STOP_REPLY),
+        json.dumps(NARROW_REPLY),
+        _inner("genetic", 6),
+        json.dumps(STOP_REPLY),
+        json.dumps(CONVERGED_REPLY),
+    ]
+    backend, messages = _backend(tmp_path, replies)
+    budget = RunBudget(total_evals=60, per_inner_loop=30, max_outer_loops=3)
+    result = run(config, budget, backend, 0, results_dir=str(tmp_path / "out"))
+
+    assert result.outcome == "converged"
+    assert backend.fallbacks == []
+    assert messages == [
+        "plan: model optimized 3 variables instead of the requested 4; accepted",
+        "plan repair: W_diff_base value 1.27 snapped to 1.26",
+    ]
+    entries = result.decisions
+    inner = [e["payload"] for e in entries if e["kind"] == "inner"]
+    assert [(p["action"], p.get("method"), p.get("parameters")) for p in inner] == [
+        ("search", "lhs", {}),
+        ("search", "bayesian", {"acquisition_function": "PI"}),  # the optuna alias
+        ("stop", None, None),
+        ("search", "genetic", {}),
+        ("stop", None, None),
+    ]
+    assert "n_samples" not in inner[2]
+    narrow, converged = [e["payload"] for e in entries if e["kind"] == "outer"]
+    regenerated = narrow["optimization_configuration"]
+    assert regenerated["variables_to_optimize"]["W_diff_base"]["search_space"] == [0.84, 1.05, 1.26]
+    assert regenerated["variables_to_optimize"]["W_diff_base"]["rank"] == 1
+    assert regenerated["variables_fixed"]["W_casc_base"]["fixed_value"] == 1.68
+    assert narrow["search_space_summary"]["original_full_space"] == 6561
+    assert narrow["search_space_summary"]["change_factor"] == "75 -> 27"
+    assert narrow["expected_improvement"] == "5"
+    assert converged == {k: v for k, v in CONVERGED_REPLY.items() if k != "variable_ranking"}
+    spaces = [e for e in entries if e["kind"] == "space"]
+    assert [s["generation"] for s in spaces] == [0, 1]
+    assert spaces[1]["active"]["W_diff_base"] == [0.84, 1.05, 1.26]
+    assert spaces[1]["fixed"] == {"W_casc_base": 1.68}
+
+    assert _artefact_digest(tmp_path / "out") == GOLDEN_OUTER_REPLAY
+
+
+def test_backend_messages_go_to_logging_by_default(tmp_path, config, caplog):
+    fenced = "```json\n" + json.dumps(UNDERSTANDING_REPLY) + "\n```"
+    backend = LlmBackend(_replay(tmp_path / "replies", [fenced]))
+    with caplog.at_level(logging.INFO, logger="sizerforge.agents.llm"):
+        backend.understand(config)
+        backend.understand(config)  # the transcript is exhausted: rule fallback
+    exhausted = "llm transport failure (status 0): replay transcript exhausted"
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("sizerforge.agents.llm", "INFO", "understanding: stripped code fences"),
+        ("sizerforge.agents.llm", "INFO",
+         f"understanding: falling back to the rule policy ({exhausted})"),
+    ]

@@ -1,0 +1,194 @@
+"""Agent reply validation: one malformed reply per rejection branch.
+
+Each row starts from a valid reply of one schema, breaks one field and
+pins the exact message ``parse_agent_json`` rejects it with; the message
+is what the LLM backend echoes into its re-prompt.
+"""
+
+import copy
+import json
+
+import pytest
+
+from sizerforge.agents import parse_agent_json
+from sizerforge.errors import JsonUnparseable, SchemaViolation
+
+
+def _ranking():
+    return [{"rank": 1, "variable": "a", "impact_on_target": "high", "reasoning": "r"}]
+
+
+def _configuration():
+    return {
+        "variables_to_optimize": {
+            "a": {"rank": 1, "search_space": [0.84, 1.26, 1.68], "num_choices": 3,
+                  "range_reasoning": "r", "expected_behavior": "e", "sensitivity": "high"},
+        },
+        "variables_fixed": {
+            "b": {"rank": 2, "fixed_value": 1.26, "fixed_reasoning": "f",
+                  "why_this_value": "w", "risk_if_suboptimal": "low"},
+        },
+    }
+
+
+def _summary():
+    return {"original_full_space": 81, "reduced_search_space": 3, "reduction_factor": "27",
+            "calculation": "81 -> 3", "explanation": "x"}
+
+
+VALID = {
+    "understanding": {
+        "circuit_topology_overview": "t",
+        "optimization_variables_mapping": "m",
+        "optimization_variables_impact": {"gain_db": "i"},
+        "variable_interactions": "v",
+        "key_insights_for_optimization": ["k1", "k2", "k3"],
+    },
+    "plan": {
+        "optimization_target": "fom",
+        "num_variables_to_optimize": 1,
+        "variable_ranking": _ranking(),
+        "optimization_configuration": _configuration(),
+        "search_space_summary": _summary(),
+    },
+    "inner": {
+        "action": "search",
+        "method": "lhs",
+        "n_samples": 4,
+        "parameters": {},
+        "reasoning": "r",
+        "confidence": "medium",
+        "expected_improvement": "some",
+        "convergence_assessment": "early",
+    },
+    "outer": {
+        "optimization_target": "fom",
+        "regeneration_reasoning": "r",
+        "action_taken": "narrow_ranges",
+        "changes_from_previous": "c",
+        "expected_improvement": "some",
+        "confidence": "low",
+        "variable_ranking": _ranking(),
+        "optimization_configuration": _configuration(),
+        "search_space_summary": _summary(),
+    },
+}
+
+_DROP = object()
+OPT = ("optimization_configuration", "variables_to_optimize", "a")
+FIX = ("optimization_configuration", "variables_fixed", "b")
+
+
+def _broken(schema, path, value):
+    """The valid ``schema`` reply with the field at ``path`` set (or dropped)."""
+    reply = copy.deepcopy(VALID[schema])
+    *parents, leaf = path
+    node = reply
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return json.dumps(reply)
+
+
+def _violation(field, expected):
+    return f"schema violation at {field!r}: expected {expected}"
+
+
+MALFORMED = [
+    # understanding
+    ("understanding", ("variable_interactions",), _DROP,
+     _violation("variable_interactions", "required field")),
+    ("understanding", ("sensitivity",), {"a": "high"}, _violation("sensitivity", "no such field")),
+    ("understanding", ("optimization_variables_impact",), {"gain_db": 3},
+     _violation("optimization_variables_impact", "object of strings")),
+    ("understanding", ("key_insights_for_optimization",), ["only", "two"],
+     _violation("key_insights_for_optimization", "list of 3-5 strings")),
+    ("understanding", ("circuit_topology_overview",), 7,
+     _violation("circuit_topology_overview", "string")),
+    # plan
+    ("plan", ("optimization_configuration", "variables_fixed"), _DROP,
+     _violation("optimization_configuration.variables_fixed", "required field")),
+    ("plan", ("optimization_configuration", "variables_to_optimize"), [],
+     _violation("variables_to_optimize", "object")),
+    ("plan", ("optimization_configuration", "variables_fixed"), "b",
+     _violation("variables_fixed", "object")),
+    ("plan", OPT + ("search_space",), [], _violation("variables_to_optimize.a.search_space",
+                                                     "non-empty list of numbers")),
+    ("plan", OPT + ("search_space",), [0.84, "wide"],
+     _violation("variables_to_optimize.a.search_space", "number")),
+    ("plan", OPT + ("rank",), 1.5, _violation("variables_to_optimize.a.rank", "integer")),
+    ("plan", OPT + ("num_choices",), True,
+     _violation("variables_to_optimize.a.num_choices", "integer")),
+    ("plan", OPT + ("sensitivity",), "extreme",
+     _violation("variables_to_optimize.a.sensitivity", "one of high|medium|low")),
+    ("plan", OPT + ("change_from_previous",), "new",
+     _violation("variables_to_optimize.a.change_from_previous", "no such field")),
+    ("plan", FIX + ("fixed_value",), "mid", _violation("variables_fixed.b.fixed_value", "number")),
+    ("plan", FIX + ("risk_if_suboptimal",), "none",
+     _violation("variables_fixed.b.risk_if_suboptimal", "one of low|medium|high")),
+    ("plan", ("optimization_target",), ["fom"], _violation("optimization_target", "string")),
+    ("plan", ("num_variables_to_optimize",), "one",
+     _violation("num_variables_to_optimize", "integer")),
+    ("plan", ("variable_ranking",), [], _violation("variable_ranking", "non-empty list")),
+    ("plan", ("variable_ranking",), ["a"], _violation("variable_ranking[0]", "object")),
+    ("plan", ("variable_ranking", 0, "impact_on_target"), "huge",
+     _violation("variable_ranking[0].impact_on_target", "one of critical|high|medium|low")),
+    ("plan", ("search_space_summary", "change_factor"), "2x",
+     _violation("search_space_summary.change_factor", "no such field")),
+    ("plan", ("search_space_summary", "reduced_search_space"), "few",
+     _violation("search_space_summary.reduced_search_space", "integer")),
+    # inner
+    ("inner", ("action",), "pause", _violation("action", "one of search|stop")),
+    ("inner", ("confidence",), "certain", _violation("confidence", "one of high|medium|low")),
+    ("inner", ("reasoning",), None, _violation("reasoning", "string")),
+    ("inner", ("method",), _DROP, _violation("method", "required when action is search")),
+    ("inner", ("method",), 3, _violation("method", "string")),
+    ("inner", ("n_samples",), "ten", _violation("n_samples", "integer")),
+    ("inner", ("n_samples",), 0, _violation("n_samples", "positive integer")),
+    ("inner", ("parameters",), [], _violation("parameters", "object")),
+    # outer
+    ("outer", ("action_taken",), "restart", _violation(
+        "action_taken",
+        "one of continue_current|expand_ranges|narrow_ranges|unfix_variables|change_focus|converged",
+    )),
+    ("outer", ("optimization_configuration",), _DROP,
+     _violation("optimization_configuration", "required for action narrow_ranges")),
+    ("outer", ("search_space_summary",), _DROP,
+     _violation("variable_ranking", "required alongside the regenerated plan")),
+    ("outer", OPT + ("num_choices",), "three",
+     _violation("variables_to_optimize.a.num_choices", "integer")),
+    ("outer", ("search_space_summary", "original_full_space"), 81.5,
+     _violation("search_space_summary.original_full_space", "integer")),
+    ("outer", ("changes_from_previous",), 0, _violation("changes_from_previous", "string")),
+]
+
+
+@pytest.mark.parametrize("schema", sorted(VALID))
+def test_the_unbroken_replies_are_accepted(schema):
+    parse_agent_json(json.dumps(VALID[schema]), schema)
+
+
+@pytest.mark.parametrize(
+    "schema, path, value, message", MALFORMED,
+    ids=[f"{s}:{'.'.join(map(str, p))}" for s, p, _, _ in MALFORMED],
+)
+def test_malformed_reply_is_rejected_with_its_message(schema, path, value, message):
+    with pytest.raises(SchemaViolation) as caught:
+        parse_agent_json(_broken(schema, path, value), schema)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("", "empty response"),
+    ("I would rather not answer.", "no JSON object found in response"),
+    ('{"action": "stop"', "unbalanced braces in response"),
+    ("{'action': 'stop'}", "invalid JSON: Expecting property name enclosed in double quotes: "
+                           "line 1 column 2 (char 1)"),
+])
+def test_unparseable_reply_is_rejected_with_its_message(raw, message):
+    with pytest.raises(JsonUnparseable) as caught:
+        parse_agent_json(raw, "inner")
+    assert str(caught.value) == message
