@@ -1,15 +1,18 @@
 """Decision backends: rule policy, model-backed, and recorded replay.
 
 Both backends expose the same four operations (understand, plan,
-decide_inner, decide_outer) with identical decision objects, so the
-controller never knows which one is driving.
+decide_inner, decide_outer) with the same signatures. Each returns the
+decision as its validated wire dict (see ``schemas``); ``decide_outer``
+also returns the space the decision leads to, None on ``converged``. The
+controller never knows which backend is driving.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigError
+from ..space import SearchSpace
 from .llm import (
     GENERATION_PARAMS,
     HttpTransport,
@@ -21,37 +24,25 @@ from .llm import (
 )
 from .rule import (
     BudgetState,
-    rank_variables,
     rule_decide_inner,
     rule_decide_outer,
     rule_plan,
     rule_understand,
     target_metric,
 )
-from .schemas import (
-    CircuitUnderstanding,
-    InnerDecision,
-    OuterDecision,
-    SpacePlan,
-    parse_agent_json,
-)
+from .schemas import parse_agent_json
 
 __all__ = [
     "BudgetState",
-    "CircuitUnderstanding",
     "GENERATION_PARAMS",
     "HttpTransport",
-    "InnerDecision",
     "LlmBackend",
-    "OuterDecision",
     "ReplayTransport",
     "RuleBackend",
-    "SpacePlan",
     "TranscriptWriter",
     "load_prompt",
     "make_backend",
     "parse_agent_json",
-    "rank_variables",
     "rule_decide_inner",
     "rule_decide_outer",
     "rule_plan",
@@ -69,34 +60,30 @@ class RuleBackend:
     def __init__(self):
         self.fallbacks: List[Dict[str, str]] = []
 
-    def understand(self, config) -> CircuitUnderstanding:
+    def understand(self, config) -> dict:
         return rule_understand(config)
 
-    def plan(self, config, understanding, n_to_optimize: int) -> SpacePlan:
+    def plan(self, config, understanding: dict, n_to_optimize: int) -> dict:
         return rule_plan(config, understanding, n_to_optimize)
 
-    def decide_inner(self, report, budget, space, config=None, history=None) -> InnerDecision:
+    def decide_inner(self, report, budget, space, config) -> dict:
         return rule_decide_inner(report, budget, space)
 
     def decide_outer(
-        self, report, space, history, budget, understanding=None, config=None
-    ) -> OuterDecision:
-        return rule_decide_outer(report, space, history, budget, understanding)
+        self, report, space, history, budget, sensitivity: Mapping[str, str], config
+    ) -> Tuple[dict, Optional[SearchSpace]]:
+        return rule_decide_outer(report, space, budget, sensitivity)
 
 
-def make_backend(
-    spec: str,
-    transcript_dir: Optional[str] = None,
-    log: Optional[Callable[[str], None]] = None,
-):
+def make_backend(spec: str, transcript_dir: Optional[str] = None):
     """Build a backend from its CLI spelling: rule | llm | replay:<dir>."""
     if spec == "rule":
         return RuleBackend()
     if spec == "llm":
         transcripts = TranscriptWriter(transcript_dir) if transcript_dir else None
-        return LlmBackend(HttpTransport(), transcripts=transcripts, log=log)
+        return LlmBackend(HttpTransport(), transcripts=transcripts)
     if spec.startswith("replay:"):
         directory = spec.split(":", 1)[1]
         transcripts = TranscriptWriter(transcript_dir) if transcript_dir else None
-        return LlmBackend(ReplayTransport(directory), transcripts=transcripts, log=log)
+        return LlmBackend(ReplayTransport(directory), transcripts=transcripts)
     raise ConfigError(f"unknown backend {spec!r}; expected rule, llm, or replay:<dir>")

@@ -4,11 +4,14 @@ Each decision is a single prompt/response exchange, run by one
 ``LlmBackend._decide`` step for all four operations: the prompt and the
 schema share the operation's name (understanding, plan, inner, outer).
 Responses go through parse_agent_json plus op-specific validation (grid
-snapping, method and variable-name checks); a rejected response earns
-exactly one retry with the rejection reason echoed into the re-prompt,
-after which the rule policy takes over. Transport failures take the
-same exit, and every fallback is logged and kept on ``fallbacks``. A run
-never aborts because the model misbehaved.
+snapping, method and variable-name checks), which edits the wire dict
+in place; that dict is the decision. A rejected response earns exactly
+one retry with the rejection reason echoed into the re-prompt, after
+which the rule policy takes over. Transport failures take the same
+exit, and every fallback is kept on ``fallbacks``. Repairs, rejections
+and fallbacks go to the ``log`` callback, by default this module's
+``logging`` logger at INFO. A run never aborts because the model
+misbehaved.
 
 Transports share one interface, ``complete(prompt, params) -> text``:
 HttpTransport speaks the common chat-completion JSON shape, configured
@@ -19,13 +22,13 @@ what the test suite uses.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import logging
 import os
 import time
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import requests
 
@@ -45,7 +48,7 @@ from ..errors import (
     ValueOffGrid,
 )
 from ..optim import MethodConfig, validate_method_config
-from ..space import SearchSpace, first_round_from_plan, space_from_plan
+from ..space import SearchSpace, SpaceEdit, apply_edit, first_round_from_plan, space_from_plan
 from .rule import (
     BudgetState,
     rule_decide_inner,
@@ -54,13 +57,7 @@ from .rule import (
     rule_understand,
     target_metric,
 )
-from .schemas import (
-    CircuitUnderstanding,
-    InnerDecision,
-    OuterDecision,
-    SpacePlan,
-    parse_agent_json,
-)
+from .schemas import parse_agent_json
 
 ENV_URL = "SIZERFORGE_LLM_URL"
 ENV_KEY = "SIZERFORGE_LLM_KEY"
@@ -235,42 +232,34 @@ def snap_to_grid(value: float, grid) -> float:
     return min(grid, key=lambda g: (abs(g - value), g))
 
 
-def snap_plan(plan: SpacePlan, config, log: Callable[[str], None]) -> SpacePlan:
-    """Replace every off-grid plan value with its nearest grid value."""
-    optimize = {}
-    for var, entry in plan.optimize.items():
+def snap_plan(configuration: dict, config, log: Callable[[str], None]) -> None:
+    """Replace every off-grid value of a plan's ``optimization_configuration``
+    with its nearest grid value, in place; active lists come out sorted
+    and deduplicated."""
+    for var, entry in configuration["variables_to_optimize"].items():
         grid = config.grid_for(var)
-        values = []
-        for value in entry["values"]:
+        values = set()
+        for value in entry["search_space"]:
             snapped = snap_to_grid(value, grid)
             if snapped != value:
                 log(f"plan repair: {var} value {value!r} snapped to {snapped!r}")
-            values.append(snapped)
-        new_entry = dict(entry)
-        new_entry["values"] = sorted(set(values))
-        new_entry["num_choices"] = len(new_entry["values"])
-        optimize[var] = new_entry
-    fixed = {}
-    for var, entry in plan.fixed.items():
-        grid = config.grid_for(var)
-        value = entry["value"]
-        snapped = snap_to_grid(value, grid)
+            values.add(snapped)
+        entry["search_space"] = sorted(values)
+        entry["num_choices"] = len(values)
+    for var, entry in configuration["variables_fixed"].items():
+        value = entry["fixed_value"]
+        snapped = snap_to_grid(value, config.grid_for(var))
         if snapped != value:
             log(f"plan repair: {var} fixed value {value!r} snapped to {snapped!r}")
-        new_entry = dict(entry)
-        new_entry["value"] = snapped
-        fixed[var] = new_entry
-    return dataclasses.replace(plan, optimize=optimize, fixed=fixed)
+        entry["fixed_value"] = snapped
 
 
-def check_variable_names(plan: SpacePlan, config) -> None:
-    """Reject plans that promote a permanently-fixed param to a variable."""
+def check_variable_names(configuration: dict, config) -> None:
+    """Reject a plan's ``optimization_configuration`` that promotes a
+    permanently-fixed param to a variable."""
     allowed = set(config.variables)
-    for section, names in (
-        ("variables_to_optimize", plan.optimize),
-        ("variables_fixed", plan.fixed),
-    ):
-        for var in names:
+    for section in ("variables_to_optimize", "variables_fixed"):
+        for var in configuration[section]:
             if var not in allowed:
                 raise IllegalPlan(
                     f"{section} names {var!r}, which is not an optimization "
@@ -331,8 +320,10 @@ def understanding_context(config) -> Dict[str, str]:
     }
 
 
-def plan_context(config, understanding: CircuitUnderstanding, n_to_optimize: int) -> Dict[str, str]:
-    impact = "\n".join(f"- {m}: {text}" for m, text in understanding.impact.items())
+def plan_context(config, understanding: dict, n_to_optimize: int) -> Dict[str, str]:
+    impact = "\n".join(
+        f"- {m}: {text}" for m, text in understanding["optimization_variables_impact"].items()
+    )
     return {
         "subckt_name": config.subckt_name,
         "target_metric": target_metric(config),
@@ -341,8 +332,10 @@ def plan_context(config, understanding: CircuitUnderstanding, n_to_optimize: int
         "variable_ranges": _grid_lines(config),
         "scaling_rules": _scale_lines(config),
         "variable_impact_summary": impact if impact else "(none)",
-        "variable_interactions": understanding.interactions,
-        "key_insights": "\n".join(f"- {s}" for s in understanding.key_insights),
+        "variable_interactions": understanding["variable_interactions"],
+        "key_insights": "\n".join(
+            f"- {s}" for s in understanding["key_insights_for_optimization"]
+        ),
     }
 
 
@@ -365,7 +358,7 @@ def inner_context(
         iters = str(s["iterations"])
         status_text = render_text(report).rstrip("\n")
     return {
-        "user_specs": config.user_specs_metric if config is not None else "(not provided)",
+        "user_specs": config.user_specs_metric,
         "search_space_cardinality": str(space.cardinality()),
         "budget_remaining": str(budget.remaining),
         "inner_iterations_used": iters,
@@ -473,11 +466,11 @@ class LlmBackend:
         self,
         transport,
         transcripts: Optional[TranscriptWriter] = None,
-        log: Optional[Callable[[str], None]] = None,
+        log: Callable[[str], None] = logging.getLogger(__name__).info,
     ):
         self.transport = transport
         self.transcripts = transcripts
-        self._log = log if log is not None else (lambda message: None)
+        self._log = log
         self.fallbacks: List[Dict[str, str]] = []
 
     # -- shared ask/parse/validate ladder ------------------------------
@@ -521,20 +514,20 @@ class LlmBackend:
 
     # -- operations -----------------------------------------------------
 
-    def understand(self, config) -> CircuitUnderstanding:
-        # impact prose keyed by unknown metrics is tolerated; the
-        # sensitivity map stays empty until the plan response ranks the
-        # variables
+    def understand(self, config) -> dict:
+        # impact prose keyed by unknown metrics is tolerated
         return self._decide("understanding", understanding_context(config), None,
                             lambda: rule_understand(config))
 
-    def plan(self, config, understanding: CircuitUnderstanding, n_to_optimize: int) -> SpacePlan:
-        def validate(plan: SpacePlan) -> SpacePlan:
-            check_variable_names(plan, config)
-            plan = snap_plan(plan, config, self._log)
-            if len(plan.optimize) != n_to_optimize:
+    def plan(self, config, understanding: dict, n_to_optimize: int) -> dict:
+        def validate(plan: dict) -> dict:
+            configuration = plan["optimization_configuration"]
+            check_variable_names(configuration, config)
+            snap_plan(configuration, config, self._log)
+            n_optimized = len(configuration["variables_to_optimize"])
+            if n_optimized != n_to_optimize:
                 self._log(
-                    f"plan: model optimized {len(plan.optimize)} variables "
+                    f"plan: model optimized {n_optimized} variables "
                     f"instead of the requested {n_to_optimize}; accepted"
                 )
             first_round_from_plan(config, plan)  # dry run, raises on bad coverage
@@ -548,27 +541,26 @@ class LlmBackend:
         report: Optional[DiagnosticsReport],
         budget: BudgetState,
         space: SearchSpace,
-        config=None,
-        history: Optional[History] = None,
-    ) -> InnerDecision:
-        def validate(decision: InnerDecision) -> InnerDecision:
-            if decision.action == "search":
+        config,
+    ) -> dict:
+        def validate(decision: dict) -> dict:
+            if decision["action"] == "search":
                 checked = validate_method_config(
                     MethodConfig(
-                        method=decision.method,
-                        n_samples=decision.n_samples,
-                        parameters=decision.parameters,
+                        method=decision["method"],
+                        n_samples=decision["n_samples"],
+                        parameters=decision["parameters"],
                     )
                 )
-                decision.method = checked.method
-                decision.parameters = dict(checked.parameters)
+                decision["method"] = checked.method
+                decision["parameters"] = dict(checked.parameters)
                 remaining = max(1, budget.remaining)
-                if decision.n_samples > remaining:
+                if decision["n_samples"] > remaining:
                     self._log(
-                        f"inner: n_samples {decision.n_samples} clamped to "
+                        f"inner: n_samples {decision['n_samples']} clamped to "
                         f"remaining budget {remaining}"
                     )
-                    decision.n_samples = remaining
+                    decision["n_samples"] = remaining
             return decision
 
         return self._decide("inner", inner_context(report, budget, space, config), validate,
@@ -580,19 +572,27 @@ class LlmBackend:
         space: SearchSpace,
         history: History,
         budget: BudgetState,
-        understanding: Optional[CircuitUnderstanding] = None,
-        config=None,
-    ) -> OuterDecision:
-        def validate(decision: OuterDecision) -> OuterDecision:
-            if decision.plan is not None:
-                check_variable_names(decision.plan, config)
-                decision.plan = snap_plan(decision.plan, config, self._log)
-                # dry run against the next generation; raises IllegalPlan
-                # material (PlanIncomplete / ValueOffGrid) when malformed
-                space_from_plan(config, decision.plan, generation=space.generation + 1)
-            return decision
+        sensitivity: Mapping[str, str],
+        config,
+    ) -> Tuple[dict, Optional[SearchSpace]]:
+        """The outer decision and the next space: the regenerated plan's
+        space, the current one a generation on for ``continue_current``
+        without a plan, None on ``converged``."""
+        def validate(decision: dict) -> Tuple[dict, Optional[SearchSpace]]:
+            next_space = None
+            if "optimization_configuration" in decision:
+                configuration = decision["optimization_configuration"]
+                check_variable_names(configuration, config)
+                snap_plan(configuration, config, self._log)
+                # raises PlanIncomplete / ValueOffGrid when malformed
+                next_space = space_from_plan(config, decision, generation=space.generation + 1)
+            if decision["action_taken"] == "converged":
+                next_space = None
+            elif next_space is None:  # continue_current arrives without a plan
+                next_space = apply_edit(space, SpaceEdit(action="continue_current"))
+            return decision, next_space
 
         return self._decide(
             "outer", outer_context(report, space, history, budget, config), validate,
-            lambda: rule_decide_outer(report, space, history, budget, understanding),
+            lambda: rule_decide_outer(report, space, budget, sensitivity),
         )

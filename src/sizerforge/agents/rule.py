@@ -2,23 +2,24 @@
 
 These encode the prose decision frameworks as code and double as the
 fallback for every model misbehavior, so a run can always finish
-without network access. Inner policy: stop on spec-met or on a diverse
-plateau, otherwise pick a method by history depth. Outer policy, in
-priority order: converged on feasible, unfix on stagnation, expand on
-boundary clustering, change focus on converged variables, continue on
-progress, narrow only on overwhelming concentration.
+without network access. Every policy returns the same wire dict a model
+reply validates to (see ``schemas``). Inner policy: stop on spec-met or
+on a diverse plateau, otherwise pick a method by history depth. Outer
+policy, in priority order: converged on feasible, unfix on stagnation,
+expand on boundary clustering, change focus on converged variables,
+continue on progress, narrow only on overwhelming concentration. The
+outer policy applies its own edit and returns the next space with the
+decision.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core import History
 from ..diagnostics import DiagnosticsReport
-from ..space import SearchSpace, SpaceEdit, unfix_window
+from ..space import SearchSpace, SpaceEdit, apply_edit, unfix_window
 from ..specexpr import parse_spec, split_directions
-from .schemas import CircuitUnderstanding, InnerDecision, OuterDecision, SpacePlan
 
 PLATEAU_PCT = 2.0
 EXPLOIT_STD = 0.01
@@ -44,8 +45,8 @@ def _clamp_samples(share: int, floor: int, remaining: int) -> int:
     return max(1, min(n, remaining))
 
 
-def rule_understand(config) -> CircuitUnderstanding:
-    """Generic, model-free understanding: every variable medium sensitivity."""
+def rule_understand(config) -> dict:
+    """Generic, model-free understanding of the circuit."""
     variables = list(config.variables)
     scales = getattr(config, "width_scales", {})
     mapping_bits = []
@@ -55,35 +56,28 @@ def rule_understand(config) -> CircuitUnderstanding:
             mapping_bits.append(f"{var} drives {', '.join(targets)}")
         else:
             mapping_bits.append(f"{var} is a standalone width")
-    return CircuitUnderstanding(
-        topology_overview=(
+    return {
+        "circuit_topology_overview": (
             f"{config.subckt_name} sized by {len(variables)} width variables "
             "on a shared discrete grid."
         ),
-        variable_mapping="; ".join(mapping_bits) + ".",
-        impact={
+        "optimization_variables_mapping": "; ".join(mapping_bits) + ".",
+        "optimization_variables_impact": {
             m: "no model-based analysis available; treated as medium impact"
             for m in config.metrics
         },
-        interactions="not analyzed; assume weak coupling until data says otherwise",
-        key_insights=[
+        "variable_interactions": "not analyzed; assume weak coupling until data says otherwise",
+        "key_insights_for_optimization": [
             "no model-based analysis available",
             "treat every width variable as medium sensitivity until evaluations arrive",
             "let boundary clustering and stagnation evidence drive later refinement",
         ],
-        sensitivity={v: "medium" for v in variables},
-    )
+    }
 
 
-def _by_sensitivity(names: List[str], understanding: Optional[CircuitUnderstanding]) -> List[str]:
+def _by_sensitivity(names: List[str], sensitivity: Mapping[str, str]) -> List[str]:
     """Sensitivity first (critical > high > medium > low), then list order."""
-    sens = understanding.sensitivity if understanding else {}
-    return sorted(names, key=lambda v: _SENSITIVITY_ORDER.get(sens.get(v, "medium"), 2))
-
-
-def rank_variables(config, understanding: CircuitUnderstanding) -> List[str]:
-    """Sensitivity first (critical > high > medium > low), then declaration."""
-    return _by_sensitivity(list(config.variables), understanding)
+    return sorted(names, key=lambda v: _SENSITIVITY_ORDER.get(sensitivity.get(v, "medium"), 2))
 
 
 def _even_indices(m: int, k: int = 5) -> List[int]:
@@ -102,48 +96,44 @@ def target_metric(config) -> str:
     return config.metrics[0]
 
 
-def rule_plan(config, understanding: CircuitUnderstanding, n_to_optimize: int) -> SpacePlan:
-    """Top-n ranked variables active on 5 evenly spaced grid values
-    (extremes included); the rest pinned at the grid median."""
+def rule_plan(config, understanding: dict, n_to_optimize: int) -> dict:
+    """The first ``n_to_optimize`` variables in declaration order active
+    on 5 evenly spaced grid values (extremes included); the rest pinned
+    at the grid median. Every variable ranks "medium": without a model
+    there is no evidence to order them by, so ``understanding`` is not
+    consulted."""
     variables = list(config.variables)
     if not 1 <= n_to_optimize <= len(variables):
         raise ValueError(f"n_to_optimize must be in 1..{len(variables)}")
-    ranked = rank_variables(config, understanding)
-    chosen = set(ranked[:n_to_optimize])
-    sens = understanding.sensitivity if understanding else {}
 
-    ranking = []
-    for rank, var in enumerate(ranked, start=1):
-        level = sens.get(var, "medium")
-        ranking.append(
-            {
-                "rank": rank,
-                "variable": var,
-                "impact_on_target": level if level in ("critical", "high", "medium", "low") else "medium",
-                "reasoning": "sensitivity-ordered; declaration order breaks ties",
-            }
-        )
+    ranking = [
+        {
+            "rank": rank,
+            "variable": var,
+            "impact_on_target": "medium",
+            "reasoning": "sensitivity-ordered; declaration order breaks ties",
+        }
+        for rank, var in enumerate(variables, start=1)
+    ]
 
     optimize: Dict[str, Dict[str, object]] = {}
     fixed: Dict[str, Dict[str, object]] = {}
-    for var in variables:
+    for rank, var in enumerate(variables, start=1):
         grid = list(config.grid_for(var))
-        rank = ranked.index(var) + 1
-        if var in chosen:
+        if rank <= n_to_optimize:
             values = [grid[i] for i in _even_indices(len(grid))]
             optimize[var] = {
                 "rank": rank,
-                "values": values,
+                "search_space": values,
                 "num_choices": len(values),
                 "range_reasoning": "even grid coverage including both extremes",
                 "expected_behavior": "unknown before evaluations; coverage first",
-                "sensitivity": sens.get(var, "medium"),
+                "sensitivity": "medium",
             }
         else:
-            pin = grid[len(grid) // 2]
             fixed[var] = {
                 "rank": rank,
-                "value": pin,
+                "fixed_value": grid[len(grid) // 2],
                 "fixed_reasoning": "lowest ranked; frozen to shrink the first-round space",
                 "why_this_value": "grid median is the least committal pin",
                 "risk_if_suboptimal": "medium",
@@ -151,55 +141,56 @@ def rule_plan(config, understanding: CircuitUnderstanding, n_to_optimize: int) -
 
     reduced = 1
     for entry in optimize.values():
-        reduced *= len(entry["values"])
+        reduced *= entry["num_choices"]
     original = config.full_grid_cardinality()
     factor = original / reduced
-    per_var = " * ".join(str(len(e["values"])) for e in optimize.values()) or "1"
-    summary = {
-        "original_full_space": original,
-        "reduced_search_space": reduced,
-        "reduction_factor": f"{factor:g}",
-        "calculation": f"{original} -> {per_var} = {reduced}",
-        "explanation": "sparse even coverage of the top-ranked variables",
+    per_var = " * ".join(str(e["num_choices"]) for e in optimize.values()) or "1"
+    return {
+        "optimization_target": target_metric(config),
+        "num_variables_to_optimize": n_to_optimize,
+        "variable_ranking": ranking,
+        "optimization_configuration": {
+            "variables_to_optimize": optimize,
+            "variables_fixed": fixed,
+        },
+        "search_space_summary": {
+            "original_full_space": original,
+            "reduced_search_space": reduced,
+            "reduction_factor": f"{factor:g}",
+            "calculation": f"{original} -> {per_var} = {reduced}",
+            "explanation": "sparse even coverage of the top-ranked variables",
+        },
     }
-    return SpacePlan(
-        target=target_metric(config),
-        n_to_optimize=n_to_optimize,
-        ranking=ranking,
-        optimize=optimize,
-        fixed=fixed,
-        summary=summary,
-    )
 
 
-def _stop(reason: str, assessment: str) -> InnerDecision:
-    return InnerDecision(
-        action="stop",
-        reasoning=reason,
-        confidence="high",
-        expected_improvement="none expected",
-        convergence_assessment=assessment,
-    )
+def _stop(reason: str, assessment: str) -> dict:
+    return {
+        "action": "stop",
+        "reasoning": reason,
+        "confidence": "high",
+        "expected_improvement": "none expected",
+        "convergence_assessment": assessment,
+    }
 
 
-def _search(method, n_samples, parameters, reason, assessment, confidence="medium"):
-    return InnerDecision(
-        action="search",
-        method=method,
-        n_samples=n_samples,
-        parameters=parameters,
-        reasoning=reason,
-        confidence=confidence,
-        expected_improvement="incremental",
-        convergence_assessment=assessment,
-    )
+def _search(method, n_samples, parameters, reason, assessment) -> dict:
+    return {
+        "action": "search",
+        "method": method,
+        "n_samples": n_samples,
+        "parameters": parameters,
+        "reasoning": reason,
+        "confidence": "medium",
+        "expected_improvement": "incremental",
+        "convergence_assessment": assessment,
+    }
 
 
 def rule_decide_inner(
     report: Optional[DiagnosticsReport],
     budget: BudgetState,
     space: SearchSpace,
-) -> InnerDecision:
+) -> dict:
     remaining = budget.remaining
     if remaining <= 0:
         return _stop("budget exhausted", "no samples left to spend")
@@ -282,44 +273,38 @@ def rule_decide_inner(
     )
 
 
-def _outer(action, edit, reason, changes, confidence="medium") -> OuterDecision:
-    return OuterDecision(
-        action=action,
-        target="fom",
-        reasoning=reason,
-        changes_from_previous=changes,
-        plan=None,
-        edit=edit,
-        expected_improvement="unknown" if action not in ("converged",) else "none",
-        confidence=confidence,
-    )
+def _outer(action: str, reason: str, changes: str, confidence: str = "medium") -> dict:
+    return {
+        "optimization_target": "fom",
+        "regeneration_reasoning": reason,
+        "action_taken": action,
+        "changes_from_previous": changes,
+        "expected_improvement": "none" if action == "converged" else "unknown",
+        "confidence": confidence,
+    }
 
 
-def _best_fixed_var(space: SearchSpace, understanding: Optional[CircuitUnderstanding]) -> str:
+def _edited(space: SearchSpace, edit: SpaceEdit, reason: str,
+            changes: str) -> Tuple[dict, SearchSpace]:
+    return _outer(edit.action, reason, changes), apply_edit(space, edit)
+
+
+def _best_fixed_var(space: SearchSpace, sensitivity: Mapping[str, str]) -> str:
     """The most sensitive fixed variable; the space must have one."""
-    return _by_sensitivity([v for v in space.full_grid if v in space.fixed], understanding)[0]
+    return _by_sensitivity([v for v in space.full_grid if v in space.fixed], sensitivity)[0]
 
 
-def _unfix_best(space: SearchSpace, understanding: Optional[CircuitUnderstanding],
-                budget: BudgetState, reason: str, rationale: str) -> OuterDecision:
+def _unfix_best(space: SearchSpace, sensitivity: Mapping[str, str], budget: BudgetState,
+                reason: str) -> Tuple[dict, SearchSpace]:
     """Unfix the most sensitive fixed variable on a 5-value window (7 after
-    an earlier unfix). ``reason`` and ``rationale`` are format strings over
-    ``var`` and ``n``, the window length."""
-    var = _best_fixed_var(space, understanding)
+    an earlier unfix). ``reason`` is a format string over ``var`` and
+    ``n``, the window length."""
+    var = _best_fixed_var(space, sensitivity)
     n_values = 7 if budget.prior_unfixes > 0 else 5
     window = unfix_window(space.full_grid[var], space.fixed[var], n_values)
-    names = {"var": var, "n": len(window)}
-    edit = SpaceEdit(
-        action="unfix_variables",
-        unfix={var: window},
-        rationale=rationale.format(**names),
-    )
-    return _outer(
-        "unfix_variables",
-        edit,
-        reason.format(**names),
-        f"{var} promoted from fixed to active",
-    )
+    edit = SpaceEdit(action="unfix_variables", unfix={var: window})
+    return _edited(space, edit, reason.format(var=var, n=len(window)),
+                   f"{var} promoted from fixed to active")
 
 
 def _expandable(space: SearchSpace, var: str, side: str) -> bool:
@@ -333,23 +318,24 @@ def _expandable(space: SearchSpace, var: str, side: str) -> bool:
 def rule_decide_outer(
     report: DiagnosticsReport,
     space: SearchSpace,
-    history: History,
     budget: BudgetState,
-    understanding: Optional[CircuitUnderstanding] = None,
-) -> OuterDecision:
+    sensitivity: Mapping[str, str],
+) -> Tuple[dict, Optional[SearchSpace]]:
+    """The outer decision and the space it leads to (None on converged).
+
+    ``sensitivity`` maps variables to the plan's levels; it orders which
+    fixed variable an unfix opens, and a missing variable counts as
+    medium."""
     s = report.status_summary
     if s["feasible_found"]:
-        return _outer("converged", None, "feasible design found", "none", "high")
+        return _outer("converged", "feasible design found", "none", "high"), None
 
     stagnant = any(i.kind == "stagnation" for i in report.issues)
     boundary_issues = [i for i in report.issues if i.kind != "stagnation"]
 
     if stagnant and space.fixed:
-        return _unfix_best(
-            space, understanding, budget,
-            reason="stagnation detected; unfixing {var} with {n} values",
-            rationale="stagnation with {var} still fixed",
-        )
+        return _unfix_best(space, sensitivity, budget,
+                           "stagnation detected; unfixing {var} with {n} values")
 
     if boundary_issues:
         # 2 adjacent grid values per flagged side; a side already at the
@@ -360,11 +346,8 @@ def rule_decide_outer(
             for i in boundary_issues
         )
         if dead_side and space.fixed:
-            return _unfix_best(
-                space, understanding, budget,
-                reason="flagged boundary sits at the grid end; unfixing {var}",
-                rationale="boundary at grid end; opening a fixed dimension instead",
-            )
+            return _unfix_best(space, sensitivity, budget,
+                               "flagged boundary sits at the grid end; unfixing {var}")
 
         expand: Dict[str, Dict[str, int]] = {}
         for issue in boundary_issues:
@@ -377,15 +360,10 @@ def rule_decide_outer(
             sides = expand.setdefault(var, {})
             sides[side] = 2
         if expand:
-            edit = SpaceEdit(
-                action="expand_ranges",
-                expand=expand,
-                rationale="top designs cluster at active-range boundaries",
-            )
             touched = ", ".join(expand)
-            return _outer(
-                "expand_ranges",
-                edit,
+            return _edited(
+                space,
+                SpaceEdit(action="expand_ranges", expand=expand),
                 f"boundary clustering on {touched}; widening by 2 grid steps per side",
                 f"ranges expanded for {touched}",
             )
@@ -394,47 +372,31 @@ def rule_decide_outer(
     if converged_vars and space.fixed:
         var = converged_vars[0]
         modal = report.impact[var]["counts"][0][0]
-        unfix_var = _best_fixed_var(space, understanding)
+        unfix_var = _best_fixed_var(space, sensitivity)
         window = unfix_window(space.full_grid[unfix_var], space.fixed[unfix_var], 5)
-        edit = SpaceEdit(
-            action="change_focus",
-            fix={var: modal},
-            unfix={unfix_var: window},
-            rationale=f"{var} converged to {modal}; explore {unfix_var} instead",
-        )
-        return _outer(
-            "change_focus",
-            edit,
+        return _edited(
+            space,
+            SpaceEdit(action="change_focus", fix={var: modal}, unfix={unfix_var: window}),
             f"{var} converged; swapping focus to {unfix_var}",
             f"{var} fixed at {modal}, {unfix_var} activated",
         )
 
     if report.convergence["status"] == "improving":
-        edit = SpaceEdit(action="continue_current", rationale="still improving")
-        return _outer(
-            "continue_current", edit, "steady improvement; keep the current space", "none"
-        )
+        return _edited(space, SpaceEdit(action="continue_current"),
+                       "steady improvement; keep the current space", "none")
 
     narrow = _narrow_runs(report, space)
     if narrow is not None:
-        edit = SpaceEdit(
-            action="narrow_ranges",
-            narrow=narrow,
-            rationale="top designs concentrate on short contiguous runs",
-        )
-        return _outer(
-            "narrow_ranges",
-            edit,
+        return _edited(
+            space,
+            SpaceEdit(action="narrow_ranges", narrow=narrow),
             "overwhelming concentration of top designs; shrinking to the winning runs",
             "; ".join(f"{v} -> {list(r)}" for v, r in narrow.items()),
         )
 
     return _outer(
-        "converged",
-        None,
-        "no escalation applies; search space options exhausted",
-        "none",
-    )
+        "converged", "no escalation applies; search space options exhausted", "none"
+    ), None
 
 
 def _narrow_runs(

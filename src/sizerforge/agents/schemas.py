@@ -1,21 +1,26 @@
-"""Decision objects and the JSON wire formats they parse from.
+"""The JSON wire formats of the agent's decisions, and their validation.
 
 Four schemas: circuit understanding, initial space plan, inner-loop
-method decision, outer-loop regeneration. parse_agent_json applies a
-fixed repair ladder (strip fences, trim to the outermost balanced
-object) before validation, because model output often wraps the JSON
-in prose or markdown.
+method decision, outer-loop regeneration. A decision is its validated
+wire dict: the policies return it, the controller acts on it and the
+decision log records it as it is. parse_agent_json applies a fixed
+repair ladder (strip fences, trim to the outermost balanced object)
+before validation, because model output often wraps the JSON in prose
+or markdown.
 
 Validation is strict: unknown field names, missing required fields and
 out-of-enum values all raise SchemaViolation. Numeric strings are
-coerced; nothing else is rewritten.
+coerced in place and ``expected_improvement`` is made a string. The
+only other rewrite drops the fields the action does not use: method,
+n_samples and parameters on an inner ``stop``, the ranking and summary
+on an outer reply that regenerates nothing. A ``search`` without
+parameters gets an empty object.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..errors import JsonUnparseable, SchemaViolation
 from ..space import ACTIONS
@@ -25,127 +30,6 @@ IMPACT_LEVELS = ("critical", "high", "medium", "low")
 SENSITIVITY_LEVELS = ("high", "medium", "low")
 RISK_LEVELS = ("low", "medium", "high")
 INNER_ACTIONS = ("search", "stop")
-
-
-# ---------------------------------------------------------------- objects
-
-
-@dataclass
-class CircuitUnderstanding:
-    topology_overview: str
-    variable_mapping: str
-    impact: Dict[str, str]  # metric -> prose
-    interactions: str
-    key_insights: List[str]
-    sensitivity: Dict[str, str] = field(default_factory=dict)  # var -> level
-
-    def to_wire(self) -> dict:
-        return {
-            "circuit_topology_overview": self.topology_overview,
-            "optimization_variables_mapping": self.variable_mapping,
-            "optimization_variables_impact": dict(self.impact),
-            "variable_interactions": self.interactions,
-            "key_insights_for_optimization": list(self.key_insights),
-        }
-
-
-@dataclass
-class SpacePlan:
-    target: str
-    n_to_optimize: int
-    ranking: List[Dict[str, object]]
-    optimize: Dict[str, Dict[str, object]]  # var -> entry with "values" alias
-    fixed: Dict[str, Dict[str, object]]  # var -> entry with "value" alias
-    summary: Dict[str, object]
-
-    def sensitivity_of(self, var: str) -> str:
-        if var in self.optimize:
-            return str(self.optimize[var].get("sensitivity", "medium"))
-        return "medium"
-
-    def cardinality(self) -> int:
-        out = 1
-        for entry in self.optimize.values():
-            out *= len(entry["values"])
-        return out
-
-    def to_wire(self) -> dict:
-        optimize = {}
-        for var, entry in self.optimize.items():
-            e = {k: v for k, v in entry.items() if k != "values"}
-            e["search_space"] = list(entry["values"])
-            optimize[var] = e
-        fixed = {}
-        for var, entry in self.fixed.items():
-            e = {k: v for k, v in entry.items() if k != "value"}
-            e["fixed_value"] = entry["value"]
-            fixed[var] = e
-        return {
-            "optimization_target": self.target,
-            "num_variables_to_optimize": self.n_to_optimize,
-            "variable_ranking": [dict(r) for r in self.ranking],
-            "optimization_configuration": {
-                "variables_to_optimize": optimize,
-                "variables_fixed": fixed,
-            },
-            "search_space_summary": dict(self.summary),
-        }
-
-
-@dataclass
-class InnerDecision:
-    action: str  # search | stop
-    method: Optional[str] = None
-    n_samples: Optional[int] = None
-    parameters: Dict[str, object] = field(default_factory=dict)
-    reasoning: str = ""
-    confidence: str = "medium"
-    expected_improvement: str = ""
-    convergence_assessment: str = ""
-
-    def to_wire(self) -> dict:
-        out = {
-            "action": self.action,
-            "reasoning": self.reasoning,
-            "confidence": self.confidence,
-            "expected_improvement": self.expected_improvement,
-            "convergence_assessment": self.convergence_assessment,
-        }
-        if self.action == "search":
-            out["method"] = self.method
-            out["n_samples"] = self.n_samples
-            out["parameters"] = dict(self.parameters)
-        return out
-
-
-@dataclass
-class OuterDecision:
-    action: str  # one of space.ACTIONS
-    target: str = ""
-    reasoning: str = ""
-    changes_from_previous: str = ""
-    plan: Optional[SpacePlan] = None
-    expected_improvement: str = ""
-    confidence: str = "medium"
-    # rule-path edits are applied directly instead of via a regenerated
-    # plan; this never appears on the wire
-    edit: Optional[object] = None
-
-    def to_wire(self) -> dict:
-        out = {
-            "optimization_target": self.target,
-            "regeneration_reasoning": self.reasoning,
-            "action_taken": self.action,
-            "changes_from_previous": self.changes_from_previous,
-            "expected_improvement": self.expected_improvement,
-            "confidence": self.confidence,
-        }
-        if self.plan is not None:
-            wire_plan = self.plan.to_wire()
-            out["variable_ranking"] = wire_plan["variable_ranking"]
-            out["optimization_configuration"] = wire_plan["optimization_configuration"]
-            out["search_space_summary"] = wire_plan["search_space_summary"]
-        return out
 
 
 # ------------------------------------------------------------ raw repairs
@@ -242,9 +126,13 @@ def _check_fields(data: Mapping, name: str, required: Sequence[str], optional: S
 
 
 # ------------------------------------------------------------ validators
+#
+# Each validator checks one parsed reply in place, coercing numeric
+# strings, and returns that same dict: the validated wire JSON is the
+# decision. Fields the action does not use are dropped.
 
 
-def _validate_understanding(data: Mapping) -> CircuitUnderstanding:
+def _validate_understanding(data: dict) -> dict:
     _check_fields(
         data,
         "",
@@ -268,108 +156,86 @@ def _validate_understanding(data: Mapping) -> CircuitUnderstanding:
         or not all(isinstance(s, str) for s in insights)
     ):
         raise SchemaViolation("key_insights_for_optimization", "list of 3-5 strings")
-    return CircuitUnderstanding(
-        topology_overview=_as_str(data, "circuit_topology_overview"),
-        variable_mapping=_as_str(data, "optimization_variables_mapping"),
-        impact=dict(impact),
-        interactions=_as_str(data, "variable_interactions"),
-        key_insights=list(insights),
-    )
+    for name in ("circuit_topology_overview", "optimization_variables_mapping",
+                 "variable_interactions"):
+        _as_str(data, name)
+    return data
 
 
-def _validate_ranking(raw: object) -> List[Dict[str, object]]:
-    if not isinstance(raw, list) or not raw:
+def _validate_ranking(rows: object) -> None:
+    if not isinstance(rows, list) or not rows:
         raise SchemaViolation("variable_ranking", "non-empty list")
-    ranking = []
-    for i, row in enumerate(raw):
+    for i, row in enumerate(rows):
         name = f"variable_ranking[{i}]"
         _check_fields(row, name, required=("rank", "variable", "impact_on_target", "reasoning"))
-        ranking.append(
-            {
-                "rank": _as_int(row["rank"], f"{name}.rank"),
-                "variable": _as_str(row, "variable"),
-                "impact_on_target": _as_enum(
-                    row["impact_on_target"], f"{name}.impact_on_target", IMPACT_LEVELS
-                ),
-                "reasoning": _as_str(row, "reasoning"),
-            }
-        )
-    return ranking
+        row["rank"] = _as_int(row["rank"], f"{name}.rank")
+        _as_str(row, "variable")
+        _as_enum(row["impact_on_target"], f"{name}.impact_on_target", IMPACT_LEVELS)
+        _as_str(row, "reasoning")
 
 
-def _validate_optimize_entry(var: str, entry: Mapping, outer: bool) -> Dict[str, object]:
+def _validate_optimize_entry(var: str, entry: dict, outer: bool) -> None:
     name = f"variables_to_optimize.{var}"
     required = ["rank", "search_space", "num_choices", "range_reasoning",
                 "expected_behavior", "sensitivity"]
     optional = ["change_from_previous"] if outer else []
     _check_fields(entry, name, required=required, optional=optional)
-    raw_values = entry["search_space"]
-    if not isinstance(raw_values, list) or not raw_values:
+    values = entry["search_space"]
+    if not isinstance(values, list) or not values:
         raise SchemaViolation(f"{name}.search_space", "non-empty list of numbers")
-    values = [_as_number(v, f"{name}.search_space") for v in raw_values]
-    out = {
-        "rank": _as_int(entry["rank"], f"{name}.rank"),
-        "values": values,
-        "num_choices": _as_int(entry["num_choices"], f"{name}.num_choices"),
-        "range_reasoning": _as_str(entry, "range_reasoning"),
-        "expected_behavior": _as_str(entry, "expected_behavior"),
-        "sensitivity": _as_enum(entry["sensitivity"], f"{name}.sensitivity", SENSITIVITY_LEVELS),
-    }
+    entry["search_space"] = [_as_number(v, f"{name}.search_space") for v in values]
+    entry["rank"] = _as_int(entry["rank"], f"{name}.rank")
+    entry["num_choices"] = _as_int(entry["num_choices"], f"{name}.num_choices")
+    _as_str(entry, "range_reasoning")
+    _as_str(entry, "expected_behavior")
+    _as_enum(entry["sensitivity"], f"{name}.sensitivity", SENSITIVITY_LEVELS)
     if "change_from_previous" in entry:
-        out["change_from_previous"] = _as_str(entry, "change_from_previous")
-    return out
+        _as_str(entry, "change_from_previous")
 
 
-def _validate_fixed_entry(var: str, entry: Mapping, outer: bool) -> Dict[str, object]:
+def _validate_fixed_entry(var: str, entry: dict, outer: bool) -> None:
     name = f"variables_fixed.{var}"
     required = ["rank", "fixed_value", "fixed_reasoning", "why_this_value",
                 "risk_if_suboptimal"]
     optional = ["change_from_previous"] if outer else []
     _check_fields(entry, name, required=required, optional=optional)
-    out = {
-        "rank": _as_int(entry["rank"], f"{name}.rank"),
-        "value": _as_number(entry["fixed_value"], f"{name}.fixed_value"),
-        "fixed_reasoning": _as_str(entry, "fixed_reasoning"),
-        "why_this_value": _as_str(entry, "why_this_value"),
-        "risk_if_suboptimal": _as_enum(
-            entry["risk_if_suboptimal"], f"{name}.risk_if_suboptimal", RISK_LEVELS
-        ),
-    }
+    entry["rank"] = _as_int(entry["rank"], f"{name}.rank")
+    entry["fixed_value"] = _as_number(entry["fixed_value"], f"{name}.fixed_value")
+    _as_str(entry, "fixed_reasoning")
+    _as_str(entry, "why_this_value")
+    _as_enum(entry["risk_if_suboptimal"], f"{name}.risk_if_suboptimal", RISK_LEVELS)
     if "change_from_previous" in entry:
-        out["change_from_previous"] = _as_str(entry, "change_from_previous")
-    return out
+        _as_str(entry, "change_from_previous")
 
 
-def _validate_summary(raw: Mapping, outer: bool) -> Dict[str, object]:
+def _validate_summary(summary: dict, outer: bool) -> None:
     name = "search_space_summary"
     required = ["original_full_space", "reduced_search_space", "reduction_factor",
                 "calculation", "explanation"]
     optional = ["change_factor"] if outer else []
-    _check_fields(raw, name, required=required, optional=optional)
-    out = dict(raw)
-    out["original_full_space"] = _as_int(raw["original_full_space"], f"{name}.original_full_space")
-    out["reduced_search_space"] = _as_int(
-        raw["reduced_search_space"], f"{name}.reduced_search_space"
-    )
-    return out
+    _check_fields(summary, name, required=required, optional=optional)
+    for key in ("original_full_space", "reduced_search_space"):
+        summary[key] = _as_int(summary[key], f"{name}.{key}")
 
 
-def _validate_configuration(raw: Mapping, outer: bool):
+def _validate_configuration(configuration: dict, outer: bool) -> None:
     _check_fields(
-        raw, "optimization_configuration", required=("variables_to_optimize", "variables_fixed")
+        configuration, "optimization_configuration",
+        required=("variables_to_optimize", "variables_fixed"),
     )
-    opt_raw = raw["variables_to_optimize"]
-    fix_raw = raw["variables_fixed"]
-    if not isinstance(opt_raw, Mapping):
+    optimize = configuration["variables_to_optimize"]
+    fixed = configuration["variables_fixed"]
+    if not isinstance(optimize, Mapping):
         raise SchemaViolation("variables_to_optimize", "object")
-    if not isinstance(fix_raw, Mapping):
+    if not isinstance(fixed, Mapping):
         raise SchemaViolation("variables_fixed", "object")
-    optimize = {v: _validate_optimize_entry(v, e, outer) for v, e in opt_raw.items()}
-    fixed = {v: _validate_fixed_entry(v, e, outer) for v, e in fix_raw.items()}
-    return optimize, fixed
+    for var, entry in optimize.items():
+        _validate_optimize_entry(var, entry, outer)
+    for var, entry in fixed.items():
+        _validate_fixed_entry(var, entry, outer)
 
 
-def _validate_plan(data: Mapping) -> SpacePlan:
+def _validate_plan(data: dict) -> dict:
     _check_fields(
         data,
         "",
@@ -381,18 +247,17 @@ def _validate_plan(data: Mapping) -> SpacePlan:
             "search_space_summary",
         ),
     )
-    optimize, fixed = _validate_configuration(data["optimization_configuration"], outer=False)
-    return SpacePlan(
-        target=_as_str(data, "optimization_target"),
-        n_to_optimize=_as_int(data["num_variables_to_optimize"], "num_variables_to_optimize"),
-        ranking=_validate_ranking(data["variable_ranking"]),
-        optimize=optimize,
-        fixed=fixed,
-        summary=_validate_summary(data["search_space_summary"], outer=False),
+    _validate_configuration(data["optimization_configuration"], outer=False)
+    _as_str(data, "optimization_target")
+    data["num_variables_to_optimize"] = _as_int(
+        data["num_variables_to_optimize"], "num_variables_to_optimize"
     )
+    _validate_ranking(data["variable_ranking"])
+    _validate_summary(data["search_space_summary"], outer=False)
+    return data
 
 
-def _validate_inner(data: Mapping) -> InnerDecision:
+def _validate_inner(data: dict) -> dict:
     _check_fields(
         data,
         "",
@@ -401,29 +266,26 @@ def _validate_inner(data: Mapping) -> InnerDecision:
         optional=("method", "n_samples", "parameters"),
     )
     action = _as_enum(data["action"], "action", INNER_ACTIONS)
-    confidence = _as_enum(data["confidence"], "confidence", CONFIDENCE_LEVELS)
-    decision = InnerDecision(
-        action=action,
-        reasoning=_as_str(data, "reasoning"),
-        confidence=confidence,
-        expected_improvement=str(data["expected_improvement"]),
-        convergence_assessment=_as_str(data, "convergence_assessment"),
-    )
-    if action == "search":
-        if "method" not in data or "n_samples" not in data:
-            raise SchemaViolation("method", "required when action is search")
-        decision.method = _as_str(data, "method")
-        decision.n_samples = _as_int(data["n_samples"], "n_samples")
-        if decision.n_samples < 1:
-            raise SchemaViolation("n_samples", "positive integer")
-        params = data.get("parameters", {})
-        if not isinstance(params, Mapping):
-            raise SchemaViolation("parameters", "object")
-        decision.parameters = dict(params)
-    return decision
+    _as_enum(data["confidence"], "confidence", CONFIDENCE_LEVELS)
+    _as_str(data, "reasoning")
+    data["expected_improvement"] = str(data["expected_improvement"])
+    _as_str(data, "convergence_assessment")
+    if action != "search":
+        for key in ("method", "n_samples", "parameters"):
+            data.pop(key, None)
+        return data
+    if "method" not in data or "n_samples" not in data:
+        raise SchemaViolation("method", "required when action is search")
+    _as_str(data, "method")
+    data["n_samples"] = _as_int(data["n_samples"], "n_samples")
+    if data["n_samples"] < 1:
+        raise SchemaViolation("n_samples", "positive integer")
+    if not isinstance(data.setdefault("parameters", {}), Mapping):
+        raise SchemaViolation("parameters", "object")
+    return data
 
 
-def _validate_outer(data: Mapping) -> OuterDecision:
+def _validate_outer(data: dict) -> dict:
     _check_fields(
         data,
         "",
@@ -438,32 +300,25 @@ def _validate_outer(data: Mapping) -> OuterDecision:
         optional=("variable_ranking", "optimization_configuration", "search_space_summary"),
     )
     action = _as_enum(data["action_taken"], "action_taken", ACTIONS)
-    confidence = _as_enum(data["confidence"], "confidence", CONFIDENCE_LEVELS)
-    plan: Optional[SpacePlan] = None
-    has_plan = "optimization_configuration" in data
-    if action not in ("continue_current", "converged") and not has_plan:
+    _as_enum(data["confidence"], "confidence", CONFIDENCE_LEVELS)
+    regenerates = "optimization_configuration" in data
+    if action not in ("continue_current", "converged") and not regenerates:
         raise SchemaViolation("optimization_configuration", f"required for action {action}")
-    if has_plan:
+    if regenerates:
         if "variable_ranking" not in data or "search_space_summary" not in data:
             raise SchemaViolation("variable_ranking", "required alongside the regenerated plan")
-        optimize, fixed = _validate_configuration(data["optimization_configuration"], outer=True)
-        plan = SpacePlan(
-            target=_as_str(data, "optimization_target"),
-            n_to_optimize=len(optimize),
-            ranking=_validate_ranking(data["variable_ranking"]),
-            optimize=optimize,
-            fixed=fixed,
-            summary=_validate_summary(data["search_space_summary"], outer=True),
-        )
-    return OuterDecision(
-        action=action,
-        target=_as_str(data, "optimization_target"),
-        reasoning=_as_str(data, "regeneration_reasoning"),
-        changes_from_previous=_as_str(data, "changes_from_previous"),
-        plan=plan,
-        expected_improvement=str(data["expected_improvement"]),
-        confidence=confidence,
-    )
+        _validate_configuration(data["optimization_configuration"], outer=True)
+    _as_str(data, "optimization_target")
+    if regenerates:
+        _validate_ranking(data["variable_ranking"])
+        _validate_summary(data["search_space_summary"], outer=True)
+    else:
+        data.pop("variable_ranking", None)
+        data.pop("search_space_summary", None)
+    _as_str(data, "regeneration_reasoning")
+    _as_str(data, "changes_from_previous")
+    data["expected_improvement"] = str(data["expected_improvement"])
+    return data
 
 
 _VALIDATORS = {
@@ -474,8 +329,8 @@ _VALIDATORS = {
 }
 
 
-def parse_agent_json(raw: str, schema: str, repairs: Optional[List[str]] = None):
-    """Parse one agent response into its validated decision object.
+def parse_agent_json(raw: str, schema: str, repairs: Optional[List[str]] = None) -> dict:
+    """Parse one agent response into its validated wire dict.
 
     Repairs, in order: strip markdown fences, trim to the outermost
     balanced JSON object. Each applied repair is appended to ``repairs``

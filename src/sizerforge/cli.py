@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="two-loop autosizer or a single-loop baseline")
     p_run.add_argument("--budget", type=int, default=RunBudget.total_evals)
     p_run.add_argument("--inner-cap", type=int, default=RunBudget.per_inner_loop)
-    p_run.add_argument("--outer-cap", type=int, default=RunBudget.max_outer_loops)
+    p_run.add_argument("--outer-cap", type=int, default=RunBudget.max_outer_loops,
+                       help="most outer loops; 1 is the single-loop ablation")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--evaluator", choices=("spice", "surrogate"),
                        help="override the config's evaluator")
@@ -49,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ablation: search the full grid, skip planning")
     p_run.add_argument("--no-oe", action="store_true",
                        help="ablation: plain lhs batches instead of method orchestration")
-    p_run.add_argument("--no-srl", action="store_true",
-                       help="ablation: a single outer loop")
 
     p_bench = sub.add_parser("bench", help="run a circuits x methods trial matrix")
     p_bench.add_argument("matrix")
@@ -106,8 +105,7 @@ def cmd_run(args) -> int:
             config, budget, backend, args.seed,
             evaluator=evaluator, workers=args.workers,
             keep_logs=args.keep_logs, results_dir=args.results_dir,
-            no_cu=args.no_cu, no_ssd=args.no_ssd,
-            no_oe=args.no_oe, no_srl=args.no_srl,
+            no_cu=args.no_cu, no_ssd=args.no_ssd, no_oe=args.no_oe,
         )
 
     print(f"outcome: {result.outcome}")

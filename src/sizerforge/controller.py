@@ -20,7 +20,10 @@ on ``STALL_LIMIT`` all-cached batches reports the outcome ``stalled``;
 one whose method has nothing left to propose reports ``space_exhausted``.
 
 Both emit an ordered decision log with no timestamps, so two runs with
-identical inputs (or a replayed transcript) compare byte for byte.
+identical inputs (or a replayed transcript) compare byte for byte. Each
+agent decision is logged as the wire dict the backend returned, and the
+controller acts on that same dict; the log is serialized only when the
+run ends, so no decision is changed after it is logged.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import BudgetOverrun, InsufficientHistory, UnknownMethod
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
 from .optim.turbo import TurboState
-from .space import SearchSpace, SpaceEdit, apply_edit, first_round_from_plan, space_from_config, space_from_plan
+from .space import SearchSpace, first_round_from_plan, space_from_config
 from .specexpr import parse_spec
 
 BASELINE_ALGORITHMS = ("lhs", "ga_baseline", "bo_baseline", "turbo_baseline")
@@ -292,14 +295,14 @@ def run(
     no_cu: bool = False,
     no_ssd: bool = False,
     no_oe: bool = False,
-    no_srl: bool = False,
 ) -> RunResult:
     """Full two-loop optimization of one benchmark config.
 
     The ablation flags strip one component each: no_cu swaps the
     understanding for the generic rule one, no_ssd searches the full
-    grid without a planning round, no_oe forces every search batch to
-    plain lhs, and no_srl allows a single outer loop only.
+    grid without a planning round, and no_oe forces every search batch
+    to plain lhs. A single outer loop, the space-refinement ablation, is
+    ``RunBudget(max_outer_loops=1)``.
     """
     backend = backend if backend is not None else RuleBackend()
     job = _Run(config, budget, evaluator, workers, keep_logs, results_dir)
@@ -307,29 +310,31 @@ def run(
 
     if no_cu:
         understanding = rule_understand(config)
-        job.log("understand", backend="rule", payload=understanding.to_wire())
+        job.log("understand", backend="rule", payload=understanding)
     else:
         understanding = backend.understand(config)
-        job.log("understand", backend=backend.name, payload=understanding.to_wire())
+        job.log("understand", backend=backend.name, payload=understanding)
 
+    # the plan's sensitivity per optimized variable orders the rule
+    # policy's unfixes; a variable missing here counts as medium
+    sensitivity = {}
     if no_ssd:
         space = space_from_config(config)
         job.log("plan", backend="none", payload={"skipped": "full grid, no planning round"})
     else:
         plan = backend.plan(config, understanding, min(4, len(config.variables)))
         space = first_round_from_plan(config, plan)
-        for var in config.variables:
-            understanding.sensitivity[var] = plan.sensitivity_of(var)
-        job.log("plan", backend=backend.name, payload=plan.to_wire())
+        optimized = plan["optimization_configuration"]["variables_to_optimize"]
+        sensitivity = {var: entry["sensitivity"] for var, entry in optimized.items()}
+        job.log("plan", backend=backend.name, payload=plan)
     snapshots = [space]
     job.log("space", **space.describe())
 
     prior_unfixes = 0
     outer_loops_used = 0
     outcome = "outer_cap"
-    n_loops = 1 if no_srl else budget.max_outer_loops
 
-    for loop_idx in range(n_loops):
+    for loop_idx in range(budget.max_outer_loops):
         outer_loops_used = loop_idx + 1
         scope = {"loop": loop_idx}
         loop_start_used, loop_start_iteration = job.used, job.iteration
@@ -356,22 +361,22 @@ def run(
             report = analyze(history, space) if history.iteration_summaries else None
             if no_oe:
                 decision = rule_decide_inner(report, state, space)
-                if decision.action == "search":
-                    decision.method = "lhs"
-                    decision.parameters = {}
+                if decision["action"] == "search":
+                    decision["method"] = "lhs"
+                    decision["parameters"] = {}
             else:
-                decision = backend.decide_inner(report, state, space, config=config, history=history)
+                decision = backend.decide_inner(report, state, space, config=config)
             iteration = job.iteration
-            job.log("inner", **scope, iteration=iteration, payload=decision.to_wire())
-            if decision.action != "search":
+            job.log("inner", **scope, iteration=iteration, payload=decision)
+            if decision["action"] != "search":
                 break
             mcfg = MethodConfig(
-                method=decision.method,
-                n_samples=max(1, min(decision.n_samples, state.remaining)),
-                parameters=dict(decision.parameters),
+                method=decision["method"],
+                n_samples=max(1, min(decision["n_samples"], state.remaining)),
+                parameters=dict(decision["parameters"]),
                 seed=child_seed(seed, loop_idx, iteration - loop_start_iteration),
             )
-            if job.batch(space, mcfg, decision.method, state.remaining, scope) is not None:
+            if job.batch(space, mcfg, decision["method"], state.remaining, scope) is not None:
                 break
 
         job.report(loop_idx, space)
@@ -387,7 +392,7 @@ def run(
             outcome = "budget_exhausted"
             job.log("event", event="total_budget_exhausted", **scope)
             break
-        if loop_idx == n_loops - 1:
+        if loop_idx == budget.max_outer_loops - 1:
             outcome = "outer_cap"
             job.log("event", event="outer_loop_cap", **scope)
             break
@@ -402,26 +407,16 @@ def run(
             inner_remaining=budget.per_inner_loop,
             prior_unfixes=prior_unfixes,
         )
-        outer = backend.decide_outer(
-            report, space, history, state, understanding=understanding, config=config
+        outer, next_space = backend.decide_outer(
+            report, space, history, state, sensitivity=sensitivity, config=config
         )
-        job.log("outer", **scope, payload=outer.to_wire())
-        if outer.action == "converged":
+        job.log("outer", **scope, payload=outer)
+        if next_space is None:
             outcome = "converged"
             break
-        if outer.action == "unfix_variables":
+        if outer["action_taken"] == "unfix_variables":
             prior_unfixes += 1
-        if outer.plan is not None:
-            space = space_from_plan(config, outer.plan, generation=space.generation + 1)
-        elif outer.edit is not None:
-            space = apply_edit(space, outer.edit)
-        else:
-            # llm continue_current arrives without a plan; bump the
-            # generation so snapshots stay one-per-outer-decision
-            space = apply_edit(
-                space,
-                SpaceEdit(action="continue_current", rationale=outer.reasoning or "keep space"),
-            )
+        space = next_space
         snapshots.append(space)
         job.log("space", **space.describe())
 

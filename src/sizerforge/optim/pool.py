@@ -23,11 +23,11 @@ import random
 from typing import Dict, Mapping, Optional
 
 from ..core import History
-from ..errors import BadParameter, UnknownMethod
+from ..errors import BadParameter, InsufficientHistory, UnknownMethod
 from ..space import SearchSpace
 from .annealing import propose_annealing
-from .base import Proposal, materialize, observations, unevaluated, uniform_indices
-from .bayesian import MIN_OBSERVATIONS, propose_bayesian
+from .base import Proposal, materialize, unevaluated, uniform_indices
+from .bayesian import propose_bayesian
 from .genetic import propose_genetic
 from .gp import ACQUISITIONS
 from .multistart import propose_multistart
@@ -143,10 +143,12 @@ def _propose_adaptive(
         batches.append(propose_lhs(space, history, counts["explore_weight"], seeds["explore"]))
     exploit_method = "multistart"
     if counts["exploit_weight"]:
-        if len(observations(space, history)) >= MIN_OBSERVATIONS:
+        args = (space, history, counts["exploit_weight"], seeds["exploit"])
+        try:
+            batches.append(propose_bayesian(*args))
             exploit_method = "bayesian"
-        exploit = propose_bayesian if exploit_method == "bayesian" else propose_multistart
-        batches.append(exploit(space, history, counts["exploit_weight"], seeds["exploit"]))
+        except InsufficientHistory:
+            batches.append(propose_multistart(*args))
     random_designs = []
     if counts["random_weight"]:
         rrng = random.Random(seeds["random"])

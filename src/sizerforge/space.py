@@ -134,7 +134,6 @@ class SpaceEdit:
     narrow: Mapping[str, Tuple[float, ...]] = field(default_factory=dict)
     unfix: Mapping[str, Tuple[float, ...]] = field(default_factory=dict)
     fix: Mapping[str, float] = field(default_factory=dict)
-    rationale: str = ""
 
 
 def unfix_window(grid: Sequence[float], pin: float, n_values: int) -> Tuple[float, ...]:
@@ -258,8 +257,8 @@ def apply_edit(space: SearchSpace, edit: SpaceEdit) -> SearchSpace:
     return out
 
 
-def first_round_from_plan(config, plan) -> SearchSpace:
-    """Build the initial space from an agent plan.
+def first_round_from_plan(config, plan: Mapping) -> SearchSpace:
+    """Build the initial space from a plan's wire dict.
 
     Every config variable must appear exactly once as optimize-or-fixed;
     active lists are sorted, deduplicated and must land on the grid with
@@ -268,15 +267,19 @@ def first_round_from_plan(config, plan) -> SearchSpace:
     return _space_from_plan(config, plan, generation=0, min_values=3, max_values=7)
 
 
-def space_from_plan(config, plan, generation: int) -> SearchSpace:
-    """Regenerated space from an outer-loop plan (2-7 values per variable)."""
+def space_from_plan(config, plan: Mapping, generation: int) -> SearchSpace:
+    """Regenerated space from an outer reply that carries a plan (2-7
+    values per variable). Like ``first_round_from_plan`` it reads only
+    the reply's ``optimization_configuration``."""
     return _space_from_plan(config, plan, generation=generation, min_values=2, max_values=7)
 
 
-def _space_from_plan(config, plan, generation, min_values, max_values) -> SearchSpace:
+def _space_from_plan(config, plan: Mapping, generation, min_values, max_values) -> SearchSpace:
     grid = {v: tuple(config.grid_for(v)) for v in config.variables}
     names = set(config.variables)
-    planned = set(plan.optimize) | set(plan.fixed)
+    optimize = plan["optimization_configuration"]["variables_to_optimize"]
+    fixed_entries = plan["optimization_configuration"]["variables_fixed"]
+    planned = set(optimize) | set(fixed_entries)
     missing = names - planned
     extra = planned - names
     if missing or extra:
@@ -284,14 +287,14 @@ def _space_from_plan(config, plan, generation, min_values, max_values) -> Search
             f"plan must cover every variable exactly once; missing={sorted(missing)}, "
             f"unknown={sorted(extra)}"
         )
-    if set(plan.optimize) & set(plan.fixed):
+    if set(optimize) & set(fixed_entries):
         raise PlanIncomplete("plan names a variable as both optimized and fixed")
 
     active: Dict[str, Tuple[float, ...]] = {}
     fixed: Dict[str, float] = {}
     for var in config.variables:
-        if var in plan.optimize:
-            raw = plan.optimize[var]["values"]
+        if var in optimize:
+            raw = optimize[var]["search_space"]
             for value in raw:
                 if value not in grid[var]:
                     raise ValueOffGrid(var, value)
@@ -303,7 +306,7 @@ def _space_from_plan(config, plan, generation, min_values, max_values) -> Search
                 )
             active[var] = values
         else:
-            value = plan.fixed[var]["value"]
+            value = fixed_entries[var]["fixed_value"]
             if value not in grid[var]:
                 raise ValueOffGrid(var, value)
             fixed[var] = value

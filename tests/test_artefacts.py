@@ -32,7 +32,9 @@ BASELINE_DIGESTS = {
 }
 
 # rule backend on sota_hard, default budget, seed 0; sota_hard reaches a
-# second outer loop without ablation and the outer cap under no_oe
+# second outer loop without ablation and the outer cap under no_oe. The
+# single-outer-loop ablation (SRL) keeps its row and digest as
+# max_outer_loops=1.
 RUN_DIGESTS = {
     None: "4fd0995966ddc23e9739107ce7b7dd576f5db4d5cc52163504f3555fa2f2ff6c",
     "no_oe": "ca583820b32de4f97240b64842eef93cb5828a5fb0fad8915ab24d527ee223f1",
@@ -69,8 +71,8 @@ def _baseline_digest(algorithm, name, workers, tmp_path):
 
 def _run_digest(ablation, workers, tmp_path):
     out = tmp_path / f"run_{ablation}_w{workers}"
-    budget = RunBudget()
-    flags = {ablation: True} if ablation else {}
+    budget = RunBudget(max_outer_loops=1) if ablation == "no_srl" else RunBudget()
+    flags = {ablation: True} if ablation not in (None, "no_srl") else {}
     config = load_config(str(CONFIGS / "sota_hard.yaml"))
     result = run(config, budget, RuleBackend(), 0, workers=workers, results_dir=str(out), **flags)
     return _check(result, budget, out)

@@ -51,7 +51,7 @@ def _backend(tmp_path, replies, **kwargs):
 
 def _wire_plan(config, off_grid=None):
     """The rule plan on the wire, optionally with one value moved off the grid."""
-    wire = rule_plan(config, rule_understand(config), 4).to_wire()
+    wire = rule_plan(config, rule_understand(config), 4)
     if off_grid is not None:
         var, index, value = off_grid
         wire["optimization_configuration"]["variables_to_optimize"][var]["search_space"][index] = value
@@ -78,7 +78,7 @@ def _budget():
 
 
 def test_fenced_and_prose_wrapped_replies_are_repaired(tmp_path, config):
-    understanding = rule_understand(config).to_wire()
+    understanding = rule_understand(config)
     replies = [
         "```json\n" + json.dumps(understanding, indent=2) + "\n```",
         "Here is the plan you asked for:\n" + json.dumps(_wire_plan(config)) + "\nGood luck.",
@@ -86,8 +86,8 @@ def test_fenced_and_prose_wrapped_replies_are_repaired(tmp_path, config):
     backend, messages = _backend(tmp_path, replies)
     got = backend.understand(config)
     plan = backend.plan(config, got, 4)
-    assert got.to_wire() == understanding
-    assert plan.to_wire() == _wire_plan(config)
+    assert got == understanding
+    assert plan == _wire_plan(config)
     assert messages == ["understanding: stripped code fences", "plan: trimmed surrounding prose"]
     assert backend.fallbacks == []
 
@@ -100,7 +100,7 @@ def test_reply_rejected_once_then_accepted_echoes_the_reason(tmp_path, config):
         transcripts=TranscriptWriter(tmp_path / "written"),
     )
     decision = backend.decide_inner(None, _budget(), space, config=config)
-    assert (decision.action, decision.method, decision.n_samples) == ("search", "lhs", 12)
+    assert (decision["action"], decision["method"], decision["n_samples"]) == ("search", "lhs", 12)
     assert messages == ["inner: response rejected (unknown method 'nelder_mead')"]
     assert backend.fallbacks == []
     prompts = [json.loads(p.read_text())["prompt"]
@@ -115,7 +115,7 @@ def test_reply_rejected_twice_falls_back_to_the_rule_policy(tmp_path, config):
     space = first_round_from_plan(config, rule_plan(config, rule_understand(config), 4))
     backend, messages = _backend(tmp_path, ["no json here", _inner("lhs", 0)])
     decision = backend.decide_inner(None, _budget(), space, config=config)
-    assert decision.to_wire() == rule_decide_inner(None, _budget(), space).to_wire()
+    assert decision == rule_decide_inner(None, _budget(), space)
     reason = "inner: retry also rejected: schema violation at 'n_samples': expected positive integer"
     assert backend.fallbacks == [{"op": "inner", "reason": reason}]
     assert messages == [
@@ -130,15 +130,16 @@ def test_off_grid_plan_values_are_snapped(tmp_path, config):
         tmp_path, [json.dumps(_wire_plan(config, off_grid=("W_diff_base", 1, 1.27)))]
     )
     plan = backend.plan(config, rule_understand(config), 4)
-    assert plan.optimize["W_diff_base"]["values"] == [0.84, 1.26, 1.68, 2.1, 2.52]
-    assert plan.to_wire() == _wire_plan(config)
+    optimized = plan["optimization_configuration"]["variables_to_optimize"]
+    assert optimized["W_diff_base"]["search_space"] == [0.84, 1.26, 1.68, 2.1, 2.52]
+    assert plan == _wire_plan(config)
     assert messages == ["plan repair: W_diff_base value 1.27 snapped to 1.26"]
 
 
 def test_exhausted_transcript_falls_back_to_the_rule_policy(tmp_path, config):
     backend, messages = _backend(tmp_path, [])
     understanding = backend.understand(config)
-    assert understanding.to_wire() == rule_understand(config).to_wire()
+    assert understanding == rule_understand(config)
     reason = "llm transport failure (status 0): replay transcript exhausted"
     assert backend.fallbacks == [{"op": "understanding", "reason": reason}]
     assert messages == [f"understanding: falling back to the rule policy ({reason})"]
@@ -165,7 +166,7 @@ def test_replayed_run_logs_every_repair_rejection_and_fallback(tmp_path, config)
         "confidence": "low",
     }
     replies = [
-        "```json\n" + json.dumps(rule_understand(config).to_wire()) + "\n```",
+        "```json\n" + json.dumps(rule_understand(config)) + "\n```",
         "Plan:\n" + json.dumps(_wire_plan(config, off_grid=("W_tail_base", 0, 0.9))) + "\nDone.",
         "I would sample more.",
         _inner("lhs", 10),

@@ -1,4 +1,4 @@
-"""Rule outer policy: the two unfix escalations, decision and edit."""
+"""Rule outer policy: the two unfix escalations, decision and next space."""
 
 import dataclasses
 
@@ -25,13 +25,14 @@ def pinned_load(stagnation_state):
 def test_stagnation_unfixes_the_pinned_variable(pinned_load, prior_unfixes, window):
     hist, space, report = pinned_load
     budget = BudgetState(total_remaining=100, inner_remaining=100, prior_unfixes=prior_unfixes)
-    decision = rule_decide_outer(report, space, hist, budget)
-    assert decision.action == "unfix_variables"
-    assert decision.reasoning == f"stagnation detected; unfixing W_load with {len(window)} values"
-    assert decision.changes_from_previous == "W_load promoted from fixed to active"
-    assert decision.edit.action == "unfix_variables"
-    assert dict(decision.edit.unfix) == {"W_load": window}
-    assert decision.edit.rationale == "stagnation with W_load still fixed"
+    decision, next_space = rule_decide_outer(report, space, budget, {})
+    assert decision["action_taken"] == "unfix_variables"
+    assert decision["regeneration_reasoning"] == (
+        f"stagnation detected; unfixing W_load with {len(window)} values"
+    )
+    assert decision["changes_from_previous"] == "W_load promoted from fixed to active"
+    assert next_space.active["W_load"] == window
+    assert next_space.fixed == {}
 
 
 def test_boundary_at_the_grid_end_unfixes_instead(pinned_load):
@@ -41,9 +42,10 @@ def test_boundary_at_the_grid_end_unfixes_instead(pinned_load):
         report, issues=[i for i in report.issues if i.kind != "stagnation"]
     )
     budget = BudgetState(total_remaining=100, inner_remaining=100)
-    decision = rule_decide_outer(report, space, hist, budget)
-    assert decision.action == "unfix_variables"
-    assert decision.reasoning == "flagged boundary sits at the grid end; unfixing W_load"
-    assert decision.changes_from_previous == "W_load promoted from fixed to active"
-    assert dict(decision.edit.unfix) == {"W_load": W[2:7]}
-    assert decision.edit.rationale == "boundary at grid end; opening a fixed dimension instead"
+    decision, next_space = rule_decide_outer(report, space, budget, {})
+    assert decision["action_taken"] == "unfix_variables"
+    assert decision["regeneration_reasoning"] == (
+        "flagged boundary sits at the grid end; unfixing W_load"
+    )
+    assert decision["changes_from_previous"] == "W_load promoted from fixed to active"
+    assert next_space.active["W_load"] == W[2:7]

@@ -207,23 +207,20 @@ def test_unknown_action_rejected():
 
 def _fig_plan():
     # the first-round construction exercised throughout: three active
-    # variables on sparse value lists, one variable pinned
-    from sizerforge.agents.schemas import SpacePlan
-
+    # variables on sparse value lists, one variable pinned; only the
+    # plan's optimization_configuration is read
     optimize = {
-        "W_diff_base": {"rank": 1, "values": [0.84, 1.26, 1.68, 2.10, 2.52], "sensitivity": "high"},
-        "W_tail_base": {"rank": 2, "values": [0.84, 1.47, 2.10, 2.52], "sensitivity": "medium"},
-        "W_load_base": {"rank": 3, "values": [0.84, 1.47, 2.10, 2.52], "sensitivity": "medium"},
+        "W_diff_base": {"rank": 1, "search_space": [0.84, 1.26, 1.68, 2.10, 2.52]},
+        "W_tail_base": {"rank": 2, "search_space": [0.84, 1.47, 2.10, 2.52]},
+        "W_load_base": {"rank": 3, "search_space": [0.84, 1.47, 2.10, 2.52]},
     }
-    fixed = {"W_casc_base": {"rank": 4, "value": 1.89}}
-    return SpacePlan(
-        target="fom",
-        n_to_optimize=3,
-        ranking=[],
-        optimize=optimize,
-        fixed=fixed,
-        summary={},
-    )
+    fixed = {"W_casc_base": {"rank": 4, "fixed_value": 1.89}}
+    return {"optimization_configuration": {"variables_to_optimize": optimize,
+                                           "variables_fixed": fixed}}
+
+
+def _entries(plan, section):
+    return plan["optimization_configuration"][section]
 
 
 def test_first_round_plan_cardinality_and_reduction():
@@ -240,7 +237,7 @@ def test_first_round_plan_cardinality_and_reduction():
 def test_plan_must_cover_every_variable():
     config = load_config("configs/telescopic_ota.yaml")
     plan = _fig_plan()
-    del plan.fixed["W_casc_base"]
+    del _entries(plan, "variables_fixed")["W_casc_base"]
     with pytest.raises(PlanIncomplete):
         first_round_from_plan(config, plan)
 
@@ -248,7 +245,7 @@ def test_plan_must_cover_every_variable():
 def test_plan_rejects_unknown_variable():
     config = load_config("configs/telescopic_ota.yaml")
     plan = _fig_plan()
-    plan.fixed["W_ghost"] = {"value": 1.89}
+    _entries(plan, "variables_fixed")["W_ghost"] = {"fixed_value": 1.89}
     with pytest.raises(PlanIncomplete):
         first_round_from_plan(config, plan)
 
@@ -256,7 +253,7 @@ def test_plan_rejects_unknown_variable():
 def test_plan_rejects_off_grid_value():
     config = load_config("configs/telescopic_ota.yaml")
     plan = _fig_plan()
-    plan.optimize["W_diff_base"]["values"] = [0.84, 1.0, 1.68]
+    _entries(plan, "variables_to_optimize")["W_diff_base"]["search_space"] = [0.84, 1.0, 1.68]
     with pytest.raises(ValueOffGrid):
         first_round_from_plan(config, plan)
 
@@ -264,7 +261,8 @@ def test_plan_rejects_off_grid_value():
 def test_first_round_value_count_limits():
     config = load_config("configs/telescopic_ota.yaml")
     plan = _fig_plan()
-    plan.optimize["W_diff_base"]["values"] = [0.84, 1.26]  # below the 3-value floor
+    # below the 3-value floor
+    _entries(plan, "variables_to_optimize")["W_diff_base"]["search_space"] = [0.84, 1.26]
     with pytest.raises(PlanIncomplete):
         first_round_from_plan(config, plan)
     # a regenerated space accepts 2-value lists
@@ -276,6 +274,6 @@ def test_first_round_value_count_limits():
 def test_plan_values_are_sorted_and_deduped():
     config = load_config("configs/telescopic_ota.yaml")
     plan = _fig_plan()
-    plan.optimize["W_diff_base"]["values"] = [2.52, 0.84, 1.68, 0.84]
+    _entries(plan, "variables_to_optimize")["W_diff_base"]["search_space"] = [2.52, 0.84, 1.68, 0.84]
     space = first_round_from_plan(config, plan)
     assert space.active["W_diff_base"] == (0.84, 1.68, 2.52)
