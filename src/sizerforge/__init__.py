@@ -16,7 +16,6 @@ from .core import (
     assess,
     compute_fom,
     design_from,
-    improvement_pct,
 )
 from .diagnostics import DiagnosticsReport, analyze, render_text
 from .errors import SizerForgeError
@@ -57,7 +56,6 @@ __all__ = [
     "evaluator_from_config",
     "full_space",
     "get_model",
-    "improvement_pct",
     "load_config",
     "load_matrix",
     "make_backend",

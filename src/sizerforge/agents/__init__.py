@@ -1,9 +1,13 @@
 """Decision backends: rule policy, model-backed, and recorded replay.
 
-Both backends expose the same four operations (understand, plan,
-decide_inner, decide_outer) with the same signatures. Each returns the
-decision as its validated wire dict (see ``schemas``); ``decide_outer``
-also returns the space the decision leads to, None on ``converged``. The
+Both backends expose the same four operations with the same signatures:
+``understand(config)``, ``plan(config, understanding, n_to_optimize)``,
+``decide_inner(report, remaining, space, config)`` and
+``decide_outer(report, space, prior_unfixes, sensitivity, config)``.
+The search reaches them only through the diagnostics report, None before
+the first batch; ``remaining`` is at least 1. Each returns the decision
+as its validated wire dict (see ``schemas``); ``decide_outer`` also
+returns the space the decision leads to, None on ``converged``. The
 controller never knows which backend is driving.
 """
 
@@ -23,7 +27,6 @@ from .llm import (
     snap_to_grid,
 )
 from .rule import (
-    BudgetState,
     rule_decide_inner,
     rule_decide_outer,
     rule_plan,
@@ -33,7 +36,6 @@ from .rule import (
 from .schemas import parse_agent_json
 
 __all__ = [
-    "BudgetState",
     "GENERATION_PARAMS",
     "HttpTransport",
     "LlmBackend",
@@ -66,13 +68,13 @@ class RuleBackend:
     def plan(self, config, understanding: dict, n_to_optimize: int) -> dict:
         return rule_plan(config, understanding, n_to_optimize)
 
-    def decide_inner(self, report, budget, space, config) -> dict:
-        return rule_decide_inner(report, budget, space)
+    def decide_inner(self, report, remaining: int, space, config) -> dict:
+        return rule_decide_inner(report, remaining, space)
 
     def decide_outer(
-        self, report, space, history, budget, sensitivity: Mapping[str, str], config
+        self, report, space, prior_unfixes: int, sensitivity: Mapping[str, str], config
     ) -> Tuple[dict, Optional[SearchSpace]]:
-        return rule_decide_outer(report, space, budget, sensitivity)
+        return rule_decide_outer(report, space, prior_unfixes, sensitivity)
 
 
 def make_backend(spec: str, transcript_dir: Optional[str] = None):

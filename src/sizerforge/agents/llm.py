@@ -3,6 +3,10 @@
 Each decision is a single prompt/response exchange, run by one
 ``LlmBackend._decide`` step for all four operations: the prompt and the
 schema share the operation's name (understanding, plan, inner, outer).
+The search reaches the two loop prompts only through the diagnostics
+report: the inner prompt embeds its ``render_text``, the outer prompt
+lays out its sections and its top designs, with the issue lines and the
+methods list formatted as the report formats them.
 Responses go through parse_agent_json plus op-specific validation (grid
 snapping, method and variable-name checks), which edits the wire dict
 in place; that dict is the decision. A rejected response earns exactly
@@ -33,8 +37,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import requests
 
 from ..config import format_value, render_template
-from ..core import History
-from ..diagnostics import DiagnosticsReport, TOP_K, render_text, top_designs
+from ..diagnostics import DiagnosticsReport, methods_text, render_text
 from ..errors import (
     BadParameter,
     ConfigError,
@@ -50,7 +53,6 @@ from ..errors import (
 from ..optim import MethodConfig, validate_method_config
 from ..space import SearchSpace, SpaceEdit, apply_edit, first_round_from_plan, space_from_plan
 from .rule import (
-    BudgetState,
     rule_decide_inner,
     rule_decide_outer,
     rule_plan,
@@ -341,7 +343,7 @@ def plan_context(config, understanding: dict, n_to_optimize: int) -> Dict[str, s
 
 def inner_context(
     report: Optional[DiagnosticsReport],
-    budget: BudgetState,
+    remaining: int,
     space: SearchSpace,
     config,
 ) -> Dict[str, str]:
@@ -351,8 +353,7 @@ def inner_context(
     status_text = "No designs evaluated yet; this is the first iteration of the loop."
     if report is not None:
         s = report.status_summary
-        if s["methods"]:
-            methods = ", ".join(f"{m} ({n} designs)" for m, n in s["methods"].items())
+        methods = methods_text(s["methods"]) or methods
         if s["best_fom"] is not None:
             best = f"{s['best_fom']:.4f}"
         iters = str(s["iterations"])
@@ -360,7 +361,7 @@ def inner_context(
     return {
         "user_specs": config.user_specs_metric,
         "search_space_cardinality": str(space.cardinality()),
-        "budget_remaining": str(budget.remaining),
+        "budget_remaining": str(remaining),
         "inner_iterations_used": iters,
         "methods_tried": methods,
         "best_fom": best,
@@ -368,13 +369,7 @@ def inner_context(
     }
 
 
-def outer_context(
-    report: DiagnosticsReport,
-    space: SearchSpace,
-    history: History,
-    budget: BudgetState,
-    config,
-) -> Dict[str, str]:
+def outer_context(report: DiagnosticsReport, space: SearchSpace, config) -> Dict[str, str]:
     s = report.status_summary
     c = report.convergence
 
@@ -397,14 +392,7 @@ def outer_context(
 
     prog = "[" + ", ".join("None" if x is None else f"{x:.6g}" for x in c["progression"]) + "]"
 
-    if report.issues:
-        issue_lines = "\n".join(
-            f"- {issue.variable if issue.variable else 'stagnation'}: "
-            f"{issue.evidence} -> {issue.severity} severity"
-            for issue in report.issues
-        )
-    else:
-        issue_lines = "(none detected)"
+    issue_lines = "\n".join(issue.line() for issue in report.issues) or "(none detected)"
 
     impact_lines = []
     for var, stats in report.impact.items():
@@ -419,7 +407,7 @@ def outer_context(
         )
 
     top_lines = []
-    for rank, record in enumerate(top_designs(history, TOP_K), start=1):
+    for rank, record in enumerate(report.top, start=1):
         assignment = ", ".join(
             f"{k}={format_value(v)}" for k, v in sorted(record.design.assignment.items())
         )
@@ -539,7 +527,7 @@ class LlmBackend:
     def decide_inner(
         self,
         report: Optional[DiagnosticsReport],
-        budget: BudgetState,
+        remaining: int,
         space: SearchSpace,
         config,
     ) -> dict:
@@ -554,7 +542,6 @@ class LlmBackend:
                 )
                 decision["method"] = checked.method
                 decision["parameters"] = dict(checked.parameters)
-                remaining = max(1, budget.remaining)
                 if decision["n_samples"] > remaining:
                     self._log(
                         f"inner: n_samples {decision['n_samples']} clamped to "
@@ -563,15 +550,14 @@ class LlmBackend:
                     decision["n_samples"] = remaining
             return decision
 
-        return self._decide("inner", inner_context(report, budget, space, config), validate,
-                            lambda: rule_decide_inner(report, budget, space))
+        return self._decide("inner", inner_context(report, remaining, space, config), validate,
+                            lambda: rule_decide_inner(report, remaining, space))
 
     def decide_outer(
         self,
         report: DiagnosticsReport,
         space: SearchSpace,
-        history: History,
-        budget: BudgetState,
+        prior_unfixes: int,
         sensitivity: Mapping[str, str],
         config,
     ) -> Tuple[dict, Optional[SearchSpace]]:
@@ -593,6 +579,6 @@ class LlmBackend:
             return decision, next_space
 
         return self._decide(
-            "outer", outer_context(report, space, history, budget, config), validate,
-            lambda: rule_decide_outer(report, space, budget, sensitivity),
+            "outer", outer_context(report, space, config), validate,
+            lambda: rule_decide_outer(report, space, prior_unfixes, sensitivity),
         )

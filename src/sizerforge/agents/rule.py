@@ -3,46 +3,32 @@
 These encode the prose decision frameworks as code and double as the
 fallback for every model misbehavior, so a run can always finish
 without network access. Every policy returns the same wire dict a model
-reply validates to (see ``schemas``). Inner policy: stop on spec-met or
-on a diverse plateau, otherwise pick a method by history depth. Outer
-policy, in priority order: converged on feasible, unfix on stagnation,
-expand on boundary clustering, change focus on converged variables,
-continue on progress, narrow only on overwhelming concentration. The
-outer policy applies its own edit and returns the next space with the
-decision.
+reply validates to (see ``schemas``), and sees the search only through
+the diagnostics report. Inner policy, given the evaluations left (at
+least one): stop on spec-met or on a diverse plateau, otherwise pick a
+method by history depth. Outer policy, in priority order: converged on
+feasible, unfix on stagnation, expand on boundary clustering, change
+focus on converged variables, continue on progress, narrow only on
+overwhelming concentration. The outer policy applies its own edit and
+returns the next space with the decision; an unfix after an earlier
+one opens a wider window.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..diagnostics import DiagnosticsReport
 from ..space import SearchSpace, SpaceEdit, apply_edit, unfix_window
 from ..specexpr import parse_spec, split_directions
+from .schemas import SENSITIVITY_LEVELS
 
 PLATEAU_PCT = 2.0
 EXPLOIT_STD = 0.01
 
-_SENSITIVITY_ORDER = {"critical": 0, "high": 1, "medium": 2, "low": 3}
-
-
-@dataclasses.dataclass
-class BudgetState:
-    """Budget snapshot handed to the decision policies."""
-
-    total_remaining: int
-    inner_remaining: int
-    prior_unfixes: int = 0
-
-    @property
-    def remaining(self) -> int:
-        return max(0, min(self.total_remaining, self.inner_remaining))
-
 
 def _clamp_samples(share: int, floor: int, remaining: int) -> int:
-    n = max(floor, share)
-    return max(1, min(n, remaining))
+    return min(max(floor, share), remaining)
 
 
 def rule_understand(config) -> dict:
@@ -76,8 +62,8 @@ def rule_understand(config) -> dict:
 
 
 def _by_sensitivity(names: List[str], sensitivity: Mapping[str, str]) -> List[str]:
-    """Sensitivity first (critical > high > medium > low), then list order."""
-    return sorted(names, key=lambda v: _SENSITIVITY_ORDER.get(sensitivity.get(v, "medium"), 2))
+    """Sensitivity first (high > medium > low), then list order."""
+    return sorted(names, key=lambda v: SENSITIVITY_LEVELS.index(sensitivity.get(v, "medium")))
 
 
 def _even_indices(m: int, k: int = 5) -> List[int]:
@@ -188,13 +174,10 @@ def _search(method, n_samples, parameters, reason, assessment) -> dict:
 
 def rule_decide_inner(
     report: Optional[DiagnosticsReport],
-    budget: BudgetState,
+    remaining: int,
     space: SearchSpace,
 ) -> dict:
-    remaining = budget.remaining
-    if remaining <= 0:
-        return _stop("budget exhausted", "no samples left to spend")
-
+    """The next inner move; ``remaining`` (at least 1) caps its batch."""
     cardinality = space.cardinality()
     if report is None:
         # first iteration of a run: nothing to analyze yet
@@ -294,13 +277,13 @@ def _best_fixed_var(space: SearchSpace, sensitivity: Mapping[str, str]) -> str:
     return _by_sensitivity([v for v in space.full_grid if v in space.fixed], sensitivity)[0]
 
 
-def _unfix_best(space: SearchSpace, sensitivity: Mapping[str, str], budget: BudgetState,
+def _unfix_best(space: SearchSpace, sensitivity: Mapping[str, str], prior_unfixes: int,
                 reason: str) -> Tuple[dict, SearchSpace]:
     """Unfix the most sensitive fixed variable on a 5-value window (7 after
     an earlier unfix). ``reason`` is a format string over ``var`` and
     ``n``, the window length."""
     var = _best_fixed_var(space, sensitivity)
-    n_values = 7 if budget.prior_unfixes > 0 else 5
+    n_values = 7 if prior_unfixes > 0 else 5
     window = unfix_window(space.full_grid[var], space.fixed[var], n_values)
     edit = SpaceEdit(action="unfix_variables", unfix={var: window})
     return _edited(space, edit, reason.format(var=var, n=len(window)),
@@ -318,11 +301,12 @@ def _expandable(space: SearchSpace, var: str, side: str) -> bool:
 def rule_decide_outer(
     report: DiagnosticsReport,
     space: SearchSpace,
-    budget: BudgetState,
+    prior_unfixes: int,
     sensitivity: Mapping[str, str],
 ) -> Tuple[dict, Optional[SearchSpace]]:
     """The outer decision and the space it leads to (None on converged).
 
+    ``prior_unfixes`` counts the run's earlier unfix decisions.
     ``sensitivity`` maps variables to the plan's levels; it orders which
     fixed variable an unfix opens, and a missing variable counts as
     medium."""
@@ -334,7 +318,7 @@ def rule_decide_outer(
     boundary_issues = [i for i in report.issues if i.kind != "stagnation"]
 
     if stagnant and space.fixed:
-        return _unfix_best(space, sensitivity, budget,
+        return _unfix_best(space, sensitivity, prior_unfixes,
                            "stagnation detected; unfixing {var} with {n} values")
 
     if boundary_issues:
@@ -346,7 +330,7 @@ def rule_decide_outer(
             for i in boundary_issues
         )
         if dead_side and space.fixed:
-            return _unfix_best(space, sensitivity, budget,
+            return _unfix_best(space, sensitivity, prior_unfixes,
                                "flagged boundary sits at the grid end; unfixing {var}")
 
         expand: Dict[str, Dict[str, int]] = {}

@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--keep-logs", action="store_true")
     p_run.add_argument("--results-dir", help="write artifacts under this directory")
     p_run.add_argument("--no-cu", action="store_true",
-                       help="ablation: generic circuit understanding")
+                       help="ablation: generic circuit understanding (llm or replay backend)")
     p_run.add_argument("--no-ssd", action="store_true",
                        help="ablation: search the full grid, skip planning")
     p_run.add_argument("--no-oe", action="store_true",

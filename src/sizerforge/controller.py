@@ -19,6 +19,12 @@ the scope is merged into each entry the step logs. A baseline that ends
 on ``STALL_LIMIT`` all-cached batches reports the outcome ``stalled``;
 one whose method has nothing left to propose reports ``space_exhausted``.
 
+The agents see the search only through ``analyze``'s report, one
+analysis per decision: a fresh one for each inner decision after the
+first batch, and the loop-end one, rendered to ``loopNN_report.txt``,
+for the outer decision. Of the budget they get only what they read: the
+evaluations left (at least one) and the count of earlier unfixes.
+
 Both emit an ordered decision log with no timestamps, so two runs with
 identical inputs (or a replayed transcript) compare byte for byte. Each
 agent decision is logged as the wire dict the backend returned, and the
@@ -36,10 +42,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .agents import BudgetState, RuleBackend, rule_decide_inner, rule_understand
+from .agents import RuleBackend, rule_decide_inner, rule_understand
 from .core import EvaluatedDesign, History, IterationSummary, pct_change
-from .diagnostics import analyze, render_text
-from .errors import BudgetOverrun, InsufficientHistory, UnknownMethod
+from .diagnostics import DiagnosticsReport, analyze, render_text
+from .errors import BudgetOverrun, ConfigError, InsufficientHistory, UnknownMethod
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
 from .optim.turbo import TurboState
@@ -250,10 +256,13 @@ class _Run:
             return "stalled"
         return None
 
-    def report(self, loop: int, space: SearchSpace) -> None:
-        """Keep the loop's rendered diagnostics, once any batch has run."""
-        if self.history.iteration_summaries:
-            self.loop_reports.append((loop, render_text(analyze(self.history, space))))
+    def report(self, loop: int, space: SearchSpace) -> Optional[DiagnosticsReport]:
+        """The loop's diagnostics, kept rendered; None before any batch has run."""
+        if not self.history.iteration_summaries:
+            return None
+        report = analyze(self.history, space)
+        self.loop_reports.append((loop, render_text(report)))
+        return report
 
     def finish(self, outcome: str, outer_loops_used: int, spaces: List[SearchSpace]) -> RunResult:
         best = self.history.reported()
@@ -302,9 +311,13 @@ def run(
     understanding for the generic rule one, no_ssd searches the full
     grid without a planning round, and no_oe forces every search batch
     to plain lhs. A single outer loop, the space-refinement ablation, is
-    ``RunBudget(max_outer_loops=1)``.
+    ``RunBudget(max_outer_loops=1)``. The rule backend's understanding
+    already is the generic one, so no_cu with it is a ConfigError.
     """
     backend = backend if backend is not None else RuleBackend()
+    if no_cu and backend.name == "rule":
+        raise ConfigError("no_cu ablates the model's circuit understanding; "
+                          "the rule backend has none to ablate")
     job = _Run(config, budget, evaluator, workers, keep_logs, results_dir)
     budget, history = job.budget, job.history
 
@@ -349,37 +362,34 @@ def run(
             if history.feasible_found():
                 job.log("event", event="feasible_found", **scope)
                 break
-            state = BudgetState(
-                total_remaining=budget.total_evals - job.used,
-                inner_remaining=budget.per_inner_loop - (job.used - loop_start_used),
-                prior_unfixes=prior_unfixes,
-            )
-            if state.remaining <= 0:
-                which = "total_budget_reached" if state.total_remaining <= 0 else "inner_cap_reached"
+            remaining = min(budget.total_evals - job.used,
+                            budget.per_inner_loop - (job.used - loop_start_used))
+            if remaining <= 0:
+                which = "total_budget_reached" if job.used >= budget.total_evals else "inner_cap_reached"
                 job.log("event", event=which, **scope)
                 break
             report = analyze(history, space) if history.iteration_summaries else None
             if no_oe:
-                decision = rule_decide_inner(report, state, space)
+                decision = rule_decide_inner(report, remaining, space)
                 if decision["action"] == "search":
                     decision["method"] = "lhs"
                     decision["parameters"] = {}
             else:
-                decision = backend.decide_inner(report, state, space, config=config)
+                decision = backend.decide_inner(report, remaining, space, config=config)
             iteration = job.iteration
             job.log("inner", **scope, iteration=iteration, payload=decision)
             if decision["action"] != "search":
                 break
             mcfg = MethodConfig(
                 method=decision["method"],
-                n_samples=max(1, min(decision["n_samples"], state.remaining)),
+                n_samples=min(decision["n_samples"], remaining),
                 parameters=dict(decision["parameters"]),
                 seed=child_seed(seed, loop_idx, iteration - loop_start_iteration),
             )
-            if job.batch(space, mcfg, decision["method"], state.remaining, scope) is not None:
+            if job.batch(space, mcfg, decision["method"], remaining, scope) is not None:
                 break
 
-        job.report(loop_idx, space)
+        report = job.report(loop_idx, space)
 
         if stop_run is not None:
             outcome = stop_run
@@ -396,19 +406,13 @@ def run(
             outcome = "outer_cap"
             job.log("event", event="outer_loop_cap", **scope)
             break
-        if not history.iteration_summaries:
+        if report is None:
             outcome = "space_exhausted"
             job.log("event", event="run_space_exhausted", **scope)
             break
 
-        report = analyze(history, space)
-        state = BudgetState(
-            total_remaining=budget.total_evals - job.used,
-            inner_remaining=budget.per_inner_loop,
-            prior_unfixes=prior_unfixes,
-        )
         outer, next_space = backend.decide_outer(
-            report, space, history, state, sensitivity=sensitivity, config=config
+            report, space, prior_unfixes, sensitivity=sensitivity, config=config
         )
         job.log("outer", **scope, payload=outer)
         if next_space is None:

@@ -28,7 +28,7 @@ import logging
 from dataclasses import dataclass, asdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InsufficientHistory, MissingMetric
+from .errors import MissingMetric
 from .specexpr import Comparison, SpecExpr, evaluate_spec, split_directions
 
 log = logging.getLogger(__name__)
@@ -264,7 +264,7 @@ def assess(
         return None, False, {}
 
     try:
-        verdict = evaluate_spec(spec, spec_metrics)
+        feasible = evaluate_spec(spec, spec_metrics)
     except MissingMetric:
         return fom, False, {}
 
@@ -272,7 +272,7 @@ def assess(
     for clause in spec.clauses:
         if clause.threshold != 0:
             normalized[clause.metric] = spec_metrics[clause.metric] / clause.threshold
-    return fom, verdict.passed, normalized
+    return fom, feasible, normalized
 
 
 def pct_change(ago: Optional[float], now: Optional[float]) -> float:
@@ -287,15 +287,3 @@ def pct_change(ago: Optional[float], now: Optional[float]) -> float:
         return math.inf if now > 0 else 0.0
     return 100.0 * (now - ago) / abs(ago)
 
-
-def improvement_pct(history: History, window: int = 1) -> float:
-    """Relative improvement of best-so-far over the last ``window`` summaries.
-
-    Degenerate references follow ``pct_change``.
-    """
-    summaries = history.iteration_summaries
-    if window < 1 or len(summaries) < window + 1:
-        raise InsufficientHistory(
-            f"need at least {window + 1} iteration summaries, have {len(summaries)}"
-        )
-    return pct_change(summaries[-1 - window].best_fom_so_far, summaries[-1].best_fom_so_far)

@@ -1,9 +1,12 @@
 """Run health analysis: convergence status, boundary clustering, stagnation.
 
-The report has two consumers. The structured object feeds the decision
-policies (inner stop/continue, outer space regeneration); render_text
+``analyze`` makes one pass over a history snapshot: it takes the valid
+records once and ranks the top designs once. Its report is the only view
+of the search the decision policies get, inner and outer, rule and
+model-backed alike; the top designs ride on it as ``top``. render_text
 lays the same evidence out as a five-section human-readable block that
-is golden-file tested, so its wording is append-only.
+is golden-file tested, so its wording is append-only; the model prompts
+reuse its issue line and methods list.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from .core import EvaluatedDesign, History, improvement_pct, rank_key
-from .errors import EmptyHistory, InsufficientHistory
+from .core import EvaluatedDesign, History, pct_change, rank_key
+from .errors import EmptyHistory
 from .space import SearchSpace
 
 TOP_K = 10
@@ -38,9 +41,10 @@ class Issue:
     evidence: str
     severity: str
     variable: Optional[str] = None
-    count: int = 0
-    k: int = 0
-    value: Optional[float] = None
+
+    def line(self) -> str:
+        """The issue as one bullet line, as reports and prompts list it."""
+        return f"- {self.variable or 'stagnation'}: {self.evidence} -> {self.severity} severity"
 
 
 @dataclass
@@ -50,6 +54,12 @@ class DiagnosticsReport:
     issues: List[Issue]
     impact: Dict[str, Dict[str, object]]
     recommendations: Dict[str, object]
+    top: List[EvaluatedDesign]  # the TOP_K best valid records, best first; repeats stay
+
+
+def methods_text(methods: Mapping[str, int]) -> str:
+    """Designs per method, in first-use order: ``lhs (25 designs), ...``."""
+    return ", ".join(f"{m} ({n} designs)" for m, n in methods.items())
 
 
 def _fmt_value(x: float) -> str:
@@ -71,21 +81,13 @@ def _rel_equal(a: Optional[float], b: Optional[float]) -> bool:
     return abs(a - b) <= REL_TOL * scale if scale else True
 
 
-def top_designs(history: History, top_k: int) -> List[EvaluatedDesign]:
-    """k best valid records by ``rank_key``, best first; repeats of a design stay."""
-    return sorted(history.valid_records(), key=rank_key, reverse=True)[:top_k]
-
-
-def variable_impact(history: History, space: SearchSpace) -> Dict[str, Dict[str, object]]:
+def _impact(top: List[EvaluatedDesign], space: SearchSpace) -> Dict[str, Dict[str, object]]:
     """Per active variable: top-k value range, frequency counts, convergence.
 
     Counts are sorted by frequency descending, value ascending on ties.
     A variable counts as converged when one value covers more than 70%
     of the top designs.
     """
-    if not history.records:
-        raise EmptyHistory("no evaluations to analyze")
-    top = top_designs(history, TOP_K)
     impact: Dict[str, Dict[str, object]] = {}
     for var in space.active:
         values = [r.design.assignment[var] for r in top]
@@ -145,9 +147,6 @@ def _boundary_issues(
                     variable=var,
                     evidence=f"{count}/{k} top designs at {side} boundary ({_fmt_value(value)})",
                     severity=severity,
-                    count=count,
-                    k=k,
-                    value=value,
                 )
             )
     return issues
@@ -161,20 +160,13 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
 
     progression = [s.best_fom_so_far for s in summaries]
     best_fom = progression[-1]
-    try:
-        recent_pct: Optional[float] = improvement_pct(history, window=1)
-    except InsufficientHistory:
-        recent_pct = None
+    recent_pct = pct_change(progression[-2], progression[-1]) if len(progression) > 1 else None
 
-    top = top_designs(history, TOP_K)
-    k = len(top)
-    impact = (
-        variable_impact(history, space)
-        if history.records
-        else {v: {"min": None, "max": None, "counts": [], "converged": False} for v in space.active}
-    )
+    valid = history.valid_records()
+    top = sorted(valid, key=rank_key, reverse=True)[:TOP_K]
+    impact = _impact(top, space)
 
-    issues = _boundary_issues(impact, space, k)
+    issues = _boundary_issues(impact, space, len(top))
     streak = _stagnation_streak(progression)
     stagnant = streak >= STAGNATION_ITERS
     if stagnant:
@@ -183,8 +175,6 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
                 kind="stagnation",
                 evidence=f"best FOM unchanged for {streak} iterations ({_fmt_fom(best_fom)})",
                 severity=SEV_MEDIUM,
-                count=streak,
-                k=len(summaries),
             )
         )
 
@@ -243,7 +233,7 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
         methods[record.method] = methods.get(record.method, 0) + 1
     best_iteration = None
     if best_fom is not None:
-        for record in history.valid_records():
+        for record in valid:
             if _rel_equal(record.fom, best_fom):
                 best_iteration = record.iteration
                 break
@@ -251,7 +241,7 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
     status_summary = {
         "iterations": len(summaries),
         "designs_evaluated": len(history.records),
-        "valid_designs": len(history.valid_records()),
+        "valid_designs": len(valid),
         "methods": methods,
         "last_method": summaries[-1].method,
         "best_fom": best_fom,
@@ -276,16 +266,16 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
         issues=issues,
         impact=impact,
         recommendations=recommendations,
+        top=top,
     )
 
 
 def render_text(report: DiagnosticsReport) -> str:
     """Five-section text block: status, convergence, issues, impact, advice."""
     s = report.status_summary
-    methods = ", ".join(f"{m} ({n} designs)" for m, n in s["methods"].items())
     status_lines = (
         f"{s['iterations']} iterations completed with {s['designs_evaluated']} designs "
-        f"evaluated. Methods used: {methods}."
+        f"evaluated. Methods used: {methods_text(s['methods'])}."
     )
     if s["best_fom"] is not None:
         status_lines += (
@@ -300,14 +290,7 @@ def render_text(report: DiagnosticsReport) -> str:
         f"FOM progression: {prog}. Status: {c['status']}. Reason: {c['reason']}."
     )
 
-    if report.issues:
-        issue_lines = []
-        for issue in report.issues:
-            label = issue.variable if issue.variable else "stagnation"
-            issue_lines.append(f"- {label}: {issue.evidence} -> {issue.severity} severity")
-        issues_block = "\n".join(issue_lines)
-    else:
-        issues_block = "- none"
+    issues_block = "\n".join(issue.line() for issue in report.issues) or "- none"
 
     impact_parts = []
     for var, stats in report.impact.items():

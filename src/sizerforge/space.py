@@ -12,7 +12,6 @@ every algorithm grid-respecting by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -42,16 +41,6 @@ class SearchSpace:
 
     def cardinality(self) -> int:
         return prod(len(v) for v in self.active.values()) if self.active else 1
-
-    def full_cardinality(self) -> int:
-        return prod(len(v) for v in self.full_grid.values())
-
-    def reduction_factor(self) -> float:
-        return self.full_cardinality() / self.cardinality()
-
-    def reduction_fraction(self) -> Fraction:
-        # exact integer arithmetic for the invariant factor * cardinality == full
-        return Fraction(self.full_cardinality(), self.cardinality())
 
     def describe(self) -> dict:
         return {
@@ -109,12 +98,6 @@ def index_rows(space: SearchSpace, designs: Iterable[Design]) -> List[Optional[L
             row = [index.get(assignment[var]) for var, index in position]
         rows.append(None if row is None or None in row else row)
     return rows
-
-
-def sample_validate(space: SearchSpace, design: Design) -> bool:
-    """True iff the design matches every fixed pin exactly and every
-    active value lies inside the active list. Never raises."""
-    return index_rows(space, [design])[0] is not None
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from .errors import MissingMetric, SpecParseError, UnsupportedCombinator
 
@@ -60,38 +60,10 @@ class Comparison:
             return value <= self.threshold
         raise ValueError(f"unknown operator {self.op!r}")
 
-    def pretty(self) -> str:
-        return f"{self.metric} {self.op} {_format_number(self.threshold)}"
-
 
 @dataclass(frozen=True)
 class SpecExpr:
     clauses: Tuple[Comparison, ...]
-
-    def pretty(self) -> str:
-        return " AND ".join(c.pretty() for c in self.clauses)
-
-
-@dataclass(frozen=True)
-class ClauseResult:
-    metric: str
-    op: str
-    threshold: float
-    value: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SpecVerdict:
-    passed: bool
-    per_clause: Tuple[ClauseResult, ...]
-
-
-def _format_number(x: float) -> str:
-    # shortest round-trip form; ints lose the trailing ".0"
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
 
 
 def _tokenize(text: str):
@@ -163,23 +135,17 @@ def parse_spec(text: str) -> SpecExpr:
     return SpecExpr(tuple(clauses))
 
 
-def evaluate_spec(spec: SpecExpr, metrics: Mapping[str, float]) -> SpecVerdict:
-    """Check every clause against ``metrics``.
+def evaluate_spec(spec: SpecExpr, metrics: Mapping[str, float]) -> bool:
+    """Whether every clause holds on ``metrics``.
 
     Comparisons are exact floating comparisons, no epsilon. A metric
     named by a clause but absent from ``metrics`` is an error, never a
     silent failure.
     """
-    results = []
-    ok = True
     for clause in spec.clauses:
         if clause.metric not in metrics:
             raise MissingMetric(clause.metric)
-        value = metrics[clause.metric]
-        passed = clause.holds(value)
-        ok = ok and passed
-        results.append(ClauseResult(clause.metric, clause.op, clause.threshold, value, passed))
-    return SpecVerdict(ok, tuple(results))
+    return all(c.holds(metrics[c.metric]) for c in spec.clauses)
 
 
 def split_directions(spec: SpecExpr) -> Tuple[Tuple[Comparison, ...], Tuple[Comparison, ...]]:
@@ -188,6 +154,3 @@ def split_directions(spec: SpecExpr) -> Tuple[Tuple[Comparison, ...], Tuple[Comp
     minimize = tuple(c for c in spec.clauses if c.op in MINIMIZE_OPS)
     return maximize, minimize
 
-
-def targets(spec: SpecExpr) -> Dict[str, float]:
-    return {c.metric: c.threshold for c in spec.clauses}

@@ -15,6 +15,7 @@ import pytest
 from sizerforge.agents import RuleBackend
 from sizerforge.config import load_config
 from sizerforge.controller import RunBudget, run, run_baseline
+from sizerforge.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PATTERNS = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
@@ -34,13 +35,12 @@ BASELINE_DIGESTS = {
 # rule backend on sota_hard, default budget, seed 0; sota_hard reaches a
 # second outer loop without ablation and the outer cap under no_oe. The
 # single-outer-loop ablation (SRL) keeps its row and digest as
-# max_outer_loops=1.
+# max_outer_loops=1. no_cu needs a model backend, see the last test.
 RUN_DIGESTS = {
     None: "4fd0995966ddc23e9739107ce7b7dd576f5db4d5cc52163504f3555fa2f2ff6c",
     "no_oe": "ca583820b32de4f97240b64842eef93cb5828a5fb0fad8915ab24d527ee223f1",
     "no_ssd": "8b7aaa0abac494a140d4eb97555dd5b23674529f1a8ac9dcc32ae3660dde53ca",
     "no_srl": "e58f9e734110c955c9e12c67db6a9f7e74b86ed7191e33e9104b86a52ce11ce8",
-    "no_cu": "4fd0995966ddc23e9739107ce7b7dd576f5db4d5cc52163504f3555fa2f2ff6c",
 }
 
 
@@ -90,3 +90,12 @@ def test_run_artefacts_match_golden(ablation, tmp_path):
     digest = _run_digest(ablation, 1, tmp_path)
     assert digest == RUN_DIGESTS[ablation]
     assert _run_digest(ablation, 2, tmp_path) == digest
+
+
+def test_no_cu_with_the_rule_backend_is_rejected(tmp_path):
+    # the rule backend's understanding already is the generic one, so the
+    # ablation would write the plain run's artefacts under another name
+    config = load_config(str(CONFIGS / "sota_hard.yaml"))
+    with pytest.raises(ConfigError, match="no_cu"):
+        run(config, RunBudget(), RuleBackend(), 0, results_dir=str(tmp_path), no_cu=True)
+    assert not any(tmp_path.iterdir())

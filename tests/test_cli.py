@@ -1,4 +1,4 @@
-"""The command line: what ``run``, ``validate`` and ``oracle`` print."""
+"""The command line: what ``run``, ``validate`` and ``oracle`` print, and what ``run`` refuses."""
 
 import json
 from pathlib import Path
@@ -18,6 +18,16 @@ def test_run_prints_the_design_that_meets_the_spec(capsys):
     metrics = dict(item.split("=") for item in lines[2].removeprefix("metrics: ").split(", "))
     assert float(metrics["gain_db"]) > 25 and float(metrics["power_uw"]) < 60
     assert lines[3].startswith("feasible: yes | evals: 11/40")
+
+
+def test_run_rejects_no_cu_under_the_rule_backend(capsys, tmp_path):
+    argv = ["run", str(CONFIGS / "sota_hard.yaml"), "--backend", "rule", "--no-cu",
+            "--results-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no_cu ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_reports_the_config_and_its_grid(capsys):

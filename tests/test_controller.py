@@ -104,6 +104,36 @@ def test_each_batch_calls_the_controllers_evaluate_batch(monkeypatch, algorithm)
     assert calls["propose"] >= len(batches)
 
 
+@pytest.mark.parametrize("algorithm,flags", [
+    ("autosizer", {}), ("autosizer", {"no_oe": True}), ("bo_baseline", {}),
+])
+def test_one_analysis_per_inner_decision_and_per_loop_report(
+        monkeypatch, tmp_path, algorithm, flags):
+    # each inner decision with a batch behind it reads one fresh report;
+    # the loop-end report is rendered once and feeds the outer decision
+    calls = []
+    real = controller.analyze
+
+    def analyze(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "analyze", analyze)
+    config = load_config(str(CONFIGS / "sota_hard.yaml"))
+    if algorithm == "autosizer":
+        result = run(config, RunBudget(), RuleBackend(), 0, results_dir=str(tmp_path), **flags)
+    else:
+        result = run_baseline(config, algorithm, RunBudget(total_evals=40), 0,
+                              results_dir=str(tmp_path))
+    informed, batch_seen = 0, False
+    for entry in result.decisions:
+        batch_seen = batch_seen or entry["kind"] == "batch"
+        informed += batch_seen and entry["kind"] == "inner"
+    reports = list(tmp_path.glob("loop*_report.txt"))
+    assert reports
+    assert len(calls) == informed + len(reports)
+
+
 def test_result_json_reports_the_design_the_run_hands_back(tmp_path):
     # sota_easy: "gain_db > 25 AND power_uw < 60"; the best FoM alone
     # (gain_db 16.97) fails the gain clause, so result.json must name the

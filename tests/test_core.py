@@ -14,10 +14,10 @@ from sizerforge.core import (
     assess,
     compute_fom,
     design_from,
-    improvement_pct,
     rank_key,
 )
-from sizerforge.errors import InsufficientHistory
+from sizerforge.diagnostics import analyze
+from sizerforge.space import full_space
 from sizerforge.specexpr import parse_spec, split_directions
 
 BENCH = parse_spec("fom > 0.100 AND dc_gain_db > 55 AND ugbw > 10 AND power_dc < 50")
@@ -278,15 +278,19 @@ def test_rank_key_orders_best_first():
     assert [r.eval_index for r in sorted(records, key=rank_key, reverse=True)] == [2, 3, 1, 4]
 
 
+def _recent_pct(hist):
+    """The diagnostics' improvement over the last summary step, in percent."""
+    return analyze(hist, full_space({"w": (1.0, 2.0)})).convergence["recent_improvement_pct"]
+
+
 def test_improvement_pct_window():
     hist = History()
     hist.append(_record(1, 1.0))
     hist.add_summary(IterationSummary(1, "lhs", 1, 1.0, None))
+    assert _recent_pct(hist) is None  # one summary: no step to measure yet
     hist.append(_record(2, 1.5))
     hist.add_summary(IterationSummary(2, "lhs", 1, 1.5, 50.0))
-    assert improvement_pct(hist) == pytest.approx(50.0)
-    with pytest.raises(InsufficientHistory):
-        improvement_pct(hist, window=2)
+    assert _recent_pct(hist) == pytest.approx(50.0)
 
 
 def test_improvement_pct_degenerate_reference():
@@ -295,11 +299,11 @@ def test_improvement_pct_degenerate_reference():
     hist.add_summary(IterationSummary(1, "lhs", 1, None, None))
     hist.append(_record(2, 2.0))
     hist.add_summary(IterationSummary(2, "lhs", 1, 2.0, None))
-    assert improvement_pct(hist) == math.inf
+    assert _recent_pct(hist) == math.inf
 
     hist2 = History()
     hist2.append(_record(1, None))
     hist2.add_summary(IterationSummary(1, "lhs", 1, None, None))
     hist2.append(_record(2, None))
     hist2.add_summary(IterationSummary(2, "lhs", 1, None, None))
-    assert improvement_pct(hist2) == 0.0
+    assert _recent_pct(hist2) == 0.0

@@ -1,15 +1,23 @@
-"""Every module-level import under src/ is used by its module.
+"""Every module-level import under src/ is used, and every definition is referenced.
 
-A name counts as used when the module reads it anywhere (a ``Name``
+An import counts as used when the module reads it anywhere (a ``Name``
 node, which includes the base of an attribute chain and annotations)
 or re-exports it through ``__all__``. ``from __future__`` imports are
 directives, not names.
+
+A module-level function or class, or a method, counts as referenced
+when its name is read, imported or taken as an attribute anywhere under
+src/ or perfbench/. String constants in perfbench/ count too, because
+the tracer rebinds methods such as ``predict`` by name. Dunder methods
+are called by the language and are exempt.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _unused_imports(path: Path):
@@ -36,3 +44,43 @@ def _unused_imports(path: Path):
 def test_no_unused_module_level_imports():
     unused = [u for path in sorted(SRC.rglob("*.py")) for u in _unused_imports(path)]
     assert unused == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of each module-level function and class and each method."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds):
+                    yield member.name, member.lineno
+
+
+def _references(tree: ast.Module, strings: bool):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield (node.asname or node.name).split(".")[-1]
+            yield node.name.split(".")[-1]
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_is_referenced():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for root in (SRC, PERFBENCH) for path in sorted(root.rglob("*.py"))}
+    referenced = set()
+    for path, tree in trees.items():
+        referenced |= set(_references(tree, strings=path.is_relative_to(PERFBENCH)))
+    unreferenced = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path, tree in trees.items() if path.is_relative_to(SRC)
+        for name, line in _definitions(tree)
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unreferenced == []

@@ -13,9 +13,10 @@ import logging
 from pathlib import Path
 
 import pytest
+import requests
 
 from sizerforge.agents import (
-    BudgetState,
+    HttpTransport,
     LlmBackend,
     ReplayTransport,
     TranscriptWriter,
@@ -23,8 +24,11 @@ from sizerforge.agents import (
     rule_plan,
     rule_understand,
 )
-from sizerforge.config import load_config
+from sizerforge.agents.llm import inner_context, load_prompt, outer_context
+from sizerforge.config import load_config, render_template
 from sizerforge.controller import RunBudget, run
+from sizerforge.diagnostics import analyze
+from sizerforge.errors import ConfigError, LlmTransport, Timeout
 from sizerforge.space import first_round_from_plan
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -73,8 +77,7 @@ def _inner(method, n_samples, **extra):
     return json.dumps(reply)
 
 
-def _budget():
-    return BudgetState(total_remaining=40, inner_remaining=40, prior_unfixes=0)
+REMAINING = 40
 
 
 def test_fenced_and_prose_wrapped_replies_are_repaired(tmp_path, config):
@@ -99,7 +102,7 @@ def test_reply_rejected_once_then_accepted_echoes_the_reason(tmp_path, config):
         [_inner("nelder_mead", 10), _inner("lhs", 12)],
         transcripts=TranscriptWriter(tmp_path / "written"),
     )
-    decision = backend.decide_inner(None, _budget(), space, config=config)
+    decision = backend.decide_inner(None, REMAINING, space, config=config)
     assert (decision["action"], decision["method"], decision["n_samples"]) == ("search", "lhs", 12)
     assert messages == ["inner: response rejected (unknown method 'nelder_mead')"]
     assert backend.fallbacks == []
@@ -114,8 +117,8 @@ def test_reply_rejected_once_then_accepted_echoes_the_reason(tmp_path, config):
 def test_reply_rejected_twice_falls_back_to_the_rule_policy(tmp_path, config):
     space = first_round_from_plan(config, rule_plan(config, rule_understand(config), 4))
     backend, messages = _backend(tmp_path, ["no json here", _inner("lhs", 0)])
-    decision = backend.decide_inner(None, _budget(), space, config=config)
-    assert decision == rule_decide_inner(None, _budget(), space)
+    decision = backend.decide_inner(None, REMAINING, space, config=config)
+    assert decision == rule_decide_inner(None, REMAINING, space)
     reason = "inner: retry also rejected: schema violation at 'n_samples': expected positive integer"
     assert backend.fallbacks == [{"op": "inner", "reason": reason}]
     assert messages == [
@@ -309,6 +312,24 @@ STOP_REPLY = {
 GOLDEN_OUTER_REPLAY = "2896b0f8a37aec87712ff84a05a2c61ad57312c0471a70b7bbcb9b79a0f225fc"
 
 
+# sha256 of each prompt the replayed outer-loop run renders, in call order
+OUTER_REPLAY_PROMPTS = {
+    "0001_understanding": "733f5e03a0decba78c422da298a4a09a60a724863d127cdea7b9039cbc395afa",
+    "0002_plan": "6ed069bd6bccb366a8317a64903b01d9badcd0832aa86241d9562428591a6eb8",
+    "0003_inner": "d3ffac122534b54851d1386cd9770b6c1cc29b922dc5f48e694c3f63f51785f0",
+    "0004_inner": "6f4ae4062ce015223059e2b436e0d4ea920f9e33bd74d79b86c6a93b66139e46",
+    "0005_inner": "8c711df9f1f159f937977ce248154a1ea3f8b8b7d6416d8b50950a8d5eaed52d",
+    "0006_outer": "6e37934fa085ac6df7909ec705c3f1f392d8a79911b30ea40df66c57e0df6b5f",
+    "0007_inner": "e5ac52340515fe065f1792327956f87fba804e0351d237923dcafdc323566f3e",
+    "0008_inner": "69f6b316940545a9f4f0d8d70c915c604dda3020682ddfb58a396f0aa8d38a03",
+    "0009_outer": "d4a6480872046edb0d592a3a76aa6ddc0d556777534aca0893a945d43f01a6ab",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _artefact_digest(results_dir: Path) -> str:
     h = hashlib.sha256()
     patterns = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
@@ -329,7 +350,8 @@ def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_p
         json.dumps(STOP_REPLY),
         json.dumps(CONVERGED_REPLY),
     ]
-    backend, messages = _backend(tmp_path, replies)
+    backend, messages = _backend(tmp_path, replies,
+                                 transcripts=TranscriptWriter(tmp_path / "written"))
     budget = RunBudget(total_evals=60, per_inner_loop=30, max_outer_loops=3)
     result = run(config, budget, backend, 0, results_dir=str(tmp_path / "out"))
 
@@ -364,6 +386,39 @@ def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_p
     assert spaces[1]["fixed"] == {"W_casc_base": 1.68}
 
     assert _artefact_digest(tmp_path / "out") == GOLDEN_OUTER_REPLAY
+    prompts = {p.stem: _sha256(json.loads(p.read_text())["prompt"])
+               for p in sorted((tmp_path / "written").iterdir())}
+    assert prompts == OUTER_REPLAY_PROMPTS
+
+
+# the stagnating run of conftest in both decision prompts, inside sota_hard's
+# netlist, grids and spec
+STAGNATION_PROMPTS = {
+    "inner": "bd1a59dce4345d630b05563fafbe161d22bd66be7f1392f3c1cba5388afa7039",
+    "outer": "910163e57dbdb2517f0416647d79c6de99b7c36e4f082db8be1331ff6af1ac54",
+}
+
+
+def test_prompts_render_the_stagnating_run(stagnation_state, config):
+    history, space = stagnation_state
+    report = analyze(history, space)
+    inner, _ = render_template(load_prompt("inner"), inner_context(report, REMAINING, space, config))
+    outer, _ = render_template(load_prompt("outer"), outer_context(report, space, config))
+    methods = "lhs (25 designs), bayesian (30 designs), annealing (17 designs)"
+    assert f"- Methods tried so far: {methods}\n" in inner
+    assert f"Methods used: {methods}." in inner
+    issues = (
+        "- W_diff: 10/10 top designs at lower boundary (0.84) -> high severity\n"
+        "- W_load: 10/10 top designs at upper boundary (1.68) -> high severity\n"
+        "- W_load: 10/10 top designs at lower boundary (1.68) -> high severity\n"
+        "- stagnation: best FOM unchanged for 3 iterations (0.0990) -> medium severity\n"
+    )
+    assert issues in inner and f"### Issues Detected\n{issues}" in outer
+    assert "Best-so-far FOM by iteration: [0.095, 0.099, 0.099, 0.099]\n" in outer
+    assert ("### Top Designs\n"
+            "1. FOM 0.0990 @ W_casc=1.68, W_diff=0.84, W_load=1.68, W_tail=1.26\n") in outer
+    assert "10. FOM 0.0972 @ W_casc=2.1, W_diff=0.84, W_load=1.68, W_tail=0.84\n" in outer
+    assert {"inner": _sha256(inner), "outer": _sha256(outer)} == STAGNATION_PROMPTS
 
 
 def test_backend_messages_go_to_logging_by_default(tmp_path, config, caplog):
@@ -378,3 +433,85 @@ def test_backend_messages_go_to_logging_by_default(tmp_path, config, caplog):
         ("sizerforge.agents.llm", "INFO",
          f"understanding: falling back to the rule policy ({exhausted})"),
     ]
+
+
+# ------------------------------------------------- the http transport, offline
+
+
+class _Reply:
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self.text = body if isinstance(body, str) else json.dumps(body)
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def _completion(content):
+    return {"choices": [{"message": {"content": content}}]}
+
+
+@pytest.fixture
+def http(monkeypatch):
+    """An HttpTransport whose posts answer from ``replies`` in order;
+    each reply is a ``_Reply`` or an exception to raise. Sleeps are
+    recorded, not slept."""
+    replies, posts, sleeps = [], [], []
+
+    def post(url, json, headers, timeout):
+        posts.append((url, json, headers, timeout))
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setattr(requests, "post", post)
+    transport = HttpTransport(url="http://localhost:9/v1", api_key="k", model="m",
+                              sleep=sleeps.append)
+    return transport, replies, posts, sleeps
+
+
+def test_http_transport_returns_the_completion_content(http):
+    transport, replies, posts, sleeps = http
+    replies.append(_Reply(200, _completion("{}")))
+    assert transport.complete("prompt", {"temperature": 0.4}) == "{}"
+    url, payload, headers, timeout = posts[0]
+    assert payload == {"model": "m", "messages": [{"role": "user", "content": "prompt"}],
+                       "temperature": 0.4}
+    assert headers["Authorization"] == "Bearer k"
+    assert (url, timeout, sleeps) == ("http://localhost:9/v1", 120.0, [])
+
+
+def test_http_transport_retries_a_server_error_once(http):
+    transport, replies, posts, sleeps = http
+    replies.extend([_Reply(503, "busy"), _Reply(200, _completion("ok"))])
+    assert transport.complete("prompt", {}) == "ok"
+    assert (len(posts), sleeps) == (2, [1.0])
+
+
+def test_http_transport_gives_up_after_three_timeouts(http):
+    transport, replies, posts, sleeps = http
+    replies.extend([requests.Timeout()] * 3)
+    with pytest.raises(Timeout, match="timed out after 120s"):
+        transport.complete("prompt", {})
+    assert (len(posts), sleeps) == (3, [1.0, 2.0])
+
+
+def test_http_transport_rejects_a_malformed_body(http):
+    transport, replies, posts, sleeps = http
+    replies.extend([_Reply(200, "not json"), _Reply(200, {"choices": []}),
+                    _Reply(200, {"id": 1})])
+    with pytest.raises(LlmTransport, match="malformed completion body"):
+        transport.complete("prompt", {})
+    assert len(posts) == 3
+
+
+def test_http_transport_names_the_missing_environment(monkeypatch):
+    for env in ("SIZERFORGE_LLM_URL", "SIZERFORGE_LLM_KEY", "SIZERFORGE_LLM_MODEL"):
+        monkeypatch.delenv(env, raising=False)
+    monkeypatch.setenv("SIZERFORGE_LLM_URL", "http://localhost:9/v1")
+    with pytest.raises(ConfigError) as caught:
+        HttpTransport()
+    assert str(caught.value) == (
+        "llm transport is not configured; set SIZERFORGE_LLM_KEY, SIZERFORGE_LLM_MODEL"
+    )

@@ -16,7 +16,7 @@ from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory
 from sizerforge.optim.pool import MethodConfig, propose
 from sizerforge.optim.turbo import TurboState
-from sizerforge.space import SearchSpace, sample_validate, validate_space
+from sizerforge.space import SearchSpace, index_rows, validate_space
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89)
 NAMES = ("W_a", "W_b", "W_c", "W_d")
@@ -111,7 +111,7 @@ def test_proposals_stay_on_the_grid_inside_the_space_and_off_the_history(method,
 
     for design in proposal.designs:
         assert all(design.assignment[v] in GRID for v in space.full_grid)
-        assert sample_validate(space, design)
+    assert None not in index_rows(space, proposal.designs)
 
     resubmitted = [d for d in proposal.designs if history.contains_design(d.id)]
     if method == "multistart" and params["search_radius"] == 0:

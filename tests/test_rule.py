@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from sizerforge.agents.rule import BudgetState, rule_decide_outer
+from sizerforge.agents.rule import rule_decide_outer
 from sizerforge.diagnostics import analyze
 from sizerforge.space import SearchSpace
 
@@ -24,8 +24,7 @@ def pinned_load(stagnation_state):
 @pytest.mark.parametrize("prior_unfixes, window", [(0, W[2:7]), (1, W[1:8])])
 def test_stagnation_unfixes_the_pinned_variable(pinned_load, prior_unfixes, window):
     hist, space, report = pinned_load
-    budget = BudgetState(total_remaining=100, inner_remaining=100, prior_unfixes=prior_unfixes)
-    decision, next_space = rule_decide_outer(report, space, budget, {})
+    decision, next_space = rule_decide_outer(report, space, prior_unfixes, {})
     assert decision["action_taken"] == "unfix_variables"
     assert decision["regeneration_reasoning"] == (
         f"stagnation detected; unfixing W_load with {len(window)} values"
@@ -41,8 +40,7 @@ def test_boundary_at_the_grid_end_unfixes_instead(pinned_load):
     report = dataclasses.replace(
         report, issues=[i for i in report.issues if i.kind != "stagnation"]
     )
-    budget = BudgetState(total_remaining=100, inner_remaining=100)
-    decision, next_space = rule_decide_outer(report, space, budget, {})
+    decision, next_space = rule_decide_outer(report, space, 0, {})
     assert decision["action_taken"] == "unfix_variables"
     assert decision["regeneration_reasoning"] == (
         "flagged boundary sits at the grid end; unfixing W_load"
