@@ -98,9 +98,10 @@ class HttpTransport:
     """Chat-completion client configured from the environment.
 
     Missing configuration fails here, in the constructor, before any
-    network activity. Transient failures are retried twice with
-    exponential backoff; what cannot be retried away surfaces as
-    LlmTransport or Timeout.
+    network activity. Transient failures (timeouts, connection errors,
+    status 429 and 5xx, malformed bodies) are retried twice with
+    exponential backoff; any other status fails at once. What cannot be
+    retried away surfaces as LlmTransport or Timeout.
     """
 
     def __init__(
@@ -156,7 +157,9 @@ class HttpTransport:
                 continue
             if resp.status_code != 200:
                 last = LlmTransport(resp.status_code, resp.text or "")
-                continue
+                if resp.status_code == 429 or resp.status_code >= 500:
+                    continue
+                raise last
             try:
                 body = resp.json()
                 return body["choices"][0]["message"]["content"]

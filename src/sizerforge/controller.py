@@ -22,8 +22,10 @@ one whose method has nothing left to propose reports ``space_exhausted``.
 The agents see the search only through ``analyze``'s report, one
 analysis per decision: a fresh one for each inner decision after the
 first batch, and the loop-end one, rendered to ``loopNN_report.txt``,
-for the outer decision. Of the budget they get only what they read: the
-evaluations left (at least one) and the count of earlier unfixes.
+for the outer decision. A loop that ends on an inner ``stop`` renders
+that decision's report, as no batch ran after it. Of the budget they
+get only what they read: the evaluations left (at least one) and the
+count of earlier unfixes.
 
 Both emit an ordered decision log with no timestamps, so two runs with
 identical inputs (or a replayed transcript) compare byte for byte. Each
@@ -256,11 +258,16 @@ class _Run:
             return "stalled"
         return None
 
-    def report(self, loop: int, space: SearchSpace) -> Optional[DiagnosticsReport]:
-        """The loop's diagnostics, kept rendered; None before any batch has run."""
+    def report(self, loop: int, space: SearchSpace,
+               analyzed: Optional[DiagnosticsReport] = None) -> Optional[DiagnosticsReport]:
+        """The loop's diagnostics, kept rendered; None before any batch has run.
+
+        ``analyzed``, when given, already is the analysis of this history
+        and space, and is rendered instead of a fresh one.
+        """
         if not self.history.iteration_summaries:
             return None
-        report = analyze(self.history, space)
+        report = analyzed if analyzed is not None else analyze(self.history, space)
         self.loop_reports.append((loop, render_text(report)))
         return report
 
@@ -353,6 +360,7 @@ def run(
         loop_start_used, loop_start_iteration = job.used, job.iteration
         job.stalled = 0
         stop_run: Optional[str] = None
+        analyzed = None  # a stop decision's report; no batch ran after it
 
         while True:
             if job.out_of_time():
@@ -379,6 +387,7 @@ def run(
             iteration = job.iteration
             job.log("inner", **scope, iteration=iteration, payload=decision)
             if decision["action"] != "search":
+                analyzed = report
                 break
             mcfg = MethodConfig(
                 method=decision["method"],
@@ -389,7 +398,7 @@ def run(
             if job.batch(space, mcfg, decision["method"], remaining, scope) is not None:
                 break
 
-        report = job.report(loop_idx, space)
+        report = job.report(loop_idx, space, analyzed)
 
         if stop_run is not None:
             outcome = stop_run

@@ -3,8 +3,9 @@
 Candidates are the full index grid, as an array in the C order of
 ``itertools.product``, while the space stays at or under 20000 points,
 otherwise 2000 uniform draws. Candidates already in the history are
-dropped by index vector (by mixed-radix flat index on the enumerated
-grid), so no design is built for a candidate until it is picked.
+dropped by index vector (by C-order flat index, ``ravel_multi_index``,
+on the enumerated grid), so no design is built for a candidate until it
+is picked.
 
 Batches are picked greedily with a constant-liar update between picks
 (the lie is the best observed value), so the batch holds no duplicate.
@@ -12,8 +13,12 @@ The GP is refit on the observations plus the lies before every pick:
 a lie changes the target variance and with it the kernel amplitude, so
 a refit is the exact posterior where a one-row factor update is not.
 The unscaled correlation of the candidates to the training points does
-not change between picks, so each batch keeps it in one buffer,
-computed once for the observations, and appends one column per lie.
+not change between picks, so each batch keeps it in one column-major
+buffer, computed once for the observations, and appends one column per
+lie; the columns of the current fit are then one contiguous block,
+which the GP's triangular solve takes without a copy. Every pick scores
+all candidates and masks the ones already picked with -inf; argmax
+takes the first maximum, so ties go to the earlier candidate.
 """
 
 from __future__ import annotations
@@ -58,17 +63,15 @@ def _unevaluated(space: SearchSpace, rows: np.ndarray, history: History) -> np.n
 
     Records outside the space have no index vector and match no row.
     """
-    sizes = [len(values) for values in space.active.values()]
-    seen = {tuple(idx) for idx in index_rows(space, (r.design for r in history.records))
-            if idx is not None}
+    seen = [idx for idx in index_rows(space, (r.design for r in history.records))
+            if idx is not None]
     if space.cardinality() > ENUMERATION_LIMIT:
-        return np.array([tuple(row) not in seen for row in rows.tolist()], dtype=bool)
+        seen_rows = {tuple(idx) for idx in seen}
+        return np.array([tuple(row) not in seen_rows for row in rows.tolist()], dtype=bool)
     keep = np.ones(len(rows), dtype=bool)
-    for idx in seen:
-        flat = 0
-        for i, m in zip(idx, sizes):
-            flat = flat * m + i
-        keep[flat] = False
+    if seen:
+        sizes = [len(values) for values in space.active.values()]
+        keep[np.ravel_multi_index(np.array(seen).T, sizes)] = False
     return keep
 
 
@@ -107,23 +110,22 @@ def propose_bayesian(
 
     n_picks = min(n_samples, len(rows))
     gp = GaussianProcess()
-    # correlation of every candidate to the observations, then to each lie
-    corr = np.empty((len(rows), len(x) + n_picks))
+    # correlation of every candidate to the observations, then to each
+    # lie; column-major, so the first n columns are one contiguous block
+    corr = np.empty((len(rows), len(x) + n_picks), order="F")
     corr[:, : len(x)] = correlation(cand, x, gp.length_scale)
     best = float(np.max(y))
     picks: List[int] = []
     acq_values: List[float] = []
-    remaining = np.arange(len(rows))
     x_fit, y_fit = x, y
     for _ in range(n_picks):
         gp.fit(x_fit, y_fit)
-        mu, sigma = gp.posterior(corr[remaining, : len(x_fit)])
+        mu, sigma = gp.posterior(corr[:, : len(x_fit)])
         scores = acquisition(acquisition_function, mu, sigma, best, weight)
-        local_best = int(np.argmax(scores))
-        chosen = int(remaining[local_best])
+        scores[picks] = -np.inf
+        chosen = int(np.argmax(scores))
         picks.append(chosen)
-        acq_values.append(float(scores[local_best]))
-        remaining = np.delete(remaining, local_best)
+        acq_values.append(float(scores[chosen]))
         # constant liar: pretend the pick returned the incumbent best
         lie = cand[chosen : chosen + 1]
         corr[:, len(x_fit)] = correlation(cand, lie, gp.length_scale)[:, 0]

@@ -19,6 +19,11 @@ growing training set (the Bayesian proposer's constant-liar loop) can
 keep one correlation buffer and append a column per new training point
 instead of recomputing every distance. ``predict`` is ``posterior`` of
 the freshly computed correlation.
+
+``posterior`` takes the variance from one triangular solve on the right
+side, ``w = k_star L^-T`` with L the Cholesky factor of the fit, as the
+row sums of ``w * w``; it never forms the n x N solve ``K^-1 k_star^T``.
+A column-major correlation block is solved in place of its scaled copy.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
@@ -100,13 +106,18 @@ class GaussianProcess:
         """Posterior mean and standard deviation from unscaled correlations.
 
         ``corr[i, j]`` is ``correlation`` between query point i and the
-        j-th training point of the last fit, in fit order.
+        j-th training point of the last fit, in fit order; a non-finite
+        entry raises ValueError.
         """
-        k_star = self._amplitude * corr
+        k_star = self._amplitude * np.asarray_chkfinite(corr)
         mu = self._y_mean + k_star @ self._alpha
-        v = cho_solve(self._factor, k_star.T)
+        # w = k_star L^-T; dtrsm reads only the lower triangle (cho_factor
+        # leaves the upper one unzeroed), and solves a column-major k_star
+        # in place
+        w = dtrsm(1.0, self._factor[0], k_star, side=1, lower=1, trans_a=1,
+                  overwrite_b=1)
         prior = self._amplitude * matern25(np.zeros(len(corr)), self.length_scale)
-        var = prior - np.sum(k_star * v.T, axis=1)
+        var = prior - np.einsum("ij,ij->i", w, w)
         sigma = np.sqrt(np.maximum(var, 0.0))
         return mu, sigma
 

@@ -222,11 +222,16 @@ def test_small_space_candidates_enumerate_fully():
 #
 # The straightforward algorithm: every candidate row materialized and
 # hashed to drop evaluated designs, and every constant-liar pick
-# refitting the GP and recomputing all candidate distances by
-# broadcasting. The proposer's per-batch correlation buffer and index
-# filtering must pick the same designs with the same acquisition
-# values, bit for bit. (Broadcast sums and cdist agree bit for bit up
-# to 7 dimensions; numpy sums 8 or more terms pairwise.)
+# refitting the GP, recomputing all candidate distances by broadcasting
+# and taking the posterior variance from the two-solve form
+# diag(k_star K^-1 k_star^T). The proposer's per-batch correlation
+# buffer, index filtering and one-solve variance must pick the same
+# designs, and their acquisition values agree to a relative 1e-9: the
+# one-solve variance sums in another order, so the last bits differ.
+# (Broadcast sums and cdist agree bit for bit up to 7 dimensions; numpy
+# sums 8 or more terms pairwise.)
+
+ACQ_RTOL, ACQ_ATOL = 1e-9, 1e-12
 
 
 def _pairwise(a, b):
@@ -337,6 +342,8 @@ def _narrowed_space(n_vars, n_active_values):
         (3, 7, 6, 0),  # 49 enumerated candidates
         (3, 3, 6, 0),  # 9 candidates: a batch that exhausts the grid
         (7, 6, 5, 3),  # 6 active x 6 values > 20000: 2000 random draws
+        (5, 9, 40, 1),  # 9^4 = 6561 candidates, the grid bo_grid searches
+        (5, 9, 60, 2),
     ],
 )
 def test_proposals_match_the_per_pick_reference(acquisition_function, shape):
@@ -354,6 +361,33 @@ def test_proposals_match_the_per_pick_reference(acquisition_function, shape):
         space, hist, n_samples, seed, acquisition_function
     )
     assert [d.id for d in got.designs] == want_ids
-    assert got.diagnostics["acquisition_values"] == want_values
+    np.testing.assert_allclose(got.diagnostics["acquisition_values"], want_values,
+                               rtol=ACQ_RTOL, atol=ACQ_ATOL)
     assert got.diagnostics["n_candidates"] == want_n
     assert not any(hist.contains_design(i) for i in want_ids)
+
+
+def test_posterior_matches_the_two_solve_form():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0, 1, size=(40, 4))
+    y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 - 0.5 * x[:, 2] * x[:, 3]
+    query = rng.uniform(0, 1, size=(500, 4))
+    gp = GaussianProcess().fit(x, y)
+    want_mu, want_sigma = _reference_posterior(x, y, query)
+    corr = matern25(_pairwise(query, x), gp.length_scale)
+    before = corr.copy()
+    for layout in (corr, np.asfortranarray(corr)):
+        mu, sigma = gp.posterior(layout)
+        np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
+        np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
+    np.testing.assert_array_equal(corr, before)  # the caller's buffer is not solved in place
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_posterior_rejects_non_finite_correlations(bad):
+    x = np.array([[0.0], [0.2], [0.4]])
+    gp = GaussianProcess().fit(x, np.array([0.0, 0.5, 0.3]))
+    corr = matern25(_pairwise(np.array([[0.1], [0.3]]), x), gp.length_scale)
+    corr[1, 2] = bad
+    with pytest.raises(ValueError):
+        gp.posterior(corr)

@@ -104,13 +104,30 @@ def test_each_batch_calls_the_controllers_evaluate_batch(monkeypatch, algorithm)
     assert calls["propose"] >= len(batches)
 
 
+class _StopsEveryThirdDecision(RuleBackend):
+    """The rule policy, except that every third inner decision stops its loop."""
+
+    decisions = 0
+
+    def decide_inner(self, report, remaining, space, config):
+        self.decisions += 1
+        if self.decisions % 3 == 0:
+            return {"action": "stop", "reasoning": "third decision",
+                    "confidence": "high", "expected_improvement": "none expected",
+                    "convergence_assessment": "stopped on schedule"}
+        return super().decide_inner(report, remaining, space, config)
+
+
 @pytest.mark.parametrize("algorithm,flags", [
     ("autosizer", {}), ("autosizer", {"no_oe": True}), ("bo_baseline", {}),
+    ("autosizer_stopping", {}),
 ])
 def test_one_analysis_per_inner_decision_and_per_loop_report(
         monkeypatch, tmp_path, algorithm, flags):
-    # each inner decision with a batch behind it reads one fresh report;
-    # the loop-end report is rendered once and feeds the outer decision
+    # each inner search decision with a batch behind it reads one fresh
+    # report; the loop-end report is rendered once and feeds the outer
+    # decision, and a loop that ends on a stop decision renders that
+    # decision's report
     calls = []
     real = controller.analyze
 
@@ -120,18 +137,23 @@ def test_one_analysis_per_inner_decision_and_per_loop_report(
 
     monkeypatch.setattr(controller, "analyze", analyze)
     config = load_config(str(CONFIGS / "sota_hard.yaml"))
-    if algorithm == "autosizer":
-        result = run(config, RunBudget(), RuleBackend(), 0, results_dir=str(tmp_path), **flags)
+    if algorithm.startswith("autosizer"):
+        backend = (_StopsEveryThirdDecision() if algorithm == "autosizer_stopping"
+                   else RuleBackend())
+        result = run(config, RunBudget(), backend, 0, results_dir=str(tmp_path), **flags)
     else:
         result = run_baseline(config, algorithm, RunBudget(total_evals=40), 0,
                               results_dir=str(tmp_path))
-    informed, batch_seen = 0, False
+    searches, stops, batch_seen = 0, 0, False
     for entry in result.decisions:
         batch_seen = batch_seen or entry["kind"] == "batch"
-        informed += batch_seen and entry["kind"] == "inner"
+        if batch_seen and entry["kind"] == "inner":
+            searches += entry["payload"]["action"] == "search"
+            stops += entry["payload"]["action"] == "stop"
     reports = list(tmp_path.glob("loop*_report.txt"))
     assert reports
-    assert len(calls) == informed + len(reports)
+    assert (stops > 0) == (algorithm == "autosizer_stopping")
+    assert len(calls) == searches + len(reports)
 
 
 def test_result_json_reports_the_design_the_run_hands_back(tmp_path):

@@ -489,6 +489,23 @@ def test_http_transport_retries_a_server_error_once(http):
     assert (len(posts), sleeps) == (2, [1.0])
 
 
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_http_transport_does_not_retry_a_client_error(http, status):
+    transport, replies, posts, sleeps = http
+    replies.extend([_Reply(status, "denied"), _Reply(200, _completion("ok"))])
+    with pytest.raises(LlmTransport) as caught:
+        transport.complete("prompt", {})
+    assert (caught.value.status, len(posts), sleeps) == (status, 1, [])
+
+
+def test_http_transport_retries_rate_limiting(http):
+    transport, replies, posts, sleeps = http
+    replies.extend([_Reply(429, "slow down"), _Reply(500, "oops"),
+                    _Reply(200, _completion("ok"))])
+    assert transport.complete("prompt", {}) == "ok"
+    assert (len(posts), sleeps) == (3, [1.0, 2.0])
+
+
 def test_http_transport_gives_up_after_three_timeouts(http):
     transport, replies, posts, sleeps = http
     replies.extend([requests.Timeout()] * 3)
