@@ -34,8 +34,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-import requests
-
 from ..config import format_value, render_template
 from ..diagnostics import DiagnosticsReport, methods_text, render_text
 from ..errors import (
@@ -132,6 +130,9 @@ class HttpTransport:
         self._sleep = sleep
 
     def complete(self, prompt: str, params: Mapping[str, object]) -> str:
+        # imported here: only live-model runs need it, and it is slow to load
+        import requests
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

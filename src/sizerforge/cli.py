@@ -31,6 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--backend", default="rule",
                        help="rule | llm | replay:DIR (default rule)")
+    p_run.add_argument("--transcripts", metavar="DIR",
+                       help="record each model call here, replayable as replay:DIR")
     p_run.add_argument("--method", default="autosizer",
                        choices=("autosizer",) + BASELINE_ALGORITHMS,
                        help="two-loop autosizer or a single-loop baseline")
@@ -100,7 +102,7 @@ def cmd_run(args) -> int:
             keep_logs=args.keep_logs, results_dir=args.results_dir,
         )
     else:
-        backend = make_backend(args.backend)
+        backend = make_backend(args.backend, args.transcripts)
         result = run(
             config, budget, backend, args.seed,
             evaluator=evaluator, workers=args.workers,

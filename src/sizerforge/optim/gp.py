@@ -24,6 +24,10 @@ the freshly computed correlation.
 side, ``w = k_star L^-T`` with L the Cholesky factor of the fit, as the
 row sums of ``w * w``; it never forms the n x N solve ``K^-1 k_star^T``.
 A column-major correlation block is solved in place of its scaled copy.
+
+``acquisition`` takes the standard normal CDF from ``scipy.special.ndtr``
+and writes the PDF out; both are what ``scipy.stats.norm`` computes at
+loc 0 and scale 1, bit for bit, without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
 from scipy.spatial.distance import cdist
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..errors import SingularKernel
 
@@ -46,6 +50,8 @@ BASE_JITTER = 1e-6
 MAX_JITTER = 1e-2
 
 ACQUISITIONS = ("EI", "UCB", "LCB", "PI")
+
+SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def matern25(dists: np.ndarray, length_scale: float) -> np.ndarray:
@@ -116,8 +122,8 @@ class GaussianProcess:
         # in place
         w = dtrsm(1.0, self._factor[0], k_star, side=1, lower=1, trans_a=1,
                   overwrite_b=1)
-        prior = self._amplitude * matern25(np.zeros(len(corr)), self.length_scale)
-        var = prior - np.einsum("ij,ij->i", w, w)
+        # the prior variance is the amplitude: matern25(0) == 1.0 exactly
+        var = self._amplitude - np.einsum("ij,ij->i", w, w)
         sigma = np.sqrt(np.maximum(var, 0.0))
         return mu, sigma
 
@@ -139,10 +145,11 @@ def acquisition(name: str, mu: np.ndarray, sigma: np.ndarray,
     safe = np.where(sigma > 0, sigma, 1.0)
     z = (mu - best - weight) / safe
     if name == "PI":
-        out = norm.cdf(z)
+        out = ndtr(z)
         return np.where(sigma > 0, out, (mu - best - weight > 0).astype(float))
     if name == "EI":
-        out = (mu - best - weight) * norm.cdf(z) + sigma * norm.pdf(z)
+        pdf = np.exp(-z**2 / 2.0) / SQRT_2PI
+        out = (mu - best - weight) * ndtr(z) + sigma * pdf
         out = np.maximum(out, 0.0)
         return np.where(sigma > 0, out, np.maximum(mu - best - weight, 0.0))
     raise ValueError(f"unknown acquisition {name!r}")

@@ -6,6 +6,7 @@ import random as pyrandom
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.stats import norm
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory
@@ -82,7 +83,8 @@ def test_gp_duplicate_rows_escalate_jitter_instead_of_failing():
 
 
 def test_matern_kernel_shape():
-    assert matern25(np.array([0.0]), 1.0)[0] == pytest.approx(1.0)
+    # exactly 1.0 at distance 0, so the posterior's prior variance is the amplitude
+    assert np.array_equal(matern25(np.zeros(3), 0.3), np.ones(3))
     vals = matern25(np.linspace(0, 5, 50), 1.0)
     assert np.all(np.diff(vals) < 0)  # monotone decreasing in distance
 
@@ -117,6 +119,37 @@ def test_pi_is_a_probability():
 def test_unknown_acquisition_rejected():
     with pytest.raises(ValueError):
         acquisition("greedy", np.zeros(1), np.ones(1), 0.0, 1.0)
+
+
+def _norm_acquisition(name, mu, sigma, best, weight):
+    """EI and PI written with scipy.stats.norm."""
+    safe = np.where(sigma > 0, sigma, 1.0)
+    z = (mu - best - weight) / safe
+    if name == "PI":
+        return np.where(sigma > 0, norm.cdf(z), (mu - best - weight > 0).astype(float))
+    out = np.maximum((mu - best - weight) * norm.cdf(z) + sigma * norm.pdf(z), 0.0)
+    return np.where(sigma > 0, out, np.maximum(mu - best - weight, 0.0))
+
+
+@pytest.mark.parametrize("name", ["EI", "PI"])
+def test_ei_and_pi_equal_the_scipy_stats_norm_formulas_bit_for_bit(name):
+    rng = np.random.default_rng(5)
+    mu = np.concatenate([
+        rng.normal(size=4000),
+        rng.normal(scale=1e3, size=1000),  # |z| far past where the tails underflow
+        [0.0, -0.0, 0.4, 0.4, 0.5, 0.3, 1e300, -1e300],
+    ])
+    sigma = np.concatenate([
+        rng.uniform(0.0, 1.0, size=4000),
+        rng.uniform(1e-3, 1e-1, size=1000),
+        [0.0, 0.0, 0.0, 1e-300, 1e-300, 1e-300, 1.0, 1.0],
+    ])
+    sigma[rng.integers(0, 4000, size=200)] = 0.0
+    for best, weight in [(0.0, 0.0), (0.4, 0.01), (-2.5, 0.1), (30.0, 0.0)]:
+        with np.errstate(over="ignore"):  # z = ±inf at the 1e±300 entries
+            got = acquisition(name, mu, sigma, best, weight)
+            want = _norm_acquisition(name, mu, sigma, best, weight)
+        assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- proposals

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
+from sizerforge.agents import rule_plan, rule_understand
 from sizerforge.cli import main
+from sizerforge.config import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -28,6 +30,45 @@ def test_run_rejects_no_cu_under_the_rule_backend(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("error: no_cu ")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_records_one_transcript_per_model_call_and_they_replay(capsys, tmp_path):
+    config_path = str(CONFIGS / "sota_hard.yaml")
+    config = load_config(config_path)
+    understanding = rule_understand(config)
+    replies = [
+        json.dumps(understanding),
+        json.dumps(rule_plan(config, understanding, 4)),
+        json.dumps({"action": "search", "method": "lhs", "n_samples": 12, "parameters": {},
+                    "reasoning": "r", "confidence": "medium",
+                    "expected_improvement": "some", "convergence_assessment": "early"}),
+    ]
+    recorded = tmp_path / "replies"
+    recorded.mkdir()
+    for i, reply in enumerate(replies, start=1):
+        (recorded / f"{i:04d}.json").write_text(
+            json.dumps({"prompt": "", "params": {}, "response": reply}))
+    # the replies run out after the first inner decision; the rule policy
+    # answers the rest, and an exhausted replay is no model call
+    argv = ["run", config_path, "--budget", "40", "--backend", f"replay:{recorded}",
+            "--transcripts", str(tmp_path / "written")]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    written = sorted((tmp_path / "written").iterdir())
+    assert [p.name for p in written] == ["0001_understanding.json", "0002_plan.json",
+                                         "0003_inner.json"]
+    records = [json.loads(p.read_text()) for p in written]
+    assert [r["response"] for r in records] == replies
+    assert all(r["prompt"] and r["params"] for r in records)
+
+    argv = ["run", config_path, "--budget", "40", "--backend", f"replay:{tmp_path / 'written'}"]
+    assert main(argv) == 0
+    again = capsys.readouterr().out
+
+    def without_wall(out):
+        return [line.split(" | wall:")[0] for line in out.splitlines()]
+
+    assert without_wall(again) == without_wall(first)
 
 
 def test_validate_reports_the_config_and_its_grid(capsys):

@@ -10,9 +10,16 @@ when its name is read, imported or taken as an attribute anywhere under
 src/ or perfbench/. String constants in perfbench/ count too, because
 the tracer rebinds methods such as ``predict`` by name. Dunder methods
 are called by the language and are exempt.
+
+Importing the package leaves out what only some runs need:
+``scipy.stats`` (``acquisition`` uses ``scipy.special.ndtr``) and
+``requests`` (only ``HttpTransport.complete`` talks to a model).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +91,13 @@ def test_every_definition_is_referenced():
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unreferenced == []
+
+
+def test_importing_the_package_loads_neither_scipy_stats_nor_requests():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = ("import sys, sizerforge; "
+             "print(sorted(m for m in ('scipy.stats', 'requests') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

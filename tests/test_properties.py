@@ -1,4 +1,5 @@
-"""Property: every proposer stays on the grid, inside the space, off the history.
+"""Properties: every proposer stays on the grid, inside the space, off the
+history; every legal space edit yields a valid space.
 
 Spaces are random (two to four variables, some pinned, active lists of
 two or more grid values) and so are histories: records inside and
@@ -6,6 +7,11 @@ outside the space, failed simulations and failed figures of merit,
 feasible and infeasible records, and repeats of one design. Only GA
 elitism (the incumbent leads the batch) and multistart at radius 0 (the
 starts themselves) resubmit an evaluated design.
+
+Edits are drawn legal for their space: expand only a side that is not
+at its grid end, narrow to a contiguous run of two or more values, unfix
+only pinned variables, and change focus between an active and a pinned
+one.
 """
 
 import pytest
@@ -16,7 +22,7 @@ from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory
 from sizerforge.optim.pool import MethodConfig, propose
 from sizerforge.optim.turbo import TurboState
-from sizerforge.space import SearchSpace, index_rows, validate_space
+from sizerforge.space import SearchSpace, SpaceEdit, apply_edit, index_rows, validate_space
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89)
 NAMES = ("W_a", "W_b", "W_c", "W_d")
@@ -121,3 +127,59 @@ def test_proposals_stay_on_the_grid_inside_the_space_and_off_the_history(method,
         assert proposal.designs[0].id == proposal.diagnostics["elite"]
         return
     assert resubmitted == []
+
+
+def _subset(draw, names):
+    return draw(st.lists(st.sampled_from(sorted(names)), min_size=1, unique=True))
+
+
+def _values(draw):
+    return tuple(draw(st.lists(st.sampled_from(GRID), min_size=2, max_size=len(GRID),
+                               unique=True)))
+
+
+@st.composite
+def legal_edits(draw, space):
+    ends = {var: (GRID.index(values[0]) > 0, GRID.index(values[-1]) < len(GRID) - 1)
+            for var, values in space.active.items()}
+    actions = ["narrow_ranges"]
+    if any(any(open_sides) for open_sides in ends.values()):
+        actions.append("expand_ranges")
+    if space.fixed:
+        actions += ["unfix_variables", "change_focus"]
+    action = draw(st.sampled_from(actions))
+    if action == "expand_ranges":
+        expand = {}
+        for var in _subset(draw, [v for v, open_sides in ends.items() if any(open_sides)]):
+            sides = {side: draw(st.integers(0, 6)) if is_open else 0
+                     for side, is_open in zip(("lower", "upper"), ends[var])}
+            if not any(sides.values()):
+                sides["lower" if ends[var][0] else "upper"] = 1
+            expand[var] = sides
+        return SpaceEdit(action, expand=expand)
+    if action == "narrow_ranges":
+        narrow = {}
+        for var in _subset(draw, space.active):
+            values = space.active[var]
+            start = draw(st.integers(0, len(values) - 2))
+            narrow[var] = values[start : start + draw(st.integers(2, len(values) - start))]
+        return SpaceEdit(action, narrow=narrow)
+    unfix = {var: _values(draw) for var in _subset(draw, space.fixed)}
+    if action == "unfix_variables":
+        return SpaceEdit(action, unfix=unfix)
+    fix = {var: draw(st.sampled_from(GRID)) for var in _subset(draw, space.active)}
+    return SpaceEdit(action, fix=fix, unfix=unfix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_legal_edit_yields_a_valid_space(data):
+    space = data.draw(spaces())
+    edit = data.draw(legal_edits(space))
+    before = space.describe()
+    out = apply_edit(space, edit)
+    validate_space(out)
+    assert out.generation == space.generation + 1
+    assert out.full_grid == space.full_grid
+    assert list(out.active) == [v for v in space.full_grid if v in out.active]
+    assert space.describe() == before  # the input space is unchanged
