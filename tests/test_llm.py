@@ -139,6 +139,27 @@ def test_off_grid_plan_values_are_snapped(tmp_path, config):
     assert messages == ["plan repair: W_diff_base value 1.27 snapped to 1.26"]
 
 
+def test_plan_naming_a_param_is_rejected_once_then_accepted(tmp_path, config):
+    promoted = _wire_plan(config)
+    promoted["optimization_configuration"]["variables_to_optimize"]["vcm"] = _optimize(
+        5, [0.6, 0.7, 0.8], "low")
+    backend, messages = _backend(
+        tmp_path,
+        [json.dumps(promoted), json.dumps(_wire_plan(config))],
+        transcripts=TranscriptWriter(tmp_path / "written"),
+    )
+    plan = backend.plan(config, rule_understand(config), 4)
+    assert plan == _wire_plan(config)
+    reason = ("variables_to_optimize names 'vcm', which is not an optimization "
+              "variable and cannot be optimized or unfixed")
+    assert messages == [f"plan: response rejected ({reason})"]
+    assert backend.fallbacks == []
+    prompts = [json.loads(p.read_text())["prompt"]
+               for p in sorted((tmp_path / "written").iterdir())]
+    assert len(prompts) == 2
+    assert f"Your previous response was rejected: {reason}\n" in prompts[1]
+
+
 def test_exhausted_transcript_falls_back_to_the_rule_policy(tmp_path, config):
     backend, messages = _backend(tmp_path, [])
     understanding = backend.understand(config)

@@ -11,15 +11,17 @@ starts themselves) resubmit an evaluated design.
 Edits are drawn legal for their space: expand only a side that is not
 at its grid end, narrow to a contiguous run of two or more values, unfix
 only pinned variables, and change focus between an active and a pinned
-one.
+one. Each legal edit yields exactly what its action names and leaves
+every other variable alone. Illegal edits break one rule each and must
+raise ``IllegalEdit``, never a lookup or value error.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sizerforge.core import EvaluatedDesign, History, design_from
-from sizerforge.errors import InsufficientHistory
+from sizerforge.errors import IllegalEdit, InsufficientHistory
 from sizerforge.optim.pool import MethodConfig, propose
 from sizerforge.optim.turbo import TurboState
 from sizerforge.space import SearchSpace, SpaceEdit, apply_edit, index_rows, validate_space
@@ -171,6 +173,10 @@ def legal_edits(draw, space):
     return SpaceEdit(action, fix=fix, unfix=unfix)
 
 
+def _named(edit):
+    return {**edit.expand, **edit.narrow, **edit.unfix, **edit.fix}
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_every_legal_edit_yields_a_valid_space(data):
@@ -183,3 +189,99 @@ def test_every_legal_edit_yields_a_valid_space(data):
     assert out.full_grid == space.full_grid
     assert list(out.active) == [v for v in space.full_grid if v in out.active]
     assert space.describe() == before  # the input space is unchanged
+
+    for var, kept in edit.narrow.items():
+        assert out.active[var] == kept
+    for var, sides in edit.expand.items():
+        old, new = space.active[var], out.active[var]
+        lo, hi = GRID.index(old[0]), GRID.index(old[-1])
+        below = GRID[max(0, lo - sides["lower"]) : lo]
+        above = GRID[hi + 1 : hi + 1 + sides["upper"]]
+        assert new == below + old + above
+        assert len(below) <= sides["lower"] and len(above) <= sides["upper"]
+    for var, values in edit.unfix.items():
+        assert out.active[var] == tuple(sorted(set(values)))
+        assert var not in out.fixed
+    for var, value in edit.fix.items():
+        assert out.fixed[var] == value
+        assert var not in out.active
+    for var in space.full_grid:
+        if var not in _named(edit):
+            assert out.active.get(var) == space.active.get(var)
+            assert out.fixed.get(var) == space.fixed.get(var)
+
+
+OFF_GRID = (0.9, 3.0)
+
+
+@st.composite
+def illegal_edits(draw, space):
+    """An edit that breaks one rule of its action, of a kind this space allows."""
+    active, fixed = sorted(space.active), sorted(space.fixed)
+    kinds = ["expand_no_positive_side", "narrow_not_contiguous", "narrow_short",
+             "unfix_active", "focus_one_side", "deltas_on_no_op"]
+    closed = [(var, side) for var, values in space.active.items()
+              for side, at_end in (("lower", values[0] == GRID[0]), ("upper", values[-1] == GRID[-1]))
+              if at_end]
+    if closed:
+        kinds.append("expand_closed_end")
+    if any(len(v) < len(GRID) for v in space.active.values()):
+        kinds.append("narrow_strays")
+    if fixed:
+        kinds += ["expand_fixed", "unfix_short", "unfix_off_grid"]
+    kind = draw(st.sampled_from(kinds))
+    var = draw(st.sampled_from(active))
+    values = space.active[var]
+
+    if kind == "expand_closed_end":
+        var, side = draw(st.sampled_from(closed))
+        return SpaceEdit("expand_ranges", expand={var: {side: draw(st.integers(1, 3))}})
+    if kind == "expand_fixed":
+        return SpaceEdit("expand_ranges", expand={draw(st.sampled_from(fixed)): {"upper": 1}})
+    if kind == "expand_no_positive_side":
+        sides = draw(st.fixed_dictionaries({}, optional={"lower": st.integers(-3, 0),
+                                                         "upper": st.integers(-3, 0)}))
+        return SpaceEdit("expand_ranges", expand={var: sides})
+    if kind == "narrow_not_contiguous":
+        kept = tuple(draw(st.lists(st.sampled_from(values), min_size=2, unique=True)))
+        assume(all(values[i : i + len(kept)] != kept for i in range(len(values))))
+        return SpaceEdit("narrow_ranges", narrow={var: kept})
+    if kind == "narrow_short":
+        kept = tuple(draw(st.lists(st.sampled_from(values), max_size=1)))
+        return SpaceEdit("narrow_ranges", narrow={var: kept})
+    if kind == "narrow_strays":
+        var = draw(st.sampled_from([v for v in active if len(space.active[v]) < len(GRID)]))
+        values = space.active[var]
+        stray = draw(st.sampled_from([g for g in GRID + OFF_GRID if g not in values]))
+        return SpaceEdit("narrow_ranges", narrow={var: tuple(sorted({values[0], stray}))})
+    if kind == "unfix_active":
+        return SpaceEdit("unfix_variables", unfix={var: values})
+    if kind == "unfix_short":
+        pin = draw(st.sampled_from(GRID))
+        short = draw(st.sampled_from([(), (pin,), (pin, pin)]))
+        return SpaceEdit("unfix_variables", unfix={draw(st.sampled_from(fixed)): short})
+    if kind == "unfix_off_grid":
+        off = (draw(st.sampled_from(GRID)), draw(st.sampled_from(OFF_GRID)))
+        return SpaceEdit("unfix_variables", unfix={draw(st.sampled_from(fixed)): off})
+    if kind == "focus_one_side":
+        if fixed and draw(st.booleans()):
+            return SpaceEdit("change_focus", unfix={fixed[0]: GRID[:2]})
+        return SpaceEdit("change_focus", fix={var: values[0]})
+    delta = draw(st.sampled_from([
+        {"expand": {var: {"upper": 1}}},
+        {"narrow": {var: values}},
+        {"unfix": {var: values}},
+        {"fix": {var: values[0]}},
+    ]))
+    return SpaceEdit(draw(st.sampled_from(["continue_current", "converged"])), **delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_illegal_edit_raises_illegal_edit(data):
+    space = data.draw(spaces())
+    edit = data.draw(illegal_edits(space))
+    before = space.describe()
+    with pytest.raises(IllegalEdit):
+        apply_edit(space, edit)
+    assert space.describe() == before
