@@ -6,9 +6,10 @@ Both backends expose the same four operations with the same signatures:
 ``decide_outer(report, space, prior_unfixes, sensitivity, config)``.
 The search reaches them only through the diagnostics report, None before
 the first batch; ``remaining`` is at least 1. Each returns the decision
-as its validated wire dict (see ``schemas``); ``decide_outer`` also
-returns the space the decision leads to, None on ``converged``. The
-controller never knows which backend is driving.
+as its validated wire dict (see ``schemas``); ``plan`` and
+``decide_outer`` return it together with the space it leads to, built
+once (``decide_outer``'s is None on ``converged``). The controller never
+knows which backend is driving.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class RuleBackend:
     def understand(self, config) -> dict:
         return rule_understand(config)
 
-    def plan(self, config, understanding: dict, n_to_optimize: int) -> dict:
+    def plan(self, config, understanding: dict, n_to_optimize: int) -> Tuple[dict, SearchSpace]:
         return rule_plan(config, understanding, n_to_optimize)
 
     def decide_inner(self, report, remaining: int, space, config) -> dict:

@@ -9,7 +9,10 @@ lays out its sections and its top designs, with the issue lines and the
 methods list formatted as the report formats them.
 Responses go through parse_agent_json plus op-specific validation (grid
 snapping, method and variable-name checks), which edits the wire dict
-in place; that dict is the decision. A rejected response earns exactly
+in place; that dict is the decision. A plan, and an outer reply that
+regenerates the space, passes one check, snap and build step
+(``planned_space``), and the space it builds is returned with the
+decision, so no caller builds it again. A rejected response earns exactly
 one retry with the rejection reason echoed into the re-prompt, after
 which the rule policy takes over. Transport failures take the same
 exit, and every fallback is kept on ``fallbacks``. Repairs, rejections
@@ -49,7 +52,7 @@ from ..errors import (
     ValueOffGrid,
 )
 from ..optim import MethodConfig, validate_method_config
-from ..space import SearchSpace, SpaceEdit, apply_edit, first_round_from_plan, space_from_plan
+from ..space import SearchSpace, SpaceEdit, apply_edit, space_from_plan
 from .rule import (
     rule_decide_inner,
     rule_decide_outer,
@@ -238,10 +241,25 @@ def snap_to_grid(value: float, grid) -> float:
     return min(grid, key=lambda g: (abs(g - value), g))
 
 
-def snap_plan(configuration: dict, config, log: Callable[[str], None]) -> None:
-    """Replace every off-grid value of a plan's ``optimization_configuration``
-    with its nearest grid value, in place; active lists come out sorted
-    and deduplicated."""
+def planned_space(plan: dict, config, generation: int,
+                  log: Callable[[str], None]) -> SearchSpace:
+    """The space a plan-carrying reply leads to: the one check, snap and
+    build step of the plan and outer validators.
+
+    A reply whose ``optimization_configuration`` names anything but an
+    optimization variable (a permanently-fixed param, say) is rejected.
+    Every off-grid value is then replaced in place by its nearest grid
+    value, active lists sorted and deduplicated, and the space built,
+    which raises on a plan that does not cover the variables."""
+    configuration = plan["optimization_configuration"]
+    allowed = set(config.variables)
+    for section in ("variables_to_optimize", "variables_fixed"):
+        for var in configuration[section]:
+            if var not in allowed:
+                raise IllegalPlan(
+                    f"{section} names {var!r}, which is not an optimization "
+                    "variable and cannot be optimized or unfixed"
+                )
     for var, entry in configuration["variables_to_optimize"].items():
         grid = config.grid_for(var)
         values = set()
@@ -258,19 +276,7 @@ def snap_plan(configuration: dict, config, log: Callable[[str], None]) -> None:
         if snapped != value:
             log(f"plan repair: {var} fixed value {value!r} snapped to {snapped!r}")
         entry["fixed_value"] = snapped
-
-
-def check_variable_names(configuration: dict, config) -> None:
-    """Reject a plan's ``optimization_configuration`` that promotes a
-    permanently-fixed param to a variable."""
-    allowed = set(config.variables)
-    for section in ("variables_to_optimize", "variables_fixed"):
-        for var in configuration[section]:
-            if var not in allowed:
-                raise IllegalPlan(
-                    f"{section} names {var!r}, which is not an optimization "
-                    "variable and cannot be optimized or unfixed"
-                )
+    return space_from_plan(config, plan, generation)
 
 
 # ---------------------------------------------------- prompt contexts
@@ -511,19 +517,16 @@ class LlmBackend:
         return self._decide("understanding", understanding_context(config), None,
                             lambda: rule_understand(config))
 
-    def plan(self, config, understanding: dict, n_to_optimize: int) -> dict:
-        def validate(plan: dict) -> dict:
-            configuration = plan["optimization_configuration"]
-            check_variable_names(configuration, config)
-            snap_plan(configuration, config, self._log)
-            n_optimized = len(configuration["variables_to_optimize"])
+    def plan(self, config, understanding: dict, n_to_optimize: int) -> Tuple[dict, SearchSpace]:
+        def validate(plan: dict) -> Tuple[dict, SearchSpace]:
+            space = planned_space(plan, config, 0, self._log)
+            n_optimized = len(space.active)
             if n_optimized != n_to_optimize:
                 self._log(
                     f"plan: model optimized {n_optimized} variables "
                     f"instead of the requested {n_to_optimize}; accepted"
                 )
-            first_round_from_plan(config, plan)  # dry run, raises on bad coverage
-            return plan
+            return plan, space
 
         return self._decide("plan", plan_context(config, understanding, n_to_optimize), validate,
                             lambda: rule_plan(config, understanding, n_to_optimize))
@@ -571,11 +574,7 @@ class LlmBackend:
         def validate(decision: dict) -> Tuple[dict, Optional[SearchSpace]]:
             next_space = None
             if "optimization_configuration" in decision:
-                configuration = decision["optimization_configuration"]
-                check_variable_names(configuration, config)
-                snap_plan(configuration, config, self._log)
-                # raises PlanIncomplete / ValueOffGrid when malformed
-                next_space = space_from_plan(config, decision, generation=space.generation + 1)
+                next_space = planned_space(decision, config, space.generation + 1, self._log)
             if decision["action_taken"] == "converged":
                 next_space = None
             elif next_space is None:  # continue_current arrives without a plan

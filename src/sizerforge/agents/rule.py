@@ -9,9 +9,10 @@ least one): stop on spec-met or on a diverse plateau, otherwise pick a
 method by history depth. Outer policy, in priority order: converged on
 feasible, unfix on stagnation, expand on boundary clustering, change
 focus on converged variables, continue on progress, narrow only on
-overwhelming concentration. The outer policy applies its own edit and
-returns the next space with the decision; an unfix after an earlier
-one opens a wider window.
+overwhelming concentration. The plan and outer policies return the
+decision together with the space it leads to: the plan's space, or the
+outer policy's own edit applied; an unfix after an earlier one opens a
+wider window.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..diagnostics import DiagnosticsReport
-from ..space import SearchSpace, SpaceEdit, apply_edit, unfix_window
+from ..space import SearchSpace, SpaceEdit, apply_edit, space_from_plan, unfix_window
 from ..specexpr import parse_spec, split_directions
 from .schemas import SENSITIVITY_LEVELS
 
@@ -82,12 +83,12 @@ def target_metric(config) -> str:
     return config.metrics[0]
 
 
-def rule_plan(config, understanding: dict, n_to_optimize: int) -> dict:
-    """The first ``n_to_optimize`` variables in declaration order active
-    on 5 evenly spaced grid values (extremes included); the rest pinned
-    at the grid median. Every variable ranks "medium": without a model
-    there is no evidence to order them by, so ``understanding`` is not
-    consulted."""
+def rule_plan(config, understanding: dict, n_to_optimize: int) -> Tuple[dict, SearchSpace]:
+    """The plan and its first-round space: the first ``n_to_optimize``
+    variables in declaration order active on 5 evenly spaced grid values
+    (extremes included); the rest pinned at the grid median. Every
+    variable ranks "medium": without a model there is no evidence to
+    order them by, so ``understanding`` is not consulted."""
     variables = list(config.variables)
     if not 1 <= n_to_optimize <= len(variables):
         raise ValueError(f"n_to_optimize must be in 1..{len(variables)}")
@@ -125,20 +126,17 @@ def rule_plan(config, understanding: dict, n_to_optimize: int) -> dict:
                 "risk_if_suboptimal": "medium",
             }
 
-    reduced = 1
-    for entry in optimize.values():
-        reduced *= entry["num_choices"]
+    configuration = {"variables_to_optimize": optimize, "variables_fixed": fixed}
+    space = space_from_plan(config, {"optimization_configuration": configuration}, 0)
+    reduced = space.cardinality()
     original = config.full_grid_cardinality()
     factor = original / reduced
-    per_var = " * ".join(str(e["num_choices"]) for e in optimize.values()) or "1"
-    return {
+    per_var = " * ".join(str(e["num_choices"]) for e in optimize.values())
+    plan = {
         "optimization_target": target_metric(config),
         "num_variables_to_optimize": n_to_optimize,
         "variable_ranking": ranking,
-        "optimization_configuration": {
-            "variables_to_optimize": optimize,
-            "variables_fixed": fixed,
-        },
+        "optimization_configuration": configuration,
         "search_space_summary": {
             "original_full_space": original,
             "reduced_search_space": reduced,
@@ -147,6 +145,7 @@ def rule_plan(config, understanding: dict, n_to_optimize: int) -> dict:
             "explanation": "sparse even coverage of the top-ranked variables",
         },
     }
+    return plan, space
 
 
 def _stop(reason: str, assessment: str) -> dict:

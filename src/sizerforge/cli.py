@@ -75,7 +75,7 @@ def _evaluator_override(config, choice):
     base = evaluator_from_config(config)
     if choice == "spice":
         return dataclasses.replace(base, kind="spice")
-    model_id = base.model_id or config.passthrough.get("surrogate_model")
+    model_id = config.passthrough.get("surrogate_model")
     if not model_id:
         raise ConfigError(
             "--evaluator surrogate needs a surrogate_model key in the config"

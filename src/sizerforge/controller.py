@@ -31,7 +31,9 @@ Both emit an ordered decision log with no timestamps, so two runs with
 identical inputs (or a replayed transcript) compare byte for byte. Each
 agent decision is logged as the wire dict the backend returned, and the
 controller acts on that same dict; the log is serialized only when the
-run ends, so no decision is changed after it is logged.
+run ends, so no decision is changed after it is logged. The plan and
+each outer decision come back with the space they lead to, which the
+controller searches as it is and never builds again.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import BudgetOverrun, ConfigError, InsufficientHistory, UnknownMeth
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
 from .optim.turbo import TurboState
-from .space import SearchSpace, first_round_from_plan, space_from_config
+from .space import SearchSpace, space_from_config
 from .specexpr import parse_spec
 
 BASELINE_ALGORITHMS = ("lhs", "ga_baseline", "bo_baseline", "turbo_baseline")
@@ -83,7 +85,6 @@ class RunBudget:
     total_evals: int = 300
     per_inner_loop: int = 100
     max_outer_loops: int = 3
-    wall_clock_limit_s: Optional[float] = None
 
 
 @dataclass
@@ -201,10 +202,6 @@ class _Run:
     def iteration(self) -> int:
         """Iteration number of the next batch (one summary per batch)."""
         return len(self.history.iteration_summaries) + 1
-
-    def out_of_time(self) -> bool:
-        limit = self.budget.wall_clock_limit_s
-        return limit is not None and (time.monotonic() - self.t0) > limit
 
     def batch(self, space: SearchSpace, mcfg: MethodConfig, label: str, limit: int,
               scope: dict, **extra) -> Optional[str]:
@@ -342,8 +339,7 @@ def run(
         space = space_from_config(config)
         job.log("plan", backend="none", payload={"skipped": "full grid, no planning round"})
     else:
-        plan = backend.plan(config, understanding, min(4, len(config.variables)))
-        space = first_round_from_plan(config, plan)
+        plan, space = backend.plan(config, understanding, min(4, len(config.variables)))
         optimized = plan["optimization_configuration"]["variables_to_optimize"]
         sensitivity = {var: entry["sensitivity"] for var, entry in optimized.items()}
         job.log("plan", backend=backend.name, payload=plan)
@@ -359,14 +355,9 @@ def run(
         scope = {"loop": loop_idx}
         loop_start_used, loop_start_iteration = job.used, job.iteration
         job.stalled = 0
-        stop_run: Optional[str] = None
         analyzed = None  # a stop decision's report; no batch ran after it
 
         while True:
-            if job.out_of_time():
-                job.log("event", event="wall_clock_limit", **scope)
-                stop_run = "wall_clock"
-                break
             if history.feasible_found():
                 job.log("event", event="feasible_found", **scope)
                 break
@@ -400,9 +391,6 @@ def run(
 
         report = job.report(loop_idx, space, analyzed)
 
-        if stop_run is not None:
-            outcome = stop_run
-            break
         if history.feasible_found():
             outcome = "feasible"
             job.log("event", event="run_feasible", **scope)
@@ -465,10 +453,6 @@ def run_baseline(
 
     outcome = "budget_exhausted"
     while job.used < budget.total_evals:
-        if job.out_of_time():
-            job.log("event", event="wall_clock_limit")
-            outcome = "wall_clock"
-            break
         remaining = budget.total_evals - job.used
         iteration = job.iteration
         extra = {}

@@ -37,7 +37,7 @@ from .core import (
     SIM_OK,
     assess,
 )
-from .errors import EvaluatorUnavailable, UnknownModel
+from .errors import ConfigError, EvaluatorUnavailable, UnknownModel
 from .specexpr import SpecExpr
 from .surrogates import get_model
 
@@ -72,6 +72,8 @@ def evaluator_from_config(config: BenchmarkConfig) -> EvaluatorSpec:
     selects the surrogate bench, otherwise SPICE."""
     if config.passthrough.get("evaluator") == "surrogate":
         model_id = config.passthrough.get("surrogate_model")
+        if model_id is None:
+            raise ConfigError("evaluator: surrogate needs a surrogate_model key in the config")
         return EvaluatorSpec(kind="surrogate", model_id=str(model_id))
     return EvaluatorSpec(kind="spice")
 

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -28,6 +28,7 @@ import yaml
 from .agents import make_backend
 from .config import BenchmarkConfig, load_config
 from .controller import BASELINE_ALGORITHMS, RunBudget, RunResult, run, run_baseline
+from .core import SIM_OK
 from .errors import ConfigError
 
 DEFAULT_TRIALS = 3
@@ -105,12 +106,10 @@ def parse_matrix(source: str) -> TrialMatrix:
     raw_budget = doc.get("budget", {})
     if not isinstance(raw_budget, dict):
         raise ConfigError("'budget' must be a mapping")
-    budget = RunBudget(
-        total_evals=int(raw_budget.get("total_evals", RunBudget.total_evals)),
-        per_inner_loop=int(raw_budget.get("per_inner_loop", RunBudget.per_inner_loop)),
-        max_outer_loops=int(raw_budget.get("max_outer_loops", RunBudget.max_outer_loops)),
-        wall_clock_limit_s=raw_budget.get("wall_clock_limit_s"),
-    )
+    unknown = set(raw_budget) - {f.name for f in fields(RunBudget)}
+    if unknown:
+        raise ConfigError(f"unknown budget keys {sorted(unknown)}")
+    budget = RunBudget(**{key: int(value) for key, value in raw_budget.items()})
     return TrialMatrix(
         circuits=[str(c) for c in circuits],
         methods=[str(m) for m in methods],
@@ -153,12 +152,16 @@ def _run_trial(
 
 
 def _trajectory(result: RunResult) -> List[tuple]:
+    """Best FoM so far at each evaluation, by the rule of
+    ``History.reported()``: the best feasible FoM once one exists, else
+    the best FoM."""
     rows = []
-    best = None
+    best = None  # (feasible, fom): a feasible record outranks every infeasible one
     for record in result.history.records:
-        if record.fom is not None and (best is None or record.fom > best):
-            best = record.fom
-        rows.append((record.eval_index, best))
+        if record.sim_status == SIM_OK and record.fom is not None:
+            key = (record.feasible, record.fom)
+            best = key if best is None else max(best, key)
+        rows.append((record.eval_index, None if best is None else best[1]))
     return rows
 
 
@@ -269,12 +272,7 @@ def run_matrix(
             "methods": list(matrix.methods),
             "trials_per_cell": matrix.trials_per_cell,
             "seeds": seeds,
-            "budget": {
-                "total_evals": matrix.budget.total_evals,
-                "per_inner_loop": matrix.budget.per_inner_loop,
-                "max_outer_loops": matrix.budget.max_outer_loops,
-                "wall_clock_limit_s": matrix.budget.wall_clock_limit_s,
-            },
+            "budget": asdict(matrix.budget),
         },
         "cells": cells,
     }

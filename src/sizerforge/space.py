@@ -2,6 +2,14 @@
 discrete value lists, fixed variables with pinned values, and the edit
 operations the outer loop applies.
 
+A space is built here in one of two ways: ``space_from_plan`` from a
+plan's wire dict (the first round, or an outer reply that regenerates
+the space) and ``apply_edit`` from a ``SpaceEdit``. Every plan and outer
+decision comes back from its backend together with the space it leads
+to, built once by one of these. ``validate_space`` is the one judge of
+a legal space; ``apply_edit`` checks only what is particular to each
+action and leaves the rest to it.
+
 Spaces are persistent: every edit returns a new snapshot with the
 generation counter bumped, so each outer-loop generation stays
 inspectable in the run report. The full grid is the universal value
@@ -34,10 +42,6 @@ class SearchSpace:
     fixed: Mapping[str, float]
     full_grid: Mapping[str, Tuple[float, ...]]
     generation: int = 0
-
-    @property
-    def variables(self) -> List[str]:
-        return list(self.full_grid)
 
     def cardinality(self) -> int:
         return prod(len(v) for v in self.active.values()) if self.active else 1
@@ -131,8 +135,26 @@ def unfix_window(grid: Sequence[float], pin: float, n_values: int) -> Tuple[floa
     return tuple(grid[lo : hi + 1])
 
 
+def _named(deltas: Mapping, variables: Mapping, action: str, verb: str) -> Iterable[tuple]:
+    """The deltas' items, once the action carries some and each names
+    one of ``variables``."""
+    if not deltas:
+        raise IllegalEdit(f"{action} carries no variables to {verb}")
+    for var in deltas:
+        if var not in variables:
+            raise IllegalEdit(f"{action} cannot {verb} {var!r}")
+    return deltas.items()
+
+
 def apply_edit(space: SearchSpace, edit: SpaceEdit) -> SearchSpace:
-    """Apply one edit, returning a new generation. The input is unchanged."""
+    """Apply one edit, returning a new generation. The input is unchanged.
+
+    Only each action's own rules are checked here: expand, narrow and
+    fix name active variables and unfix names fixed ones, an expand adds
+    at least one value and does not pass a closed grid end, and a narrow
+    keeps a contiguous run. ``validate_space`` judges the rest of the
+    result: value counts, order, grid membership and coverage.
+    """
     if edit.action not in ACTIONS:
         raise IllegalEdit(f"unknown action {edit.action!r}")
 
@@ -145,89 +167,33 @@ def apply_edit(space: SearchSpace, edit: SpaceEdit) -> SearchSpace:
     fixed: Dict[str, float] = dict(space.fixed)
 
     if edit.action == "expand_ranges":
-        if not edit.expand:
-            raise IllegalEdit("expand_ranges carries no deltas")
-        for var, sides in edit.expand.items():
-            if var not in active:
-                raise IllegalEdit(f"cannot expand inactive variable {var!r}")
-            grid = list(space.full_grid[var])
-            values = list(active[var])
-            lo_idx = grid.index(values[0])
-            hi_idx = grid.index(values[-1])
-            want_lower = int(sides.get("lower", 0))
-            want_upper = int(sides.get("upper", 0))
-            if want_lower < 0 or want_upper < 0 or (want_lower == 0 and want_upper == 0):
+        for var, sides in _named(edit.expand, space.active, edit.action, "expand"):
+            grid, values = tuple(space.full_grid[var]), active[var]
+            lo, hi = grid.index(values[0]), grid.index(values[-1])
+            lower, upper = int(sides.get("lower", 0)), int(sides.get("upper", 0))
+            if min(lower, upper) < 0 or lower + upper == 0:
                 raise IllegalEdit(f"expand for {var!r} must add at least one value")
-            if want_lower:
-                if lo_idx == 0:
-                    raise IllegalEdit(
-                        f"{var!r} lower boundary at grid end: boundary unexpandable"
-                    )
-                take = min(want_lower, lo_idx)  # clip when fewer values remain
-                values = grid[lo_idx - take : lo_idx] + values
-            if want_upper:
-                if hi_idx == len(grid) - 1:
-                    raise IllegalEdit(
-                        f"{var!r} upper boundary at grid end: boundary unexpandable"
-                    )
-                take = min(want_upper, len(grid) - 1 - hi_idx)
-                values = values + grid[hi_idx + 1 : hi_idx + 1 + take]
-            active[var] = tuple(values)
+            if (lower and lo == 0) or (upper and hi == len(grid) - 1):
+                raise IllegalEdit(f"{var!r} boundary at grid end: boundary unexpandable")
+            # clip when fewer values remain
+            active[var] = grid[max(0, lo - lower) : lo] + values + grid[hi + 1 : hi + 1 + upper]
 
     elif edit.action == "narrow_ranges":
-        if not edit.narrow:
-            raise IllegalEdit("narrow_ranges carries no deltas")
-        for var, kept in edit.narrow.items():
-            if var not in active:
-                raise IllegalEdit(f"cannot narrow inactive variable {var!r}")
-            kept = tuple(kept)
-            current = active[var]
-            if len(kept) < 2:
-                raise IllegalEdit(f"narrowing {var!r} below 2 values")
-            if not set(kept) <= set(current):
-                raise IllegalEdit(f"narrow for {var!r} keeps values outside the active list")
-            # kept values must form a contiguous run of the current list
-            start = current.index(kept[0])
-            if current[start : start + len(kept)] != kept:
+        for var, kept in _named(edit.narrow, space.active, edit.action, "narrow"):
+            kept, current = tuple(kept), active[var]
+            if all(current[i : i + len(kept)] != kept for i in range(len(current))):
                 raise IllegalEdit(f"narrow for {var!r} must keep a contiguous run")
             active[var] = kept
 
-    elif edit.action == "unfix_variables":
-        if not edit.unfix:
-            raise IllegalEdit("unfix_variables carries no deltas")
-        for var, values in edit.unfix.items():
-            if var in active:
-                raise IllegalEdit(f"{var!r} is already active")
-            if var not in fixed:
-                raise IllegalEdit(f"{var!r} is not a variable of this space")
-            values = tuple(sorted(set(values)))
-            if len(values) < 2:
-                raise IllegalEdit(f"unfix of {var!r} needs at least 2 values")
-            if not set(values) <= set(space.full_grid[var]):
-                raise IllegalEdit(f"unfix of {var!r} uses off-grid values")
+    else:  # unfix_variables, change_focus
+        if edit.action == "change_focus":
+            for var, value in _named(edit.fix, space.active, edit.action, "fix"):
+                del active[var]
+                fixed[var] = value
+        for var, values in _named(edit.unfix, space.fixed, edit.action, "unfix"):
             del fixed[var]
-            active[var] = values
+            active[var] = tuple(sorted(set(values)))
         # keep declaration order stable
-        active = {v: active[v] for v in space.full_grid if v in active}
-
-    elif edit.action == "change_focus":
-        if not edit.fix or not edit.unfix:
-            raise IllegalEdit("change_focus needs one variable to fix and one to unfix")
-        for var, value in edit.fix.items():
-            if var not in active:
-                raise IllegalEdit(f"cannot fix inactive variable {var!r}")
-            if value not in space.full_grid[var]:
-                raise IllegalEdit(f"fix value {value!r} for {var!r} is off the grid")
-            del active[var]
-            fixed[var] = value
-        for var, values in edit.unfix.items():
-            if var not in fixed or var in active:
-                raise IllegalEdit(f"{var!r} cannot be unfixed")
-            values = tuple(sorted(set(values)))
-            if len(values) < 2 or not set(values) <= set(space.full_grid[var]):
-                raise IllegalEdit(f"unfix of {var!r} has an illegal value list")
-            del fixed[var]
-            active[var] = values
         active = {v: active[v] for v in space.full_grid if v in active}
 
     out = SearchSpace(
@@ -240,24 +206,16 @@ def apply_edit(space: SearchSpace, edit: SpaceEdit) -> SearchSpace:
     return out
 
 
-def first_round_from_plan(config, plan: Mapping) -> SearchSpace:
-    """Build the initial space from a plan's wire dict.
+def space_from_plan(config, plan: Mapping, generation: int) -> SearchSpace:
+    """The space a plan's wire dict leads to; only its
+    ``optimization_configuration`` is read.
 
     Every config variable must appear exactly once as optimize-or-fixed;
     active lists are sorted, deduplicated and must land on the grid with
-    3 to 7 values each (sparse first-round coverage).
+    3 to 7 values each at generation 0 (sparse first-round coverage) and
+    2 to 7 in a regenerated space.
     """
-    return _space_from_plan(config, plan, generation=0, min_values=3, max_values=7)
-
-
-def space_from_plan(config, plan: Mapping, generation: int) -> SearchSpace:
-    """Regenerated space from an outer reply that carries a plan (2-7
-    values per variable). Like ``first_round_from_plan`` it reads only
-    the reply's ``optimization_configuration``."""
-    return _space_from_plan(config, plan, generation=generation, min_values=2, max_values=7)
-
-
-def _space_from_plan(config, plan: Mapping, generation, min_values, max_values) -> SearchSpace:
+    min_values = 3 if generation == 0 else 2
     grid = {v: tuple(config.grid_for(v)) for v in config.variables}
     names = set(config.variables)
     optimize = plan["optimization_configuration"]["variables_to_optimize"]
@@ -282,10 +240,9 @@ def _space_from_plan(config, plan: Mapping, generation, min_values, max_values) 
                 if value not in grid[var]:
                     raise ValueOffGrid(var, value)
             values = tuple(sorted(set(raw)))
-            if not (min_values <= len(values) <= max_values):
+            if not (min_values <= len(values) <= 7):
                 raise PlanIncomplete(
-                    f"{var!r}: active list must have {min_values}-{max_values} values, "
-                    f"got {len(values)}"
+                    f"{var!r}: active list must have {min_values}-7 values, got {len(values)}"
                 )
             active[var] = values
         else:

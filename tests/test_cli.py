@@ -38,7 +38,7 @@ def test_run_records_one_transcript_per_model_call_and_they_replay(capsys, tmp_p
     understanding = rule_understand(config)
     replies = [
         json.dumps(understanding),
-        json.dumps(rule_plan(config, understanding, 4)),
+        json.dumps(rule_plan(config, understanding, 4)[0]),
         json.dumps({"action": "search", "method": "lhs", "n_samples": 12, "parameters": {},
                     "reasoning": "r", "confidence": "medium",
                     "expected_improvement": "some", "convergence_assessment": "early"}),

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from sizerforge.config import load_config
+from sizerforge.config import load_config, parse_config
 from sizerforge.core import METRIC_MISSING, SIM_FAILED, SIM_OK, design_from
-from sizerforge.evaluation import EvaluatorSpec, ResultCache, evaluate_batch
+from sizerforge.errors import ConfigError
+from sizerforge.evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from sizerforge.specexpr import parse_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -71,3 +72,9 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, name, workers
         assert all(r.fom is None and not r.feasible for r in records)
     # decks are temporary: nothing is left in the work directory but the stand-in
     assert os.listdir(tmp_path) == [f"ngspice_{name}"]
+
+
+def test_a_surrogate_config_without_a_model_fails_up_front():
+    source = (CONFIGS / "sota_easy.yaml").read_text().replace("surrogate_model: sota_easy\n", "")
+    with pytest.raises(ConfigError, match="surrogate_model"):
+        evaluator_from_config(parse_config(source))

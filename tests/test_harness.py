@@ -1,10 +1,15 @@
-"""Trial matrix: spec verdicts on configs whose simulators report no fom."""
+"""Trial matrix: spec verdicts on configs whose simulators report no fom,
+trajectories that end at the reported design, and the budget keys a
+matrix file may set."""
 
 from pathlib import Path
 
+import pytest
+
 from sizerforge.config import load_config
 from sizerforge.controller import RunBudget, run_baseline
-from sizerforge.harness import TrialMatrix, run_matrix
+from sizerforge.errors import ConfigError
+from sizerforge.harness import TrialMatrix, parse_matrix, run_matrix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -25,3 +30,21 @@ def test_run_matrix_substitutes_engine_fom_for_the_fom_clause():
         assert trial["feasible"] == result.feasible_found
     # sota_med meets its spec within 20 lhs evaluations on both seeds
     assert [c["summary"]["sr_pct"] for c in report["cells"]] == [100.0, 0.0]
+
+
+def test_trajectory_ends_at_the_reported_design():
+    # sota_easy's best FoM points fail the spec, so a trajectory over every
+    # record ends above the feasible design the run reports
+    matrix = TrialMatrix(circuits=[str(CONFIGS / "sota_easy.yaml")], methods=["autosizer"],
+                         seeds=[0, 1], trials_per_cell=2, budget=RunBudget(total_evals=60))
+    trials = run_matrix(matrix)["cells"][0]["trials"]
+    assert [t["feasible"] for t in trials] == [True, True]
+    for trial in trials:
+        assert trial["trajectory"][-1][1] == trial["fom"]
+
+
+def test_parse_matrix_rejects_unknown_budget_keys():
+    source = "circuits: [c.yaml]\nmethods: [lhs]\nbudget: {total_evals: 60, wall_clock_limit_s: 5}\n"
+    with pytest.raises(ConfigError, match="wall_clock_limit_s"):
+        parse_matrix(source)
+    assert parse_matrix(source.replace(", wall_clock_limit_s: 5", "")).budget == RunBudget(60)

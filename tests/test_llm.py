@@ -29,7 +29,6 @@ from sizerforge.config import load_config, render_template
 from sizerforge.controller import RunBudget, run
 from sizerforge.diagnostics import analyze
 from sizerforge.errors import ConfigError, LlmTransport, Timeout
-from sizerforge.space import first_round_from_plan
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -55,7 +54,7 @@ def _backend(tmp_path, replies, **kwargs):
 
 def _wire_plan(config, off_grid=None):
     """The rule plan on the wire, optionally with one value moved off the grid."""
-    wire = rule_plan(config, rule_understand(config), 4)
+    wire, _ = rule_plan(config, rule_understand(config), 4)
     if off_grid is not None:
         var, index, value = off_grid
         wire["optimization_configuration"]["variables_to_optimize"][var]["search_space"][index] = value
@@ -88,7 +87,7 @@ def test_fenced_and_prose_wrapped_replies_are_repaired(tmp_path, config):
     ]
     backend, messages = _backend(tmp_path, replies)
     got = backend.understand(config)
-    plan = backend.plan(config, got, 4)
+    plan, _ = backend.plan(config, got, 4)
     assert got == understanding
     assert plan == _wire_plan(config)
     assert messages == ["understanding: stripped code fences", "plan: trimmed surrounding prose"]
@@ -96,7 +95,7 @@ def test_fenced_and_prose_wrapped_replies_are_repaired(tmp_path, config):
 
 
 def test_reply_rejected_once_then_accepted_echoes_the_reason(tmp_path, config):
-    space = first_round_from_plan(config, rule_plan(config, rule_understand(config), 4))
+    _, space = rule_plan(config, rule_understand(config), 4)
     backend, messages = _backend(
         tmp_path,
         [_inner("nelder_mead", 10), _inner("lhs", 12)],
@@ -115,7 +114,7 @@ def test_reply_rejected_once_then_accepted_echoes_the_reason(tmp_path, config):
 
 
 def test_reply_rejected_twice_falls_back_to_the_rule_policy(tmp_path, config):
-    space = first_round_from_plan(config, rule_plan(config, rule_understand(config), 4))
+    _, space = rule_plan(config, rule_understand(config), 4)
     backend, messages = _backend(tmp_path, ["no json here", _inner("lhs", 0)])
     decision = backend.decide_inner(None, REMAINING, space, config=config)
     assert decision == rule_decide_inner(None, REMAINING, space)
@@ -132,10 +131,10 @@ def test_off_grid_plan_values_are_snapped(tmp_path, config):
     backend, messages = _backend(
         tmp_path, [json.dumps(_wire_plan(config, off_grid=("W_diff_base", 1, 1.27)))]
     )
-    plan = backend.plan(config, rule_understand(config), 4)
+    plan, space = backend.plan(config, rule_understand(config), 4)
     optimized = plan["optimization_configuration"]["variables_to_optimize"]
     assert optimized["W_diff_base"]["search_space"] == [0.84, 1.26, 1.68, 2.1, 2.52]
-    assert plan == _wire_plan(config)
+    assert (plan, space) == rule_plan(config, rule_understand(config), 4)
     assert messages == ["plan repair: W_diff_base value 1.27 snapped to 1.26"]
 
 
@@ -148,8 +147,8 @@ def test_plan_naming_a_param_is_rejected_once_then_accepted(tmp_path, config):
         [json.dumps(promoted), json.dumps(_wire_plan(config))],
         transcripts=TranscriptWriter(tmp_path / "written"),
     )
-    plan = backend.plan(config, rule_understand(config), 4)
-    assert plan == _wire_plan(config)
+    plan, space = backend.plan(config, rule_understand(config), 4)
+    assert (plan, space) == rule_plan(config, rule_understand(config), 4)
     reason = ("variables_to_optimize names 'vcm', which is not an optimization "
               "variable and cannot be optimized or unfixed")
     assert messages == [f"plan: response rejected ({reason})"]

@@ -9,7 +9,6 @@ from sizerforge.space import (
     SearchSpace,
     SpaceEdit,
     apply_edit,
-    first_round_from_plan,
     full_space,
     index_rows,
     space_from_config,
@@ -45,7 +44,7 @@ def test_full_space_covers_grid():
 def test_space_from_config_matches_declared_grid():
     config = load_config("configs/telescopic_ota.yaml")
     space = space_from_config(config)
-    assert space.variables == config.variables
+    assert list(space.full_grid) == config.variables
     assert space.cardinality() == 6561
     for var in config.variables:
         assert list(space.active[var]) == config.grid_for(var)
@@ -217,7 +216,7 @@ def _entries(plan, section):
 
 def test_first_round_plan_cardinality_and_reduction():
     config = load_config("configs/telescopic_ota.yaml")
-    space = first_round_from_plan(config, _fig_plan())
+    space = space_from_plan(config, _fig_plan(), 0)
     assert space.cardinality() == 80
     assert config.full_grid_cardinality() / space.cardinality() == 82.0125
     assert space.fixed == {"W_casc_base": 1.89}
@@ -229,7 +228,7 @@ def test_plan_must_cover_every_variable():
     plan = _fig_plan()
     del _entries(plan, "variables_fixed")["W_casc_base"]
     with pytest.raises(PlanIncomplete):
-        first_round_from_plan(config, plan)
+        space_from_plan(config, plan, 0)
 
 
 def test_plan_rejects_unknown_variable():
@@ -237,7 +236,7 @@ def test_plan_rejects_unknown_variable():
     plan = _fig_plan()
     _entries(plan, "variables_fixed")["W_ghost"] = {"fixed_value": 1.89}
     with pytest.raises(PlanIncomplete):
-        first_round_from_plan(config, plan)
+        space_from_plan(config, plan, 0)
 
 
 def test_plan_rejects_off_grid_value():
@@ -245,7 +244,7 @@ def test_plan_rejects_off_grid_value():
     plan = _fig_plan()
     _entries(plan, "variables_to_optimize")["W_diff_base"]["search_space"] = [0.84, 1.0, 1.68]
     with pytest.raises(ValueOffGrid):
-        first_round_from_plan(config, plan)
+        space_from_plan(config, plan, 0)
 
 
 def test_first_round_value_count_limits():
@@ -254,7 +253,7 @@ def test_first_round_value_count_limits():
     # below the 3-value floor
     _entries(plan, "variables_to_optimize")["W_diff_base"]["search_space"] = [0.84, 1.26]
     with pytest.raises(PlanIncomplete):
-        first_round_from_plan(config, plan)
+        space_from_plan(config, plan, 0)
     # a regenerated space accepts 2-value lists
     space = space_from_plan(config, plan, generation=2)
     assert space.active["W_diff_base"] == (0.84, 1.26)
@@ -265,5 +264,5 @@ def test_plan_values_are_sorted_and_deduped():
     config = load_config("configs/telescopic_ota.yaml")
     plan = _fig_plan()
     _entries(plan, "variables_to_optimize")["W_diff_base"]["search_space"] = [2.52, 0.84, 1.68, 0.84]
-    space = first_round_from_plan(config, plan)
+    space = space_from_plan(config, plan, 0)
     assert space.active["W_diff_base"] == (0.84, 1.68, 2.52)
