@@ -9,10 +9,13 @@ lays out its sections and its top designs, with the issue lines and the
 methods list formatted as the report formats them.
 Responses go through parse_agent_json plus op-specific validation (grid
 snapping, method and variable-name checks), which edits the wire dict
-in place; that dict is the decision. A plan, and an outer reply that
-regenerates the space, passes one check, snap and build step
-(``planned_space``), and the space it builds is returned with the
-decision, so no caller builds it again. A rejected response earns exactly
+in place; that dict is the decision. An inner search must name one of
+the orchestrated methods (or the optuna alias), never a baseline. A
+plan, and an outer reply that regenerates the space, passes one check,
+snap and build step (``planned_space``), and the space it builds is
+returned with the decision, so no caller builds it again; a
+``converged`` reply's configuration is never searched, so it is
+neither checked nor built. A rejected response earns exactly
 one retry with the rejection reason echoed into the re-prompt, after
 which the rule policy takes over. Transport failures take the same
 exit, and every fallback is kept on ``fallbacks``. Repairs, rejections
@@ -51,7 +54,7 @@ from ..errors import (
     UnknownMethod,
     ValueOffGrid,
 )
-from ..optim import MethodConfig, validate_method_config
+from ..optim.pool import ORCHESTRATED, MethodConfig, validate_method_config
 from ..space import SearchSpace, SpaceEdit, apply_edit, space_from_plan
 from .rule import (
     rule_decide_inner,
@@ -547,6 +550,9 @@ class LlmBackend:
                         parameters=decision["parameters"],
                     )
                 )
+                if checked.method not in ORCHESTRATED:
+                    raise UnknownMethod(f"unknown method {decision['method']!r}: the inner "
+                                        f"loop orchestrates {', '.join(ORCHESTRATED)}")
                 decision["method"] = checked.method
                 decision["parameters"] = dict(checked.parameters)
                 if decision["n_samples"] > remaining:
@@ -572,14 +578,12 @@ class LlmBackend:
         space, the current one a generation on for ``continue_current``
         without a plan, None on ``converged``."""
         def validate(decision: dict) -> Tuple[dict, Optional[SearchSpace]]:
-            next_space = None
+            if decision["action_taken"] == "converged":  # its configuration is never searched
+                return decision, None
             if "optimization_configuration" in decision:
-                next_space = planned_space(decision, config, space.generation + 1, self._log)
-            if decision["action_taken"] == "converged":
-                next_space = None
-            elif next_space is None:  # continue_current arrives without a plan
-                next_space = apply_edit(space, SpaceEdit(action="continue_current"))
-            return decision, next_space
+                return decision, planned_space(decision, config, space.generation + 1, self._log)
+            # continue_current arrives without a plan
+            return decision, apply_edit(space, SpaceEdit(action="continue_current"))
 
         return self._decide(
             "outer", outer_context(report, space, config), validate,

@@ -212,10 +212,9 @@ def space_from_plan(config, plan: Mapping, generation: int) -> SearchSpace:
 
     Every config variable must appear exactly once as optimize-or-fixed;
     active lists are sorted, deduplicated and must land on the grid with
-    3 to 7 values each at generation 0 (sparse first-round coverage) and
-    2 to 7 in a regenerated space.
+    3 to 7 values each at generation 0 (sparse first-round coverage; a
+    shorter grid is taken whole) and 2 to 7 in a regenerated space.
     """
-    min_values = 3 if generation == 0 else 2
     grid = {v: tuple(config.grid_for(v)) for v in config.variables}
     names = set(config.variables)
     optimize = plan["optimization_configuration"]["variables_to_optimize"]
@@ -240,6 +239,7 @@ def space_from_plan(config, plan: Mapping, generation: int) -> SearchSpace:
                 if value not in grid[var]:
                     raise ValueOffGrid(var, value)
             values = tuple(sorted(set(raw)))
+            min_values = min(3, len(grid[var])) if generation == 0 else 2
             if not (min_values <= len(values) <= 7):
                 raise PlanIncomplete(
                     f"{var!r}: active list must have {min_values}-7 values, got {len(values)}"

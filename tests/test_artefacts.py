@@ -32,6 +32,10 @@ BASELINE_DIGESTS = {
     ("turbo_baseline", "sota_hard"): "10664dbd30aba464461ae0db49ff6414768535b43e8143c1ada15e7c4ab76339",
 }
 
+# turbo_baseline on sota_hard, 300 evaluations, seed 0: its trust region
+# collapses and restarts once, which no 60-evaluation run reaches
+TURBO_RESTART_DIGEST = "567728317be45d3af85a12a4d3560aa2b207a123be9c4128d75f2aceccb14138"
+
 # rule backend on sota_hard, default budget, seed 0; sota_hard reaches a
 # second outer loop without ablation and the outer cap under no_oe. The
 # single-outer-loop ablation (SRL) keeps its row and digest as
@@ -61,12 +65,16 @@ def _check(result, budget, results_dir):
     return artefact_digest(results_dir)
 
 
-def _baseline_digest(algorithm, name, workers, tmp_path):
-    out = tmp_path / f"{algorithm}_{name}_w{workers}"
-    budget = RunBudget(total_evals=60)
+def _baseline_run(algorithm, name, workers, tmp_path, total_evals=60):
+    out = tmp_path / f"{algorithm}_{name}_{total_evals}_w{workers}"
+    budget = RunBudget(total_evals=total_evals)
     config = load_config(str(CONFIGS / f"{name}.yaml"))
     result = run_baseline(config, algorithm, budget, 0, workers=workers, results_dir=str(out))
-    return _check(result, budget, out)
+    return result, _check(result, budget, out)
+
+
+def _baseline_digest(algorithm, name, workers, tmp_path):
+    return _baseline_run(algorithm, name, workers, tmp_path)[1]
 
 
 def _run_digest(ablation, workers, tmp_path):
@@ -83,6 +91,14 @@ def test_baseline_artefacts_match_golden(algorithm, name, tmp_path):
     digest = _baseline_digest(algorithm, name, 1, tmp_path)
     assert digest == BASELINE_DIGESTS[(algorithm, name)]
     assert _baseline_digest(algorithm, name, 2, tmp_path) == digest
+
+
+def test_turbo_restart_artefacts_match_golden(tmp_path):
+    result, digest = _baseline_run("turbo_baseline", "sota_hard", 1, tmp_path, 300)
+    restarts = [e for e in result.decisions if e.get("event") == "turbo_restart"]
+    assert [(e["iteration"], e["fraction"]) for e in restarts] == [(19, 0.8)]
+    assert digest == TURBO_RESTART_DIGEST
+    assert _baseline_run("turbo_baseline", "sota_hard", 2, tmp_path, 300)[1] == digest
 
 
 @pytest.mark.parametrize("ablation", list(RUN_DIGESTS))

@@ -9,7 +9,7 @@ import pytest
 
 from sizerforge import controller
 from sizerforge.agents import RuleBackend
-from sizerforge.config import load_config
+from sizerforge.config import load_config, parse_config
 from sizerforge.controller import RunBudget, run, run_baseline
 from sizerforge.errors import BudgetOverrun
 
@@ -169,3 +169,21 @@ def test_result_json_reports_the_design_the_run_hands_back(tmp_path):
     assert best["assignment"] == {"a": 1.68, "b": 1.26}
     assert record["evals_to_best"] == 2
     assert best["eval_index"] == result.best.eval_index == result.history.reported().eval_index
+
+
+def test_a_two_value_grid_is_planned_and_run():
+    # rule_plan keeps every value of a grid shorter than its five even
+    # picks; a first-round space takes such a grid whole
+    text = (CONFIGS / "sota_easy.yaml").read_text()
+    full = "W_values: [0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52]"
+    assert full in text
+    config = parse_config(text.replace(full, "W_values: [0.84, 1.05]"))
+    result = run(config, RunBudget(total_evals=40), RuleBackend(), 0)
+    plan = next(e for e in result.decisions if e["kind"] == "plan")["payload"]
+    optimized = plan["optimization_configuration"]["variables_to_optimize"]
+    assert {v: e["search_space"] for v, e in optimized.items()} == {
+        "a": [0.84, 1.05], "b": [0.84, 1.05]}
+    assert result.outcome in ("feasible", "budget_exhausted", "outer_cap", "converged",
+                              "space_exhausted")
+    assert result.best is not None
+    assert result.evals_used <= 4  # the whole grid

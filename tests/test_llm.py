@@ -113,6 +113,25 @@ def test_reply_rejected_once_then_accepted_echoes_the_reason(tmp_path, config):
     assert "rejected: unknown method 'nelder_mead'" in prompts[1]
 
 
+@pytest.mark.parametrize("baseline", ["ga_baseline", "bo_baseline", "turbo_baseline"])
+def test_inner_reply_naming_a_baseline_is_rejected_once_then_accepted(tmp_path, config, baseline):
+    _, space = rule_plan(config, rule_understand(config), 4)
+    backend, messages = _backend(
+        tmp_path,
+        [_inner(baseline, 10), _inner("lhs", 12)],
+        transcripts=TranscriptWriter(tmp_path / "written"),
+    )
+    decision = backend.decide_inner(None, REMAINING, space, config=config)
+    assert (decision["action"], decision["method"], decision["n_samples"]) == ("search", "lhs", 12)
+    reason = (f"unknown method {baseline!r}: the inner loop orchestrates "
+              "lhs, genetic, bayesian, adaptive, annealing, multistart")
+    assert messages == [f"inner: response rejected ({reason})"]
+    assert backend.fallbacks == []
+    prompts = [json.loads(p.read_text())["prompt"]
+               for p in sorted((tmp_path / "written").iterdir())]
+    assert f"Your previous response was rejected: {reason}\n" in prompts[1]
+
+
 def test_reply_rejected_twice_falls_back_to_the_rule_policy(tmp_path, config):
     _, space = rule_plan(config, rule_understand(config), 4)
     backend, messages = _backend(tmp_path, ["no json here", _inner("lhs", 0)])
@@ -409,6 +428,39 @@ def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_p
     prompts = {p.stem: _sha256(json.loads(p.read_text())["prompt"])
                for p in sorted((tmp_path / "written").iterdir())}
     assert prompts == OUTER_REPLAY_PROMPTS
+
+
+def test_converged_reply_is_accepted_whatever_configuration_it_carries(tmp_path, config):
+    # the space a converged reply describes is never searched, so a
+    # configuration that covers one of four variables is no reason to reject it
+    converged = {
+        **CONVERGED_REPLY,
+        "variable_ranking": _ranking(RANKED),
+        "optimization_configuration": {
+            "variables_to_optimize": {"W_diff_base": _optimize(1, [0.84, 1.27, 1.68], "high")},
+            "variables_fixed": {},
+        },
+        "search_space_summary": {"original_full_space": 6561, "reduced_search_space": 3,
+                                 "reduction_factor": "2187", "calculation": "3",
+                                 "explanation": "crafted"},
+    }
+    replies = [
+        json.dumps(UNDERSTANDING_REPLY),
+        json.dumps(PLAN_REPLY),
+        _inner("lhs", 12),
+        json.dumps(STOP_REPLY),
+        json.dumps(converged),
+    ]
+    backend, messages = _backend(tmp_path, replies)
+    budget = RunBudget(total_evals=60, per_inner_loop=20, max_outer_loops=3)
+    result = run(config, budget, backend, 0)
+
+    assert result.outcome == "converged"
+    assert backend.fallbacks == []
+    assert messages == ["plan: model optimized 3 variables instead of the requested 4; accepted"]
+    [outer] = [e["payload"] for e in result.decisions if e["kind"] == "outer"]
+    assert outer == converged  # logged as sent, off-grid 1.27 included
+    assert [e["generation"] for e in result.decisions if e["kind"] == "space"] == [0]
 
 
 # the stagnating run of conftest in both decision prompts, inside sota_hard's
