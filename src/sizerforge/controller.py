@@ -3,7 +3,9 @@
 ``run`` drives the full sequence: understand the circuit, plan an
 initial search space, then alternate inner search iterations with outer
 space edits until a feasible design appears or a budget runs out. One
-History carries every evaluation across all loops and is never reset.
+History carries every evaluation across all loops and is never reset;
+it is the run's only record of the search. The iteration summaries, the
+diagnostics and TuRBO's trust region are all read from it.
 
 ``run_baseline`` drives a single-loop search over the full grid with a
 fixed preset per algorithm; baselines always spend the whole budget and
@@ -11,11 +13,11 @@ never stop early on feasibility, so their trajectories stay comparable.
 
 ``run`` and ``run_baseline`` share one ``_Run``: its set-up, its
 ``batch`` step (propose, lhs fallback on too little history, evaluate,
-charge, summarize, log, stall count, TuRBO bookkeeping) and its
-``finish`` (reported design, budget check, result, artefacts). Each keeps
-only its own stop rules and its own source of decisions. ``run`` passes
-the scope ``{"loop": i}`` to every batch step and baselines pass ``{}``;
-the scope is merged into each entry the step logs. A baseline that ends
+charge, log, stall count) and its ``finish`` (reported design, budget
+check, result, artefacts). Each keeps only its own stop rules and its
+own source of decisions. ``run`` passes the scope ``{"loop": i}`` to
+every batch step and baselines pass ``{}``; the scope is merged into
+each entry the step logs. A baseline that ends
 on ``STALL_LIMIT`` all-cached batches reports the outcome ``stalled``;
 one whose method has nothing left to propose reports ``space_exhausted``.
 
@@ -47,12 +49,11 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .agents import RuleBackend, rule_decide_inner, rule_understand
-from .core import EvaluatedDesign, History, IterationSummary, pct_change
+from .core import EvaluatedDesign, History
 from .diagnostics import DiagnosticsReport, analyze, render_text
 from .errors import BudgetOverrun, ConfigError, InsufficientHistory, UnknownMethod
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
-from .optim.turbo import TurboState
 from .space import SearchSpace, space_from_config
 from .specexpr import parse_spec
 
@@ -127,21 +128,6 @@ def child_seed(seed: int, loop: int, iteration: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _append_summary(history: History, iteration: int, method: str, n_records: int) -> Optional[float]:
-    best = max((r.fom for r in history.valid_records()), default=None)
-    prior = history.iteration_summaries
-    history.add_summary(
-        IterationSummary(
-            iteration=iteration,
-            method=method,
-            n_samples=n_records,
-            best_fom_so_far=best,
-            improvement_pct=pct_change(prior[-1].best_fom_so_far, best) if prior else None,
-        )
-    )
-    return best
-
-
 def _check_budget(used: int, budget: RunBudget) -> None:
     # a real check, not an assert: python -O must not drop it
     if used > budget.total_evals:
@@ -177,7 +163,6 @@ class _Run:
         workers: int,
         keep_logs: bool,
         results_dir: Optional[str],
-        turbo: Optional[TurboState] = None,
     ):
         self.t0 = time.monotonic()
         self.config = config
@@ -190,7 +175,6 @@ class _Run:
         self.loop_reports: List[Tuple[int, str]] = []
         self.used = 0  # fresh evaluations charged; cache hits are free
         self.stalled = 0  # consecutive all-cached batches
-        self.turbo = turbo
         self.results_dir = results_dir
         self._eval_options = dict(workers=workers, keep_logs=keep_logs, results_dir=results_dir)
 
@@ -200,14 +184,15 @@ class _Run:
 
     @property
     def iteration(self) -> int:
-        """Iteration number of the next batch (one summary per batch)."""
-        return len(self.history.iteration_summaries) + 1
+        """Iteration number of the next batch; each batch has its own."""
+        records = self.history.records
+        return records[-1].iteration + 1 if records else 1
 
     def batch(self, space: SearchSpace, mcfg: MethodConfig, label: str, limit: int,
               scope: dict, **extra) -> Optional[str]:
         """Propose, evaluate, charge and log one batch of at most ``limit`` designs.
 
-        ``label`` names the batch in its records, summary and log entry,
+        ``label`` names the batch in its records and log entry,
         whichever method proposed it; ``scope`` is merged into every
         entry logged here and ``extra`` into the batch entry. Returns the
         outcome that ends the loop (``space_exhausted`` or ``stalled``),
@@ -216,7 +201,7 @@ class _Run:
         iteration = self.iteration
         history = self.history
         try:
-            proposal = propose(space, mcfg, history, turbo_state=self.turbo)
+            proposal = propose(space, mcfg, history)
         except InsufficientHistory as exc:
             # too few in-space observations for a model-based method
             self.log("event", event="insufficient_history_fallback", **scope,
@@ -227,7 +212,7 @@ class _Run:
         if not designs:
             self.log("event", event="space_exhausted", **scope, iteration=iteration)
             return "space_exhausted"
-        if self.turbo is not None and proposal.diagnostics.get("restarted"):
+        if proposal.diagnostics.get("restarted"):
             self.log("event", event="turbo_restart", **scope, iteration=iteration,
                      fraction=proposal.diagnostics.get("fraction"))
         records = evaluate_batch(
@@ -244,11 +229,9 @@ class _Run:
         history.append_batch(records)
         fresh = sum(1 for r in records if not r.cached)
         self.used += fresh
-        best = _append_summary(history, iteration, label, len(records))
+        best = max((r.fom for r in history.valid_records()), default=None)
         self.log("batch", **scope, iteration=iteration, method=label, requested=mcfg.n_samples,
                  evaluated=len(records), fresh=fresh, best_fom=best, **extra)
-        if self.turbo is not None:
-            self.turbo.update(max((r.fom for r in records if r.fom is not None), default=None))
         self.stalled = self.stalled + 1 if fresh == 0 else 0
         if self.stalled >= STALL_LIMIT:
             self.log("event", event="method_stalled", **scope, iteration=iteration)
@@ -262,7 +245,7 @@ class _Run:
         ``analyzed``, when given, already is the analysis of this history
         and space, and is rendered instead of a fresh one.
         """
-        if not self.history.iteration_summaries:
+        if not self.history.records:
             return None
         report = analyzed if analyzed is not None else analyze(self.history, space)
         self.loop_reports.append((loop, render_text(report)))
@@ -367,7 +350,7 @@ def run(
                 which = "total_budget_reached" if job.used >= budget.total_evals else "inner_cap_reached"
                 job.log("event", event=which, **scope)
                 break
-            report = analyze(history, space) if history.iteration_summaries else None
+            report = analyze(history, space) if history.records else None
             if no_oe:
                 decision = rule_decide_inner(report, remaining, space)
                 if decision["action"] == "search":
@@ -444,8 +427,7 @@ def run_baseline(
         raise UnknownMethod(
             f"unknown baseline {algorithm!r}; choose from {BASELINE_ALGORITHMS}"
         )
-    turbo = TurboState() if algorithm == "turbo_baseline" else None
-    job = _Run(config, budget, evaluator, workers, keep_logs, results_dir, turbo)
+    job = _Run(config, budget, evaluator, workers, keep_logs, results_dir)
     budget = job.budget
     space = space_from_config(config)
     job.log("baseline", algorithm=algorithm, total_evals=budget.total_evals, seed=seed)

@@ -5,6 +5,10 @@ merit first, earliest eval index on ties. ``History.best`` is the best
 valid record by that key and ``History.reported`` the design a run hands
 back: the best feasible record, else ``best``.
 
+A History holds only its records. A batch is a run of records sharing an
+iteration number, and ``History.summaries`` computes one summary per
+batch from them, so no second list can drift from the records.
+
 The scalar objective is the product of normalized maximize-metrics over
 the product of normalized minimize-metrics, each normalized by its
 specification target. A failed figure of merit (any normalized value
@@ -26,7 +30,9 @@ import json
 import math
 import logging
 from dataclasses import dataclass, asdict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import MissingMetric
 from .specexpr import Comparison, SpecExpr, evaluate_spec, split_directions
@@ -125,7 +131,7 @@ def rank_key(record: EvaluatedDesign) -> Tuple[float, int]:
 
 
 class History:
-    """Append-only record of all evaluations plus per-iteration summaries.
+    """Append-only record of all evaluations.
 
     Only the run controller appends, one whole batch at a time after the
     evaluator returns, so no append races another.
@@ -133,7 +139,6 @@ class History:
 
     def __init__(self):
         self.records: List[EvaluatedDesign] = []
-        self.iteration_summaries: List[IterationSummary] = []
         self.dedupe_index: Dict[str, int] = {}
 
     def __len__(self):
@@ -152,13 +157,23 @@ class History:
         for r in records:
             self.append(r)
 
-    def add_summary(self, summary: IterationSummary) -> None:
-        if self.iteration_summaries:
-            prev = self.iteration_summaries[-1].best_fom_so_far
-            cur = summary.best_fom_so_far
-            if prev is not None and (cur is None or cur < prev):
-                raise ValueError("best_fom_so_far must be non-decreasing")
-        self.iteration_summaries.append(summary)
+    def batches(self) -> Iterator[List[EvaluatedDesign]]:
+        """The records batch by batch, in order."""
+        return (list(batch) for _, batch in groupby(self.records, key=attrgetter("iteration")))
+
+    def summaries(self) -> List[IterationSummary]:
+        """One summary per batch: its label and size, the best valid FoM
+        up to its end, and the change from the previous batch's best."""
+        out: List[IterationSummary] = []
+        best = None
+        for batch in self.batches():
+            for r in batch:
+                if r.sim_status == SIM_OK and r.fom is not None and (best is None or r.fom > best):
+                    best = r.fom
+            improvement = pct_change(out[-1].best_fom_so_far, best) if out else None
+            out.append(IterationSummary(batch[0].iteration, batch[0].method, len(batch),
+                                        best, improvement))
+        return out
 
     def next_eval_index(self) -> int:
         return len(self.records) + 1
@@ -186,7 +201,7 @@ class History:
         lines = [json.dumps({"kind": "evaluation", **r.to_record()}, sort_keys=True)
                  for r in self.records]
         lines += [json.dumps({"kind": "summary", **s.to_record()}, sort_keys=True)
-                  for s in self.iteration_summaries]
+                  for s in self.summaries()]
         return "\n".join(lines) + ("\n" if lines else "")
 
 

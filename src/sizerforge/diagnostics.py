@@ -154,7 +154,7 @@ def _boundary_issues(
 
 def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
     """Pure function of a history snapshot and the current space."""
-    summaries = history.iteration_summaries
+    summaries = history.summaries()
     if not summaries:
         raise EmptyHistory("no iteration summaries to analyze")
 

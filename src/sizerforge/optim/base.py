@@ -5,7 +5,8 @@ lists, which keeps every proposal grid-valid by construction. Fixed
 variables are attached at materialization time so a Design always covers
 the full variable set.
 
-Every proposer takes ``(space, history, n_samples, seed, **params)``.
+Every proposer takes ``(space, history, n_samples, seed, **params)``
+and is a pure function of them; none keeps state between calls.
 The methods that learn from the history read ``observations``: each
 valid record inside the space with its index vector, in history order,
 checked against the space once per call. They rank records by

@@ -8,11 +8,12 @@ outside its range, is a BadParameter before any sampling happens.
 it shows up in strategy guidance without its own definition.
 
 ``propose`` calls every proposer as ``(space, history, n_samples, seed,
-**params)`` and relabels the proposal with the method name. The
-baselines are presets of the orchestrated samplers: ga_baseline =
-genetic(population 20, crossover 0.8, mutation 0.1), bo_baseline =
-bayesian(UCB, weight 2.0); turbo_baseline is trust-region LHS and the
-only method handed the caller's TurboState.
+**params)`` and relabels the proposal with the method name; every
+proposer is a pure function of these. The baselines are presets of the
+orchestrated samplers: ga_baseline = genetic(population 20, crossover
+0.8, mutation 0.1), bo_baseline = bayesian(UCB, weight 2.0);
+turbo_baseline is trust-region LHS, which reads its region from the
+history. Only the orchestrated methods are the inner loop's to pick.
 Defaults not preset here are the proposers' own signature defaults.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from ..core import History
 from ..errors import BadParameter, InsufficientHistory, UnknownMethod
@@ -32,7 +33,7 @@ from .genetic import propose_genetic
 from .gp import ACQUISITIONS
 from .multistart import propose_multistart
 from .sampling import propose_lhs
-from .turbo import TurboState, propose_turbo_baseline
+from .turbo import propose_turbo_baseline
 
 ORCHESTRATED = ("lhs", "genetic", "bayesian", "adaptive", "annealing", "multistart")
 
@@ -191,17 +192,10 @@ METHODS = {
 }
 
 
-def propose(
-    space: SearchSpace,
-    config: MethodConfig,
-    history: History,
-    turbo_state: Optional[TurboState] = None,
-) -> Proposal:
+def propose(space: SearchSpace, config: MethodConfig, history: History) -> Proposal:
     """Validate the config and dispatch to the named method."""
     cfg = validate_method_config(config)
     proposer, _, preset = METHODS[cfg.method]
     params = {**preset, **cfg.parameters}
-    if cfg.method == "turbo_baseline":
-        params["state"] = turbo_state
     proposal = proposer(space, history, cfg.n_samples, cfg.seed, **params)
     return dataclasses.replace(proposal, method=cfg.method)

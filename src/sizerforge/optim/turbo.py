@@ -2,22 +2,22 @@
 
 One rectangular region on the index grid, centered on the incumbent
 best. The region's side length is a fraction of each variable's index
-range, doubled (capped at the full range) after an improving batch and
-halved otherwise. When the region collapses below one grid step in every
-variable, the search restarts from a fresh full-space LHS.
+range, doubled (capped at the full range) after a batch whose best FoM
+beats the incumbent and halved otherwise; a tie is no improvement. When
+the region collapses below one grid step in every variable, the search
+restarts from a fresh full-space LHS and forgets the incumbent.
 
-The region state lives outside the proposer so repeated calls stay pure;
-the controller's run object owns a TurboState for a turbo baseline, and
-its batch step (``_Run.batch``) feeds batch outcomes back via
-``TurboState.update``.
+The proposer keeps no state: ``trust_region`` replays this schedule over
+the history's batches, every one of which a turbo run proposed, so each
+call is a pure function of the space and the history like every other
+proposer's.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core import History, rank_key
 from ..space import SearchSpace
@@ -29,35 +29,30 @@ EXPAND_FACTOR = 2.0
 SHRINK_FACTOR = 0.5
 
 
-@dataclasses.dataclass
-class TurboState:
-    """Mutable trust-region bookkeeping threaded through baseline batches."""
+def _collapsed(fraction: float, sizes: List[int]) -> bool:
+    """True when no variable's window spans even one grid step."""
+    return all(fraction * (m - 1) < 1.0 for m in sizes)
 
-    fraction: float = INIT_FRACTION
-    best_fom: Optional[float] = None
-    restarts: int = 0
 
-    def update(self, batch_best: Optional[float]) -> bool:
-        """Grow on improvement, shrink otherwise. Returns whether it improved."""
-        improved = (
-            batch_best is not None
-            and (self.best_fom is None or batch_best > self.best_fom)
-        )
-        if improved:
-            self.best_fom = batch_best
-            self.fraction = min(1.0, self.fraction * EXPAND_FACTOR)
+def trust_region(history: History, sizes: List[int]) -> Tuple[float, bool]:
+    """The region's fraction for the next batch, and whether it restarts there.
+
+    Replays the schedule over the history's batches: before each batch a
+    collapsed region restarts, and after it the fraction doubles (capped
+    at 1) when the batch's best FoM beats the incumbent's, else halves.
+    """
+    fraction, best = INIT_FRACTION, None
+    for batch in history.batches():
+        if _collapsed(fraction, sizes):
+            fraction, best = INIT_FRACTION, None
+        batch_best = max((r.fom for r in batch if r.fom is not None), default=None)
+        if batch_best is not None and (best is None or batch_best > best):
+            fraction, best = min(1.0, fraction * EXPAND_FACTOR), batch_best
         else:
-            self.fraction = self.fraction * SHRINK_FACTOR
-        return improved
-
-    def collapsed(self, sizes: List[int]) -> bool:
-        """True when no variable's window spans even one grid step."""
-        return all(self.fraction * (m - 1) < 1.0 for m in sizes)
-
-    def restart(self) -> None:
-        self.fraction = INIT_FRACTION
-        self.best_fom = None
-        self.restarts += 1
+            fraction *= SHRINK_FACTOR
+    if _collapsed(fraction, sizes):
+        return INIT_FRACTION, True
+    return fraction, False
 
 
 def window_bounds(center: int, m: int, fraction: float) -> Tuple[int, int]:
@@ -76,29 +71,19 @@ def window_bounds(center: int, m: int, fraction: float) -> Tuple[int, int]:
 
 
 def propose_turbo_baseline(
-    space: SearchSpace,
-    history: History,
-    n_samples: int,
-    seed: int,
-    state: Optional[TurboState] = None,
+    space: SearchSpace, history: History, n_samples: int, seed: int
 ) -> Proposal:
-    if state is None:
-        state = TurboState()
     rng = random.Random(seed)
     sizes = [len(values) for _, values in space.active.items()]
+    fraction, restarted = trust_region(history, sizes)
 
     obs = observations(space, history)
-    restarted = False
-    if state.collapsed(sizes):
-        state.restart()
-        restarted = True
-
     if not obs or restarted:
         windows = [(0, m - 1) for m in sizes]
     else:
         center = max(obs, key=lambda ob: rank_key(ob[0]))[1]
         windows = [
-            window_bounds(idx, m, state.fraction) for idx, m in zip(center, sizes)
+            window_bounds(idx, m, fraction) for idx, m in zip(center, sizes)
         ]
 
     columns = []
@@ -111,7 +96,7 @@ def propose_turbo_baseline(
         designs=designs,
         method="turbo_baseline",
         diagnostics={
-            "fraction": state.fraction,
+            "fraction": fraction,
             "restarted": restarted,
             "windows": [list(w) for w in windows],
         },

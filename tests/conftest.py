@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from sizerforge.core import Design, EvaluatedDesign, History, IterationSummary
+from sizerforge.core import Design, EvaluatedDesign, History
 from sizerforge.space import SearchSpace
 
 W_GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -90,26 +90,22 @@ def build_stagnation_state():
     # iteration 1: 25 LHS designs, best exactly 0.095
     for j in range(25):
         _record(hist, next(filler_iter), 0.095 - 0.0001 * j, 1, "lhs")
-    hist.add_summary(IterationSummary(1, "lhs", 25, 0.095, None))
 
     # iteration 2: the 0.099 best appears, then stalls for two more rounds
     for fom, a in zip(top_foms[0:4], top_designs[0:4]):
         _record(hist, a, fom, 2, "bayesian")
     for j in range(11):
         _record(hist, next(filler_iter), 0.090 - 0.0001 * j, 2, "bayesian")
-    hist.add_summary(IterationSummary(2, "bayesian", 15, 0.099, 100.0 * (0.099 - 0.095) / 0.095))
 
     for fom, a in zip(top_foms[4:7], top_designs[4:7]):
         _record(hist, a, fom, 3, "bayesian")
     for j in range(12):
         _record(hist, next(filler_iter), 0.089 - 0.0001 * j, 3, "bayesian")
-    hist.add_summary(IterationSummary(3, "bayesian", 15, 0.099, 0.0))
 
     for fom, a in zip(top_foms[7:10], top_designs[7:10]):
         _record(hist, a, fom, 4, "annealing")
     for j in range(14):
         _record(hist, next(filler_iter), 0.088 - 0.0001 * j, 4, "annealing")
-    hist.add_summary(IterationSummary(4, "annealing", 17, 0.099, 0.0))
 
     return hist, space
 

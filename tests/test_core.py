@@ -185,13 +185,28 @@ def test_history_eval_indices_dense_from_one():
         hist.append(_record(3, 0.5))
 
 
-def test_history_summary_best_must_be_nondecreasing():
+def test_history_summarizes_each_batch():
     hist = History()
-    hist.append(_record(1, 0.5))
-    hist.add_summary(IterationSummary(1, "lhs", 1, 0.5, None))
-    hist.append(_record(2, 0.4))
-    with pytest.raises(ValueError):
-        hist.add_summary(IterationSummary(2, "lhs", 1, 0.4, -20.0))
+    assert hist.summaries() == []
+    hist.append(_record(1, 0.2, iteration=1, method="lhs"))
+    hist.append(_record(2, 0.5, iteration=1, method="lhs"))
+    hist.append(_record(3, None, iteration=2, method="genetic", status="sim_failed"))
+    hist.append(_record(4, 0.4, iteration=3, method="bayesian"))
+    hist.append(_record(5, 1.0, iteration=3, method="bayesian"))
+    hist.append(_record(6, None, iteration=3, method="bayesian"))
+    assert hist.summaries() == [
+        IterationSummary(1, "lhs", 2, 0.5, None),
+        IterationSummary(2, "genetic", 1, 0.5, 0.0),
+        IterationSummary(3, "bayesian", 3, 1.0, 100.0),
+    ]
+
+
+def test_history_summary_best_does_not_decrease_after_a_worse_batch():
+    hist = History()
+    hist.append(_record(1, 0.5, iteration=1))
+    hist.append(_record(2, 0.4, iteration=2))
+    assert [(s.best_fom_so_far, s.improvement_pct) for s in hist.summaries()] == [
+        (0.5, None), (0.5, 0.0)]
 
 
 def test_valid_records_drop_failures():
@@ -215,7 +230,6 @@ def test_history_jsonl_round_trip_fields():
 
     hist = History()
     hist.append(_record(1, 0.5, feasible=True, method="genetic"))
-    hist.add_summary(IterationSummary(1, "genetic", 1, 0.5, None))
     lines = [json.loads(line) for line in hist.to_jsonl().splitlines()]
     kinds = [entry["kind"] for entry in lines]
     assert kinds == ["evaluation", "summary"]
@@ -285,25 +299,22 @@ def _recent_pct(hist):
 
 def test_improvement_pct_window():
     hist = History()
-    hist.append(_record(1, 1.0))
-    hist.add_summary(IterationSummary(1, "lhs", 1, 1.0, None))
+    hist.append(_record(1, 1.0, iteration=1))
     assert _recent_pct(hist) is None  # one summary: no step to measure yet
-    hist.append(_record(2, 1.5))
-    hist.add_summary(IterationSummary(2, "lhs", 1, 1.5, 50.0))
+    hist.append(_record(2, 1.5, iteration=2))
+    assert hist.summaries()[-1].improvement_pct == pytest.approx(50.0)
     assert _recent_pct(hist) == pytest.approx(50.0)
 
 
 def test_improvement_pct_degenerate_reference():
     hist = History()
-    hist.append(_record(1, None))
-    hist.add_summary(IterationSummary(1, "lhs", 1, None, None))
-    hist.append(_record(2, 2.0))
-    hist.add_summary(IterationSummary(2, "lhs", 1, 2.0, None))
+    hist.append(_record(1, None, iteration=1))
+    hist.append(_record(2, 2.0, iteration=2))
+    assert hist.summaries()[-1].improvement_pct == math.inf
     assert _recent_pct(hist) == math.inf
 
     hist2 = History()
-    hist2.append(_record(1, None))
-    hist2.add_summary(IterationSummary(1, "lhs", 1, None, None))
-    hist2.append(_record(2, None))
-    hist2.add_summary(IterationSummary(2, "lhs", 1, None, None))
+    hist2.append(_record(1, None, iteration=1))
+    hist2.append(_record(2, None, iteration=2))
+    assert hist2.summaries()[-1].improvement_pct == 0.0
     assert _recent_pct(hist2) == 0.0

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import IllegalEdit, InsufficientHistory
 from sizerforge.optim.pool import MethodConfig, propose
-from sizerforge.optim.turbo import TurboState
 from sizerforge.space import SearchSpace, SpaceEdit, apply_edit, index_rows, validate_space
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89)
@@ -68,7 +67,10 @@ def spaces(draw):
 def histories(draw, space):
     hist = History()
     designs = []
+    iteration = 1
     for _ in range(draw(st.integers(0, 24))):
+        if designs and draw(st.integers(0, 3)) == 0:
+            iteration += 1  # a new batch
         if designs and draw(st.integers(0, 5)) == 0:
             design = draw(st.sampled_from(designs))  # a repeat
         elif draw(st.booleans()):
@@ -91,7 +93,7 @@ def histories(draw, space):
             fom=fom,
             feasible=fom is not None and draw(st.booleans()),
             sim_status=status,
-            iteration=1,
+            iteration=iteration,
             method="lhs",
             eval_index=hist.next_eval_index(),
             wall_time=0.0,
@@ -113,7 +115,7 @@ def test_proposals_stay_on_the_grid_inside_the_space_and_off_the_history(method,
         seed=data.draw(st.integers(0, 2**32 - 1)),
     )
     try:
-        proposal = propose(space, config, history, turbo_state=TurboState())
+        proposal = propose(space, config, history)
     except InsufficientHistory:
         return  # the controller falls back to lhs
 

@@ -1,19 +1,22 @@
-"""Trust-region baseline: fraction schedule, windows, restarts."""
+"""Trust-region baseline: fraction schedule, windows, restarts.
 
-import pytest
+The region is replayed from the history's batches, so each test hands the
+proposer a history built batch by batch.
+"""
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.optim.turbo import (
     EXPAND_FACTOR,
     INIT_FRACTION,
     SHRINK_FACTOR,
-    TurboState,
     propose_turbo_baseline,
+    trust_region,
     window_bounds,
 )
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
+SIZES = [9, 9]
 
 
 def _space():
@@ -25,8 +28,9 @@ def _space():
     )
 
 
-def _seed_history(pairs):
-    hist = History()
+def _add_batch(hist, pairs):
+    """Append one batch of ((ia, ib), fom) records; a None fom is a failed simulation."""
+    iteration = hist.records[-1].iteration + 1 if hist.records else 1
     for (ia, ib), fom in pairs:
         hist.append(
             EvaluatedDesign(
@@ -35,14 +39,28 @@ def _seed_history(pairs):
                 normalized={},
                 fom=fom,
                 feasible=False,
-                sim_status="ok",
-                iteration=1,
-                method="lhs",
+                sim_status="ok" if fom is not None else "sim_failed",
+                iteration=iteration,
+                method="turbo_baseline",
                 eval_index=hist.next_eval_index(),
                 wall_time=0.0,
             )
         )
     return hist
+
+
+def _history(batches):
+    """One single-record batch per FoM, each at its own grid point;
+    a pair is taken as ((ia, ib), fom) as it stands."""
+    hist = History()
+    for k, entry in enumerate(batches):
+        pair = entry if isinstance(entry, tuple) else ((k % 9, k // 9), entry)
+        _add_batch(hist, [pair])
+    return hist
+
+
+def _fraction(hist):
+    return trust_region(hist, SIZES)[0]
 
 
 def test_schedule_constants():
@@ -52,35 +70,40 @@ def test_schedule_constants():
 
 
 def test_fraction_follows_success_failure_script():
-    state = TurboState()
-    trace = [state.fraction]
-    # improvement, improvement, miss, miss, miss, improvement
-    script = [
-        (0.5, True),
-        (0.7, True),
-        (0.6, False),
-        (0.7, False),  # ties do not count as improvement
-        (None, False),
-        (0.9, True),
-    ]
-    for batch_best, want_improved in script:
-        improved = state.update(batch_best)
-        assert improved == want_improved
-        trace.append(state.fraction)
+    # improvement, improvement, miss, tie, failed batch, improvement
+    script = [0.5, 0.7, 0.6, 0.7, None, 0.9]
+    trace = [_fraction(_history(script[:k])) for k in range(len(script) + 1)]
     assert trace == [0.8, 1.0, 1.0, 0.5, 0.25, 0.125, 0.25]
+    # the proposer searches the region the schedule gives
+    proposal = propose_turbo_baseline(_space(), _history(script), 4, seed=0)
+    assert proposal.diagnostics["fraction"] == 0.25
+    assert not proposal.diagnostics["restarted"]
+
+
+def test_a_tie_is_not_an_improvement():
+    assert _fraction(_history([0.7])) == 1.0
+    assert _fraction(_history([0.7, 0.7])) == 0.5
+    assert _fraction(_history([0.7, 0.7 + 1e-12])) == 1.0
+
+
+def test_a_batch_is_judged_by_its_best_record():
+    hist = _add_batch(History(), [((0, 0), 0.5)])
+    _add_batch(hist, [((1, 1), 0.1), ((2, 2), None), ((3, 3), 0.6)])
+    assert _fraction(hist) == 1.0  # 0.6 beats 0.5
+    _add_batch(hist, [((4, 4), 0.2), ((5, 5), 0.6)])
+    assert _fraction(hist) == 0.5  # 0.6 only ties the incumbent
 
 
 def test_collapse_and_restart():
-    state = TurboState()
-    sizes = [9, 9]
-    assert not state.collapsed(sizes)
-    for _ in range(10):
-        state.update(None)
-    assert state.collapsed(sizes)
-    state.restart()
-    assert state.fraction == INIT_FRACTION
-    assert state.best_fom is None
-    assert state.restarts == 1
+    # failed batches halve the region: 0.4, 0.2, 0.1, and 0.1 * 8 < 1
+    assert [trust_region(_history([None] * k), SIZES) for k in range(4)] == [
+        (0.8, False), (0.4, False), (0.2, False), (INIT_FRACTION, True)]
+    # the restart is only the next batch's: after it the schedule goes on
+    # from the initial fraction, and the incumbent is forgotten, so any
+    # valid FoM improves
+    assert trust_region(_history([None] * 4), SIZES) == (0.4, False)
+    assert trust_region(_history([0.9, None, None, None, None]), SIZES) == (INIT_FRACTION, True)
+    assert trust_region(_history([0.9, None, None, None, None, 0.1]), SIZES) == (1.0, False)
 
 
 def test_window_width_and_edge_shift():
@@ -104,10 +127,10 @@ def test_cold_start_samples_full_grid():
 
 
 def test_windows_center_on_incumbent():
-    space = _space()
-    hist = _seed_history([((4, 4), 0.9), ((0, 0), 0.1)])
-    state = TurboState(fraction=0.5)
-    proposal = propose_turbo_baseline(space, hist, 8, seed=2, state=state)
+    # 0.9 improves (fraction 1.0), 0.1 misses (fraction 0.5)
+    hist = _history([((4, 4), 0.9), ((0, 0), 0.1)])
+    proposal = propose_turbo_baseline(_space(), hist, 8, seed=2)
+    assert proposal.diagnostics["fraction"] == 0.5
     assert proposal.diagnostics["windows"] == [[2, 6], [2, 6]]
     for d in proposal.designs:
         assert 2 <= GRID.index(d.assignment["W_a"]) <= 6
@@ -115,27 +138,22 @@ def test_windows_center_on_incumbent():
 
 
 def test_collapsed_state_restarts_and_goes_global():
-    space = _space()
-    hist = _seed_history([((4, 4), 0.9)])
-    state = TurboState(fraction=0.05)  # 0.05 * 8 < 1 on every axis
-    proposal = propose_turbo_baseline(space, hist, 8, seed=3, state=state)
+    # 1.0 after the improvement, then four misses: 0.0625 * 8 < 1 on every axis
+    hist = _history([((4, 4), 0.9), 0.1, 0.1, 0.1, 0.1])
+    proposal = propose_turbo_baseline(_space(), hist, 8, seed=3)
     assert proposal.diagnostics["restarted"]
-    assert state.restarts == 1
-    assert state.fraction == INIT_FRACTION
+    assert proposal.diagnostics["fraction"] == INIT_FRACTION
     assert proposal.diagnostics["windows"] == [[0, 8], [0, 8]]
 
 
 def test_fraction_cap_at_one():
-    state = TurboState()
-    state.update(1.0)
-    assert state.fraction == 1.0
-    state.update(2.0)
-    assert state.fraction == 1.0  # capped
+    assert _fraction(_history([1.0])) == 1.0
+    assert _fraction(_history([1.0, 2.0])) == 1.0  # capped
 
 
 def test_determinism_per_seed():
     space = _space()
-    hist = _seed_history([((4, 4), 0.9)])
-    a = propose_turbo_baseline(space, hist, 10, seed=6, state=TurboState())
-    b = propose_turbo_baseline(space, hist, 10, seed=6, state=TurboState())
+    hist = _history([((4, 4), 0.9)])
+    a = propose_turbo_baseline(space, hist, 10, seed=6)
+    b = propose_turbo_baseline(space, hist, 10, seed=6)
     assert [d.id for d in a.designs] == [d.id for d in b.designs]

@@ -1,0 +1,108 @@
+"""Digest the artefacts of a fixed run matrix, to tell whether two checkouts behave the same.
+
+    python3 tools/artefact_digests.py SRC > digests.json
+
+SRC is the ``src`` directory of a checkout: its ``sizerforge`` is the
+package that runs, and the ``configs`` directory next to SRC supplies the
+configs. For each run of the matrix the tool writes the artefacts to a
+temporary directory and takes one sha256 over ``decision_log.jsonl``,
+``history.jsonl``, ``space_gen*.json``, ``loop*_report.txt`` and
+``result.json`` without its ``wall_time``. It prints a JSON map from run
+name to digest and reports the run count on stderr. Two checkouts make
+the same picks on the matrix when their maps are equal:
+
+    python3 tools/artefact_digests.py parent/src > parent.json
+    python3 tools/artefact_digests.py src > change.json
+    cmp parent.json change.json
+
+The matrix: the four baselines and the two-loop ``run`` with the rule
+backend (plain, ``no_oe``, ``no_ssd`` and one outer loop) on sota_easy,
+sota_med and sota_hard, at 60 and 300 evaluations, plus bo_baseline at
+150, seeds 0-2: 153 runs. A run that raises is recorded as ``error:``
+with the exception. BLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise, so the Bayesian picks do not
+depend on the host's core count.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+CONFIGS = ("sota_easy", "sota_med", "sota_hard")
+BASELINES = ("lhs", "ga_baseline", "bo_baseline", "turbo_baseline")
+RUNS = ("run", "run_no_oe", "run_no_ssd", "run_one_loop")
+BUDGETS = (60, 300)
+SEEDS = (0, 1, 2)
+PATTERNS = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
+
+
+def matrix():
+    """(method, config, total evaluations, seed) of every run, in print order."""
+    for name in CONFIGS:
+        for method in BASELINES + RUNS:
+            budgets = (60, 150, 300) if method == "bo_baseline" else BUDGETS
+            for total in budgets:
+                for seed in SEEDS:
+                    yield method, name, total, seed
+
+
+def digest(results_dir: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted({p for pattern in PATTERNS for p in results_dir.glob(pattern)}):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    result = json.loads((results_dir / "result.json").read_text())
+    result.pop("wall_time")
+    h.update(b"result.json\n" + json.dumps(result, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def run_one(sizerforge, config, method: str, total: int, seed: int, out: Path) -> None:
+    controller = sizerforge.controller
+    if method in BASELINES:
+        controller.run_baseline(config, method, controller.RunBudget(total_evals=total), seed,
+                                results_dir=str(out))
+        return
+    budget = controller.RunBudget(total_evals=total)
+    if method == "run_one_loop":
+        budget = controller.RunBudget(total_evals=total, max_outer_loops=1)
+    flags = {method[len("run_"):]: True} if method in ("run_no_oe", "run_no_ssd") else {}
+    controller.run(config, budget, sizerforge.agents.RuleBackend(), seed,
+                   results_dir=str(out), **flags)
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve()
+    sys.path.insert(0, str(src))
+    import sizerforge.agents
+    import sizerforge.config
+    import sizerforge.controller
+
+    configs = {name: sizerforge.config.load_config(str(src.parent / "configs" / f"{name}.yaml"))
+               for name in CONFIGS}
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for method, name, total, seed in matrix():
+            key = f"{method}/{name}/{total}/seed{seed}"
+            out = Path(tmp) / key.replace("/", "_")
+            try:
+                run_one(sizerforge, configs[name], method, total, seed, out)
+                digests[key] = digest(out)
+            except Exception as exc:  # recorded, so both sides must fail alike
+                digests[key] = f"error: {type(exc).__name__}: {exc}"
+    print(json.dumps(digests, indent=1, sort_keys=True))
+    print(f"{len(digests)} runs", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
