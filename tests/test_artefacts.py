@@ -73,10 +73,6 @@ def _baseline_run(algorithm, name, workers, tmp_path, total_evals=60):
     return result, _check(result, budget, out)
 
 
-def _baseline_digest(algorithm, name, workers, tmp_path):
-    return _baseline_run(algorithm, name, workers, tmp_path)[1]
-
-
 def _run_digest(ablation, workers, tmp_path):
     out = tmp_path / f"run_{ablation}_w{workers}"
     budget = RunBudget(max_outer_loops=1) if ablation == "no_srl" else RunBudget()
@@ -88,9 +84,9 @@ def _run_digest(ablation, workers, tmp_path):
 
 @pytest.mark.parametrize("algorithm,name", sorted(BASELINE_DIGESTS))
 def test_baseline_artefacts_match_golden(algorithm, name, tmp_path):
-    digest = _baseline_digest(algorithm, name, 1, tmp_path)
+    _, digest = _baseline_run(algorithm, name, 1, tmp_path)
     assert digest == BASELINE_DIGESTS[(algorithm, name)]
-    assert _baseline_digest(algorithm, name, 2, tmp_path) == digest
+    assert _baseline_run(algorithm, name, 2, tmp_path)[1] == digest
 
 
 def test_turbo_restart_artefacts_match_golden(tmp_path):
