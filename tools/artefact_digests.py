@@ -16,9 +16,13 @@ the same picks on the matrix when their maps are equal:
     cmp parent.json change.json
 
 The matrix: the four baselines and the two-loop ``run`` with the rule
-backend (plain, ``no_oe``, ``no_ssd`` and one outer loop) on sota_easy,
-sota_med and sota_hard, at 60 and 300 evaluations, plus bo_baseline at
-150, seeds 0-2: 153 runs. A run that raises is recorded as ``error:``
+backend (plain, ``no_oe``, ``no_ssd``, one outer loop and ``cycle``) on
+sota_easy, sota_med and sota_hard, at 60 and 300 evaluations, plus
+bo_baseline at 150, seeds 0-2: 171 runs. The ``cycle`` runs keep the
+rule policy's plan and outer loop, but their inner decision cycles the
+six orchestrated methods, 12 samples each with default parameters, and
+their spec asks for ``fom > 1000`` in place of any ``fom`` clause, so no
+run stops on feasibility and every method proposes on a growing history. A run that raises is recorded as ``error:``
 with the exception. BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS`` says otherwise, so the Bayesian picks do not
 depend on the host's core count.
@@ -26,6 +30,7 @@ depend on the host's core count.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,7 +42,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 CONFIGS = ("sota_easy", "sota_med", "sota_hard")
 BASELINES = ("lhs", "ga_baseline", "bo_baseline", "turbo_baseline")
-RUNS = ("run", "run_no_oe", "run_no_ssd", "run_one_loop")
+RUNS = ("run", "run_no_oe", "run_no_ssd", "run_one_loop", "run_cycle")
+CYCLE_SAMPLES = 12
 BUDGETS = (60, 300)
 SEEDS = (0, 1, 2)
 PATTERNS = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
@@ -63,6 +69,32 @@ def digest(results_dir: Path) -> str:
     return h.hexdigest()
 
 
+def cycle_backend(sizerforge):
+    """A rule backend whose inner decision cycles the orchestrated methods."""
+    methods = sizerforge.optim.pool.ORCHESTRATED
+
+    class CycleBackend(sizerforge.agents.RuleBackend):
+        def __init__(self):
+            super().__init__()
+            self.turns = 0
+
+        def decide_inner(self, report, remaining, space, config):
+            method = methods[self.turns % len(methods)]
+            self.turns += 1
+            return {"action": "search", "method": method, "n_samples": CYCLE_SAMPLES,
+                    "parameters": {}, "reasoning": "cycle the orchestrated methods",
+                    "confidence": "medium", "expected_improvement": "incremental",
+                    "convergence_assessment": "not assessed"}
+
+    return CycleBackend()
+
+
+def unreachable_fom(config):
+    """The config with its spec's ``fom`` clause, if any, replaced by ``fom > 1000``."""
+    clauses = [c for c in config.user_specs_metric.split(" AND ") if not c.startswith("fom ")]
+    return dataclasses.replace(config, user_specs_metric=" AND ".join(["fom > 1000"] + clauses))
+
+
 def run_one(sizerforge, config, method: str, total: int, seed: int, out: Path) -> None:
     controller = sizerforge.controller
     if method in BASELINES:
@@ -72,9 +104,11 @@ def run_one(sizerforge, config, method: str, total: int, seed: int, out: Path) -
     budget = controller.RunBudget(total_evals=total)
     if method == "run_one_loop":
         budget = controller.RunBudget(total_evals=total, max_outer_loops=1)
+    backend = sizerforge.agents.RuleBackend()
+    if method == "run_cycle":
+        config, backend = unreachable_fom(config), cycle_backend(sizerforge)
     flags = {method[len("run_"):]: True} if method in ("run_no_oe", "run_no_ssd") else {}
-    controller.run(config, budget, sizerforge.agents.RuleBackend(), seed,
-                   results_dir=str(out), **flags)
+    controller.run(config, budget, backend, seed, results_dir=str(out), **flags)
 
 
 def main(argv) -> int:
@@ -86,6 +120,7 @@ def main(argv) -> int:
     import sizerforge.agents
     import sizerforge.config
     import sizerforge.controller
+    import sizerforge.optim.pool
 
     configs = {name: sizerforge.config.load_config(str(src.parent / "configs" / f"{name}.yaml"))
                for name in CONFIGS}
