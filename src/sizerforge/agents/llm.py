@@ -215,12 +215,16 @@ class TranscriptWriter:
     """One JSON file per agent call: rendered prompt, params, raw response.
 
     File names sort in call order, so a transcript directory written
-    here replays verbatim through ReplayTransport.
+    here replays verbatim through ReplayTransport. A directory already
+    holding ``.json`` transcripts is refused, so no two runs interleave.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        if any(p.suffix == ".json" for p in self.directory.iterdir()):
+            raise ConfigError(f"transcript directory {directory} already holds transcripts; "
+                              "give each run its own")
         self._count = 0
 
     def record(self, kind: str, prompt: str, params: Mapping[str, object], response: str) -> Path:

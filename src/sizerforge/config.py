@@ -8,6 +8,9 @@ with ``{placeholder}`` slots (subcircuit and testbench). Unknown keys
 are preserved verbatim in ``passthrough`` so benchmark extensions never
 break parsing.
 
+A value of the wrong shape (a word for a number, a scalar for a list)
+is a ConfigError naming its key: see ``read_number`` and ``read_list``.
+
 Placeholder syntax is exactly single-brace ``{name}``; a doubled brace
 ``{{`` escapes a literal brace. The same engine renders the agent
 prompt templates.
@@ -67,6 +70,22 @@ def extract_placeholders(template: str) -> List[str]:
         if name and name not in seen:
             seen.append(name)
     return seen
+
+
+def read_number(key: str, value, kind: type = float):
+    """``value`` as ``kind`` (float or int), else ConfigError naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}") from None
+
+
+def read_list(key: str, value) -> list:
+    """``value`` when it is a list, else ConfigError naming ``key``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+    return value
 
 
 def format_value(x: float) -> str:
@@ -153,7 +172,7 @@ def parse_config(source: str) -> BenchmarkConfig:
             raise ConfigError(f"variable {name!r} must have a null value, got {value!r}")
         variables.append(str(name))
 
-    w_values = [float(v) for v in doc["W_values"]]
+    w_values = [read_number("W_values", v) for v in read_list("W_values", doc["W_values"])]
     if any(v <= 0 for v in w_values):
         raise NonMonotonicGrid("W_values must be positive")
     if any(b <= a for a, b in zip(w_values, w_values[1:])):
@@ -163,16 +182,16 @@ def parse_config(source: str) -> BenchmarkConfig:
     for derived, entry in (doc.get("width_scales") or {}).items():
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ConfigError(f"width_scales entry {derived!r} must be [base, multiplier]")
-        base, multiplier = str(entry[0]), float(entry[1])
+        base, multiplier = str(entry[0]), read_number(f"width_scales.{derived}", entry[1])
         if base not in variables:
             raise BadScaleRef(derived, base)
         if multiplier <= 0:
             raise ConfigError(f"width_scales multiplier for {derived!r} must be positive")
         width_scales[str(derived)] = (base, multiplier)
 
-    params = {str(k): float(v) for k, v in (doc.get("params") or {}).items()}
+    params = {str(k): read_number(f"params.{k}", v) for k, v in (doc.get("params") or {}).items()}
 
-    metrics = [str(m) for m in doc["metrics"]]
+    metrics = [str(m) for m in read_list("metrics", doc["metrics"])]
     if not metrics:
         raise ConfigError("metrics list must be non-empty")
 
@@ -180,7 +199,7 @@ def parse_config(source: str) -> BenchmarkConfig:
     parse_spec(spec_text)  # SpecParseError forwarded
 
     subckt_name = str(doc["subckt_name"])
-    subckt_pins = [str(p) for p in doc["subckt_pins"]]
+    subckt_pins = [str(p) for p in read_list("subckt_pins", doc["subckt_pins"])]
     testbench_signals = {str(k): str(v) for k, v in (doc.get("testbench_signals") or {}).items()}
 
     passthrough = {k: v for k, v in doc.items() if k not in _KNOWN}

@@ -7,7 +7,8 @@ back: the best feasible record, else ``best``.
 
 A History holds only its records. A batch is a run of records sharing an
 iteration number, and ``History.summaries`` computes one summary per
-batch from them, so no second list can drift from the records.
+batch from them, so no second list can drift from the records. It keeps
+no index of design ids: proposers match candidates by index vector.
 
 The scalar objective is the product of normalized maximize-metrics over
 the product of normalized minimize-metrics, each normalized by its
@@ -121,6 +122,11 @@ class IterationSummary:
         return asdict(self)
 
 
+def is_valid(record: EvaluatedDesign) -> bool:
+    """A record that simulated and has a figure of merit."""
+    return record.sim_status == SIM_OK and record.fom is not None
+
+
 def rank_key(record: EvaluatedDesign) -> Tuple[float, int]:
     """Ranks valid records: highest FoM first, earliest eval index on ties.
 
@@ -139,7 +145,6 @@ class History:
 
     def __init__(self):
         self.records: List[EvaluatedDesign] = []
-        self.dedupe_index: Dict[str, int] = {}
 
     def __len__(self):
         return len(self.records)
@@ -151,7 +156,6 @@ class History:
                 f"eval_index must be dense: got {record.eval_index}, expected {expected}"
             )
         self.records.append(record)
-        self.dedupe_index.setdefault(record.design.id, record.eval_index)
 
     def append_batch(self, records: Sequence[EvaluatedDesign]) -> None:
         for r in records:
@@ -168,7 +172,7 @@ class History:
         best = None
         for batch in self.batches():
             for r in batch:
-                if r.sim_status == SIM_OK and r.fom is not None and (best is None or r.fom > best):
+                if is_valid(r) and (best is None or r.fom > best):
                     best = r.fom
             improvement = pct_change(out[-1].best_fom_so_far, best) if out else None
             out.append(IterationSummary(batch[0].iteration, batch[0].method, len(batch),
@@ -178,11 +182,8 @@ class History:
     def next_eval_index(self) -> int:
         return len(self.records) + 1
 
-    def contains_design(self, design_id: str) -> bool:
-        return design_id in self.dedupe_index
-
     def valid_records(self) -> List[EvaluatedDesign]:
-        return [r for r in self.records if r.sim_status == SIM_OK and r.fom is not None]
+        return [r for r in self.records if is_valid(r)]
 
     def best(self) -> Optional[EvaluatedDesign]:
         """The best valid record by ``rank_key``; None when there is none."""
@@ -205,6 +206,23 @@ class History:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _normalized_product(clauses: Sequence[Comparison],
+                        raw_metrics: Mapping[str, float]) -> Optional[float]:
+    """Product of each clause's metric over its threshold; ``None`` at a
+    zero threshold or a normalized value <= 0 or non-finite."""
+    product = 1.0
+    for clause in clauses:
+        if clause.metric not in raw_metrics:
+            raise MissingMetric(clause.metric)
+        if clause.threshold == 0:
+            return None
+        normalized = raw_metrics[clause.metric] / clause.threshold
+        if not math.isfinite(normalized) or normalized <= 0:
+            return None
+        product *= normalized
+    return product
+
+
 def compute_fom(
     maximize: Sequence[Comparison],
     minimize: Sequence[Comparison],
@@ -215,33 +233,14 @@ def compute_fom(
     Each metric is normalized by its clause threshold. Any normalized
     value <= 0 or non-finite fails, as does a zero denominator; negative
     raw metrics therefore fail rather than producing a signed objective.
+    A failed maximize-metric returns before a missing minimize-metric raises.
     """
-    numerator = 1.0
-    for clause in maximize:
-        if clause.metric not in raw_metrics:
-            raise MissingMetric(clause.metric)
-        if clause.threshold == 0:
-            return None
-        normalized = raw_metrics[clause.metric] / clause.threshold
-        if not math.isfinite(normalized) or normalized <= 0:
-            return None
-        numerator *= normalized
-    denominator = 1.0
-    for clause in minimize:
-        if clause.metric not in raw_metrics:
-            raise MissingMetric(clause.metric)
-        if clause.threshold == 0:
-            return None
-        normalized = raw_metrics[clause.metric] / clause.threshold
-        if not math.isfinite(normalized) or normalized <= 0:
-            return None
-        denominator *= normalized
-    if denominator == 0:
+    numerator = _normalized_product(maximize, raw_metrics)
+    denominator = None if numerator is None else _normalized_product(minimize, raw_metrics)
+    if not denominator:  # failed, or a product that underflowed to zero
         return None
     value = numerator / denominator
-    if not math.isfinite(value):
-        return None
-    return value
+    return value if math.isfinite(value) else None
 
 
 def assess(
@@ -259,24 +258,18 @@ def assess(
     try:
         fom = compute_fom(fom_max, fom_min, raw_metrics)
     except MissingMetric:
+        fom = None
+    if fom is None:
         return None, False, {}
 
     spec_metrics = dict(raw_metrics)
     if any(c.metric == FOM_METRIC for c in spec.clauses):
-        if FOM_METRIC in raw_metrics and fom is not None:
+        if FOM_METRIC in raw_metrics:
             reported = raw_metrics[FOM_METRIC]
             if reported != 0 and abs(reported - fom) / abs(reported) > 0.01:
-                log.warning(
-                    "engine fom %.6g disagrees with reported fom %.6g by more than 1%%",
-                    fom,
-                    reported,
-                )
-        if fom is None:
-            return None, False, {}
+                log.warning("engine fom %.6g disagrees with reported fom %.6g by more than 1%%",
+                            fom, reported)
         spec_metrics[FOM_METRIC] = fom
-
-    if fom is None:
-        return None, False, {}
 
     try:
         feasible = evaluate_spec(spec, spec_metrics)

@@ -26,7 +26,7 @@ from typing import List, Optional
 import yaml
 
 from .agents import make_backend
-from .config import BenchmarkConfig, load_config
+from .config import BenchmarkConfig, load_config, read_list, read_number
 from .controller import BASELINE_ALGORITHMS, RunBudget, RunResult, run, run_baseline
 from .core import SIM_OK
 from .errors import ConfigError
@@ -93,12 +93,12 @@ def parse_matrix(source: str) -> TrialMatrix:
     for m in methods:
         _check_method(str(m))
 
-    trials = int(doc.get("trials_per_cell", DEFAULT_TRIALS))
+    trials = read_number("trials_per_cell", doc.get("trials_per_cell", DEFAULT_TRIALS), int)
     if trials < 1:
         raise ConfigError("trials_per_cell must be at least 1")
     seeds = doc.get("seeds")
     if seeds is not None:
-        seeds = [int(s) for s in seeds]
+        seeds = [read_number("seeds", s, int) for s in read_list("seeds", seeds)]
         if len(seeds) != trials:
             raise ConfigError(
                 f"seeds length {len(seeds)} must equal trials_per_cell {trials}"
@@ -109,13 +109,13 @@ def parse_matrix(source: str) -> TrialMatrix:
     unknown = set(raw_budget) - {f.name for f in fields(RunBudget)}
     if unknown:
         raise ConfigError(f"unknown budget keys {sorted(unknown)}")
-    budget = RunBudget(**{key: int(value) for key, value in raw_budget.items()})
+    budget = RunBudget(**{k: read_number(f"budget.{k}", v, int) for k, v in raw_budget.items()})
     return TrialMatrix(
         circuits=[str(c) for c in circuits],
         methods=[str(m) for m in methods],
         trials_per_cell=trials,
         seeds=seeds,
-        base_seed=int(doc.get("base_seed", 0)),
+        base_seed=read_number("base_seed", doc.get("base_seed", 0), int),
         budget=budget,
     )
 

@@ -5,7 +5,7 @@ The proxy is deliberately simple and documented: the figure of merit of
 the nearest evaluated in-space neighbor (L1 distance on index
 coordinates, earliest evaluation on ties), zero when nothing has been
 evaluated. The batch emitted for real evaluation is the sequence of
-unique accepted designs the chain visits.
+unique accepted designs the chain visits that the history does not hold.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def propose_annealing(
     cooling_rate: float = DEFAULT_COOLING,
 ) -> Proposal:
     rng = random.Random(seed)
-    sizes = [len(values) for _, values in space.active.items()]
-    obs = observations(space, history)
+    sizes = space.sizes()
+    obs, seen = observations(space, history)
     proxy = _NeighborProxy(obs)
 
     if obs:
@@ -76,7 +76,6 @@ def propose_annealing(
 
     temperature = initial_temperature
     batch: List[Tuple[int, ...]] = []
-    seen = set()
     accepted = 0
     steps = 0
     max_steps = MAX_STEPS_PER_SAMPLE * max(1, n_samples)
@@ -92,16 +91,14 @@ def propose_annealing(
             if metropolis_accept(delta, temperature, rng):
                 current = candidate
                 accepted += 1
+                # seen: every evaluated vector, then every one visited
                 if candidate not in seen:
                     seen.add(candidate)
-                    if not history.contains_design(materialize(space, candidate).id):
-                        batch.append(candidate)
+                    batch.append(candidate)
         temperature *= cooling_rate
 
-    designs = [materialize(space, row) for row in batch]
     return Proposal(
-        designs=designs,
-        method="annealing",
+        designs=[materialize(space, row) for row in batch],
         diagnostics={
             "initial_temperature": initial_temperature,
             "cooling_rate": cooling_rate,

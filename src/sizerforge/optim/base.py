@@ -7,30 +7,33 @@ the full variable set.
 
 Every proposer takes ``(space, history, n_samples, seed, **params)``
 and is a pure function of them; none keeps state between calls.
-The methods that learn from the history read ``observations``: each
-valid record inside the space with its index vector, in history order,
-checked against the space once per call. They rank records by
-``core.rank_key``. Every proposer drops designs the history already
-holds (``unevaluated``, or the same ``History.contains_design`` test
-inline where a proposer stops once its batch is full). A method
-resubmits an evaluated design only deliberately (GA elitism, degenerate
-multistart), and the evaluation cache serves those for free.
+``observations`` is every proposer's one view of the history, built in
+one pass that checks each record against the space: the valid records
+inside the space with their index vectors, in history order, for the
+methods that learn from the history (they rank records by
+``core.rank_key``), and the set of index vectors of every record inside
+the space, failed ones included. A record outside the space cannot
+share a design with a candidate, so a candidate is evaluated exactly
+when its vector is in that set. Every proposer drops candidates by
+vector (``fresh``, or the set itself where a proposer stops once its
+batch is full) before it builds a design. A method resubmits an
+evaluated design only deliberately (GA elitism, degenerate multistart),
+and the evaluation cache serves those for free.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..core import Design, EvaluatedDesign, History, design_from
+from ..core import Design, EvaluatedDesign, History, design_from, is_valid
 from ..space import SearchSpace, index_rows
 
 
 @dataclass
 class Proposal:
     designs: List[Design]
-    method: str
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
 
@@ -42,17 +45,26 @@ def materialize(space: SearchSpace, indices: Sequence[int]) -> Design:
     return design_from(assignment)
 
 
-def observations(space: SearchSpace, history: History) -> List[Tuple[EvaluatedDesign, List[int]]]:
-    """(record, index vector) of each valid record inside the space, in history order."""
-    valid = history.valid_records()
-    rows = index_rows(space, (r.design for r in valid))
-    return [(r, row) for r, row in zip(valid, rows) if row is not None]
+def observations(
+    space: SearchSpace, history: History
+) -> Tuple[List[Tuple[EvaluatedDesign, List[int]]], Set[Tuple[int, ...]]]:
+    """(record, index vector) of each valid record inside the space, in
+    history order, and the vectors of every record inside the space."""
+    records = history.records
+    obs, seen = [], set()
+    for record, row in zip(records, index_rows(space, (r.design for r in records))):
+        if row is not None:
+            seen.add(tuple(row))
+            if is_valid(record):
+                obs.append((record, row))
+    return obs, seen
 
 
-def unevaluated(designs: Sequence[Design], history: History) -> List[Design]:
-    """The designs the history holds no record of, in order."""
-    return [d for d in designs if not history.contains_design(d.id)]
+def fresh(space: SearchSpace, rows: Sequence[Sequence[int]],
+          seen: Set[Tuple[int, ...]]) -> List[Design]:
+    """The designs of the rows not in ``seen``, in order."""
+    return [materialize(space, row) for row in rows if tuple(row) not in seen]
 
 
 def uniform_indices(space: SearchSpace, rng: random.Random) -> List[int]:
-    return [rng.randrange(len(values)) for _, values in space.active.items()]
+    return [rng.randrange(m) for m in space.sizes()]

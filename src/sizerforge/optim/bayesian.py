@@ -3,9 +3,10 @@
 Candidates are the full index grid, as an array in the C order of
 ``itertools.product``, while the space stays at or under 20000 points,
 otherwise 2000 uniform draws. Candidates already in the history are
-dropped by index vector (by C-order flat index, ``ravel_multi_index``,
-on the enumerated grid), so no design is built for a candidate until it
-is picked.
+dropped against the evaluated vectors of ``observations``: by C-order
+flat index (``ravel_multi_index``) on the enumerated grid, by a set
+lookup per row on the random draws. No design is built for a candidate
+until it is picked.
 
 Batches are picked greedily with a constant-liar update between picks
 (the lie is the best observed value), so the batch holds no duplicate.
@@ -24,13 +25,13 @@ takes the first maximum, so ties go to the earlier candidate.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core import History
 from ..errors import InsufficientHistory
-from ..space import SearchSpace, index_rows
+from ..space import SearchSpace
 from .base import Proposal, materialize, observations
 from .gp import ACQUISITIONS, GaussianProcess, acquisition, correlation
 
@@ -42,36 +43,28 @@ _DEFAULT_WEIGHT = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}
 
 
 def normalize_rows(space: SearchSpace, rows: Sequence[Sequence[int]]) -> np.ndarray:
-    sizes = [len(values) for _, values in space.active.items()]
     out = np.asarray(rows, dtype=float)
-    for j, m in enumerate(sizes):
+    for j, m in enumerate(space.sizes()):
         out[:, j] = out[:, j] / (m - 1) if m > 1 else 0.0
     return out
 
 
 def candidate_rows(space: SearchSpace, rng: random.Random) -> np.ndarray:
     """Candidate index vectors over the active lists, one per row."""
-    sizes = [len(values) for values in space.active.values()]
+    sizes = space.sizes()
     if space.cardinality() <= ENUMERATION_LIMIT:
         # row i is the index vector whose mixed-radix flat index is i
         return np.indices(sizes).reshape(len(sizes), space.cardinality()).T
     return np.array([[rng.randrange(m) for m in sizes] for _ in range(FALLBACK_CANDIDATES)])
 
 
-def _unevaluated(space: SearchSpace, rows: np.ndarray, history: History) -> np.ndarray:
-    """Mask of the candidate rows whose design is not in the history.
-
-    Records outside the space have no index vector and match no row.
-    """
-    seen = [idx for idx in index_rows(space, (r.design for r in history.records))
-            if idx is not None]
+def _unseen(space: SearchSpace, rows: np.ndarray, seen: Set[Tuple[int, ...]]) -> np.ndarray:
+    """Mask of the candidate rows not in ``seen``."""
     if space.cardinality() > ENUMERATION_LIMIT:
-        seen_rows = {tuple(idx) for idx in seen}
-        return np.array([tuple(row) not in seen_rows for row in rows.tolist()], dtype=bool)
+        return np.array([tuple(row) not in seen for row in rows.tolist()], dtype=bool)
     keep = np.ones(len(rows), dtype=bool)
     if seen:
-        sizes = [len(values) for values in space.active.values()]
-        keep[np.ravel_multi_index(np.array(seen).T, sizes)] = False
+        keep[np.ravel_multi_index(np.array(list(seen)).T, space.sizes())] = False
     return keep
 
 
@@ -90,7 +83,7 @@ def propose_bayesian(
         if exploration_weight is not None
         else _DEFAULT_WEIGHT[acquisition_function]
     )
-    obs = observations(space, history)
+    obs, seen = observations(space, history)
     if len(obs) < MIN_OBSERVATIONS:
         raise InsufficientHistory(
             f"bayesian proposals need >= {MIN_OBSERVATIONS} valid in-space "
@@ -102,10 +95,9 @@ def propose_bayesian(
     y = np.array([r.fom for r, _ in obs], dtype=float)
 
     rows = candidate_rows(space, rng)
-    rows = rows[_unevaluated(space, rows, history)]
+    rows = rows[_unseen(space, rows, seen)]
     if not len(rows):
-        return Proposal(designs=[], method="bayesian",
-                        diagnostics={"note": "no unevaluated candidates"})
+        return Proposal(designs=[], diagnostics={"note": "no unevaluated candidates"})
     cand = normalize_rows(space, rows)
 
     n_picks = min(n_samples, len(rows))
@@ -132,10 +124,8 @@ def propose_bayesian(
         x_fit = np.vstack([x_fit, lie])
         y_fit = np.append(y_fit, best)
 
-    designs = [materialize(space, rows[i]) for i in picks]
     return Proposal(
-        designs=designs,
-        method="bayesian",
+        designs=[materialize(space, rows[i]) for i in picks],
         diagnostics={
             "acquisition": acquisition_function,
             "weight": weight,

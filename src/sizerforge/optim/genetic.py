@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from ..core import History, rank_key
 from ..space import SearchSpace
-from .base import Proposal, materialize, observations, unevaluated
+from .base import Proposal, fresh, observations
 from .sampling import lhs_index_rows
 
 MUTATION_STEPS = (-2, -1, 1, 2)
@@ -52,15 +52,13 @@ def propose_genetic(
 ) -> Proposal:
     rng = random.Random(seed)
     n = population if population is not None else n_samples
-    sizes = [len(values) for _, values in space.active.items()]
+    sizes = space.sizes()
 
-    parents = observations(space, history)
+    parents, seen = observations(space, history)
     if len(parents) < 2:
         rows = lhs_index_rows(space, n, rng)
-        designs = unevaluated([materialize(space, row) for row in rows], history)
         return Proposal(
-            designs=designs,
-            method="genetic",
+            designs=fresh(space, rows, seen),
             diagnostics={"fallback": "lhs_seeding", "parents_available": len(parents)},
         )
 
@@ -81,12 +79,9 @@ def propose_genetic(
         offspring_rows.append(child)
         provenance.append({"parents": [p1.design.id, p2.design.id]})
 
-    offspring = unevaluated([materialize(space, row) for row in offspring_rows], history)
-    # elitism: incumbent always re-enters the evaluated set (cache hit, free)
-    designs = [elite.design] + [d for d in offspring if d.id != elite.design.id]
-    designs = designs[:n]
+    # elitism: the incumbent re-enters first, a free cache hit; the
+    # offspring drop every evaluated vector, the incumbent's included
     return Proposal(
-        designs=designs,
-        method="genetic",
+        designs=([elite.design] + fresh(space, offspring_rows, seen))[:n],
         diagnostics={"elite": elite.design.id, "offspring": provenance},
     )

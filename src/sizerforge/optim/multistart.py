@@ -42,18 +42,11 @@ def propose_multistart(
     search_radius: int = DEFAULT_RADIUS,
 ) -> Proposal:
     rng = random.Random(seed)
-    sizes = [len(values) for _, values in space.active.items()]
-
-    ranked = sorted(observations(space, history), key=lambda ob: rank_key(ob[0]), reverse=True)
-    starts: List[Tuple[int, ...]] = []
-    seen_ids = set()
-    for record, row in ranked:
-        if record.design.id in seen_ids:
-            continue
-        seen_ids.add(record.design.id)
-        starts.append(tuple(row))
-        if len(starts) == n_starts:
-            break
+    sizes = space.sizes()
+    obs, seen = observations(space, history)
+    ranked = sorted(obs, key=lambda ob: rank_key(ob[0]), reverse=True)
+    # the distinct vectors, best first
+    starts = list(dict.fromkeys(tuple(row) for _, row in ranked))[:n_starts]
     padded = 0
     if len(starts) < n_starts:
         padded = n_starts - len(starts)
@@ -61,16 +54,13 @@ def propose_multistart(
             starts.append(tuple(row))
 
     if search_radius == 0:
-        designs = [materialize(space, row) for row in starts][:n_samples]
         return Proposal(
-            designs=designs,
-            method="multistart",
+            designs=[materialize(space, row) for row in starts][:n_samples],
             diagnostics={"n_starts": len(starts), "lhs_padding": padded, "radius": 0},
         )
 
     iterators = [neighborhood_rows(row, sizes, search_radius) for row in starts]
     chosen: List[Tuple[int, ...]] = []
-    in_batch = set()
     active = list(range(len(iterators)))
     while active and len(chosen) < n_samples:
         # round-robin truncation keeps the batch balanced across starts
@@ -80,19 +70,16 @@ def propose_multistart(
             except StopIteration:
                 active.remove(slot)
                 continue
-            if row in in_batch:
+            # seen: every evaluated vector, then every one chosen
+            if row in seen:
                 continue
-            if history.contains_design(materialize(space, row).id):
-                continue
-            in_batch.add(row)
+            seen.add(row)
             chosen.append(row)
             if len(chosen) == n_samples:
                 break
 
-    designs = [materialize(space, row) for row in chosen]
     return Proposal(
-        designs=designs,
-        method="multistart",
+        designs=[materialize(space, row) for row in chosen],
         diagnostics={
             "n_starts": len(starts),
             "lhs_padding": padded,

@@ -8,13 +8,14 @@ outside its range, is a BadParameter before any sampling happens.
 it shows up in strategy guidance without its own definition.
 
 ``propose`` calls every proposer as ``(space, history, n_samples, seed,
-**params)`` and relabels the proposal with the method name; every
-proposer is a pure function of these. The baselines are presets of the
-orchestrated samplers: ga_baseline = genetic(population 20, crossover
-0.8, mutation 0.1), bo_baseline = bayesian(UCB, weight 2.0);
-turbo_baseline is trust-region LHS, which reads its region from the
-history. Only the orchestrated methods are the inner loop's to pick.
-Defaults not preset here are the proposers' own signature defaults.
+**params)``; every proposer is a pure function of these. A proposal
+carries no method label: the caller names the method it asks for. The
+baselines are presets of the orchestrated samplers: ga_baseline =
+genetic(population 20, crossover 0.8, mutation 0.1), bo_baseline =
+bayesian(UCB, weight 2.0); turbo_baseline is trust-region LHS, which
+reads its region from the history. Only the orchestrated methods are the
+inner loop's to pick. Defaults not preset here are the proposers' own
+signature defaults.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..core import History
 from ..errors import BadParameter, InsufficientHistory, UnknownMethod
 from ..space import SearchSpace
 from .annealing import propose_annealing
-from .base import Proposal, materialize, unevaluated, uniform_indices
+from .base import Proposal, fresh, observations, uniform_indices
 from .bayesian import propose_bayesian
 from .genetic import propose_genetic
 from .gp import ACQUISITIONS
@@ -153,11 +154,9 @@ def _propose_adaptive(
     random_designs = []
     if counts["random_weight"]:
         rrng = random.Random(seeds["random"])
-        draws = [
-            materialize(space, uniform_indices(space, rrng))
-            for _ in range(counts["random_weight"])
-        ]
-        random_designs = unevaluated(draws, history)
+        draws = [uniform_indices(space, rrng) for _ in range(counts["random_weight"])]
+        _, evaluated = observations(space, history)
+        random_designs = fresh(space, draws, evaluated)
 
     seen = set()
     merged = []
@@ -169,7 +168,6 @@ def _propose_adaptive(
     merged = merged[:n_samples]
     return Proposal(
         designs=merged,
-        method="adaptive",
         diagnostics={
             "split": counts,
             "exploit_method": exploit_method,
@@ -197,5 +195,4 @@ def propose(space: SearchSpace, config: MethodConfig, history: History) -> Propo
     cfg = validate_method_config(config)
     proposer, _, preset = METHODS[cfg.method]
     params = {**preset, **cfg.parameters}
-    proposal = proposer(space, history, cfg.n_samples, cfg.seed, **params)
-    return dataclasses.replace(proposal, method=cfg.method)
+    return proposer(space, history, cfg.n_samples, cfg.seed, **params)

@@ -1,19 +1,20 @@
 """Latin hypercube sampling on the discrete index grid.
 
-Stratification is per variable: with n samples over m values, every
-value index appears floor(n/m) or ceil(n/m) times in that variable's
-column. Columns are built as shuffled multisets, so the joint sample is
-seed-deterministic.
+Stratification is per variable: with n samples over a window of m
+values, every value index of the window appears floor(n/m) or ceil(n/m)
+times in that variable's column. The window is the whole active list
+unless a caller narrows it (the trust-region baseline). Columns are
+built as shuffled multisets, so the joint sample is seed-deterministic.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Optional, Sequence, Tuple
 
 from ..core import History
 from ..space import SearchSpace
-from .base import Proposal, materialize, unevaluated
+from .base import Proposal, fresh, observations
 
 
 def stratified_column(m: int, n: int, rng: random.Random) -> List[int]:
@@ -28,15 +29,17 @@ def stratified_column(m: int, n: int, rng: random.Random) -> List[int]:
     return column
 
 
-def lhs_index_rows(space: SearchSpace, n: int, rng: random.Random) -> List[List[int]]:
-    columns = [
-        stratified_column(len(values), n, rng) for _, values in space.active.items()
-    ]
+def lhs_index_rows(space: SearchSpace, n: int, rng: random.Random,
+                   windows: Optional[Sequence[Tuple[int, int]]] = None) -> List[List[int]]:
+    """n stratified index vectors; each variable's column covers its
+    inclusive index window ``(lo, hi)``, the whole active list by default."""
+    windows = windows or [(0, m - 1) for m in space.sizes()]
+    columns = [[lo + idx for idx in stratified_column(hi - lo + 1, n, rng)] for lo, hi in windows]
     return [[col[row] for col in columns] for row in range(n)]
 
 
 def propose_lhs(space: SearchSpace, history: History, n_samples: int, seed: int) -> Proposal:
     rng = random.Random(seed)
     rows = lhs_index_rows(space, n_samples, rng)
-    designs = unevaluated([materialize(space, row) for row in rows], history)
-    return Proposal(designs=designs, method="lhs", diagnostics={"requested": n_samples})
+    _, seen = observations(space, history)
+    return Proposal(designs=fresh(space, rows, seen), diagnostics={"requested": n_samples})

@@ -21,8 +21,8 @@ from typing import List, Tuple
 
 from ..core import History, rank_key
 from ..space import SearchSpace
-from .base import Proposal, materialize, observations, unevaluated
-from .sampling import stratified_column
+from .base import Proposal, fresh, observations
+from .sampling import lhs_index_rows
 
 INIT_FRACTION = 0.8
 EXPAND_FACTOR = 2.0
@@ -74,10 +74,10 @@ def propose_turbo_baseline(
     space: SearchSpace, history: History, n_samples: int, seed: int
 ) -> Proposal:
     rng = random.Random(seed)
-    sizes = [len(values) for _, values in space.active.items()]
+    sizes = space.sizes()
     fraction, restarted = trust_region(history, sizes)
 
-    obs = observations(space, history)
+    obs, seen = observations(space, history)
     if not obs or restarted:
         windows = [(0, m - 1) for m in sizes]
     else:
@@ -86,15 +86,9 @@ def propose_turbo_baseline(
             window_bounds(idx, m, fraction) for idx, m in zip(center, sizes)
         ]
 
-    columns = []
-    for lo, hi in windows:
-        column = stratified_column(hi - lo + 1, n_samples, rng)
-        columns.append([lo + idx for idx in column])
-    rows = [[col[row] for col in columns] for row in range(n_samples)]
-    designs = unevaluated([materialize(space, row) for row in rows], history)
+    rows = lhs_index_rows(space, n_samples, rng, windows)
     return Proposal(
-        designs=designs,
-        method="turbo_baseline",
+        designs=fresh(space, rows, seen),
         diagnostics={
             "fraction": fraction,
             "restarted": restarted,

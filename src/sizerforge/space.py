@@ -43,8 +43,12 @@ class SearchSpace:
     full_grid: Mapping[str, Tuple[float, ...]]
     generation: int = 0
 
+    def sizes(self) -> List[int]:
+        """The length of each active list, in declaration order."""
+        return [len(values) for values in self.active.values()]
+
     def cardinality(self) -> int:
-        return prod(len(v) for v in self.active.values()) if self.active else 1
+        return prod(self.sizes())
 
     def describe(self) -> dict:
         return {

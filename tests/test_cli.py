@@ -71,6 +71,28 @@ def test_run_records_one_transcript_per_model_call_and_they_replay(capsys, tmp_p
     assert without_wall(again) == without_wall(first)
 
 
+def test_run_refuses_a_transcript_directory_a_run_has_written(capsys, tmp_path):
+    config_path = str(CONFIGS / "sota_hard.yaml")
+    recorded = tmp_path / "replies"
+    recorded.mkdir()
+    understanding = json.dumps(rule_understand(load_config(config_path)))
+    (recorded / "0001.json").write_text(
+        json.dumps({"prompt": "", "params": {}, "response": understanding}))
+    argv = ["run", config_path, "--budget", "20", "--backend", f"replay:{recorded}",
+            "--transcripts", str(tmp_path / "written")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    written = {p.name: p.read_text() for p in (tmp_path / "written").iterdir()}
+    assert list(written) == ["0001_understanding.json"]
+
+    assert main(argv + ["--results-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: transcript directory ")
+    assert {p.name: p.read_text() for p in (tmp_path / "written").iterdir()} == written
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_reports_the_config_and_its_grid(capsys):
     assert main(["validate", str(CONFIGS / "sota_hard.yaml")]) == 0
     assert capsys.readouterr().out.splitlines() == [

@@ -1,9 +1,11 @@
 """Benchmark config parsing and deck rendering."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+from sizerforge.cli import main
 from sizerforge.config import (
     extract_placeholders,
     format_value,
@@ -22,6 +24,7 @@ from sizerforge.errors import (
     TemplateUnresolvable,
     ValueOffGrid,
 )
+from sizerforge.harness import parse_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -162,6 +165,33 @@ def test_variable_block_must_be_null_valued():
     bad = MINIMAL.replace("W_a: null", "W_a: 1.0")
     with pytest.raises(ConfigError):
         parse_config(bad)
+
+
+MATRIX = "circuits: [c.yaml]\nmethods: [lhs]\n"
+
+
+@pytest.mark.parametrize(
+    "command, source, key",
+    [
+        ("bench", MATRIX + "trials_per_cell: three\n", "trials_per_cell"),
+        ("bench", MATRIX + "budget: {total_evals: lots}\n", "budget.total_evals"),
+        ("bench", MATRIX + "seeds: 5\n", "seeds"),
+        ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, wide]"), "W_values"),
+        ("validate", MINIMAL.replace("metrics: [gain, power]", "metrics: fom"), "metrics"),
+    ],
+    ids=["trials_per_cell", "budget", "seeds", "W_values", "metrics"],
+)
+def test_malformed_values_are_config_errors_naming_the_key(command, source, key, tmp_path,
+                                                           capsys):
+    parse = parse_matrix if command == "bench" else parse_config
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        parse(source)
+    path = tmp_path / "doc.yaml"
+    path.write_text(source)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key!r} must be ")
 
 
 def test_unknown_keys_pass_through():

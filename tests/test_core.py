@@ -217,14 +217,6 @@ def test_valid_records_drop_failures():
     assert [r.eval_index for r in hist.valid_records()] == [1]
 
 
-def test_contains_design():
-    hist = History()
-    r = _record(1, 0.5)
-    hist.append(r)
-    assert hist.contains_design(r.design.id)
-    assert not hist.contains_design("nope")
-
-
 def test_history_jsonl_round_trip_fields():
     import json
 

@@ -604,3 +604,14 @@ def test_http_transport_names_the_missing_environment(monkeypatch):
     assert str(caught.value) == (
         "llm transport is not configured; set SIZERFORGE_LLM_KEY, SIZERFORGE_LLM_MODEL"
     )
+
+
+def test_transcript_writer_refuses_a_directory_holding_transcripts(tmp_path):
+    directory = tmp_path / "written"
+    directory.mkdir()
+    (directory / "notes.txt").write_text("not a transcript")
+    writer = TranscriptWriter(directory)
+    writer.record("plan", "prompt", {"temperature": 0}, "reply")
+    with pytest.raises(ConfigError, match="already holds transcripts"):
+        TranscriptWriter(directory)
+    assert sorted(p.name for p in directory.iterdir()) == ["0001_plan.json", "notes.txt"]

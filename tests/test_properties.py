@@ -123,7 +123,8 @@ def test_proposals_stay_on_the_grid_inside_the_space_and_off_the_history(method,
         assert all(design.assignment[v] in GRID for v in space.full_grid)
     assert None not in index_rows(space, proposal.designs)
 
-    resubmitted = [d for d in proposal.designs if history.contains_design(d.id)]
+    evaluated = {r.design.id for r in history.records}
+    resubmitted = [d for d in proposal.designs if d.id in evaluated]
     if method == "multistart" and params["search_radius"] == 0:
         return
     if method in ("genetic", "ga_baseline") and "elite" in proposal.diagnostics:

@@ -66,7 +66,6 @@ def test_lhs_rows_stratify_every_column():
 def test_propose_lhs_designs_live_in_space():
     space = _space()
     proposal = propose_lhs(space, History(), 12, seed=5)
-    assert proposal.method == "lhs"
     assert len(proposal.designs) == 12
     for d in proposal.designs:
         assert d.assignment["W_a"] in GRID9

@@ -121,7 +121,6 @@ def test_window_width_and_edge_shift():
 
 def test_cold_start_samples_full_grid():
     proposal = propose_turbo_baseline(_space(), History(), 10, seed=1)
-    assert proposal.method == "turbo_baseline"
     assert proposal.diagnostics["windows"] == [[0, 8], [0, 8]]
     assert not proposal.diagnostics["restarted"]
 

@@ -21,9 +21,10 @@ sota_easy, sota_med and sota_hard, at 60 and 300 evaluations, plus
 bo_baseline at 150, seeds 0-2: 171 runs. The ``cycle`` runs keep the
 rule policy's plan and outer loop, but their inner decision cycles the
 six orchestrated methods, 12 samples each with default parameters, and
-their spec asks for ``fom > 1000`` in place of any ``fom`` clause, so no
-run stops on feasibility and every method proposes on a growing history. A run that raises is recorded as ``error:``
-with the exception. BLAS runs on one thread unless
+their spec asks for ``fom > 1000`` in place of any ``fom`` clause (or
+besides the others, where it has none), so no run stops on feasibility
+and every method proposes on a growing history. A run that raises is
+recorded as ``error:`` with the exception. BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS`` says otherwise, so the Bayesian picks do not
 depend on the host's core count.
 """
