@@ -2,21 +2,23 @@
 
 Subcommands: run (one sizing run), bench (a trial matrix), report
 (re-render saved results), validate (check a config renders and
-parses), oracle (print a surrogate model's certified optimum).
+parses), oracle (print a surrogate model's best feasible point).
+
+``run --method`` takes the spelling a matrix file's ``methods`` take,
+a baseline name or ``autosizer[:BACKEND][+ABLATION]``, and hands it to
+``controller.run_method``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .agents import make_backend
 from .config import load_config, render_deck
-from .controller import BASELINE_ALGORITHMS, RunBudget, run, run_baseline
-from .errors import ConfigError, SizerForgeError
+from .controller import AUTOSIZER_SPELLING, BASELINES, RunBudget, run_method
+from .errors import SizerForgeError
 from .evaluation import evaluator_from_config
 from .harness import load_matrix, render_table, run_matrix
 from .specexpr import parse_spec
@@ -29,13 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one sizing optimization")
     p_run.add_argument("config")
-    p_run.add_argument("--backend", default="rule",
-                       help="rule | llm | replay:DIR (default rule)")
     p_run.add_argument("--transcripts", metavar="DIR",
-                       help="record each model call here, replayable as replay:DIR")
+                       help="record each model call here, replayable as autosizer:replay:DIR")
     p_run.add_argument("--method", default="autosizer",
-                       choices=("autosizer",) + BASELINE_ALGORITHMS,
-                       help="two-loop autosizer or a single-loop baseline")
+                       help=f"{AUTOSIZER_SPELLING} or a baseline: {', '.join(BASELINES)}")
     p_run.add_argument("--budget", type=int, default=RunBudget.total_evals)
     p_run.add_argument("--inner-cap", type=int, default=RunBudget.per_inner_loop)
     p_run.add_argument("--outer-cap", type=int, default=RunBudget.max_outer_loops,
@@ -46,12 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--keep-logs", action="store_true")
     p_run.add_argument("--results-dir", help="write artifacts under this directory")
-    p_run.add_argument("--no-cu", action="store_true",
-                       help="ablation: generic circuit understanding (llm or replay backend)")
-    p_run.add_argument("--no-ssd", action="store_true",
-                       help="ablation: search the full grid, skip planning")
-    p_run.add_argument("--no-oe", action="store_true",
-                       help="ablation: plain lhs batches instead of method orchestration")
 
     p_bench = sub.add_parser("bench", help="run a circuits x methods trial matrix")
     p_bench.add_argument("matrix")
@@ -64,23 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a config parses and renders")
     p_val.add_argument("config")
 
-    p_oracle = sub.add_parser("oracle", help="print a surrogate model's certified optimum")
+    p_oracle = sub.add_parser("oracle", help="print a surrogate model's best feasible point")
     p_oracle.add_argument("model_id")
     return parser
-
-
-def _evaluator_override(config, choice):
-    if choice is None:
-        return None
-    base = evaluator_from_config(config)
-    if choice == "spice":
-        return dataclasses.replace(base, kind="spice")
-    model_id = config.passthrough.get("surrogate_model")
-    if not model_id:
-        raise ConfigError(
-            "--evaluator surrogate needs a surrogate_model key in the config"
-        )
-    return dataclasses.replace(base, kind="surrogate", model_id=str(model_id))
 
 
 def _fmt_assignment(assignment) -> str:
@@ -94,21 +73,11 @@ def cmd_run(args) -> int:
         per_inner_loop=args.inner_cap,
         max_outer_loops=args.outer_cap,
     )
-    evaluator = _evaluator_override(config, args.evaluator)
-    if args.method in BASELINE_ALGORITHMS:
-        result = run_baseline(
-            config, args.method, budget, args.seed,
-            evaluator=evaluator, workers=args.workers,
-            keep_logs=args.keep_logs, results_dir=args.results_dir,
-        )
-    else:
-        backend = make_backend(args.backend, args.transcripts)
-        result = run(
-            config, budget, backend, args.seed,
-            evaluator=evaluator, workers=args.workers,
-            keep_logs=args.keep_logs, results_dir=args.results_dir,
-            no_cu=args.no_cu, no_ssd=args.no_ssd, no_oe=args.no_oe,
-        )
+    result = run_method(
+        config, args.method, budget, args.seed, transcripts=args.transcripts,
+        evaluator=evaluator_from_config(config, args.evaluator), workers=args.workers,
+        keep_logs=args.keep_logs, results_dir=args.results_dir,
+    )
 
     print(f"outcome: {result.outcome}")
     best = result.best

@@ -36,6 +36,11 @@ controller acts on that same dict; the log is serialized only when the
 run ends, so no decision is changed after it is logged. The plan and
 each outer decision come back with the space they lead to, which the
 controller searches as it is and never builds again.
+
+A run is named the same way on the command line and in a matrix file:
+a baseline name, or ``autosizer[:BACKEND][+ABLATION]`` for the two-loop
+run. ``parse_method`` reads the name; ``run_method`` makes the backend
+and calls ``run`` or ``run_baseline``.
 """
 
 from __future__ import annotations
@@ -43,12 +48,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .agents import RuleBackend, rule_decide_inner, rule_understand
+from .agents import RuleBackend, make_backend, rule_decide_inner, rule_understand
 from .core import EvaluatedDesign, History
 from .diagnostics import DiagnosticsReport, analyze, render_text
 from .errors import BudgetOverrun, ConfigError, InsufficientHistory, UnknownMethod
@@ -57,17 +63,20 @@ from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
 from .space import SearchSpace, space_from_config
 from .specexpr import parse_spec
 
-BASELINE_ALGORITHMS = ("lhs", "ga_baseline", "bo_baseline", "turbo_baseline")
-
+# each baseline's batch size; None spends the whole remainder in one batch
+BASELINES = {
+    "lhs": None,
+    "ga_baseline": int(GA_BASELINE_PRESET["population"]),
+    "bo_baseline": 5,
+    "turbo_baseline": 20,
+}
 # bo: random init size is pinned; follow-up batch size is ours
 BO_INIT_SAMPLES = 10
-BO_BATCH_SIZE = 5
-TURBO_BATCH_SIZE = 20
-_BASELINE_BATCH = {
-    "ga_baseline": int(GA_BASELINE_PRESET["population"]),
-    "bo_baseline": BO_BATCH_SIZE,
-    "turbo_baseline": TURBO_BATCH_SIZE,
-}
+
+# the two-loop run: autosizer, its backend, then ablations; parse_method
+# refuses a repeated one
+AUTOSIZER_SPELLING = "autosizer[:rule|llm|replay:DIR][+no_cu][+no_ssd][+no_oe]"
+_AUTOSIZER = re.compile(r"autosizer(?::(rule|llm|replay:[^+]+))?((?:\+no_cu|\+no_ssd|\+no_oe)*)")
 
 # consecutive all-cached batches before a loop is declared stalled;
 # elitism can re-propose the incumbent forever without charging budget
@@ -423,10 +432,8 @@ def run_baseline(
     Baselines never stop early on feasibility; they spend the whole
     budget (or the whole grid, whichever runs out first).
     """
-    if algorithm not in BASELINE_ALGORITHMS:
-        raise UnknownMethod(
-            f"unknown baseline {algorithm!r}; choose from {BASELINE_ALGORITHMS}"
-        )
+    if algorithm not in BASELINES:
+        raise UnknownMethod(f"unknown baseline {algorithm!r}; choose from {tuple(BASELINES)}")
     job = _Run(config, budget, evaluator, workers, keep_logs, results_dir)
     budget = job.budget
     space = space_from_config(config)
@@ -441,8 +448,7 @@ def run_baseline(
         if algorithm == "bo_baseline" and iteration == 1:
             method, n, extra = "lhs", BO_INIT_SAMPLES, {"phase": "random_init"}
         else:
-            # lhs spends the whole remainder in one batch
-            method, n = algorithm, _BASELINE_BATCH.get(algorithm, remaining)
+            method, n = algorithm, BASELINES[algorithm] or remaining
         mcfg = MethodConfig(
             method=method, n_samples=min(n, remaining), seed=child_seed(seed, 0, iteration - 1)
         )
@@ -453,3 +459,35 @@ def run_baseline(
 
     job.report(0, space)
     return job.finish(outcome, 1, [space])
+
+
+def parse_method(method: str) -> Tuple[Optional[str], Dict[str, bool]]:
+    """Read a method spelling: a baseline name, or
+    ``autosizer[:rule|llm|replay:DIR][+no_cu][+no_ssd][+no_oe]``.
+
+    Returns the backend spelling, None for a baseline, and the ablation
+    flags for ``run``. Anything else, a repeated ablation included, is a
+    ConfigError. A replay DIR cannot hold a ``+``.
+    """
+    if method in BASELINES:
+        return None, {}
+    match = _AUTOSIZER.fullmatch(method)
+    ablations = match.group(2).split("+")[1:] if match else []
+    if match is None or len(set(ablations)) < len(ablations):
+        raise ConfigError(
+            f"unknown method {method!r}; use {AUTOSIZER_SPELLING} or one of {tuple(BASELINES)}")
+    return match.group(1) or "rule", dict.fromkeys(ablations, True)
+
+
+def run_method(config, method: str, budget: Optional[RunBudget], seed: int, *,
+               transcripts: Optional[str] = None, **options) -> RunResult:
+    """Run ``method``, spelled as ``parse_method`` reads it, with
+    ``options`` passed on to ``run`` or ``run_baseline``.
+
+    ``transcripts`` records a model backend's calls to that directory.
+    Each call makes a fresh backend, as replay cursors are stateful.
+    """
+    backend, ablations = parse_method(method)
+    if backend is None:
+        return run_baseline(config, method, budget, seed, **options)
+    return run(config, budget, make_backend(backend, transcripts), seed, **options, **ablations)

@@ -67,10 +67,11 @@ class EvaluatorSpec:
             raise UnknownModel("surrogate evaluator needs a model id")
 
 
-def evaluator_from_config(config: BenchmarkConfig) -> EvaluatorSpec:
-    """Default evaluator for a config: the passthrough `evaluator` key
-    selects the surrogate bench, otherwise SPICE."""
-    if config.passthrough.get("evaluator") == "surrogate":
+def evaluator_from_config(config: BenchmarkConfig, kind: Optional[str] = None) -> EvaluatorSpec:
+    """The evaluator of a config: ``surrogate`` in the passthrough
+    `evaluator` key selects the surrogate bench, else SPICE. ``kind``,
+    when given, stands in for that key."""
+    if (kind or config.passthrough.get("evaluator")) == "surrogate":
         model_id = config.passthrough.get("surrogate_model")
         if model_id is None:
             raise ConfigError("evaluator: surrogate needs a surrogate_model key in the config")

@@ -1,7 +1,10 @@
 """Trial orchestration: circuits x methods x seeded trials.
 
 A matrix file names circuits (config paths) and methods, and each cell
-runs trials_per_cell seeded trials through the controller. Summaries
+runs trials_per_cell seeded trials through ``controller.run_method``. A
+method is spelled as ``sizerforge run --method`` takes it: a baseline
+name or ``autosizer[:BACKEND][+ABLATION]``, so the paper's ablation
+rows are matrix methods like any other. Summaries
 follow the usual benchmark table shape: FoM, evaluations and wall time
 as mean +/- std over the trials that produced a result, and a success
 rate over all trials, where a crashed trial counts as a failure.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import statistics
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -25,9 +29,8 @@ from typing import List, Optional
 
 import yaml
 
-from .agents import make_backend
-from .config import BenchmarkConfig, load_config, read_list, read_number
-from .controller import BASELINE_ALGORITHMS, RunBudget, RunResult, run, run_baseline
+from .config import load_config, read_list, read_number
+from .controller import RunBudget, RunResult, parse_method, run_method
 from .core import SIM_OK
 from .errors import ConfigError
 
@@ -61,19 +64,6 @@ class CellSummary:
     n_trials: int
     n_valid: int
 
-    def to_record(self) -> dict:
-        return {
-            "fom_mean": self.fom_mean,
-            "fom_std": self.fom_std,
-            "evals_mean": self.evals_mean,
-            "evals_std": self.evals_std,
-            "time_mean_s": self.time_mean_s,
-            "time_std_s": self.time_std_s,
-            "sr_pct": self.sr_pct,
-            "n_trials": self.n_trials,
-            "n_valid": self.n_valid,
-        }
-
 
 def parse_matrix(source: str) -> TrialMatrix:
     """Matrix files share the config document format: one YAML mapping."""
@@ -91,7 +81,7 @@ def parse_matrix(source: str) -> TrialMatrix:
     if not methods or not isinstance(methods, list):
         raise ConfigError("matrix needs a non-empty 'methods' list")
     for m in methods:
-        _check_method(str(m))
+        parse_method(str(m))
 
     trials = read_number("trials_per_cell", doc.get("trials_per_cell", DEFAULT_TRIALS), int)
     if trials < 1:
@@ -122,33 +112,6 @@ def parse_matrix(source: str) -> TrialMatrix:
 
 def load_matrix(path: str) -> TrialMatrix:
     return parse_matrix(Path(path).read_text())
-
-
-def _check_method(method: str) -> None:
-    if method in BASELINE_ALGORITHMS:
-        return
-    if method == "autosizer" or method.startswith("autosizer:"):
-        return
-    raise ConfigError(
-        f"unknown method {method!r}; use autosizer[:backend] or one of {BASELINE_ALGORITHMS}"
-    )
-
-
-def _run_trial(
-    config: BenchmarkConfig,
-    method: str,
-    budget: RunBudget,
-    seed: int,
-    workers: int,
-    results_dir: Optional[str],
-) -> RunResult:
-    if method in BASELINE_ALGORITHMS:
-        return run_baseline(
-            config, method, budget, seed, workers=workers, results_dir=results_dir
-        )
-    spec = method.split(":", 1)[1] if ":" in method else "rule"
-    backend = make_backend(spec)  # fresh per trial: replay cursors are stateful
-    return run(config, budget, backend, seed, workers=workers, results_dir=results_dir)
 
 
 def _trajectory(result: RunResult) -> List[tuple]:
@@ -237,10 +200,12 @@ def run_matrix(
                 }
                 trial_dir = None
                 if out_dir:
-                    slug = f"{config.name}__{method.replace(':', '-')}__s{seed}"
+                    # one path component, whatever the method spells (a replay DIR)
+                    slug = f"{config.name}__{re.sub(r'[^A-Za-z0-9_.+-]', '-', method)}__s{seed}"
                     trial_dir = str(Path(out_dir) / "trials" / slug)
                 try:
-                    result = _run_trial(config, method, matrix.budget, seed, workers, trial_dir)
+                    result = run_method(config, method, matrix.budget, seed,
+                                        workers=workers, results_dir=trial_dir)
                 except Exception as exc:  # a broken cell must not sink the matrix
                     trial["error"] = f"{type(exc).__name__}: {exc}"
                     trials.append(trial)
@@ -262,7 +227,7 @@ def run_matrix(
                     "circuit": config.name,
                     "config": circuit_path,
                     "method": method,
-                    "summary": _summarize(trials).to_record(),
+                    "summary": asdict(_summarize(trials)),
                     "trials": trials,
                 }
             )

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .core import Design, assess, design_from
+from .core import SIM_OK, Design, EvaluatedDesign, assess, design_from, is_valid, rank_key
 from .errors import GridTooLarge, UnknownModel
 from .specexpr import parse_spec
 
@@ -124,30 +124,32 @@ def get_model(model_id: str) -> SurrogateModel:
 
 
 def enumerate_oracle(model: SurrogateModel) -> OracleResult:
-    """Exhaustively certify the model's global optimum.
+    """Exhaustively certify the design a run should report.
 
     Walks the grid in lexicographic variable order through the same
-    assess path runs use; ties break to the earliest point, failed
-    values rank below every finite one.
+    assess path runs use, and picks as ``History.reported()`` does: the
+    best feasible point by figure of merit, else the best valid one, the
+    earliest point on ties. With no valid point it is the first point.
     """
     total = math.prod(len(model.grids[v]) for v in model.variables)
     if total > ORACLE_GRID_LIMIT:
         raise GridTooLarge(f"{total} grid points exceeds the oracle limit {ORACLE_GRID_LIMIT}")
 
     spec = parse_spec(model.spec_text)
-    best_design = None
-    best_fom: Optional[float] = None
+    first = best = None
     feasible_count = 0
-    for values in itertools.product(*(model.grids[v] for v in model.variables)):
+    grid = itertools.product(*(model.grids[v] for v in model.variables))
+    for index, values in enumerate(grid, start=1):
         assignment = dict(zip(model.variables, values))
         metrics = model.metrics_for(assignment)
-        fom, feasible, _ = assess(spec, metrics)
-        if feasible:
-            feasible_count += 1
-        if best_design is None:
-            best_design = design_from(assignment)
-            best_fom = fom
-        elif fom is not None and (best_fom is None or fom > best_fom):
-            best_design = design_from(assignment)
-            best_fom = fom
-    return OracleResult(best_design, best_fom, feasible_count, total)
+        fom, feasible, normalized = assess(spec, metrics)
+        feasible_count += feasible
+        record = EvaluatedDesign(design_from(assignment), metrics, normalized, fom, feasible,
+                                 SIM_OK, 1, "oracle", index, 0.0)
+        first = first or record
+        # one pass, one record kept: a feasible point outranks every infeasible one
+        if is_valid(record) and (best is None or (feasible, rank_key(record))
+                                 > (best.feasible, rank_key(best))):
+            best = record
+    best = best or first
+    return OracleResult(best.design, best.fom, feasible_count, total)

@@ -14,7 +14,7 @@ import pytest
 
 from sizerforge.agents import RuleBackend
 from sizerforge.config import load_config
-from sizerforge.controller import RunBudget, run, run_baseline
+from sizerforge.controller import RunBudget, run, run_baseline, run_method
 from sizerforge.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -73,12 +73,18 @@ def _baseline_run(algorithm, name, workers, tmp_path, total_evals=60):
     return result, _check(result, budget, out)
 
 
-def _run_digest(ablation, workers, tmp_path):
-    out = tmp_path / f"run_{ablation}_w{workers}"
+def _run_digest(ablation, workers, tmp_path, spelled=False):
+    """The run's digest, through ``run`` or, spelled, through ``run_method``."""
+    out = tmp_path / f"run_{ablation}_w{workers}_{'spelled' if spelled else 'flags'}"
     budget = RunBudget(max_outer_loops=1) if ablation == "no_srl" else RunBudget()
     flags = {ablation: True} if ablation not in (None, "no_srl") else {}
     config = load_config(str(CONFIGS / "sota_hard.yaml"))
-    result = run(config, budget, RuleBackend(), 0, workers=workers, results_dir=str(out), **flags)
+    if spelled:
+        method = "autosizer" + "".join(f"+{flag}" for flag in flags)
+        result = run_method(config, method, budget, 0, workers=workers, results_dir=str(out))
+    else:
+        result = run(config, budget, RuleBackend(), 0, workers=workers, results_dir=str(out),
+                     **flags)
     return _check(result, budget, out)
 
 
@@ -102,6 +108,9 @@ def test_run_artefacts_match_golden(ablation, tmp_path):
     digest = _run_digest(ablation, 1, tmp_path)
     assert digest == RUN_DIGESTS[ablation]
     assert _run_digest(ablation, 2, tmp_path) == digest
+    # autosizer, autosizer+no_oe and autosizer+no_ssd; no_srl is plain
+    # autosizer under max_outer_loops=1
+    assert _run_digest(ablation, 1, tmp_path, spelled=True) == digest
 
 
 def test_no_cu_with_the_rule_backend_is_rejected(tmp_path):

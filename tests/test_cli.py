@@ -23,7 +23,7 @@ def test_run_prints_the_design_that_meets_the_spec(capsys):
 
 
 def test_run_rejects_no_cu_under_the_rule_backend(capsys, tmp_path):
-    argv = ["run", str(CONFIGS / "sota_hard.yaml"), "--backend", "rule", "--no-cu",
+    argv = ["run", str(CONFIGS / "sota_hard.yaml"), "--method", "autosizer+no_cu",
             "--results-dir", str(tmp_path / "out")]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -50,7 +50,7 @@ def test_run_records_one_transcript_per_model_call_and_they_replay(capsys, tmp_p
             json.dumps({"prompt": "", "params": {}, "response": reply}))
     # the replies run out after the first inner decision; the rule policy
     # answers the rest, and an exhausted replay is no model call
-    argv = ["run", config_path, "--budget", "40", "--backend", f"replay:{recorded}",
+    argv = ["run", config_path, "--budget", "40", "--method", f"autosizer:replay:{recorded}",
             "--transcripts", str(tmp_path / "written")]
     assert main(argv) == 0
     first = capsys.readouterr().out
@@ -61,7 +61,8 @@ def test_run_records_one_transcript_per_model_call_and_they_replay(capsys, tmp_p
     assert [r["response"] for r in records] == replies
     assert all(r["prompt"] and r["params"] for r in records)
 
-    argv = ["run", config_path, "--budget", "40", "--backend", f"replay:{tmp_path / 'written'}"]
+    argv = ["run", config_path, "--budget", "40",
+            "--method", f"autosizer:replay:{tmp_path / 'written'}"]
     assert main(argv) == 0
     again = capsys.readouterr().out
 
@@ -78,7 +79,7 @@ def test_run_refuses_a_transcript_directory_a_run_has_written(capsys, tmp_path):
     understanding = json.dumps(rule_understand(load_config(config_path)))
     (recorded / "0001.json").write_text(
         json.dumps({"prompt": "", "params": {}, "response": understanding}))
-    argv = ["run", config_path, "--budget", "20", "--backend", f"replay:{recorded}",
+    argv = ["run", config_path, "--budget", "20", "--method", f"autosizer:replay:{recorded}",
             "--transcripts", str(tmp_path / "written")]
     assert main(argv) == 0
     capsys.readouterr()
@@ -106,13 +107,24 @@ def test_validate_reports_the_config_and_its_grid(capsys):
     ]
 
 
+# the best feasible point of each grid; sota_easy's best FoM, 1.6163 at
+# a=b=0.84, fails its gain_db clause
+ORACLES = {
+    "sota_easy": (81, 45, 1.4859345111979358, {"a": 1.26, "b": 1.47}),
+    "sota_med": (6561, 2410, 14.79109194302325, {"W_tail_base": 0.84, "W_diff_base": 2.52,
+                                                 "W_casc_base": 2.52, "W_load_base": 0.84}),
+    "sota_hard": (6561, 3, 11.377763033094807, {"W_tail_base": 1.26, "W_diff_base": 2.52,
+                                                "W_casc_base": 2.52, "W_load_base": 0.84}),
+}
+
+
 def test_oracle_prints_the_enumerated_grid_as_json(capsys):
-    assert main(["oracle", "sota_easy"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["model"] == "sota_easy"
-    assert (record["total_count"], record["feasible_count"]) == (81, 45)
-    assert sorted(record["best_assignment"]) == ["a", "b"]
-    assert isinstance(record["best_fom"], float)
+    for model, (total, feasible, fom, assignment) in ORACLES.items():
+        assert main(["oracle", model]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["model"] == model
+        assert (record["total_count"], record["feasible_count"]) == (total, feasible)
+        assert (record["best_fom"], record["best_assignment"]) == (fom, assignment)
 
 
 def test_unknown_surrogate_is_an_error_not_a_traceback(capsys):

@@ -25,6 +25,7 @@ from sizerforge.errors import (
     ValueOffGrid,
 )
 from sizerforge.harness import parse_matrix
+from sizerforge.surrogates import _MED_SCALES, _TELESCOPIC_VARS, get_model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -192,6 +193,18 @@ def test_malformed_values_are_config_errors_naming_the_key(command, source, key,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {key!r} must be ")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("sota_*.yaml")), ids=lambda p: p.stem)
+def test_the_surrogate_registry_agrees_with_its_config(path):
+    # the oracle reads the registry's copy of what runs read in the config
+    config = load_config(str(path))
+    model = get_model(config.passthrough["surrogate_model"])
+    assert list(model.variables) == config.variables
+    assert all(list(model.grids[v]) == config.grid_for(v) for v in config.variables)
+    assert model.spec_text == config.user_specs_metric
+    scales = dict(config.width_scales.values())
+    assert scales == (_MED_SCALES if model.variables == _TELESCOPIC_VARS else {})
 
 
 def test_unknown_keys_pass_through():

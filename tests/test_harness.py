@@ -1,13 +1,13 @@
 """Trial matrix: spec verdicts on configs whose simulators report no fom,
-trajectories that end at the reported design, and the budget keys a
-matrix file may set."""
+trajectories that end at the reported design, the method spellings and
+budget keys a matrix file may set, and one directory per trial."""
 
 from pathlib import Path
 
 import pytest
 
 from sizerforge.config import load_config
-from sizerforge.controller import RunBudget, run_baseline
+from sizerforge.controller import RunBudget, parse_method, run_baseline
 from sizerforge.errors import ConfigError
 from sizerforge.harness import TrialMatrix, parse_matrix, run_matrix
 
@@ -48,3 +48,47 @@ def test_parse_matrix_rejects_unknown_budget_keys():
     with pytest.raises(ConfigError, match="wall_clock_limit_s"):
         parse_matrix(source)
     assert parse_matrix(source.replace(", wall_clock_limit_s: 5", "")).budget == RunBudget(60)
+
+
+# each spelling a matrix accepts, and what run_method makes of it:
+# (backend spelling, None for a baseline; ablation flags for run)
+SPELLINGS = {
+    "lhs": (None, {}),
+    "ga_baseline": (None, {}),
+    "bo_baseline": (None, {}),
+    "turbo_baseline": (None, {}),
+    "autosizer": ("rule", {}),
+    "autosizer:llm": ("llm", {}),
+    "autosizer:replay:DIR+no_cu": ("replay:DIR", {"no_cu": True}),
+    "autosizer+no_oe+no_ssd": ("rule", {"no_oe": True, "no_ssd": True}),
+}
+
+
+@pytest.mark.parametrize("method", list(SPELLINGS))
+def test_parse_matrix_accepts_each_method_spelling(method):
+    assert parse_matrix(f"circuits: [c.yaml]\nmethods: ['{method}']\n").methods == [method]
+    assert parse_method(method) == SPELLINGS[method]
+
+
+@pytest.mark.parametrize("method", ["autosizer:", "autosizer+", "autosizer+no_srl", "lhs+no_oe",
+                                    "bogus", "autosizer:replay:", "autosizer+no_oe+no_oe"])
+def test_parse_matrix_rejects_other_method_spellings(method):
+    with pytest.raises(ConfigError, match="unknown method"):
+        parse_matrix(f"circuits: [c.yaml]\nmethods: ['{method}']\n")
+
+
+def test_run_matrix_writes_one_directory_per_trial_for_a_replay_method(tmp_path):
+    # an empty transcript directory: every decision falls back to the rule
+    # policy; the method spells an absolute path, slashes and all
+    replies = tmp_path / "replies"
+    replies.mkdir()
+    matrix = TrialMatrix(circuits=[str(CONFIGS / "sota_easy.yaml")],
+                         methods=[f"autosizer:replay:{replies}"], seeds=[0, 1],
+                         trials_per_cell=2, budget=RunBudget(total_evals=20))
+    report = run_matrix(matrix, out_dir=str(tmp_path / "out"))
+    assert all(t["ok"] for t in report["cells"][0]["trials"])
+    trials = sorted((tmp_path / "out" / "trials").iterdir())
+    assert [p.name[-4:] for p in trials] == ["__s0", "__s1"]
+    for trial in trials:
+        assert trial.name.startswith("sota_easy__autosizer-replay-")
+        assert (trial / "result.json").is_file()
