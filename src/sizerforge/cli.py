@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one sizing optimization")
     p_run.add_argument("config")
     p_run.add_argument("--transcripts", metavar="DIR",
-                       help="record each model call here, replayable as autosizer:replay:DIR")
+                       help="record each model call of autosizer:llm or autosizer:replay:DIR "
+                            "here, replayable as autosizer:replay:DIR")
     p_run.add_argument("--method", default="autosizer",
                        help=f"{AUTOSIZER_SPELLING} or a baseline: {', '.join(BASELINES)}")
     p_run.add_argument("--budget", type=int, default=RunBudget.total_evals)

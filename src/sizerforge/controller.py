@@ -12,9 +12,9 @@ fixed preset per algorithm; baselines always spend the whole budget and
 never stop early on feasibility, so their trajectories stay comparable.
 
 ``run`` and ``run_baseline`` share one ``_Run``: its set-up, its
-``batch`` step (propose, lhs fallback on too little history, evaluate,
-charge, log, stall count) and its ``finish`` (reported design, budget
-check, result, artefacts). Each keeps only its own stop rules and its
+``batch`` step (propose, lhs fallback on too little history or a
+singular kernel, evaluate, charge, log, stall count) and its ``finish``
+(reported design, budget check, result, artefacts). Each keeps only its own stop rules and its
 own source of decisions. ``run`` passes the scope ``{"loop": i}`` to
 every batch step and baselines pass ``{}``; the scope is merged into
 each entry the step logs. A baseline that ends
@@ -57,7 +57,8 @@ from typing import Dict, List, Optional, Tuple
 from .agents import RuleBackend, make_backend, rule_decide_inner, rule_understand
 from .core import EvaluatedDesign, History
 from .diagnostics import DiagnosticsReport, analyze, render_text
-from .errors import BudgetOverrun, ConfigError, InsufficientHistory, UnknownMethod
+from .errors import (BudgetOverrun, ConfigError, InsufficientHistory, SingularKernel,
+                     UnknownMethod)
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
 from .space import SearchSpace, space_from_config
@@ -211,10 +212,12 @@ class _Run:
         history = self.history
         try:
             proposal = propose(space, mcfg, history)
-        except InsufficientHistory as exc:
-            # too few in-space observations for a model-based method
-            self.log("event", event="insufficient_history_fallback", **scope,
-                     iteration=iteration, detail=str(exc))
+        except (InsufficientHistory, SingularKernel) as exc:
+            # too few in-space observations for a model-based method, or a
+            # kernel no jitter makes positive definite: degrade, not abort
+            event = ("insufficient_history_fallback" if isinstance(exc, InsufficientHistory)
+                     else "singular_kernel_fallback")
+            self.log("event", event=event, **scope, iteration=iteration, detail=str(exc))
             fallback = dataclasses.replace(mcfg, method="lhs", parameters={})
             proposal = propose(space, fallback, history)
         designs = list(proposal.designs)[:limit]
@@ -484,10 +487,15 @@ def run_method(config, method: str, budget: Optional[RunBudget], seed: int, *,
     """Run ``method``, spelled as ``parse_method`` reads it, with
     ``options`` passed on to ``run`` or ``run_baseline``.
 
-    ``transcripts`` records a model backend's calls to that directory.
-    Each call makes a fresh backend, as replay cursors are stateful.
+    ``transcripts`` records a model backend's calls to that directory;
+    naming one for a method that makes no model call (a baseline, or the
+    rule backend) is a ConfigError. Each call makes a fresh backend, as
+    replay cursors are stateful.
     """
     backend, ablations = parse_method(method)
+    if transcripts is not None and backend in (None, "rule"):
+        raise ConfigError(f"transcripts record model calls, and {method!r} makes none; "
+                          "use autosizer:llm or autosizer:replay:DIR")
     if backend is None:
         return run_baseline(config, method, budget, seed, **options)
     return run(config, budget, make_backend(backend, transcripts), seed, **options, **ablations)

@@ -19,6 +19,7 @@ meets the spec, which is the record's own ``feasible`` flag from
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -167,6 +168,17 @@ def _summarize(trials: List[dict]) -> CellSummary:
     )
 
 
+def _method_slug(method: str) -> str:
+    """One path component per method spelling, whatever it spells (a
+    replay DIR): a spelling with other characters than ``[A-Za-z0-9_.+-]``
+    has them replaced by ``-`` and a digest of the spelling appended, so
+    ``replay:X/a/b`` and ``replay:X/a-b`` stay apart."""
+    slug = re.sub(r"[^A-Za-z0-9_.+-]", "-", method)
+    if slug == method:
+        return slug
+    return f"{slug}-{hashlib.sha256(method.encode()).hexdigest()[:16]}"
+
+
 def run_matrix(
     matrix: TrialMatrix,
     *,
@@ -200,8 +212,7 @@ def run_matrix(
                 }
                 trial_dir = None
                 if out_dir:
-                    # one path component, whatever the method spells (a replay DIR)
-                    slug = f"{config.name}__{re.sub(r'[^A-Za-z0-9_.+-]', '-', method)}__s{seed}"
+                    slug = f"{config.name}__{_method_slug(method)}__s{seed}"
                     trial_dir = str(Path(out_dir) / "trials" / slug)
                 try:
                     result = run_method(config, method, matrix.budget, seed,

@@ -10,16 +10,14 @@ until it is picked.
 
 Batches are picked greedily with a constant-liar update between picks
 (the lie is the best observed value), so the batch holds no duplicate.
-The GP is refit on the observations plus the lies before every pick:
-a lie changes the target variance and with it the kernel amplitude, so
-a refit is the exact posterior where a one-row factor update is not.
-The unscaled correlation of the candidates to the training points does
-not change between picks, so each batch keeps it in one column-major
-buffer, computed once for the observations, and appends one column per
-lie; the columns of the current fit are then one contiguous block,
-which the GP's triangular solve takes without a copy. Every pick scores
-all candidates and masks the ones already picked with -inf; argmax
-takes the first maximum, so ties go to the earlier candidate.
+The GP is fit once per batch, on the observations: its jitter is
+relative to the amplitude, so the factor does not depend on the targets
+that the lies change. Each lie is then a rank-one append to the factor
+and to the whitened candidate block (``gp.Posterior``), O(N n) for N
+candidates and n training points, and a refit only when the append's
+pivot is lost to rounding and the jitter must escalate. Every pick
+scores all candidates and masks the ones already picked with -inf;
+argmax takes the first maximum, so ties go to the earlier candidate.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from ..core import History
 from ..errors import InsufficientHistory
 from ..space import SearchSpace
 from .base import Proposal, materialize, observations
-from .gp import ACQUISITIONS, GaussianProcess, acquisition, correlation
+from .gp import ACQUISITIONS, GaussianProcess, Posterior, acquisition
 
 ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000
@@ -101,28 +99,20 @@ def propose_bayesian(
     cand = normalize_rows(space, rows)
 
     n_picks = min(n_samples, len(rows))
-    gp = GaussianProcess()
-    # correlation of every candidate to the observations, then to each
-    # lie; column-major, so the first n columns are one contiguous block
-    corr = np.empty((len(rows), len(x) + n_picks), order="F")
-    corr[:, : len(x)] = correlation(cand, x, gp.length_scale)
     best = float(np.max(y))
+    posterior = Posterior(GaussianProcess(), cand, x, y, spare=n_picks - 1)
     picks: List[int] = []
     acq_values: List[float] = []
-    x_fit, y_fit = x, y
     for _ in range(n_picks):
-        gp.fit(x_fit, y_fit)
-        mu, sigma = gp.posterior(corr[:, : len(x_fit)])
+        if picks:
+            # constant liar: pretend the last pick returned the incumbent best
+            posterior.add(picks[-1], best)
+        mu, sigma = posterior.moments()
         scores = acquisition(acquisition_function, mu, sigma, best, weight)
         scores[picks] = -np.inf
         chosen = int(np.argmax(scores))
         picks.append(chosen)
         acq_values.append(float(scores[chosen]))
-        # constant liar: pretend the pick returned the incumbent best
-        lie = cand[chosen : chosen + 1]
-        corr[:, len(x_fit)] = correlation(cand, lie, gp.length_scale)[:, 0]
-        x_fit = np.vstack([x_fit, lie])
-        y_fit = np.append(y_fit, best)
 
     return Proposal(
         designs=[materialize(space, rows[i]) for i in picks],

@@ -1,18 +1,20 @@
 """Gaussian-process regression and acquisition-driven batch proposals."""
 
+import dataclasses
 import itertools
 import random as pyrandom
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
 from scipy.stats import norm
 
 from sizerforge.core import EvaluatedDesign, History, design_from
-from sizerforge.errors import InsufficientHistory
+from sizerforge.errors import InsufficientHistory, SingularKernel
 from sizerforge.optim.base import materialize, observations
 from sizerforge.optim.bayesian import candidate_rows, normalize_rows, propose_bayesian
-from sizerforge.optim.gp import GaussianProcess, acquisition, matern25
+from sizerforge.optim.gp import GaussianProcess, Posterior, acquisition, matern25
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -255,16 +257,21 @@ def test_small_space_candidates_enumerate_fully():
 #
 # The straightforward algorithm: every candidate row materialized and
 # hashed to drop evaluated designs, and every constant-liar pick
-# refitting the GP, recomputing all candidate distances by broadcasting
-# and taking the posterior variance from the two-solve form
-# diag(k_star K^-1 k_star^T). The proposer's per-batch correlation
-# buffer, index filtering and one-solve variance must pick the same
-# designs, and their acquisition values agree to a relative 1e-9: the
-# one-solve variance sums in another order, so the last bits differ.
-# (Broadcast sums and cdist agree bit for bit up to 7 dimensions; numpy
-# sums 8 or more terms pairwise.)
+# refitting the GP from scratch, recomputing all candidate distances by
+# broadcasting and taking the posterior variance from the two-solve form
+# diag(k_star K^-1 k_star^T), with K = amp (R + j I). The proposer fits
+# once per batch and appends each lie to the factor, so its acquisition
+# values agree with these to a relative 1e-9, not bit for bit. Its picks
+# are the reference's, except where the reference's two best scores
+# agree to ACQ_RTOL: such a tie may go either way, and the reference then
+# continues from the proposer's pick. (Broadcast sums and cdist agree
+# bit for bit up to 7 dimensions; numpy sums 8 or more terms pairwise.)
 
 ACQ_RTOL, ACQ_ATOL = 1e-9, 1e-12
+# the picks that may go to the other side of a reference tie, per case;
+# shape0 ties two EI values of 5.70e-22 and two PI values of 9.42e-20,
+# each pair equal to 11 digits
+TIE_PICKS = {((3, 7, 6, 0), "EI"): 1, ((3, 7, 6, 0), "PI"): 1}
 
 
 def _pairwise(a, b):
@@ -275,11 +282,11 @@ def _pairwise(a, b):
 def _reference_posterior(x, y, query):
     amplitude = float(np.var(y)) or 1.0
     y_mean = float(np.mean(y))
-    k = amplitude * matern25(_pairwise(x, x), 1.0)
+    r = matern25(_pairwise(x, x), 1.0)
     jitter = 1e-6
     while True:
         try:
-            factor = cho_factor(k + jitter * np.eye(len(x)), lower=True)
+            factor = cho_factor(amplitude * (r + jitter * np.eye(len(x))), lower=True)
             break
         except LinAlgError:
             jitter *= 10.0
@@ -293,7 +300,9 @@ def _reference_posterior(x, y, query):
     return mu, np.sqrt(np.maximum(var, 0.0))
 
 
-def _reference_propose(space, history, n_samples, seed, acquisition_function):
+def _reference_propose(space, history, n_samples, seed, acquisition_function, follow):
+    """The reference's picks, following the ids in ``follow`` through ties;
+    also returns the candidate count and the number of ties taken."""
     weight = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}[acquisition_function]
     obs, _ = observations(space, history)
     rng = pyrandom.Random(seed)
@@ -306,22 +315,30 @@ def _reference_propose(space, history, n_samples, seed, acquisition_function):
         rows = [tuple(rng.randrange(m) for m in sizes) for _ in range(2_000)]
     evaluated = {r.design.id for r in history.records}
     rows = [row for row in rows if materialize(space, row).id not in evaluated]
+    ids = [materialize(space, row).id for row in rows]
     cand = normalize_rows(space, rows)
-    picks, values = [], []
+    picks, values, ties = [], [], 0
     remaining = list(range(len(rows)))
     x_fit, y_fit = x, y
-    for _ in range(min(n_samples, len(rows))):
+    for k in range(min(n_samples, len(rows))):
         mu, sigma = _reference_posterior(x_fit, y_fit, cand[remaining])
         scores = acquisition(acquisition_function, mu, sigma, float(np.max(y_fit)), weight)
         local_best = int(np.argmax(scores))
-        chosen = remaining.pop(local_best)
+        local = local_best
+        if k < len(follow) and ids[remaining[local_best]] != follow[k]:
+            # random draws may repeat a row: follow the first remaining copy
+            local = next(j for j, i in enumerate(remaining) if ids[i] == follow[k])
+            gap = abs(scores[local] - scores[local_best])
+            assert gap <= ACQ_RTOL * abs(scores[local_best]), (k, scores[local], scores[local_best])
+            ties += 1
+        chosen = remaining.pop(local)
         picks.append(chosen)
-        values.append(float(scores[local_best]))
+        values.append(float(scores[local]))
         if not remaining:
             break
         x_fit = np.vstack([x_fit, cand[chosen : chosen + 1]])
         y_fit = np.append(y_fit, float(np.max(y)))
-    return [materialize(space, rows[i]).id for i in picks], values, len(rows)
+    return [ids[i] for i in picks], values, len(rows), ties
 
 
 def _mixed_history(space, rows, fixed_off):
@@ -390,14 +407,36 @@ def test_proposals_match_the_per_pick_reference(acquisition_function, shape):
     n_samples = 5
 
     got = propose_bayesian(space, hist, n_samples, seed, acquisition_function=acquisition_function)
-    want_ids, want_values, want_n = _reference_propose(
-        space, hist, n_samples, seed, acquisition_function
+    got_ids = [d.id for d in got.designs]
+    want_ids, want_values, want_n, ties = _reference_propose(
+        space, hist, n_samples, seed, acquisition_function, got_ids
     )
-    assert [d.id for d in got.designs] == want_ids
+    assert got_ids == want_ids
+    assert ties <= TIE_PICKS.get((shape, acquisition_function), 0)
     np.testing.assert_allclose(got.diagnostics["acquisition_values"], want_values,
                                rtol=ACQ_RTOL, atol=ACQ_ATOL)
     assert got.diagnostics["n_candidates"] == want_n
     assert not {r.design.id for r in hist.records} & set(want_ids)
+
+
+@pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB", "LCB"])
+def test_a_repeated_incumbent_matches_the_per_pick_reference(acquisition_function):
+    # GA elitism resubmits its incumbent every generation, and each cached
+    # copy is a record of its own: 20 coincident training rows
+    space, fixed_off = _narrowed_space(5, 9)
+    rows = [tuple(r) for r in candidate_rows(space, pyrandom.Random(4)).tolist()]
+    hist = _mixed_history(space, rows[::250][:25], fixed_off)
+    incumbent = max(hist.valid_records(), key=lambda r: r.fom)
+    for _ in range(20):
+        hist.append(dataclasses.replace(incumbent, eval_index=hist.next_eval_index(),
+                                        cached=True))
+    got = propose_bayesian(space, hist, 5, 4, acquisition_function=acquisition_function)
+    got_ids = [d.id for d in got.designs]
+    want_ids, want_values, _, ties = _reference_propose(
+        space, hist, 5, 4, acquisition_function, got_ids)
+    assert (got_ids, ties) == (want_ids, 0)
+    np.testing.assert_allclose(got.diagnostics["acquisition_values"], want_values,
+                               rtol=ACQ_RTOL, atol=ACQ_ATOL)
 
 
 def test_posterior_matches_the_two_solve_form():
@@ -424,3 +463,83 @@ def test_posterior_rejects_non_finite_correlations(bad):
     corr[1, 2] = bad
     with pytest.raises(ValueError):
         gp.posterior(corr)
+
+
+# ------------------------------------------------------ rank-one appends
+
+
+def _grid_points(n_values, dims, rng, k):
+    """k distinct normalized grid points of a n_values^dims grid."""
+    flat = rng.choice(n_values**dims, size=k, replace=False)
+    return np.array(np.unravel_index(flat, (n_values,) * dims)).T / (n_values - 1)
+
+
+def test_rank_one_appends_equal_a_fresh_factor_and_solve():
+    rng = np.random.default_rng(23)
+    points = _grid_points(9, 3, rng, 330)
+    x, query = points[:10], points[10:]
+    y = rng.uniform(0.1, 1.0, size=10)
+    gp = GaussianProcess()
+    posterior = Posterior(gp, query, x, y, spare=14)
+    added = [int(i) for i in rng.choice(len(query), size=14, replace=False)]
+    for i in added:  # past twice the fitted size, so the factor grows too
+        posterior.add(i, 0.9)
+    fit_x = np.vstack([x, query[added]])
+    r = matern25(_pairwise(fit_x, fit_x), 1.0) + 1e-6 * np.eye(len(fit_x))
+    want_l = np.tril(cho_factor(r, lower=True)[0])
+    want_w = dtrsm(1.0, want_l, matern25(_pairwise(query, fit_x), 1.0),
+                   side=1, lower=1, trans_a=1)
+    assert gp.fitted_jitter == 1e-6
+    np.testing.assert_allclose(gp.factor, want_l, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(posterior.w, want_w, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(gp.x, fit_x)
+    # and the moments are a fresh fit's
+    want_mu, want_sigma = _reference_posterior(fit_x, np.append(y, [0.9] * 14), query)
+    mu, sigma = posterior.moments()
+    np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
+    np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
+
+
+def _counted_fits(monkeypatch):
+    """The starting jitter of every fit from here on."""
+    jitters = []
+    fit = GaussianProcess.fit
+
+    def counted(gp, x, y, jitter=None):
+        jitters.append(jitter)
+        return fit(gp, x, y, jitter)
+
+    monkeypatch.setattr(GaussianProcess, "fit", counted)
+    return jitters
+
+
+def test_a_lost_pivot_escalates_the_jitter_in_the_middle_of_a_batch(monkeypatch):
+    fits = _counted_fits(monkeypatch)
+    x = np.array([[0.0], [0.5], [1.0]])
+    y = np.array([0.2, 0.9, 0.4])
+    query = np.array([[0.25], [0.25], [0.75]])  # one point twice
+    gp = GaussianProcess(jitter=0.0)
+    posterior = Posterior(gp, query, x, y, spare=3)
+    posterior.add(0, 0.9)  # a new point appends at jitter 0
+    assert (fits, gp.fitted_jitter) == ([0.0], 0.0)
+    posterior.add(1, 0.9)  # the same point again: its pivot is 0 at jitter 0
+    assert (fits, gp.fitted_jitter) == ([0.0, 1e-6], 1e-6)
+    posterior.add(2, 0.9)  # appends resume at the escalated jitter
+    assert fits == [0.0, 1e-6]
+    fit_x, fit_y = np.vstack([x, query]), np.append(y, [0.9] * 3)
+    want_mu, want_sigma = _reference_posterior(fit_x, fit_y, query)
+    mu, sigma = posterior.moments()
+    np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
+    np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
+
+
+def test_a_lost_pivot_past_the_largest_jitter_is_a_singular_kernel(monkeypatch):
+    fits = _counted_fits(monkeypatch)
+    monkeypatch.setattr(GaussianProcess, "append", lambda gp, x_new, y_new, row: None)
+    x = np.array([[0.0], [0.5], [1.0]])
+    posterior = Posterior(GaussianProcess(jitter=1e-3), np.array([[0.25], [0.75]]), x,
+                          np.array([0.2, 0.9, 0.4]), spare=2)
+    posterior.add(0, 0.9)
+    assert fits == [1e-3, 1e-2]
+    with pytest.raises(SingularKernel):
+        posterior.add(1, 0.9)

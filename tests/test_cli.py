@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from sizerforge.agents import rule_plan, rule_understand
 from sizerforge.cli import main
 from sizerforge.config import load_config
@@ -92,6 +94,17 @@ def test_run_refuses_a_transcript_directory_a_run_has_written(capsys, tmp_path):
     assert captured.err.startswith("error: transcript directory ")
     assert {p.name: p.read_text() for p in (tmp_path / "written").iterdir()} == written
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["lhs", "autosizer", "autosizer:rule+no_oe"])
+def test_run_refuses_transcripts_for_a_method_that_makes_no_model_call(capsys, tmp_path, method):
+    argv = ["run", str(CONFIGS / "sota_easy.yaml"), "--budget", "10", "--method", method,
+            "--transcripts", str(tmp_path / "written"), "--results-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: transcripts record model calls, and {method!r} ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_validate_reports_the_config_and_its_grid(capsys):

@@ -11,7 +11,8 @@ from sizerforge import controller
 from sizerforge.agents import RuleBackend
 from sizerforge.config import load_config, parse_config
 from sizerforge.controller import RunBudget, run, run_baseline
-from sizerforge.errors import BudgetOverrun
+from sizerforge.errors import BudgetOverrun, SingularKernel
+from sizerforge.optim.gp import GaussianProcess
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -75,6 +76,24 @@ def test_baseline_grid_exhaustion_reports_space_exhausted():
     result = run_baseline(config, "lhs", RunBudget(total_evals=300), 0)
     assert result.outcome == "space_exhausted"
     assert result.evals_used == 81
+
+
+def test_a_singular_kernel_falls_back_to_lhs_and_is_logged(monkeypatch):
+    def singular(gp, x, y, jitter=None):
+        raise SingularKernel("kernel matrix not positive definite at jitter 1e-01")
+
+    monkeypatch.setattr(GaussianProcess, "fit", singular)
+    config = load_config(str(CONFIGS / "sota_med.yaml"))
+    result = run_baseline(config, "bo_baseline", RunBudget(total_evals=30), 0)
+    events = [e for e in result.decisions if e["kind"] == "event"]
+    batches = [e for e in result.decisions if e["kind"] == "batch"]
+    # the first batch is the lhs initialization; every later one falls back
+    assert [e["event"] for e in events] == ["singular_kernel_fallback"] * (len(batches) - 1)
+    assert [e["iteration"] for e in events] == [b["iteration"] for b in batches[1:]]
+    assert events[0]["detail"] == "kernel matrix not positive definite at jitter 1e-01"
+    assert [r.method for r in result.history.records] == ["bo_baseline"] * 30
+    assert result.evals_used == 30
+    assert result.outcome == "budget_exhausted"
 
 
 @pytest.mark.parametrize("algorithm", ["bo_baseline", "autosizer"])

@@ -92,3 +92,19 @@ def test_run_matrix_writes_one_directory_per_trial_for_a_replay_method(tmp_path)
     for trial in trials:
         assert trial.name.startswith("sota_easy__autosizer-replay-")
         assert (trial / "result.json").is_file()
+
+
+def test_run_matrix_gives_each_method_spelling_its_own_directory(tmp_path):
+    # the two replay DIRs differ only by "/" against "-"
+    for replies in (tmp_path / "X" / "a" / "b", tmp_path / "X" / "a-b"):
+        replies.mkdir(parents=True)
+    methods = [f"autosizer:replay:{tmp_path}/X/a/b", f"autosizer:replay:{tmp_path}/X/a-b", "lhs"]
+    matrix = TrialMatrix(circuits=[str(CONFIGS / "sota_easy.yaml")], methods=methods,
+                         seeds=[0], trials_per_cell=1, budget=RunBudget(total_evals=10))
+    report = run_matrix(matrix, out_dir=str(tmp_path / "out"))
+    assert all(t["ok"] for cell in report["cells"] for t in cell["trials"])
+    trials = sorted((tmp_path / "out" / "trials").iterdir())
+    assert len(trials) == 3
+    assert all((trial / "result.json").is_file() for trial in trials)
+    # a spelling the sanitiser leaves as it is keeps its plain slug
+    assert (tmp_path / "out" / "trials" / "sota_easy__lhs__s0").is_dir()
