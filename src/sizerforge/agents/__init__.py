@@ -6,10 +6,13 @@ Both backends expose the same four operations with the same signatures:
 ``decide_outer(report, space, prior_unfixes, sensitivity, config)``.
 The search reaches them only through the diagnostics report, None before
 the first batch; ``remaining`` is at least 1. Each returns the decision
-as its validated wire dict (see ``schemas``); ``plan`` and
+as a dict, which the controller acts on and logs as it is; ``plan`` and
 ``decide_outer`` return it together with the space it leads to, built
-once (``decide_outer``'s is None on ``converged``). The controller never
-knows which backend is driving.
+once (``decide_outer``'s is None on ``converged``). A model backend's
+decision is its validated wire dict (see ``schemas``). The rule
+backend's have the same shapes, except for an outer edit: it carries no
+regenerated ``optimization_configuration``, so it would not validate as
+a model reply. The controller never knows which backend is driving.
 """
 
 from __future__ import annotations

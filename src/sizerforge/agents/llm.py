@@ -486,7 +486,7 @@ class LlmBackend:
         ``validate``, one echo-retry after a rejection. A second
         rejection or a transport failure is logged as a fallback and the
         rule policy's ``fallback()`` answers instead."""
-        prompt, _ = render_template(load_prompt(kind), context)
+        prompt = render_template(load_prompt(kind), context)
         ask = prompt
         try:
             for _ in range(2):

@@ -2,14 +2,18 @@
 
 These encode the prose decision frameworks as code and double as the
 fallback for every model misbehavior, so a run can always finish
-without network access. Every policy returns the same wire dict a model
-reply validates to (see ``schemas``), and sees the search only through
-the diagnostics report. Inner policy, given the evaluations left (at
-least one): stop on spec-met or on a diverse plateau, otherwise pick a
-method by history depth. Outer policy, in priority order: converged on
-feasible, unfix on stagnation, expand on boundary clustering, change
-focus on converged variables, continue on progress, narrow only on
-overwhelming concentration. The plan and outer policies return the
+without network access. Each policy sees the search only through the
+diagnostics report, and none is asked once a design meets the spec: the
+controller stops the run first. The understanding, the plan and every
+inner decision have the shape of a wire dict a model reply validates to
+(see ``schemas``). An outer edit does not: it names its action without
+the regenerated ``optimization_configuration`` a model reply carries,
+because the policy applies the edit itself. Inner policy, given the
+evaluations left (at least one): stop on a diverse plateau, otherwise
+pick a method by history depth. Outer policy, in priority order: unfix
+on stagnation, expand on boundary clustering, change focus on converged
+variables, continue on progress, narrow only on overwhelming
+concentration, else converged. The plan and outer policies return the
 decision together with the space it leads to: the plan's space, or the
 outer policy's own edit applied; an unfix after an earlier one opens a
 wider window.
@@ -185,9 +189,6 @@ def rule_decide_inner(
 
     s = report.status_summary
     c = report.convergence
-    if s["feasible_found"]:
-        return _stop("specification met", "feasible design in history")
-
     recent = c["recent_improvement_pct"]
     distinct_methods = len(s["methods"])
     if (
@@ -255,14 +256,14 @@ def rule_decide_inner(
     )
 
 
-def _outer(action: str, reason: str, changes: str, confidence: str = "medium") -> dict:
+def _outer(action: str, reason: str, changes: str) -> dict:
     return {
         "optimization_target": "fom",
         "regeneration_reasoning": reason,
         "action_taken": action,
         "changes_from_previous": changes,
         "expected_improvement": "none" if action == "converged" else "unknown",
-        "confidence": confidence,
+        "confidence": "medium",
     }
 
 
@@ -309,10 +310,6 @@ def rule_decide_outer(
     ``sensitivity`` maps variables to the plan's levels; it orders which
     fixed variable an unfix opens, and a missing variable counts as
     medium."""
-    s = report.status_summary
-    if s["feasible_found"]:
-        return _outer("converged", "feasible design found", "none", "high"), None
-
     stagnant = any(i.kind == "stagnation" for i in report.issues)
     boundary_issues = [i for i in report.issues if i.kind != "stagnation"]
 

@@ -1,12 +1,14 @@
 """The JSON wire formats of the agent's decisions, and their validation.
 
 Four schemas: circuit understanding, initial space plan, inner-loop
-method decision, outer-loop regeneration. A decision is its validated
-wire dict: the policies return it, the controller acts on it and the
-decision log records it as it is. parse_agent_json applies a fixed
-repair ladder (strip fences, trim to the outermost balanced object)
-before validation, because model output often wraps the JSON in prose
-or markdown.
+method decision, outer-loop regeneration. A model's decision is its
+validated wire dict: the model backend returns it, the controller acts
+on it and the decision log records it as it is. The rule policy's
+decisions share these shapes, except its outer edits: they carry no
+``optimization_configuration``, so the outer schema rejects them (see
+``rule``). parse_agent_json applies a fixed repair ladder (strip
+fences, trim to the outermost balanced object) before validation,
+because model output often wraps the JSON in prose or markdown.
 
 Validation is strict: unknown field names, missing required fields and
 out-of-enum values all raise SchemaViolation. Numeric strings are

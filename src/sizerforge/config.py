@@ -36,16 +36,14 @@ from .errors import (
 from .specexpr import parse_spec
 
 _SLOT = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}")
-_LEFTOVER = re.compile(r"\{[A-Za-z_][A-Za-z0-9_]*\}")
 
 
-def render_template(template: str, mapping: Mapping[str, str]) -> Tuple[str, Dict[str, str]]:
+def render_template(template: str, mapping: Mapping[str, str]) -> str:
     """Substitute ``{name}`` slots from ``mapping``; ``{{``/``}}`` escape.
 
-    Returns the rendered text and the slots actually used. An unknown
-    slot raises TemplateUnresolvable rather than passing through.
+    An unknown slot raises TemplateUnresolvable rather than passing
+    through.
     """
-    used: Dict[str, str] = {}
 
     def sub(m: re.Match) -> str:
         tok = m.group(0)
@@ -56,10 +54,9 @@ def render_template(template: str, mapping: Mapping[str, str]) -> Tuple[str, Dic
         name = m.group(1)
         if name not in mapping:
             raise TemplateUnresolvable(name)
-        used[name] = mapping[name]
         return mapping[name]
 
-    return _SLOT.sub(sub, template), used
+    return _SLOT.sub(sub, template)
 
 
 def extract_placeholders(template: str) -> List[str]:
@@ -99,8 +96,6 @@ def format_value(x: float) -> str:
 class BenchmarkConfig:
     name: str
     pdk_lib_path: str
-    results_dir: str
-    user_specs: str
     user_specs_metric: str
     params: Dict[str, float]
     variables: List[str]
@@ -108,7 +103,6 @@ class BenchmarkConfig:
     width_scales: Dict[str, Tuple[str, float]]
     subckt_name: str
     subckt_pins: List[str]
-    testbench_signals: Dict[str, str]
     metrics: List[str]
     subckt_template: str
     testbench_template: str
@@ -126,7 +120,6 @@ class BenchmarkConfig:
 class RenderedDeck:
     netlist_text: str
     testbench_text: str
-    substitutions: Dict[str, str]
 
 
 _REQUIRED = (
@@ -140,15 +133,7 @@ _REQUIRED = (
     "testbench_template",
 )
 
-_KNOWN = set(_REQUIRED) | {
-    "name",
-    "pdk_lib_path",
-    "results_dir",
-    "user_specs",
-    "params",
-    "width_scales",
-    "testbench_signals",
-}
+_KNOWN = set(_REQUIRED) | {"name", "pdk_lib_path", "params", "width_scales"}
 
 
 def parse_config(source: str) -> BenchmarkConfig:
@@ -200,15 +185,12 @@ def parse_config(source: str) -> BenchmarkConfig:
 
     subckt_name = str(doc["subckt_name"])
     subckt_pins = [str(p) for p in read_list("subckt_pins", doc["subckt_pins"])]
-    testbench_signals = {str(k): str(v) for k, v in (doc.get("testbench_signals") or {}).items()}
 
     passthrough = {k: v for k, v in doc.items() if k not in _KNOWN}
 
     config = BenchmarkConfig(
         name=str(doc.get("name", subckt_name.lower())),
         pdk_lib_path=str(doc.get("pdk_lib_path", "")),
-        results_dir=str(doc.get("results_dir", "./results")),
-        user_specs=str(doc.get("user_specs", "")),
         user_specs_metric=spec_text,
         params=params,
         variables=variables,
@@ -216,7 +198,6 @@ def parse_config(source: str) -> BenchmarkConfig:
         width_scales=width_scales,
         subckt_name=subckt_name,
         subckt_pins=subckt_pins,
-        testbench_signals=testbench_signals,
         metrics=metrics,
         subckt_template=str(doc["ota_subckt_template"]),
         testbench_template=str(doc["testbench_template"]),
@@ -272,16 +253,8 @@ def render_deck(config: BenchmarkConfig, assignment: Mapping[str, float]) -> Ren
     mapping["pdk_lib_path"] = config.pdk_lib_path
     mapping["subckt_name"] = config.subckt_name
 
-    netlist_text, used_netlist = render_template(config.subckt_template, mapping)
+    netlist_text = render_template(config.subckt_template, mapping)
     mapping["ota_subckt"] = netlist_text
     mapping["inst_pins"] = " ".join(config.subckt_pins)
-    testbench_text, used_tb = render_template(config.testbench_template, mapping)
-
-    for text in (netlist_text, testbench_text):
-        leftover = _LEFTOVER.search(text)
-        if leftover:
-            raise TemplateUnresolvable(leftover.group(0).strip("{}"))
-
-    substitutions = dict(used_netlist)
-    substitutions.update(used_tb)
-    return RenderedDeck(netlist_text, testbench_text, substitutions)
+    testbench_text = render_template(config.testbench_template, mapping)
+    return RenderedDeck(netlist_text, testbench_text)

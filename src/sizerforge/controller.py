@@ -31,7 +31,7 @@ count of earlier unfixes.
 
 Both emit an ordered decision log with no timestamps, so two runs with
 identical inputs (or a replayed transcript) compare byte for byte. Each
-agent decision is logged as the wire dict the backend returned, and the
+agent decision is logged as the dict the backend returned, and the
 controller acts on that same dict; the log is serialized only when the
 run ends, so no decision is changed after it is logged. The plan and
 each outer decision come back with the space they lead to, which the

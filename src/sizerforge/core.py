@@ -2,8 +2,10 @@
 
 ``rank_key`` is the one ranking of evaluated designs: highest figure of
 merit first, earliest eval index on ties. ``History.best`` is the best
-valid record by that key and ``History.reported`` the design a run hands
-back: the best feasible record, else ``best``.
+valid record by that key. ``report_key`` puts every feasible record
+ahead of every infeasible one, then ranks by ``rank_key``;
+``History.reported``, the design a run hands back, is the best valid
+record by it: the best feasible record, else ``best``.
 
 A History holds only its records. A batch is a run of records sharing an
 iteration number, and ``History.summaries`` computes one summary per
@@ -136,6 +138,12 @@ def rank_key(record: EvaluatedDesign) -> Tuple[float, int]:
     return record.fom, -record.eval_index
 
 
+def report_key(record: EvaluatedDesign) -> Tuple[bool, float, int]:
+    """Ranks valid records as a run reports them: feasible first, then by
+    ``rank_key``."""
+    return (record.feasible,) + rank_key(record)
+
+
 class History:
     """Append-only record of all evaluations.
 
@@ -192,8 +200,7 @@ class History:
     def reported(self) -> Optional[EvaluatedDesign]:
         """The design a run hands back: its best record that meets the
         spec, else its best record, which may violate clauses."""
-        feasible = [r for r in self.valid_records() if r.feasible]
-        return max(feasible, key=rank_key, default=None) or self.best()
+        return max(self.valid_records(), key=report_key, default=None)
 
     def feasible_found(self) -> bool:
         return any(r.feasible for r in self.records)

@@ -246,7 +246,6 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
         "last_method": summaries[-1].method,
         "best_fom": best_fom,
         "best_iteration": best_iteration,
-        "feasible_found": history.feasible_found(),
         "top_k_fom_std": statistics.pstdev(top_foms) if top_foms else None,
     }
     convergence = {

@@ -105,7 +105,7 @@ def scrape_metrics(log: str, expected: Sequence[str]) -> MetricScrape:
 
 def surrogate_eval(model_id: str, assignment: Mapping[str, float]) -> Dict[str, float]:
     """Closed-form metrics for one assignment; pure and deterministic."""
-    return get_model(model_id).metrics_for(assignment)
+    return get_model(model_id).metrics(assignment)
 
 
 class ResultCache:
@@ -212,40 +212,29 @@ def evaluate_batch(
     keep_log_dir = Path(results_dir) / "logs" if (keep_logs and results_dir) else None
 
     keys = [ResultCache.key_for(d) for d in designs]
-    # first occurrence of each key computes; later ones are in-batch hits
-    first_slot: Dict[str, int] = {}
-    todo: List[int] = []
-    hit: List[bool] = []
+    # the first occurrence of each key the cache lacks runs; every other
+    # record, a later repeat in this batch included, is a cache hit
+    first: Dict[str, int] = {}
     for i, key in enumerate(keys):
-        if cache.get(key) is not None:
-            hit.append(True)
-        elif key in first_slot:
-            hit.append(True)
-        else:
-            first_slot[key] = i
-            todo.append(i)
-            hit.append(False)
+        if key not in first and cache.get(key) is None:
+            first[key] = i
 
-    fresh_results: Dict[int, Tuple[dict, float]] = {}
-    if todo:
-        if workers > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    i: pool.submit(_evaluate_one, config, designs[i], evaluator, keep_log_dir)
-                    for i in todo
-                }
-                for i, future in futures.items():
-                    fresh_results[i] = future.result()
-        else:
-            for i in todo:
-                fresh_results[i] = _evaluate_one(config, designs[i], evaluator, keep_log_dir)
-        for i in todo:
-            cache.put(keys[i], fresh_results[i][0])
+    if workers > 1 and len(first) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {key: pool.submit(_evaluate_one, config, designs[i], evaluator, keep_log_dir)
+                       for key, i in first.items()}
+            fresh = {key: future.result() for key, future in futures.items()}
+    else:
+        fresh = {key: _evaluate_one(config, designs[i], evaluator, keep_log_dir)
+                 for key, i in first.items()}
+    for key, (entry, _) in fresh.items():
+        cache.put(key, entry)
 
     records: List[EvaluatedDesign] = []
-    for i, design in enumerate(designs):
-        entry = cache.get(keys[i])
-        wall = 0.0 if hit[i] else fresh_results[i][1]
+    for i, (design, key) in enumerate(zip(designs, keys)):
+        entry = cache.get(key)
+        hit = first.get(key) != i
+        wall = 0.0 if hit else fresh[key][1]
         raw = dict(entry["raw_metrics"])
         status = entry["sim_status"]
         if status == SIM_OK:
@@ -264,7 +253,7 @@ def evaluate_batch(
                 method=method,
                 eval_index=start_eval_index + i,
                 wall_time=wall,
-                cached=hit[i],
+                cached=hit,
             )
         )
     return records

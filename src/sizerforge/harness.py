@@ -32,7 +32,7 @@ import yaml
 
 from .config import load_config, read_list, read_number
 from .controller import RunBudget, RunResult, parse_method, run_method
-from .core import SIM_OK
+from .core import is_valid, report_key
 from .errors import ConfigError
 
 DEFAULT_TRIALS = 3
@@ -120,12 +120,11 @@ def _trajectory(result: RunResult) -> List[tuple]:
     ``History.reported()``: the best feasible FoM once one exists, else
     the best FoM."""
     rows = []
-    best = None  # (feasible, fom): a feasible record outranks every infeasible one
+    best = None
     for record in result.history.records:
-        if record.sim_status == SIM_OK and record.fom is not None:
-            key = (record.feasible, record.fom)
-            best = key if best is None else max(best, key)
-        rows.append((record.eval_index, None if best is None else best[1]))
+        if is_valid(record) and (best is None or report_key(record) > report_key(best)):
+            best = record
+        rows.append((record.eval_index, None if best is None else best.fom))
     return rows
 
 

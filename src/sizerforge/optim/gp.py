@@ -23,8 +23,7 @@ right side by L (one ``dtrsm``), the posterior is
 
 ``fit`` keeps the whitened targets ``L^-1 y`` and ``L^-1 1``, so the
 mean and the amplitude are read off the targets at no factoring cost.
-``posterior`` whitens a copy of a correlation block; ``predict`` is
-``posterior`` of the freshly computed correlation.
+``predict`` whitens the correlation block of its query points in place.
 
 ``Posterior`` keeps the whitened block of a fixed query set, such as the
 Bayesian proposer's candidates, and adds one training point at a time
@@ -188,18 +187,10 @@ class GaussianProcess:
         return mu, sigma
 
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at each row of x."""
-        x = np.asarray(x, dtype=float)
-        return self.posterior(correlation(x, self.x, self.length_scale))
-
-    def posterior(self, corr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation from unscaled correlations.
-
-        ``corr[i, j]`` is ``correlation`` between query point i and the
-        j-th training point, in fit order; a non-finite entry raises
-        ValueError. The caller's array is left as it is.
-        """
-        w = self.whiten(np.array(np.asarray_chkfinite(corr), dtype=float, order="F"))
+        """Posterior mean and standard deviation at each row of x; a
+        non-finite entry of x raises ValueError."""
+        corr = correlation(np.asarray_chkfinite(x, dtype=float), self.x, self.length_scale)
+        w = self.whiten(np.asfortranarray(corr))
         return self.moments(w, np.einsum("ij,ij->i", w, w))
 
 

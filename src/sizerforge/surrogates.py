@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .core import SIM_OK, Design, EvaluatedDesign, assess, design_from, is_valid, rank_key
+from .core import SIM_OK, Design, EvaluatedDesign, assess, design_from, is_valid, report_key
 from .errors import GridTooLarge, UnknownModel
 from .specexpr import parse_spec
 
@@ -49,10 +50,7 @@ class SurrogateModel:
     variables: Tuple[str, ...]
     grids: Mapping[str, Tuple[float, ...]]
     spec_text: str
-    _metrics_fn: Callable[[Mapping[str, float]], Dict[str, float]]
-
-    def metrics_for(self, assignment: Mapping[str, float]) -> Dict[str, float]:
-        return self._metrics_fn(assignment)
+    metrics: Callable[[Mapping[str, float]], Dict[str, float]]  # assignment -> metric values
 
 
 def _easy_metrics(assignment: Mapping[str, float]) -> Dict[str, float]:
@@ -81,14 +79,6 @@ def _telescopic_metrics(assignment: Mapping[str, float], cliff: bool) -> Dict[st
     return {"dc_gain_db": dc_gain_db, "ugbw": ugbw, "power_dc": power_dc}
 
 
-def _med_metrics(assignment: Mapping[str, float]) -> Dict[str, float]:
-    return _telescopic_metrics(assignment, cliff=False)
-
-
-def _hard_metrics(assignment: Mapping[str, float]) -> Dict[str, float]:
-    return _telescopic_metrics(assignment, cliff=True)
-
-
 _TELESCOPIC_VARS = ("W_tail_base", "W_diff_base", "W_casc_base", "W_load_base")
 
 REGISTRY: Dict[str, SurrogateModel] = {
@@ -97,21 +87,21 @@ REGISTRY: Dict[str, SurrogateModel] = {
         variables=("a", "b"),
         grids={"a": W_GRID, "b": W_GRID},
         spec_text="gain_db > 25 AND power_uw < 60",
-        _metrics_fn=_easy_metrics,
+        metrics=_easy_metrics,
     ),
     "sota_med": SurrogateModel(
         id="sota_med",
         variables=_TELESCOPIC_VARS,
         grids={v: W_GRID for v in _TELESCOPIC_VARS},
         spec_text="fom > 0.100 AND dc_gain_db > 55 AND ugbw > 10 AND power_dc < 50",
-        _metrics_fn=_med_metrics,
+        metrics=partial(_telescopic_metrics, cliff=False),
     ),
     "sota_hard": SurrogateModel(
         id="sota_hard",
         variables=_TELESCOPIC_VARS,
         grids={v: W_GRID for v in _TELESCOPIC_VARS},
         spec_text="fom > 11.000 AND dc_gain_db > 55 AND ugbw > 10 AND power_dc < 50",
-        _metrics_fn=_hard_metrics,
+        metrics=partial(_telescopic_metrics, cliff=True),
     ),
 }
 
@@ -141,15 +131,13 @@ def enumerate_oracle(model: SurrogateModel) -> OracleResult:
     grid = itertools.product(*(model.grids[v] for v in model.variables))
     for index, values in enumerate(grid, start=1):
         assignment = dict(zip(model.variables, values))
-        metrics = model.metrics_for(assignment)
+        metrics = model.metrics(assignment)
         fom, feasible, normalized = assess(spec, metrics)
         feasible_count += feasible
         record = EvaluatedDesign(design_from(assignment), metrics, normalized, fom, feasible,
                                  SIM_OK, 1, "oracle", index, 0.0)
         first = first or record
-        # one pass, one record kept: a feasible point outranks every infeasible one
-        if is_valid(record) and (best is None or (feasible, rank_key(record))
-                                 > (best.feasible, rank_key(best))):
+        if is_valid(record) and (best is None or report_key(record) > report_key(best)):
             best = record
     best = best or first
     return OracleResult(best.design, best.fom, feasible_count, total)

@@ -439,30 +439,28 @@ def test_a_repeated_incumbent_matches_the_per_pick_reference(acquisition_functio
                                rtol=ACQ_RTOL, atol=ACQ_ATOL)
 
 
-def test_posterior_matches_the_two_solve_form():
+def test_predict_matches_the_two_solve_form():
     rng = np.random.default_rng(11)
     x = rng.uniform(0, 1, size=(40, 4))
     y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 - 0.5 * x[:, 2] * x[:, 3]
     query = rng.uniform(0, 1, size=(500, 4))
     gp = GaussianProcess().fit(x, y)
     want_mu, want_sigma = _reference_posterior(x, y, query)
-    corr = matern25(_pairwise(query, x), gp.length_scale)
-    before = corr.copy()
-    for layout in (corr, np.asfortranarray(corr)):
-        mu, sigma = gp.posterior(layout)
-        np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
-        np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
-    np.testing.assert_array_equal(corr, before)  # the caller's buffer is not solved in place
+    before = query.copy()
+    for layout in (query, np.asfortranarray(query), query[:1]):
+        mu, sigma = gp.predict(layout)
+        np.testing.assert_allclose(mu, want_mu[: len(layout)], rtol=ACQ_RTOL, atol=ACQ_ATOL)
+        np.testing.assert_allclose(sigma, want_sigma[: len(layout)], rtol=ACQ_RTOL,
+                                   atol=ACQ_ATOL)
+    np.testing.assert_array_equal(query, before)  # the caller's points are left as they are
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_posterior_rejects_non_finite_correlations(bad):
+def test_predict_rejects_non_finite_query_points(bad):
     x = np.array([[0.0], [0.2], [0.4]])
     gp = GaussianProcess().fit(x, np.array([0.0, 0.5, 0.3]))
-    corr = matern25(_pairwise(np.array([[0.1], [0.3]]), x), gp.length_scale)
-    corr[1, 2] = bad
     with pytest.raises(ValueError):
-        gp.posterior(corr)
+        gp.predict(np.array([[0.1], [bad]]))
 
 
 # ------------------------------------------------------ rank-one appends

@@ -84,14 +84,12 @@ def test_render_deck_derived_widths(bench):
     # scale multipliers: tail x2, diff x4, casc x2, load x2
     assert "w=1.68" in deck.netlist_text  # tail
     assert "w=3.36" in deck.netlist_text  # diff
-    assert deck.substitutions["W_diff"] == "3.36"
-    assert deck.substitutions["W_tail"] == "1.68"
 
 
 def test_render_deck_no_float_tails(bench):
     # 2.10 * 4 must render as 8.4, not 8.400000000000001
     deck = render_deck(bench, {v: 2.10 for v in bench.variables})
-    assert deck.substitutions["W_diff"] == "8.4"
+    assert "w=8.4 " in deck.netlist_text  # diff
     assert "8.400000000000001" not in deck.testbench_text
 
 
@@ -113,8 +111,17 @@ def test_render_deck_is_pure(bench):
     assignment = {v: 1.47 for v in bench.variables}
     a = render_deck(bench, assignment)
     b = render_deck(bench, assignment)
-    assert a.testbench_text == b.testbench_text
-    assert a.substitutions == b.substitutions
+    assert a == b
+
+
+def test_render_deck_keeps_an_escaped_slot_literal():
+    # {{vdd}} is the escape for a literal "{vdd}" in the deck, not a slot
+    source = (CONFIGS / "telescopic_ota.yaml").read_text()
+    assert "VDD VDD 0 DC {vdd}\n" in source
+    config = parse_config(source.replace("VDD VDD 0 DC {vdd}\n", "VDD VDD 0 DC {{vdd}}\n"))
+    deck = render_deck(config, {v: 1.26 for v in config.variables})
+    assert "VDD VDD 0 DC {vdd}\n" in deck.testbench_text
+    assert "VDD VDD 0 DC 1.8\n" not in deck.testbench_text
 
 
 def test_render_deck_missing_assignment(bench):
@@ -218,10 +225,11 @@ def test_extract_placeholders_order_and_dedupe():
     assert names == ["a", "b", "c"]
 
 
-def test_render_template_reports_substitutions():
-    text, used = render_template("w={W} l={L}", {"W": "1.68", "L": "0.15"})
-    assert text == "w=1.68 l=0.15"
-    assert used == {"W": "1.68", "L": "0.15"}
+def test_render_template_substitutes_slots_and_escapes():
+    text = render_template("w={W} l={L} {{W}}", {"W": "1.68", "L": "0.15"})
+    assert text == "w=1.68 l=0.15 {W}"
+    with pytest.raises(TemplateUnresolvable):
+        render_template("w={W} l={L}", {"W": "1.68"})
 
 
 def test_format_value_shortest_form():

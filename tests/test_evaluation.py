@@ -1,24 +1,31 @@
-"""The SPICE evaluator path against stand-in simulators written per test.
+"""The SPICE evaluator path against stand-in simulators.
 
-Each stand-in is a shell script invoked as ``<script> -b DECK``, like
-batch-mode ngspice: one prints the metrics, one exits non-zero, one
-sleeps past the timeout and one omits a metric. A failing simulation
-becomes a record with its status and never aborts the batch; a design
-repeated in the batch is served from the cache with zero wall time.
+Each stand-in written per test is a shell script invoked as
+``<script> -b DECK``, like batch-mode ngspice: one prints the metrics,
+one exits non-zero, one sleeps past the timeout and one omits a metric.
+A failing simulation becomes a record with its status and never aborts
+the batch; a design repeated in the batch is served from the cache with
+zero wall time. Whole runs go through the benchmark's stand-in
+``perfbench/bin/ngspice``, which prints the surrogate's metrics for the
+deck it reads, so they must pick as their surrogate twin does.
 """
 
+import hashlib
+import json
 import os
 from pathlib import Path
 
 import pytest
 
 from sizerforge.config import load_config, parse_config
+from sizerforge.controller import RunBudget, run_method
 from sizerforge.core import METRIC_MISSING, SIM_FAILED, SIM_OK, design_from
 from sizerforge.errors import ConfigError
 from sizerforge.evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from sizerforge.specexpr import parse_spec
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 # sota_easy reports gain_db and power_uw; spec "gain_db > 25 AND power_uw < 60"
 STANDINS = {
@@ -78,3 +85,34 @@ def test_a_surrogate_config_without_a_model_fails_up_front():
     source = (CONFIGS / "sota_easy.yaml").read_text().replace("surrogate_model: sota_easy\n", "")
     with pytest.raises(ConfigError, match="surrogate_model"):
         evaluator_from_config(parse_config(source))
+
+
+def _digest(result) -> str:
+    """Hash of the decision log and the (design id, FoM) sequence."""
+    h = hashlib.sha256()
+    for entry in result.decisions:
+        h.update(json.dumps(entry, sort_keys=True, default=float).encode() + b"\n")
+    for record in result.history.records:
+        h.update(f"{record.design.id} {record.fom!r}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("method", ["lhs", "autosizer"])
+def test_a_spice_run_picks_as_its_surrogate_twin(tmp_path, method):
+    config = load_config(str(ROOT / "perfbench" / "configs" / "sota_med_spice.yaml"))
+    spice = EvaluatorSpec(kind="spice", executable=str(ROOT / "perfbench" / "bin" / "ngspice"),
+                          workdir=str(tmp_path))
+    twin = EvaluatorSpec(kind="surrogate", model_id=config.name)
+    budget = RunBudget(total_evals=12)
+    logs = tmp_path / "logs_run"
+    runs = [
+        run_method(config, method, budget, 0, evaluator=spice),
+        run_method(config, method, budget, 0, evaluator=spice, workers=2, keep_logs=True,
+                   results_dir=str(logs)),
+        run_method(config, method, budget, 0, evaluator=twin),
+    ]
+    assert [r.evals_used for r in runs] == [12] * 3
+    assert all(r.sim_status == SIM_OK for r in runs[0].history.records)
+    assert len({_digest(r) for r in runs}) == 1
+    kept = sorted(p.stem for p in (logs / "logs").iterdir())
+    assert kept == sorted(r.design.id for r in runs[1].history.records if not r.cached)

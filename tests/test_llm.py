@@ -474,8 +474,8 @@ STAGNATION_PROMPTS = {
 def test_prompts_render_the_stagnating_run(stagnation_state, config):
     history, space = stagnation_state
     report = analyze(history, space)
-    inner, _ = render_template(load_prompt("inner"), inner_context(report, REMAINING, space, config))
-    outer, _ = render_template(load_prompt("outer"), outer_context(report, space, config))
+    inner = render_template(load_prompt("inner"), inner_context(report, REMAINING, space, config))
+    outer = render_template(load_prompt("outer"), outer_context(report, space, config))
     methods = "lhs (25 designs), bayesian (30 designs), annealing (17 designs)"
     assert f"- Methods tried so far: {methods}\n" in inner
     assert f"Methods used: {methods}." in inner
