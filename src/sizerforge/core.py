@@ -153,6 +153,9 @@ class History:
 
     def __init__(self):
         self.records: List[EvaluatedDesign] = []
+        # the proposers' view of the records over one search space,
+        # extended as records are appended (``optim.base.history_view``)
+        self.view = None
 
     def __len__(self):
         return len(self.records)

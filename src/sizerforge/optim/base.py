@@ -6,19 +6,29 @@ variables are attached at materialization time so a Design always covers
 the full variable set.
 
 Every proposer takes ``(space, history, n_samples, seed, **params)``
-and is a pure function of them; none keeps state between calls.
-``observations`` is every proposer's one view of the history, built in
-one pass that checks each record against the space: the valid records
-inside the space with their index vectors, in history order, for the
-methods that learn from the history (they rank records by
-``core.rank_key``), and the set of index vectors of every record inside
-the space, failed ones included. A record outside the space cannot
-share a design with a candidate, so a candidate is evaluated exactly
-when its vector is in that set. Every proposer drops candidates by
-vector (``fresh``, or the set itself where a proposer stops once its
-batch is full) before it builds a design. A method resubmits an
-evaluated design only deliberately (GA elitism, degenerate multistart),
-and the evaluation cache serves those for free.
+and is a pure function of them. Each reads the history through one
+view of it (``history_view``), built in one pass that checks each
+record against the space: the valid records inside the
+space with their index vectors, in history order, for the methods that
+learn from the history (they rank records by ``core.rank_key``), and
+the set of index vectors of every record inside the space, failed ones
+included. A record outside the space cannot share a design with a
+candidate, so a candidate is evaluated exactly when its vector is in
+that set. Every proposer drops candidates by vector (``fresh``, or the
+set itself where a proposer stops once its batch is full) before it
+builds a design. A method resubmits an evaluated design only
+deliberately (GA elitism, degenerate multistart), and the evaluation
+cache serves those for free.
+
+The view is memoized on the history, which is append-only, and keyed
+by the space. Each call indexes only the records appended since the
+last one, so every proposer of a run, and every part of an adaptive
+batch, shares one pass. It also carries the Bayesian proposer's GP over
+the enumerated grid from batch to batch. A history keeps the view of
+one space: another space, or records that do not extend the ones the
+view has seen, start a new view, so the old one and its GP are
+released. The memo is a cache, not state: a fresh history holding the
+same records proposes the same designs.
 """
 
 from __future__ import annotations
@@ -45,19 +55,49 @@ def materialize(space: SearchSpace, indices: Sequence[int]) -> Design:
     return design_from(assignment)
 
 
+class HistoryView:
+    """A history's records over one space, indexed once each."""
+
+    def __init__(self, space: SearchSpace):
+        self.key = _space_key(space)
+        self.records: List[EvaluatedDesign] = []
+        self.obs: List[Tuple[EvaluatedDesign, List[int]]] = []
+        self.seen: Set[Tuple[int, ...]] = set()
+        # the Bayesian proposer's GP over the enumerated grid, as its last
+        # batch left it (``bayesian.propose_bayesian``)
+        self.gp = None
+
+
+def _space_key(space: SearchSpace) -> tuple:
+    """What ``index_rows`` and the index coordinates read of a space."""
+    return tuple(space.active.items()), tuple(space.fixed.items()), tuple(space.full_grid)
+
+
+def history_view(space: SearchSpace, history: History) -> HistoryView:
+    """The history's view over the space, extended by the records
+    appended since the last call."""
+    view, records = history.view, history.records
+    if (view is None or view.key != _space_key(space)
+            or records[: len(view.records)] != view.records):
+        view = history.view = HistoryView(space)
+    new = records[len(view.records):]
+    for record, row in zip(new, index_rows(space, (r.design for r in new))):
+        if row is not None:
+            view.seen.add(tuple(row))
+            if is_valid(record):
+                view.obs.append((record, row))
+    view.records.extend(new)
+    return view
+
+
 def observations(
     space: SearchSpace, history: History
 ) -> Tuple[List[Tuple[EvaluatedDesign, List[int]]], Set[Tuple[int, ...]]]:
     """(record, index vector) of each valid record inside the space, in
-    history order, and the vectors of every record inside the space."""
-    records = history.records
-    obs, seen = [], set()
-    for record, row in zip(records, index_rows(space, (r.design for r in records))):
-        if row is not None:
-            seen.add(tuple(row))
-            if is_valid(record):
-                obs.append((record, row))
-    return obs, seen
+    history order, and the vectors of every record inside the space;
+    copies, which the caller may change."""
+    view = history_view(space, history)
+    return list(view.obs), set(view.seen)
 
 
 def fresh(space: SearchSpace, rows: Sequence[Sequence[int]],

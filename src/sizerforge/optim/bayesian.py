@@ -2,36 +2,45 @@
 
 Candidates are the full index grid, as an array in the C order of
 ``itertools.product``, while the space stays at or under 20000 points,
-otherwise 2000 uniform draws. Candidates already in the history are
-dropped against the evaluated vectors of ``observations``: by C-order
-flat index (``ravel_multi_index``) on the enumerated grid, by a set
-lookup per row on the random draws. No design is built for a candidate
-until it is picked.
+otherwise 2000 uniform draws. No design is built for a candidate until
+it is picked.
 
 Batches are picked greedily with a constant-liar update between picks
 (the lie is the best observed value), so the batch holds no duplicate.
-The GP is fit once per batch, on the observations: its jitter is
-relative to the amplitude, so the factor does not depend on the targets
-that the lies change. Each lie is then a rank-one append to the factor
-and to the whitened candidate block (``gp.Posterior``), O(N n) for N
-candidates and n training points, and a refit only when the append's
-pivot is lost to rounding and the jitter must escalate. Every pick
-scores all candidates and masks the ones already picked with -inf;
+The GP's jitter is relative to the amplitude, so its factor does not
+depend on the targets that the lies change: each lie is one rank-one
+append to the factor and to the whitened candidate block (``gp``),
+O(N n) for N candidates and n training points. Every pick scores all
+candidates and masks the evaluated and the picked ones with -inf;
 argmax takes the first maximum, so ties go to the earlier candidate.
+
+On the enumerated grid, the GP is carried from batch to batch in the
+history's view (``base.history_view``). It holds the factor over the
+last batch's training points, the observations and then its lies, and
+the whitened block of every grid point, evaluated or not. The next
+batch ``refit``s it to the new observations: it keeps the longest
+prefix of those points that the observations repeat, so a lie that came
+back as a real record keeps its column, drops the rest and appends the
+new records. Only the whitened targets are solved again, from the real
+FoMs. Since ``refit`` is ``fit`` bit for bit, a batch proposes what a
+GP built from empty over the same records would: the proposer stays a
+pure function of space, history and seed. A new space starts a new
+view, and so a GP built from empty. The random draws differ per seed,
+so that path builds its GP from empty on each call.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core import History
 from ..errors import InsufficientHistory
 from ..space import SearchSpace
-from .base import Proposal, materialize, observations
-from .gp import ACQUISITIONS, GaussianProcess, Posterior, acquisition
+from .base import Proposal, history_view, materialize
+from .gp import ACQUISITIONS, GaussianProcess, acquisition
 
 ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000
@@ -56,16 +65,6 @@ def candidate_rows(space: SearchSpace, rng: random.Random) -> np.ndarray:
     return np.array([[rng.randrange(m) for m in sizes] for _ in range(FALLBACK_CANDIDATES)])
 
 
-def _unseen(space: SearchSpace, rows: np.ndarray, seen: Set[Tuple[int, ...]]) -> np.ndarray:
-    """Mask of the candidate rows not in ``seen``."""
-    if space.cardinality() > ENUMERATION_LIMIT:
-        return np.array([tuple(row) not in seen for row in rows.tolist()], dtype=bool)
-    keep = np.ones(len(rows), dtype=bool)
-    if seen:
-        keep[np.ravel_multi_index(np.array(list(seen)).T, space.sizes())] = False
-    return keep
-
-
 def propose_bayesian(
     space: SearchSpace,
     history: History,
@@ -81,38 +80,54 @@ def propose_bayesian(
         if exploration_weight is not None
         else _DEFAULT_WEIGHT[acquisition_function]
     )
-    obs, seen = observations(space, history)
-    if len(obs) < MIN_OBSERVATIONS:
+    view = history_view(space, history)
+    if len(view.obs) < MIN_OBSERVATIONS:
         raise InsufficientHistory(
             f"bayesian proposals need >= {MIN_OBSERVATIONS} valid in-space "
-            f"evaluations, have {len(obs)}"
+            f"evaluations, have {len(view.obs)}"
         )
 
     rng = random.Random(seed)
-    x = normalize_rows(space, [row for _, row in obs])
-    y = np.array([r.fom for r, _ in obs], dtype=float)
+    x = normalize_rows(space, [row for _, row in view.obs])
+    y = np.array([r.fom for r, _ in view.obs], dtype=float)
 
     rows = candidate_rows(space, rng)
-    rows = rows[_unseen(space, rows, seen)]
-    if not len(rows):
+    enumerated = space.cardinality() <= ENUMERATION_LIMIT
+    if enumerated:
+        evaluated = np.ravel_multi_index(np.array(list(view.seen)).T, space.sizes())
+    else:
+        rows = rows[[tuple(row) not in view.seen for row in rows.tolist()]]
+        evaluated = np.array([], dtype=int)
+    n_candidates = len(rows) - len(evaluated)
+    if not n_candidates:
         return Proposal(designs=[], diagnostics={"note": "no unevaluated candidates"})
-    cand = normalize_rows(space, rows)
 
-    n_picks = min(n_samples, len(rows))
+    n_picks = min(n_samples, n_candidates)
+    gp = view.gp if enumerated else None
+    # put back once the batch is picked, so that a fit that raises
+    # leaves no GP behind
+    view.gp = None
+    if gp is None:
+        gp = GaussianProcess(query=normalize_rows(space, rows),
+                             capacity=len(x) + n_picks - 1).fit(x, y)
+    else:
+        gp.refit(x, y)
     best = float(np.max(y))
-    posterior = Posterior(GaussianProcess(), cand, x, y, spare=n_picks - 1)
     picks: List[int] = []
     acq_values: List[float] = []
     for _ in range(n_picks):
         if picks:
-            # constant liar: pretend the last pick returned the incumbent best
-            posterior.add(picks[-1], best)
-        mu, sigma = posterior.moments()
+            # constant liar: pretend each pick so far returned the incumbent best
+            gp.refit(np.vstack([x, gp.query[picks]]), np.append(y, [best] * len(picks)))
+        mu, sigma = gp.moments()
         scores = acquisition(acquisition_function, mu, sigma, best, weight)
+        scores[evaluated] = -np.inf
         scores[picks] = -np.inf
         chosen = int(np.argmax(scores))
         picks.append(chosen)
         acq_values.append(float(scores[chosen]))
+    if enumerated:
+        view.gp = gp
 
     return Proposal(
         designs=[materialize(space, rows[i]) for i in picks],
@@ -120,6 +135,6 @@ def propose_bayesian(
             "acquisition": acquisition_function,
             "weight": weight,
             "acquisition_values": acq_values,
-            "n_candidates": len(rows),
+            "n_candidates": n_candidates,
         },
     )

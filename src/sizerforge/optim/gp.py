@@ -9,33 +9,39 @@ for wide-spread objectives.
 
 The jitter is relative to the amplitude: the kernel matrix is
 ``amp * (R + j I)``, with R the unscaled correlation of the training
-points. ``fit`` factors ``R + j I`` alone, so its Cholesky factor L
-depends on the training points only, not on the targets or on the
-amplitude they set. A Cholesky failure escalates j tenfold up to 1e-2
-before giving up with SingularKernel.
+points. The Cholesky factor L of ``R + j I`` therefore depends on the
+training points only, not on the targets or on the amplitude they set.
+
+L is only ever built by rank-one appends, from an empty factor. The new
+row of L for a point is ``l = L^-1 r``, its correlation to the training
+points solved by L, with the pivot ``d = sqrt(1 + j - l.l)``. In exact
+arithmetic ``d^2 >= j``, since R is positive semidefinite, and the
+rounding error of ``d^2`` stays far below ``BASE_JITTER``. So a computed
+``d^2`` below half of j, or of ``BASE_JITTER`` when j is smaller, is
+taken as lost to rounding: ``fit`` starts over from empty at a tenfold
+jitter, up to 1e-2, before giving up with SingularKernel.
 
 Everything is computed in whitened form. With ``w = r_star L^-T``, the
 correlations of the query points to the training points solved on the
-right side by L (one ``dtrsm``), the posterior is
+right side by L, the posterior is
 
     mean     = y_mean + w . L^-1 (y - y_mean)
     variance = amp * (1 - sum(w * w))
 
-``fit`` keeps the whitened targets ``L^-1 y`` and ``L^-1 1``, so the
-mean and the amplitude are read off the targets at no factoring cost.
-``predict`` whitens the correlation block of its query points in place.
+The whitened targets ``L^-1 y`` and ``L^-1 1`` are solved after every
+fit, O(n^2), so the mean and the amplitude are read off the targets at
+no factoring cost. ``predict`` whitens the correlation block of its
+query points in one ``dtrsm``. A GP built with fixed ``query`` points,
+such as the Bayesian proposer's candidates, keeps their block w and its
+row sums of squares current instead: each append adds the column
+``(r_query - w l) / d``, O(N n) for N query points.
 
-``Posterior`` keeps the whitened block of a fixed query set, such as the
-Bayesian proposer's candidates, and adds one training point at a time
-as a rank-one append instead of a refit. The new row of L is the
-point's own row of w, ``l``, with the pivot ``d = sqrt(1 + j - l.l)``;
-the new column of w is ``(r_new - w l) / d``. That is O(N n) per point
-for N query points, where a refit is O(n^3 + N n^2). In exact
-arithmetic ``d^2 >= j``, since R is positive semidefinite, and the
-rounding error of ``d^2`` stays far below ``BASE_JITTER``. So a computed
-``d^2`` below half of j, or of ``BASE_JITTER`` when j is smaller, is
-taken as lost to rounding: the jitter escalates and the block is
-factored again from scratch.
+Since a fit is a sequence of appends, a fit over points that repeat a
+prefix of the ones already factored can keep that prefix. ``refit``
+does so and is ``fit``, bit for bit: the same appends in the same order
+at the same jitter. Neither L nor w depends on the targets, so a
+constant-liar point that later comes back as a real record keeps its
+column.
 
 ``acquisition`` takes the standard normal CDF from ``scipy.special.ndtr``
 and writes the PDF out; both are what ``scipy.stats.norm`` computes at
@@ -48,8 +54,7 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dtrsm, dtrsv
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
@@ -102,145 +107,181 @@ def _escalated(jitter: float) -> float:
 
 
 class GaussianProcess:
-    """Fixed-kernel GP regressor for maximization surrogates."""
+    """Fixed-kernel GP regressor for maximization surrogates.
+
+    Given ``query`` points, it keeps their whitened block and its row
+    sums of squares current through every fit, so that ``moments`` reads
+    the posterior there without a solve.
+    """
 
     def __init__(self, length_scale: float = DEFAULT_LENGTH_SCALE,
-                 jitter: float = BASE_JITTER):
+                 jitter: float = BASE_JITTER, query: Optional[np.ndarray] = None,
+                 capacity: int = 0):
         self.length_scale = length_scale
         self.jitter = jitter
         self.fitted_jitter = jitter
-        self.x: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
-        # L in the leading n x n block, and the rows of [L^-1 y, L^-1 1];
-        # appends grow both
-        self._chol: Optional[np.ndarray] = None
+        # the query points, then the training points, one row each; L in
+        # the leading n x n block; the rows of [L^-1 y, L^-1 1]; the query
+        # block w in the leading n columns, and the running sum of w * w
+        # along each of its rows. The first fit makes room for
+        # ``capacity`` training points, and appends grow the room by half.
+        self._n_query = 0 if query is None else len(query)
+        self._n = 0
+        self._capacity = capacity
+        self._sites = None if query is None else np.array(query, dtype=float)
+        self._chol = np.zeros((0, 0), order="F")
+        self._block = np.empty((self._n_query, 0), order="F")
+        self._ss = np.zeros(self._n_query)
         self._white: Optional[np.ndarray] = None
+
+    @property
+    def query(self) -> np.ndarray:
+        """The fixed query points."""
+        return self._sites[: self._n_query]
+
+    @property
+    def x(self) -> np.ndarray:
+        """The training points, in fit order."""
+        return self._sites[self._n_query : self._n_query + self._n]
 
     @property
     def factor(self) -> np.ndarray:
         """L, the lower Cholesky factor of ``R + j I`` over the training points."""
-        n = len(self.y)
-        return self._chol[:n, :n]
+        return self._chol[: self._n, : self._n]
+
+    @property
+    def block(self) -> np.ndarray:
+        """w, the whitened correlation ``r_star L^-T`` of the query points."""
+        return self._block[:, : self._n]
 
     def fit(self, x: np.ndarray, y: np.ndarray,
             jitter: Optional[float] = None) -> "GaussianProcess":
-        """Factor the correlation of x, trying ``jitter`` first (default:
-        the constructor's) and escalating it on failure."""
+        """Factor the correlation of x by appending its rows one at a time
+        to an empty factor, at ``jitter`` first (default: the
+        constructor's); a lost pivot starts over at the next jitter."""
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = correlation(x, x, self.length_scale)
         jitter = self.jitter if jitter is None else jitter
+        if self._sites is None:  # no query points
+            self._sites = np.empty((0, x.shape[1]))
+        self._reserve(max(len(x), self._capacity))
         while True:
-            try:
-                chol, _ = cho_factor(r + jitter * np.eye(len(x)), lower=True)
-                break
-            except LinAlgError:
-                jitter = _escalated(jitter)
-        self.fitted_jitter = jitter
-        self.x, self.y = x, y
-        self._chol = np.tril(chol)
-        self._white = dtrsm(1.0, chol, np.column_stack([y, np.ones_like(y)]), lower=1)
-        return self
+            self.fitted_jitter = jitter
+            self._truncate(0)
+            if all(self._append(point) for point in x):
+                return self._retarget(y)
+            jitter = _escalated(jitter)
 
-    def append(self, x_new: np.ndarray, y_new: float, row: np.ndarray) -> Optional[float]:
-        """Add one training point x_new (a 1 x d row) with target y_new.
+    def refit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
+        """``fit(x, y)``, bit for bit, from the training points already
+        factored: keep the longest prefix of them that x repeats and
+        append the rest.
 
-        ``row`` is ``L^-1 r``, its whitened correlation to the training
-        points, and becomes the new row of L. Returns the new pivot of
-        L, or None, changing nothing, when the pivot is not safely
-        positive.
+        A factor at an escalated jitter starts over when it must drop
+        points, since the points kept may factor at a lower jitter. When
+        an append loses its pivot, every lower jitter has already failed
+        on the prefix, so the factor starts over at the next one.
         """
-        n = len(self.y)
+        x = np.asarray(x, dtype=float)
+        n = min(self._n, len(x))
+        differs = np.flatnonzero((self.x[:n] != x[:n]).any(axis=1))
+        keep = int(differs[0]) if len(differs) else n
+        if keep < self._n:
+            if self.fitted_jitter != self.jitter:
+                return self.fit(x, y)
+            self._truncate(keep)
+        for point in x[keep:]:
+            if not self._append(point):
+                return self.fit(x, y, _escalated(self.fitted_jitter))
+        return self._retarget(y)
+
+    def _reserve(self, n: int) -> None:
+        """Room for n training points, growing by half when full."""
+        capacity = len(self._chol)
+        if n <= capacity:
+            return
+        grown = max(n, capacity + capacity // 2)
+        sites = np.empty((self._n_query + grown, self._sites.shape[1]))
+        sites[: len(self._sites)] = self._sites
+        chol = np.zeros((grown, grown), order="F")
+        chol[:capacity, :capacity] = self._chol
+        block = np.empty((self._n_query, grown), order="F")
+        block[:, :capacity] = self._block
+        self._sites, self._chol, self._block = sites, chol, block
+        self._corr = np.empty((1, len(sites)))
+
+    def _truncate(self, n: int) -> None:
+        """Keep the first n training points.
+
+        The sums of squares are summed again column by column, as the
+        appends summed them, so that they stay a fresh fit's bit for bit.
+        """
+        self._n = n
+        self._ss = np.zeros(self._n_query)
+        for column in self.block.T:
+            self._ss += column * column
+
+    def _append(self, point: np.ndarray) -> bool:
+        """Add one training point to L and to the query block; False,
+        changing nothing, when its pivot is not safely positive.
+
+        The point's new row of L is ``l = L^-1 r``, its correlation to the
+        training points solved by L, with the pivot ``d = sqrt(1 + j - l.l)``;
+        the block's new column is ``(r_query - w l) / d``. One correlation
+        call gives both r and r_query.
+        """
+        m, n = self._n_query, self._n
+        corr = correlation(point[None, :], self._sites[: m + n], self.length_scale,
+                           out=self._corr[:, : m + n])[0]
+        # dtrsv copies the strided factor to a contiguous one first, so
+        # the solve does not depend on the room left for appends
+        row = dtrsv(self.factor, corr[m:], lower=1) if n else corr[m:]
         d2 = 1.0 + self.fitted_jitter - float(row @ row)
         if not d2 > 0.5 * max(self.fitted_jitter, BASE_JITTER):
-            return None
+            return False
         d = math.sqrt(d2)
-        if n == len(self._white):
-            chol = np.zeros((2 * n, 2 * n), order="F")
-            chol[:n, :n] = self._chol
-            white = np.empty((2 * n, 2))
-            white[:n] = self._white
-            self._chol, self._white = chol, white
+        self._reserve(n + 1)
+        self._sites[m + n] = point
         self._chol[n, :n] = row
         self._chol[n, n] = d
-        self._white[n] = (np.array([y_new, 1.0]) - row @ self._white[:n]) / d
-        self.x = np.vstack([self.x, x_new])
-        self.y = np.append(self.y, y_new)
-        return d
+        column = self._block[:, n]
+        np.subtract(corr[:m], self._block[:, :n] @ row, out=column)
+        column /= d
+        self._ss += column * column
+        self._n = n + 1
+        return True
 
-    def whiten(self, corr: np.ndarray) -> np.ndarray:
-        """Solve ``w L^T = corr`` for w; a column-major float block is
-        solved in place. dtrsm reads only the lower triangle of L."""
-        return dtrsm(1.0, self.factor, corr, side=1, lower=1, trans_a=1, overwrite_b=1)
+    def _retarget(self, y: np.ndarray) -> "GaussianProcess":
+        """Take y as the targets of the training points, in order."""
+        self.y = np.asarray(y, dtype=float)
+        self._white = dtrsm(1.0, self.factor, np.column_stack([self.y, np.ones_like(self.y)]),
+                            lower=1)
+        return self
 
-    def moments(self, w: np.ndarray, ss: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _moments(self, w: np.ndarray, ss: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation from a whitened block w
         over every training point, in fit order, and its row sums of
         squares ss."""
         mean = float(np.mean(self.y))
         variance = float(np.var(self.y))
         amplitude = variance if variance > 0 else 1.0
-        white = self._white[: len(self.y)]
-        mu = mean + w @ (white[:, 0] - mean * white[:, 1])
+        mu = mean + w @ (self._white[:, 0] - mean * self._white[:, 1])
         # the prior variance is the amplitude: matern25(0) == 1.0 exactly
         sigma = np.sqrt(np.maximum(amplitude * (1.0 - ss), 0.0))
         return mu, sigma
+
+    def moments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation at every query point."""
+        return self._moments(self.block, self._ss)
 
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation at each row of x; a
         non-finite entry of x raises ValueError."""
         corr = correlation(np.asarray_chkfinite(x, dtype=float), self.x, self.length_scale)
-        w = self.whiten(np.asfortranarray(corr))
-        return self.moments(w, np.einsum("ij,ij->i", w, w))
-
-
-class Posterior:
-    """A GP's posterior at fixed query points, kept current while the
-    query points themselves become training points one at a time.
-
-    The whitened block lives in one column-major buffer with a column
-    per training point and ``spare`` columns of room, so the block of
-    the current training set is one contiguous array.
-    """
-
-    def __init__(self, gp: GaussianProcess, query: np.ndarray, x: np.ndarray,
-                 y: np.ndarray, spare: int):
-        self.gp = gp
-        self.query = query
-        self._buffer = np.empty((len(query), len(x) + spare), order="F")
-        self._refactor(x, y, gp.jitter)
-
-    @property
-    def w(self) -> np.ndarray:
-        """The whitened block ``r_star L^-T`` over the current training points."""
-        return self._buffer[:, : len(self.gp.y)]
-
-    def _refactor(self, x: np.ndarray, y: np.ndarray, jitter: float) -> None:
-        self.gp.fit(x, y, jitter)
-        block = self.w
-        # the transpose of a column-major block is row-major
-        correlation(x, self.query, self.gp.length_scale, out=block.T)
-        self.gp.whiten(block)
-        self._ss = np.einsum("ij,ij->i", block, block)
-
-    def moments(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at every query point."""
-        return self.gp.moments(self.w, self._ss)
-
-    def add(self, i: int, y_new: float) -> None:
-        """Make query point i a training point with target y_new."""
-        w, point = self.w, self.query[i : i + 1]
-        row = w[i].copy()
-        d = self.gp.append(point, y_new, row)
-        if d is None:
-            self._refactor(np.vstack([self.gp.x, point]), np.append(self.gp.y, y_new),
-                           _escalated(self.gp.fitted_jitter))
-            return
-        column = self._buffer[:, w.shape[1]]
-        correlation(point, self.query, self.gp.length_scale, out=column[None, :])
-        column -= w @ row
-        column /= d
-        self._ss += column * column
+        # solve w L^T = corr in place; dtrsm reads only the lower triangle of L
+        w = dtrsm(1.0, self.factor, np.asfortranarray(corr), side=1, lower=1, trans_a=1,
+                  overwrite_b=1)
+        return self._moments(w, np.einsum("ij,ij->i", w, w))
 
 
 def acquisition(name: str, mu: np.ndarray, sigma: np.ndarray,

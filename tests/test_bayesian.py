@@ -6,16 +6,18 @@ import random as pyrandom
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
 from scipy.stats import norm
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory, SingularKernel
-from sizerforge.optim.base import materialize, observations
+from sizerforge.optim.base import history_view, materialize, observations
 from sizerforge.optim.bayesian import candidate_rows, normalize_rows, propose_bayesian
-from sizerforge.optim.gp import GaussianProcess, Posterior, acquisition, matern25
-from sizerforge.space import SearchSpace
+from sizerforge.optim.gp import ACQUISITIONS, GaussianProcess, acquisition, matern25
+from sizerforge.space import SearchSpace, index_rows
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
 
@@ -477,11 +479,10 @@ def test_rank_one_appends_equal_a_fresh_factor_and_solve():
     points = _grid_points(9, 3, rng, 330)
     x, query = points[:10], points[10:]
     y = rng.uniform(0.1, 1.0, size=10)
-    gp = GaussianProcess()
-    posterior = Posterior(gp, query, x, y, spare=14)
+    gp = GaussianProcess(query=query).fit(x, y)
     added = [int(i) for i in rng.choice(len(query), size=14, replace=False)]
-    for i in added:  # past twice the fitted size, so the factor grows too
-        posterior.add(i, 0.9)
+    for k in range(1, len(added) + 1):  # past twice the fitted size, so the factor grows too
+        gp.refit(np.vstack([x, query[added[:k]]]), np.append(y, [0.9] * k))
     fit_x = np.vstack([x, query[added]])
     r = matern25(_pairwise(fit_x, fit_x), 1.0) + 1e-6 * np.eye(len(fit_x))
     want_l = np.tril(cho_factor(r, lower=True)[0])
@@ -489,11 +490,11 @@ def test_rank_one_appends_equal_a_fresh_factor_and_solve():
                    side=1, lower=1, trans_a=1)
     assert gp.fitted_jitter == 1e-6
     np.testing.assert_allclose(gp.factor, want_l, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(posterior.w, want_w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gp.block, want_w, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(gp.x, fit_x)
     # and the moments are a fresh fit's
     want_mu, want_sigma = _reference_posterior(fit_x, np.append(y, [0.9] * 14), query)
-    mu, sigma = posterior.moments()
+    mu, sigma = gp.moments()
     np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
     np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
 
@@ -511,33 +512,190 @@ def _counted_fits(monkeypatch):
     return jitters
 
 
+def _lies(gp, x, y, query, k):
+    """Refit gp to x plus the first k query points, each with target 0.9."""
+    return gp.refit(np.vstack([x, query[:k]]), np.append(y, [0.9] * k))
+
+
 def test_a_lost_pivot_escalates_the_jitter_in_the_middle_of_a_batch(monkeypatch):
     fits = _counted_fits(monkeypatch)
     x = np.array([[0.0], [0.5], [1.0]])
     y = np.array([0.2, 0.9, 0.4])
     query = np.array([[0.25], [0.25], [0.75]])  # one point twice
-    gp = GaussianProcess(jitter=0.0)
-    posterior = Posterior(gp, query, x, y, spare=3)
-    posterior.add(0, 0.9)  # a new point appends at jitter 0
-    assert (fits, gp.fitted_jitter) == ([0.0], 0.0)
-    posterior.add(1, 0.9)  # the same point again: its pivot is 0 at jitter 0
-    assert (fits, gp.fitted_jitter) == ([0.0, 1e-6], 1e-6)
-    posterior.add(2, 0.9)  # appends resume at the escalated jitter
-    assert fits == [0.0, 1e-6]
+    gp = GaussianProcess(jitter=0.0, query=query).fit(x, y)
+    _lies(gp, x, y, query, 1)  # a new point appends at jitter 0
+    assert (fits, gp.fitted_jitter) == ([None], 0.0)
+    _lies(gp, x, y, query, 2)  # the same point again: its pivot is 0 at jitter 0
+    assert (fits, gp.fitted_jitter) == ([None, 1e-6], 1e-6)
+    _lies(gp, x, y, query, 3)  # appends resume at the escalated jitter
+    assert fits == [None, 1e-6]
     fit_x, fit_y = np.vstack([x, query]), np.append(y, [0.9] * 3)
     want_mu, want_sigma = _reference_posterior(fit_x, fit_y, query)
-    mu, sigma = posterior.moments()
+    mu, sigma = gp.moments()
     np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
     np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
 
 
+def _losing_pivots(monkeypatch, lost):
+    """Make an append lose its pivot where ``lost(point, jitter)`` holds."""
+    append = GaussianProcess._append
+
+    def lossy(gp, point):
+        return not lost(point, gp.fitted_jitter) and append(gp, point)
+
+    monkeypatch.setattr(GaussianProcess, "_append", lossy)
+
+
 def test_a_lost_pivot_past_the_largest_jitter_is_a_singular_kernel(monkeypatch):
     fits = _counted_fits(monkeypatch)
-    monkeypatch.setattr(GaussianProcess, "append", lambda gp, x_new, y_new, row: None)
+    # 0.25 loses its pivot below the largest jitter, 0.75 at every jitter
+    _losing_pivots(monkeypatch, lambda point, jitter: point[0] == 0.75
+                   or (point[0] == 0.25 and jitter < 1e-2))
     x = np.array([[0.0], [0.5], [1.0]])
-    posterior = Posterior(GaussianProcess(jitter=1e-3), np.array([[0.25], [0.75]]), x,
-                          np.array([0.2, 0.9, 0.4]), spare=2)
-    posterior.add(0, 0.9)
-    assert fits == [1e-3, 1e-2]
+    y = np.array([0.2, 0.9, 0.4])
+    query = np.array([[0.25], [0.75]])
+    gp = GaussianProcess(jitter=1e-3, query=query).fit(x, y)
+    _lies(gp, x, y, query, 1)
+    assert (fits, gp.fitted_jitter) == ([None, 1e-2], 1e-2)
     with pytest.raises(SingularKernel):
-        posterior.add(1, 0.9)
+        _lies(gp, x, y, query, 2)
+
+
+def test_refit_keeps_the_prefix_and_equals_a_fit_bit_for_bit():
+    rng = np.random.default_rng(29)
+    points = _grid_points(9, 3, rng, 120)
+    query = points[20:]
+    y = rng.uniform(0.1, 1.0, size=20)
+    gp = GaussianProcess(query=query).fit(points[:12], y[:12])
+    # drop the last four points, append eight others, then drop to a prefix
+    for n, source in ((16, np.vstack([points[:8], points[12:20]])), (5, points[:5])):
+        gp.refit(source[:n], y[:n])
+        want = GaussianProcess(query=query).fit(source[:n], y[:n])
+        for got, expected in ((gp.factor, want.factor), (gp.block, want.block),
+                              (gp.x, want.x), (gp.moments(), want.moments())):
+            assert np.array_equal(got, expected)
+
+
+# ------------------------------------------- a carried GP is a fresh one
+#
+# The GP of the enumerated grid is carried in the history's view from
+# batch to batch. Whatever the history holds, a proposal from the view
+# must be the one a fresh history holding the same records gives.
+
+WIDE = SearchSpace(
+    active={"W_a": GRID[:5], "W_b": GRID[2:7], "W_c": GRID[4:9]},
+    fixed={},
+    full_grid={"W_a": GRID, "W_b": GRID, "W_c": GRID},
+)
+# a narrow and a fix of W_c: some of WIDE's records fall outside
+NARROW = SearchSpace(
+    active={"W_a": GRID[1:4], "W_b": GRID[2:7]},
+    fixed={"W_c": GRID[6]},
+    full_grid=WIDE.full_grid,
+    generation=1,
+)
+
+
+def _record(hist, assignment, status="ok"):
+    ok = status == "ok"
+    hist.append(EvaluatedDesign(
+        design=design_from(assignment), raw_metrics={}, normalized={},
+        fom=round(assignment["W_a"] * assignment["W_b"] - (assignment["W_c"] - 1.6) ** 2, 6)
+        if ok else None,
+        feasible=False, sim_status=status, iteration=len(hist), method="bayesian",
+        eval_index=hist.next_eval_index(), wall_time=0.0,
+    ))
+
+
+def _outcome(space, hist, n_samples, seed, acquisition_function):
+    """The proposal, or None on too short a history, and the view's GP as arrays."""
+    try:
+        proposal = propose_bayesian(space, hist, n_samples, seed,
+                                    acquisition_function=acquisition_function)
+    except InsufficientHistory:
+        return None, []
+    gp = history_view(space, hist).gp
+    return proposal, [gp.factor, gp.block, gp.x, gp.y, gp._ss, gp.fitted_jitter, *gp.moments()]
+
+
+def _assert_warm_is_cold(space, hist, n_samples, seed, acquisition_function="EI"):
+    """Propose from hist, which may carry a view, and from a fresh history
+    holding the same records; both must agree bit for bit. Returns the
+    designs proposed."""
+    cold = History()
+    cold.append_batch(hist.records)
+    got, got_state = _outcome(space, hist, n_samples, seed, acquisition_function)
+    want, want_state = _outcome(space, cold, n_samples, seed, acquisition_function)
+    if want is None:
+        assert got is None
+        return []
+    assert [d.id for d in got.designs] == [d.id for d in want.designs]
+    assert got.diagnostics == want.diagnostics
+    assert len(got_state) == len(want_state)
+    for a, b in zip(got_state, want_state):
+        assert np.array_equal(a, b)
+    return got.designs
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_carried_gp_proposes_what_a_fresh_history_does(data):
+    draw = data.draw
+    space = WIDE
+    hist = History()
+
+    def design_in(space):
+        return materialize(space, [draw(st.integers(0, m - 1)) for m in space.sizes()])
+
+    for _ in range(draw(st.integers(5, 9))):
+        _record(hist, design_in(space).assignment)
+    for _ in range(draw(st.integers(2, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            space = NARROW if space is WIDE else WIDE
+        picks = _assert_warm_is_cold(space, hist, draw(st.integers(1, 5)),
+                                     draw(st.integers(0, 3)), draw(st.sampled_from(ACQUISITIONS)))
+        # the batch comes back: its records follow, reorder or drop the lies
+        mode, returned = draw(st.sampled_from(["follow", "reorder", "drop"])), picks
+        if mode == "reorder":
+            returned = draw(st.permutations(picks))
+        elif mode == "drop" and picks:
+            returned = draw(st.lists(st.sampled_from(picks), unique_by=lambda d: d.id))
+        for design in returned:
+            _record(hist, design.assignment, draw(st.sampled_from(["ok", "ok", "ok", "sim_failed"])))
+        # and records that are not the batch's
+        for extra in draw(st.lists(st.sampled_from(["incumbent", "outside", "new", "failed"]),
+                                   max_size=3)):
+            if extra == "incumbent" and hist.valid_records():
+                best = max(hist.valid_records(), key=lambda r: r.fom)
+                hist.append(dataclasses.replace(best, eval_index=hist.next_eval_index(),
+                                                cached=True))
+            elif extra == "outside":
+                _record(hist, {**design_in(space).assignment, "W_a": GRID[8]})
+            else:
+                _record(hist, design_in(space).assignment,
+                        "ok" if extra in ("new", "incumbent") else "sim_failed")
+
+
+@pytest.mark.parametrize("returned", [[1, 2], [0, 1, 2, 3]])
+def test_a_lie_that_lost_its_pivot_does_not_leak_into_the_real_factor(monkeypatch, returned):
+    # the second batch's first pick, its first lie, loses its pivot at the
+    # base jitter, so that batch's factor escalates; the real records that
+    # follow either drop that lie or bring it back
+    hist = History()
+    for row in ([0, 0, 0], [4, 4, 4], [2, 1, 3], [1, 3, 0], [3, 0, 2], [0, 4, 1]):
+        _record(hist, materialize(WIDE, row).assignment)
+    for design in _assert_warm_is_cold(WIDE, hist, 4, 0):
+        _record(hist, design.assignment)
+    probe = History()
+    probe.append_batch(hist.records)
+    lie = propose_bayesian(WIDE, probe, 4, seed=1).designs[0]
+    point = normalize_rows(WIDE, index_rows(WIDE, [lie]))[0]
+    _losing_pivots(monkeypatch, lambda p, jitter: np.array_equal(p, point) and jitter == 1e-6)
+    escalated = 1e-6 * 10.0
+    second = _assert_warm_is_cold(WIDE, hist, 4, 1)
+    assert second[0].id == lie.id
+    assert history_view(WIDE, hist).gp.fitted_jitter == escalated
+    for i in returned:
+        _record(hist, second[i].assignment)
+    _assert_warm_is_cold(WIDE, hist, 4, 2)
+    assert history_view(WIDE, hist).gp.fitted_jitter == (escalated if 0 in returned else 1e-6)

@@ -11,12 +11,15 @@ src/ or perfbench/. String constants in perfbench/ count too, because
 the tracer rebinds methods such as ``predict`` by name. Dunder methods
 are called by the language and are exempt.
 
+The tracer must find every name it rebinds, and put each back.
+
 Importing the package leaves out what only some runs need:
 ``scipy.stats`` (``acquisition`` uses ``scipy.special.ndtr``) and
 ``requests`` (only ``HttpTransport.complete`` talks to a model).
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -101,3 +104,28 @@ def test_importing_the_package_loads_neither_scipy_stats_nor_requests():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_the_tracer_rebinds_names_that_exist_and_puts_them_back(monkeypatch):
+    from sizerforge import controller
+    from sizerforge.agents import RuleBackend
+    from sizerforge.evaluation import ResultCache
+    from sizerforge.optim.gp import GaussianProcess
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    loaded = set(sys.modules)
+    try:
+        tracing = importlib.import_module("tracing")
+        owners = (controller, RuleBackend, GaussianProcess, ResultCache)
+        before = [dict(vars(owner)) for owner in owners]
+        with tracing.Tracer().installed():
+            for name in ("fit", "predict"):
+                assert vars(GaussianProcess)[name] is not before[2][name]
+        for owner, names in zip(owners, before):
+            after = dict(vars(owner))
+            assert after.keys() == names.keys()
+            assert [k for k in names if after[k] is not names[k]] == []
+    finally:
+        for name in set(sys.modules) - loaded:
+            del sys.modules[name]

@@ -1,5 +1,8 @@
 """Method dispatch, parameter validation, and the adaptive mix."""
 
+import gc
+import weakref
+
 import pytest
 
 from sizerforge.core import EvaluatedDesign, History, design_from
@@ -14,6 +17,7 @@ from sizerforge.optim.pool import (
     propose,
     validate_method_config,
 )
+from sizerforge.optim import base
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -151,3 +155,49 @@ def test_method_config_seed_changes_proposals():
     a = propose(space, MethodConfig(method="lhs", n_samples=8, seed=0), History())
     b = propose(space, MethodConfig(method="lhs", n_samples=8, seed=1), History())
     assert [d.id for d in a.designs] != [d.id for d in b.designs]
+
+
+def _counted_index_rows(monkeypatch):
+    """The number of designs indexed against a space from here on."""
+    indexed = []
+    index_rows = base.index_rows
+
+    def counted(space, designs):
+        rows = index_rows(space, designs)
+        indexed.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(base, "index_rows", counted)
+    return indexed
+
+
+def test_adaptive_indexes_each_record_once(monkeypatch):
+    space = _space()
+    hist = _history(6)
+    indexed = _counted_index_rows(monkeypatch)
+    config = MethodConfig(method="adaptive", n_samples=12, seed=4)
+    first = propose(space, config, history=hist)
+    assert first.diagnostics["exploit_method"] == "bayesian"
+    assert sum(indexed) == 6  # lhs, bayesian and the random draws share one pass
+    for design in first.designs[:3]:
+        hist.append(EvaluatedDesign(design=design, raw_metrics={}, normalized={}, fom=0.5,
+                                    feasible=False, sim_status="ok", iteration=2,
+                                    method="adaptive", eval_index=hist.next_eval_index(),
+                                    wall_time=0.0))
+    propose(space, config, history=hist)
+    assert sum(indexed) == 9  # only the records appended since
+
+
+def test_a_history_keeps_only_the_view_of_the_current_space():
+    wide, hist = _space(), _history(6)
+    narrow = SearchSpace(active={"W_a": GRID[:5], "W_b": GRID}, fixed={},
+                         full_grid=wide.full_grid, generation=1)
+    config = MethodConfig(method="bayesian", n_samples=3, seed=0)
+    propose(wide, config, history=hist)
+    gp = weakref.ref(hist.view.gp)
+    assert gp() is not None
+    propose(narrow, config, history=hist)
+    gc.collect()
+    assert gp() is None  # the wide space's candidate block is released
+    assert hist.view.key == base.history_view(narrow, hist).key
+    assert len(hist.view.gp.query) == 5 * 9
