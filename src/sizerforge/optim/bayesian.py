@@ -8,25 +8,32 @@ it is picked.
 Batches are picked greedily with a constant-liar update between picks
 (the lie is the best observed value), so the batch holds no duplicate.
 The GP's jitter is relative to the amplitude, so its factor does not
-depend on the targets that the lies change: each lie is one rank-one
-append to the factor and to the whitened candidate block (``gp``),
-O(N n) for N candidates and n training points. Every pick scores all
-candidates and masks the evaluated and the picked ones with -inf;
-argmax takes the first maximum, so ties go to the earlier candidate.
+depend on the targets that the lies change. Each lie is one
+``GaussianProcess.add``: a rank-one append to the factor and to the
+whitened candidate block, one N x n block product for N candidates and n
+training points, and O(N) updates of the running sums that the
+posterior mean is read from. No pick solves the whitened targets again.
+Every pick scores all candidates and masks the evaluated and the picked
+ones with -inf; argmax takes the first maximum, so ties go to the
+earlier candidate.
 
-On the enumerated grid, the GP is carried from batch to batch in the
-history's view (``base.history_view``). It holds the factor over the
-last batch's training points, the observations and then its lies, and
-the whitened block of every grid point, evaluated or not. The next
-batch ``refit``s it to the new observations: it keeps the longest
-prefix of those points that the observations repeat, so a lie that came
-back as a real record keeps its column, drops the rest and appends the
-new records. Only the whitened targets are solved again, from the real
-FoMs. Since ``refit`` is ``fit`` bit for bit, a batch proposes what a
-GP built from empty over the same records would: the proposer stays a
+On the enumerated grid the GP's query points are the grid itself
+(``GaussianProcess(grid=...)``), so a new block column is a window of
+its table of correlations by index offset, and no pick computes a
+distance. The GP is carried from batch to batch in the history's view
+(``base.history_view``). It holds the factor over the last batch's
+training points, the observations and then its lies, and the whitened
+block of every grid point, evaluated or not. The next batch ``refit``s
+it to the new observations: it keeps the longest prefix of those points
+that the observations repeat, so a lie that came back as a real record
+keeps its column, drops the rest and appends the new records. The
+whitened targets and the running sums are formed again once, from the
+real FoMs. Since ``refit`` is ``fit`` bit for bit, a batch proposes what
+a GP built from empty over the same records would: the proposer stays a
 pure function of space, history and seed. A new space starts a new
 view, and so a GP built from empty. The random draws differ per seed,
-so that path builds its GP from empty on each call.
+so that path builds its GP from empty on each call, over the drawn
+points, whose correlations it computes.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from ..core import History
 from ..errors import InsufficientHistory
 from ..space import SearchSpace
 from .base import Proposal, history_view, materialize
-from .gp import ACQUISITIONS, GaussianProcess, acquisition
+from .gp import ACQUISITIONS, GaussianProcess, acquisition, normalize
 
 ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000
@@ -50,10 +57,7 @@ _DEFAULT_WEIGHT = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}
 
 
 def normalize_rows(space: SearchSpace, rows: Sequence[Sequence[int]]) -> np.ndarray:
-    out = np.asarray(rows, dtype=float)
-    for j, m in enumerate(space.sizes()):
-        out[:, j] = out[:, j] / (m - 1) if m > 1 else 0.0
-    return out
+    return normalize(rows, space.sizes())
 
 
 def candidate_rows(space: SearchSpace, rng: random.Random) -> np.ndarray:
@@ -108,8 +112,9 @@ def propose_bayesian(
     # leaves no GP behind
     view.gp = None
     if gp is None:
-        gp = GaussianProcess(query=normalize_rows(space, rows),
-                             capacity=len(x) + n_picks - 1).fit(x, y)
+        gp = (GaussianProcess(grid=space.sizes()) if enumerated
+              else GaussianProcess(query=normalize_rows(space, rows)))
+        gp.fit(x, y)
     else:
         gp.refit(x, y)
     best = float(np.max(y))
@@ -117,8 +122,8 @@ def propose_bayesian(
     acq_values: List[float] = []
     for _ in range(n_picks):
         if picks:
-            # constant liar: pretend each pick so far returned the incumbent best
-            gp.refit(np.vstack([x, gp.query[picks]]), np.append(y, [best] * len(picks)))
+            # constant liar: pretend the last pick returned the incumbent best
+            gp.add(gp.query[picks[-1]], best)
         mu, sigma = gp.moments()
         scores = acquisition(acquisition_function, mu, sigma, best, weight)
         scores[evaluated] = -np.inf

@@ -16,7 +16,9 @@ from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory, SingularKernel
 from sizerforge.optim.base import history_view, materialize, observations
 from sizerforge.optim.bayesian import candidate_rows, normalize_rows, propose_bayesian
-from sizerforge.optim.gp import ACQUISITIONS, GaussianProcess, acquisition, matern25
+from sizerforge.optim import gp as gp_module
+from sizerforge.optim.gp import (ACQUISITIONS, ROOM, GaussianProcess, acquisition, correlation,
+                                   matern25)
 from sizerforge.space import SearchSpace, index_rows
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -480,9 +482,11 @@ def test_rank_one_appends_equal_a_fresh_factor_and_solve():
     x, query = points[:10], points[10:]
     y = rng.uniform(0.1, 1.0, size=10)
     gp = GaussianProcess(query=query).fit(x, y)
-    added = [int(i) for i in rng.choice(len(query), size=14, replace=False)]
-    for k in range(1, len(added) + 1):  # past twice the fitted size, so the factor grows too
-        gp.refit(np.vstack([x, query[added[:k]]]), np.append(y, [0.9] * k))
+    # past ROOM training points, so the buffers grow too
+    added = [int(i) for i in rng.choice(len(query), size=60, replace=False)]
+    for i in added:
+        gp.add(query[i], 0.9)
+    assert len(gp._chol) > ROOM
     fit_x = np.vstack([x, query[added]])
     r = matern25(_pairwise(fit_x, fit_x), 1.0) + 1e-6 * np.eye(len(fit_x))
     want_l = np.tril(cho_factor(r, lower=True)[0])
@@ -493,7 +497,7 @@ def test_rank_one_appends_equal_a_fresh_factor_and_solve():
     np.testing.assert_allclose(gp.block, want_w, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(gp.x, fit_x)
     # and the moments are a fresh fit's
-    want_mu, want_sigma = _reference_posterior(fit_x, np.append(y, [0.9] * 14), query)
+    want_mu, want_sigma = _reference_posterior(fit_x, np.append(y, [0.9] * 60), query)
     mu, sigma = gp.moments()
     np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
     np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
@@ -512,28 +516,46 @@ def _counted_fits(monkeypatch):
     return jitters
 
 
-def _lies(gp, x, y, query, k):
+def _lie_by_refit(gp, x, y, query, k):
     """Refit gp to x plus the first k query points, each with target 0.9."""
     return gp.refit(np.vstack([x, query[:k]]), np.append(y, [0.9] * k))
 
 
-def test_a_lost_pivot_escalates_the_jitter_in_the_middle_of_a_batch(monkeypatch):
+def _lie_by_add(gp, x, y, query, k):
+    """Add the k-th query point, the last of the first k, with target 0.9."""
+    return gp.add(query[k - 1], 0.9)
+
+
+# a lie may reach the factor as a whole refit or as one add; a lost pivot
+# escalates the jitter on either path
+LIES = [_lie_by_refit, _lie_by_add]
+
+
+@pytest.mark.parametrize("lie", LIES)
+def test_a_lost_pivot_escalates_the_jitter_in_the_middle_of_a_batch(monkeypatch, lie):
     fits = _counted_fits(monkeypatch)
     x = np.array([[0.0], [0.5], [1.0]])
     y = np.array([0.2, 0.9, 0.4])
     query = np.array([[0.25], [0.25], [0.75]])  # one point twice
     gp = GaussianProcess(jitter=0.0, query=query).fit(x, y)
-    _lies(gp, x, y, query, 1)  # a new point appends at jitter 0
+    lie(gp, x, y, query, 1)  # a new point appends at jitter 0
     assert (fits, gp.fitted_jitter) == ([None], 0.0)
-    _lies(gp, x, y, query, 2)  # the same point again: its pivot is 0 at jitter 0
+    lie(gp, x, y, query, 2)  # the same point again: its pivot is 0 at jitter 0
     assert (fits, gp.fitted_jitter) == ([None, 1e-6], 1e-6)
-    _lies(gp, x, y, query, 3)  # appends resume at the escalated jitter
+    lie(gp, x, y, query, 3)  # appends resume at the escalated jitter
     assert fits == [None, 1e-6]
     fit_x, fit_y = np.vstack([x, query]), np.append(y, [0.9] * 3)
     want_mu, want_sigma = _reference_posterior(fit_x, fit_y, query)
     mu, sigma = gp.moments()
     np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
     np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
+    # the factor and block are a fresh fit's, bit for bit, and so are the
+    # running sums after a refit, which forms them as a fit does
+    cold = GaussianProcess(jitter=0.0, query=query).fit(fit_x, fit_y)
+    assert cold.fitted_jitter == gp.fitted_jitter
+    assert np.array_equal(gp.factor, cold.factor) and np.array_equal(gp.block, cold.block)
+    if lie is _lie_by_refit:
+        assert np.array_equal(gp._sums, cold._sums)
 
 
 def _losing_pivots(monkeypatch, lost):
@@ -546,7 +568,8 @@ def _losing_pivots(monkeypatch, lost):
     monkeypatch.setattr(GaussianProcess, "_append", lossy)
 
 
-def test_a_lost_pivot_past_the_largest_jitter_is_a_singular_kernel(monkeypatch):
+@pytest.mark.parametrize("lie", LIES)
+def test_a_lost_pivot_past_the_largest_jitter_is_a_singular_kernel(monkeypatch, lie):
     fits = _counted_fits(monkeypatch)
     # 0.25 loses its pivot below the largest jitter, 0.75 at every jitter
     _losing_pivots(monkeypatch, lambda point, jitter: point[0] == 0.75
@@ -555,10 +578,10 @@ def test_a_lost_pivot_past_the_largest_jitter_is_a_singular_kernel(monkeypatch):
     y = np.array([0.2, 0.9, 0.4])
     query = np.array([[0.25], [0.75]])
     gp = GaussianProcess(jitter=1e-3, query=query).fit(x, y)
-    _lies(gp, x, y, query, 1)
+    lie(gp, x, y, query, 1)
     assert (fits, gp.fitted_jitter) == ([None, 1e-2], 1e-2)
     with pytest.raises(SingularKernel):
-        _lies(gp, x, y, query, 2)
+        lie(gp, x, y, query, 2)
 
 
 def test_refit_keeps_the_prefix_and_equals_a_fit_bit_for_bit():
@@ -574,6 +597,46 @@ def test_refit_keeps_the_prefix_and_equals_a_fit_bit_for_bit():
         for got, expected in ((gp.factor, want.factor), (gp.block, want.block),
                               (gp.x, want.x), (gp.moments(), want.moments())):
             assert np.array_equal(got, expected)
+
+
+# ------------------------------------------------- the grid's offset table
+
+
+def _space_of_sizes(sizes):
+    names = [f"W_{k}" for k in range(len(sizes))]
+    return SearchSpace(active={v: GRID[:m] for v, m in zip(names, sizes)}, fixed={},
+                       full_grid={v: GRID for v in names})
+
+
+@pytest.mark.parametrize("sizes", [(1, 2, 3), (9, 1, 5, 2), (5, 9),  # every m - 1 is 0, 1 or 2^k
+                                   (4, 6), (7, 3, 4), (6, 5, 7, 2)])
+def test_each_window_of_the_offset_table_is_the_points_correlation_over_the_grid(sizes):
+    gp = GaussianProcess(grid=sizes)
+    grid = gp.query
+    # the grid's points are the proposer's candidates, in its order
+    space = _space_of_sizes(sizes)
+    assert np.array_equal(grid, normalize_rows(space, candidate_rows(space, pyrandom.Random(0))))
+    exact = all(m - 1 in (0, 1, 2, 4, 8) for m in sizes)
+    for i, point in enumerate(grid):
+        window, flat = gp._window(point)
+        want = correlation(point[None, :], grid, 1.0)[0]
+        assert (window.shape, flat) == (sizes, i)
+        if exact:
+            assert np.array_equal(window.ravel(), want)
+        else:
+            np.testing.assert_allclose(window.ravel(), want, rtol=1e-15, atol=0)
+
+
+def test_a_grid_gp_refuses_a_point_off_its_grid():
+    gp = GaussianProcess(grid=(5, 3))
+    corners = np.array([[0.0, 0.0], [1.0, 1.0]])
+    # between two values, past the last value, before the first
+    for point in ([0.3, 0.5], [0.25, 1.5], [-0.25, 0.0]):
+        with pytest.raises(ValueError):
+            gp.fit(np.vstack([corners, point]), np.zeros(3))
+    gp.fit(corners, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        gp.add(np.array([0.25, 0.5, 0.0]), 1.0)  # one coordinate too many
 
 
 # ------------------------------------------- a carried GP is a fresh one
@@ -615,7 +678,8 @@ def _outcome(space, hist, n_samples, seed, acquisition_function):
     except InsufficientHistory:
         return None, []
     gp = history_view(space, hist).gp
-    return proposal, [gp.factor, gp.block, gp.x, gp.y, gp._ss, gp.fitted_jitter, *gp.moments()]
+    return proposal, [gp.factor, gp.block, gp.x, gp.y, gp._ss, gp._sums, gp.fitted_jitter,
+                      *gp.moments()]
 
 
 def _assert_warm_is_cold(space, hist, n_samples, seed, acquisition_function="EI"):
@@ -699,3 +763,59 @@ def test_a_lie_that_lost_its_pivot_does_not_leak_into_the_real_factor(monkeypatc
         _record(hist, second[i].assignment)
     _assert_warm_is_cold(WIDE, hist, 4, 2)
     assert history_view(WIDE, hist).gp.fitted_jitter == (escalated if 0 in returned else 1e-6)
+
+
+# ------------------------------------------------------ what a pick costs
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_warm_batch_computes_no_distance_and_solves_the_targets_once(monkeypatch):
+    # the 9^4 grid bo_grid searches; the second batch refits the carried
+    # GP to its five new records and picks five, through four lies
+    space, fixed_off = _narrowed_space(5, 9)
+    rows = [tuple(r) for r in candidate_rows(space, pyrandom.Random(0)).tolist()]
+    hist = _mixed_history(space, rows[::300][:20], fixed_off)
+    for k, design in enumerate(propose_bayesian(space, hist, 5, seed=0).designs):
+        hist.append(dataclasses.replace(hist.records[0], design=design, fom=0.5 + 0.01 * k,
+                                        eval_index=hist.next_eval_index()))
+    correlations = _counted(monkeypatch, gp_module, "correlation")
+    solves = _counted(monkeypatch, gp_module, "dtrsm")
+    fits = _counted(monkeypatch, GaussianProcess, "fit")
+    appends = _counted(monkeypatch, GaussianProcess, "_append")
+    proposal = propose_bayesian(space, hist, 5, seed=1)
+    assert len(proposal.designs) == 5
+    # the records of the first four picks repeat its lies, so one append
+    # for the fifth pick's record, and one per lie
+    assert (correlations, solves, fits, len(appends)) == ([], ["dtrsm"], [], 5)
+
+
+def test_the_random_candidate_path_builds_no_table_and_lies_by_add(monkeypatch):
+    # 9^5 = 59049 points, past ENUMERATION_LIMIT: 2000 uniform draws per seed
+    space, fixed_off = _narrowed_space(6, 9)
+    rows = [tuple(r) for r in candidate_rows(space, pyrandom.Random(7)).tolist()]
+    hist = _mixed_history(space, rows[::100][:15], fixed_off)
+    tables = _counted(monkeypatch, gp_module, "offset_table")
+    lies = _counted(monkeypatch, GaussianProcess, "add")
+    proposal = propose_bayesian(space, hist, 6, seed=7)
+    ids = [d.id for d in proposal.designs]
+    assert (tables, len(lies), len(set(ids))) == ([], 5, 6)
+    assert not set(ids) & {r.design.id for r in hist.records}
+    for design in proposal.designs:
+        assert all(design.assignment[v] in values for v, values in space.active.items())
+        assert all(design.assignment[v] == value for v, value in space.fixed.items())
+    again = History()
+    again.append_batch(hist.records)
+    assert [d.id for d in propose_bayesian(space, again, 6, seed=7).designs] == ids
+    assert history_view(space, hist).gp is None  # the draws are the seed's: nothing to carry
