@@ -130,6 +130,31 @@ def _core_metric_names(config: BenchmarkConfig) -> List[str]:
     return [m for m in config.metrics if m != FOM_METRIC]
 
 
+def _simulate(evaluator: EvaluatorSpec, deck_path: str) -> Tuple[str, str, str]:
+    """Run the simulator on a deck: (log, status, reason). An executable
+    that cannot be started, a non-zero exit and a timeout each fail the
+    simulation, not the run."""
+    try:
+        # bytes that are not UTF-8 become U+FFFD, in the scraped text and the kept log
+        proc = subprocess.run(
+            [evaluator.executable, "-b", deck_path],
+            capture_output=True,
+            encoding="utf-8",
+            errors="replace",
+            timeout=evaluator.timeout_s,
+        )
+    except subprocess.TimeoutExpired as exc:
+        raw_log = ((exc.stdout or b"").decode("utf-8", "replace")
+                   if isinstance(exc.stdout, bytes) else (exc.stdout or ""))
+        return raw_log, SIM_FAILED, "timeout"
+    except OSError as exc:
+        return "", SIM_FAILED, f"simulator did not start: {exc.strerror or exc}"
+    raw_log = proc.stdout + "\n" + proc.stderr
+    if proc.returncode:
+        return raw_log, SIM_FAILED, f"exit status {proc.returncode}"
+    return raw_log, SIM_OK, ""
+
+
 def _run_spice(config: BenchmarkConfig, design: Design,
                evaluator: EvaluatorSpec, keep_log_dir: Optional[Path]) -> Tuple[dict, float]:
     """One simulator invocation; returns (cache entry, wall seconds)."""
@@ -143,20 +168,7 @@ def _run_spice(config: BenchmarkConfig, design: Design,
         )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(deck.testbench_text)
-        proc = subprocess.run(
-            [evaluator.executable, "-b", deck_path],
-            capture_output=True,
-            text=True,
-            timeout=evaluator.timeout_s,
-        )
-        raw_log = proc.stdout + "\n" + proc.stderr
-        status = SIM_OK if proc.returncode == 0 else SIM_FAILED
-        reason = "" if proc.returncode == 0 else f"exit status {proc.returncode}"
-    except subprocess.TimeoutExpired as exc:
-        raw_log = ((exc.stdout or b"").decode("utf-8", "replace")
-                   if isinstance(exc.stdout, bytes) else (exc.stdout or ""))
-        status = SIM_FAILED
-        reason = "timeout"
+        raw_log, status, reason = _simulate(evaluator, deck_path)
     finally:
         if deck_path and os.path.exists(deck_path):
             os.unlink(deck_path)

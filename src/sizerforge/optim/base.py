@@ -1,7 +1,7 @@
 """Shared plumbing for the proposal methods.
 
-All methods work in per-variable index coordinates over the active value
-lists, which keeps every proposal grid-valid by construction. Fixed
+All methods work in index vectors, one index per active variable into
+its value list, which keeps every proposal grid-valid by construction. Fixed
 variables are attached at materialization time so a Design always covers
 the full variable set.
 
@@ -24,7 +24,8 @@ The view is memoized on the history, which is append-only, and keyed
 by the space. Each call indexes only the records appended since the
 last one, so every proposer of a run, and every part of an adaptive
 batch, shares one pass. It also carries the Bayesian proposer's GP over
-the enumerated grid from batch to batch. A history keeps the view of
+the enumerated grid from batch to batch, which the next batch fits to
+the view's observations (``bayesian.propose_bayesian``). A history keeps the view of
 one space: another space, or records that do not extend the ones the
 view has seen, start a new view, so the old one and its GP are
 released. The memo is a cache, not state: a fresh history holding the
@@ -69,7 +70,8 @@ class HistoryView:
 
 
 def _space_key(space: SearchSpace) -> tuple:
-    """What ``index_rows`` and the index coordinates read of a space."""
+    """What ``index_rows`` reads of a space, and so what the view's index
+    vectors and its GP's grid depend on."""
     return tuple(space.active.items()), tuple(space.fixed.items()), tuple(space.full_grid)
 
 

@@ -5,41 +5,46 @@ Candidates are the full index grid, as an array in the C order of
 otherwise 2000 uniform draws. No design is built for a candidate until
 it is picked.
 
+The GP (``gp.GaussianProcess``) takes the observations and the
+candidates as index vectors. On the enumerated grid its query points are
+the grid itself, so a candidate's position is its flat index and a new
+block column is a window of the GP's table of correlations by index
+offset: no pick computes a distance. On the random path its query points
+are the draws that are not yet evaluated.
+
 Batches are picked greedily with a constant-liar update between picks
 (the lie is the best observed value), so the batch holds no duplicate.
 The GP's jitter is relative to the amplitude, so its factor does not
 depend on the targets that the lies change. Each lie is one
-``GaussianProcess.add``: a rank-one append to the factor and to the
-whitened candidate block, one N x n block product for N candidates and n
-training points, and O(N) updates of the running sums that the
-posterior mean is read from. No pick solves the whitened targets again.
-Every pick scores all candidates and masks the evaluated and the picked
-ones with -inf; argmax takes the first maximum, so ties go to the
-earlier candidate.
+``GaussianProcess.add`` of the last pick's position: a rank-one append
+to the factor and to the whitened candidate block, one N x n block
+product for N candidates and n training points, and O(N) updates of the
+running sums that the posterior mean is read from. No pick solves the
+whitened targets again. Every pick scores all candidates and masks the
+evaluated and the picked ones with -inf; argmax takes the first maximum,
+so ties go to the earlier candidate.
 
-On the enumerated grid the GP's query points are the grid itself
-(``GaussianProcess(grid=...)``), so a new block column is a window of
-its table of correlations by index offset, and no pick computes a
-distance. The GP is carried from batch to batch in the history's view
-(``base.history_view``). It holds the factor over the last batch's
-training points, the observations and then its lies, and the whitened
-block of every grid point, evaluated or not. The next batch ``refit``s
-it to the new observations: it keeps the longest prefix of those points
-that the observations repeat, so a lie that came back as a real record
-keeps its column, drops the rest and appends the new records. The
-whitened targets and the running sums are formed again once, from the
-real FoMs. Since ``refit`` is ``fit`` bit for bit, a batch proposes what
-a GP built from empty over the same records would: the proposer stays a
-pure function of space, history and seed. A new space starts a new
-view, and so a GP built from empty. The random draws differ per seed,
-so that path builds its GP from empty on each call, over the drawn
-points, whose correlations it computes.
+On the enumerated grid the GP is carried from batch to batch in the
+history's view (``base.history_view``). It holds the factor over the
+last batch's training points, the observations and then its lies, and
+the whitened block of every grid point, evaluated or not. The next
+batch ``fit``s it to the new observations: it keeps the longest prefix
+of those points that the observations repeat, so a lie that came back
+as a real record keeps its column, drops the rest and appends the new
+records. The whitened targets and the running sums are formed again
+once, from the real FoMs. Since a fit that keeps a prefix is a fit from
+empty bit for bit, a batch proposes what a GP built from empty over the
+same records would: the proposer stays a pure function of space,
+history and seed. A new space starts a new view, and so a GP built from
+empty. The random draws differ per seed, so that path builds its GP from
+empty on each call, over the drawn points, whose correlations it
+computes.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from ..core import History
 from ..errors import InsufficientHistory
 from ..space import SearchSpace
 from .base import Proposal, history_view, materialize
-from .gp import ACQUISITIONS, GaussianProcess, acquisition, normalize
+from .gp import ACQUISITIONS, GaussianProcess, acquisition, grid_rows
 
 ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000
@@ -56,16 +61,11 @@ MIN_OBSERVATIONS = 5
 _DEFAULT_WEIGHT = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}
 
 
-def normalize_rows(space: SearchSpace, rows: Sequence[Sequence[int]]) -> np.ndarray:
-    return normalize(rows, space.sizes())
-
-
 def candidate_rows(space: SearchSpace, rng: random.Random) -> np.ndarray:
     """Candidate index vectors over the active lists, one per row."""
     sizes = space.sizes()
     if space.cardinality() <= ENUMERATION_LIMIT:
-        # row i is the index vector whose mixed-radix flat index is i
-        return np.indices(sizes).reshape(len(sizes), space.cardinality()).T
+        return grid_rows(sizes)
     return np.array([[rng.randrange(m) for m in sizes] for _ in range(FALLBACK_CANDIDATES)])
 
 
@@ -92,7 +92,7 @@ def propose_bayesian(
         )
 
     rng = random.Random(seed)
-    x = normalize_rows(space, [row for _, row in view.obs])
+    x = np.array([row for _, row in view.obs])
     y = np.array([r.fom for r, _ in view.obs], dtype=float)
 
     rows = candidate_rows(space, rng)
@@ -112,18 +112,15 @@ def propose_bayesian(
     # leaves no GP behind
     view.gp = None
     if gp is None:
-        gp = (GaussianProcess(grid=space.sizes()) if enumerated
-              else GaussianProcess(query=normalize_rows(space, rows)))
-        gp.fit(x, y)
-    else:
-        gp.refit(x, y)
+        gp = GaussianProcess(space.sizes(), None if enumerated else rows)
+    gp.fit(x, y)
     best = float(np.max(y))
     picks: List[int] = []
     acq_values: List[float] = []
     for _ in range(n_picks):
         if picks:
             # constant liar: pretend the last pick returned the incumbent best
-            gp.add(gp.query[picks[-1]], best)
+            gp.add(picks[-1], best)
         mu, sigma = gp.moments()
         scores = acquisition(acquisition_function, mu, sigma, best, weight)
         scores[evaluated] = -np.inf

@@ -15,10 +15,10 @@ from scipy.stats import norm
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory, SingularKernel
 from sizerforge.optim.base import history_view, materialize, observations
-from sizerforge.optim.bayesian import candidate_rows, normalize_rows, propose_bayesian
+from sizerforge.optim.bayesian import candidate_rows, propose_bayesian
 from sizerforge.optim import gp as gp_module
 from sizerforge.optim.gp import (ACQUISITIONS, ROOM, GaussianProcess, acquisition, correlation,
-                                   matern25)
+                                   grid_rows, matern25, normalize)
 from sizerforge.space import SearchSpace, index_rows
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -61,28 +61,27 @@ OBS = [((0, 0), 0.2), ((2, 6), 0.45), ((4, 4), 0.8), ((6, 2), 0.55), ((8, 8), 0.
 
 def test_gp_posterior_interpolates_observations():
     rng = np.random.default_rng(17)
-    x = rng.uniform(0, 1, size=(12, 3))
+    sizes = (17, 17, 17)
+    rows = _grid_rows(17, 3, rng, 12)
+    x = normalize(rows, sizes)
     y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 - 0.5 * x[:, 2]
-    gp = GaussianProcess(jitter=0).fit(x, y)
-    mu, sigma = gp.predict(x)
-    assert np.max(np.abs(mu - y)) < 1e-6
-    assert np.max(sigma) < 1e-3
+    gp = GaussianProcess(sizes, rows).fit(rows, y)
+    for mu, sigma in (gp.predict(x), gp.moments()):
+        assert np.max(np.abs(mu - y)) < 1e-4
+        assert np.max(sigma) < 1e-3
 
 
 def test_gp_uncertainty_grows_away_from_data():
-    x = np.array([[0.0], [0.2], [0.4]])
-    y = np.array([0.0, 0.5, 0.3])
-    gp = GaussianProcess().fit(x, y)
+    # a six-value axis: indices 0, 1 and 2 are at 0.0, 0.2 and 0.4
+    gp = GaussianProcess((6,)).fit([[0], [1], [2]], np.array([0.0, 0.5, 0.3]))
     _, sigma_near = gp.predict(np.array([[0.2]]))
     _, sigma_far = gp.predict(np.array([[3.0]]))
     assert sigma_far[0] > sigma_near[0]
 
 
-def test_gp_duplicate_rows_escalate_jitter_instead_of_failing():
-    # three coincident rows make the kernel matrix numerically singular
-    x = np.array([[0.1], [0.1], [0.1], [0.5]])
-    y = np.array([1.0, 1.0, 1.0, 2.0])
-    gp = GaussianProcess(jitter=0).fit(x, y)
+def test_gp_duplicate_rows_factor_at_the_base_jitter():
+    # three coincident rows: the jitter alone keeps their pivots positive
+    gp = GaussianProcess((11,)).fit([[1], [1], [1], [5]], np.array([1.0, 1.0, 1.0, 2.0]))
     assert gp.fitted_jitter == 1e-6
     mu, _ = gp.predict(np.array([[0.5]]))
     assert abs(mu[0] - 2.0) < 0.1
@@ -90,8 +89,8 @@ def test_gp_duplicate_rows_escalate_jitter_instead_of_failing():
 
 def test_matern_kernel_shape():
     # exactly 1.0 at distance 0, so the posterior's prior variance is the amplitude
-    assert np.array_equal(matern25(np.zeros(3), 0.3), np.ones(3))
-    vals = matern25(np.linspace(0, 5, 50), 1.0)
+    assert np.array_equal(matern25(np.zeros(3)), np.ones(3))
+    vals = matern25(np.linspace(0, 5, 50))
     assert np.all(np.diff(vals) < 0)  # monotone decreasing in distance
 
 
@@ -212,7 +211,6 @@ def test_first_pick_maximizes_the_acquisition():
         (GRID.index(r.design.assignment["W_a"]), GRID.index(r.design.assignment["W_b"]))
         for r in observations
     ]
-    x = normalize_rows(space, obs_rows)
     y = np.array([r.fom for r in observations])
     rows = candidate_rows(space, pyrandom.Random(5))
     evaluated = {r.design.id for r in hist.records}
@@ -221,9 +219,8 @@ def test_first_pick_maximizes_the_acquisition():
         for row in rows
         if design_from({"W_a": GRID[row[0]], "W_b": GRID[row[1]]}).id not in evaluated
     ]
-    cand = normalize_rows(space, rows)
-    gp = GaussianProcess().fit(x, y)
-    mu, sigma = gp.predict(cand)
+    gp = GaussianProcess(space.sizes(), np.array(rows)).fit(obs_rows, y)
+    mu, sigma = gp.predict(normalize(rows, space.sizes()))
     scores = acquisition("UCB", mu, sigma, float(np.max(y)), 2.0)
     best_row = rows[int(np.argmax(scores))]
     want = {"W_a": GRID[best_row[0]], "W_b": GRID[best_row[1]]}
@@ -283,11 +280,10 @@ def _pairwise(a, b):
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def _reference_posterior(x, y, query):
+def _reference_posterior(x, y, query, jitter=1e-6):
     amplitude = float(np.var(y)) or 1.0
     y_mean = float(np.mean(y))
-    r = matern25(_pairwise(x, x), 1.0)
-    jitter = 1e-6
+    r = matern25(_pairwise(x, x))
     while True:
         try:
             factor = cho_factor(amplitude * (r + jitter * np.eye(len(x))), lower=True)
@@ -296,10 +292,10 @@ def _reference_posterior(x, y, query):
             jitter *= 10.0
             assert jitter <= 1e-2
     alpha = cho_solve(factor, y - y_mean)
-    k_star = amplitude * matern25(_pairwise(query, x), 1.0)
+    k_star = amplitude * matern25(_pairwise(query, x))
     mu = y_mean + k_star @ alpha
     v = cho_solve(factor, k_star.T)
-    prior = amplitude * matern25(np.zeros(len(query)), 1.0)
+    prior = amplitude * matern25(np.zeros(len(query)))
     var = prior - np.sum(k_star * v.T, axis=1)
     return mu, np.sqrt(np.maximum(var, 0.0))
 
@@ -310,9 +306,9 @@ def _reference_propose(space, history, n_samples, seed, acquisition_function, fo
     weight = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}[acquisition_function]
     obs, _ = observations(space, history)
     rng = pyrandom.Random(seed)
-    x = normalize_rows(space, [row for _, row in obs])
-    y = np.array([r.fom for r, _ in obs], dtype=float)
     sizes = [len(values) for values in space.active.values()]
+    x = normalize([row for _, row in obs], sizes)
+    y = np.array([r.fom for r, _ in obs], dtype=float)
     if space.cardinality() <= 20_000:
         rows = list(itertools.product(*(range(m) for m in sizes)))
     else:
@@ -320,7 +316,7 @@ def _reference_propose(space, history, n_samples, seed, acquisition_function, fo
     evaluated = {r.design.id for r in history.records}
     rows = [row for row in rows if materialize(space, row).id not in evaluated]
     ids = [materialize(space, row).id for row in rows]
-    cand = normalize_rows(space, rows)
+    cand = normalize(rows, sizes)
     picks, values, ties = [], [], 0
     remaining = list(range(len(rows)))
     x_fit, y_fit = x, y
@@ -445,10 +441,12 @@ def test_a_repeated_incumbent_matches_the_per_pick_reference(acquisition_functio
 
 def test_predict_matches_the_two_solve_form():
     rng = np.random.default_rng(11)
-    x = rng.uniform(0, 1, size=(40, 4))
+    sizes = (17, 17, 17, 17)
+    rows = _grid_rows(17, 4, rng, 40)
+    x = normalize(rows, sizes)
     y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 - 0.5 * x[:, 2] * x[:, 3]
     query = rng.uniform(0, 1, size=(500, 4))
-    gp = GaussianProcess().fit(x, y)
+    gp = GaussianProcess(sizes, rows).fit(rows, y)
     want_mu, want_sigma = _reference_posterior(x, y, query)
     before = query.copy()
     for layout in (query, np.asfortranarray(query), query[:1]):
@@ -461,8 +459,7 @@ def test_predict_matches_the_two_solve_form():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predict_rejects_non_finite_query_points(bad):
-    x = np.array([[0.0], [0.2], [0.4]])
-    gp = GaussianProcess().fit(x, np.array([0.0, 0.5, 0.3]))
+    gp = GaussianProcess((6,)).fit([[0], [1], [2]], np.array([0.0, 0.5, 0.3]))
     with pytest.raises(ValueError):
         gp.predict(np.array([[0.1], [bad]]))
 
@@ -470,32 +467,39 @@ def test_predict_rejects_non_finite_query_points(bad):
 # ------------------------------------------------------ rank-one appends
 
 
-def _grid_points(n_values, dims, rng, k):
-    """k distinct normalized grid points of a n_values^dims grid."""
+def _grid_rows(n_values, dims, rng, k):
+    """k distinct index vectors of a n_values^dims grid."""
     flat = rng.choice(n_values**dims, size=k, replace=False)
-    return np.array(np.unravel_index(flat, (n_values,) * dims)).T / (n_values - 1)
+    return np.array(np.unravel_index(flat, (n_values,) * dims)).T
 
 
-def test_rank_one_appends_equal_a_fresh_factor_and_solve():
+@pytest.mark.parametrize("whole_grid", [True, False])
+def test_rank_one_appends_equal_a_fresh_factor_and_solve(whole_grid):
     rng = np.random.default_rng(23)
-    points = _grid_points(9, 3, rng, 330)
-    x, query = points[:10], points[10:]
+    sizes = (9, 9, 9)
+    points = _grid_rows(9, 3, rng, 330)
+    x, others = points[:10], points[10:]
     y = rng.uniform(0.1, 1.0, size=10)
-    gp = GaussianProcess(query=query).fit(x, y)
+    added = rng.choice(len(others), size=60, replace=False)
+    if whole_grid:
+        gp, query = GaussianProcess(sizes), grid_rows(sizes)
+        positions = np.ravel_multi_index(others[added].T, sizes)
+    else:
+        gp, query, positions = GaussianProcess(sizes, others), others, added
+    gp.fit(x, y)
     # past ROOM training points, so the buffers grow too
-    added = [int(i) for i in rng.choice(len(query), size=60, replace=False)]
-    for i in added:
-        gp.add(query[i], 0.9)
+    for i in positions:
+        gp.add(int(i), 0.9)
     assert len(gp._chol) > ROOM
-    fit_x = np.vstack([x, query[added]])
-    r = matern25(_pairwise(fit_x, fit_x), 1.0) + 1e-6 * np.eye(len(fit_x))
+    fit_rows = np.vstack([x, others[added]])
+    fit_x, query = normalize(fit_rows, sizes), normalize(query, sizes)
+    r = matern25(_pairwise(fit_x, fit_x)) + 1e-6 * np.eye(len(fit_x))
     want_l = np.tril(cho_factor(r, lower=True)[0])
-    want_w = dtrsm(1.0, want_l, matern25(_pairwise(query, fit_x), 1.0),
-                   side=1, lower=1, trans_a=1)
+    want_w = dtrsm(1.0, want_l, matern25(_pairwise(query, fit_x)), side=1, lower=1, trans_a=1)
     assert gp.fitted_jitter == 1e-6
     np.testing.assert_allclose(gp.factor, want_l, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gp.block, want_w, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(gp.x, fit_x)
+    np.testing.assert_array_equal(gp.rows, fit_rows)
     # and the moments are a fresh fit's
     want_mu, want_sigma = _reference_posterior(fit_x, np.append(y, [0.9] * 60), query)
     mu, sigma = gp.moments()
@@ -503,99 +507,107 @@ def test_rank_one_appends_equal_a_fresh_factor_and_solve():
     np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
 
 
-def _counted_fits(monkeypatch):
-    """The starting jitter of every fit from here on."""
-    jitters = []
-    fit = GaussianProcess.fit
+def _losing_pivots(monkeypatch, lost):
+    """Make an append lose its pivot where ``lost(row, jitter)`` holds;
+    returns the list of (index vector, jitter) of every append tried
+    from here on."""
+    tried = []
+    append = GaussianProcess._append
 
-    def counted(gp, x, y, jitter=None):
-        jitters.append(jitter)
-        return fit(gp, x, y, jitter)
+    def lossy(gp, row):
+        tried.append((tuple(row.tolist()), gp.fitted_jitter))
+        return not lost(row, gp.fitted_jitter) and append(gp, row)
 
-    monkeypatch.setattr(GaussianProcess, "fit", counted)
-    return jitters
-
-
-def _lie_by_refit(gp, x, y, query, k):
-    """Refit gp to x plus the first k query points, each with target 0.9."""
-    return gp.refit(np.vstack([x, query[:k]]), np.append(y, [0.9] * k))
+    monkeypatch.setattr(GaussianProcess, "_append", lossy)
+    return tried
 
 
-def _lie_by_add(gp, x, y, query, k):
-    """Add the k-th query point, the last of the first k, with target 0.9."""
-    return gp.add(query[k - 1], 0.9)
+# the jitters a factor tries, from the base one up to the largest
+JITTERS = [1e-6]
+while len(JITTERS) < 5:
+    JITTERS.append(JITTERS[-1] * 10.0)
 
 
-# a lie may reach the factor as a whole refit or as one add; a lost pivot
+def _lie_by_fit(gp, x, y, lies, k):
+    """Fit gp to x plus the first k lies, each with target 0.9: a warm fit
+    that keeps the points already factored."""
+    return gp.fit(np.vstack([x, lies[:k]]), np.append(y, [0.9] * k))
+
+
+def _lie_by_add(gp, x, y, lies, k):
+    """Add the k-th lie, the last of the first k, with target 0.9; on a
+    one-axis grid a point's position is its index."""
+    return gp.add(int(lies[k - 1][0]), 0.9)
+
+
+# a lie may reach the factor as a warm fit or as one add; a lost pivot
 # escalates the jitter on either path
-LIES = [_lie_by_refit, _lie_by_add]
+LIES = [_lie_by_fit, _lie_by_add]
+X1, Y1 = np.array([[0], [4], [8]]), np.array([0.2, 0.9, 0.4])
 
 
 @pytest.mark.parametrize("lie", LIES)
 def test_a_lost_pivot_escalates_the_jitter_in_the_middle_of_a_batch(monkeypatch, lie):
-    fits = _counted_fits(monkeypatch)
-    x = np.array([[0.0], [0.5], [1.0]])
-    y = np.array([0.2, 0.9, 0.4])
-    query = np.array([[0.25], [0.25], [0.75]])  # one point twice
-    gp = GaussianProcess(jitter=0.0, query=query).fit(x, y)
-    lie(gp, x, y, query, 1)  # a new point appends at jitter 0
-    assert (fits, gp.fitted_jitter) == ([None], 0.0)
-    lie(gp, x, y, query, 2)  # the same point again: its pivot is 0 at jitter 0
-    assert (fits, gp.fitted_jitter) == ([None, 1e-6], 1e-6)
-    lie(gp, x, y, query, 3)  # appends resume at the escalated jitter
-    assert fits == [None, 1e-6]
-    fit_x, fit_y = np.vstack([x, query]), np.append(y, [0.9] * 3)
-    want_mu, want_sigma = _reference_posterior(fit_x, fit_y, query)
+    # the second lie loses its pivot at the base jitter
+    tried = _losing_pivots(monkeypatch, lambda row, jitter: row[0] == 6 and jitter == JITTERS[0])
+    lies = np.array([[2], [6], [3]])
+    gp = GaussianProcess((9,)).fit(X1, Y1)
+    lie(gp, X1, Y1, lies, 1)  # a new point appends at the base jitter
+    assert gp.fitted_jitter == JITTERS[0]
+    assert tried[3:] == [((2,), JITTERS[0])]
+    del tried[:]
+    lie(gp, X1, Y1, lies, 2)  # the factor starts over from empty at the next jitter
+    assert gp.fitted_jitter == JITTERS[1]
+    assert tried == [((6,), JITTERS[0])] + [((k,), JITTERS[1]) for k in (0, 4, 8, 2, 6)]
+    del tried[:]
+    lie(gp, X1, Y1, lies, 3)  # appends resume at the escalated jitter
+    assert (tried, gp.fitted_jitter) == ([((3,), JITTERS[1])], JITTERS[1])
+    fit_x, fit_y = np.vstack([X1, lies]), np.append(Y1, [0.9] * 3)
+    want_mu, want_sigma = _reference_posterior(normalize(fit_x, (9,)), fit_y,
+                                               normalize(grid_rows((9,)), (9,)), JITTERS[1])
     mu, sigma = gp.moments()
     np.testing.assert_allclose(mu, want_mu, rtol=ACQ_RTOL, atol=ACQ_ATOL)
     np.testing.assert_allclose(sigma, want_sigma, rtol=ACQ_RTOL, atol=ACQ_ATOL)
-    # the factor and block are a fresh fit's, bit for bit, and so are the
-    # running sums after a refit, which forms them as a fit does
-    cold = GaussianProcess(jitter=0.0, query=query).fit(fit_x, fit_y)
+    # the factor and block are a cold fit's, bit for bit, and so are the
+    # running sums after a warm fit, which forms them as a cold fit does
+    cold = GaussianProcess((9,)).fit(fit_x, fit_y)
     assert cold.fitted_jitter == gp.fitted_jitter
     assert np.array_equal(gp.factor, cold.factor) and np.array_equal(gp.block, cold.block)
-    if lie is _lie_by_refit:
+    if lie is _lie_by_fit:
         assert np.array_equal(gp._sums, cold._sums)
-
-
-def _losing_pivots(monkeypatch, lost):
-    """Make an append lose its pivot where ``lost(point, jitter)`` holds."""
-    append = GaussianProcess._append
-
-    def lossy(gp, point):
-        return not lost(point, gp.fitted_jitter) and append(gp, point)
-
-    monkeypatch.setattr(GaussianProcess, "_append", lossy)
 
 
 @pytest.mark.parametrize("lie", LIES)
 def test_a_lost_pivot_past_the_largest_jitter_is_a_singular_kernel(monkeypatch, lie):
-    fits = _counted_fits(monkeypatch)
-    # 0.25 loses its pivot below the largest jitter, 0.75 at every jitter
-    _losing_pivots(monkeypatch, lambda point, jitter: point[0] == 0.75
-                   or (point[0] == 0.25 and jitter < 1e-2))
-    x = np.array([[0.0], [0.5], [1.0]])
-    y = np.array([0.2, 0.9, 0.4])
-    query = np.array([[0.25], [0.75]])
-    gp = GaussianProcess(jitter=1e-3, query=query).fit(x, y)
-    lie(gp, x, y, query, 1)
-    assert (fits, gp.fitted_jitter) == ([None, 1e-2], 1e-2)
+    # 2 loses its pivot below the largest jitter, 6 at every jitter
+    tried = _losing_pivots(monkeypatch, lambda row, jitter: row[0] == 6
+                           or (row[0] == 2 and jitter < JITTERS[-1]))
+    lies = np.array([[2], [6]])
+    gp = GaussianProcess((9,)).fit(X1, Y1)
+    lie(gp, X1, Y1, lies, 1)
+    assert gp.fitted_jitter == JITTERS[-1]
+    assert [jitter for row, jitter in tried if row == (2,)] == JITTERS
     with pytest.raises(SingularKernel):
-        lie(gp, x, y, query, 2)
+        lie(gp, X1, Y1, lies, 2)
 
 
-def test_refit_keeps_the_prefix_and_equals_a_fit_bit_for_bit():
+def test_a_warm_fit_keeps_the_prefix_and_equals_a_cold_fit_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(29)
-    points = _grid_points(9, 3, rng, 120)
+    sizes = (9, 9, 9)
+    points = _grid_rows(9, 3, rng, 120)
     query = points[20:]
     y = rng.uniform(0.1, 1.0, size=20)
-    gp = GaussianProcess(query=query).fit(points[:12], y[:12])
+    gp = GaussianProcess(sizes, query).fit(points[:12], y[:12])
+    tried = _losing_pivots(monkeypatch, lambda row, jitter: False)
     # drop the last four points, append eight others, then drop to a prefix
-    for n, source in ((16, np.vstack([points[:8], points[12:20]])), (5, points[:5])):
-        gp.refit(source[:n], y[:n])
-        want = GaussianProcess(query=query).fit(source[:n], y[:n])
+    for n, source, appended in ((16, np.vstack([points[:8], points[12:20]]), 8),
+                                (5, points[:5], 0)):
+        del tried[:]
+        gp.fit(source[:n], y[:n])
+        assert len(tried) == appended
+        want = GaussianProcess(sizes, query).fit(source[:n], y[:n])
         for got, expected in ((gp.factor, want.factor), (gp.block, want.block),
-                              (gp.x, want.x), (gp.moments(), want.moments())):
+                              (gp.rows, want.rows), (gp.moments(), want.moments())):
             assert np.array_equal(got, expected)
 
 
@@ -611,32 +623,36 @@ def _space_of_sizes(sizes):
 @pytest.mark.parametrize("sizes", [(1, 2, 3), (9, 1, 5, 2), (5, 9),  # every m - 1 is 0, 1 or 2^k
                                    (4, 6), (7, 3, 4), (6, 5, 7, 2)])
 def test_each_window_of_the_offset_table_is_the_points_correlation_over_the_grid(sizes):
-    gp = GaussianProcess(grid=sizes)
-    grid = gp.query
+    gp = GaussianProcess(sizes)
     # the grid's points are the proposer's candidates, in its order
-    space = _space_of_sizes(sizes)
-    assert np.array_equal(grid, normalize_rows(space, candidate_rows(space, pyrandom.Random(0))))
+    rows = candidate_rows(_space_of_sizes(sizes), pyrandom.Random(0))
+    grid = normalize(rows, sizes)
     exact = all(m - 1 in (0, 1, 2, 4, 8) for m in sizes)
-    for i, point in enumerate(grid):
-        window, flat = gp._window(point)
-        want = correlation(point[None, :], grid, 1.0)[0]
-        assert (window.shape, flat) == (sizes, i)
+    for i, row in enumerate(rows):
+        window = gp._window(row)
+        want = correlation(grid[i : i + 1], grid)[0]
+        assert (window.shape, row @ gp._strides) == (sizes, i)
+        assert np.array_equal(np.unravel_index(i, sizes), row)
         if exact:
             assert np.array_equal(window.ravel(), want)
         else:
             np.testing.assert_allclose(window.ravel(), want, rtol=1e-15, atol=0)
 
 
-def test_a_grid_gp_refuses_a_point_off_its_grid():
-    gp = GaussianProcess(grid=(5, 3))
-    corners = np.array([[0.0, 0.0], [1.0, 1.0]])
-    # between two values, past the last value, before the first
-    for point in ([0.3, 0.5], [0.25, 1.5], [-0.25, 0.0]):
+@pytest.mark.parametrize("whole_grid", [True, False])
+def test_a_gp_refuses_an_index_off_its_grid(whole_grid):
+    sizes = (5, 3)
+    gp = GaussianProcess(sizes, None if whole_grid else grid_rows(sizes))
+    corners = np.array([[0, 0], [4, 2]])
+    # past the last value, on either axis, and before the first
+    for row in ([5, 0], [0, 3], [-1, 0]):
         with pytest.raises(ValueError):
-            gp.fit(np.vstack([corners, point]), np.zeros(3))
+            gp.fit(np.vstack([corners, row]), np.zeros(3))
+    for rows in ([[0, 0, 0]], [[0]], [0, 0]):  # an index too many or too few
+        with pytest.raises(ValueError):
+            gp.fit(rows, np.zeros(1))
     gp.fit(corners, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        gp.add(np.array([0.25, 0.5, 0.0]), 1.0)  # one coordinate too many
+    assert gp.rows.tolist() == corners.tolist()
 
 
 # ------------------------------------------- a carried GP is a fresh one
@@ -677,8 +693,10 @@ def _outcome(space, hist, n_samples, seed, acquisition_function):
                                     acquisition_function=acquisition_function)
     except InsufficientHistory:
         return None, []
+    if not proposal.designs:  # no candidate left: the batch touches no GP
+        return proposal, []
     gp = history_view(space, hist).gp
-    return proposal, [gp.factor, gp.block, gp.x, gp.y, gp._ss, gp._sums, gp.fitted_jitter,
+    return proposal, [gp.factor, gp.block, gp.rows, gp.y, gp._ss, gp._sums, gp.fitted_jitter,
                       *gp.moments()]
 
 
@@ -753,8 +771,8 @@ def test_a_lie_that_lost_its_pivot_does_not_leak_into_the_real_factor(monkeypatc
     probe = History()
     probe.append_batch(hist.records)
     lie = propose_bayesian(WIDE, probe, 4, seed=1).designs[0]
-    point = normalize_rows(WIDE, index_rows(WIDE, [lie]))[0]
-    _losing_pivots(monkeypatch, lambda p, jitter: np.array_equal(p, point) and jitter == 1e-6)
+    row = index_rows(WIDE, [lie])[0]
+    _losing_pivots(monkeypatch, lambda r, jitter: np.array_equal(r, row) and jitter == 1e-6)
     escalated = 1e-6 * 10.0
     second = _assert_warm_is_cold(WIDE, hist, 4, 1)
     assert second[0].id == lie.id
@@ -782,7 +800,7 @@ def _counted(monkeypatch, owner, name):
 
 
 def test_a_warm_batch_computes_no_distance_and_solves_the_targets_once(monkeypatch):
-    # the 9^4 grid bo_grid searches; the second batch refits the carried
+    # the 9^4 grid bo_grid searches; the second batch fits the carried
     # GP to its five new records and picks five, through four lies
     space, fixed_off = _narrowed_space(5, 9)
     rows = [tuple(r) for r in candidate_rows(space, pyrandom.Random(0)).tolist()]
@@ -798,7 +816,7 @@ def test_a_warm_batch_computes_no_distance_and_solves_the_targets_once(monkeypat
     assert len(proposal.designs) == 5
     # the records of the first four picks repeat its lies, so one append
     # for the fifth pick's record, and one per lie
-    assert (correlations, solves, fits, len(appends)) == ([], ["dtrsm"], [], 5)
+    assert (correlations, solves, fits, len(appends)) == ([], ["dtrsm"], ["fit"], 5)
 
 
 def test_the_random_candidate_path_builds_no_table_and_lies_by_add(monkeypatch):

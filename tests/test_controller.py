@@ -79,7 +79,7 @@ def test_baseline_grid_exhaustion_reports_space_exhausted():
 
 
 def test_a_singular_kernel_falls_back_to_lhs_and_is_logged(monkeypatch):
-    def singular(gp, x, y, jitter=None):
+    def singular(gp, x, y):
         raise SingularKernel("kernel matrix not positive definite at jitter 1e-01")
 
     monkeypatch.setattr(GaussianProcess, "fit", singular)

@@ -2,10 +2,11 @@
 
 Each stand-in written per test is a shell script invoked as
 ``<script> -b DECK``, like batch-mode ngspice: one prints the metrics,
-one exits non-zero, one sleeps past the timeout and one omits a metric.
-A failing simulation becomes a record with its status and never aborts
-the batch; a design repeated in the batch is served from the cache with
-zero wall time. Whole runs go through the benchmark's stand-in
+one prints them after bytes that are not UTF-8, one exits non-zero, one
+sleeps past the timeout, one omits a metric and one has no interpreter
+line, so it cannot be started. A failing simulation becomes a record
+with its status and never aborts the batch or the run; a design repeated
+in the batch is served from the cache with zero wall time. Whole runs go through the benchmark's stand-in
 ``perfbench/bin/ngspice``, which prints the surrogate's metrics for the
 deck it reads, so they must pick as their surrogate twin does.
 """
@@ -28,24 +29,30 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
 # sota_easy reports gain_db and power_uw; spec "gain_db > 25 AND power_uw < 60"
+SH = "#!/bin/sh\n"
 STANDINS = {
-    "prints": 'echo "gain_db = 3.0e1"\necho "power_uw[0] = 40"\necho "deck $2"\n',
-    "exits": 'echo "gain_db = 30"\necho "power_uw = 40"\nexit 3\n',
-    "sleeps": "exec sleep 10\n",
-    "omits": 'echo "gain_db = 30"\n',
+    "prints": SH + 'echo "gain_db = 3.0e1"\necho "power_uw[0] = 40"\necho "deck $2"\n',
+    "garbles": SH + "printf '\\377\\376\\n'\n" + 'echo "gain_db = 30"\necho "power_uw = 40"\n',
+    "exits": SH + 'echo "gain_db = 30"\necho "power_uw = 40"\nexit 3\n',
+    "sleeps": SH + "exec sleep 10\n",
+    "omits": SH + 'echo "gain_db = 30"\n',
+    # no interpreter line: exec fails with ENOEXEC
+    "unstartable": 'echo "gain_db = 30"\necho "power_uw = 40"\n',
 }
 
 EXPECTED = {
     "prints": (SIM_OK, ""),
+    "garbles": (SIM_OK, ""),
     "exits": (SIM_FAILED, "exit status 3"),
     "sleeps": (SIM_FAILED, "timeout"),
     "omits": (METRIC_MISSING, "missing metrics: ['power_uw']"),
+    "unstartable": (SIM_FAILED, "simulator did not start: Exec format error"),
 }
 
 
 def _standin(directory: Path, name: str) -> str:
     path = directory / f"ngspice_{name}"
-    path.write_text("#!/bin/sh\n" + STANDINS[name])
+    path.write_text(STANDINS[name])
     path.chmod(0o755)
     return str(path)
 
@@ -72,13 +79,39 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, name, workers
     assert records[2].wall_time == 0.0
     assert all(r.wall_time > 0.0 for r in records[:2])
     assert cache.get(ResultCache.key_for(first))["reason"] == reason
-    if name == "prints":
+    if status == SIM_OK:
         assert dict(records[0].raw_metrics) == {"gain_db": 30.0, "power_uw": 40.0}
         assert records[0].fom is not None and records[0].feasible
     else:
         assert all(r.fom is None and not r.feasible for r in records)
     # decks are temporary: nothing is left in the work directory but the stand-in
     assert os.listdir(tmp_path) == [f"ngspice_{name}"]
+
+
+def test_bytes_that_are_not_utf8_are_kept_as_replacement_characters(tmp_path):
+    config = load_config(str(CONFIGS / "sota_easy.yaml"))
+    evaluator = EvaluatorSpec(kind="spice", executable=_standin(tmp_path, "garbles"),
+                              workdir=str(tmp_path))
+    design = design_from({"a": 0.84, "b": 1.05})
+    evaluate_batch(config, [design], evaluator, spec=parse_spec(config.user_specs_metric),
+                   cache=ResultCache(), keep_logs=True, results_dir=str(tmp_path / "out"))
+    log = (tmp_path / "out" / "logs" / f"{design.id}.log").read_text(encoding="utf-8")
+    assert log == "\ufffd\ufffd\ngain_db = 30\npower_uw = 40\n\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["unstartable", "garbles"])
+def test_a_run_finishes_when_the_simulator_cannot_start_or_garbles_its_output(
+        tmp_path, name, workers):
+    config = load_config(str(ROOT / "perfbench" / "configs" / "sota_med_spice.yaml"))
+    evaluator = EvaluatorSpec(kind="spice", executable=_standin(tmp_path, name),
+                              workdir=str(tmp_path))
+    result = run_method(config, "lhs", RunBudget(total_evals=8), 0, evaluator=evaluator,
+                        workers=workers)
+    # sota_med scrapes metrics that neither stand-in prints
+    status = SIM_FAILED if name == "unstartable" else METRIC_MISSING
+    assert result.evals_used == 8
+    assert {r.sim_status for r in result.history.records} == {status}
 
 
 def test_a_surrogate_config_without_a_model_fails_up_front():

@@ -200,4 +200,4 @@ def test_a_history_keeps_only_the_view_of_the_current_space():
     gc.collect()
     assert gp() is None  # the wide space's candidate block is released
     assert hist.view.key == base.history_view(narrow, hist).key
-    assert len(hist.view.gp.query) == 5 * 9
+    assert hist.view.gp.sizes == (5, 9)
