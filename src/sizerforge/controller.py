@@ -178,6 +178,12 @@ class _Run:
         self.config = config
         self.budget = budget if budget is not None else RunBudget()
         self.evaluator = evaluator if evaluator is not None else evaluator_from_config(config)
+        if keep_logs and results_dir is None:
+            raise ConfigError("keep_logs writes each simulator log under the results "
+                              "directory, and none is named")
+        if keep_logs and self.evaluator.kind != "spice":
+            raise ConfigError(f"keep_logs keeps simulator logs, and the {self.evaluator.kind} "
+                              "evaluator runs no simulator")
         self.spec = parse_spec(config.user_specs_metric)
         self.cache = ResultCache()
         self.history = History()

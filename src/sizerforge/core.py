@@ -1,11 +1,11 @@
 """Figure-of-merit computation, feasibility, design identity and history.
 
 ``rank_key`` is the one ranking of evaluated designs: highest figure of
-merit first, earliest eval index on ties. ``History.best`` is the best
-valid record by that key. ``report_key`` puts every feasible record
-ahead of every infeasible one, then ranks by ``rank_key``;
-``History.reported``, the design a run hands back, is the best valid
-record by it: the best feasible record, else ``best``.
+merit first, earliest eval index on ties. ``report_key`` puts every
+feasible record ahead of every infeasible one, then ranks by
+``rank_key``; ``History.reported``, the design a run hands back, is the
+best valid record by it: the best feasible record, else the best valid
+record by ``rank_key``.
 
 A History holds only its records. A batch is a run of records sharing an
 iteration number, and ``History.summaries`` computes one summary per
@@ -195,10 +195,6 @@ class History:
 
     def valid_records(self) -> List[EvaluatedDesign]:
         return [r for r in self.records if is_valid(r)]
-
-    def best(self) -> Optional[EvaluatedDesign]:
-        """The best valid record by ``rank_key``; None when there is none."""
-        return max(self.valid_records(), key=rank_key, default=None)
 
     def reported(self) -> Optional[EvaluatedDesign]:
         """The design a run hands back: its best record that meets the

@@ -289,45 +289,30 @@ def render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_reports(report: dict, out_dir: str) -> List[str]:
+def emit_reports(report: dict, out_dir: str) -> None:
     """Write the structured document, the text table, and plot data files."""
     root = Path(out_dir) / "reports"
     root.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    results_path = root / "matrix_results.json"
-    results_path.write_text(json.dumps(report, indent=2, sort_keys=True, default=float) + "\n")
-    written.append(str(results_path))
-
-    table_path = root / "matrix_table.txt"
-    table_path.write_text(render_table(report))
-    written.append(str(table_path))
-
-    traj = io.StringIO()
-    writer = csv.writer(traj)
-    writer.writerow(["circuit", "method", "seed", "eval_index", "best_fom_so_far"])
-    for cell in report["cells"]:
-        for trial in cell["trials"]:
-            for eval_index, best in trial["trajectory"]:
-                writer.writerow(
-                    [trial["circuit"], trial["method"], trial["seed"], eval_index,
-                     "" if best is None else repr(best)]
-                )
-    traj_path = root / "trajectories.csv"
-    traj_path.write_text(traj.getvalue())
-    written.append(str(traj_path))
-
-    ranges = io.StringIO()
-    writer = csv.writer(ranges)
-    writer.writerow(["circuit", "method", "seed", "generation", "variable", "min", "max", "fixed"])
-    for cell in report["cells"]:
-        for trial in cell["trials"]:
-            for generation, var, lo, hi, fixed in trial["space_ranges"]:
-                writer.writerow(
-                    [trial["circuit"], trial["method"], trial["seed"], generation,
-                     var, repr(lo), repr(hi), fixed]
-                )
-    ranges_path = root / "space_ranges.csv"
-    ranges_path.write_text(ranges.getvalue())
-    written.append(str(ranges_path))
-    return written
+    (root / "matrix_results.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True, default=float) + "\n")
+    (root / "matrix_table.txt").write_text(render_table(report))
+    # each plot file: its columns after the trial's, and a trial's rows
+    plots = {
+        "trajectories.csv": (
+            ["eval_index", "best_fom_so_far"],
+            lambda trial: ([i, "" if best is None else repr(best)]
+                           for i, best in trial["trajectory"])),
+        "space_ranges.csv": (
+            ["generation", "variable", "min", "max", "fixed"],
+            lambda trial: ([generation, var, repr(lo), repr(hi), fixed]
+                           for generation, var, lo, hi, fixed in trial["space_ranges"])),
+    }
+    for name, (columns, rows) in plots.items():
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["circuit", "method", "seed", *columns])
+        for cell in report["cells"]:
+            for trial in cell["trials"]:
+                writer.writerows([trial["circuit"], trial["method"], trial["seed"], *row]
+                                 for row in rows(trial))
+        (root / name).write_text(text.getvalue())

@@ -14,9 +14,9 @@ import math
 import random
 from typing import Dict, List, Tuple
 
-from ..core import History, rank_key
+from ..core import History
 from ..space import SearchSpace
-from .base import Proposal, materialize, observations, uniform_indices
+from .base import Proposal, history_view, materialize, uniform_indices
 
 DEFAULT_T0 = 2.0
 DEFAULT_COOLING = 0.95
@@ -66,11 +66,13 @@ def propose_annealing(
 ) -> Proposal:
     rng = random.Random(seed)
     sizes = space.sizes()
-    obs, seen = observations(space, history)
-    proxy = _NeighborProxy(obs)
+    view = history_view(space, history)
+    proxy = _NeighborProxy(view.obs)
+    # every evaluated vector, then every one visited
+    seen = set(view.seen)
 
-    if obs:
-        current = tuple(max(obs, key=lambda ob: rank_key(ob[0]))[1])
+    if view.incumbent is not None:
+        current = tuple(view.incumbent[1])
     else:
         current = tuple(uniform_indices(space, rng))
 
@@ -91,7 +93,6 @@ def propose_annealing(
             if metropolis_accept(delta, temperature, rng):
                 current = candidate
                 accepted += 1
-                # seen: every evaluated vector, then every one visited
                 if candidate not in seen:
                     seen.add(candidate)
                     batch.append(candidate)

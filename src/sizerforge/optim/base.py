@@ -6,39 +6,38 @@ variables are attached at materialization time so a Design always covers
 the full variable set.
 
 Every proposer takes ``(space, history, n_samples, seed, **params)``
-and is a pure function of them. Each reads the history through one
+and is a pure function of them. Each reads the history only through one
 view of it (``history_view``), built in one pass that checks each
-record against the space: the valid records inside the
-space with their index vectors, in history order, for the methods that
-learn from the history (they rank records by ``core.rank_key``), and
-the set of index vectors of every record inside the space, failed ones
-included. A record outside the space cannot share a design with a
-candidate, so a candidate is evaluated exactly when its vector is in
-that set. Every proposer drops candidates by vector (``fresh``, or the
-set itself where a proposer stops once its batch is full) before it
-builds a design. A method resubmits an evaluated design only
-deliberately (GA elitism, degenerate multistart), and the evaluation
-cache serves those for free.
+record against the space: the valid records inside the space with
+their index vectors, in history order; the incumbent among them, the
+best by ``core.rank_key``; and the set of index vectors of every record
+inside the space, failed ones included. A record outside the space
+cannot share a design with a candidate, so a candidate is evaluated
+exactly when its vector is in that set. Every proposer drops candidates
+by vector (``fresh``, or a copy of the set where a proposer adds the
+vectors it takes) before it builds a design. A method resubmits an
+evaluated design only deliberately (GA elitism, degenerate multistart),
+and the evaluation cache serves those for free.
 
 The view is memoized on the history, which is append-only, and keyed
-by the space. Each call indexes only the records appended since the
-last one, so every proposer of a run, and every part of an adaptive
-batch, shares one pass. It also carries the Bayesian proposer's GP over
-the enumerated grid from batch to batch, which the next batch fits to
-the view's observations (``bayesian.propose_bayesian``). A history keeps the view of
-one space: another space, or records that do not extend the ones the
-view has seen, start a new view, so the old one and its GP are
-released. The memo is a cache, not state: a fresh history holding the
-same records proposes the same designs.
+by the space, so every proposer of a run shares it and it is read-only
+to them: only ``history_view`` writes it, extending it by the records
+appended since the last call, and only the Bayesian proposer replaces
+its GP, which it carries over the enumerated grid from batch to batch
+(``bayesian.propose_bayesian``). A history keeps the view of one space:
+another space, or records that do not extend the ones the view has
+seen, start a new view, so the old one and its GP are released. The
+memo is a cache, not state: a fresh history holding the same records
+proposes the same designs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core import Design, EvaluatedDesign, History, design_from, is_valid
+from ..core import Design, EvaluatedDesign, History, design_from, is_valid, rank_key
 from ..space import SearchSpace, index_rows
 
 
@@ -57,12 +56,17 @@ def materialize(space: SearchSpace, indices: Sequence[int]) -> Design:
 
 
 class HistoryView:
-    """A history's records over one space, indexed once each."""
+    """A history's records over one space, indexed once each; read-only
+    to the proposers."""
 
     def __init__(self, space: SearchSpace):
         self.key = _space_key(space)
         self.records: List[EvaluatedDesign] = []
+        # (record, index vector) of each valid record inside the space, in
+        # history order, and the best of them by ``rank_key``
         self.obs: List[Tuple[EvaluatedDesign, List[int]]] = []
+        self.incumbent: Optional[Tuple[EvaluatedDesign, List[int]]] = None
+        # the index vectors of every record inside the space
         self.seen: Set[Tuple[int, ...]] = set()
         # the Bayesian proposer's GP over the enumerated grid, as its last
         # batch left it (``bayesian.propose_bayesian``)
@@ -88,18 +92,10 @@ def history_view(space: SearchSpace, history: History) -> HistoryView:
             view.seen.add(tuple(row))
             if is_valid(record):
                 view.obs.append((record, row))
+                if view.incumbent is None or rank_key(record) > rank_key(view.incumbent[0]):
+                    view.incumbent = (record, row)
     view.records.extend(new)
     return view
-
-
-def observations(
-    space: SearchSpace, history: History
-) -> Tuple[List[Tuple[EvaluatedDesign, List[int]]], Set[Tuple[int, ...]]]:
-    """(record, index vector) of each valid record inside the space, in
-    history order, and the vectors of every record inside the space;
-    copies, which the caller may change."""
-    view = history_view(space, history)
-    return list(view.obs), set(view.seen)
 
 
 def fresh(space: SearchSpace, rows: Sequence[Sequence[int]],

@@ -1,16 +1,17 @@
 """Bayesian proposals: GP surrogate plus greedy batch acquisition.
 
-Candidates are the full index grid, as an array in the C order of
-``itertools.product``, while the space stays at or under 20000 points,
-otherwise 2000 uniform draws. No design is built for a candidate until
-it is picked.
+Candidates are the full index grid while the space stays at or under
+20000 points, otherwise 2000 uniform draws (``candidate_rows``). No
+design is built for a candidate until it is picked.
 
 The GP (``gp.GaussianProcess``) takes the observations and the
 candidates as index vectors. On the enumerated grid its query points are
-the grid itself, so a candidate's position is its flat index and a new
-block column is a window of the GP's table of correlations by index
-offset: no pick computes a distance. On the random path its query points
-are the draws that are not yet evaluated.
+the grid itself, never listed: a candidate is its C-order flat index
+(``np.ravel_multi_index``), the one convention of both modules, a pick's
+index vector is ``GaussianProcess.row``, and a new block column is a
+window of the GP's table of correlations by index offset, so no pick
+computes a distance. On the random path its query points are the draws
+that are not yet evaluated.
 
 Batches are picked greedily with a constant-liar update between picks
 (the lie is the best observed value), so the batch holds no duplicate.
@@ -52,7 +53,7 @@ from ..core import History
 from ..errors import InsufficientHistory
 from ..space import SearchSpace
 from .base import Proposal, history_view, materialize
-from .gp import ACQUISITIONS, GaussianProcess, acquisition, grid_rows
+from .gp import ACQUISITIONS, GaussianProcess, acquisition
 
 ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000
@@ -62,10 +63,9 @@ _DEFAULT_WEIGHT = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}
 
 
 def candidate_rows(space: SearchSpace, rng: random.Random) -> np.ndarray:
-    """Candidate index vectors over the active lists, one per row."""
+    """The candidate index vectors of a space too large to enumerate:
+    ``FALLBACK_CANDIDATES`` uniform draws, one per row."""
     sizes = space.sizes()
-    if space.cardinality() <= ENUMERATION_LIMIT:
-        return grid_rows(sizes)
     return np.array([[rng.randrange(m) for m in sizes] for _ in range(FALLBACK_CANDIDATES)])
 
 
@@ -95,14 +95,16 @@ def propose_bayesian(
     x = np.array([row for _, row in view.obs])
     y = np.array([r.fom for r, _ in view.obs], dtype=float)
 
-    rows = candidate_rows(space, rng)
     enumerated = space.cardinality() <= ENUMERATION_LIMIT
     if enumerated:
+        rows = None
         evaluated = np.ravel_multi_index(np.array(list(view.seen)).T, space.sizes())
+        n_candidates = space.cardinality() - len(evaluated)
     else:
+        rows = candidate_rows(space, rng)
         rows = rows[[tuple(row) not in view.seen for row in rows.tolist()]]
         evaluated = np.array([], dtype=int)
-    n_candidates = len(rows) - len(evaluated)
+        n_candidates = len(rows)
     if not n_candidates:
         return Proposal(designs=[], diagnostics={"note": "no unevaluated candidates"})
 
@@ -112,7 +114,7 @@ def propose_bayesian(
     # leaves no GP behind
     view.gp = None
     if gp is None:
-        gp = GaussianProcess(space.sizes(), None if enumerated else rows)
+        gp = GaussianProcess(space.sizes(), rows)
     gp.fit(x, y)
     best = float(np.max(y))
     picks: List[int] = []
@@ -132,7 +134,7 @@ def propose_bayesian(
         view.gp = gp
 
     return Proposal(
-        designs=[materialize(space, rows[i]) for i in picks],
+        designs=[materialize(space, gp.row(i)) for i in picks],
         diagnostics={
             "acquisition": acquisition_function,
             "weight": weight,

@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from ..core import History, rank_key
+from ..core import History
 from ..space import SearchSpace
-from .base import Proposal, fresh, observations
+from .base import Proposal, fresh, history_view
 from .sampling import lhs_index_rows
 
 MUTATION_STEPS = (-2, -1, 1, 2)
@@ -54,15 +54,16 @@ def propose_genetic(
     n = population if population is not None else n_samples
     sizes = space.sizes()
 
-    parents, seen = observations(space, history)
+    view = history_view(space, history)
+    parents = view.obs
     if len(parents) < 2:
         rows = lhs_index_rows(space, n, rng)
         return Proposal(
-            designs=fresh(space, rows, seen),
+            designs=fresh(space, rows, view.seen),
             diagnostics={"fallback": "lhs_seeding", "parents_available": len(parents)},
         )
 
-    elite = max(parents, key=lambda ob: rank_key(ob[0]))[0]
+    elite = view.incumbent[0]
     offspring_rows: List[List[int]] = []
     provenance: List[dict] = []
     budget = n - 1  # first slot goes to the elite
@@ -82,6 +83,6 @@ def propose_genetic(
     # elitism: the incumbent re-enters first, a free cache hit; the
     # offspring drop every evaluated vector, the incumbent's included
     return Proposal(
-        designs=([elite.design] + fresh(space, offspring_rows, seen))[:n],
+        designs=([elite.design] + fresh(space, offspring_rows, view.seen))[:n],
         diagnostics={"elite": elite.design.id, "offspring": provenance},
     )

@@ -45,17 +45,19 @@ whitens their correlation block in one ``dtrsm``.
 
 The query points are the whole grid, every index vector in C order, or
 given index vectors, such as random draws from a grid too large to
-enumerate. On the whole grid the correlation of two points depends only
-on their index offsets, so the GP tabulates it once, ``prod(2m - 1)``
-entries, from the grid of absolute offsets and its mirror image. A
-point's correlations to every grid point are then one strided window of
-the table, and those to the training points a gather from that window.
-Where every ``m - 1`` is 1 or a power of two, the coordinates and their
-differences are exact and the table is ``correlation`` bit for bit;
-elsewhere the two differ by rounding. The table is less than ``2^d``
-times the grid, and under 40 MB for any grid of 20000 points or fewer.
-Given index vectors, the GP keeps their coordinates and computes each
-new column with ``correlation``.
+enumerate. A query point's position is its flat index on the whole grid
+(``np.ravel_multi_index``, C order, as ``grid_rows`` lists them) and its
+row otherwise; ``row`` maps a position back to its index vector. On the
+whole grid the correlation of two points depends only on their index
+offsets, so the GP tabulates it once, ``prod(2m - 1)`` entries, from the
+grid of absolute offsets and its mirror image. A point's correlations to
+every grid point are then one strided window of the table, and those to
+the training points a gather from that window. Where every ``m - 1`` is
+1 or a power of two, the coordinates and their differences are exact and
+the table is ``correlation`` bit for bit; elsewhere the two differ by
+rounding. The table is less than ``2^d`` times the grid, and under 40 MB
+for any grid of 20000 points or fewer. Given index vectors, the GP keeps
+their coordinates and computes each new column with ``correlation``.
 
 The buffers hold ``ROOM`` training points before they first grow, and
 then double. They are allocated with ``np.empty`` (the factor with
@@ -163,9 +165,6 @@ class GaussianProcess:
         self.y: Optional[np.ndarray] = None
         if rows is None:
             self._table: Optional[np.ndarray] = offset_table(self.sizes)
-            # the flat index of an index vector is its dot with these
-            self._strides = np.array([math.prod(self.sizes[j + 1 :])
-                                      for j in range(len(self.sizes))])
             n_query = math.prod(self.sizes)
         else:
             self._table = None
@@ -234,8 +233,7 @@ class GaussianProcess:
         ``L^-1 [y, 1]`` and an axpy of the new block column into each
         running sum. A lost pivot starts the factor over from empty at the
         next jitter, as in ``fit``."""
-        row = (np.array(np.unravel_index(i, self.sizes)) if self._table is not None
-               else self._candidates[i])
+        row = self.row(i)
         if not self._append(row):
             x, y = np.vstack([self.rows, row]), np.append(self.y, value)
             self.fitted_jitter = _escalated(self.fitted_jitter)
@@ -251,6 +249,12 @@ class GaussianProcess:
         for j in (0, 1):
             self._sums[:, j] = daxpy(column, self._sums[:, j], a=step[j])
         return self
+
+    def row(self, i: int) -> np.ndarray:
+        """The index vector of the query point at position i."""
+        if self._table is None:
+            return self._candidates[i]
+        return np.array(np.unravel_index(i, self.sizes))
 
     def _reserve(self, n: int) -> None:
         """Room for n training points: ``ROOM`` at first, then twice as
@@ -305,7 +309,7 @@ class GaussianProcess:
             corr = correlation(point, normalize(self.rows, self.sizes))[0]
         else:
             column.reshape(self.sizes)[...] = self._window(row)
-            corr = column[self.rows @ self._strides]
+            corr = column[np.ravel_multi_index(self.rows.T, self.sizes)]
         # dtrsv copies the strided factor to a contiguous one first, so
         # the solve does not depend on the room left for appends
         new = dtrsv(self.factor, corr, lower=1) if n else corr

@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from ..core import History, rank_key
 from ..space import SearchSpace
-from .base import Proposal, materialize, observations
+from .base import Proposal, history_view, materialize
 from .sampling import lhs_index_rows
 
 DEFAULT_N_STARTS = 5
@@ -43,8 +43,10 @@ def propose_multistart(
 ) -> Proposal:
     rng = random.Random(seed)
     sizes = space.sizes()
-    obs, seen = observations(space, history)
-    ranked = sorted(obs, key=lambda ob: rank_key(ob[0]), reverse=True)
+    view = history_view(space, history)
+    # every evaluated vector, then every one chosen
+    seen = set(view.seen)
+    ranked = sorted(view.obs, key=lambda ob: rank_key(ob[0]), reverse=True)
     # the distinct vectors, best first
     starts = list(dict.fromkeys(tuple(row) for _, row in ranked))[:n_starts]
     padded = 0
@@ -70,7 +72,6 @@ def propose_multistart(
             except StopIteration:
                 active.remove(slot)
                 continue
-            # seen: every evaluated vector, then every one chosen
             if row in seen:
                 continue
             seen.add(row)

@@ -28,7 +28,7 @@ from ..core import History
 from ..errors import BadParameter, InsufficientHistory, UnknownMethod
 from ..space import SearchSpace
 from .annealing import propose_annealing
-from .base import Proposal, fresh, observations, uniform_indices
+from .base import Proposal, fresh, history_view, uniform_indices
 from .bayesian import propose_bayesian
 from .genetic import propose_genetic
 from .gp import ACQUISITIONS
@@ -155,8 +155,7 @@ def _propose_adaptive(
     if counts["random_weight"]:
         rrng = random.Random(seeds["random"])
         draws = [uniform_indices(space, rrng) for _ in range(counts["random_weight"])]
-        _, evaluated = observations(space, history)
-        random_designs = fresh(space, draws, evaluated)
+        random_designs = fresh(space, draws, history_view(space, history).seen)
 
     seen = set()
     merged = []

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core import History
 from ..space import SearchSpace
-from .base import Proposal, fresh, observations
+from .base import Proposal, fresh, history_view
 
 
 def stratified_column(m: int, n: int, rng: random.Random) -> List[int]:
@@ -41,5 +41,5 @@ def lhs_index_rows(space: SearchSpace, n: int, rng: random.Random,
 def propose_lhs(space: SearchSpace, history: History, n_samples: int, seed: int) -> Proposal:
     rng = random.Random(seed)
     rows = lhs_index_rows(space, n_samples, rng)
-    _, seen = observations(space, history)
+    seen = history_view(space, history).seen
     return Proposal(designs=fresh(space, rows, seen), diagnostics={"requested": n_samples})

@@ -19,9 +19,9 @@ import math
 import random
 from typing import List, Tuple
 
-from ..core import History, rank_key
+from ..core import History
 from ..space import SearchSpace
-from .base import Proposal, fresh, observations
+from .base import Proposal, fresh, history_view
 from .sampling import lhs_index_rows
 
 INIT_FRACTION = 0.8
@@ -77,18 +77,18 @@ def propose_turbo_baseline(
     sizes = space.sizes()
     fraction, restarted = trust_region(history, sizes)
 
-    obs, seen = observations(space, history)
-    if not obs or restarted:
+    view = history_view(space, history)
+    if view.incumbent is None or restarted:
         windows = [(0, m - 1) for m in sizes]
     else:
-        center = max(obs, key=lambda ob: rank_key(ob[0]))[1]
+        center = view.incumbent[1]
         windows = [
             window_bounds(idx, m, fraction) for idx, m in zip(center, sizes)
         ]
 
     rows = lhs_index_rows(space, n_samples, rng, windows)
     return Proposal(
-        designs=fresh(space, rows, seen),
+        designs=fresh(space, rows, view.seen),
         diagnostics={
             "fraction": fraction,
             "restarted": restarted,

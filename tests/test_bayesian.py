@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random as pyrandom
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from scipy.stats import norm
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory, SingularKernel
-from sizerforge.optim.base import history_view, materialize, observations
-from sizerforge.optim.bayesian import candidate_rows, propose_bayesian
+from sizerforge.optim.base import history_view, materialize
+from sizerforge.optim.bayesian import ENUMERATION_LIMIT, candidate_rows, propose_bayesian
+from sizerforge.optim import bayesian as bayesian_module
 from sizerforge.optim import gp as gp_module
 from sizerforge.optim.gp import (ACQUISITIONS, ROOM, GaussianProcess, acquisition, correlation,
                                    grid_rows, matern25, normalize)
@@ -199,8 +201,6 @@ def test_proposals_avoid_history_and_stay_in_space():
 def test_first_pick_maximizes_the_acquisition():
     # recompute the scored sweep independently over the enumerated
     # candidate set and compare the argmax with the proposal's first pick
-    import random as pyrandom
-
     space = _space()
     hist = _seed_history(OBS)
     proposal = propose_bayesian(space, hist, 1, seed=5, acquisition_function="UCB",
@@ -212,7 +212,7 @@ def test_first_pick_maximizes_the_acquisition():
         for r in observations
     ]
     y = np.array([r.fom for r in observations])
-    rows = candidate_rows(space, pyrandom.Random(5))
+    rows = grid_rows(space.sizes())
     evaluated = {r.design.id for r in hist.records}
     rows = [
         row
@@ -245,10 +245,8 @@ def test_determinism_per_seed():
 
 
 def test_small_space_candidates_enumerate_fully():
-    import random as pyrandom
-
     space = _space()
-    rows = candidate_rows(space, pyrandom.Random(0))
+    rows = grid_rows(space.sizes())
     assert len(rows) == 81
     # every index vector once, in the order of itertools.product
     assert [tuple(row) for row in rows.tolist()] == list(itertools.product(range(9), range(9)))
@@ -304,7 +302,7 @@ def _reference_propose(space, history, n_samples, seed, acquisition_function, fo
     """The reference's picks, following the ids in ``follow`` through ties;
     also returns the candidate count and the number of ties taken."""
     weight = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}[acquisition_function]
-    obs, _ = observations(space, history)
+    obs = history_view(space, history).obs
     rng = pyrandom.Random(seed)
     sizes = [len(values) for values in space.active.values()]
     x = normalize([row for _, row in obs], sizes)
@@ -401,7 +399,9 @@ def test_proposals_match_the_per_pick_reference(acquisition_function, shape):
     space, fixed_off = _narrowed_space(n_vars, n_values)
     # history rows come from the seed's own candidate draws, so that the
     # random path has evaluated candidates to drop too
-    rows = [tuple(r) for r in candidate_rows(space, pyrandom.Random(seed)).tolist()]
+    rows = (grid_rows(space.sizes()) if space.cardinality() <= ENUMERATION_LIMIT
+            else candidate_rows(space, pyrandom.Random(seed)))
+    rows = [tuple(r) for r in rows.tolist()]
     picked = [rows[k] for k in range(0, len(rows), max(1, len(rows) // n_obs))][:n_obs]
     hist = _mixed_history(space, picked, fixed_off)
     n_samples = 5
@@ -424,7 +424,7 @@ def test_a_repeated_incumbent_matches_the_per_pick_reference(acquisition_functio
     # GA elitism resubmits its incumbent every generation, and each cached
     # copy is a record of its own: 20 coincident training rows
     space, fixed_off = _narrowed_space(5, 9)
-    rows = [tuple(r) for r in candidate_rows(space, pyrandom.Random(4)).tolist()]
+    rows = [tuple(r) for r in grid_rows(space.sizes()).tolist()]
     hist = _mixed_history(space, rows[::250][:25], fixed_off)
     incumbent = max(hist.valid_records(), key=lambda r: r.fom)
     for _ in range(20):
@@ -614,24 +614,18 @@ def test_a_warm_fit_keeps_the_prefix_and_equals_a_cold_fit_bit_for_bit(monkeypat
 # ------------------------------------------------- the grid's offset table
 
 
-def _space_of_sizes(sizes):
-    names = [f"W_{k}" for k in range(len(sizes))]
-    return SearchSpace(active={v: GRID[:m] for v, m in zip(names, sizes)}, fixed={},
-                       full_grid={v: GRID for v in names})
-
-
 @pytest.mark.parametrize("sizes", [(1, 2, 3), (9, 1, 5, 2), (5, 9),  # every m - 1 is 0, 1 or 2^k
                                    (4, 6), (7, 3, 4), (6, 5, 7, 2)])
 def test_each_window_of_the_offset_table_is_the_points_correlation_over_the_grid(sizes):
     gp = GaussianProcess(sizes)
     # the grid's points are the proposer's candidates, in its order
-    rows = candidate_rows(_space_of_sizes(sizes), pyrandom.Random(0))
+    rows = grid_rows(sizes)
     grid = normalize(rows, sizes)
     exact = all(m - 1 in (0, 1, 2, 4, 8) for m in sizes)
     for i, row in enumerate(rows):
         window = gp._window(row)
         want = correlation(grid[i : i + 1], grid)[0]
-        assert (window.shape, row @ gp._strides) == (sizes, i)
+        assert (window.shape, np.ravel_multi_index(row, sizes)) == (sizes, i)
         assert np.array_equal(np.unravel_index(i, sizes), row)
         if exact:
             assert np.array_equal(window.ravel(), want)
@@ -803,7 +797,7 @@ def test_a_warm_batch_computes_no_distance_and_solves_the_targets_once(monkeypat
     # the 9^4 grid bo_grid searches; the second batch fits the carried
     # GP to its five new records and picks five, through four lies
     space, fixed_off = _narrowed_space(5, 9)
-    rows = [tuple(r) for r in candidate_rows(space, pyrandom.Random(0)).tolist()]
+    rows = [tuple(r) for r in grid_rows(space.sizes()).tolist()]
     hist = _mixed_history(space, rows[::300][:20], fixed_off)
     for k, design in enumerate(propose_bayesian(space, hist, 5, seed=0).designs):
         hist.append(dataclasses.replace(hist.records[0], design=design, fom=0.5 + 0.01 * k,
@@ -817,6 +811,30 @@ def test_a_warm_batch_computes_no_distance_and_solves_the_targets_once(monkeypat
     # the records of the first four picks repeat its lies, so one append
     # for the fifth pick's record, and one per lie
     assert (correlations, solves, fits, len(appends)) == ([], ["dtrsm"], ["fit"], 5)
+
+
+def test_the_enumerated_grid_is_listed_only_for_the_offset_table(monkeypatch):
+    # a cold batch and a warm one on the 9^4 grid bo_grid searches: the
+    # candidates are flat indices, and a pick's vector is ``GaussianProcess.row``
+    space, fixed_off = _narrowed_space(5, 9)
+    hist = _mixed_history(space, [tuple(r) for r in grid_rows(space.sizes())[::300][:20]],
+                          fixed_off)
+    callers, listed = [], gp_module.grid_rows
+
+    def counted(sizes):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return listed(sizes)
+
+    # wherever the name is bound, so that a proposer importing it is counted too
+    for module in (gp_module, bayesian_module):
+        monkeypatch.setattr(module, "grid_rows", counted, raising=False)
+    for seed in (0, 1):
+        proposal = propose_bayesian(space, hist, 5, seed=seed)
+        assert proposal.diagnostics["n_candidates"] == 9**4 - len(history_view(space, hist).seen)
+        for k, design in enumerate(proposal.designs):
+            hist.append(dataclasses.replace(hist.records[0], design=design, fom=0.5 + 0.01 * k,
+                                            eval_index=hist.next_eval_index()))
+    assert callers == ["offset_table"]
 
 
 def test_the_random_candidate_path_builds_no_table_and_lies_by_add(monkeypatch):

@@ -1,4 +1,5 @@
-"""The command line: what ``run``, ``validate`` and ``oracle`` print, and what ``run`` refuses."""
+"""The command line: what ``run``, ``report``, ``validate`` and ``oracle`` print, and what
+``run`` and ``report`` refuse."""
 
 import json
 from pathlib import Path
@@ -105,6 +106,56 @@ def test_run_refuses_transcripts_for_a_method_that_makes_no_model_call(capsys, t
     assert captured.out == ""
     assert captured.err.startswith(f"error: transcripts record model calls, and {method!r} ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra, reason", [
+    ([], "writes each simulator log under the results directory, and none is named"),
+    (["--results-dir", "out"], "keeps simulator logs, and the surrogate evaluator runs no simulator"),
+])
+def test_run_refuses_to_keep_logs_it_could_not_write(capsys, tmp_path, monkeypatch, extra, reason):
+    # sota_easy runs on its surrogate, which writes no simulator log
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", str(CONFIGS / "sota_easy.yaml"), "--budget", "5", "--method", "lhs",
+            "--keep-logs", *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: keep_logs {reason}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_report_renders_a_bench_directory_and_its_reports_subdirectory(capsys, tmp_path):
+    matrix = tmp_path / "matrix.yaml"
+    matrix.write_text(f"circuits: [{CONFIGS / 'sota_easy.yaml'}]\nmethods: [lhs, ga_baseline]\n"
+                      "trials_per_cell: 2\nbudget: {total_evals: 10}\n")
+    out = tmp_path / "out"
+    assert main(["bench", str(matrix), "--out", str(out)]) == 0
+    table, reports = capsys.readouterr().out.rsplit("reports: ", 1)
+    assert reports == f"{out / 'reports'}\n"
+    assert table.splitlines()[2].startswith("sota_easy  lhs ")
+    for directory in (out, out / "reports"):
+        assert main(["report", str(directory)]) == 0
+        assert capsys.readouterr().out == table
+
+
+def test_report_prints_the_result_of_a_run_directory(capsys, tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", str(CONFIGS / "sota_easy.yaml"), "--budget", "10", "--method", "lhs",
+            "--results-dir", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed) == json.loads((out / "result.json").read_text())
+    assert json.loads(printed)["evals_used"] == 10
+
+
+def test_report_refuses_a_directory_without_results(capsys, tmp_path):
+    (tmp_path / "reports").mkdir()
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"no matrix_results.json or result.json under {tmp_path}\n"
 
 
 def test_validate_reports_the_config_and_its_grid(capsys):

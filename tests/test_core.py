@@ -238,15 +238,15 @@ def test_best_prefers_earliest_on_ties():
     hist.append(_record(1, 0.3))
     hist.append(_record(2, 0.7))
     hist.append(_record(3, 0.7))
-    assert hist.best().eval_index == 2
+    assert max(hist.valid_records(), key=rank_key).eval_index == 2
 
 
 def test_best_and_reported_are_none_without_a_valid_record():
     hist = History()
-    assert hist.best() is None and hist.reported() is None
+    assert hist.valid_records() == [] and hist.reported() is None
     hist.append(_record(1, None, status="sim_failed"))
     hist.append(_record(2, None))
-    assert hist.best() is None and hist.reported() is None
+    assert hist.valid_records() == [] and hist.reported() is None
     assert not hist.feasible_found()
 
 
@@ -256,7 +256,7 @@ def test_reported_prefers_a_feasible_record_over_a_better_fom():
     hist.append(_record(2, 0.4, feasible=True))
     hist.append(_record(3, 0.6, feasible=True))
     hist.append(_record(4, None, status="sim_failed"))
-    assert hist.best().eval_index == 1
+    assert max(hist.valid_records(), key=rank_key).eval_index == 1
     assert hist.reported().eval_index == 3
     assert hist.feasible_found()
 
@@ -266,7 +266,7 @@ def test_reported_ties_go_to_the_earliest_feasible_record():
     hist.append(_record(1, 0.5))
     hist.append(_record(2, 0.5, feasible=True))
     hist.append(_record(3, 0.5, feasible=True, cached=True))
-    assert hist.best().eval_index == 1
+    assert max(hist.valid_records(), key=rank_key).eval_index == 1
     assert hist.reported().eval_index == 2
 
 
@@ -275,7 +275,7 @@ def test_reported_falls_back_to_best_when_nothing_is_feasible():
     hist.append(_record(1, 0.2))
     hist.append(_record(2, 0.8))
     hist.append(_record(3, 0.8))
-    assert hist.reported() is hist.best()
+    assert hist.reported() is max(hist.valid_records(), key=rank_key)
     assert hist.reported().eval_index == 2
 
 

@@ -3,7 +3,7 @@
 import random
 
 from sizerforge.core import EvaluatedDesign, History, design_from
-from sizerforge.optim.base import observations
+from sizerforge.optim.base import history_view
 from sizerforge.optim.genetic import crossover_uniform, mutate_gene, propose_genetic, tournament
 from sizerforge.space import SearchSpace
 
@@ -105,7 +105,7 @@ def test_mutate_gene_clamps_at_bounds():
 def test_tournament_picks_the_fittest_of_its_draws():
     space = _space()
     hist = _seed_history(space, [((0, 0), 0.1), ((1, 1), 0.9), ((2, 2), 0.5)])
-    pool, _ = observations(space, hist)
+    pool = history_view(space, hist).obs
     # k = len(pool) guarantees at least one draw of everything over repeats
     rng = random.Random(4)
     wins = {tournament(pool, 3, rng)[0].fom for _ in range(50)}

@@ -201,3 +201,18 @@ def test_a_history_keeps_only_the_view_of_the_current_space():
     assert gp() is None  # the wide space's candidate block is released
     assert hist.view.key == base.history_view(narrow, hist).key
     assert hist.view.gp.sizes == (5, 9)
+
+
+def test_proposers_leave_the_shared_view_as_they_found_it():
+    # annealing and multistart add the vectors they take to a set of their
+    # own: written into the shared view, they would be dropped by every
+    # proposer after them on this history but not on a fresh one
+    space, hist = _space(), _history(6)
+    for method in ("annealing", "multistart", "lhs", "turbo_baseline", "genetic"):
+        config = MethodConfig(method=method, n_samples=12, seed=3)
+        shared = propose(space, config, history=hist).designs
+        alone = History()
+        alone.append_batch(hist.records)
+        assert shared == propose(space, config, history=alone).designs, method
+    view, fresh = base.history_view(space, hist), base.history_view(space, alone)
+    assert (view.obs, view.incumbent, view.seen) == (fresh.obs, fresh.incumbent, fresh.seen)
