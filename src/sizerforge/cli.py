@@ -122,8 +122,7 @@ def cmd_report(args) -> int:
         record = json.loads(single.read_text())
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
-    print(f"no matrix_results.json or result.json under {root}", file=sys.stderr)
-    return 2
+    raise SizerForgeError(f"no matrix_results.json or result.json under {root}")
 
 
 def cmd_validate(args) -> int:

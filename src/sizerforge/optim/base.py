@@ -40,6 +40,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core import Design, EvaluatedDesign, History, design_from, is_valid, rank_key
 from ..space import SearchSpace, index_rows
 
+# the Bayesian acquisitions, here so that ``pool`` checks one without numpy
+ACQUISITIONS = ("EI", "UCB", "LCB", "PI")
+
 
 @dataclass
 class Proposal:

@@ -52,8 +52,8 @@ import numpy as np
 from ..core import History
 from ..errors import InsufficientHistory
 from ..space import SearchSpace
-from .base import Proposal, history_view, materialize
-from .gp import ACQUISITIONS, GaussianProcess, acquisition
+from .base import ACQUISITIONS, Proposal, history_view, materialize
+from .gp import GaussianProcess, acquisition
 
 ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000

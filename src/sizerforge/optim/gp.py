@@ -74,6 +74,9 @@ back as a real record keeps its column.
 ``acquisition`` takes the standard normal CDF from ``scipy.special.ndtr``
 and writes the PDF out; both are what ``scipy.stats.norm`` computes at
 loc 0 and scale 1, bit for bit, without importing ``scipy.stats``.
+
+Only this module and ``bayesian`` import numpy and scipy; ``pool`` loads
+them on the first Bayesian proposal. ``ACQUISITIONS`` lives in ``base``.
 """
 
 from __future__ import annotations
@@ -94,8 +97,6 @@ BASE_JITTER = 1e-6
 MAX_JITTER = 1e-2
 # training points the buffers hold before they first grow
 ROOM = 64
-
-ACQUISITIONS = ("EI", "UCB", "LCB", "PI")
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -341,8 +342,10 @@ class GaussianProcess:
         """Posterior mean and standard deviation from the two columns
         ``w L^-1 [y, 1]`` of a whitened block w over every training point,
         in fit order, and its row sums of squares ss."""
-        mean = float(np.mean(self.y))
-        variance = float(np.var(self.y))
+        # np.mean and np.var bit for bit, without their call overhead
+        mean = float(np.add.reduce(self.y)) / len(self.y)
+        d = self.y - mean
+        variance = float(np.add.reduce(d * d)) / len(d)
         amplitude = variance if variance > 0 else 1.0
         mu = mean + (sums[:, 0] - mean * sums[:, 1])
         # the prior variance is the amplitude: matern25(0) == 1.0 exactly

@@ -16,6 +16,9 @@ bayesian(UCB, weight 2.0); turbo_baseline is trust-region LHS, which
 reads its region from the history. Only the orchestrated methods are the
 inner loop's to pick. Defaults not preset here are the proposers' own
 signature defaults.
+
+``_propose_bayesian`` imports ``bayesian``, and so numpy and scipy, on the
+first Bayesian proposal; acquisition names come from ``base.ACQUISITIONS``.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ from ..core import History
 from ..errors import BadParameter, InsufficientHistory, UnknownMethod
 from ..space import SearchSpace
 from .annealing import propose_annealing
-from .base import Proposal, fresh, history_view, uniform_indices
-from .bayesian import propose_bayesian
+from .base import ACQUISITIONS, Proposal, fresh, history_view, uniform_indices
 from .genetic import propose_genetic
-from .gp import ACQUISITIONS
 from .multistart import propose_multistart
 from .sampling import propose_lhs
 from .turbo import propose_turbo_baseline
@@ -115,6 +116,12 @@ def validate_method_config(config: MethodConfig) -> MethodConfig:
     return dataclasses.replace(config, method=method, parameters=params)
 
 
+def _propose_bayesian(*args, **params) -> Proposal:
+    """``bayesian.propose_bayesian``, imported on the first call."""
+    from .bayesian import propose_bayesian
+    return propose_bayesian(*args, **params)
+
+
 def _apportion(n: int, weights: Mapping[str, float]) -> Dict[str, int]:
     """Largest-remainder split of n among the weighted components."""
     total = sum(weights.values())
@@ -147,7 +154,7 @@ def _propose_adaptive(
     if counts["exploit_weight"]:
         args = (space, history, counts["exploit_weight"], seeds["exploit"])
         try:
-            batches.append(propose_bayesian(*args))
+            batches.append(_propose_bayesian(*args))
             exploit_method = "bayesian"
         except InsufficientHistory:
             batches.append(propose_multistart(*args))
@@ -179,12 +186,12 @@ def _propose_adaptive(
 METHODS = {
     "lhs": (propose_lhs, (), {}),
     "genetic": (propose_genetic, _GENETIC, {}),
-    "bayesian": (propose_bayesian, _BAYESIAN, {}),
+    "bayesian": (_propose_bayesian, _BAYESIAN, {}),
     "adaptive": (_propose_adaptive, tuple(ADAPTIVE_DEFAULTS), {}),
     "annealing": (propose_annealing, ("initial_temperature", "cooling_rate"), {}),
     "multistart": (propose_multistart, ("n_starts", "search_radius"), {}),
     "ga_baseline": (propose_genetic, _GENETIC, GA_BASELINE_PRESET),
-    "bo_baseline": (propose_bayesian, _BAYESIAN, BO_BASELINE_PRESET),
+    "bo_baseline": (_propose_bayesian, _BAYESIAN, BO_BASELINE_PRESET),
     "turbo_baseline": (propose_turbo_baseline, (), {}),
 }
 

@@ -15,12 +15,12 @@ from scipy.stats import norm
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import InsufficientHistory, SingularKernel
-from sizerforge.optim.base import history_view, materialize
+from sizerforge.optim.base import ACQUISITIONS, history_view, materialize
 from sizerforge.optim.bayesian import ENUMERATION_LIMIT, candidate_rows, propose_bayesian
 from sizerforge.optim import bayesian as bayesian_module
 from sizerforge.optim import gp as gp_module
-from sizerforge.optim.gp import (ACQUISITIONS, ROOM, GaussianProcess, acquisition, correlation,
-                                   grid_rows, matern25, normalize)
+from sizerforge.optim.gp import (ROOM, GaussianProcess, acquisition, correlation, grid_rows,
+                                   matern25, normalize)
 from sizerforge.space import SearchSpace, index_rows
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -811,6 +811,31 @@ def test_a_warm_batch_computes_no_distance_and_solves_the_targets_once(monkeypat
     # the records of the first four picks repeat its lies, so one append
     # for the fifth pick's record, and one per lie
     assert (correlations, solves, fits, len(appends)) == ([], ["dtrsm"], ["fit"], 5)
+
+
+def test_the_posterior_moments_are_those_of_np_mean_and_np_var_bit_for_bit(monkeypatch):
+    # _moments sums the targets with np.add.reduce; at every pick of a
+    # batch on the bo_grid grid, lies included, it must give what it gave
+    # through np.mean and np.var
+    moments = GaussianProcess._moments
+    targets = []
+
+    def checked(gp, sums, ss):
+        mu, sigma = moments(gp, sums, ss)
+        mean, variance = float(np.mean(gp.y)), float(np.var(gp.y))
+        amplitude = variance if variance > 0 else 1.0
+        assert np.array_equal(mu, mean + (sums[:, 0] - mean * sums[:, 1]))
+        assert np.array_equal(sigma, np.sqrt(np.maximum(amplitude * (1.0 - ss), 0.0)))
+        targets.append(len(gp.y))
+        return mu, sigma
+
+    monkeypatch.setattr(GaussianProcess, "_moments", checked)
+    space, fixed_off = _narrowed_space(5, 9)
+    rows = [tuple(r) for r in grid_rows(space.sizes()).tolist()]
+    hist = _mixed_history(space, rows[::300][:20], fixed_off)
+    n = len(history_view(space, hist).obs)
+    assert len(propose_bayesian(space, hist, 5, seed=0).designs) == 5
+    assert targets == [n, n + 1, n + 2, n + 3, n + 4]
 
 
 def test_the_enumerated_grid_is_listed_only_for_the_offset_table(monkeypatch):

@@ -155,7 +155,7 @@ def test_report_refuses_a_directory_without_results(capsys, tmp_path):
     assert main(["report", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"no matrix_results.json or result.json under {tmp_path}\n"
+    assert captured.err == f"error: no matrix_results.json or result.json under {tmp_path}\n"
 
 
 def test_validate_reports_the_config_and_its_grid(capsys):

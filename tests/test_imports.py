@@ -13,17 +13,25 @@ are called by the language and are exempt.
 
 The tracer must find every name it rebinds, and put each back.
 
-Importing the package leaves out what only some runs need:
-``scipy.stats`` (``acquisition`` uses ``scipy.special.ndtr``) and
+Importing the package leaves out what only some runs need: numpy and
+scipy, which only the GP stack (``optim.bayesian`` and ``optim.gp``)
+uses and ``optim.pool`` loads on the first Bayesian proposal, and
 ``requests`` (only ``HttpTransport.complete`` talks to a model).
+Checking a config or an acquisition name (``optim.base.ACQUISITIONS``),
+the ``validate`` and ``oracle`` commands and a run that asks for no
+Bayesian proposal load no numpy either; a ``bo_baseline`` run does.
+Each probe runs in a fresh interpreter.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -96,14 +104,57 @@ def test_every_definition_is_referenced():
     assert unreferenced == []
 
 
-def test_importing_the_package_loads_neither_scipy_stats_nor_requests():
+def _loaded(code: str):
+    """The numpy, scipy and requests modules a fresh interpreter has loaded
+    after running ``code``."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = ("import sys, sizerforge; "
-             "print(sorted(m for m in ('scipy.stats', 'requests') if m in sys.modules))")
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('numpy', 'scipy', 'requests'))))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+                         text=True, check=True, cwd=ROOT).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_importing_the_package_loads_neither_numpy_nor_scipy_nor_requests():
+    assert _loaded("import sizerforge") == []
+
+
+NUMPY_FREE = {
+    "load_config": "from sizerforge import load_config\n"
+                   "load_config('configs/sota_med.yaml')",
+    "unknown_acquisition": "from sizerforge.errors import BadParameter\n"
+                           "from sizerforge.optim import MethodConfig, validate_method_config\n"
+                           "config = MethodConfig('bayesian', 4, {'acquisition_function': 'XI'})\n"
+                           "try:\n"
+                           "    validate_method_config(config)\n"
+                           "except BadParameter:\n"
+                           "    pass\n"
+                           "else:\n"
+                           "    raise SystemExit('XI was accepted')",
+    "validate": "from sizerforge.cli import main\n"
+                "assert main(['validate', 'configs/sota_hard.yaml']) == 0",
+    "oracle": "from sizerforge.cli import main\n"
+              "assert main(['oracle', 'sota_med']) == 0",
+    "lhs_run": "from sizerforge import RunBudget, load_config, run_baseline\n"
+               "result = run_baseline(load_config('configs/sota_med.yaml'), 'lhs',\n"
+               "                      RunBudget(total_evals=20), 0)\n"
+               "assert result.evals_used == 20",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE))
+def test_what_never_builds_a_gp_loads_no_numpy_or_scipy(name):
+    assert _loaded(NUMPY_FREE[name]) == []
+
+
+def test_a_bayesian_run_loads_numpy_and_scipy():
+    loaded = _loaded("from sizerforge import RunBudget, load_config, run_baseline\n"
+                     "run_baseline(load_config('configs/sota_med.yaml'), 'bo_baseline',\n"
+                     "             RunBudget(total_evals=20), 0)")
+    assert {"numpy", "scipy.linalg", "scipy.spatial", "scipy.special"} <= set(loaded)
+    assert "requests" not in loaded
 
 
 def test_the_tracer_rebinds_names_that_exist_and_puts_them_back(monkeypatch):
