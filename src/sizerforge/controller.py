@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .agents import RuleBackend, make_backend, rule_decide_inner, rule_understand
-from .core import EvaluatedDesign, History
+from .core import EvaluatedDesign, History, is_valid
 from .diagnostics import DiagnosticsReport, analyze, render_text
 from .errors import (BudgetOverrun, ConfigError, InsufficientHistory, SingularKernel,
                      UnknownMethod)
@@ -191,6 +191,7 @@ class _Run:
         self.loop_reports: List[Tuple[int, str]] = []
         self.used = 0  # fresh evaluations charged; cache hits are free
         self.stalled = 0  # consecutive all-cached batches
+        self.best_fom: Optional[float] = None  # the highest valid FoM so far
         self.results_dir = results_dir
         self._eval_options = dict(workers=workers, keep_logs=keep_logs, results_dir=results_dir)
 
@@ -247,9 +248,12 @@ class _Run:
         history.append_batch(records)
         fresh = sum(1 for r in records if not r.cached)
         self.used += fresh
-        best = max((r.fom for r in history.valid_records()), default=None)
+        for r in records:
+            # max() over the history's valid FoMs, without rescanning it
+            if is_valid(r) and (self.best_fom is None or r.fom > self.best_fom):
+                self.best_fom = r.fom
         self.log("batch", **scope, iteration=iteration, method=label, requested=mcfg.n_samples,
-                 evaluated=len(records), fresh=fresh, best_fom=best, **extra)
+                 evaluated=len(records), fresh=fresh, best_fom=self.best_fom, **extra)
         self.stalled = self.stalled + 1 if fresh == 0 else 0
         if self.stalled >= STALL_LIMIT:
             self.log("event", event="method_stalled", **scope, iteration=iteration)

@@ -109,7 +109,12 @@ def surrogate_eval(model_id: str, assignment: Mapping[str, float]) -> Dict[str, 
 
 
 class ResultCache:
-    """In-memory, content-addressed store of scrape outcomes for one run."""
+    """In-memory, content-addressed store of scrape outcomes for one run.
+
+    One cache serves one run, and so one spec: an entry keeps the
+    ``assess`` outcome of its metrics, ``(fom, feasible, normalized)``,
+    from the batch that simulated it, for every record of the design.
+    """
 
     def __init__(self):
         self._memory: Dict[str, dict] = {}
@@ -239,6 +244,9 @@ def evaluate_batch(
         fresh = {key: _evaluate_one(config, designs[i], evaluator, keep_log_dir)
                  for key, i in first.items()}
     for key, (entry, _) in fresh.items():
+        # each design is assessed once, when it is simulated
+        entry["assessed"] = (assess(spec, entry["raw_metrics"]) if entry["sim_status"] == SIM_OK
+                             else (None, False, {}))
         cache.put(key, entry)
 
     records: List[EvaluatedDesign] = []
@@ -246,20 +254,15 @@ def evaluate_batch(
         entry = cache.get(key)
         hit = first.get(key) != i
         wall = 0.0 if hit else fresh[key][1]
-        raw = dict(entry["raw_metrics"])
-        status = entry["sim_status"]
-        if status == SIM_OK:
-            fom, feasible, normalized = assess(spec, raw)
-        else:
-            fom, feasible, normalized = None, False, {}
+        fom, feasible, normalized = entry["assessed"]
         records.append(
             EvaluatedDesign(
                 design=design,
-                raw_metrics=raw,
-                normalized=normalized,
+                raw_metrics=dict(entry["raw_metrics"]),
+                normalized=dict(normalized),
                 fom=fom,
                 feasible=feasible,
-                sim_status=status,
+                sim_status=entry["sim_status"],
                 iteration=iteration,
                 method=method,
                 eval_index=start_eval_index + i,

@@ -32,7 +32,7 @@ def mutate_gene(idx: int, m: int, rng: random.Random) -> int:
 def tournament(pool, k: int, rng: random.Random):
     """The fittest of k uniform draws from (record, index vector) pairs;
     the earliest draw on ties."""
-    picks = [pool[rng.randrange(len(pool))] for _ in range(k)]
+    picks = [rng.choice(pool) for _ in range(k)]
     return max(picks, key=lambda ob: ob[0].fom)
 
 

@@ -50,14 +50,17 @@ enumerate. A query point's position is its flat index on the whole grid
 row otherwise; ``row`` maps a position back to its index vector. On the
 whole grid the correlation of two points depends only on their index
 offsets, so the GP tabulates it once, ``prod(2m - 1)`` entries, from the
-grid of absolute offsets and its mirror image. A point's correlations to
-every grid point are then one strided window of the table, and those to
-the training points a gather from that window. Where every ``m - 1`` is
-1 or a power of two, the coordinates and their differences are exact and
-the table is ``correlation`` bit for bit; elsewhere the two differ by
-rounding. The table is less than ``2^d`` times the grid, and under 40 MB
-for any grid of 20000 points or fewer. Given index vectors, the GP keeps
-their coordinates and computes each new column with ``correlation``.
+grid of absolute offsets and its mirror image. Its distances to the
+origin are summed axis by axis in numpy, in the order ``cdist`` sums
+them, so the table is what ``cdist`` would build, bit for bit, without
+loading ``scipy.spatial``. A point's correlations to every grid point
+are then one strided window of the table, and those to the training
+points a gather from that window. Where every ``m - 1`` is 1 or a power
+of two, the coordinates and their differences are exact and the table
+is ``correlation`` bit for bit; elsewhere the two differ by rounding.
+The table is less than ``2^d`` times the grid, and under 40 MB for any
+grid of 20000 points or fewer. Given index vectors, the GP keeps their
+coordinates and computes each new column with ``correlation``.
 
 The buffers hold ``ROOM`` training points before they first grow, and
 then double. They are allocated with ``np.empty`` (the factor with
@@ -76,7 +79,12 @@ and writes the PDF out; both are what ``scipy.stats.norm`` computes at
 loc 0 and scale 1, bit for bit, without importing ``scipy.stats``.
 
 Only this module and ``bayesian`` import numpy and scipy; ``pool`` loads
-them on the first Bayesian proposal. ``ACQUISITIONS`` lives in ``base``.
+them on the first Bayesian proposal. Importing this module loads scipy's
+BLAS alone. ``acquisition`` imports ``ndtr`` on the first EI or PI
+score, and ``correlation`` imports ``cdist`` on its first call, which
+only the random-candidate path past 20000 points and ``predict`` make
+(``scipy.spatial`` loads ``scipy.special`` too). So a UCB or LCB run on
+an enumerated grid loads neither. ``ACQUISITIONS`` lives in ``base``.
 """
 
 from __future__ import annotations
@@ -86,8 +94,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dgemm, dtrsm, dtrsv
-from scipy.spatial.distance import cdist
-from scipy.special import ndtr
 
 from ..errors import SingularKernel
 
@@ -118,7 +124,12 @@ def matern25(dists: np.ndarray) -> np.ndarray:
 
 def correlation(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Unscaled Matern correlation between the rows of a and of b, written
-    into ``out`` (C-contiguous, len(a) x len(b)) when given."""
+    into ``out`` (C-contiguous, len(a) x len(b)) when given.
+
+    ``cdist`` is imported on the first call, which only the
+    random-candidate path and ``predict`` make.
+    """
+    from scipy.spatial.distance import cdist
     return matern25(cdist(a, b, out=out))
 
 
@@ -136,8 +147,18 @@ def grid_rows(sizes: Sequence[int]) -> np.ndarray:
 
 def offset_table(sizes: Sequence[int]) -> np.ndarray:
     """The correlation of two points of the grid by their index offset o:
-    the entry at ``o + m - 1`` along each axis, for o from 1 - m to m - 1."""
-    half = correlation(np.zeros((1, len(sizes))), normalize(grid_rows(sizes), sizes))[0]
+    the entry at ``o + m - 1`` along each axis, for o from 1 - m to m - 1.
+
+    The distances of the grid points to the origin sum their squared
+    coordinates one axis after another, as ``cdist`` does, so the table
+    is the one ``correlation`` from the origin gives, bit for bit.
+    """
+    coordinates = normalize(grid_rows(sizes), sizes)
+    # 0 + x * x is x * x exactly, since a square is never -0.0
+    square = np.zeros(len(coordinates))
+    for axis in coordinates.T:
+        square += axis * axis
+    half = matern25(np.sqrt(square))
     return half.reshape(sizes)[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in sizes))]
 
 
@@ -380,6 +401,7 @@ def acquisition(name: str, mu: np.ndarray, sigma: np.ndarray,
         return mu + weight * sigma
     if name == "LCB":
         return weight * sigma - mu
+    from scipy.special import ndtr
     safe = np.where(sigma > 0, sigma, 1.0)
     z = (mu - best - weight) / safe
     if name == "PI":

@@ -17,8 +17,10 @@ reads its region from the history. Only the orchestrated methods are the
 inner loop's to pick. Defaults not preset here are the proposers' own
 signature defaults.
 
-``_propose_bayesian`` imports ``bayesian``, and so numpy and scipy, on the
-first Bayesian proposal; acquisition names come from ``base.ACQUISITIONS``.
+``_propose_bayesian`` imports ``bayesian``, and so numpy and scipy's BLAS,
+on the first Bayesian proposal; ``gp`` imports ``scipy.special`` and
+``scipy.spatial`` only when a proposal first computes with them.
+Acquisition names come from ``base.ACQUISITIONS``.
 """
 
 from __future__ import annotations

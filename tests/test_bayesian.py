@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
+from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from sizerforge.core import EvaluatedDesign, History, design_from
@@ -20,7 +21,7 @@ from sizerforge.optim.bayesian import ENUMERATION_LIMIT, candidate_rows, propose
 from sizerforge.optim import bayesian as bayesian_module
 from sizerforge.optim import gp as gp_module
 from sizerforge.optim.gp import (ROOM, GaussianProcess, acquisition, correlation, grid_rows,
-                                   matern25, normalize)
+                                   matern25, normalize, offset_table)
 from sizerforge.space import SearchSpace, index_rows
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -263,8 +264,10 @@ def test_small_space_candidates_enumerate_fully():
 # values agree with these to a relative 1e-9, not bit for bit. Its picks
 # are the reference's, except where the reference's two best scores
 # agree to ACQ_RTOL: such a tie may go either way, and the reference then
-# continues from the proposer's pick. (Broadcast sums and cdist agree
-# bit for bit up to 7 dimensions; numpy sums 8 or more terms pairwise.)
+# continues from the proposer's pick. (The reference sums the squared
+# differences axis by axis, in order, as cdist does, so its distances are
+# cdist's bit for bit at every dimension; np.sum would add 8 or more
+# terms pairwise.)
 
 ACQ_RTOL, ACQ_ATOL = 1e-9, 1e-12
 # the picks that may go to the other side of a reference tie, per case;
@@ -275,7 +278,17 @@ TIE_PICKS = {((3, 7, 6, 0), "EI"): 1, ((3, 7, 6, 0), "PI"): 1}
 
 def _pairwise(a, b):
     diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    square = np.zeros(diff.shape[:2])
+    for k in range(diff.shape[-1]):
+        square += diff[..., k] * diff[..., k]
+    return np.sqrt(square)
+
+
+@pytest.mark.parametrize("dims", [1, 7, 8, 10])
+def test_the_reference_distances_are_cdist_bit_for_bit(dims):
+    rng = np.random.default_rng(dims)
+    a, b = rng.random((40, dims)), rng.random((60, dims))
+    assert np.array_equal(_pairwise(a, b), cdist(a, b))
 
 
 def _reference_posterior(x, y, query, jitter=1e-6):
@@ -392,9 +405,23 @@ def _narrowed_space(n_vars, n_active_values):
         (7, 6, 5, 3),  # 6 active x 6 values > 20000: 2000 random draws
         (5, 9, 40, 1),  # 9^4 = 6561 candidates, the grid bo_grid searches
         (5, 9, 60, 2),
+        (9, 4, 40, 3),  # 8 active x 4 values > 20000: 2000 random draws
     ],
 )
 def test_proposals_match_the_per_pick_reference(acquisition_function, shape):
+    _assert_the_reference_picks(acquisition_function, shape)
+
+
+@pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB"])
+def test_an_eight_axis_grid_matches_the_per_pick_reference(acquisition_function):
+    # 3^8 = 6561 candidates: past 7 axes np.sum would add the squares
+    # pairwise, and cdist and the offset table still add them in order.
+    # LCB is left out: on this history, symmetric across the axes, its
+    # fifth pick ties mirror-image candidates, and TIE_PICKS allows none
+    _assert_the_reference_picks(acquisition_function, (9, 3, 40, 3))
+
+
+def _assert_the_reference_picks(acquisition_function, shape):
     n_vars, n_values, n_obs, seed = shape
     space, fixed_off = _narrowed_space(n_vars, n_values)
     # history rows come from the seed's own candidate draws, so that the
@@ -612,6 +639,16 @@ def test_a_warm_fit_keeps_the_prefix_and_equals_a_cold_fit_bit_for_bit(monkeypat
 
 
 # ------------------------------------------------- the grid's offset table
+
+
+@pytest.mark.parametrize("sizes", [(9,) * 4, (5,) * 4, (9, 9), (3, 7, 6, 2), (1, 5, 9),
+                                   (4, 6, 7), (2,) * 8, (3,) * 8, (2,) * 10])
+def test_the_offset_table_is_the_one_cdist_gives_bit_for_bit(sizes):
+    # the table sums the squared coordinates in numpy, axis by axis
+    coordinates = normalize(grid_rows(sizes), sizes)
+    half = matern25(cdist(np.zeros((1, len(sizes))), coordinates))[0]
+    want = half.reshape(sizes)[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in sizes))]
+    assert np.array_equal(offset_table(sizes), want)
 
 
 @pytest.mark.parametrize("sizes", [(1, 2, 3), (9, 1, 5, 2), (5, 9),  # every m - 1 is 0, 1 or 2^k

@@ -6,9 +6,11 @@ one prints them after bytes that are not UTF-8, one exits non-zero, one
 sleeps past the timeout, one omits a metric and one has no interpreter
 line, so it cannot be started. A failing simulation becomes a record
 with its status and never aborts the batch or the run; a design repeated
-in the batch is served from the cache with zero wall time. Whole runs go through the benchmark's stand-in
-``perfbench/bin/ngspice``, which prints the surrogate's metrics for the
-deck it reads, so they must pick as their surrogate twin does.
+in the batch or in a later one is served from the cache with zero wall
+time and the assessment made when it was simulated. Whole runs go
+through the benchmark's stand-in ``perfbench/bin/ngspice``, which prints
+the surrogate's metrics for the deck it reads, so they must pick as
+their surrogate twin does.
 """
 
 import hashlib
@@ -20,7 +22,8 @@ import pytest
 
 from sizerforge.config import load_config, parse_config
 from sizerforge.controller import RunBudget, run_method
-from sizerforge.core import METRIC_MISSING, SIM_FAILED, SIM_OK, design_from
+from sizerforge import evaluation
+from sizerforge.core import METRIC_MISSING, SIM_FAILED, SIM_OK, assess, design_from
 from sizerforge.errors import ConfigError
 from sizerforge.evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from sizerforge.specexpr import parse_spec
@@ -59,7 +62,10 @@ def _standin(directory: Path, name: str) -> str:
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(STANDINS))
-def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, name, workers):
+def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, monkeypatch, name, workers):
+    assessed = []
+    monkeypatch.setattr(evaluation, "assess",
+                        lambda spec, raw: assessed.append(dict(raw)) or assess(spec, raw))
     config = load_config(str(CONFIGS / "sota_easy.yaml"))
     evaluator = EvaluatorSpec(kind="spice", executable=_standin(tmp_path, name),
                               timeout_s=0.5, workdir=str(tmp_path))
@@ -84,6 +90,14 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, name, workers
         assert records[0].fom is not None and records[0].feasible
     else:
         assert all(r.fom is None and not r.feasible for r in records)
+    # a later batch of cache hits: each design was assessed once, and
+    # every record has a normalized map of its own
+    again = evaluate_batch(config, [second, first], evaluator,
+                           spec=parse_spec(config.user_specs_metric), cache=cache,
+                           start_eval_index=7, iteration=3, method="lhs", workers=workers)
+    assert len(assessed) == (2 if status == SIM_OK else 0)
+    assert [(r.fom, r.normalized) for r in again] == [(r.fom, r.normalized) for r in records[1::-1]]
+    assert records[0].normalized is not records[2].normalized is not again[1].normalized
     # decks are temporary: nothing is left in the work directory but the stand-in
     assert os.listdir(tmp_path) == [f"ngspice_{name}"]
 
