@@ -52,12 +52,12 @@ whole grid the correlation of two points depends only on their index
 offsets, so the GP tabulates it once, ``prod(2m - 1)`` entries, from the
 grid of absolute offsets and its mirror image. Its distances to the
 origin are summed axis by axis in numpy, in the order ``cdist`` sums
-them, so the table is what ``cdist`` would build, bit for bit, without
-loading ``scipy.spatial``. A point's correlations to every grid point
-are then one strided window of the table, and those to the training
-points a gather from that window. Where every ``m - 1`` is 1 or a power
-of two, the coordinates and their differences are exact and the table
-is ``correlation`` bit for bit; elsewhere the two differ by rounding.
+them, so the table is what ``cdist`` would build, bit for bit. A
+point's correlations to every grid point are then one strided window of
+the table, and those to the training points a gather from that window.
+Where every ``m - 1`` is 1 or a power of two, the coordinates and their
+differences are exact and the table is ``correlation`` bit for bit;
+elsewhere the two differ by rounding.
 The table is less than ``2^d`` times the grid, and under 40 MB for any
 grid of 20000 points or fewer. Given index vectors, the GP keeps their
 coordinates and computes each new column with ``correlation``.
@@ -74,28 +74,56 @@ as a fit from empty, so the result is that fit's bit for bit. Neither L
 nor w depends on the targets, so a constant-liar point that later comes
 back as a real record keeps its column.
 
-``acquisition`` takes the standard normal CDF from ``scipy.special.ndtr``
-and writes the PDF out; both are what ``scipy.stats.norm`` computes at
-loc 0 and scale 1, bit for bit, without importing ``scipy.stats``.
+``acquisition`` takes the standard normal CDF from scipy's ``ndtr`` and
+writes the PDF out; both are what ``scipy.stats.norm`` computes at loc 0
+and scale 1, bit for bit, without importing ``scipy.stats``.
 
 Only this module and ``bayesian`` import numpy and scipy; ``pool`` loads
-them on the first Bayesian proposal. Importing this module loads scipy's
-BLAS alone. ``acquisition`` imports ``ndtr`` on the first EI or PI
-score, and ``correlation`` imports ``cdist`` on its first call, which
-only the random-candidate path past 20000 points and ``predict`` make
-(``scipy.spatial`` loads ``scipy.special`` too). So a UCB or LCB run on
-an enumerated grid loads neither. ``ACQUISITIONS`` lives in ``base``.
+them on the first Bayesian proposal. Of scipy, this module loads the
+top-level package and three compiled modules straight from their files
+(``_compiled``): the BLAS of ``scipy.linalg._fblas``, ``ndtr`` from
+``scipy.special._special_ufuncs`` and the euclidean ``cdist`` kernel
+from ``scipy.spatial._distance_pybind``. These are the objects that
+``scipy.linalg.blas``, ``scipy.special`` and ``scipy.spatial.distance``
+hand out, but no run imports those subpackages, whose ``__init__`` pulls
+in scipy's array-API layer and with it ``numpy.f2py`` and
+``numpy.testing``. ``ACQUISITIONS`` lives in ``base``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from types import ModuleType
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dgemm, dtrsm, dtrsv
+import scipy
 
 from ..errors import SingularKernel
+
+
+def _compiled(package: str, name: str) -> ModuleType:
+    """The compiled module ``scipy.<package>.<name>``, loaded from its file
+    without importing ``scipy.<package>``; ImportError when this scipy has
+    none. It keeps its full name, under which a later import of the
+    subpackage finds it loaded and hands out the same objects."""
+    finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), package),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(f"scipy.{package}.{name}")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled module scipy.{package}.{name}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_fblas = _compiled("linalg", "_fblas")
+daxpy, dgemm, dtrsm, dtrsv = _fblas.daxpy, _fblas.dgemm, _fblas.dtrsm, _fblas.dtrsv
+ndtr = _compiled("special", "_special_ufuncs").ndtr
+cdist_euclidean = _compiled("spatial", "_distance_pybind").cdist_euclidean
 
 SQRT5 = math.sqrt(5.0)
 
@@ -124,13 +152,10 @@ def matern25(dists: np.ndarray) -> np.ndarray:
 
 def correlation(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Unscaled Matern correlation between the rows of a and of b, written
-    into ``out`` (C-contiguous, len(a) x len(b)) when given.
-
-    ``cdist`` is imported on the first call, which only the
-    random-candidate path and ``predict`` make.
-    """
-    from scipy.spatial.distance import cdist
-    return matern25(cdist(a, b, out=out))
+    into ``out`` when given; ValueError when ``out`` is not a C-contiguous
+    len(a) x len(b) array. The distances are the euclidean ``cdist``'s,
+    from its kernel without the wrapper."""
+    return matern25(cdist_euclidean(a, b, out=out))
 
 
 def normalize(rows: Sequence[Sequence[int]], sizes: Sequence[int]) -> np.ndarray:
@@ -393,7 +418,8 @@ def acquisition(name: str, mu: np.ndarray, sigma: np.ndarray,
 
     EI and PI use ``weight`` as the improvement margin xi; UCB uses it
     as the confidence multiplier beta. LCB is the exploration variant:
-    it rewards uncertainty over mean value (beta * sigma - mu).
+    it rewards uncertainty over mean value (beta * sigma - mu). EI and
+    PI take the normal CDF from ``ndtr``.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -401,7 +427,6 @@ def acquisition(name: str, mu: np.ndarray, sigma: np.ndarray,
         return mu + weight * sigma
     if name == "LCB":
         return weight * sigma - mu
-    from scipy.special import ndtr
     safe = np.where(sigma > 0, sigma, 1.0)
     z = (mu - best - weight) / safe
     if name == "PI":

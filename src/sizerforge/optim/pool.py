@@ -17,9 +17,10 @@ reads its region from the history. Only the orchestrated methods are the
 inner loop's to pick. Defaults not preset here are the proposers' own
 signature defaults.
 
-``_propose_bayesian`` imports ``bayesian``, and so numpy and scipy's BLAS,
-on the first Bayesian proposal; ``gp`` imports ``scipy.special`` and
-``scipy.spatial`` only when a proposal first computes with them.
+``_propose_bayesian`` imports ``bayesian`` on the first Bayesian
+proposal, and with it numpy, the top-level ``scipy`` package and the
+three compiled scipy modules that ``gp`` computes with, loaded from
+their files without their subpackages.
 Acquisition names come from ``base.ACQUISITIONS``.
 """
 

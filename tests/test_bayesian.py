@@ -97,6 +97,46 @@ def test_matern_kernel_shape():
     assert np.all(np.diff(vals) < 0)  # monotone decreasing in distance
 
 
+# --------------------------------------------- scipy's kernels, loaded bare
+
+
+def test_the_compiled_kernels_are_the_public_scipy_objects():
+    import scipy.linalg.blas
+    import scipy.special
+
+    for name in ("daxpy", "dgemm", "dtrsm", "dtrsv"):
+        assert getattr(gp_module, name) is getattr(scipy.linalg.blas, name)
+    assert gp_module.ndtr is scipy.special.ndtr
+
+
+@pytest.mark.parametrize("shape", [(1, 2000, 6), (30, 500, 9)])
+def test_correlation_is_matern_of_cdist_bit_for_bit(shape):
+    n_a, n_b, dims = shape
+    rng = np.random.default_rng(n_b)
+    a, b = rng.random((n_a, dims)), rng.random((n_b, dims))
+    want = matern25(cdist(a, b))
+    assert np.array_equal(correlation(a, b), want)
+    assert np.array_equal(correlation(np.asfortranarray(a), b), want)
+    # one row written into a column of an F-order block, as the random path appends
+    block = np.zeros((n_b, 3), order="F")
+    correlation(a[:1], b, out=block[:, 1][None, :])
+    assert np.array_equal(block[:, 1], want[0])
+    assert not block[:, [0, 2]].any()
+
+
+@pytest.mark.parametrize("out", [np.empty((30, 499)), np.empty((30, 500), order="F"),
+                                 np.empty((500, 30)).T])
+def test_correlation_refuses_a_misshaped_or_non_c_contiguous_out(out):
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError):
+        correlation(rng.random((30, 9)), rng.random((500, 9)), out=out)
+
+
+def test_a_compiled_module_that_scipy_lacks_is_an_import_error():
+    with pytest.raises(ImportError, match="scipy.linalg._no_such"):
+        gp_module._compiled("linalg", "_no_such")
+
+
 # ---------------------------------------------------------- acquisition
 
 

@@ -20,10 +20,12 @@ uses and ``optim.pool`` loads on the first Bayesian proposal, and
 Checking a config or an acquisition name (``optim.base.ACQUISITIONS``),
 the ``validate`` and ``oracle`` commands and a run that asks for no
 Bayesian proposal load no numpy either. A Bayesian proposal loads numpy
-and scipy's BLAS, and only the scipy it computes with besides:
-``scipy.special`` for an EI or PI score, and ``scipy.spatial`` for the
-distances of random candidates on a space past ``ENUMERATION_LIMIT``. A
-UCB ``bo_baseline`` run on an enumerated grid loads neither.
+and the top-level ``scipy`` package, and of scipy's subpackages only the
+compiled modules ``optim.gp`` computes with, loaded from their files: a
+UCB ``bo_baseline`` run, an EI proposal and a proposal on a space past
+``ENUMERATION_LIMIT`` import none of ``scipy.linalg``, ``scipy.special``
+and ``scipy.spatial``, and so none of scipy's array-API layer,
+``numpy.f2py`` and ``numpy.testing``.
 Each probe runs in a fresh interpreter.
 """
 
@@ -153,42 +155,41 @@ def test_what_never_builds_a_gp_loads_no_numpy_or_scipy(name):
     assert _loaded(NUMPY_FREE[name]) == []
 
 
-def test_a_ucb_bo_baseline_run_loads_scipy_blas_but_not_spatial_or_special():
-    loaded = _loaded("from sizerforge import RunBudget, load_config, run_baseline\n"
-                     "run_baseline(load_config('configs/sota_med.yaml'), 'bo_baseline',\n"
-                     "             RunBudget(total_evals=20), 0)")
-    assert {"numpy", "scipy.linalg"} <= set(loaded)
-    assert not {"scipy.spatial", "scipy.special", "requests"} & set(loaded)
+BAYESIAN = {
+    "ucb_bo_baseline": "from sizerforge import RunBudget, load_config, run_baseline\n"
+                       "run_baseline(load_config('configs/sota_med.yaml'), 'bo_baseline',\n"
+                       "             RunBudget(total_evals=20), 0)",
+    "ei_rule_run": "import json\n"
+                   "from sizerforge import RunBudget, load_config, run\n"
+                   "result = run(load_config('configs/sota_hard.yaml'),\n"
+                   "             RunBudget(total_evals=100), seed=0)\n"
+                   "assert '\"acquisition_function\": \"EI\"' in json.dumps(result.decisions)",
+    "past_enumeration_limit": "from sizerforge.core import EvaluatedDesign, History\n"
+                              "from sizerforge.optim import MethodConfig, propose\n"
+                              "from sizerforge.optim.base import materialize\n"
+                              "from sizerforge.optim.bayesian import ENUMERATION_LIMIT\n"
+                              "from sizerforge.space import SearchSpace\n"
+                              "grid = {f'W_{k}': tuple(range(1, 10)) for k in range(5)}\n"
+                              "space = SearchSpace(active=grid, fixed={}, full_grid=grid)\n"
+                              "assert space.cardinality() > ENUMERATION_LIMIT\n"
+                              "history = History()\n"
+                              "for k in range(5):\n"
+                              "    history.append(EvaluatedDesign(\n"
+                              "        design=materialize(space, [k] * 5), raw_metrics={},\n"
+                              "        normalized={}, fom=float(k), feasible=False,\n"
+                              "        sim_status='ok', iteration=1, method='lhs',\n"
+                              "        eval_index=k + 1, wall_time=0.0))\n"
+                              "config = MethodConfig('bayesian', 4, {'acquisition_function': 'UCB'})\n"
+                              "assert len(propose(space, config, history).designs) == 4",
+}
 
 
-def test_an_ei_proposal_of_the_rule_backend_loads_scipy_special_but_not_spatial():
-    loaded = _loaded("import json\n"
-                     "from sizerforge import RunBudget, load_config, run\n"
-                     "result = run(load_config('configs/sota_hard.yaml'),\n"
-                     "             RunBudget(total_evals=100), seed=0)\n"
-                     "assert '\"acquisition_function\": \"EI\"' in json.dumps(result.decisions)")
-    assert "scipy.special" in loaded
-    assert "scipy.spatial" not in loaded
-
-
-def test_a_bayesian_proposal_past_the_enumeration_limit_loads_scipy_spatial():
-    loaded = _loaded("from sizerforge.core import EvaluatedDesign, History\n"
-                     "from sizerforge.optim import MethodConfig, propose\n"
-                     "from sizerforge.optim.base import materialize\n"
-                     "from sizerforge.optim.bayesian import ENUMERATION_LIMIT\n"
-                     "from sizerforge.space import SearchSpace\n"
-                     "grid = {f'W_{k}': tuple(range(1, 10)) for k in range(5)}\n"
-                     "space = SearchSpace(active=grid, fixed={}, full_grid=grid)\n"
-                     "assert space.cardinality() > ENUMERATION_LIMIT\n"
-                     "history = History()\n"
-                     "for k in range(5):\n"
-                     "    history.append(EvaluatedDesign(\n"
-                     "        design=materialize(space, [k] * 5), raw_metrics={}, normalized={},\n"
-                     "        fom=float(k), feasible=False, sim_status='ok', iteration=1,\n"
-                     "        method='lhs', eval_index=k + 1, wall_time=0.0))\n"
-                     "config = MethodConfig('bayesian', 4, {'acquisition_function': 'UCB'})\n"
-                     "assert len(propose(space, config, history).designs) == 4")
-    assert "scipy.spatial" in loaded
+@pytest.mark.parametrize("name", sorted(BAYESIAN))
+def test_a_bayesian_proposal_loads_scipy_but_none_of_its_subpackages(name):
+    loaded = set(_loaded(BAYESIAN[name]))
+    assert {"numpy", "scipy"} <= loaded
+    assert not {"scipy.linalg", "scipy.special", "scipy.spatial", "scipy._lib._array_api",
+                "numpy.f2py", "numpy.testing", "requests"} & loaded
 
 
 def test_the_tracer_rebinds_names_that_exist_and_puts_them_back(monkeypatch):
