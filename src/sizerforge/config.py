@@ -8,8 +8,9 @@ with ``{placeholder}`` slots (subcircuit and testbench). Unknown keys
 are preserved verbatim in ``passthrough`` so benchmark extensions never
 break parsing.
 
-A value of the wrong shape (a word for a number, a scalar for a list)
-is a ConfigError naming its key: see ``read_number`` and ``read_list``.
+A value of the wrong shape (a word or NaN for a number, a fraction for
+a count, a scalar for a list) is a ConfigError naming its key: see
+``read_number`` and ``read_list``.
 
 Placeholder syntax is exactly single-brace ``{name}``; a doubled brace
 ``{{`` escapes a literal brace. The same engine renders the agent
@@ -18,6 +19,7 @@ prompt templates.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
@@ -70,12 +72,16 @@ def extract_placeholders(template: str) -> List[str]:
 
 
 def read_number(key: str, value, kind: type = float):
-    """``value`` as ``kind`` (float or int), else ConfigError naming ``key``."""
+    """``value`` as a finite ``kind`` (float or int), else ConfigError
+    naming ``key``; an int refuses a fraction rather than cut it off."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key!r} must be {noun}, got {value!r}") from None
+        number = kind(value)
+        if math.isfinite(number) and not (isinstance(value, float) and number != value):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
 
 
 def read_list(key: str, value) -> list:

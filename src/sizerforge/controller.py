@@ -84,18 +84,29 @@ _AUTOSIZER = re.compile(r"autosizer(?::(rule|llm|replay:[^+]+))?((?:\+no_cu|\+no
 STALL_LIMIT = 3
 
 
+def at_least_one(key: str, count: int) -> int:
+    """``count`` when it is at least 1, else ConfigError naming ``key``."""
+    if count < 1:
+        raise ConfigError(f"{key!r} must be at least 1, got {count!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class RunBudget:
     """Evaluation allowances for one run.
 
     per_inner_loop bounds each loop separately and unused allowance does
     not roll over; total_evals governs the whole run. Only fresh
-    simulations charge either pool, cache hits are free.
+    simulations charge either pool, cache hits are free. Each is at least 1.
     """
 
     total_evals: int = 300
     per_inner_loop: int = 100
     max_outer_loops: int = 3
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            at_least_one(f.name, getattr(self, f.name))
 
 
 @dataclass
@@ -193,7 +204,8 @@ class _Run:
         self.stalled = 0  # consecutive all-cached batches
         self.best_fom: Optional[float] = None  # the highest valid FoM so far
         self.results_dir = results_dir
-        self._eval_options = dict(workers=workers, keep_logs=keep_logs, results_dir=results_dir)
+        self._eval_options = dict(workers=at_least_one("workers", workers), keep_logs=keep_logs,
+                                  results_dir=results_dir)
 
     def log(self, kind: str, **payload) -> None:
         """Append one decision-log entry: a plain dict, free of timestamps."""

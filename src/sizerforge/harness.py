@@ -31,7 +31,7 @@ from typing import List, Optional
 import yaml
 
 from .config import load_config, read_list, read_number
-from .controller import RunBudget, RunResult, parse_method, run_method
+from .controller import RunBudget, RunResult, at_least_one, parse_method, run_method
 from .core import is_valid, report_key
 from .errors import ConfigError
 
@@ -85,8 +85,7 @@ def parse_matrix(source: str) -> TrialMatrix:
         parse_method(str(m))
 
     trials = read_number("trials_per_cell", doc.get("trials_per_cell", DEFAULT_TRIALS), int)
-    if trials < 1:
-        raise ConfigError("trials_per_cell must be at least 1")
+    at_least_one("trials_per_cell", trials)
     seeds = doc.get("seeds")
     if seeds is not None:
         seeds = [read_number("seeds", s, int) for s in read_list("seeds", seeds)]
@@ -185,6 +184,7 @@ def run_matrix(
     workers: int = 1,
 ) -> dict:
     """Execute every cell x trial. Per-trial failures are recorded, never raised."""
+    at_least_one("workers", workers)
     seeds = matrix.seed_list()
     cells = []
     for circuit_path in matrix.circuits:

@@ -11,7 +11,9 @@ the grid itself, never listed: a candidate is its C-order flat index
 index vector is ``GaussianProcess.row``, and a new block column is a
 window of the GP's table of correlations by index offset, so no pick
 computes a distance. On the random path its query points are the draws
-that are not yet evaluated.
+that are not yet evaluated, and a new block column is ``gp.kernel`` of
+their index offsets to the pick: the column the enumerated grid's
+window would hold, bit for bit.
 
 Batches are picked greedily with a constant-liar update between picks
 (the lie is the best observed value), so the batch holds no duplicate.
@@ -38,8 +40,7 @@ empty bit for bit, a batch proposes what a GP built from empty over the
 same records would: the proposer stays a pure function of space,
 history and seed. A new space starts a new view, and so a GP built from
 empty. The random draws differ per seed, so that path builds its GP from
-empty on each call, over the drawn points, whose correlations it
-computes.
+empty on each call, over the drawn points.
 """
 
 from __future__ import annotations

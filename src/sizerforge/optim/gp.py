@@ -1,15 +1,15 @@
 """Gaussian process surrogate over the index vectors of a grid.
 
 A point is an index vector, one index per axis of a grid with axis
-sizes m. The GP sees it at the min-max normalized coordinates
-``k / (m - 1)`` (0 on a one-value axis), which ``normalize`` alone
-computes. The kernel is Matern nu=2.5 at unit length scale on those
-coordinates, with no hyperparameter optimization, which keeps fits
-deterministic and cheap at the batch sizes this package uses. The
-kernel amplitude tracks the observation variance and the mean function
-is the observation mean, so posterior interpolation error at an
-observed point stays at the jitter scale even for wide-spread
-objectives.
+sizes m. Two points correlate by their index offset o alone, which
+only ``kernel`` computes: Matern nu=2.5 at unit length scale over
+the steps ``|o| / (m - 1)`` (0 on a one-value axis), the min-max
+normalized coordinates' differences, with no hyperparameter
+optimization, which keeps fits deterministic and cheap at the batch
+sizes this package uses. The kernel amplitude tracks the observation
+variance and the mean function is the observation mean, so posterior
+interpolation error at an observed point stays at the jitter scale even
+for wide-spread objectives.
 
 The jitter is relative to the amplitude: the kernel matrix is
 ``amp * (R + j I)``, with R the unscaled correlation of the training
@@ -40,7 +40,7 @@ solves the whitened targets ``L^-1 [y, 1]``, O(n^2), and forms the
 running sums in one N x n x 2 product. ``add`` appends a query point
 with its target, such as a constant liar's lie: one more
 forward-substitution step of ``L^-1 [y, 1]`` and an axpy of the new
-column into each running sum. ``predict`` takes any coordinates and
+column into each running sum. ``predict`` takes any index vectors and
 whitens their correlation block in one ``dtrsm``.
 
 The query points are the whole grid, every index vector in C order, or
@@ -48,19 +48,14 @@ given index vectors, such as random draws from a grid too large to
 enumerate. A query point's position is its flat index on the whole grid
 (``np.ravel_multi_index``, C order, as ``grid_rows`` lists them) and its
 row otherwise; ``row`` maps a position back to its index vector. On the
-whole grid the correlation of two points depends only on their index
-offsets, so the GP tabulates it once, ``prod(2m - 1)`` entries, from the
-grid of absolute offsets and its mirror image. Its distances to the
-origin are summed axis by axis in numpy, in the order ``cdist`` sums
-them, so the table is what ``cdist`` would build, bit for bit. A
-point's correlations to every grid point are then one strided window of
-the table, and those to the training points a gather from that window.
-Where every ``m - 1`` is 1 or a power of two, the coordinates and their
-differences are exact and the table is ``correlation`` bit for bit;
-elsewhere the two differ by rounding.
+whole grid the GP tabulates ``kernel`` once, ``prod(2m - 1)`` entries,
+from the grid of absolute offsets and its mirror image. A point's
+correlations to every grid point are then one strided window of the
+table, and those to the training points a gather from that window.
 The table is less than ``2^d`` times the grid, and under 40 MB for any
-grid of 20000 points or fewer. Given index vectors, the GP keeps their
-coordinates and computes each new column with ``correlation``.
+grid of 20000 points or fewer. Given index vectors, each new column is
+``kernel`` of the offsets to the new point, bit for bit the window and
+gather of the whole grid.
 
 The buffers hold ``ROOM`` training points before they first grow, and
 then double. They are allocated with ``np.empty`` (the factor with
@@ -80,13 +75,11 @@ and scale 1, bit for bit, without importing ``scipy.stats``.
 
 Only this module and ``bayesian`` import numpy and scipy; ``pool`` loads
 them on the first Bayesian proposal. Of scipy, this module loads the
-top-level package and three compiled modules straight from their files
-(``_compiled``): the BLAS of ``scipy.linalg._fblas``, ``ndtr`` from
-``scipy.special._special_ufuncs`` and the euclidean ``cdist`` kernel
-from ``scipy.spatial._distance_pybind``. These are the objects that
-``scipy.linalg.blas``, ``scipy.special`` and ``scipy.spatial.distance``
-hand out, but no run imports those subpackages, whose ``__init__`` pulls
-in scipy's array-API layer and with it ``numpy.f2py`` and
+top-level package and, by ``_compiled``, two compiled modules from their
+files: the BLAS of ``scipy.linalg._fblas`` and ``ndtr`` from
+``scipy.special._special_ufuncs``, the objects that ``scipy.linalg.blas``
+and ``scipy.special`` hand out. No run imports those subpackages, whose
+``__init__`` pulls in scipy's array-API layer, ``numpy.f2py`` and
 ``numpy.testing``. ``ACQUISITIONS`` lives in ``base``.
 """
 
@@ -123,7 +116,6 @@ def _compiled(package: str, name: str) -> ModuleType:
 _fblas = _compiled("linalg", "_fblas")
 daxpy, dgemm, dtrsm, dtrsv = _fblas.daxpy, _fblas.dgemm, _fblas.dtrsm, _fblas.dtrsv
 ndtr = _compiled("special", "_special_ufuncs").ndtr
-cdist_euclidean = _compiled("spatial", "_distance_pybind").cdist_euclidean
 
 SQRT5 = math.sqrt(5.0)
 
@@ -150,18 +142,16 @@ def matern25(dists: np.ndarray) -> np.ndarray:
     return dists
 
 
-def correlation(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Unscaled Matern correlation between the rows of a and of b, written
-    into ``out`` when given; ValueError when ``out`` is not a C-contiguous
-    len(a) x len(b) array. The distances are the euclidean ``cdist``'s,
-    from its kernel without the wrapper."""
-    return matern25(cdist_euclidean(a, b, out=out))
-
-
-def normalize(rows: Sequence[Sequence[int]], sizes: Sequence[int]) -> np.ndarray:
-    """The coordinates of index vectors of a grid with these axis sizes,
-    one per row: ``k / (m - 1)``, and 0 on a one-value axis."""
-    return np.asarray(rows, dtype=float) / np.maximum(np.asarray(sizes) - 1, 1)
+def kernel(offsets: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The unscaled Matern correlation of grid points by their index
+    offsets, one offset vector along the last axis: the squared steps
+    ``|o| / (m - 1)`` (0 on a one-value axis) summed axis by axis."""
+    # 0 + x * x is x * x exactly, since a square is never -0.0
+    square = np.zeros(offsets.shape[:-1])
+    for k, m in enumerate(sizes):
+        step = np.abs(offsets[..., k]) / max(m - 1, 1)
+        square += step * step
+    return matern25(np.sqrt(square))
 
 
 def grid_rows(sizes: Sequence[int]) -> np.ndarray:
@@ -173,17 +163,9 @@ def grid_rows(sizes: Sequence[int]) -> np.ndarray:
 def offset_table(sizes: Sequence[int]) -> np.ndarray:
     """The correlation of two points of the grid by their index offset o:
     the entry at ``o + m - 1`` along each axis, for o from 1 - m to m - 1.
-
-    The distances of the grid points to the origin sum their squared
-    coordinates one axis after another, as ``cdist`` does, so the table
-    is the one ``correlation`` from the origin gives, bit for bit.
-    """
-    coordinates = normalize(grid_rows(sizes), sizes)
-    # 0 + x * x is x * x exactly, since a square is never -0.0
-    square = np.zeros(len(coordinates))
-    for axis in coordinates.T:
-        square += axis * axis
-    half = matern25(np.sqrt(square))
+    ``kernel`` runs once, over the offsets of the grid's points from the
+    origin, and the table mirrors them."""
+    half = kernel(grid_rows(sizes), sizes)
     return half.reshape(sizes)[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in sizes))]
 
 
@@ -197,14 +179,9 @@ def _escalated(jitter: float) -> float:
 
 class GaussianProcess:
     """Fixed-kernel GP regressor for maximization surrogates over the
-    index vectors of a grid with axis sizes ``sizes``.
-
-    The query points are the whole grid, in C order, or the index
-    vectors ``rows``. The GP keeps their whitened block, its row sums of
-    squares and the running sums of the posterior mean current through
-    every ``fit`` and ``add``, so that ``moments`` reads the posterior
-    there without a solve.
-    """
+    index vectors of a grid with axis sizes ``sizes``. The query points,
+    whose posterior ``moments`` reads without a solve, are the whole
+    grid, in C order, or the index vectors ``rows``."""
 
     def __init__(self, sizes: Sequence[int], rows: Optional[np.ndarray] = None):
         self.sizes = tuple(sizes)
@@ -216,7 +193,6 @@ class GaussianProcess:
         else:
             self._table = None
             self._candidates = np.asarray(rows)
-            self._query = normalize(rows, self.sizes)
             n_query = len(rows)
         # the training points' index vectors; L in the leading n x n
         # block; the query block w in the leading n columns, and the running
@@ -257,10 +233,7 @@ class GaussianProcess:
         jitter has already failed on the points before it, so the factor
         starts over from empty at the next one.
         """
-        x = np.asarray(x)
-        sizes = np.asarray(self.sizes)
-        if x.ndim != 2 or x.shape[1] != len(sizes) or ((x < 0) | (x >= sizes)).any():
-            raise ValueError(f"x holds a row that is not an index vector of the grid {self.sizes}")
+        x = self._index_vectors(x)
         n = min(self._n, len(x))
         differs = np.flatnonzero((self.rows[:n] != x[:n]).any(axis=1))
         keep = int(differs[0]) if len(differs) else n
@@ -296,6 +269,14 @@ class GaussianProcess:
         for j in (0, 1):
             self._sums[:, j] = daxpy(column, self._sums[:, j], a=step[j])
         return self
+
+    def _index_vectors(self, x: np.ndarray) -> np.ndarray:
+        """x as index vectors of the grid, one per row; ValueError otherwise."""
+        x = np.asarray(x)
+        sizes = np.asarray(self.sizes)
+        if x.ndim != 2 or x.shape[1] != len(sizes) or ((x < 0) | (x >= sizes)).any():
+            raise ValueError(f"x holds a row that is not an index vector of the grid {self.sizes}")
+        return x
 
     def row(self, i: int) -> np.ndarray:
         """The index vector of the query point at position i."""
@@ -345,15 +326,14 @@ class GaussianProcess:
         training points solved by L, with the pivot ``d = sqrt(1 + j - l.l)``;
         the block's new column is ``(r_query - w l) / d``. On the whole
         grid, r_query is a window of the offset table and r a gather from
-        it; otherwise each is one correlation call.
+        it; otherwise each is one ``kernel`` call on the offsets to ``row``.
         """
         n = self._n
         self._reserve(n + 1)
         column = self._block[:, n]
         if self._table is None:
-            point = normalize(row[None, :], self.sizes)
-            correlation(point, self._query, out=column[None, :])
-            corr = correlation(point, normalize(self.rows, self.sizes))[0]
+            column[:] = kernel(self._candidates - row, self.sizes)
+            corr = kernel(self.rows - row, self.sizes)
         else:
             column.reshape(self.sizes)[...] = self._window(row)
             corr = column[np.ravel_multi_index(self.rows.T, self.sizes)]
@@ -403,9 +383,9 @@ class GaussianProcess:
         return self._moments(self._sums, self._ss)
 
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at each row of x, in
-        coordinates; a non-finite entry of x raises ValueError."""
-        corr = correlation(np.asarray_chkfinite(x, dtype=float), normalize(self.rows, self.sizes))
+        """Posterior mean and standard deviation at each index vector of x,
+        one per row; ValueError as in ``fit``."""
+        corr = kernel(self._index_vectors(x)[:, None, :] - self.rows, self.sizes)
         # solve w L^T = corr in place; dtrsm reads only the lower triangle of L
         w = dtrsm(1.0, self.factor, np.asfortranarray(corr), side=1, lower=1, trans_a=1,
                   overwrite_b=1)

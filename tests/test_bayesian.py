@@ -20,8 +20,8 @@ from sizerforge.optim.base import ACQUISITIONS, history_view, materialize
 from sizerforge.optim.bayesian import ENUMERATION_LIMIT, candidate_rows, propose_bayesian
 from sizerforge.optim import bayesian as bayesian_module
 from sizerforge.optim import gp as gp_module
-from sizerforge.optim.gp import (ROOM, GaussianProcess, acquisition, correlation, grid_rows,
-                                   matern25, normalize, offset_table)
+from sizerforge.optim.gp import (ROOM, GaussianProcess, acquisition, grid_rows, kernel, matern25,
+                                   offset_table)
 from sizerforge.space import SearchSpace, index_rows
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -59,6 +59,12 @@ def _seed_history(pairs):
 OBS = [((0, 0), 0.2), ((2, 6), 0.45), ((4, 4), 0.8), ((6, 2), 0.55), ((8, 8), 0.3)]
 
 
+def normalize(rows, sizes):
+    """The references' coordinates of index vectors on a grid with these
+    axis sizes: ``k / (m - 1)``, and 0 on a one-value axis."""
+    return np.asarray(rows, dtype=float) / np.maximum(np.asarray(sizes) - 1, 1)
+
+
 # ----------------------------------------------------------------- gp
 
 
@@ -69,16 +75,15 @@ def test_gp_posterior_interpolates_observations():
     x = normalize(rows, sizes)
     y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 - 0.5 * x[:, 2]
     gp = GaussianProcess(sizes, rows).fit(rows, y)
-    for mu, sigma in (gp.predict(x), gp.moments()):
+    for mu, sigma in (gp.predict(rows), gp.moments()):
         assert np.max(np.abs(mu - y)) < 1e-4
         assert np.max(sigma) < 1e-3
 
 
 def test_gp_uncertainty_grows_away_from_data():
-    # a six-value axis: indices 0, 1 and 2 are at 0.0, 0.2 and 0.4
     gp = GaussianProcess((6,)).fit([[0], [1], [2]], np.array([0.0, 0.5, 0.3]))
-    _, sigma_near = gp.predict(np.array([[0.2]]))
-    _, sigma_far = gp.predict(np.array([[3.0]]))
+    _, sigma_near = gp.predict(np.array([[1]]))
+    _, sigma_far = gp.predict(np.array([[5]]))
     assert sigma_far[0] > sigma_near[0]
 
 
@@ -86,7 +91,7 @@ def test_gp_duplicate_rows_factor_at_the_base_jitter():
     # three coincident rows: the jitter alone keeps their pivots positive
     gp = GaussianProcess((11,)).fit([[1], [1], [1], [5]], np.array([1.0, 1.0, 1.0, 2.0]))
     assert gp.fitted_jitter == 1e-6
-    mu, _ = gp.predict(np.array([[0.5]]))
+    mu, _ = gp.predict(np.array([[5]]))
     assert abs(mu[0] - 2.0) < 0.1
 
 
@@ -107,29 +112,6 @@ def test_the_compiled_kernels_are_the_public_scipy_objects():
     for name in ("daxpy", "dgemm", "dtrsm", "dtrsv"):
         assert getattr(gp_module, name) is getattr(scipy.linalg.blas, name)
     assert gp_module.ndtr is scipy.special.ndtr
-
-
-@pytest.mark.parametrize("shape", [(1, 2000, 6), (30, 500, 9)])
-def test_correlation_is_matern_of_cdist_bit_for_bit(shape):
-    n_a, n_b, dims = shape
-    rng = np.random.default_rng(n_b)
-    a, b = rng.random((n_a, dims)), rng.random((n_b, dims))
-    want = matern25(cdist(a, b))
-    assert np.array_equal(correlation(a, b), want)
-    assert np.array_equal(correlation(np.asfortranarray(a), b), want)
-    # one row written into a column of an F-order block, as the random path appends
-    block = np.zeros((n_b, 3), order="F")
-    correlation(a[:1], b, out=block[:, 1][None, :])
-    assert np.array_equal(block[:, 1], want[0])
-    assert not block[:, [0, 2]].any()
-
-
-@pytest.mark.parametrize("out", [np.empty((30, 499)), np.empty((30, 500), order="F"),
-                                 np.empty((500, 30)).T])
-def test_correlation_refuses_a_misshaped_or_non_c_contiguous_out(out):
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        correlation(rng.random((30, 9)), rng.random((500, 9)), out=out)
 
 
 def test_a_compiled_module_that_scipy_lacks_is_an_import_error():
@@ -261,7 +243,7 @@ def test_first_pick_maximizes_the_acquisition():
         if design_from({"W_a": GRID[row[0]], "W_b": GRID[row[1]]}).id not in evaluated
     ]
     gp = GaussianProcess(space.sizes(), np.array(rows)).fit(obs_rows, y)
-    mu, sigma = gp.predict(normalize(rows, space.sizes()))
+    mu, sigma = gp.predict(np.array(rows))
     scores = acquisition("UCB", mu, sigma, float(np.max(y)), 2.0)
     best_row = rows[int(np.argmax(scores))]
     want = {"W_a": GRID[best_row[0]], "W_b": GRID[best_row[1]]}
@@ -512,9 +494,9 @@ def test_predict_matches_the_two_solve_form():
     rows = _grid_rows(17, 4, rng, 40)
     x = normalize(rows, sizes)
     y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 - 0.5 * x[:, 2] * x[:, 3]
-    query = rng.uniform(0, 1, size=(500, 4))
+    query = rng.integers(0, 17, size=(500, 4))
     gp = GaussianProcess(sizes, rows).fit(rows, y)
-    want_mu, want_sigma = _reference_posterior(x, y, query)
+    want_mu, want_sigma = _reference_posterior(x, y, normalize(query, sizes))
     before = query.copy()
     for layout in (query, np.asfortranarray(query), query[:1]):
         mu, sigma = gp.predict(layout)
@@ -524,11 +506,11 @@ def test_predict_matches_the_two_solve_form():
     np.testing.assert_array_equal(query, before)  # the caller's points are left as they are
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_predict_rejects_non_finite_query_points(bad):
+@pytest.mark.parametrize("bad", [[[1], [6]], [[-1]], [[1, 0]]])
+def test_predict_rejects_a_query_point_off_the_grid(bad):
     gp = GaussianProcess((6,)).fit([[0], [1], [2]], np.array([0.0, 0.5, 0.3]))
     with pytest.raises(ValueError):
-        gp.predict(np.array([[0.1], [bad]]))
+        gp.predict(np.array(bad))
 
 
 # ------------------------------------------------------ rank-one appends
@@ -691,23 +673,38 @@ def test_the_offset_table_is_the_one_cdist_gives_bit_for_bit(sizes):
     assert np.array_equal(offset_table(sizes), want)
 
 
-@pytest.mark.parametrize("sizes", [(1, 2, 3), (9, 1, 5, 2), (5, 9),  # every m - 1 is 0, 1 or 2^k
-                                   (4, 6), (7, 3, 4), (6, 5, 7, 2)])
+@pytest.mark.parametrize("sizes", [(1, 2, 3), (9, 1, 5, 2), (5, 9), (4, 6), (7, 3, 4),
+                                   (6, 5, 7, 2)])
 def test_each_window_of_the_offset_table_is_the_points_correlation_over_the_grid(sizes):
     gp = GaussianProcess(sizes)
     # the grid's points are the proposer's candidates, in its order
     rows = grid_rows(sizes)
-    grid = normalize(rows, sizes)
-    exact = all(m - 1 in (0, 1, 2, 4, 8) for m in sizes)
     for i, row in enumerate(rows):
         window = gp._window(row)
-        want = correlation(grid[i : i + 1], grid)[0]
         assert (window.shape, np.ravel_multi_index(row, sizes)) == (sizes, i)
         assert np.array_equal(np.unravel_index(i, sizes), row)
-        if exact:
-            assert np.array_equal(window.ravel(), want)
-        else:
-            np.testing.assert_allclose(window.ravel(), want, rtol=1e-15, atol=0)
+        assert np.array_equal(window.ravel(), kernel(rows - row, sizes))
+
+
+@pytest.mark.parametrize("sizes", [(8,) * 4, (7, 3, 4, 6)])
+def test_a_gp_over_given_points_is_the_grid_gp_at_those_points_bit_for_bit(sizes):
+    # 2000 draws, repeats included, as the random path takes them; the
+    # axes' m - 1 are no powers of two, so no coordinate is exact
+    rng = np.random.default_rng(31)
+    points = np.array([[rng.integers(m) for m in sizes] for _ in range(2000)])
+    picked = rng.choice(len(points), size=34, replace=False)
+    x, y = points[picked[:30]], rng.uniform(0.1, 1.0, size=30)
+    given_points, grid = GaussianProcess(sizes, points), GaussianProcess(sizes)
+    given_points.fit(x, y)
+    grid.fit(x, y)
+    for i in picked[30:]:  # and four lies
+        given_points.add(int(i), 0.9)
+        grid.add(int(np.ravel_multi_index(points[i], sizes)), 0.9)
+    flat = np.ravel_multi_index(points.T, sizes)
+    assert np.array_equal(given_points.factor, grid.factor)
+    assert np.array_equal(given_points.block, grid.block[flat])
+    for got, want in zip(given_points.moments(), grid.moments()):
+        assert np.array_equal(got, want[flat])
 
 
 @pytest.mark.parametrize("whole_grid", [True, False])
@@ -879,7 +876,7 @@ def test_a_warm_batch_computes_no_distance_and_solves_the_targets_once(monkeypat
     for k, design in enumerate(propose_bayesian(space, hist, 5, seed=0).designs):
         hist.append(dataclasses.replace(hist.records[0], design=design, fom=0.5 + 0.01 * k,
                                         eval_index=hist.next_eval_index()))
-    correlations = _counted(monkeypatch, gp_module, "correlation")
+    kernels = _counted(monkeypatch, gp_module, "kernel")
     solves = _counted(monkeypatch, gp_module, "dtrsm")
     fits = _counted(monkeypatch, GaussianProcess, "fit")
     appends = _counted(monkeypatch, GaussianProcess, "_append")
@@ -887,7 +884,7 @@ def test_a_warm_batch_computes_no_distance_and_solves_the_targets_once(monkeypat
     assert len(proposal.designs) == 5
     # the records of the first four picks repeat its lies, so one append
     # for the fifth pick's record, and one per lie
-    assert (correlations, solves, fits, len(appends)) == ([], ["dtrsm"], ["fit"], 5)
+    assert (kernels, solves, fits, len(appends)) == ([], ["dtrsm"], ["fit"], 5)
 
 
 def test_the_posterior_moments_are_those_of_np_mean_and_np_var_bit_for_bit(monkeypatch):

@@ -108,6 +108,31 @@ def test_run_refuses_transcripts_for_a_method_that_makes_no_model_call(capsys, t
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--budget", "-5", "total_evals"), ("--inner-cap", "0", "per_inner_loop"),
+    ("--outer-cap", "0", "max_outer_loops"), ("--workers", "0", "workers"),
+    ("--workers", "-3", "workers"),
+])
+def test_run_refuses_a_run_setting_below_one(capsys, tmp_path, flag, value, field):
+    argv = ["run", str(CONFIGS / "sota_easy.yaml"), flag, value,
+            "--results-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field!r} must be at least 1, got {value}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_bench_refuses_fewer_than_one_worker(capsys, tmp_path):
+    matrix = tmp_path / "matrix.yaml"
+    matrix.write_text(f"circuits: ['{CONFIGS / 'sota_easy.yaml'}']\nmethods: [lhs]\n")
+    assert main(["bench", str(matrix), "--workers", "0", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 'workers' must be at least 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extra, reason", [
     ([], "writes each simulator log under the results directory, and none is named"),
     (["--results-dir", "out"], "keeps simulator logs, and the surrogate evaluator runs no simulator"),

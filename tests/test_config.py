@@ -182,12 +182,20 @@ MATRIX = "circuits: [c.yaml]\nmethods: [lhs]\n"
     "command, source, key",
     [
         ("bench", MATRIX + "trials_per_cell: three\n", "trials_per_cell"),
+        ("bench", MATRIX + "trials_per_cell: 2.9\n", "trials_per_cell"),
         ("bench", MATRIX + "budget: {total_evals: lots}\n", "budget.total_evals"),
+        ("bench", MATRIX + "budget: {total_evals: 150.7}\n", "budget.total_evals"),
+        ("bench", MATRIX + "budget: {total_evals: .inf}\n", "budget.total_evals"),
         ("bench", MATRIX + "seeds: 5\n", "seeds"),
         ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, wide]"), "W_values"),
+        ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, .nan, 3.0]"), "W_values"),
+        ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, 2.0, .inf]"), "W_values"),
+        ("validate", MINIMAL.replace("L: 0.15", "L: -.inf"), "params.L"),
         ("validate", MINIMAL.replace("metrics: [gain, power]", "metrics: fom"), "metrics"),
     ],
-    ids=["trials_per_cell", "budget", "seeds", "W_values", "metrics"],
+    ids=["trials_per_cell", "fractional_trials_per_cell", "budget", "fractional_budget",
+         "infinite_budget", "seeds", "W_values", "nan_W_value", "infinite_W_value",
+         "infinite_param", "metrics"],
 )
 def test_malformed_values_are_config_errors_naming_the_key(command, source, key, tmp_path,
                                                            capsys):

@@ -50,6 +50,16 @@ def test_parse_matrix_rejects_unknown_budget_keys():
     assert parse_matrix(source.replace(", wall_clock_limit_s: 5", "")).budget == RunBudget(60)
 
 
+@pytest.mark.parametrize("field", ["total_evals", "per_inner_loop", "max_outer_loops"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_a_budget_allowance_below_one_is_a_config_error_naming_it(field, value):
+    message = f"'{field}' must be at least 1, got {value}"
+    with pytest.raises(ConfigError, match=message):
+        RunBudget(**{field: value})
+    with pytest.raises(ConfigError, match=message):
+        parse_matrix(f"circuits: [c.yaml]\nmethods: [lhs]\nbudget: {{{field}: {value}}}\n")
+
+
 # each spelling a matrix accepts, and what run_method makes of it:
 # (backend spelling, None for a baseline; ablation flags for run)
 SPELLINGS = {

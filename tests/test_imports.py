@@ -25,7 +25,9 @@ compiled modules ``optim.gp`` computes with, loaded from their files: a
 UCB ``bo_baseline`` run, an EI proposal and a proposal on a space past
 ``ENUMERATION_LIMIT`` import none of ``scipy.linalg``, ``scipy.special``
 and ``scipy.spatial``, and so none of scipy's array-API layer,
-``numpy.f2py`` and ``numpy.testing``.
+``numpy.f2py`` and ``numpy.testing``. Those modules are in no
+``sys.modules``, so the probes read the shared objects mapped into the
+process: the BLAS and ``ndtr``'s ufuncs, and no distance kernel.
 Each probe runs in a fresh interpreter.
 """
 
@@ -110,17 +112,28 @@ def test_every_definition_is_referenced():
     assert unreferenced == []
 
 
-def _loaded(code: str):
+def _probe(code: str):
     """The numpy, scipy and requests modules a fresh interpreter has loaded
-    after running ``code``."""
+    after running ``code``, and the names of the scipy shared objects it
+    has mapped (``/proc/self/maps``), loaded as modules or not."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = (f"{code}\nimport json, sys\n"
-             "print(json.dumps(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('numpy', 'scipy', 'requests'))))")
+    probe = (f"{code}\nimport json, os, sys\n"
+             "modules = sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('numpy', 'scipy', 'requests'))\n"
+             "with open('/proc/self/maps') as maps:\n"
+             "    paths = {line.split()[-1] for line in maps if '/scipy/' in line}\n"
+             "mapped = sorted({os.path.basename(p).split('.')[0] for p in paths})\n"
+             "print(json.dumps([modules, mapped]))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, cwd=ROOT).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def _loaded(code: str):
+    """The numpy, scipy and requests modules a fresh interpreter has loaded
+    after running ``code``."""
+    return _probe(code)[0]
 
 
 def test_importing_the_package_loads_neither_numpy_nor_scipy_nor_requests():
@@ -186,10 +199,15 @@ BAYESIAN = {
 
 @pytest.mark.parametrize("name", sorted(BAYESIAN))
 def test_a_bayesian_proposal_loads_scipy_but_none_of_its_subpackages(name):
-    loaded = set(_loaded(BAYESIAN[name]))
+    modules, mapped = _probe(BAYESIAN[name])
+    loaded = set(modules)
     assert {"numpy", "scipy"} <= loaded
     assert not {"scipy.linalg", "scipy.special", "scipy.spatial", "scipy._lib._array_api",
                 "numpy.f2py", "numpy.testing", "requests"} & loaded
+    # a compiled module loaded from its file is in no sys.modules: the GP
+    # maps the BLAS and ndtr's ufuncs, and no distance kernel
+    assert {"_fblas", "_special_ufuncs"} <= set(mapped)
+    assert "_distance_pybind" not in mapped
 
 
 def test_the_tracer_rebinds_names_that_exist_and_puts_them_back(monkeypatch):

@@ -8,8 +8,9 @@ configs. For each run of the matrix the tool writes the artefacts to a
 temporary directory and takes one sha256 over ``decision_log.jsonl``,
 ``history.jsonl``, ``space_gen*.json``, ``loop*_report.txt`` and
 ``result.json`` without its ``wall_time``. It prints a JSON map from run
-name to digest and reports the run count on stderr. Two checkouts make
-the same picks on the matrix when their maps are equal:
+name to digest and reports the run count and the sha256 of the map, as
+printed, on stderr. Two checkouts make the same picks on the matrix when
+their maps are equal:
 
     python3 tools/artefact_digests.py parent/src > parent.json
     python3 tools/artefact_digests.py src > change.json
@@ -135,8 +136,10 @@ def main(argv) -> int:
                 digests[key] = digest(out)
             except Exception as exc:  # recorded, so both sides must fail alike
                 digests[key] = f"error: {type(exc).__name__}: {exc}"
-    print(json.dumps(digests, indent=1, sort_keys=True))
-    print(f"{len(digests)} runs", file=sys.stderr)
+    text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    print(f"{len(digests)} runs, sha256 {hashlib.sha256(text.encode()).hexdigest()}",
+          file=sys.stderr)
     return 0
 
 
