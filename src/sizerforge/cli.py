@@ -115,7 +115,11 @@ def cmd_report(args) -> int:
     for candidate in (root / "reports" / "matrix_results.json", root / "matrix_results.json"):
         if candidate.exists():
             report = json.loads(candidate.read_text())
-            sys.stdout.write(render_table(report))
+            try:
+                table = render_table(report)
+            except KeyError as exc:  # a document from before a score was added
+                raise SizerForgeError(f"{candidate} lacks {exc}; run the matrix again") from None
+            sys.stdout.write(table)
             return 0
     single = root / "result.json"
     if single.exists():

@@ -73,10 +73,12 @@ def extract_placeholders(template: str) -> List[str]:
 
 def read_number(key: str, value, kind: type = float):
     """``value`` as a finite ``kind`` (float or int), else ConfigError
-    naming ``key``; an int refuses a fraction rather than cut it off."""
+    naming ``key``; an int refuses a fraction rather than cut it off, and
+    neither takes a YAML boolean for 0 or 1."""
     try:
         number = kind(value)
-        if math.isfinite(number) and not (isinstance(value, float) and number != value):
+        if (math.isfinite(number) and not isinstance(value, bool)
+                and not (isinstance(value, float) and number != value)):
             return number
     except (TypeError, ValueError, OverflowError):
         pass

@@ -292,8 +292,7 @@ class _Run:
             outcome = "no_valid_design"
             self.log("event", event="no_valid_design")
         else:
-            # cache hits are free, so the charge can be below the eval index
-            evals_to_best = sum(1 for r in self.history.records[: best.eval_index] if not r.cached)
+            evals_to_best = self.history.fresh_through(best.eval_index)
         _check_budget(self.used, self.budget)
         result = RunResult(
             best=best,

@@ -204,6 +204,11 @@ class History:
     def feasible_found(self) -> bool:
         return any(r.feasible for r in self.records)
 
+    def fresh_through(self, eval_index: int) -> int:
+        """The fresh evaluations up to and including ``eval_index``: a
+        cache hit is free, so this can be below the index."""
+        return sum(1 for r in self.records[:eval_index] if not r.cached)
+
     def to_jsonl(self) -> str:
         lines = [json.dumps({"kind": "evaluation", **r.to_record()}, sort_keys=True)
                  for r in self.records]

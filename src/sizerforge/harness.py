@@ -1,19 +1,25 @@
-"""Trial orchestration: circuits x methods x seeded trials.
+"""Trial orchestration and scoring: circuits x methods x seeded trials.
 
 A matrix file names circuits (config paths) and methods, and each cell
 runs trials_per_cell seeded trials through ``controller.run_method``. A
 method is spelled as ``sizerforge run --method`` takes it: a baseline
 name or ``autosizer[:BACKEND][+ABLATION]``, so the paper's ablation
-rows are matrix methods like any other. Summaries
-follow the usual benchmark table shape: FoM, evaluations and wall time
-as mean +/- std over the trials that produced a result, and a success
-rate over all trials, where a crashed trial counts as a failure.
+rows are matrix methods like any other.
 
 Each trial reports the design its run hands back (``RunResult.best``,
 which is ``History.reported()``): the best design that meets the spec,
 else the best by figure of merit. A trial succeeds when that design
 meets the spec, which is the record's own ``feasible`` flag from
-``core.assess``.
+``core.assess``. Its first feasible is the count of fresh evaluations
+up to and including its first record that meets the spec.
+
+A cell is scored by the paper's measures (``CellSummary``): FoM,
+evaluations and wall time as mean +/- std over the trials that produced
+a result; over all trials, the successes with their 95% Wilson interval,
+the median first feasible, the outcome histogram, the methods that
+proposed, and per seed the first feasible against that of the matrix's
+first method on the same circuit. A crashed trial fails, never finds a
+feasible design and has the outcome ``error``.
 """
 
 from __future__ import annotations
@@ -22,11 +28,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import statistics
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import yaml
 
@@ -36,6 +44,7 @@ from .core import is_valid, report_key
 from .errors import ConfigError
 
 DEFAULT_TRIALS = 3
+Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -55,15 +64,36 @@ class TrialMatrix:
 
 @dataclass
 class CellSummary:
+    """One cell's scores. ``first_feasible`` is the median, None when the
+    median trial found no feasible design; ``never`` counts such trials.
+    ``paired`` holds, in seed order, each trial's first feasible minus the
+    first method's: ``inf`` or ``-inf`` when only one of the two found
+    one, ``nan`` when neither did. ``paired_split`` counts the seeds on
+    which the cell was earlier, tied and later. Both are None in the
+    first method's own cells."""
+
     fom_mean: Optional[float]
     fom_std: Optional[float]
     evals_mean: Optional[float]
     evals_std: Optional[float]
     time_mean_s: Optional[float]
     time_std_s: Optional[float]
-    sr_pct: float
     n_trials: int
     n_valid: int
+    successes: int
+    success_interval: Tuple[float, float]
+    first_feasible: Optional[float]
+    never: int
+    outcomes: Dict[str, int]
+    proposers: Dict[str, int]  # method: the trials it proposed in
+    paired: Optional[List[float]]
+    paired_split: Optional[Tuple[int, int, int]]
+
+
+def _refuse_unknown(what: str, mapping: dict, known) -> None:
+    unknown = set(mapping) - {f.name for f in fields(known)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {sorted(map(str, unknown))}")
 
 
 def parse_matrix(source: str) -> TrialMatrix:
@@ -74,6 +104,7 @@ def parse_matrix(source: str) -> TrialMatrix:
         raise ConfigError(f"matrix file is not valid YAML: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("matrix file must be a YAML mapping")
+    _refuse_unknown("matrix", doc, TrialMatrix)
 
     circuits = doc.get("circuits")
     methods = doc.get("methods")
@@ -96,9 +127,7 @@ def parse_matrix(source: str) -> TrialMatrix:
     raw_budget = doc.get("budget", {})
     if not isinstance(raw_budget, dict):
         raise ConfigError("'budget' must be a mapping")
-    unknown = set(raw_budget) - {f.name for f in fields(RunBudget)}
-    if unknown:
-        raise ConfigError(f"unknown budget keys {sorted(unknown)}")
+    _refuse_unknown("budget", raw_budget, RunBudget)
     budget = RunBudget(**{k: read_number(f"budget.{k}", v, int) for k, v in raw_budget.items()})
     return TrialMatrix(
         circuits=[str(c) for c in circuits],
@@ -140,29 +169,51 @@ def _space_ranges(result: RunResult) -> List[tuple]:
     return rows
 
 
-def _summarize(trials: List[dict]) -> CellSummary:
+def wilson(successes: int, n: int, z: float = Z95) -> Tuple[float, float]:
+    """The Wilson score interval of a binomial proportion."""
+    p = successes / n
+    scale = 1 + z * z / n
+    center = (p + z * z / (2 * n)) / scale
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / scale
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def _firsts(trials: List[dict]) -> List[float]:
+    """Each trial's first feasible, inf when it found none."""
+    return [math.inf if t["first_feasible"] is None else t["first_feasible"] for t in trials]
+
+
+def _summarize(trials: List[dict], reference: Optional[List[dict]]) -> CellSummary:
+    """Score a cell's trials against ``reference``, the first method's
+    trials at the same seeds (None: this is that cell)."""
     valid = [t for t in trials if t["ok"] and t["fom"] is not None]
 
-    def stats(key):
+    def stats(key):  # mean and std over the valid trials
         xs = [t[key] for t in valid]
-        if not xs:
-            return None, None
-        return statistics.fmean(xs), statistics.pstdev(xs)
+        return (statistics.fmean(xs), statistics.pstdev(xs)) if xs else (None, None)
 
-    fom_mean, fom_std = stats("fom")
-    evals_mean, evals_std = stats("evals")
-    time_mean, time_std = stats("time_s")
-    feasible = sum(1 for t in trials if t["feasible"])
+    successes = sum(1 for t in trials if t["feasible"])
+    firsts = _firsts(trials)
+    median = statistics.median(firsts)
+    paired = split = None
+    if reference is not None:
+        paired = [mine - theirs for mine, theirs in zip(firsts, _firsts(reference))]
+        split = (sum(d < 0 for d in paired), sum(d == 0 for d in paired),
+                 sum(d > 0 for d in paired))
     return CellSummary(
-        fom_mean=fom_mean,
-        fom_std=fom_std,
-        evals_mean=evals_mean,
-        evals_std=evals_std,
-        time_mean_s=time_mean,
-        time_std_s=time_std,
-        sr_pct=100.0 * feasible / len(trials),
+        *stats("fom"),
+        *stats("evals"),
+        *stats("time_s"),
         n_trials=len(trials),
         n_valid=len(valid),
+        successes=successes,
+        success_interval=wilson(successes, len(trials)),
+        first_feasible=None if median == math.inf else median,
+        never=firsts.count(math.inf),
+        outcomes=dict(Counter(t["outcome"] for t in trials)),
+        proposers=dict(Counter(m for t in trials for m in t["proposers"])),
+        paired=paired,
+        paired_split=split,
     )
 
 
@@ -189,6 +240,7 @@ def run_matrix(
     cells = []
     for circuit_path in matrix.circuits:
         config = load_config(circuit_path)
+        reference = None
         for method in matrix.methods:
             trials = []
             for seed in seeds:
@@ -203,7 +255,9 @@ def run_matrix(
                     "evals": 0,
                     "time_s": 0.0,
                     "feasible": False,
-                    "outcome": None,
+                    "outcome": "error",
+                    "first_feasible": None,
+                    "proposers": [],
                     "best_assignment": None,
                     "best_raw_metrics": None,
                     "trajectory": [],
@@ -226,21 +280,20 @@ def run_matrix(
                 trial["outcome"] = result.outcome
                 trial["trajectory"] = _trajectory(result)
                 trial["space_ranges"] = _space_ranges(result)
+                first = next((r for r in result.history.records if r.feasible), None)
+                if first is not None:
+                    trial["first_feasible"] = result.history.fresh_through(first.eval_index)
+                trial["proposers"] = sorted({r.method for r in result.history.records})
                 if result.best is not None:
                     trial["fom"] = result.best.fom
                     trial["best_assignment"] = dict(result.best.design.assignment)
                     trial["best_raw_metrics"] = dict(result.best.raw_metrics)
                     trial["feasible"] = result.best.feasible
                 trials.append(trial)
-            cells.append(
-                {
-                    "circuit": config.name,
-                    "config": circuit_path,
-                    "method": method,
-                    "summary": asdict(_summarize(trials)),
-                    "trials": trials,
-                }
-            )
+            cells.append({"circuit": config.name, "config": circuit_path, "method": method,
+                          "summary": asdict(_summarize(trials, reference)), "trials": trials})
+            if reference is None:
+                reference = trials
     report = {
         "matrix": {
             "circuits": list(matrix.circuits),
@@ -262,12 +315,22 @@ def _fmt_pm(mean: Optional[float], std: Optional[float], digits: int) -> str:
     return f"{mean:.{digits}f} ± {std:.{digits}f}"
 
 
+def _fmt_counts(counts: Dict[str, int]) -> str:
+    return ", ".join(f"{k} {v}" for k, v in sorted(counts.items())) or "-"
+
+
 def render_table(report: dict) -> str:
-    """Text table in the usual benchmark layout: FoM, Evals, Time, SR%."""
-    headers = ["circuit", "method", "FOM", "Evals", "Time (s)", "SR%"]
+    """Text table, one row per cell: FoM, Evals and Time as mean ± std,
+    then the scores of ``CellSummary``, the paired ones as earlier/tied/
+    later. Under it, one line per cell that is not the first method's,
+    with its paired difference at each seed."""
+    headers = ["circuit", "method", "FoM", "Evals", "Time (s)", "Success",
+               "First feasible", "Never", "Outcomes", "Proposers", "Paired e/t/l"]
     rows = []
+    paired = []
     for cell in report["cells"]:
         s = cell["summary"]
+        low, high = s["success_interval"]
         rows.append(
             [
                 cell["circuit"],
@@ -275,17 +338,23 @@ def render_table(report: dict) -> str:
                 _fmt_pm(s["fom_mean"], s["fom_std"], 4),
                 _fmt_pm(s["evals_mean"], s["evals_std"], 1),
                 _fmt_pm(s["time_mean_s"], s["time_std_s"], 2),
-                f"{s['sr_pct']:.1f}",
+                f"{s['successes']}/{s['n_trials']} [{low:.4f}, {high:.4f}]",
+                "never" if s["first_feasible"] is None else f"{s['first_feasible']:g}",
+                str(s["never"]),
+                _fmt_counts(s["outcomes"]),
+                _fmt_counts(s["proposers"]),
+                "-" if s["paired"] is None else "/".join(map(str, s["paired_split"])),
             ]
         )
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for r in rows:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(headers))))
+        if s["paired"] is not None:
+            paired.append(f"{cell['circuit']} {cell['method']}  " + " ".join(
+                f"{seed}:{d:g}" for seed, d in zip(report["matrix"]["seeds"], s["paired"])))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+             for r in [headers, ["-" * w for w in widths], *rows]]
+    if paired:
+        lines += ["", f"first feasible minus {report['matrix']['methods'][0]}'s, per seed:",
+                  *paired]
     return "\n".join(lines) + "\n"
 
 

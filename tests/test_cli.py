@@ -2,6 +2,7 @@
 ``run`` and ``report`` refuse."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -157,10 +158,36 @@ def test_report_renders_a_bench_directory_and_its_reports_subdirectory(capsys, t
     assert main(["bench", str(matrix), "--out", str(out)]) == 0
     table, reports = capsys.readouterr().out.rsplit("reports: ", 1)
     assert reports == f"{out / 'reports'}\n"
-    assert table.splitlines()[2].startswith("sota_easy  lhs ")
+    # each row's cells but the wall time, then the paired differences
+    rows = [re.split(r"  +", line) for line in table.splitlines()]
+    assert rows[0] == ["circuit", "method", "FoM", "Evals", "Time (s)", "Success",
+                       "First feasible", "Never", "Outcomes", "Proposers", "Paired e/t/l"]
+    assert [row[:4] + row[5:] for row in rows[2:4]] == [
+        ["sota_easy", "lhs", "1.4859 ± 0.0000", "10.0 ± 0.0", "2/2 [0.3424, 1.0000]", "2", "0",
+         "budget_exhausted 2", "lhs 2", "-"],
+        ["sota_easy", "ga_baseline", "1.4038 ± 0.0489", "9.5 ± 0.5", "2/2 [0.3424, 1.0000]", "1",
+         "0", "budget_exhausted 1, stalled 1", "ga_baseline 2", "2/0/0"],
+    ]
+    assert table.splitlines()[4:] == ["", "first feasible minus lhs's, per seed:",
+                                      "sota_easy ga_baseline  0:-1 1:-1"]
     for directory in (out, out / "reports"):
         assert main(["report", str(directory)]) == 0
         assert capsys.readouterr().out == table
+
+
+def test_report_refuses_a_matrix_document_without_a_score(capsys, tmp_path):
+    matrix = tmp_path / "matrix.yaml"
+    matrix.write_text(f"circuits: [{CONFIGS / 'sota_easy.yaml'}]\nmethods: [lhs]\n"
+                      "trials_per_cell: 1\nbudget: {total_evals: 5}\n")
+    assert main(["bench", str(matrix), "--out", str(tmp_path)]) == 0
+    saved = tmp_path / "reports" / "matrix_results.json"
+    document = json.loads(saved.read_text())
+    del document["cells"][0]["summary"]["success_interval"]
+    saved.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: {saved} lacks 'success_interval'; "
+                                       "run the matrix again\n")
 
 
 def test_report_prints_the_result_of_a_run_directory(capsys, tmp_path):

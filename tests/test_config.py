@@ -187,6 +187,10 @@ MATRIX = "circuits: [c.yaml]\nmethods: [lhs]\n"
         ("bench", MATRIX + "budget: {total_evals: 150.7}\n", "budget.total_evals"),
         ("bench", MATRIX + "budget: {total_evals: .inf}\n", "budget.total_evals"),
         ("bench", MATRIX + "seeds: 5\n", "seeds"),
+        ("bench", MATRIX + "trials_per_cell: true\n", "trials_per_cell"),
+        ("bench", MATRIX + "trials_per_cell: 1\nseeds: [false]\n", "seeds"),
+        ("bench", MATRIX + "base_seed: true\n", "base_seed"),
+        ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[true, 2.0, 3.0]"), "W_values"),
         ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, wide]"), "W_values"),
         ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, .nan, 3.0]"), "W_values"),
         ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, 2.0, .inf]"), "W_values"),
@@ -194,7 +198,8 @@ MATRIX = "circuits: [c.yaml]\nmethods: [lhs]\n"
         ("validate", MINIMAL.replace("metrics: [gain, power]", "metrics: fom"), "metrics"),
     ],
     ids=["trials_per_cell", "fractional_trials_per_cell", "budget", "fractional_budget",
-         "infinite_budget", "seeds", "W_values", "nan_W_value", "infinite_W_value",
+         "infinite_budget", "seeds", "boolean_trials_per_cell", "boolean_seed",
+         "boolean_base_seed", "boolean_W_value", "W_values", "nan_W_value", "infinite_W_value",
          "infinite_param", "metrics"],
 )
 def test_malformed_values_are_config_errors_naming_the_key(command, source, key, tmp_path,

@@ -1,4 +1,5 @@
-"""Every module-level import under src/ is used, and every definition is referenced.
+"""Every module-level import under src/ and in tools/ is used, and every
+definition there is referenced.
 
 An import counts as used when the module reads it anywhere (a ``Name``
 node, which includes the base of an attribute chain and annotations)
@@ -7,9 +8,9 @@ directives, not names.
 
 A module-level function or class, or a method, counts as referenced
 when its name is read, imported or taken as an attribute anywhere under
-src/ or perfbench/. String constants in perfbench/ count too, because
-the tracer rebinds methods such as ``predict`` by name. Dunder methods
-are called by the language and are exempt.
+src/, perfbench/ or tools/. String constants in perfbench/ count too,
+because the tracer rebinds methods such as ``predict`` by name. Dunder
+methods are called by the language and are exempt.
 
 The tracer must find every name it rebinds, and put each back.
 
@@ -44,6 +45,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PERFBENCH = ROOT / "perfbench"
+# the modules both hygiene checks cover: the package and the tools
+CHECKED = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def _unused_imports(path: Path):
@@ -62,13 +65,13 @@ def _unused_imports(path: Path):
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
-    return [f"{path.relative_to(SRC)}:{line} {name}"
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
             for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in used]
 
 
 def test_no_unused_module_level_imports():
-    unused = [u for path in sorted(SRC.rglob("*.py")) for u in _unused_imports(path)]
+    unused = [u for path in CHECKED for u in _unused_imports(path)]
     assert unused == []
 
 
@@ -99,14 +102,14 @@ def _references(tree: ast.Module, strings: bool):
 
 def test_every_definition_is_referenced():
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for root in (SRC, PERFBENCH) for path in sorted(root.rglob("*.py"))}
+             for path in CHECKED + sorted(PERFBENCH.rglob("*.py"))}
     referenced = set()
     for path, tree in trees.items():
         referenced |= set(_references(tree, strings=path.is_relative_to(PERFBENCH)))
     unreferenced = [
-        f"{path.relative_to(SRC)}:{line} {name}"
-        for path, tree in trees.items() if path.is_relative_to(SRC)
-        for name, line in _definitions(tree)
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in CHECKED
+        for name, line in _definitions(trees[path])
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unreferenced == []
