@@ -24,6 +24,14 @@ a feasibility clause, but it is never an input to the objective's
 products: the engine recomputes the figure of merit from the base
 metrics. If a simulator log also reports one, the engine's value wins
 and a disagreement above 1% logs a warning.
+
+What every design of a run shares is computed once, where it is fixed:
+``assess`` reads the objective's split from the spec
+(``SpecExpr.objective``) and copies a design's metrics only to put the
+engine's value in for a ``fom`` clause. A design's id is
+``design_id`` of its ``name=repr(value)`` fragments in name order;
+``design_from`` formats them per assignment, and ``optim.base.materialize``
+joins the fragments its space formatted once (``SearchSpace.id_table``).
 """
 
 from __future__ import annotations
@@ -35,20 +43,16 @@ import logging
 from dataclasses import dataclass, asdict
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import MissingMetric
-from .specexpr import Comparison, SpecExpr, evaluate_spec, split_directions
+from .specexpr import FOM_METRIC, Comparison, SpecExpr, evaluate_spec
 
 log = logging.getLogger(__name__)
 
 SIM_OK = "ok"
 SIM_FAILED = "sim_failed"
 METRIC_MISSING = "metric_missing"
-
-# Metric name reserved for the engine-computed objective. Excluded from
-# the objective's own products to prevent self-reference.
-FOM_METRIC = "fom"
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +74,20 @@ class Design:
         return f"Design({inner})"
 
 
+def design_id(parts: Iterable[str]) -> str:
+    """The id of a design from its ``name=repr(value)`` fragments in
+    variable-name order: the one id rule."""
+    return hashlib.sha1(",".join(parts).encode("utf-8")).hexdigest()[:12]
+
+
 def design_from(assignment: Mapping[str, float]) -> Design:
     """Build a Design with a canonical content id.
 
     The id hashes the assignment sorted by variable name, so semantically
     equal assignments always share an id regardless of insertion order.
     """
-    canon = ",".join(f"{k}={v!r}" for k, v in sorted(assignment.items()))
-    digest = hashlib.sha1(canon.encode("utf-8")).hexdigest()[:12]
-    return Design(dict(assignment), digest)
+    return Design(dict(assignment),
+                  design_id(f"{k}={v!r}" for k, v in sorted(assignment.items())))
 
 
 @dataclass(frozen=True)
@@ -261,26 +270,26 @@ def assess(
 
     Returns (fom, feasible, normalized). Feasibility follows the user's
     literal expression, evaluated on the raw metrics with the engine's
-    objective value standing in for the ``fom`` clause when present.
+    objective value standing in for the ``fom`` clause when present. The
+    split is the spec's own (``SpecExpr.objective``), and the metrics are
+    copied only when that stand-in is put in.
     """
-    maximize, minimize = split_directions(spec)
-    fom_max = tuple(c for c in maximize if c.metric != FOM_METRIC)
-    fom_min = tuple(c for c in minimize if c.metric != FOM_METRIC)
+    maximize, minimize, has_fom = spec.objective
     try:
-        fom = compute_fom(fom_max, fom_min, raw_metrics)
+        fom = compute_fom(maximize, minimize, raw_metrics)
     except MissingMetric:
         fom = None
     if fom is None:
         return None, False, {}
 
-    spec_metrics = dict(raw_metrics)
-    if any(c.metric == FOM_METRIC for c in spec.clauses):
+    spec_metrics = raw_metrics
+    if has_fom:
         if FOM_METRIC in raw_metrics:
             reported = raw_metrics[FOM_METRIC]
             if reported != 0 and abs(reported - fom) / abs(reported) > 0.01:
                 log.warning("engine fom %.6g disagrees with reported fom %.6g by more than 1%%",
                             fom, reported)
-        spec_metrics[FOM_METRIC] = fom
+        spec_metrics = {**raw_metrics, FOM_METRIC: fom}
 
     try:
         feasible = evaluate_spec(spec, spec_metrics)

@@ -186,7 +186,6 @@ def _run_spice(config: BenchmarkConfig, design: Design,
             status = METRIC_MISSING
             reason = f"missing metrics: {[m for m in scrape.missing if m != FOM_METRIC]}"
     if keep_log_dir:
-        keep_log_dir.mkdir(parents=True, exist_ok=True)
         (keep_log_dir / f"{design.id}.log").write_text(raw_log, encoding="utf-8")
     return {"raw_metrics": values, "sim_status": status, "reason": reason}, elapsed
 
@@ -234,6 +233,8 @@ def evaluate_batch(
     for i, key in enumerate(keys):
         if key not in first and cache.get(key) is None:
             first[key] = i
+    if keep_log_dir and first and evaluator.kind == "spice":
+        keep_log_dir.mkdir(parents=True, exist_ok=True)  # once per batch, for ``_run_spice``
 
     if workers > 1 and len(first) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

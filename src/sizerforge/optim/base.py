@@ -3,7 +3,9 @@
 All methods work in index vectors, one index per active variable into
 its value list, which keeps every proposal grid-valid by construction. Fixed
 variables are attached at materialization time so a Design always covers
-the full variable set.
+the full variable set. A space formats the id fragment of each of its
+values once (``SearchSpace.id_table``), so ``materialize`` only picks,
+joins and hashes them.
 
 Every proposer takes ``(space, history, n_samples, seed, **params)``
 and is a pure function of them. Each reads the history only through one
@@ -37,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core import Design, EvaluatedDesign, History, design_from, is_valid, rank_key
+from ..core import Design, EvaluatedDesign, History, design_id, is_valid, rank_key
 from ..space import SearchSpace, index_rows
 
 # the Bayesian acquisitions, here so that ``pool`` checks one without numpy
@@ -51,11 +53,14 @@ class Proposal:
 
 
 def materialize(space: SearchSpace, indices: Sequence[int]) -> Design:
-    """Index vector over the active lists -> full Design (fixed pins included)."""
+    """Index vector over the active lists -> full Design (fixed pins
+    included, first): the id joins the fragments the space formatted
+    once, so it is ``design_from``'s id of the same assignment."""
+    row = (*indices, 0)
     assignment = dict(space.fixed)
-    for (var, values), idx in zip(space.active.items(), indices):
+    for (var, values), idx in zip(space.active.items(), row):
         assignment[var] = values[idx]
-    return design_from(assignment)
+    return Design(assignment, design_id([fragments[row[k]] for k, fragments in space.id_table]))
 
 
 class HistoryView:

@@ -14,7 +14,7 @@ every generation never drops below the running best.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..core import History
 from ..space import SearchSpace
@@ -24,20 +24,30 @@ from .sampling import lhs_index_rows
 MUTATION_STEPS = (-2, -1, 1, 2)
 
 
-def mutate_gene(idx: int, m: int, rng: random.Random) -> int:
-    step = rng.choice(MUTATION_STEPS)
+# The draws take a generator's bound methods: ``below`` is
+# ``rng._randbelow``, so ``seq[below(len(seq))]`` draws what
+# ``rng.choice(seq)`` draws, and ``uniform`` is ``rng.random``.
+
+
+def mutate_gene(idx: int, m: int, below: Callable[[int], int]) -> int:
+    step = MUTATION_STEPS[below(len(MUTATION_STEPS))]
     return min(m - 1, max(0, idx + step))
 
 
-def tournament(pool, k: int, rng: random.Random):
-    """The fittest of k uniform draws from (record, index vector) pairs;
-    the earliest draw on ties."""
-    picks = [rng.choice(pool) for _ in range(k)]
-    return max(picks, key=lambda ob: ob[0].fom)
+def tournament(pool, k: int, below: Callable[[int], int]):
+    """The fittest of k >= 1 uniform draws from (record, index vector)
+    pairs; the earliest draw on ties."""
+    n = len(pool)
+    best = pool[below(n)]
+    for _ in range(k - 1):
+        pick = pool[below(n)]
+        if pick[0].fom > best[0].fom:
+            best = pick
+    return best
 
 
-def crossover_uniform(p1: List[int], p2: List[int], rng: random.Random) -> List[int]:
-    return [a if rng.random() < 0.5 else b for a, b in zip(p1, p2)]
+def crossover_uniform(p1: List[int], p2: List[int], uniform: Callable[[], float]) -> List[int]:
+    return [a if uniform() < 0.5 else b for a, b in zip(p1, p2)]
 
 
 def propose_genetic(
@@ -51,6 +61,7 @@ def propose_genetic(
     population: Optional[int] = None,
 ) -> Proposal:
     rng = random.Random(seed)
+    below, uniform = rng._randbelow, rng.random
     n = population if population is not None else n_samples
     sizes = space.sizes()
 
@@ -68,15 +79,15 @@ def propose_genetic(
     provenance: List[dict] = []
     budget = n - 1  # first slot goes to the elite
     for _ in range(max(0, budget)):
-        p1, g1 = tournament(parents, tournament_size, rng)
-        p2, g2 = tournament(parents, tournament_size, rng)
-        if rng.random() < crossover_rate:
-            child = crossover_uniform(g1, g2, rng)
+        p1, g1 = tournament(parents, tournament_size, below)
+        p2, g2 = tournament(parents, tournament_size, below)
+        if uniform() < crossover_rate:
+            child = crossover_uniform(g1, g2, uniform)
         else:
             child = list(g1)
         for j, m in enumerate(sizes):
-            if rng.random() < mutation_rate:
-                child[j] = mutate_gene(child[j], m, rng)
+            if uniform() < mutation_rate:
+                child[j] = mutate_gene(child[j], m, below)
         offspring_rows.append(child)
         provenance.append({"parents": [p1.design.id, p2.design.id]})
 

@@ -14,12 +14,15 @@ Spaces are persistent: every edit returns a new snapshot with the
 generation counter bumped, so each outer-loop generation stays
 inspectable in the run report. The full grid is the universal value
 universe; optimizers address values by per-variable index, which makes
-every algorithm grid-respecting by construction.
+every algorithm grid-respecting by construction. A space formats the id
+fragments of its values once (``SearchSpace.id_table``), for every
+design ``optim.base.materialize`` builds in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -49,6 +52,20 @@ class SearchSpace:
 
     def cardinality(self) -> int:
         return prod(self.sizes())
+
+    @cached_property
+    def id_table(self) -> Tuple[Tuple[int, Tuple[str, ...]], ...]:
+        """The ``name=repr(value)`` fragments that ``core.design_id``
+        hashes, one entry per variable in name order: its position in an
+        index vector with one more slot, 0, appended, and its fragments.
+        An active variable has one fragment per index; a pin has its one
+        fragment in the appended slot. Computed on first use and kept for
+        the life of the space."""
+        pin = len(self.active)
+        table = {var: (k, tuple(f"{var}={v!r}" for v in values))
+                 for k, (var, values) in enumerate(self.active.items())}
+        table.update((var, (pin, (f"{var}={value!r}",))) for var, value in self.fixed.items())
+        return tuple(table[var] for var in sorted(table))
 
     def describe(self) -> dict:
         return {

@@ -14,18 +14,28 @@ supported.
 Clauses with ``>``/``>=`` name metrics to be maximized; ``<``/``<=``
 name metrics to be minimized. The threshold of each clause is that
 metric's specification target.
+
+A spec splits its objective once, the first time it is assessed
+(``SpecExpr.objective``): the maximize and the minimize clauses other
+than ``fom``'s, and whether a ``fom`` clause is present. A run parses
+its spec once, so every design of the run shares that split.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Mapping, Tuple
 
 from .errors import MissingMetric, SpecParseError, UnsupportedCombinator
 
 MAXIMIZE_OPS = (">", ">=")
 MINIMIZE_OPS = ("<", "<=")
+
+# Metric name reserved for the engine-computed objective. Excluded from
+# the objective's own products to prevent self-reference.
+FOM_METRIC = "fom"
 
 _TOKEN = re.compile(
     r"""
@@ -64,6 +74,17 @@ class Comparison:
 @dataclass(frozen=True)
 class SpecExpr:
     clauses: Tuple[Comparison, ...]
+
+    @cached_property
+    def objective(self) -> Tuple[Tuple[Comparison, ...], Tuple[Comparison, ...], bool]:
+        """(maximize, minimize, has_fom): the clauses of the objective's
+        numerator and denominator, ``fom``'s left out and declaration
+        order kept, and whether a ``fom`` clause is present. Computed on
+        first use and kept for the life of the spec."""
+        maximize, minimize = split_directions(self)
+        return (tuple(c for c in maximize if c.metric != FOM_METRIC),
+                tuple(c for c in minimize if c.metric != FOM_METRIC),
+                any(c.metric == FOM_METRIC for c in self.clauses))
 
 
 def _tokenize(text: str):

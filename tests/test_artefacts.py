@@ -5,9 +5,16 @@ Each case writes its artefacts and pins one digest over
 ``loop*_report.txt``. The digests were recorded before the two run
 loops shared one batch step, so any refactor of the loops must leave
 every decision, evaluation, space snapshot and loop report unchanged.
+
+The last test pins the map that ``tools/artefact_digests.py`` prints
+for its 171-run matrix, so a change that moves any pick of the matrix
+fails here.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +24,8 @@ from sizerforge.config import load_config
 from sizerforge.controller import RunBudget, run, run_baseline, run_method
 from sizerforge.errors import ConfigError
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 PATTERNS = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
 
 # baselines: 60 evaluations, seed 0; bo_baseline on sota_hard re-recorded
@@ -47,6 +55,9 @@ RUN_DIGESTS = {
     "no_ssd": "8b7aaa0abac494a140d4eb97555dd5b23674529f1a8ac9dcc32ae3660dde53ca",
     "no_srl": "e58f9e734110c955c9e12c67db6a9f7e74b86ed7191e33e9104b86a52ce11ce8",
 }
+
+# sha256 of the map ``tools/artefact_digests.py src`` prints, BLAS on one thread
+DIGEST_MAP_SHA256 = "295d67a3b8c6a3df8f40b936c04e9dc34c63d1af8dcbd80debc3a979f1758173"
 
 
 def artefact_digest(results_dir: Path) -> str:
@@ -121,3 +132,10 @@ def test_no_cu_with_the_rule_backend_is_rejected(tmp_path):
     with pytest.raises(ConfigError, match="no_cu"):
         run(config, RunBudget(), RuleBackend(), 0, results_dir=str(tmp_path), no_cu=True)
     assert not any(tmp_path.iterdir())
+
+
+def test_the_run_matrix_digest_map_is_pinned():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "artefact_digests.py"),
+                          str(ROOT / "src")], env=env, capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == DIGEST_MAP_SHA256

@@ -5,8 +5,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sizerforge.core import (
+    FOM_METRIC,
     Design,
     EvaluatedDesign,
     History,
@@ -17,8 +20,9 @@ from sizerforge.core import (
     rank_key,
 )
 from sizerforge.diagnostics import analyze
+from sizerforge.errors import MissingMetric
 from sizerforge.space import full_space
-from sizerforge.specexpr import parse_spec, split_directions
+from sizerforge.specexpr import Comparison, SpecExpr, evaluate_spec, parse_spec, split_directions
 
 BENCH = parse_spec("fom > 0.100 AND dc_gain_db > 55 AND ugbw > 10 AND power_dc < 50")
 
@@ -152,6 +156,105 @@ def test_assess_normalized_values():
     assert normalized["dc_gain_db"] == pytest.approx(1.0)
     assert normalized["ugbw"] == pytest.approx(2.0)
     assert normalized["power_dc"] == pytest.approx(0.5)
+
+
+_REFERENCE_LOG = logging.getLogger("tests.reference_assess")
+
+
+def _reference_assess(spec, raw_metrics):
+    """``assess`` as it was when it split the spec and copied the metrics
+    on every call: the reference its cached split must match."""
+    maximize, minimize = split_directions(spec)
+    fom_max = tuple(c for c in maximize if c.metric != FOM_METRIC)
+    fom_min = tuple(c for c in minimize if c.metric != FOM_METRIC)
+    try:
+        fom = compute_fom(fom_max, fom_min, raw_metrics)
+    except MissingMetric:
+        fom = None
+    if fom is None:
+        return None, False, {}
+
+    spec_metrics = dict(raw_metrics)
+    if any(c.metric == FOM_METRIC for c in spec.clauses):
+        if FOM_METRIC in raw_metrics:
+            reported = raw_metrics[FOM_METRIC]
+            if reported != 0 and abs(reported - fom) / abs(reported) > 0.01:
+                _REFERENCE_LOG.warning(
+                    "engine fom %.6g disagrees with reported fom %.6g by more than 1%%",
+                    fom, reported)
+        spec_metrics[FOM_METRIC] = fom
+
+    try:
+        feasible = evaluate_spec(spec, spec_metrics)
+    except MissingMetric:
+        return fom, False, {}
+
+    normalized = {}
+    for clause in spec.clauses:
+        if clause.threshold != 0:
+            normalized[clause.metric] = spec_metrics[clause.metric] / clause.threshold
+    return fom, feasible, normalized
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _hex(value):
+    return None if value is None else float.hex(value)
+
+
+_METRICS = (FOM_METRIC, "gain", "ugbw", "power")
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 55.0, 1e-300, 1e300,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _specs(draw):
+    names = draw(st.lists(st.sampled_from(_METRICS), min_size=1, max_size=4, unique=True))
+    thresholds = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -2.5, 0.1, 1.0, 11.0, 50.0]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+    return SpecExpr(tuple(Comparison(name, draw(st.sampled_from([">", ">=", "<", "<="])),
+                                     draw(thresholds)) for name in names))
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=_specs(), metrics=st.dictionaries(st.sampled_from(_METRICS), _VALUES),
+       reported=st.none() | st.sampled_from([0.98, 0.985, 0.995, 1.0, 1.005, 1.015, 1.02]))
+def test_assess_matches_the_split_per_call_reference(spec, metrics, reported):
+    """Ops, zero and negative thresholds, a ``fom`` clause with and
+    without a reported ``fom`` (at times within a few percent of the
+    engine's), and metrics missing, 0, negative, NaN or infinite: the same
+    tuple, FoMs to the bit, and the same warning."""
+    engine = _reference_assess(spec, metrics)[0]
+    if reported is not None and engine is not None:
+        metrics[FOM_METRIC] = engine * reported
+    handler = _Warnings()
+    loggers = [logging.getLogger("sizerforge.core"), _REFERENCE_LOG]
+    for logger in loggers:
+        logger.addHandler(handler)
+    try:
+        before = repr(metrics)
+        got = [assess(spec, metrics) for _ in range(2)]  # the second reads the kept split
+        got_warnings, handler.messages = handler.messages, []
+        want = _reference_assess(spec, metrics)
+    finally:
+        for logger in loggers:
+            logger.removeHandler(handler)
+    assert repr(metrics) == before  # the caller's metrics are left as they were
+    for fom, feasible, normalized in got:
+        assert (_hex(fom), feasible) == (_hex(want[0]), want[1])
+        assert [(k, _hex(v)) for k, v in normalized.items()] == \
+            [(k, _hex(v)) for k, v in want[2].items()]
+    assert got_warnings == handler.messages * 2
 
 
 # ---------------------------------------------------------------- design ids

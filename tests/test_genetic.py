@@ -4,7 +4,13 @@ import random
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.optim.base import history_view
-from sizerforge.optim.genetic import crossover_uniform, mutate_gene, propose_genetic, tournament
+from sizerforge.optim.genetic import (
+    MUTATION_STEPS,
+    crossover_uniform,
+    mutate_gene,
+    propose_genetic,
+    tournament,
+)
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -94,12 +100,12 @@ def test_population_overrides_batch_size():
 
 
 def test_mutate_gene_clamps_at_bounds():
-    rng = random.Random(0)
+    below = random.Random(0)._randbelow
     for _ in range(200):
-        assert 0 <= mutate_gene(0, 9, rng) <= 8
-        assert 0 <= mutate_gene(8, 9, rng) <= 8
+        assert 0 <= mutate_gene(0, 9, below) <= 8
+        assert 0 <= mutate_gene(8, 9, below) <= 8
         # steps are at most 2 grid indices
-        assert abs(mutate_gene(4, 9, rng) - 4) <= 2
+        assert abs(mutate_gene(4, 9, below) - 4) <= 2
 
 
 def test_tournament_picks_the_fittest_of_its_draws():
@@ -107,15 +113,32 @@ def test_tournament_picks_the_fittest_of_its_draws():
     hist = _seed_history(space, [((0, 0), 0.1), ((1, 1), 0.9), ((2, 2), 0.5)])
     pool = history_view(space, hist).obs
     # k = len(pool) guarantees at least one draw of everything over repeats
-    rng = random.Random(4)
-    wins = {tournament(pool, 3, rng)[0].fom for _ in range(50)}
+    below = random.Random(4)._randbelow
+    wins = {tournament(pool, 3, below)[0].fom for _ in range(50)}
     assert 0.9 in wins
     assert min(wins) >= 0.1
 
 
+def test_draws_are_the_stdlib_choice_stream():
+    """``pool[below(len(pool))]`` draws what ``rng.choice(pool)`` draws: a
+    tournament is the first fittest of k choices, a mutation steps by a
+    choice, and both leave the generator where the choices leave it."""
+    space = _space()
+    hist = _seed_history(space, [((0, 0), 0.5), ((1, 1), 0.9), ((2, 2), 0.9), ((3, 3), 0.1)])
+    pool = history_view(space, hist).obs
+    for seed in range(30):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for k in (1, 2, 3, 5):
+            picks = [stdlib.choice(pool) for _ in range(k)]
+            assert tournament(pool, k, ours._randbelow) is max(picks, key=lambda ob: ob[0].fom)
+        step = stdlib.choice(MUTATION_STEPS)
+        assert mutate_gene(4, 9, ours._randbelow) == 4 + step
+        assert ours.getstate() == stdlib.getstate()
+
+
 def test_crossover_mixes_only_parent_genes():
-    rng = random.Random(5)
+    uniform = random.Random(5).random
     p1, p2 = [0, 0, 0, 0], [8, 8, 8, 8]
     for _ in range(50):
-        child = crossover_uniform(p1, p2, rng)
+        child = crossover_uniform(p1, p2, uniform)
         assert all(g in (0, 8) for g in child)

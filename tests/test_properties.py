@@ -14,14 +14,22 @@ only pinned variables, and change focus between an active and a pinned
 one. Each legal edit yields exactly what its action names and leaves
 every other variable alone. Illegal edits break one rule each and must
 raise ``IllegalEdit``, never a lookup or value error.
+
+``materialize`` builds, from a space's id fragments formatted once, the
+design ``design_from`` builds from the assignment: for every point of
+random spaces whose name order differs from their declaration order.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.errors import IllegalEdit, InsufficientHistory
+from sizerforge.optim.base import materialize
 from sizerforge.optim.pool import MethodConfig, propose
 from sizerforge.space import SearchSpace, SpaceEdit, apply_edit, index_rows, validate_space
 
@@ -132,6 +140,36 @@ def test_proposals_stay_on_the_grid_inside_the_space_and_off_the_history(method,
         assert proposal.designs[0].id == proposal.diagnostics["elite"]
         return
     assert resubmitted == []
+
+
+# declared out of name order; values of several types, one whose repr is
+# not its str
+ID_NAMES = ("W_tail", "M1", "a", "Z_out", "w_load")
+ID_VALUES = (0.84, 1.05, 2.1, 1, 3, 1e-07, 0.1 + 0.2, 2.5e300, -0.5, np.float64(1.47))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_materialize_builds_the_design_of_design_from(data):
+    names = data.draw(st.permutations(ID_NAMES))[: data.draw(st.integers(1, len(ID_NAMES)))]
+    active, fixed = {}, {}
+    for var in names:
+        if data.draw(st.booleans()):
+            active[var] = tuple(data.draw(st.lists(st.sampled_from(ID_VALUES), min_size=1,
+                                                   max_size=4, unique=True)))
+        else:
+            fixed[var] = data.draw(st.sampled_from(ID_VALUES))
+    space = SearchSpace(active=active, fixed=fixed,
+                        full_grid={var: ID_VALUES for var in names})
+    for point in itertools.product(*map(range, space.sizes())):
+        assignment = dict(fixed)
+        assignment.update((var, values[i]) for (var, values), i in zip(active.items(), point))
+        want = design_from(assignment)
+        # a list, and a numpy row as the Bayesian proposer passes it
+        for row in (list(point), np.array(point, dtype=np.intp)):
+            got = materialize(space, row)
+            assert got.id == want.id
+            assert list(got.assignment.items()) == list(want.assignment.items())
 
 
 def _subset(draw, names):
