@@ -10,19 +10,31 @@ decisions share these shapes, except its outer edits: they carry no
 fences, trim to the outermost balanced object) before validation,
 because model output often wraps the JSON in prose or markdown.
 
-Validation is strict: unknown field names, missing required fields and
-out-of-enum values all raise SchemaViolation. Numeric strings are
-coerced in place and ``expected_improvement`` is made a string. The
-only other rewrite drops the fields the action does not use: method,
-n_samples and parameters on an inner ``stop``, the ranking and summary
-on an outer reply that regenerates nothing. A ``search`` without
-parameters gets an empty object.
+Each wire section is a table that maps its fields, each named once, to
+their kinds. A kind checks one value and returns it, coerced, or raises
+SchemaViolation: string, text (any value, made a string), integer and
+number (numeric strings are parsed), enum, non-empty number list,
+unchecked, the understanding's object of strings and list of 3-5
+strings, and three that nest: section (a table of its own), list rows
+and by-name entries. A section refuses a missing required field and an
+unknown one, then checks its fields in table order, in place. Every
+violation names its field by its path from the top of the reply,
+``parent.key`` or ``parent[i]``, as in ``variable_ranking[0].reasoning``
+or ``optimization_configuration.variables_to_optimize.a.rank``.
+
+The inner and outer replies add the rules of their action. A ``search``
+needs ``method`` and ``n_samples`` (at least 1), and its ``parameters``
+default to an empty object; a ``stop`` drops those three unchecked. An
+outer reply other than ``continue_current`` or ``converged`` needs
+``optimization_configuration``. A reply that carries one regenerates
+the space and also needs the ranking and summary; one that does not
+drops those two unchecked.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from ..errors import JsonUnparseable, SchemaViolation
 from ..space import ACTIONS
@@ -32,6 +44,9 @@ IMPACT_LEVELS = ("critical", "high", "medium", "low")
 SENSITIVITY_LEVELS = ("high", "medium", "low")
 RISK_LEVELS = ("low", "medium", "high")
 INNER_ACTIONS = ("search", "stop")
+
+# a kind checks the value at a path and returns it, coerced
+Kind = Callable[[object, str], object]
 
 
 # ------------------------------------------------------------ raw repairs
@@ -71,261 +86,233 @@ def _outermost_object(raw: str) -> str:
     raise JsonUnparseable("unbalanced braces in response")
 
 
-# ------------------------------------------------------------- coercions
+# ------------------------------------------------------------------ kinds
 
 
-def _as_str(data: Mapping, name: str) -> str:
-    value = data[name]
+def _string(value: object, path: str) -> str:
     if not isinstance(value, str):
-        raise SchemaViolation(name, "string")
+        raise SchemaViolation(path, "string")
     return value
 
 
-def _as_int(value: object, name: str) -> int:
-    if isinstance(value, bool):
-        raise SchemaViolation(name, "integer")
-    if isinstance(value, int):
+def _text(value: object, path: str) -> str:
+    return str(value)
+
+
+def _unchecked(value: object, path: str) -> object:
+    return value
+
+
+def _numeric(cast: type, expected: str) -> Kind:
+    """Integer or number: a numeric string is parsed and an integral float
+    made an int; a boolean is neither."""
+    def check(value: object, path: str):
+        if isinstance(value, str):
+            try:
+                return cast(value.strip())
+            except ValueError:
+                pass
+        elif isinstance(value, (int, float)) and not isinstance(value, bool) and (
+                cast is float or isinstance(value, int) or value.is_integer()):
+            return cast(value)
+        raise SchemaViolation(path, expected)
+    return check
+
+
+_integer = _numeric(int, "integer")
+_number = _numeric(float, "number")
+
+
+def _numbers(value: object, path: str) -> List[float]:
+    if not isinstance(value, list) or not value:
+        raise SchemaViolation(path, "non-empty list of numbers")
+    return [_number(v, path) for v in value]
+
+
+def _strings_by_name(value: object, path: str) -> object:
+    if not isinstance(value, Mapping) or not all(isinstance(v, str) for v in value.values()):
+        raise SchemaViolation(path, "object of strings")
+    return value
+
+
+def _insights(value: object, path: str) -> object:
+    if (not isinstance(value, list) or not 3 <= len(value) <= 5
+            or not all(isinstance(s, str) for s in value)):
+        raise SchemaViolation(path, "list of 3-5 strings")
+    return value
+
+
+def _enum(allowed: Sequence[str]) -> Kind:
+    def check(value: object, path: str) -> str:
+        if not isinstance(value, str) or value not in allowed:
+            raise SchemaViolation(path, f"one of {'|'.join(allowed)}")
         return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value.strip())
-        except ValueError:
-            raise SchemaViolation(name, "integer")
-    raise SchemaViolation(name, "integer")
+    return check
 
 
-def _as_number(value: object, name: str) -> float:
-    if isinstance(value, bool):
-        raise SchemaViolation(name, "number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value.strip())
-        except ValueError:
-            raise SchemaViolation(name, "number")
-    raise SchemaViolation(name, "number")
+def _section(required: Mapping[str, Kind], **optional: Kind) -> Kind:
+    """An object with the table's fields, each checked and coerced in place."""
+    fields = {**required, **optional}
+
+    def check(data: object, path: str = "") -> object:
+        if not isinstance(data, Mapping):
+            raise SchemaViolation(path, "object")
+        prefix = f"{path}." if path else ""
+        for key in required:
+            if key not in data:
+                raise SchemaViolation(prefix + key, "required field")
+        for key in data:
+            if key not in fields:
+                raise SchemaViolation(prefix + key, "no such field")
+        for key, kind in fields.items():
+            if key in data:
+                data[key] = kind(data[key], prefix + key)
+        return data
+    return check
 
 
-def _as_enum(value: object, name: str, allowed: Sequence[str]) -> str:
-    if not isinstance(value, str) or value not in allowed:
-        raise SchemaViolation(name, f"one of {'|'.join(allowed)}")
-    return value
+def _rows(kind: Kind) -> Kind:
+    def check(rows: object, path: str) -> object:
+        if not isinstance(rows, list) or not rows:
+            raise SchemaViolation(path, "non-empty list")
+        for i, row in enumerate(rows):
+            rows[i] = kind(row, f"{path}[{i}]")
+        return rows
+    return check
 
 
-def _check_fields(data: Mapping, name: str, required: Sequence[str], optional: Sequence[str] = ()):
-    if not isinstance(data, Mapping):
-        raise SchemaViolation(name, "object")
-    for key in required:
-        if key not in data:
-            raise SchemaViolation(f"{name}.{key}" if name else key, "required field")
-    allowed = set(required) | set(optional)
-    for key in data:
-        if key not in allowed:
-            raise SchemaViolation(f"{name}.{key}" if name else key, "no such field")
+def _by_name(kind: Kind) -> Kind:
+    def check(entries: object, path: str) -> object:
+        if not isinstance(entries, Mapping):
+            raise SchemaViolation(path, "object")
+        for name, entry in entries.items():
+            entries[name] = kind(entry, f"{path}.{name}")
+        return entries
+    return check
 
 
-# ------------------------------------------------------------ validators
+# ----------------------------------------------------------------- tables
+
+_OPTIMIZE_ENTRY = {
+    "rank": _integer,
+    "search_space": _numbers,
+    "num_choices": _integer,
+    "range_reasoning": _string,
+    "expected_behavior": _string,
+    "sensitivity": _enum(SENSITIVITY_LEVELS),
+}
+_FIXED_ENTRY = {
+    "rank": _integer,
+    "fixed_value": _number,
+    "fixed_reasoning": _string,
+    "why_this_value": _string,
+    "risk_if_suboptimal": _enum(RISK_LEVELS),
+}
+_SUMMARY = {
+    "original_full_space": _integer,
+    "reduced_search_space": _integer,
+    "reduction_factor": _unchecked,
+    "calculation": _unchecked,
+    "explanation": _unchecked,
+}
+_RANKING = _rows(_section({
+    "rank": _integer,
+    "variable": _string,
+    "impact_on_target": _enum(IMPACT_LEVELS),
+    "reasoning": _string,
+}))
+
+
+def _configuration(**revision: Kind) -> Kind:
+    """The plan's configuration; an outer reply's entries may also carry
+    the ``revision`` fields."""
+    return _section({
+        "variables_to_optimize": _by_name(_section(_OPTIMIZE_ENTRY, **revision)),
+        "variables_fixed": _by_name(_section(_FIXED_ENTRY, **revision)),
+    })
+
+
+_UNDERSTANDING = _section({
+    "circuit_topology_overview": _string,
+    "optimization_variables_mapping": _string,
+    "optimization_variables_impact": _strings_by_name,
+    "variable_interactions": _string,
+    "key_insights_for_optimization": _insights,
+})
+_PLAN = _section({
+    "optimization_target": _string,
+    "num_variables_to_optimize": _integer,
+    "variable_ranking": _RANKING,
+    "optimization_configuration": _configuration(),
+    "search_space_summary": _section(_SUMMARY),
+})
+_INNER = _section(
+    {
+        "action": _enum(INNER_ACTIONS),
+        "reasoning": _string,
+        "confidence": _enum(CONFIDENCE_LEVELS),
+        "expected_improvement": _text,
+        "convergence_assessment": _string,
+    },
+    method=_string,
+    n_samples=_integer,
+    parameters=_by_name(_unchecked),
+)
+_OUTER = _section(
+    {
+        "optimization_target": _string,
+        "regeneration_reasoning": _string,
+        "action_taken": _enum(ACTIONS),
+        "changes_from_previous": _string,
+        "expected_improvement": _text,
+        "confidence": _enum(CONFIDENCE_LEVELS),
+    },
+    variable_ranking=_RANKING,
+    optimization_configuration=_configuration(change_from_previous=_string),
+    search_space_summary=_section(_SUMMARY, change_factor=_unchecked),
+)
+
+
+# ----------------------------------------------------------- action rules
 #
-# Each validator checks one parsed reply in place, coercing numeric
-# strings, and returns that same dict: the validated wire JSON is the
-# decision. Fields the action does not use are dropped.
-
-
-def _validate_understanding(data: dict) -> dict:
-    _check_fields(
-        data,
-        "",
-        required=(
-            "circuit_topology_overview",
-            "optimization_variables_mapping",
-            "optimization_variables_impact",
-            "variable_interactions",
-            "key_insights_for_optimization",
-        ),
-    )
-    impact = data["optimization_variables_impact"]
-    if not isinstance(impact, Mapping) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in impact.items()
-    ):
-        raise SchemaViolation("optimization_variables_impact", "object of strings")
-    insights = data["key_insights_for_optimization"]
-    if (
-        not isinstance(insights, list)
-        or not (3 <= len(insights) <= 5)
-        or not all(isinstance(s, str) for s in insights)
-    ):
-        raise SchemaViolation("key_insights_for_optimization", "list of 3-5 strings")
-    for name in ("circuit_topology_overview", "optimization_variables_mapping",
-                 "variable_interactions"):
-        _as_str(data, name)
-    return data
-
-
-def _validate_ranking(rows: object) -> None:
-    if not isinstance(rows, list) or not rows:
-        raise SchemaViolation("variable_ranking", "non-empty list")
-    for i, row in enumerate(rows):
-        name = f"variable_ranking[{i}]"
-        _check_fields(row, name, required=("rank", "variable", "impact_on_target", "reasoning"))
-        row["rank"] = _as_int(row["rank"], f"{name}.rank")
-        _as_str(row, "variable")
-        _as_enum(row["impact_on_target"], f"{name}.impact_on_target", IMPACT_LEVELS)
-        _as_str(row, "reasoning")
-
-
-def _validate_optimize_entry(var: str, entry: dict, outer: bool) -> None:
-    name = f"variables_to_optimize.{var}"
-    required = ["rank", "search_space", "num_choices", "range_reasoning",
-                "expected_behavior", "sensitivity"]
-    optional = ["change_from_previous"] if outer else []
-    _check_fields(entry, name, required=required, optional=optional)
-    values = entry["search_space"]
-    if not isinstance(values, list) or not values:
-        raise SchemaViolation(f"{name}.search_space", "non-empty list of numbers")
-    entry["search_space"] = [_as_number(v, f"{name}.search_space") for v in values]
-    entry["rank"] = _as_int(entry["rank"], f"{name}.rank")
-    entry["num_choices"] = _as_int(entry["num_choices"], f"{name}.num_choices")
-    _as_str(entry, "range_reasoning")
-    _as_str(entry, "expected_behavior")
-    _as_enum(entry["sensitivity"], f"{name}.sensitivity", SENSITIVITY_LEVELS)
-    if "change_from_previous" in entry:
-        _as_str(entry, "change_from_previous")
-
-
-def _validate_fixed_entry(var: str, entry: dict, outer: bool) -> None:
-    name = f"variables_fixed.{var}"
-    required = ["rank", "fixed_value", "fixed_reasoning", "why_this_value",
-                "risk_if_suboptimal"]
-    optional = ["change_from_previous"] if outer else []
-    _check_fields(entry, name, required=required, optional=optional)
-    entry["rank"] = _as_int(entry["rank"], f"{name}.rank")
-    entry["fixed_value"] = _as_number(entry["fixed_value"], f"{name}.fixed_value")
-    _as_str(entry, "fixed_reasoning")
-    _as_str(entry, "why_this_value")
-    _as_enum(entry["risk_if_suboptimal"], f"{name}.risk_if_suboptimal", RISK_LEVELS)
-    if "change_from_previous" in entry:
-        _as_str(entry, "change_from_previous")
-
-
-def _validate_summary(summary: dict, outer: bool) -> None:
-    name = "search_space_summary"
-    required = ["original_full_space", "reduced_search_space", "reduction_factor",
-                "calculation", "explanation"]
-    optional = ["change_factor"] if outer else []
-    _check_fields(summary, name, required=required, optional=optional)
-    for key in ("original_full_space", "reduced_search_space"):
-        summary[key] = _as_int(summary[key], f"{name}.{key}")
-
-
-def _validate_configuration(configuration: dict, outer: bool) -> None:
-    _check_fields(
-        configuration, "optimization_configuration",
-        required=("variables_to_optimize", "variables_fixed"),
-    )
-    optimize = configuration["variables_to_optimize"]
-    fixed = configuration["variables_fixed"]
-    if not isinstance(optimize, Mapping):
-        raise SchemaViolation("variables_to_optimize", "object")
-    if not isinstance(fixed, Mapping):
-        raise SchemaViolation("variables_fixed", "object")
-    for var, entry in optimize.items():
-        _validate_optimize_entry(var, entry, outer)
-    for var, entry in fixed.items():
-        _validate_fixed_entry(var, entry, outer)
-
-
-def _validate_plan(data: dict) -> dict:
-    _check_fields(
-        data,
-        "",
-        required=(
-            "optimization_target",
-            "num_variables_to_optimize",
-            "variable_ranking",
-            "optimization_configuration",
-            "search_space_summary",
-        ),
-    )
-    _validate_configuration(data["optimization_configuration"], outer=False)
-    _as_str(data, "optimization_target")
-    data["num_variables_to_optimize"] = _as_int(
-        data["num_variables_to_optimize"], "num_variables_to_optimize"
-    )
-    _validate_ranking(data["variable_ranking"])
-    _validate_summary(data["search_space_summary"], outer=False)
-    return data
+# Each validator checks one parsed reply in place and returns that same
+# dict: the validated wire JSON is the decision. An action that is not
+# one of its enum is left for the table to name.
 
 
 def _validate_inner(data: dict) -> dict:
-    _check_fields(
-        data,
-        "",
-        required=("action", "reasoning", "confidence", "expected_improvement",
-                  "convergence_assessment"),
-        optional=("method", "n_samples", "parameters"),
-    )
-    action = _as_enum(data["action"], "action", INNER_ACTIONS)
-    _as_enum(data["confidence"], "confidence", CONFIDENCE_LEVELS)
-    _as_str(data, "reasoning")
-    data["expected_improvement"] = str(data["expected_improvement"])
-    _as_str(data, "convergence_assessment")
-    if action != "search":
+    action = data.get("action")
+    if action == "stop":
         for key in ("method", "n_samples", "parameters"):
             data.pop(key, None)
-        return data
-    if "method" not in data or "n_samples" not in data:
-        raise SchemaViolation("method", "required when action is search")
-    _as_str(data, "method")
-    data["n_samples"] = _as_int(data["n_samples"], "n_samples")
-    if data["n_samples"] < 1:
+    elif action == "search":
+        if "method" not in data or "n_samples" not in data:
+            raise SchemaViolation("method", "required when action is search")
+        data.setdefault("parameters", {})
+    _INNER(data)
+    if data.get("n_samples", 1) < 1:
         raise SchemaViolation("n_samples", "positive integer")
-    if not isinstance(data.setdefault("parameters", {}), Mapping):
-        raise SchemaViolation("parameters", "object")
     return data
 
 
 def _validate_outer(data: dict) -> dict:
-    _check_fields(
-        data,
-        "",
-        required=(
-            "optimization_target",
-            "regeneration_reasoning",
-            "action_taken",
-            "changes_from_previous",
-            "expected_improvement",
-            "confidence",
-        ),
-        optional=("variable_ranking", "optimization_configuration", "search_space_summary"),
-    )
-    action = _as_enum(data["action_taken"], "action_taken", ACTIONS)
-    _as_enum(data["confidence"], "confidence", CONFIDENCE_LEVELS)
-    regenerates = "optimization_configuration" in data
-    if action not in ("continue_current", "converged") and not regenerates:
-        raise SchemaViolation("optimization_configuration", f"required for action {action}")
-    if regenerates:
-        if "variable_ranking" not in data or "search_space_summary" not in data:
-            raise SchemaViolation("variable_ranking", "required alongside the regenerated plan")
-        _validate_configuration(data["optimization_configuration"], outer=True)
-    _as_str(data, "optimization_target")
-    if regenerates:
-        _validate_ranking(data["variable_ranking"])
-        _validate_summary(data["search_space_summary"], outer=True)
-    else:
-        data.pop("variable_ranking", None)
-        data.pop("search_space_summary", None)
-    _as_str(data, "regeneration_reasoning")
-    _as_str(data, "changes_from_previous")
-    data["expected_improvement"] = str(data["expected_improvement"])
-    return data
+    action = data.get("action_taken")
+    if action in ACTIONS:
+        if "optimization_configuration" in data:
+            if "variable_ranking" not in data or "search_space_summary" not in data:
+                raise SchemaViolation("variable_ranking",
+                                      "required alongside the regenerated plan")
+        elif action not in ("continue_current", "converged"):
+            raise SchemaViolation("optimization_configuration", f"required for action {action}")
+        else:
+            data.pop("variable_ranking", None)
+            data.pop("search_space_summary", None)
+    return _OUTER(data)
 
 
 _VALIDATORS = {
-    "understanding": _validate_understanding,
-    "plan": _validate_plan,
+    "understanding": _UNDERSTANDING,
+    "plan": _PLAN,
     "inner": _validate_inner,
     "outer": _validate_outer,
 }

@@ -229,10 +229,11 @@ def evaluate_batch(
     keys = [ResultCache.key_for(d) for d in designs]
     # the first occurrence of each key the cache lacks runs; every other
     # record, a later repeat in this batch included, is a cache hit
+    entries = {key: cache.get(key) for key in keys}
     first: Dict[str, int] = {}
     for i, key in enumerate(keys):
-        if key not in first and cache.get(key) is None:
-            first[key] = i
+        if entries[key] is None:
+            first.setdefault(key, i)
     if keep_log_dir and first and evaluator.kind == "spice":
         keep_log_dir.mkdir(parents=True, exist_ok=True)  # once per batch, for ``_run_spice``
 
@@ -249,25 +250,26 @@ def evaluate_batch(
         entry["assessed"] = (assess(spec, entry["raw_metrics"]) if entry["sim_status"] == SIM_OK
                              else (None, False, {}))
         cache.put(key, entry)
+        entries[key] = entry
 
+    # the records of a key share its entry's mappings: nothing writes them
     records: List[EvaluatedDesign] = []
     for i, (design, key) in enumerate(zip(designs, keys)):
-        entry = cache.get(key)
+        entry = entries[key]
         hit = first.get(key) != i
-        wall = 0.0 if hit else fresh[key][1]
         fom, feasible, normalized = entry["assessed"]
         records.append(
             EvaluatedDesign(
                 design=design,
-                raw_metrics=dict(entry["raw_metrics"]),
-                normalized=dict(normalized),
+                raw_metrics=entry["raw_metrics"],
+                normalized=normalized,
                 fom=fom,
                 feasible=feasible,
                 sim_status=entry["sim_status"],
                 iteration=iteration,
                 method=method,
                 eval_index=start_eval_index + i,
-                wall_time=wall,
+                wall_time=0.0 if hit else fresh[key][1],
                 cached=hit,
             )
         )

@@ -15,8 +15,9 @@ generation counter bumped, so each outer-loop generation stays
 inspectable in the run report. The full grid is the universal value
 universe; optimizers address values by per-variable index, which makes
 every algorithm grid-respecting by construction. A space formats the id
-fragments of its values once (``SearchSpace.id_table``), for every
-design ``optim.base.materialize`` builds in it.
+fragments of its values (``SearchSpace.id_table``) and maps its values
+to their indices (``SearchSpace.index_maps``) once, for every design
+``optim.base.materialize`` builds in it or ``index_rows`` places in it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ class SearchSpace:
         table.update((var, (pin, (f"{var}={value!r}",))) for var, value in self.fixed.items())
         return tuple(table[var] for var in sorted(table))
 
+    @cached_property
+    def index_maps(self) -> Tuple[Tuple[str, Dict[float, int]], ...]:
+        """Each active variable with its value->index map, in declaration
+        order, for ``index_rows``; kept, like ``id_table``."""
+        return tuple((var, {v: i for i, v in enumerate(values)})
+                     for var, values in self.active.items())
+
     def describe(self) -> dict:
         return {
             "generation": self.generation,
@@ -113,14 +121,13 @@ def index_rows(space: SearchSpace, designs: Iterable[Design]) -> List[Optional[L
     """Each design's index vector over the active lists, or None where the
     design lies outside the space: its variables differ from the grid's,
     a pin is not matched or an active value is not in its list."""
-    position = [(var, {v: i for i, v in enumerate(values)}) for var, values in space.active.items()]
     variables, pins = space.full_grid.keys(), space.fixed.items()
     rows: List[Optional[List[int]]] = []
     for design in designs:
         assignment = design.assignment
         row = None
         if assignment.keys() == variables and all(assignment[v] == pin for v, pin in pins):
-            row = [index.get(assignment[var]) for var, index in position]
+            row = [index.get(assignment[var]) for var, index in space.index_maps]
         rows.append(None if row is None or None in row else row)
     return rows
 

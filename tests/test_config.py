@@ -17,15 +17,24 @@ from sizerforge.config import (
 from sizerforge.errors import (
     BadScaleRef,
     ConfigError,
+    GridTooLarge,
     MissingAssignment,
     MissingKey,
     NonMonotonicGrid,
     SpecParseError,
     TemplateUnresolvable,
+    UnknownModel,
     ValueOffGrid,
 )
 from sizerforge.harness import parse_matrix
-from sizerforge.surrogates import _MED_SCALES, _TELESCOPIC_VARS, get_model
+from sizerforge.surrogates import (
+    _MED_SCALES,
+    _TELESCOPIC_VARS,
+    ORACLE_GRID_LIMIT,
+    SurrogateModel,
+    enumerate_oracle,
+    get_model,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -225,6 +234,25 @@ def test_the_surrogate_registry_agrees_with_its_config(path):
     assert model.spec_text == config.user_specs_metric
     scales = dict(config.width_scales.values())
     assert scales == (_MED_SCALES if model.variables == _TELESCOPIC_VARS else {})
+
+
+def test_an_unregistered_surrogate_model_is_unknown():
+    with pytest.raises(UnknownModel, match="no surrogate model registered as 'sota_huge'"):
+        get_model("sota_huge")
+
+
+def test_the_oracle_refuses_a_grid_past_its_limit_before_enumerating():
+    def metrics(assignment):
+        raise AssertionError("the grid was enumerated")
+
+    # 4**10 = 1048576 points, just past the limit of 10**6
+    variables = tuple(f"w{i}" for i in range(10))
+    model = SurrogateModel(id="wide", variables=variables,
+                           grids={v: (1.0, 2.0, 3.0, 4.0) for v in variables},
+                           spec_text="fom > 1", metrics=metrics)
+    assert 4**10 > ORACLE_GRID_LIMIT
+    with pytest.raises(GridTooLarge, match="1048576 grid points exceeds the oracle limit"):
+        enumerate_oracle(model)
 
 
 def test_unknown_keys_pass_through():

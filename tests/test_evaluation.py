@@ -24,7 +24,7 @@ from sizerforge.config import load_config, parse_config
 from sizerforge.controller import RunBudget, run_method
 from sizerforge import evaluation
 from sizerforge.core import METRIC_MISSING, SIM_FAILED, SIM_OK, assess, design_from
-from sizerforge.errors import ConfigError
+from sizerforge.errors import ConfigError, EvaluatorUnavailable, UnknownModel
 from sizerforge.evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from sizerforge.specexpr import parse_spec
 
@@ -91,13 +91,16 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, monkeypatch, 
     else:
         assert all(r.fom is None and not r.feasible for r in records)
     # a later batch of cache hits: each design was assessed once, and
-    # every record has a normalized map of its own
+    # every record of a design shares its cache entry's mappings
     again = evaluate_batch(config, [second, first], evaluator,
                            spec=parse_spec(config.user_specs_metric), cache=cache,
                            start_eval_index=7, iteration=3, method="lhs", workers=workers)
     assert len(assessed) == (2 if status == SIM_OK else 0)
     assert [(r.fom, r.normalized) for r in again] == [(r.fom, r.normalized) for r in records[1::-1]]
-    assert records[0].normalized is not records[2].normalized is not again[1].normalized
+    entry = cache.get(ResultCache.key_for(first))
+    for record in (records[0], records[2], again[1]):
+        assert record.raw_metrics is entry["raw_metrics"]
+        assert record.normalized is entry["assessed"][2]
     # decks are temporary: nothing is left in the work directory but the stand-in
     assert os.listdir(tmp_path) == [f"ngspice_{name}"]
 
@@ -126,6 +129,21 @@ def test_a_run_finishes_when_the_simulator_cannot_start_or_garbles_its_output(
     status = SIM_FAILED if name == "unstartable" else METRIC_MISSING
     assert result.evals_used == 8
     assert {r.sim_status for r in result.history.records} == {status}
+
+
+def test_a_spice_executable_missing_from_path_fails_up_front(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    config = load_config(str(CONFIGS / "sota_easy.yaml"))
+    evaluator = EvaluatorSpec(kind="spice", executable="ngspice", workdir=str(tmp_path))
+    with pytest.raises(EvaluatorUnavailable, match="'ngspice' not found on PATH"):
+        evaluate_batch(config, [design_from({"a": 0.84, "b": 1.05})], evaluator,
+                       spec=parse_spec(config.user_specs_metric), cache=ResultCache())
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_surrogate_evaluator_needs_a_model_id():
+    with pytest.raises(UnknownModel, match="needs a model id"):
+        EvaluatorSpec(kind="surrogate")
 
 
 def test_a_surrogate_config_without_a_model_fails_up_front():

@@ -2,7 +2,10 @@
 
 Each row starts from a valid reply of one schema, breaks one field and
 pins the exact message ``parse_agent_json`` rejects it with; the message
-is what the LLM backend echoes into its re-prompt.
+is what the LLM backend echoes into its re-prompt. Every field of every
+valid reply, given a value of the wrong kind, is named by its full path
+from the top of the reply. The fields an action does not use are
+dropped unchecked.
 """
 
 import copy
@@ -75,8 +78,9 @@ VALID = {
 }
 
 _DROP = object()
-OPT = ("optimization_configuration", "variables_to_optimize", "a")
-FIX = ("optimization_configuration", "variables_fixed", "b")
+C = "optimization_configuration"
+OPT = (C, "variables_to_optimize", "a")
+FIX = (C, "variables_fixed", "b")
 
 
 def _broken(schema, path, value):
@@ -112,23 +116,24 @@ MALFORMED = [
     ("plan", ("optimization_configuration", "variables_fixed"), _DROP,
      _violation("optimization_configuration.variables_fixed", "required field")),
     ("plan", ("optimization_configuration", "variables_to_optimize"), [],
-     _violation("variables_to_optimize", "object")),
+     _violation(f"{C}.variables_to_optimize", "object")),
     ("plan", ("optimization_configuration", "variables_fixed"), "b",
-     _violation("variables_fixed", "object")),
-    ("plan", OPT + ("search_space",), [], _violation("variables_to_optimize.a.search_space",
-                                                     "non-empty list of numbers")),
+     _violation(f"{C}.variables_fixed", "object")),
+    ("plan", OPT + ("search_space",), [],
+     _violation(f"{C}.variables_to_optimize.a.search_space", "non-empty list of numbers")),
     ("plan", OPT + ("search_space",), [0.84, "wide"],
-     _violation("variables_to_optimize.a.search_space", "number")),
-    ("plan", OPT + ("rank",), 1.5, _violation("variables_to_optimize.a.rank", "integer")),
+     _violation(f"{C}.variables_to_optimize.a.search_space", "number")),
+    ("plan", OPT + ("rank",), 1.5, _violation(f"{C}.variables_to_optimize.a.rank", "integer")),
     ("plan", OPT + ("num_choices",), True,
-     _violation("variables_to_optimize.a.num_choices", "integer")),
+     _violation(f"{C}.variables_to_optimize.a.num_choices", "integer")),
     ("plan", OPT + ("sensitivity",), "extreme",
-     _violation("variables_to_optimize.a.sensitivity", "one of high|medium|low")),
+     _violation(f"{C}.variables_to_optimize.a.sensitivity", "one of high|medium|low")),
     ("plan", OPT + ("change_from_previous",), "new",
-     _violation("variables_to_optimize.a.change_from_previous", "no such field")),
-    ("plan", FIX + ("fixed_value",), "mid", _violation("variables_fixed.b.fixed_value", "number")),
+     _violation(f"{C}.variables_to_optimize.a.change_from_previous", "no such field")),
+    ("plan", FIX + ("fixed_value",), "mid",
+     _violation(f"{C}.variables_fixed.b.fixed_value", "number")),
     ("plan", FIX + ("risk_if_suboptimal",), "none",
-     _violation("variables_fixed.b.risk_if_suboptimal", "one of low|medium|high")),
+     _violation(f"{C}.variables_fixed.b.risk_if_suboptimal", "one of low|medium|high")),
     ("plan", ("optimization_target",), ["fom"], _violation("optimization_target", "string")),
     ("plan", ("num_variables_to_optimize",), "one",
      _violation("num_variables_to_optimize", "integer")),
@@ -159,7 +164,7 @@ MALFORMED = [
     ("outer", ("search_space_summary",), _DROP,
      _violation("variable_ranking", "required alongside the regenerated plan")),
     ("outer", OPT + ("num_choices",), "three",
-     _violation("variables_to_optimize.a.num_choices", "integer")),
+     _violation(f"{C}.variables_to_optimize.a.num_choices", "integer")),
     ("outer", ("search_space_summary", "original_full_space"), 81.5,
      _violation("search_space_summary.original_full_space", "integer")),
     ("outer", ("changes_from_previous",), 0, _violation("changes_from_previous", "string")),
@@ -179,6 +184,62 @@ def test_malformed_reply_is_rejected_with_its_message(schema, path, value, messa
     with pytest.raises(SchemaViolation) as caught:
         parse_agent_json(_broken(schema, path, value), schema)
     assert str(caught.value) == message
+
+
+# any value passes these: the first is made a string, the others are kept as they are
+FREE_FORM = ("expected_improvement", "reduction_factor", "calculation", "explanation")
+SEARCH_FIELDS = ("method", "n_samples", "parameters")
+REGENERATED = ("variable_ranking", "optimization_configuration", "search_space_summary")
+
+
+def _field_paths(node, path=()):
+    """The key path of every field below ``node``: each key of an object and
+    each object row of a list, but not the names of the free-form impact map."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = [(i, row) for i, row in enumerate(node) if isinstance(row, dict)]
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)) and key != "optimization_variables_impact":
+            yield from _field_paths(value, path + (key,))
+
+
+def _named(path):
+    """A key path as a violation names it: ``parent.key`` and ``parent[i]``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+WRONG_KIND = [(schema, path) for schema in sorted(VALID) for path in _field_paths(VALID[schema])
+              if path[-1] not in FREE_FORM]
+
+
+@pytest.mark.parametrize("schema, path", WRONG_KIND,
+                         ids=[f"{s}:{_named(p)}" for s, p in WRONG_KIND])
+@pytest.mark.parametrize("value", [None, []], ids=["null", "empty_list"])
+def test_a_field_of_the_wrong_kind_is_named_by_its_full_path(schema, path, value):
+    with pytest.raises(SchemaViolation) as caught:
+        parse_agent_json(_broken(schema, path, value), schema)
+    assert caught.value.field == _named(path)
+
+
+def test_a_stop_drops_its_search_fields_unchecked():
+    reply = {**VALID["inner"], "action": "stop", "method": 3, "n_samples": "ten",
+             "parameters": []}
+    expected = {k: v for k, v in reply.items() if k not in SEARCH_FIELDS}
+    assert parse_agent_json(json.dumps(reply), "inner") == expected
+
+
+@pytest.mark.parametrize("action", ["continue_current", "converged"])
+@pytest.mark.parametrize("field, value", [
+    ("variable_ranking", [{"rank": "first", "variable": 7}]),
+    ("search_space_summary", {"original_full_space": "many"}),
+])
+def test_a_reply_that_regenerates_nothing_drops_the_ranking_and_summary_unchecked(
+        action, field, value):
+    kept = {k: v for k, v in VALID["outer"].items() if k not in REGENERATED}
+    reply = {**kept, "action_taken": action, field: value}
+    assert parse_agent_json(json.dumps(reply), "outer") == {**kept, "action_taken": action}
 
 
 @pytest.mark.parametrize("raw, message", [

@@ -75,6 +75,9 @@ def test_sample_validate():
     missing_var = design_from({"W_tail": 0.84, "W_diff": 1.05, "W_casc": 1.68})
     rows = index_rows(space, [ok, wrong_pin, outside, missing_var])
     assert rows == [[0, 1], None, None, None]
+    # the space builds its value->index maps once and keeps them
+    assert space.index_maps is space.index_maps
+    assert space.index_maps == (("W_tail", {0.84: 0, 1.05: 1}), ("W_diff", {0.84: 0, 1.05: 1}))
 
 
 def test_unfix_window_centering_and_truncation():

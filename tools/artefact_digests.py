@@ -16,18 +16,18 @@ their maps are equal:
     python3 tools/artefact_digests.py src > change.json
     cmp parent.json change.json
 
-The matrix: the four baselines and the two-loop ``run`` with the rule
-backend (plain, ``no_oe``, ``no_ssd``, one outer loop and ``cycle``) on
-sota_easy, sota_med and sota_hard, at 60 and 300 evaluations, plus
-bo_baseline at 150, seeds 0-2: 171 runs. The ``cycle`` runs keep the
-rule policy's plan and outer loop, but their inner decision cycles the
-six orchestrated methods, 12 samples each with default parameters, and
-their spec asks for ``fom > 1000`` in place of any ``fom`` clause (or
-besides the others, where it has none), so no run stops on feasibility
-and every method proposes on a growing history. A run that raises is
-recorded as ``error:`` with the exception. BLAS runs on one thread unless
-``OPENBLAS_NUM_THREADS`` says otherwise, so the Bayesian picks do not
-depend on the host's core count.
+The matrix: the four baselines of ``controller.BASELINES`` and the
+two-loop ``run`` with the rule backend (plain, ``no_oe``, ``no_ssd``,
+one outer loop and ``cycle``) on sota_easy, sota_med and sota_hard, at
+60 and 300 evaluations, plus bo_baseline at 150, seeds 0-2: 171 runs.
+The ``cycle`` runs keep the rule policy's plan and outer loop, but their
+inner decision cycles the six orchestrated methods, 12 samples each with
+default parameters, and their spec asks for ``fom > 1000`` in place of
+any ``fom`` clause (or besides the others, where it has none), so no run
+stops on feasibility and every method proposes on a growing history. A
+run that raises is recorded as ``error:`` with the exception. BLAS runs
+on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise, so the
+Bayesian picks do not depend on the host's core count.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 CONFIGS = ("sota_easy", "sota_med", "sota_hard")
-BASELINES = ("lhs", "ga_baseline", "bo_baseline", "turbo_baseline")
 RUNS = ("run", "run_no_oe", "run_no_ssd", "run_one_loop", "run_cycle")
 CYCLE_SAMPLES = 12
 BUDGETS = (60, 300)
@@ -51,10 +50,10 @@ SEEDS = (0, 1, 2)
 PATTERNS = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
 
 
-def matrix():
+def matrix(baselines):
     """(method, config, total evaluations, seed) of every run, in print order."""
     for name in CONFIGS:
-        for method in BASELINES + RUNS:
+        for method in (*baselines, *RUNS):
             budgets = (60, 150, 300) if method == "bo_baseline" else BUDGETS
             for total in budgets:
                 for seed in SEEDS:
@@ -99,7 +98,7 @@ def unreachable_fom(config):
 
 def run_one(sizerforge, config, method: str, total: int, seed: int, out: Path) -> None:
     controller = sizerforge.controller
-    if method in BASELINES:
+    if method in controller.BASELINES:
         controller.run_baseline(config, method, controller.RunBudget(total_evals=total), seed,
                                 results_dir=str(out))
         return
@@ -128,7 +127,7 @@ def main(argv) -> int:
                for name in CONFIGS}
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for method, name, total, seed in matrix():
+        for method, name, total, seed in matrix(sizerforge.controller.BASELINES):
             key = f"{method}/{name}/{total}/seed{seed}"
             out = Path(tmp) / key.replace("/", "_")
             try:
