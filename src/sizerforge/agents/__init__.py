@@ -21,15 +21,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigError
 from ..space import SearchSpace
-from .llm import (
-    GENERATION_PARAMS,
-    HttpTransport,
-    LlmBackend,
-    ReplayTransport,
-    TranscriptWriter,
-    load_prompt,
-    snap_to_grid,
-)
 from .rule import (
     rule_decide_inner,
     rule_decide_outer,
@@ -38,6 +29,20 @@ from .rule import (
     target_metric,
 )
 from .schemas import parse_agent_json
+
+# the model backend's names, loaded from ``llm`` on first use (PEP 562):
+# a rule-driven run never imports it
+_LLM_NAMES = frozenset({"GENERATION_PARAMS", "HttpTransport", "LlmBackend", "ReplayTransport",
+                        "TranscriptWriter", "load_prompt", "snap_to_grid"})
+
+
+def __getattr__(name: str):
+    if name not in _LLM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import llm
+
+    return getattr(llm, name)
+
 
 __all__ = [
     "GENERATION_PARAMS",
@@ -85,11 +90,11 @@ def make_backend(spec: str, transcript_dir: Optional[str] = None):
     """Build a backend from its CLI spelling: rule | llm | replay:<dir>."""
     if spec == "rule":
         return RuleBackend()
-    if spec == "llm":
-        transcripts = TranscriptWriter(transcript_dir) if transcript_dir else None
-        return LlmBackend(HttpTransport(), transcripts=transcripts)
-    if spec.startswith("replay:"):
-        directory = spec.split(":", 1)[1]
-        transcripts = TranscriptWriter(transcript_dir) if transcript_dir else None
-        return LlmBackend(ReplayTransport(directory), transcripts=transcripts)
+    if spec == "llm" or spec.startswith("replay:"):
+        from . import llm
+
+        transcripts = llm.TranscriptWriter(transcript_dir) if transcript_dir else None
+        transport = (llm.HttpTransport() if spec == "llm"
+                     else llm.ReplayTransport(spec.split(":", 1)[1]))
+        return llm.LlmBackend(transport, transcripts=transcripts)
     raise ConfigError(f"unknown backend {spec!r}; expected rule, llm, or replay:<dir>")

@@ -107,14 +107,14 @@ def _numeric(cast: type, expected: str) -> Kind:
     """Integer or number: a numeric string is parsed and an integral float
     made an int; a boolean is neither."""
     def check(value: object, path: str):
-        if isinstance(value, str):
-            try:
+        try:
+            if isinstance(value, str):
                 return cast(value.strip())
-            except ValueError:
-                pass
-        elif isinstance(value, (int, float)) and not isinstance(value, bool) and (
-                cast is float or isinstance(value, int) or value.is_integer()):
-            return cast(value)
+            if isinstance(value, (int, float)) and not isinstance(value, bool) and (
+                    cast is float or isinstance(value, int) or value.is_integer()):
+                return cast(value)
+        except (ValueError, OverflowError):  # not a numeral, or an int past float range
+            pass
         raise SchemaViolation(path, expected)
     return check
 
@@ -286,8 +286,9 @@ def _validate_inner(data: dict) -> dict:
         for key in ("method", "n_samples", "parameters"):
             data.pop(key, None)
     elif action == "search":
-        if "method" not in data or "n_samples" not in data:
-            raise SchemaViolation("method", "required when action is search")
+        for key in ("method", "n_samples"):
+            if key not in data:
+                raise SchemaViolation(key, "required when action is search")
         data.setdefault("parameters", {})
     _INNER(data)
     if data.get("n_samples", 1) < 1:
@@ -340,7 +341,9 @@ def parse_agent_json(raw: str, schema: str, repairs: Optional[List[str]] = None)
         repairs.append("trimmed surrounding prose")
     try:
         data = json.loads(candidate)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an integer past Python's digit limit, or nesting
+        # past the recursion limit
         raise JsonUnparseable(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise JsonUnparseable("top-level JSON value is not an object")

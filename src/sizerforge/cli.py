@@ -6,7 +6,8 @@ parses), oracle (print a surrogate model's best feasible point).
 
 ``run --method`` takes the spelling a matrix file's ``methods`` take,
 a baseline name or ``autosizer[:BACKEND][+ABLATION]``, and hands it to
-``controller.run_method``.
+``controller.run_method``. Only ``bench`` and ``report`` import the
+matrix runner (``harness``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .config import load_config, render_deck
 from .controller import AUTOSIZER_SPELLING, BASELINES, RunBudget, run_method
 from .errors import SizerForgeError
 from .evaluation import evaluator_from_config
-from .harness import load_matrix, render_table, run_matrix
 from .specexpr import parse_spec
 from .surrogates import enumerate_oracle, get_model
 
@@ -102,6 +102,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .harness import load_matrix, render_table, run_matrix
+
     matrix = load_matrix(args.matrix)
     report = run_matrix(matrix, out_dir=args.out, workers=args.workers)
     sys.stdout.write(render_table(report))
@@ -111,6 +113,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .harness import render_table
+
     root = Path(args.results_dir)
     for candidate in (root / "reports" / "matrix_results.json", root / "matrix_results.json"):
         if candidate.exists():

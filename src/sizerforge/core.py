@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import logging
 from dataclasses import dataclass, asdict
 from itertools import groupby
 from operator import attrgetter
@@ -48,7 +47,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from .errors import MissingMetric
 from .specexpr import FOM_METRIC, Comparison, SpecExpr, evaluate_spec
 
-log = logging.getLogger(__name__)
 
 SIM_OK = "ok"
 SIM_FAILED = "sim_failed"
@@ -287,8 +285,11 @@ def assess(
         if FOM_METRIC in raw_metrics:
             reported = raw_metrics[FOM_METRIC]
             if reported != 0 and abs(reported - fom) / abs(reported) > 0.01:
-                log.warning("engine fom %.6g disagrees with reported fom %.6g by more than 1%%",
-                            fom, reported)
+                import logging  # loaded only by a run that has a disagreement to log
+
+                logging.getLogger(__name__).warning(
+                    "engine fom %.6g disagrees with reported fom %.6g by more than 1%%",
+                    fom, reported)
         spec_metrics = {**raw_metrics, FOM_METRIC: fom}
 
     try:

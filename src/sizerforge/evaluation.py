@@ -12,17 +12,19 @@ time).
 Surrogate evaluations record a wall time of 0.0: they are effectively
 free, and a fixed value keeps batch results field-for-field identical
 whatever the worker count.
+
+Only the SPICE path imports what it runs with: ``shutil`` (the
+executable check), ``tempfile`` (the deck) and ``subprocess`` load on a
+process's first SPICE batch. The thread pool loads on the first batch
+that has more than one worker and more than one design to evaluate. A
+surrogate run with one worker loads none of them.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import shutil
-import subprocess
-import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -139,6 +141,8 @@ def _simulate(evaluator: EvaluatorSpec, deck_path: str) -> Tuple[str, str, str]:
     """Run the simulator on a deck: (log, status, reason). An executable
     that cannot be started, a non-zero exit and a timeout each fail the
     simulation, not the run."""
+    import subprocess
+
     try:
         # bytes that are not UTF-8 become U+FFFD, in the scraped text and the kept log
         proc = subprocess.run(
@@ -162,6 +166,8 @@ def _simulate(evaluator: EvaluatorSpec, deck_path: str) -> Tuple[str, str, str]:
 def _run_spice(config: BenchmarkConfig, design: Design,
                evaluator: EvaluatorSpec, keep_log_dir: Optional[Path]) -> Tuple[dict, float]:
     """One simulator invocation; returns (cache entry, wall seconds)."""
+    import tempfile
+
     deck = render_deck(config, design.assignment)
     started = time.perf_counter()
     workdir = evaluator.workdir or tempfile.gettempdir()
@@ -219,11 +225,14 @@ def evaluate_batch(
     and never abort the batch. A missing SPICE executable aborts up
     front with EvaluatorUnavailable.
     """
-    if evaluator.kind == "spice" and shutil.which(evaluator.executable) is None:
-        raise EvaluatorUnavailable(
-            f"spice executable {evaluator.executable!r} not found on PATH; "
-            "install it or select the surrogate evaluator"
-        )
+    if evaluator.kind == "spice":
+        import shutil
+
+        if shutil.which(evaluator.executable) is None:
+            raise EvaluatorUnavailable(
+                f"spice executable {evaluator.executable!r} not found on PATH; "
+                "install it or select the surrogate evaluator"
+            )
     keep_log_dir = Path(results_dir) / "logs" if (keep_logs and results_dir) else None
 
     keys = [ResultCache.key_for(d) for d in designs]
@@ -238,6 +247,8 @@ def evaluate_batch(
         keep_log_dir.mkdir(parents=True, exist_ok=True)  # once per batch, for ``_run_spice``
 
     if workers > 1 and len(first) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {key: pool.submit(_evaluate_one, config, designs[i], evaluator, keep_log_dir)
                        for key, i in first.items()}

@@ -36,9 +36,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import yaml
-
-from .config import load_config, read_list, read_number
+from .config import load_config, parse_yaml_mapping, read_list, read_number
 from .controller import RunBudget, RunResult, at_least_one, parse_method, run_method
 from .core import is_valid, report_key
 from .errors import ConfigError
@@ -98,12 +96,7 @@ def _refuse_unknown(what: str, mapping: dict, known) -> None:
 
 def parse_matrix(source: str) -> TrialMatrix:
     """Matrix files share the config document format: one YAML mapping."""
-    try:
-        doc = yaml.safe_load(source)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"matrix file is not valid YAML: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError("matrix file must be a YAML mapping")
+    doc = parse_yaml_mapping(source, "matrix file")
     _refuse_unknown("matrix", doc, TrialMatrix)
 
     circuits = doc.get("circuits")

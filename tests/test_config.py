@@ -4,7 +4,9 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
+from sizerforge import config as config_module
 from sizerforge.cli import main
 from sizerforge.config import (
     extract_placeholders,
@@ -37,6 +39,12 @@ from sizerforge.surrogates import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+YAML_FILES = sorted(CONFIGS.glob("*.yaml")) + sorted(
+    (CONFIGS.parent / "perfbench" / "configs").glob("*.yaml"))
+# the pure-Python parser, and libyaml's when PyYAML is built with it
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML is built without libyaml")
 
 MINIMAL = """
 name: mini
@@ -277,3 +285,53 @@ def test_format_value_shortest_form():
     assert format_value(1.68) == "1.68"
     assert format_value(1e-12) == "1e-12"
     assert format_value(2) == "2"
+
+
+@needs_libyaml
+def test_configs_parse_through_libyaml_when_pyyaml_has_it():
+    assert config_module._YAML_LOADER is yaml.CSafeLoader
+
+
+def _under_each_loader(monkeypatch, parse, source):
+    """What ``parse`` makes of ``source`` under each YAML parser."""
+    parsed = []
+    for loader in LOADERS:
+        monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+        parsed.append(parse(source))
+    return parsed
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", YAML_FILES,
+                         ids=lambda p: p.relative_to(CONFIGS.parent).as_posix())
+def test_both_yaml_parsers_read_every_config_alike(path, monkeypatch):
+    source = path.read_text(encoding="utf-8")
+    python, libyaml = (yaml.load(source, Loader=loader) for loader in LOADERS)
+    assert python == libyaml
+    assert repr(python) == repr(libyaml)
+    python, libyaml = _under_each_loader(monkeypatch, parse_config, source)
+    assert python == libyaml
+
+
+@needs_libyaml
+def test_both_yaml_parsers_read_a_matrix_file_alike(monkeypatch):
+    source = (MATRIX + "trials_per_cell: 2\nseeds: [3, 5]\n"
+              "budget: {total_evals: 60, per_inner_loop: 20}\n")
+    python, libyaml = _under_each_loader(monkeypatch, parse_matrix, source)
+    assert python == libyaml
+    assert (python.seeds, python.budget.total_evals, python.budget.per_inner_loop) == ([3, 5], 60, 20)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("source, problem", [
+    ("name: mini\nvariable:\n\tW_a: null\n", "is not well-formed: "),
+    ("name: mini\nW_values: [1.0, 2.0\n", "is not well-formed: "),
+    ("- a list\n- not a mapping\n", "document must be a mapping"),
+], ids=["tab_indentation", "unclosed_bracket", "not_a_mapping"])
+def test_malformed_yaml_is_a_config_error_under_either_parser(loader, source, problem,
+                                                              monkeypatch):
+    monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+    for parse, what in ((parse_config, "config"), (parse_matrix, "matrix file")):
+        with pytest.raises(ConfigError) as caught:
+            parse(source)
+        assert str(caught.value).startswith(f"{what} {problem}")

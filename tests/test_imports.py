@@ -30,6 +30,19 @@ and ``scipy.spatial``, and so none of scipy's array-API layer,
 ``sys.modules``, so the probes read the shared objects mapped into the
 process: the BLAS and ``ndtr``'s ufuncs, and no distance kernel.
 Each probe runs in a fresh interpreter.
+
+A process starts with only what its run uses. ``import sizerforge`` and
+``load_config``, an ``lhs`` run on the surrogate, a rule-driven run and
+the ``validate`` command load none of ``STARTUP_FREE``: ``subprocess``,
+``tempfile``, ``shutil`` and the thread pool load on the first SPICE
+batch (the pool only with ``workers`` above 1), ``logging`` when
+``core`` has a FoM disagreement to log or with the model backend
+(``agents.llm``), and ``csv`` with the matrix runner (``harness``).
+``sizerforge`` and ``sizerforge.agents`` expose the names of those two
+and load them on first use. Modules a bare interpreter already loads in the same
+environment are not counted: a ``site`` may preload ``tempfile`` and
+``shutil``. numpy imports ``subprocess`` itself, so these runs make no
+Bayesian proposal.
 """
 
 import ast
@@ -115,22 +128,27 @@ def test_every_definition_is_referenced():
     assert unreferenced == []
 
 
+def _fresh(code: str, *args: str):
+    """The JSON a fresh interpreter prints last after running ``code``
+    with ``args`` as ``sys.argv[1:]``, the package importable from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True, cwd=ROOT).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def _probe(code: str):
     """The numpy, scipy and requests modules a fresh interpreter has loaded
     after running ``code``, and the names of the scipy shared objects it
     has mapped (``/proc/self/maps``), loaded as modules or not."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = (f"{code}\nimport json, os, sys\n"
-             "modules = sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('numpy', 'scipy', 'requests'))\n"
-             "with open('/proc/self/maps') as maps:\n"
-             "    paths = {line.split()[-1] for line in maps if '/scipy/' in line}\n"
-             "mapped = sorted({os.path.basename(p).split('.')[0] for p in paths})\n"
-             "print(json.dumps([modules, mapped]))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, cwd=ROOT).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return _fresh(f"{code}\nimport json, os, sys\n"
+                  "modules = sorted(m for m in sys.modules "
+                  "if m.split('.')[0] in ('numpy', 'scipy', 'requests'))\n"
+                  "with open('/proc/self/maps') as maps:\n"
+                  "    paths = {line.split()[-1] for line in maps if '/scipy/' in line}\n"
+                  "mapped = sorted({os.path.basename(p).split('.')[0] for p in paths})\n"
+                  "print(json.dumps([modules, mapped]))")
 
 
 def _loaded(code: str):
@@ -211,6 +229,71 @@ def test_a_bayesian_proposal_loads_scipy_but_none_of_its_subpackages(name):
     # maps the BLAS and ndtr's ufuncs, and no distance kernel
     assert {"_fblas", "_special_ufuncs"} <= set(mapped)
     assert "_distance_pybind" not in mapped
+
+
+def _added(code: str, *args: str):
+    """The modules a fresh interpreter has loaded after running ``code``
+    with ``args`` as ``sys.argv[1:]``, beyond those a bare one loads."""
+    listing = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    return set(_fresh(code + listing, *args)) - set(_fresh("pass" + listing))
+
+
+STARTUP_FREE = {"subprocess", "concurrent.futures", "logging", "csv", "sizerforge.harness",
+                "sizerforge.agents.llm"}
+
+STARTUP = {
+    "import_and_load_config": "import sizerforge\n"
+                              "for name in ('sota_easy', 'sota_med', 'sota_hard'):\n"
+                              "    sizerforge.load_config(f'configs/{name}.yaml')",
+    "lhs_run": NUMPY_FREE["lhs_run"],
+    # two outer loops of lhs and genetic batches
+    "rule_run": "from sizerforge import RunBudget, load_config, run\n"
+                "result = run(load_config('configs/sota_hard.yaml'),\n"
+                "             RunBudget(total_evals=20), seed=0)\n"
+                "assert result.outer_loops_used == 2",
+    "validate": NUMPY_FREE["validate"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STARTUP))
+def test_a_surrogate_run_loads_no_spice_thread_pool_logging_matrix_or_model_modules(name):
+    assert sorted(STARTUP_FREE & _added(STARTUP[name])) == []
+
+
+def test_a_spice_run_with_two_workers_loads_the_subprocess_and_thread_pool_modules(tmp_path):
+    code = ("import sys\n"
+            "from sizerforge import EvaluatorSpec, RunBudget, load_config\n"
+            "from sizerforge.controller import run_method\n"
+            "config = load_config('perfbench/configs/sota_med_spice.yaml')\n"
+            "spice = EvaluatorSpec(kind='spice', executable='perfbench/bin/ngspice',\n"
+            "                      workdir=sys.argv[1])\n"
+            "result = run_method(config, 'lhs', RunBudget(total_evals=8), 0,\n"
+            "                    evaluator=spice, workers=2)\n"
+            "assert result.evals_used == 8\n"
+            "assert {r.sim_status for r in result.history.records} == {'ok'}")
+    added = _added(code, str(tmp_path))
+    assert {"subprocess", "concurrent.futures"} <= added
+    assert not {"sizerforge.harness", "sizerforge.agents.llm"} & added
+
+
+def test_a_replay_backend_and_the_lazy_names_load_their_modules(tmp_path):
+    code = ("import sys\n"
+            "import sizerforge\n"
+            "from sizerforge import LlmBackend, run_matrix\n"
+            "from sizerforge.agents import make_backend\n"
+            "backend = make_backend('replay:' + sys.argv[1])\n"
+            "assert type(backend) is LlmBackend is sizerforge.agents.LlmBackend\n"
+            "assert run_matrix is sizerforge.harness.run_matrix")
+    added = _added(code, str(tmp_path))
+    assert {"sizerforge.harness", "sizerforge.agents.llm", "csv"} <= added
+
+
+@pytest.mark.parametrize("module", ["sizerforge", "sizerforge.agents"])
+def test_a_lazy_package_still_refuses_a_name_it_lacks(module):
+    package = importlib.import_module(module)
+    assert {"LlmBackend"} <= set(package.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        package.no_such_name
 
 
 def test_the_tracer_rebinds_names_that_exist_and_puts_them_back(monkeypatch):

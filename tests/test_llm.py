@@ -187,6 +187,32 @@ def test_exhausted_transcript_falls_back_to_the_rule_policy(tmp_path, config):
     assert messages == [f"understanding: falling back to the rule policy ({reason})"]
 
 
+def test_replies_past_pythons_limits_fall_back_to_the_rule_plan_and_the_run_finishes(
+        tmp_path, config):
+    # a width past float range, then a reply nested past the recursion limit
+    past_float_range = _wire_plan(config)
+    entry = past_float_range["optimization_configuration"]["variables_to_optimize"]["W_tail_base"]
+    entry["search_space"][0] = 10**400
+    nested = '{"x": ' + "[" * 100000 + "]" * 100000 + "}"
+    replies = [json.dumps(rule_understand(config)), json.dumps(past_float_range), nested]
+    backend, messages = _backend(tmp_path, replies)
+    result = run(config, RunBudget(total_evals=20), backend, 0)
+
+    assert result.best is not None
+    plan = next(e for e in result.decisions if e["kind"] == "plan")
+    assert (plan["backend"], plan["payload"]) == ("llm", _wire_plan(config))
+    too_deep = ("invalid JSON: maximum recursion depth exceeded while decoding "
+                "a JSON array from a unicode string")
+    reason = f"plan: retry also rejected: {too_deep}"
+    assert backend.fallbacks[0] == {"op": "plan", "reason": reason}
+    assert messages[:3] == [
+        "plan: response rejected (schema violation at 'optimization_configuration"
+        ".variables_to_optimize.W_tail_base.search_space': expected number)",
+        f"plan: response rejected ({too_deep})",
+        f"plan: falling back to the rule policy ({reason})",
+    ]
+
+
 # sota_hard, 40 evaluations, 20 per inner loop, two outer loops, seed 0
 GOLDEN_REPLAY_LOG = "3533ed9797e26f7963a1307aa4efdb8d8868cc55f8cc521fa9b16d2e770d53bc"
 

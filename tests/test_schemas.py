@@ -5,7 +5,9 @@ pins the exact message ``parse_agent_json`` rejects it with; the message
 is what the LLM backend echoes into its re-prompt. Every field of every
 valid reply, given a value of the wrong kind, is named by its full path
 from the top of the reply. The fields an action does not use are
-dropped unchecked.
+dropped unchecked. A reply past Python's own limits (a number past float
+range, an integer past the digit limit, nesting past the recursion
+limit) is refused like any other, never raised as Python's error.
 """
 
 import copy
@@ -153,6 +155,7 @@ MALFORMED = [
     ("inner", ("method",), 3, _violation("method", "string")),
     ("inner", ("n_samples",), "ten", _violation("n_samples", "integer")),
     ("inner", ("n_samples",), 0, _violation("n_samples", "positive integer")),
+    ("inner", ("n_samples",), _DROP, _violation("n_samples", "required when action is search")),
     ("inner", ("parameters",), [], _violation("parameters", "object")),
     # outer
     ("outer", ("action_taken",), "restart", _violation(
@@ -253,3 +256,17 @@ def test_unparseable_reply_is_rejected_with_its_message(raw, message):
     with pytest.raises(JsonUnparseable) as caught:
         parse_agent_json(raw, "inner")
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("raw, error, message", [
+    (_broken("plan", FIX + ("fixed_value",), 10**400), SchemaViolation,
+     _violation(f"{C}.variables_fixed.b.fixed_value", "number")),
+    (_broken("plan", FIX + ("fixed_value",), "@").replace('"@"', "1" * 4301), JsonUnparseable,
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    ('{"x": ' + "[" * 100000 + "]" * 100000 + "}", JsonUnparseable,
+     "invalid JSON: maximum recursion depth exceeded"),
+], ids=["past_float_range", "past_the_digit_limit", "nested_past_the_recursion_limit"])
+def test_a_reply_past_pythons_limits_is_refused_not_raised(raw, error, message):
+    with pytest.raises(error) as caught:
+        parse_agent_json(raw, "plan")
+    assert str(caught.value).startswith(message)
