@@ -13,7 +13,7 @@ because model output often wraps the JSON in prose or markdown.
 Each wire section is a table that maps its fields, each named once, to
 their kinds. A kind checks one value and returns it, coerced, or raises
 SchemaViolation: string, text (any value, made a string), integer and
-number (numeric strings are parsed), enum, non-empty number list,
+finite number (numeric strings are parsed), enum, non-empty number list,
 unchecked, the understanding's object of strings and list of 3-5
 strings, and three that nest: section (a table of its own), list rows
 and by-name entries. A section refuses a missing required field and an
@@ -34,6 +34,7 @@ drops those two unchecked.
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, List, Mapping, Optional, Sequence
 
 from ..errors import JsonUnparseable, SchemaViolation
@@ -105,17 +106,21 @@ def _unchecked(value: object, path: str) -> object:
 
 def _numeric(cast: type, expected: str) -> Kind:
     """Integer or number: a numeric string is parsed and an integral float
-    made an int; a boolean is neither."""
+    made an int; a boolean is neither, and a number is finite (JSON's
+    ``NaN`` and ``Infinity``, "nan", "inf" and "1e999" are none)."""
     def check(value: object, path: str):
+        number = None
         try:
             if isinstance(value, str):
-                return cast(value.strip())
-            if isinstance(value, (int, float)) and not isinstance(value, bool) and (
+                number = cast(value.strip())
+            elif isinstance(value, (int, float)) and not isinstance(value, bool) and (
                     cast is float or isinstance(value, int) or value.is_integer()):
-                return cast(value)
+                number = cast(value)
         except (ValueError, OverflowError):  # not a numeral, or an int past float range
             pass
-        raise SchemaViolation(path, expected)
+        if number is None or (cast is float and not math.isfinite(number)):
+            raise SchemaViolation(path, expected)
+        return number
     return check
 
 
@@ -300,9 +305,9 @@ def _validate_outer(data: dict) -> dict:
     action = data.get("action_taken")
     if action in ACTIONS:
         if "optimization_configuration" in data:
-            if "variable_ranking" not in data or "search_space_summary" not in data:
-                raise SchemaViolation("variable_ranking",
-                                      "required alongside the regenerated plan")
+            for key in ("variable_ranking", "search_space_summary"):
+                if key not in data:
+                    raise SchemaViolation(key, "required alongside the regenerated plan")
         elif action not in ("continue_current", "converged"):
             raise SchemaViolation("optimization_configuration", f"required for action {action}")
         else:

@@ -23,9 +23,12 @@ one whose method has nothing left to propose reports ``space_exhausted``.
 
 The agents see the search only through ``analyze``'s report, one
 analysis per decision: a fresh one for each inner decision after the
-first batch, and the loop-end one, rendered to ``loopNN_report.txt``,
-for the outer decision. A loop that ends on an inner ``stop`` renders
-that decision's report, as no batch ran after it. Of the budget they
+first batch, and the loop-end one for the outer decision. A loop that
+ends on an inner ``stop`` uses that decision's report, as no batch ran
+after it. A report is built only where it is read. A loop that ends the
+run, and a baseline, which has no outer decision, analyze the loop's end
+only for ``loopNN_report.txt``, and ``render_text`` runs only for that
+file: without a results directory neither runs. Of the budget the agents
 get only what they read: the evaluations left (at least one) and the
 count of earlier unfixes.
 
@@ -174,7 +177,8 @@ def _write_artifacts(results_dir: str, result: RunResult, loop_reports: List[Tup
 
 
 class _Run:
-    """State and steps shared by ``run`` and ``run_baseline``: set-up, batch, finish."""
+    """State and steps shared by ``run`` and ``run_baseline``: set-up, batch,
+    the loop-end report where something reads it, finish."""
 
     def __init__(
         self,
@@ -272,17 +276,21 @@ class _Run:
             return "stalled"
         return None
 
-    def report(self, loop: int, space: SearchSpace,
-               analyzed: Optional[DiagnosticsReport] = None) -> Optional[DiagnosticsReport]:
-        """The loop's diagnostics, kept rendered; None before any batch has run.
+    def report(self, loop: int, space: SearchSpace, analyzed: Optional[DiagnosticsReport] = None,
+               *, decides: bool) -> Optional[DiagnosticsReport]:
+        """The loop-end diagnostics, built only where they are read: by the
+        outer decision when ``decides``, and rendered for the loop's report
+        file when artefacts are written. None when nothing reads them, and
+        before any batch has run.
 
         ``analyzed``, when given, already is the analysis of this history
-        and space, and is rendered instead of a fresh one.
+        and space, and is used instead of a fresh one.
         """
-        if not self.history.records:
+        if not self.history.records or not (decides or self.results_dir):
             return None
         report = analyzed if analyzed is not None else analyze(self.history, space)
-        self.loop_reports.append((loop, render_text(report)))
+        if self.results_dir:
+            self.loop_reports.append((loop, render_text(report)))
         return report
 
     def finish(self, outcome: str, outer_loops_used: int, spaces: List[SearchSpace]) -> RunResult:
@@ -405,23 +413,21 @@ def run(
             if job.batch(space, mcfg, decision["method"], remaining, scope) is not None:
                 break
 
-        report = job.report(loop_idx, space, analyzed)
-
+        # decided once, before the report: only a loop that does not end
+        # the run has an outer decision to read it
+        end = None
         if history.feasible_found():
-            outcome = "feasible"
-            job.log("event", event="run_feasible", **scope)
-            break
-        if job.used >= budget.total_evals:
-            outcome = "budget_exhausted"
-            job.log("event", event="total_budget_exhausted", **scope)
-            break
-        if loop_idx == budget.max_outer_loops - 1:
-            outcome = "outer_cap"
-            job.log("event", event="outer_loop_cap", **scope)
-            break
-        if report is None:
-            outcome = "space_exhausted"
-            job.log("event", event="run_space_exhausted", **scope)
+            end = "feasible", "run_feasible"
+        elif job.used >= budget.total_evals:
+            end = "budget_exhausted", "total_budget_exhausted"
+        elif loop_idx == budget.max_outer_loops - 1:
+            end = "outer_cap", "outer_loop_cap"
+        elif not history.records:
+            end = "space_exhausted", "run_space_exhausted"
+        report = job.report(loop_idx, space, analyzed, decides=end is None)
+        if end is not None:
+            outcome, event = end
+            job.log("event", event=event, **scope)
             break
 
         outer, next_space = backend.decide_outer(
@@ -454,7 +460,8 @@ def run_baseline(
     """Single-loop baseline over the full grid with preset hyperparameters.
 
     Baselines never stop early on feasibility; they spend the whole
-    budget (or the whole grid, whichever runs out first).
+    budget (or the whole grid, whichever runs out first). Nothing decides
+    on a baseline's report, so it is built only for ``loop00_report.txt``.
     """
     if algorithm not in BASELINES:
         raise UnknownMethod(f"unknown baseline {algorithm!r}; choose from {tuple(BASELINES)}")
@@ -481,7 +488,7 @@ def run_baseline(
             outcome = stop
             break
 
-    job.report(0, space)
+    job.report(0, space, decides=False)
     return job.finish(outcome, 1, [space])
 
 

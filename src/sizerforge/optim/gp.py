@@ -48,14 +48,20 @@ given index vectors, such as random draws from a grid too large to
 enumerate. A query point's position is its flat index on the whole grid
 (``np.ravel_multi_index``, C order, as ``grid_rows`` lists them) and its
 row otherwise; ``row`` maps a position back to its index vector. On the
-whole grid the GP tabulates ``kernel`` once, ``prod(2m - 1)`` entries,
-from the grid of absolute offsets and its mirror image. A point's
-correlations to every grid point are then one strided window of the
-table, and those to the training points a gather from that window.
-The table is less than ``2^d`` times the grid, and under 40 MB for any
-grid of 20000 points or fewer. Given index vectors, each new column is
-``kernel`` of the offsets to the new point, bit for bit the window and
-gather of the whole grid.
+whole grid the GP reads ``kernel`` from a table, ``prod(2m - 1)``
+entries, tabulated from the grid of absolute offsets and its mirror
+image. A point's correlations to every grid point are then one strided
+window of the table, and those to the training points a gather from
+that window. The table is less than ``2^d`` times the grid, and under
+40 MB for any grid of 20000 points or fewer. Given index vectors, each
+new column is ``kernel`` of the offsets to the new point, bit for bit the
+window and gather of the whole grid.
+
+The table depends on the axis sizes alone, so it is tabulated once per
+grid per process: ``_shared_table`` keeps the last grid's table,
+read-only, for every GP built on that grid, until a GP on another grid
+replaces it, so at most one table is held. ``offset_table`` is the
+pure function that tabulates it.
 
 The buffers hold ``ROOM`` training points before they first grow, and
 then double. They are allocated with ``np.empty`` (the factor with
@@ -85,6 +91,7 @@ and ``scipy.special`` hand out. No run imports those subpackages, whose
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -169,6 +176,15 @@ def offset_table(sizes: Sequence[int]) -> np.ndarray:
     return half.reshape(sizes)[np.ix_(*(np.abs(np.arange(1 - m, m)) for m in sizes))]
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_table(sizes: Tuple[int, ...]) -> np.ndarray:
+    """``offset_table(sizes)``, read-only, for every GP on the grid: the
+    memo keeps the last grid's table, and a new grid replaces it."""
+    table = offset_table(sizes)
+    table.flags.writeable = False
+    return table
+
+
 def _escalated(jitter: float) -> float:
     """The next jitter to try after a failed factorization."""
     jitter *= 10.0
@@ -188,7 +204,7 @@ class GaussianProcess:
         self.fitted_jitter = BASE_JITTER
         self.y: Optional[np.ndarray] = None
         if rows is None:
-            self._table: Optional[np.ndarray] = offset_table(self.sizes)
+            self._table: Optional[np.ndarray] = _shared_table(self.sizes)
             n_query = math.prod(self.sizes)
         else:
             self._table = None

@@ -2,8 +2,9 @@
 
 ``METHODS`` maps each method name to its proposer, the parameter names
 it accepts and a preset laid under the caller's parameters; ``_RANGES``
-bounds every parameter. A name outside a method's list, or a value
-outside its range, is a BadParameter before any sampling happens.
+bounds every parameter. A name outside a method's list, a value outside
+its range, or a number that is not finite, is a BadParameter before any
+sampling happens.
 "optuna" is accepted as an alias for bayesian with PI acquisition since
 it shows up in strategy guidance without its own definition.
 
@@ -27,6 +28,7 @@ Acquisition names come from ``base.ACQUISITIONS``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from typing import Dict, Mapping
 
@@ -87,7 +89,12 @@ def _check_range(name: str, value: object) -> None:
     if isinstance(value, bool) or not isinstance(value, accepted):
         noun = "a number" if kind is float else "an integer"
         raise BadParameter(f"{name} must be {noun}, got {value!r}")
-    x = kind(value)
+    try:
+        x = kind(value)
+    except OverflowError:  # an int past float range
+        x = math.inf
+    if kind is float and not math.isfinite(x):  # NaN passes every bound
+        raise BadParameter(f"{name} must be finite, got {x}")
     if low is not None and x < low:
         raise BadParameter(f"{name} must be >= {low}, got {x}")
     if high is not None and x > high:

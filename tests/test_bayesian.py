@@ -918,6 +918,8 @@ def test_the_enumerated_grid_is_listed_only_for_the_offset_table(monkeypatch):
     space, fixed_off = _narrowed_space(5, 9)
     hist = _mixed_history(space, [tuple(r) for r in grid_rows(space.sizes())[::300][:20]],
                           fixed_off)
+    # an empty memo, so that the table is tabulated here and not by an earlier test
+    gp_module._shared_table.cache_clear()
     callers, listed = [], gp_module.grid_rows
 
     def counted(sizes):
@@ -934,6 +936,25 @@ def test_the_enumerated_grid_is_listed_only_for_the_offset_table(monkeypatch):
             hist.append(dataclasses.replace(hist.records[0], design=design, fom=0.5 + 0.01 * k,
                                             eval_index=hist.next_eval_index()))
     assert callers == ["offset_table"]
+
+
+def test_gps_on_one_grid_share_one_read_only_table_and_a_new_grid_replaces_it(monkeypatch):
+    gp_module._shared_table.cache_clear()
+    tables = _counted(monkeypatch, gp_module, "offset_table")
+    first, second = GaussianProcess((9, 9, 9)), GaussianProcess([9, 9, 9])
+    assert first._table is second._table and tables == ["offset_table"]
+    with pytest.raises(ValueError):
+        first._table[0, 0, 0] = 0.0
+    # the pure function still hands back a fresh, writable table
+    fresh = offset_table((9, 9, 9))
+    assert fresh.flags.writeable and fresh is not first._table
+    assert np.array_equal(fresh, first._table)
+    # a new grid replaces the memo: one table held, and the old grid's
+    # next GP tabulates again
+    assert GaussianProcess((5, 7))._table.shape == (9, 13)
+    assert gp_module._shared_table.cache_info().currsize == 1
+    assert GaussianProcess((9, 9, 9))._table is not first._table
+    assert gp_module._shared_table.cache_info().currsize == 1 and len(tables) == 3
 
 
 def test_the_random_candidate_path_builds_no_table_and_lies_by_add(monkeypatch):

@@ -96,21 +96,25 @@ def test_a_singular_kernel_falls_back_to_lhs_and_is_logged(monkeypatch):
     assert result.outcome == "budget_exhausted"
 
 
-@pytest.mark.parametrize("algorithm", ["bo_baseline", "autosizer"])
-def test_each_batch_calls_the_controllers_evaluate_batch(monkeypatch, algorithm):
-    # perfbench times the layers by rebinding these controller globals
-    calls = {"propose": 0, "evaluate_batch": 0}
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named controller global from here on."""
+    calls = {name: 0 for name in names}
 
-    def counted(name):
-        real = getattr(controller, name)
-
+    def counted(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(controller, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(controller, name, counted(name, getattr(controller, name)))
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ["bo_baseline", "autosizer"])
+def test_each_batch_calls_the_controllers_evaluate_batch(monkeypatch, algorithm):
+    # perfbench times the layers by rebinding these controller globals
+    calls = _count_calls(monkeypatch, "propose", "evaluate_batch")
     config = load_config(str(CONFIGS / "sota_hard.yaml"))
     budget = RunBudget(total_evals=40)
     if algorithm == "autosizer":
@@ -147,14 +151,7 @@ def test_one_analysis_per_inner_decision_and_per_loop_report(
     # report; the loop-end report is rendered once and feeds the outer
     # decision, and a loop that ends on a stop decision renders that
     # decision's report
-    calls = []
-    real = controller.analyze
-
-    def analyze(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(controller, "analyze", analyze)
+    calls = _count_calls(monkeypatch, "analyze")
     config = load_config(str(CONFIGS / "sota_hard.yaml"))
     if algorithm.startswith("autosizer"):
         backend = (_StopsEveryThirdDecision() if algorithm == "autosizer_stopping"
@@ -172,7 +169,47 @@ def test_one_analysis_per_inner_decision_and_per_loop_report(
     reports = list(tmp_path.glob("loop*_report.txt"))
     assert reports
     assert (stops > 0) == (algorithm == "autosizer_stopping")
-    assert len(calls) == searches + len(reports)
+    assert calls["analyze"] == searches + len(reports)
+
+
+@pytest.mark.parametrize("config_name,method", [
+    ("sota_med", "autosizer"), ("sota_hard", "autosizer"), ("sota_hard", "lhs"),
+    ("sota_hard", "ga_baseline"), ("sota_hard", "bo_baseline"), ("sota_hard", "turbo_baseline"),
+])
+@pytest.mark.parametrize("written", [False, True], ids=["no_results_dir", "results_dir"])
+def test_a_report_is_built_only_where_it_is_read(monkeypatch, tmp_path, config_name, method,
+                                                  written):
+    # each inner search decision after the first batch reads one analysis;
+    # a loop-end report is analyzed for an outer decision, or for its
+    # report file, and rendered only for that file
+    calls = _count_calls(monkeypatch, "analyze", "render_text")
+    config = load_config(str(CONFIGS / f"{config_name}.yaml"))
+    results_dir = str(tmp_path) if written else None
+    if method == "autosizer":
+        result = run(config, RunBudget(), RuleBackend(), 0, results_dir=results_dir)
+    else:
+        result = run_baseline(config, method, RunBudget(total_evals=40), 0,
+                              results_dir=results_dir)
+    searches, outers, batch_seen = 0, 0, False
+    for entry in result.decisions:
+        batch_seen = batch_seen or entry["kind"] == "batch"
+        if batch_seen and entry["kind"] == "inner":
+            assert entry["payload"]["action"] == "search"
+            searches += 1
+        outers += entry["kind"] == "outer"
+    reports = sorted(p.name for p in tmp_path.glob("loop*_report.txt"))
+    if written:
+        assert len(reports) == result.outer_loops_used
+        assert calls == {"analyze": searches + len(reports), "render_text": len(reports)}
+    else:
+        assert reports == []
+        assert calls == {"analyze": searches + outers, "render_text": 0}
+    if config_name == "sota_med":
+        # feasible in loop 0: no outer decision, so without a results
+        # directory only the inner decisions analyze
+        assert (result.outcome, result.outer_loops_used, outers) == ("feasible", 1, 0)
+    if method != "autosizer" and not written:
+        assert calls == {"analyze": 0, "render_text": 0}
 
 
 def test_result_json_reports_the_design_the_run_hands_back(tmp_path):

@@ -60,6 +60,16 @@ def test_single_parent_also_falls_back():
     assert proposal.diagnostics["parents_available"] == 1
 
 
+def test_the_diagnostics_name_the_elite_or_the_fallback_and_nothing_else():
+    # a child's parents are not recorded: nothing reads them
+    space = _space()
+    cold = propose_genetic(space, _seed_history(space, [((0, 0), 0.5)]), 10, seed=1)
+    assert set(cold.diagnostics) == {"fallback", "parents_available"}
+    hist = _seed_history(space, [((0, 0), 0.2), ((3, 3), 0.9), ((5, 1), 0.4)])
+    for seed in range(5):
+        assert set(propose_genetic(space, hist, 8, seed=seed).diagnostics) == {"elite"}
+
+
 def test_elite_leads_the_batch():
     space = _space()
     hist = _seed_history(space, [((0, 0), 0.2), ((3, 3), 0.9), ((5, 1), 0.4)])

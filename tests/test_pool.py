@@ -1,6 +1,7 @@
 """Method dispatch, parameter validation, and the adaptive mix."""
 
 import gc
+import math
 import weakref
 
 import pytest
@@ -13,6 +14,7 @@ from sizerforge.optim.pool import (
     GA_BASELINE_PRESET,
     MethodConfig,
     ORCHESTRATED,
+    _RANGES,
     _apportion,
     propose,
     validate_method_config,
@@ -116,6 +118,29 @@ def test_unknown_parameter_rejected():
 def test_out_of_range_parameters_rejected(method, params):
     with pytest.raises(BadParameter):
         validate_method_config(MethodConfig(method=method, n_samples=5, parameters=params))
+
+
+FLOAT_PARAMETERS = [
+    ("genetic", "mutation_rate"), ("genetic", "crossover_rate"),
+    ("bayesian", "exploration_weight"), ("annealing", "initial_temperature"),
+    ("annealing", "cooling_rate"), ("adaptive", "explore_weight"),
+    ("adaptive", "exploit_weight"), ("adaptive", "random_weight"),
+]
+
+
+def test_the_non_finite_cases_cover_every_number_parameter():
+    assert sorted(name for _, name in FLOAT_PARAMETERS) == sorted(
+        name for name, rule in _RANGES.items() if rule[0] is float)
+
+
+@pytest.mark.parametrize("method,name", FLOAT_PARAMETERS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400],
+                         ids=["nan", "inf", "int_past_float_range"])
+def test_a_non_finite_parameter_is_rejected(method, name, value):
+    # NaN fails no comparison, and inf passes a missing upper bound
+    with pytest.raises(BadParameter, match=f"^{name} must be finite, got (nan|inf)$"):
+        validate_method_config(MethodConfig(method=method, n_samples=5,
+                                            parameters={name: value}))
 
 
 def test_nonpositive_sample_count_rejected():

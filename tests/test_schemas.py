@@ -165,12 +165,22 @@ MALFORMED = [
     ("outer", ("optimization_configuration",), _DROP,
      _violation("optimization_configuration", "required for action narrow_ranges")),
     ("outer", ("search_space_summary",), _DROP,
+     _violation("search_space_summary", "required alongside the regenerated plan")),
+    ("outer", ("variable_ranking",), _DROP,
      _violation("variable_ranking", "required alongside the regenerated plan")),
     ("outer", OPT + ("num_choices",), "three",
      _violation(f"{C}.variables_to_optimize.a.num_choices", "integer")),
     ("outer", ("search_space_summary", "original_full_space"), 81.5,
      _violation("search_space_summary.original_full_space", "integer")),
     ("outer", ("changes_from_previous",), 0, _violation("changes_from_previous", "string")),
+    # a number is finite: the spellings of NaN and the infinities, as
+    # strings and as JSON's NaN, Infinity and -Infinity tokens
+    *[("plan", OPT + ("search_space",), [0.84, value],
+       _violation(f"{C}.variables_to_optimize.a.search_space", "number"))
+      for value in ("nan", "inf", "-Infinity", "1e999",
+                    float("nan"), float("inf"), float("-inf"))],
+    ("outer", FIX + ("fixed_value",), float("inf"),
+     _violation(f"{C}.variables_fixed.b.fixed_value", "number")),
 ]
 
 
@@ -261,11 +271,14 @@ def test_unparseable_reply_is_rejected_with_its_message(raw, message):
 @pytest.mark.parametrize("raw, error, message", [
     (_broken("plan", FIX + ("fixed_value",), 10**400), SchemaViolation,
      _violation(f"{C}.variables_fixed.b.fixed_value", "number")),
+    (_broken("plan", FIX + ("fixed_value",), "@").replace('"@"', "1e999"), SchemaViolation,
+     _violation(f"{C}.variables_fixed.b.fixed_value", "number")),
     (_broken("plan", FIX + ("fixed_value",), "@").replace('"@"', "1" * 4301), JsonUnparseable,
      "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
     ('{"x": ' + "[" * 100000 + "]" * 100000 + "}", JsonUnparseable,
      "invalid JSON: maximum recursion depth exceeded"),
-], ids=["past_float_range", "past_the_digit_limit", "nested_past_the_recursion_limit"])
+], ids=["past_float_range", "a_float_literal_past_float_range", "past_the_digit_limit",
+        "nested_past_the_recursion_limit"])
 def test_a_reply_past_pythons_limits_is_refused_not_raised(raw, error, message):
     with pytest.raises(error) as caught:
         parse_agent_json(raw, "plan")
