@@ -26,12 +26,19 @@ metrics. If a simulator log also reports one, the engine's value wins
 and a disagreement above 1% logs a warning.
 
 What every design of a run shares is computed once, where it is fixed:
-``assess`` reads the objective's split from the spec
-(``SpecExpr.objective``) and copies a design's metrics only to put the
-engine's value in for a ``fom`` clause. A design's id is
-``design_id`` of its ``name=repr(value)`` fragments in name order;
-``design_from`` formats them per assignment, and ``optim.base.materialize``
-joins the fragments its space formatted once (``SearchSpace.id_table``).
+``assess`` reads the objective's split (``SpecExpr.objective``) and the
+clause table (``SpecExpr.table``) from the spec, and copies a design's
+metrics only to put the engine's value in for a ``fom`` clause. A
+design's id is ``design_id`` of its ``name=repr(value)`` fragments in
+name order; ``design_from`` formats them per assignment, and
+``optim.base.materialize`` joins the fragments its space formatted once
+(``SearchSpace.id_table``).
+
+``Design`` and ``EvaluatedDesign`` are frozen, slotted dataclasses: a
+record has no ``__dict__``, and a run builds one per proposal and per
+evaluation, positionally (``optim.base.materialize``,
+``evaluation.evaluate_batch``). A Design's equality and hash follow its
+id.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import MissingMetric
-from .specexpr import FOM_METRIC, Comparison, SpecExpr, evaluate_spec
+from .specexpr import FOM_METRIC, Comparison, SpecExpr
 
 
 SIM_OK = "ok"
@@ -53,7 +60,7 @@ SIM_FAILED = "sim_failed"
 METRIC_MISSING = "metric_missing"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Design:
     """One point of the design grid: a full variable assignment plus a
     content hash that serves as identity for caching and dedup."""
@@ -88,7 +95,7 @@ def design_from(assignment: Mapping[str, float]) -> Design:
                   design_id(f"{k}={v!r}" for k, v in sorted(assignment.items())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluatedDesign:
     design: Design
     raw_metrics: Mapping[str, float]
@@ -270,7 +277,11 @@ def assess(
     literal expression, evaluated on the raw metrics with the engine's
     objective value standing in for the ``fom`` clause when present. The
     split is the spec's own (``SpecExpr.objective``), and the metrics are
-    copied only when that stand-in is put in.
+    copied only when that stand-in is put in. Feasibility and the
+    normalized values come from one pass over the spec's clause table
+    (``SpecExpr.table``), with ``evaluate_spec``'s outcomes: a missing
+    metric makes the design infeasible, and an unknown operator raises
+    ValueError once every clause before it holds and no metric is missing.
     """
     maximize, minimize, has_fom = spec.objective
     try:
@@ -292,15 +303,21 @@ def assess(
                     fom, reported)
         spec_metrics = {**raw_metrics, FOM_METRIC: fom}
 
-    try:
-        feasible = evaluate_spec(spec, spec_metrics)
-    except MissingMetric:
-        return fom, False, {}
-
+    feasible = True
     normalized = {}
-    for clause in spec.clauses:
-        if clause.threshold != 0:
-            normalized[clause.metric] = spec_metrics[clause.metric] / clause.threshold
+    try:
+        for metric, holds, threshold in spec.table:
+            if metric not in spec_metrics:
+                return fom, False, {}
+            value = spec_metrics[metric]
+            if feasible and not holds(value, threshold):
+                feasible = False
+            if threshold != 0:
+                normalized[metric] = value / threshold
+    except ValueError:  # an unknown operator: a metric missing after it still comes first
+        if all(metric in spec_metrics for metric, _, _ in spec.table):
+            raise
+        return fom, False, {}
     return fom, feasible, normalized
 
 

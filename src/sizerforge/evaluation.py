@@ -196,11 +196,14 @@ def _run_spice(config: BenchmarkConfig, design: Design,
     return {"raw_metrics": values, "sim_status": status, "reason": reason}, elapsed
 
 
-def _evaluate_one(config, design, evaluator, keep_log_dir):
+def _evaluator(config, evaluator, keep_log_dir):
+    """A function of one design that gives its (cache entry, wall
+    seconds); a surrogate's model is looked up once, here."""
     if evaluator.kind == "surrogate":
-        metrics = surrogate_eval(evaluator.model_id, design.assignment)
-        return {"raw_metrics": metrics, "sim_status": SIM_OK, "reason": ""}, 0.0
-    return _run_spice(config, design, evaluator, keep_log_dir)
+        metrics = get_model(evaluator.model_id).metrics
+        return lambda design: ({"raw_metrics": metrics(design.assignment),
+                                "sim_status": SIM_OK, "reason": ""}, 0.0)
+    return lambda design: _run_spice(config, design, evaluator, keep_log_dir)
 
 
 def evaluate_batch(
@@ -246,16 +249,15 @@ def evaluate_batch(
     if keep_log_dir and first and evaluator.kind == "spice":
         keep_log_dir.mkdir(parents=True, exist_ok=True)  # once per batch, for ``_run_spice``
 
+    evaluate = _evaluator(config, evaluator, keep_log_dir) if first else None
     if workers > 1 and len(first) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {key: pool.submit(_evaluate_one, config, designs[i], evaluator, keep_log_dir)
-                       for key, i in first.items()}
+            futures = {key: pool.submit(evaluate, designs[i]) for key, i in first.items()}
             fresh = {key: future.result() for key, future in futures.items()}
     else:
-        fresh = {key: _evaluate_one(config, designs[i], evaluator, keep_log_dir)
-                 for key, i in first.items()}
+        fresh = {key: evaluate(designs[i]) for key, i in first.items()}
     for key, (entry, _) in fresh.items():
         # each design is assessed once, when it is simulated
         entry["assessed"] = (assess(spec, entry["raw_metrics"]) if entry["sim_status"] == SIM_OK
@@ -263,25 +265,14 @@ def evaluate_batch(
         cache.put(key, entry)
         entries[key] = entry
 
-    # the records of a key share its entry's mappings: nothing writes them
+    # the records of a key share its entry's mappings: nothing writes them;
+    # built positionally, in ``EvaluatedDesign``'s field order
     records: List[EvaluatedDesign] = []
     for i, (design, key) in enumerate(zip(designs, keys)):
         entry = entries[key]
         hit = first.get(key) != i
         fom, feasible, normalized = entry["assessed"]
-        records.append(
-            EvaluatedDesign(
-                design=design,
-                raw_metrics=entry["raw_metrics"],
-                normalized=normalized,
-                fom=fom,
-                feasible=feasible,
-                sim_status=entry["sim_status"],
-                iteration=iteration,
-                method=method,
-                eval_index=start_eval_index + i,
-                wall_time=0.0 if hit else fresh[key][1],
-                cached=hit,
-            )
-        )
+        records.append(EvaluatedDesign(
+            design, entry["raw_metrics"], normalized, fom, feasible, entry["sim_status"],
+            iteration, method, start_eval_index + i, 0.0 if hit else fresh[key][1], hit))
     return records

@@ -21,16 +21,21 @@ vectors it takes) before it builds a design. A method resubmits an
 evaluated design only deliberately (GA elitism, degenerate multistart),
 and the evaluation cache serves those for free.
 
-The view is memoized on the history, which is append-only, and keyed
-by the space, so every proposer of a run shares it and it is read-only
-to them: only ``history_view`` writes it, extending it by the records
-appended since the last call, and only the Bayesian proposer replaces
-its GP, which it carries over the enumerated grid from batch to batch
+The view is memoized on the history and keyed by the space, so every
+proposer of a run shares it and it is read-only to them: only
+``history_view`` writes it, extending it by the records appended since
+the last call, and only the Bayesian proposer replaces its GP, which it
+carries over the enumerated grid from batch to batch
 (``bayesian.propose_bayesian``). A history keeps the view of one space:
 another space, or records that do not extend the ones the view has
-seen, start a new view, so the old one and its GP are released. The
-memo is a cache, not state: a fresh history holding the same records
-proposes the same designs.
+seen, start a new view, so the old one and its GP are released.
+Whether the records extend the view is an O(1) check that relies on
+the history being append-only (``core.History``): the view keeps only
+how many records it has indexed and the last of them, and the history
+extends it when it is no shorter and that record is still in its place.
+A history whose records were rewritten in place short of the last seen
+one breaks that contract. The memo is a cache, not state: a fresh
+history holding the same records proposes the same designs.
 """
 
 from __future__ import annotations
@@ -69,7 +74,10 @@ class HistoryView:
 
     def __init__(self, space: SearchSpace):
         self.key = _space_key(space)
-        self.records: List[EvaluatedDesign] = []
+        # how many of the history's records the view has indexed, and the
+        # last of them
+        self.count = 0
+        self.last: Optional[EvaluatedDesign] = None
         # (record, index vector) of each valid record inside the space, in
         # history order, and the best of them by ``rank_key``
         self.obs: List[Tuple[EvaluatedDesign, List[int]]] = []
@@ -89,12 +97,16 @@ def _space_key(space: SearchSpace) -> tuple:
 
 def history_view(space: SearchSpace, history: History) -> HistoryView:
     """The history's view over the space, extended by the records
-    appended since the last call."""
+    appended since the last call.
+
+    The history is append-only, so it extends the view's records exactly
+    when it holds at least as many and the last record the view indexed
+    is still in its place."""
     view, records = history.view, history.records
-    if (view is None or view.key != _space_key(space)
-            or records[: len(view.records)] != view.records):
+    if (view is None or view.key != _space_key(space) or len(records) < view.count
+            or (view.count and records[view.count - 1] is not view.last)):
         view = history.view = HistoryView(space)
-    new = records[len(view.records):]
+    new = records[view.count:]
     for record, row in zip(new, index_rows(space, (r.design for r in new))):
         if row is not None:
             view.seen.add(tuple(row))
@@ -102,7 +114,8 @@ def history_view(space: SearchSpace, history: History) -> HistoryView:
                 view.obs.append((record, row))
                 if view.incumbent is None or rank_key(record) > rank_key(view.incumbent[0]):
                     view.incumbent = (record, row)
-    view.records.extend(new)
+    if new:
+        view.count, view.last = len(records), records[-1]
     return view
 
 

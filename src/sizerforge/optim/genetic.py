@@ -25,28 +25,8 @@ from .base import Proposal, fresh, history_view
 from .sampling import lhs_index_rows
 
 MUTATION_STEPS = (-2, -1, 1, 2)
-
-
-# The draws take a generator's bound methods: ``below`` is
-# ``rng._randbelow``, so ``seq[below(len(seq))]`` draws what
-# ``rng.choice(seq)`` draws, and ``uniform`` is ``rng.random``.
-
-
-def mutate_gene(idx: int, m: int, below: Callable[[int], int]) -> int:
-    step = MUTATION_STEPS[below(len(MUTATION_STEPS))]
-    return min(m - 1, max(0, idx + step))
-
-
-def tournament(pool, k: int, below: Callable[[int], int]):
-    """The fittest of k >= 1 uniform draws from (record, index vector)
-    pairs; the earliest draw on ties."""
-    n = len(pool)
-    best = pool[below(n)]
-    for _ in range(k - 1):
-        pick = pool[below(n)]
-        if pick[0].fom > best[0].fom:
-            best = pick
-    return best
+_N_STEPS = len(MUTATION_STEPS)
+_STEP_BITS = _N_STEPS.bit_length()
 
 
 def crossover_uniform(p1: List[int], p2: List[int], uniform: Callable[[], float]) -> List[int]:
@@ -64,7 +44,7 @@ def propose_genetic(
     population: Optional[int] = None,
 ) -> Proposal:
     rng = random.Random(seed)
-    below, uniform = rng._randbelow, rng.random
+    bits, uniform = rng.getrandbits, rng.random
     n = population if population is not None else n_samples
     sizes = space.sizes()
 
@@ -77,19 +57,42 @@ def propose_genetic(
             diagnostics={"fallback": "lhs_seeding", "parents_available": len(parents)},
         )
 
+    # Every draw below is ``rng._randbelow(size)`` written out: k =
+    # size.bit_length() bits, redrawn while the value is not below size.
+    # So a draw takes what ``rng.choice`` over that many items takes.
+    foms = [record.fom for record, _ in parents]
+    n_parents = len(parents)
+    k = n_parents.bit_length()
     elite = view.incumbent[0]
     offspring_rows: List[List[int]] = []
     budget = n - 1  # first slot goes to the elite
     for _ in range(max(0, budget)):
-        _, g1 = tournament(parents, tournament_size, below)
-        _, g2 = tournament(parents, tournament_size, below)
+        # two tournaments: each is the fittest of tournament_size uniform
+        # draws of a parent, the earliest draw on ties
+        picked = []
+        for _ in (1, 2):
+            best = bits(k)
+            while best >= n_parents:
+                best = bits(k)
+            for _ in range(tournament_size - 1):
+                pick = bits(k)
+                while pick >= n_parents:
+                    pick = bits(k)
+                if foms[pick] > foms[best]:
+                    best = pick
+            picked.append(parents[best][1])
+        g1, g2 = picked
         if uniform() < crossover_rate:
             child = crossover_uniform(g1, g2, uniform)
         else:
             child = list(g1)
         for j, m in enumerate(sizes):
             if uniform() < mutation_rate:
-                child[j] = mutate_gene(child[j], m, below)
+                # an index step drawn from MUTATION_STEPS, clamped to the grid
+                step = bits(_STEP_BITS)
+                while step >= _N_STEPS:
+                    step = bits(_STEP_BITS)
+                child[j] = min(m - 1, max(0, child[j] + MUTATION_STEPS[step]))
         offspring_rows.append(child)
 
     # elitism: the incumbent re-enters first, a free cache hit; the

@@ -52,18 +52,21 @@ _GENETIC = ("mutation_rate", "crossover_rate", "tournament_size", "population")
 _BAYESIAN = ("acquisition_function", "exploration_weight")
 
 # parameter -> (type, low, high) with None for no bound, or the allowed
-# values; checked in this order
+# values; checked in this order. Every integer has an upper bound, since
+# a proposer loops over it: far above what the presets, the rule policy
+# and the prompts use (3, 20, 5 and 2), and far below a value that stalls
+# a batch
 _RANGES = {
     "mutation_rate": (float, 0.0, 1.0),
     "crossover_rate": (float, 0.0, 1.0),
-    "tournament_size": (int, 1, None),
-    "population": (int, 2, None),
+    "tournament_size": (int, 1, 1000),
+    "population": (int, 2, 10000),
     "acquisition_function": ACQUISITIONS,
     "exploration_weight": (float, 0.0, None),
     "initial_temperature": (float, 0.0, None),
     "cooling_rate": (float, 0.0, 1.0),
-    "n_starts": (int, 1, None),
-    "search_radius": (int, 0, None),
+    "n_starts": (int, 1, 1000),
+    "search_radius": (int, 0, 1000),
     "explore_weight": (float, 0.0, None),
     "exploit_weight": (float, 0.0, None),
     "random_weight": (float, 0.0, None),

@@ -17,21 +17,26 @@ metric's specification target.
 
 A spec splits its objective once, the first time it is assessed
 (``SpecExpr.objective``): the maximize and the minimize clauses other
-than ``fom``'s, and whether a ``fom`` clause is present. A run parses
-its spec once, so every design of the run shares that split.
+than ``fom``'s, and whether a ``fom`` clause is present. Beside it the
+spec keeps one table of its clauses (``SpecExpr.table``): a (metric,
+``operator`` comparison, threshold) entry per clause, which
+``evaluate_spec`` and ``core.assess`` read. A run parses its spec once,
+so every design of the run shares the split and the table.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Mapping, Tuple
+from typing import Callable, List, Mapping, Tuple
 
 from .errors import MissingMetric, SpecParseError, UnsupportedCombinator
 
 MAXIMIZE_OPS = (">", ">=")
 MINIMIZE_OPS = ("<", "<=")
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 # Metric name reserved for the engine-computed objective. Excluded from
 # the objective's own products to prevent self-reference.
@@ -59,16 +64,13 @@ class Comparison:
     op: str
     threshold: float
 
-    def holds(self, value: float) -> bool:
-        if self.op == ">":
-            return value > self.threshold
-        if self.op == ">=":
-            return value >= self.threshold
-        if self.op == "<":
-            return value < self.threshold
-        if self.op == "<=":
-            return value <= self.threshold
-        raise ValueError(f"unknown operator {self.op!r}")
+
+def _unknown(op: str) -> Callable[[float, float], bool]:
+    """The comparison of an operator the language does not have: it
+    raises when a clause using it is checked."""
+    def compare(value: float, threshold: float) -> bool:
+        raise ValueError(f"unknown operator {op!r}")
+    return compare
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,15 @@ class SpecExpr:
         return (tuple(c for c in maximize if c.metric != FOM_METRIC),
                 tuple(c for c in minimize if c.metric != FOM_METRIC),
                 any(c.metric == FOM_METRIC for c in self.clauses))
+
+    @cached_property
+    def table(self) -> Tuple[Tuple[str, Callable[[float, float], bool], float], ...]:
+        """(metric, comparison, threshold) per clause, in declaration
+        order: the comparison is the ``operator`` function of the clause's
+        operator, ``comparison(value, threshold)``. Computed on first use
+        and kept for the life of the spec."""
+        return tuple((c.metric, _COMPARISONS.get(c.op) or _unknown(c.op), c.threshold)
+                     for c in self.clauses)
 
 
 def _tokenize(text: str):
@@ -163,10 +174,11 @@ def evaluate_spec(spec: SpecExpr, metrics: Mapping[str, float]) -> bool:
     named by a clause but absent from ``metrics`` is an error, never a
     silent failure.
     """
-    for clause in spec.clauses:
-        if clause.metric not in metrics:
-            raise MissingMetric(clause.metric)
-    return all(c.holds(metrics[c.metric]) for c in spec.clauses)
+    table = spec.table
+    for metric, _, _ in table:
+        if metric not in metrics:
+            raise MissingMetric(metric)
+    return all(holds(metrics[metric], threshold) for metric, holds, threshold in table)
 
 
 def split_directions(spec: SpecExpr) -> Tuple[Tuple[Comparison, ...], Tuple[Comparison, ...]]:

@@ -1,5 +1,6 @@
 """Objective engine and run history bookkeeping."""
 
+import dataclasses
 import logging
 import math
 import random
@@ -161,6 +162,29 @@ def test_assess_normalized_values():
 _REFERENCE_LOG = logging.getLogger("tests.reference_assess")
 
 
+def _reference_holds(clause, value):
+    """A clause's comparison as the if-chain wrote it."""
+    if clause.op == ">":
+        return value > clause.threshold
+    if clause.op == ">=":
+        return value >= clause.threshold
+    if clause.op == "<":
+        return value < clause.threshold
+    if clause.op == "<=":
+        return value <= clause.threshold
+    raise ValueError(f"unknown operator {clause.op!r}")
+
+
+def _reference_evaluate_spec(spec, metrics):
+    """``evaluate_spec`` as it was before the spec kept its clause table:
+    every metric checked first, then the clauses in order, stopping at the
+    first that fails."""
+    for clause in spec.clauses:
+        if clause.metric not in metrics:
+            raise MissingMetric(clause.metric)
+    return all(_reference_holds(c, metrics[c.metric]) for c in spec.clauses)
+
+
 def _reference_assess(spec, raw_metrics):
     """``assess`` as it was when it split the spec and copied the metrics
     on every call: the reference its cached split must match."""
@@ -185,7 +209,7 @@ def _reference_assess(spec, raw_metrics):
         spec_metrics[FOM_METRIC] = fom
 
     try:
-        feasible = evaluate_spec(spec, spec_metrics)
+        feasible = _reference_evaluate_spec(spec, spec_metrics)
     except MissingMetric:
         return fom, False, {}
 
@@ -255,6 +279,38 @@ def test_assess_matches_the_split_per_call_reference(spec, metrics, reported):
         assert [(k, _hex(v)) for k, v in normalized.items()] == \
             [(k, _hex(v)) for k, v in want[2].items()]
     assert got_warnings == handler.messages * 2
+    assert _outcome(evaluate_spec, spec, metrics) == _outcome(_reference_evaluate_spec, spec, metrics)
+
+
+def _outcome(check, spec, metrics):
+    """What ``check(spec, metrics)`` returns, or the error it raises."""
+    try:
+        return check(spec, metrics)
+    except MissingMetric as exc:
+        return repr(exc)
+
+
+_UNKNOWN_OPS = SpecExpr((Comparison("gain", ">", 1.0), Comparison("power", "=<", 5.0),
+                         Comparison("ugbw", "!=", 9.0)))
+
+
+def test_an_unknown_operator_still_raises_value_error():
+    """An operator outside the language, reached with every clause before
+    it holding and no metric missing, raises ValueError from both; a
+    failed clause before it, or a missing metric even after it, decides
+    first, as it did."""
+    metrics = {"gain": 2.0, "power": 3.0, "ugbw": 4.0}
+    for check in (evaluate_spec, _reference_evaluate_spec, assess, _reference_assess):
+        with pytest.raises(ValueError, match="^unknown operator '=<'$"):
+            check(_UNKNOWN_OPS, metrics)
+    failed, missing = {**metrics, "gain": 0.5}, {"gain": 2.0, "power": 3.0}
+    assert assess(_UNKNOWN_OPS, failed) == _reference_assess(_UNKNOWN_OPS, failed) == (
+        0.5, False, {"gain": 0.5, "power": 0.6, "ugbw": 4.0 / 9.0})
+    assert evaluate_spec(_UNKNOWN_OPS, failed) is False
+    assert assess(_UNKNOWN_OPS, missing) == _reference_assess(_UNKNOWN_OPS, missing) == (
+        2.0, False, {})
+    with pytest.raises(MissingMetric):
+        evaluate_spec(_UNKNOWN_OPS, missing)
 
 
 # ---------------------------------------------------------------- design ids
@@ -272,6 +328,29 @@ def test_design_hashable():
     a = design_from({"x": 1.0})
     b = design_from({"x": 1.0})
     assert len({a, b}) == 1
+
+
+def test_slotted_records_keep_their_semantics():
+    design, record = design_from({"y": 2.0, "x": 1.0}), _record(3, 0.5)
+    for obj, name in ((design, "id"), (design, "assignment"), (record, "fom"),
+                      (record, "cached")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+        assert not hasattr(obj, "__dict__")
+    # a replaced record is a new one, the original untouched
+    moved = dataclasses.replace(record, fom=0.7, eval_index=4)
+    assert (moved.fom, moved.eval_index, moved.design) == (0.7, 4, record.design)
+    assert (record.fom, record.eval_index) == (0.5, 3)
+    assert moved != record and dataclasses.replace(moved, fom=0.5, eval_index=3) == record
+    # a Design is its id: equal and hashed by it, whatever else it holds
+    twin = Design({"x": 9.0}, design.id)
+    assert twin == design and hash(twin) == hash(design) and len({twin, design}) == 1
+    assert Design(dict(design.assignment), "other") != design
+    assert repr(design) == "Design(x=1.0, y=2.0)"
+    assert repr(record) == (
+        f"EvaluatedDesign(design=Design(w=3.0), raw_metrics={{}}, normalized={{}}, fom=0.5, "
+        f"feasible=False, sim_status='ok', iteration=1, method='lhs', eval_index=3, "
+        f"wall_time=0.0, cached=False)")
 
 
 # ---------------------------------------------------------------- history

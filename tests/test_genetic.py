@@ -1,16 +1,13 @@
 """Genetic proposals: cold-start seeding, elitism, mutation bounds."""
 
+import itertools
 import random
+import types
 
 from sizerforge.core import EvaluatedDesign, History, design_from
-from sizerforge.optim.base import history_view
-from sizerforge.optim.genetic import (
-    MUTATION_STEPS,
-    crossover_uniform,
-    mutate_gene,
-    propose_genetic,
-    tournament,
-)
+from sizerforge.optim import genetic
+from sizerforge.optim.base import fresh, history_view
+from sizerforge.optim.genetic import MUTATION_STEPS, crossover_uniform, propose_genetic
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -109,41 +106,99 @@ def test_population_overrides_batch_size():
     assert len(proposal.designs) <= 6
 
 
-def test_mutate_gene_clamps_at_bounds():
-    below = random.Random(0)._randbelow
-    for _ in range(200):
-        assert 0 <= mutate_gene(0, 9, below) <= 8
-        assert 0 <= mutate_gene(8, 9, below) <= 8
-        # steps are at most 2 grid indices
-        assert abs(mutate_gene(4, 9, below) - 4) <= 2
+def _indices(design):
+    return GRID.index(design.assignment["W_a"]), GRID.index(design.assignment["W_b"])
 
 
-def test_tournament_picks_the_fittest_of_its_draws():
+def test_mutation_steps_clamp_at_the_grid_bounds():
+    # parents in a corner of the grid: every gene of every child steps by
+    # at most 2 from a parent's gene and stays on the grid. Unclamped, a
+    # step below 0 would wrap to the top of the grid, and one past the top
+    # would fail to index it
+    space = _space()
+    for corner in ((0, 1), (7, 8)):
+        hist = _seed_history(space, [((a, b), 0.1 + 0.1 * a + 0.01 * b)
+                                     for a in corner for b in corner])
+        lo, hi = max(0, corner[0] - 2), min(8, corner[1] + 2)
+        for seed in range(20):
+            proposal = propose_genetic(space, hist, 30, seed=seed, mutation_rate=1.0,
+                                       crossover_rate=0.0)
+            assert len(proposal.designs) > 1
+            for design in proposal.designs:
+                assert all(lo <= i <= hi for i in _indices(design))
+
+
+def test_a_large_tournament_picks_the_fittest_parent():
+    # without crossover or mutation every child is a tournament's winner;
+    # 200 draws of 3 parents all but surely include the fittest, whose
+    # vector is the evaluated elite's, so no child survives
     space = _space()
     hist = _seed_history(space, [((0, 0), 0.1), ((1, 1), 0.9), ((2, 2), 0.5)])
-    pool = history_view(space, hist).obs
-    # k = len(pool) guarantees at least one draw of everything over repeats
-    below = random.Random(4)._randbelow
-    wins = {tournament(pool, 3, below)[0].fom for _ in range(50)}
-    assert 0.9 in wins
-    assert min(wins) >= 0.1
+    for seed in range(5):
+        proposal = propose_genetic(space, hist, 10, seed=seed, mutation_rate=0.0,
+                                   crossover_rate=0.0, tournament_size=200)
+        assert [_indices(d) for d in proposal.designs] == [(1, 1)]
 
 
-def test_draws_are_the_stdlib_choice_stream():
-    """``pool[below(len(pool))]`` draws what ``rng.choice(pool)`` draws: a
-    tournament is the first fittest of k choices, a mutation steps by a
-    choice, and both leave the generator where the choices leave it."""
+class _KeptRandom(random.Random):
+    """A generator that remembers each instance, to read its state after
+    the proposer is done with it."""
+
+    made = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        _KeptRandom.made.append(self)
+
+
+def _reference_genetic(space, hist, n, seed, mutation_rate, crossover_rate, tournament_size):
+    """``propose_genetic``'s designs past the cold start, drawn through
+    ``rng.choice`` and ``rng.random``: a tournament is the first fittest of
+    its choices of a parent, a mutation steps by a choice."""
+    rng = random.Random(seed)
+    view = history_view(space, hist)
+
+    def tournament():
+        picks = [rng.choice(view.obs) for _ in range(tournament_size)]
+        return max(picks, key=lambda ob: ob[0].fom)[1]
+
+    rows = []
+    for _ in range(n - 1):
+        g1, g2 = tournament(), tournament()
+        if rng.random() < crossover_rate:
+            child = [a if rng.random() < 0.5 else b for a, b in zip(g1, g2)]
+        else:
+            child = list(g1)
+        for j, m in enumerate(space.sizes()):
+            if rng.random() < mutation_rate:
+                child[j] = min(m - 1, max(0, child[j] + rng.choice(MUTATION_STEPS)))
+        rows.append(child)
+    designs = [view.incumbent[0].design] + fresh(space, rows, view.seen)
+    return designs[:n], rng.getstate()
+
+
+PARENT_SETS = (
+    # four parents, a power of two: half the draws of 3 bits are redrawn
+    [((0, 0), 0.5), ((1, 1), 0.9), ((2, 2), 0.9), ((3, 3), 0.1)],
+    [((0, 4), 0.3), ((6, 1), 0.7), ((2, 8), 0.7), ((5, 5), 0.2), ((8, 0), 0.6)],
+)
+
+
+def test_draws_are_the_stdlib_choice_stream(monkeypatch):
+    """The proposer's draws straight off ``getrandbits`` are what
+    ``rng.choice`` draws: the same designs, ties going to the earliest
+    draw, and the generator left where the choices leave it."""
+    monkeypatch.setattr(genetic, "random", types.SimpleNamespace(Random=_KeptRandom))
     space = _space()
-    hist = _seed_history(space, [((0, 0), 0.5), ((1, 1), 0.9), ((2, 2), 0.9), ((3, 3), 0.1)])
-    pool = history_view(space, hist).obs
-    for seed in range(30):
-        ours, stdlib = random.Random(seed), random.Random(seed)
-        for k in (1, 2, 3, 5):
-            picks = [stdlib.choice(pool) for _ in range(k)]
-            assert tournament(pool, k, ours._randbelow) is max(picks, key=lambda ob: ob[0].fom)
-        step = stdlib.choice(MUTATION_STEPS)
-        assert mutate_gene(4, 9, ours._randbelow) == 4 + step
-        assert ours.getstate() == stdlib.getstate()
+    for parents, seed, k in itertools.product(PARENT_SETS, range(30), (1, 2, 3, 5)):
+        hist = _seed_history(space, parents)
+        _KeptRandom.made.clear()
+        got = propose_genetic(space, hist, 12, seed=seed, mutation_rate=0.5,
+                              crossover_rate=0.7, tournament_size=k).designs
+        want, state = _reference_genetic(space, hist, 12, seed, 0.5, 0.7, k)
+        assert [d.id for d in got] == [d.id for d in want]
+        [rng] = _KeptRandom.made
+        assert rng.getstate() == state
 
 
 def test_crossover_mixes_only_parent_genes():

@@ -1,5 +1,6 @@
 """Method dispatch, parameter validation, and the adaptive mix."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -120,6 +121,27 @@ def test_out_of_range_parameters_rejected(method, params):
         validate_method_config(MethodConfig(method=method, n_samples=5, parameters=params))
 
 
+INTEGER_PARAMETERS = [("genetic", "tournament_size"), ("genetic", "population"),
+                      ("multistart", "n_starts"), ("multistart", "search_radius")]
+
+
+def test_the_integer_cases_cover_every_integer_parameter():
+    assert sorted(name for _, name in INTEGER_PARAMETERS) == sorted(
+        name for name, rule in _RANGES.items() if rule[0] is int)
+
+
+@pytest.mark.parametrize("method,name", INTEGER_PARAMETERS)
+@pytest.mark.parametrize("value", [10**6, 10**400], ids=["million", "int_past_float_range"])
+def test_an_integer_parameter_past_its_bound_is_rejected(method, name, value):
+    # a proposer loops over each of them: unbounded, one reply could stall a run
+    high = _RANGES[name][2]
+    assert high is not None and high < 10**6
+    with pytest.raises(BadParameter, match=f"^{name} must be <= {high}, got 1000+$"):
+        validate_method_config(MethodConfig(method=method, n_samples=5,
+                                            parameters={name: value}))
+    validate_method_config(MethodConfig(method=method, n_samples=5, parameters={name: high}))
+
+
 FLOAT_PARAMETERS = [
     ("genetic", "mutation_rate"), ("genetic", "crossover_rate"),
     ("bayesian", "exploration_weight"), ("annealing", "initial_temperature"),
@@ -211,6 +233,44 @@ def test_adaptive_indexes_each_record_once(monkeypatch):
                                     wall_time=0.0))
     propose(space, config, history=hist)
     assert sum(indexed) == 9  # only the records appended since
+
+
+def _record(design, eval_index, fom=0.5):
+    return EvaluatedDesign(design, {}, {}, fom, False, "ok", 2, "lhs", eval_index, 0.0)
+
+
+def test_appending_a_batch_extends_the_same_view(monkeypatch):
+    space, hist = _space(), _history(6)
+    indexed = _counted_index_rows(monkeypatch)
+    view = base.history_view(space, hist)
+    assert (indexed, view.count, view.last) == ([6], 6, hist.records[-1])
+    assert base.history_view(space, hist) is view and indexed == [6, 0]
+    hist.append_batch([_record(design_from({"W_a": GRID[8], "W_b": GRID[i]}), 7 + i)
+                       for i in range(3)])
+    assert base.history_view(space, hist) is view
+    assert indexed == [6, 0, 3]  # only the appended records
+    assert (view.count, view.last) == (9, hist.records[-1])
+    assert len(view.obs) == 9 and len(view.seen) == 9
+
+
+@pytest.mark.parametrize("edit", ["shorter", "last_replaced"])
+def test_a_history_that_does_not_extend_its_view_gets_a_fresh_one(monkeypatch, edit):
+    space, hist = _space(), _history(9)
+    stale = base.history_view(space, hist)
+    if edit == "shorter":
+        hist.records = hist.records[:6]
+    else:  # the same design and index, a different record: the view must not trust it
+        hist.records[-1] = dataclasses.replace(hist.records[-1], fom=2.0)
+    indexed = _counted_index_rows(monkeypatch)
+    view = base.history_view(space, hist)
+    assert view is not stale and indexed == [len(hist.records)]
+    alone = History()
+    alone.append_batch(hist.records)
+    mine = base.history_view(space, alone)
+    assert (view.obs, view.incumbent, view.seen) == (mine.obs, mine.incumbent, mine.seen)
+    for method in ORCHESTRATED + ("ga_baseline", "turbo_baseline"):
+        config = MethodConfig(method=method, n_samples=8, seed=5)
+        assert propose(space, config, hist).designs == propose(space, config, alone).designs
 
 
 def test_a_history_keeps_only_the_view_of_the_current_space():
