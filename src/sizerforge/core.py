@@ -26,8 +26,9 @@ metrics. If a simulator log also reports one, the engine's value wins
 and a disagreement above 1% logs a warning.
 
 What every design of a run shares is computed once, where it is fixed:
-``assess`` reads the objective's split (``SpecExpr.objective``) and the
-clause table (``SpecExpr.table``) from the spec, and copies a design's
+``assess`` reads the objective's split (``SpecExpr.objective``) from the
+spec, checks its clauses through ``specexpr.check_spec``, which reads the
+spec's clause table (``SpecExpr.table``), and copies a design's
 metrics only to put the engine's value in for a ``fom`` clause. A
 design's id is ``design_id`` of its ``name=repr(value)`` fragments in
 name order; ``design_from`` formats them per assignment, and
@@ -52,7 +53,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import MissingMetric
-from .specexpr import FOM_METRIC, Comparison, SpecExpr
+from .specexpr import FOM_METRIC, Comparison, SpecExpr, check_spec
 
 
 SIM_OK = "ok"
@@ -278,10 +279,8 @@ def assess(
     objective value standing in for the ``fom`` clause when present. The
     split is the spec's own (``SpecExpr.objective``), and the metrics are
     copied only when that stand-in is put in. Feasibility and the
-    normalized values come from one pass over the spec's clause table
-    (``SpecExpr.table``), with ``evaluate_spec``'s outcomes: a missing
-    metric makes the design infeasible, and an unknown operator raises
-    ValueError once every clause before it holds and no metric is missing.
+    normalized values are ``specexpr.check_spec``'s, so they follow
+    ``evaluate_spec``; a missing metric makes the design infeasible.
     """
     maximize, minimize, has_fom = spec.objective
     try:
@@ -303,20 +302,9 @@ def assess(
                     fom, reported)
         spec_metrics = {**raw_metrics, FOM_METRIC: fom}
 
-    feasible = True
-    normalized = {}
     try:
-        for metric, holds, threshold in spec.table:
-            if metric not in spec_metrics:
-                return fom, False, {}
-            value = spec_metrics[metric]
-            if feasible and not holds(value, threshold):
-                feasible = False
-            if threshold != 0:
-                normalized[metric] = value / threshold
-    except ValueError:  # an unknown operator: a metric missing after it still comes first
-        if all(metric in spec_metrics for metric, _, _ in spec.table):
-            raise
+        feasible, normalized = check_spec(spec, spec_metrics)
+    except MissingMetric:
         return fom, False, {}
     return fom, feasible, normalized
 

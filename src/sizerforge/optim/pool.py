@@ -53,14 +53,15 @@ _BAYESIAN = ("acquisition_function", "exploration_weight")
 
 # parameter -> (type, low, high) with None for no bound, or the allowed
 # values; checked in this order. Every integer has an upper bound, since
-# a proposer loops over it: far above what the presets, the rule policy
-# and the prompts use (3, 20, 5 and 2), and far below a value that stalls
-# a batch
+# a proposer loops over it, well above what the presets, the rule policy
+# and the prompts use (3, 20, 5 and 2). A genetic proposal makes about
+# 2 * tournament_size * population draws, so it is the two together that
+# bound its time (tests/test_pool.py counts them at both bounds)
 _RANGES = {
     "mutation_rate": (float, 0.0, 1.0),
     "crossover_rate": (float, 0.0, 1.0),
-    "tournament_size": (int, 1, 1000),
-    "population": (int, 2, 10000),
+    "tournament_size": (int, 1, 100),
+    "population": (int, 2, 1000),
     "acquisition_function": ACQUISITIONS,
     "exploration_weight": (float, 0.0, None),
     "initial_temperature": (float, 0.0, None),

@@ -30,7 +30,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from .errors import MissingMetric, SpecParseError, UnsupportedCombinator
 
@@ -167,18 +167,35 @@ def parse_spec(text: str) -> SpecExpr:
     return SpecExpr(tuple(clauses))
 
 
-def evaluate_spec(spec: SpecExpr, metrics: Mapping[str, float]) -> bool:
-    """Whether every clause holds on ``metrics``.
+def check_spec(spec: SpecExpr, metrics: Mapping[str, float]) -> Tuple[bool, Dict[str, float]]:
+    """(feasible, normalized): whether every clause holds on ``metrics``,
+    and each clause's metric over its nonzero threshold.
 
     Comparisons are exact floating comparisons, no epsilon. A metric
-    named by a clause but absent from ``metrics`` is an error, never a
-    silent failure.
+    named by a clause but absent from ``metrics`` raises MissingMetric,
+    never a silent failure, before any clause is checked. Clauses are
+    checked in declaration order up to the first that fails, so an
+    unknown operator raises ValueError only when every clause before it
+    holds.
     """
     table = spec.table
     for metric, _, _ in table:
         if metric not in metrics:
             raise MissingMetric(metric)
-    return all(holds(metrics[metric], threshold) for metric, holds, threshold in table)
+    feasible = True
+    normalized = {}
+    for metric, holds, threshold in table:
+        value = metrics[metric]
+        if feasible and not holds(value, threshold):
+            feasible = False
+        if threshold != 0:
+            normalized[metric] = value / threshold
+    return feasible, normalized
+
+
+def evaluate_spec(spec: SpecExpr, metrics: Mapping[str, float]) -> bool:
+    """Whether every clause holds on ``metrics``: ``check_spec``'s verdict."""
+    return check_spec(spec, metrics)[0]
 
 
 def split_directions(spec: SpecExpr) -> Tuple[Tuple[Comparison, ...], Tuple[Comparison, ...]]:

@@ -128,16 +128,24 @@ def test_mutation_steps_clamp_at_the_grid_bounds():
                 assert all(lo <= i <= hi for i in _indices(design))
 
 
-def test_a_large_tournament_picks_the_fittest_parent():
-    # without crossover or mutation every child is a tournament's winner;
-    # 200 draws of 3 parents all but surely include the fittest, whose
-    # vector is the evaluated elite's, so no child survives
+def test_a_large_tournament_picks_the_fittest_parent(monkeypatch):
+    # with crossover on every child, each pair of tournament winners is
+    # handed to crossover_uniform; 200 draws of 3 parents all but surely
+    # include the fittest, so every winner is its vector
     space = _space()
     hist = _seed_history(space, [((0, 0), 0.1), ((1, 1), 0.9), ((2, 2), 0.5)])
+    winners = []
+
+    def recorded(g1, g2, uniform):
+        winners.extend((tuple(g1), tuple(g2)))
+        return list(g1)
+
+    monkeypatch.setattr(genetic, "crossover_uniform", recorded)
     for seed in range(5):
-        proposal = propose_genetic(space, hist, 10, seed=seed, mutation_rate=0.0,
-                                   crossover_rate=0.0, tournament_size=200)
-        assert [_indices(d) for d in proposal.designs] == [(1, 1)]
+        propose_genetic(space, hist, 10, seed=seed, mutation_rate=0.0,
+                        crossover_rate=1.0, tournament_size=200)
+    assert len(winners) == 5 * 9 * 2
+    assert set(winners) == {(1, 1)}
 
 
 class _KeptRandom(random.Random):

@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import math
+import random
+import types
 import weakref
 
 import pytest
@@ -20,7 +22,7 @@ from sizerforge.optim.pool import (
     propose,
     validate_method_config,
 )
-from sizerforge.optim import base
+from sizerforge.optim import base, genetic
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -140,6 +142,29 @@ def test_an_integer_parameter_past_its_bound_is_rejected(method, name, value):
         validate_method_config(MethodConfig(method=method, n_samples=5,
                                             parameters={name: value}))
     validate_method_config(MethodConfig(method=method, n_samples=5, parameters={name: high}))
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its ``getrandbits`` calls: every tournament
+    pick and mutation step of a genetic proposal is one or more."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        _CountingRandom.draws += 1
+        return super().getrandbits(k)
+
+
+def test_a_genetic_proposal_at_both_bounds_stays_bounded(monkeypatch):
+    # the tournament and population bounds together cap one proposal's
+    # draws near 2 * 100 * 999, each redrawn under half the time
+    monkeypatch.setattr(genetic, "random", types.SimpleNamespace(Random=_CountingRandom))
+    monkeypatch.setattr(_CountingRandom, "draws", 0)
+    high = {name: _RANGES[name][2] for name in ("tournament_size", "population")}
+    proposal = propose(_space(), MethodConfig("genetic", 5, high), _history(6))
+    assert len(proposal.designs) > 1
+    tournaments = 2 * high["tournament_size"] * (high["population"] - 1)
+    assert tournaments <= _CountingRandom.draws < 2 * tournaments + 2 * 2 * high["population"]
 
 
 FLOAT_PARAMETERS = [
