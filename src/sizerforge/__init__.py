@@ -19,14 +19,13 @@ from .core import (
     History,
     IterationSummary,
     assess,
-    compute_fom,
     design_from,
 )
 from .diagnostics import DiagnosticsReport, analyze, render_text
 from .errors import SizerForgeError
 from .evaluation import EvaluatorSpec, evaluate_batch, evaluator_from_config
 from .space import SearchSpace, SpaceEdit, apply_edit, full_space, space_from_config
-from .specexpr import SpecExpr, evaluate_spec, parse_spec, split_directions
+from .specexpr import SpecExpr, parse_spec
 from .surrogates import enumerate_oracle, get_model
 
 __version__ = "0.1.0"
@@ -55,11 +54,9 @@ __all__ = [
     "analyze",
     "apply_edit",
     "assess",
-    "compute_fom",
     "design_from",
     "enumerate_oracle",
     "evaluate_batch",
-    "evaluate_spec",
     "evaluator_from_config",
     "full_space",
     "get_model",
@@ -74,7 +71,6 @@ __all__ = [
     "run_baseline",
     "run_matrix",
     "space_from_config",
-    "split_directions",
     "__version__",
 ]
 

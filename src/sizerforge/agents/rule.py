@@ -25,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..diagnostics import DiagnosticsReport
 from ..space import SearchSpace, SpaceEdit, apply_edit, space_from_plan, unfix_window
-from ..specexpr import parse_spec, split_directions
+from ..specexpr import MAXIMIZE_OPS
 from .schemas import SENSITIVITY_LEVELS
 
 PLATEAU_PCT = 2.0
@@ -81,10 +81,8 @@ def target_metric(config) -> str:
     maximize clause of the user spec, else the first listed metric."""
     if "fom" in config.metrics:
         return "fom"
-    maximize, _ = split_directions(parse_spec(config.user_specs_metric))
-    if maximize:
-        return maximize[0].metric
-    return config.metrics[0]
+    return next((c.metric for c in config.spec.clauses if c.op in MAXIMIZE_OPS),
+                config.metrics[0])
 
 
 def rule_plan(config, understanding: dict, n_to_optimize: int) -> Tuple[dict, SearchSpace]:

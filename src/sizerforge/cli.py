@@ -21,7 +21,6 @@ from .config import load_config, render_deck
 from .controller import AUTOSIZER_SPELLING, BASELINES, RunBudget, run_method
 from .errors import SizerForgeError
 from .evaluation import evaluator_from_config
-from .specexpr import parse_spec
 from .surrogates import enumerate_oracle, get_model
 
 
@@ -135,7 +134,6 @@ def cmd_report(args) -> int:
 
 def cmd_validate(args) -> int:
     config = load_config(args.config)
-    spec = parse_spec(config.user_specs_metric)
     # midpoint assignment: every template slot must resolve
     assignment = {v: config.grid_for(v)[len(config.grid_for(v)) // 2] for v in config.variables}
     render_deck(config, assignment)
@@ -144,7 +142,7 @@ def cmd_validate(args) -> int:
     print(f"grid: {len(config.w_values)} values per variable, "
           f"{config.full_grid_cardinality()} combinations")
     print(f"metrics: {', '.join(config.metrics)}")
-    print(f"spec clauses: {len(spec.clauses)}")
+    print(f"spec clauses: {len(config.spec.clauses)}")
     print("templates render cleanly")
     print("OK")
     return 0

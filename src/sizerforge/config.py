@@ -8,6 +8,9 @@ with ``{placeholder}`` slots (subcircuit and testbench). Unknown keys
 are preserved verbatim in ``passthrough`` so benchmark extensions never
 break parsing.
 
+A ``BenchmarkConfig`` is frozen and parses its spec expression once, into
+``spec``; a config made by ``dataclasses.replace`` parses its own.
+
 A value of the wrong shape (a word or NaN for a number, a fraction for
 a count, a scalar for a list) is a ConfigError naming its key: see
 ``read_number`` and ``read_list``.
@@ -35,7 +38,7 @@ from .errors import (
     TemplateUnresolvable,
     ValueOffGrid,
 )
-from .specexpr import parse_spec
+from .specexpr import SpecExpr, parse_spec
 
 # libyaml's parser when PyYAML is built with it: the same documents in a
 # fraction of the pure-Python parser's time
@@ -104,7 +107,7 @@ def format_value(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkConfig:
     name: str
     pdk_lib_path: str
@@ -119,6 +122,11 @@ class BenchmarkConfig:
     subckt_template: str
     testbench_template: str
     passthrough: Dict[str, object] = field(default_factory=dict)
+    # ``user_specs_metric`` parsed when the config is made (or a SpecParseError)
+    spec: SpecExpr = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "spec", parse_spec(self.user_specs_metric))
 
     def grid_for(self, var: str) -> List[float]:
         # one universal grid for every width variable
@@ -153,7 +161,9 @@ def parse_yaml_mapping(source: str, what: str) -> dict:
     a ConfigError that calls the document ``what``."""
     try:
         doc = yaml.load(source, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar its constructor refuses, such as an integer
+        # literal past Python's int-to-string digit limit
         raise ConfigError(f"{what} is not well-formed: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} document must be a mapping")
@@ -199,9 +209,6 @@ def parse_config(source: str) -> BenchmarkConfig:
     if not metrics:
         raise ConfigError("metrics list must be non-empty")
 
-    spec_text = str(doc["user_specs_metric"])
-    parse_spec(spec_text)  # SpecParseError forwarded
-
     subckt_name = str(doc["subckt_name"])
     subckt_pins = [str(p) for p in read_list("subckt_pins", doc["subckt_pins"])]
 
@@ -210,7 +217,7 @@ def parse_config(source: str) -> BenchmarkConfig:
     config = BenchmarkConfig(
         name=str(doc.get("name", subckt_name.lower())),
         pdk_lib_path=str(doc.get("pdk_lib_path", "")),
-        user_specs_metric=spec_text,
+        user_specs_metric=str(doc["user_specs_metric"]),
         params=params,
         variables=variables,
         w_values=w_values,

@@ -61,11 +61,10 @@ from .agents import RuleBackend, make_backend, rule_decide_inner, rule_understan
 from .core import EvaluatedDesign, History, is_valid
 from .diagnostics import DiagnosticsReport, analyze, render_text
 from .errors import (BudgetOverrun, ConfigError, InsufficientHistory, SingularKernel,
-                     UnknownMethod)
+                     UnknownMethod, shown)
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
 from .space import SearchSpace, space_from_config
-from .specexpr import parse_spec
 
 # each baseline's batch size; None spends the whole remainder in one batch
 BASELINES = {
@@ -90,7 +89,7 @@ STALL_LIMIT = 3
 def at_least_one(key: str, count: int) -> int:
     """``count`` when it is at least 1, else ConfigError naming ``key``."""
     if count < 1:
-        raise ConfigError(f"{key!r} must be at least 1, got {count!r}")
+        raise ConfigError(f"{key!r} must be at least 1, got {shown(count)}")
     return count
 
 
@@ -199,7 +198,6 @@ class _Run:
         if keep_logs and self.evaluator.kind != "spice":
             raise ConfigError(f"keep_logs keeps simulator logs, and the {self.evaluator.kind} "
                               "evaluator runs no simulator")
-        self.spec = parse_spec(config.user_specs_metric)
         self.cache = ResultCache()
         self.history = History()
         self.decisions: List[dict] = []
@@ -254,7 +252,6 @@ class _Run:
             self.config,
             designs,
             self.evaluator,
-            spec=self.spec,
             cache=self.cache,
             start_eval_index=history.next_eval_index(),
             iteration=iteration,
@@ -380,6 +377,7 @@ def run(
         loop_start_used, loop_start_iteration = job.used, job.iteration
         job.stalled = 0
         analyzed = None  # a stop decision's report; no batch ran after it
+        stopped = False
 
         while True:
             if history.feasible_found():
@@ -402,7 +400,7 @@ def run(
             iteration = job.iteration
             job.log("inner", **scope, iteration=iteration, payload=decision)
             if decision["action"] != "search":
-                analyzed = report
+                analyzed, stopped = report, True
                 break
             mcfg = MethodConfig(
                 method=decision["method"],
@@ -422,8 +420,9 @@ def run(
             end = "budget_exhausted", "total_budget_exhausted"
         elif loop_idx == budget.max_outer_loops - 1:
             end = "outer_cap", "outer_loop_cap"
-        elif not history.records:
-            end = "space_exhausted", "run_space_exhausted"
+        elif not history.records:  # a stop before any batch exhausted nothing
+            end = (("no_valid_design", "run_stopped_before_search") if stopped
+                   else ("space_exhausted", "run_space_exhausted"))
         report = job.report(loop_idx, space, analyzed, decides=end is None)
         if end is not None:
             outcome, event = end

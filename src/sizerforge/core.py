@@ -26,14 +26,13 @@ metrics. If a simulator log also reports one, the engine's value wins
 and a disagreement above 1% logs a warning.
 
 What every design of a run shares is computed once, where it is fixed:
-``assess`` reads the objective's split (``SpecExpr.objective``) from the
-spec, checks its clauses through ``specexpr.check_spec``, which reads the
-spec's clause table (``SpecExpr.table``), and copies a design's
-metrics only to put the engine's value in for a ``fom`` clause. A
-design's id is ``design_id`` of its ``name=repr(value)`` fragments in
-name order; ``design_from`` formats them per assignment, and
-``optim.base.materialize`` joins the fragments its space formatted once
-(``SearchSpace.id_table``).
+``assess`` scores a design in one walk of the spec's clause table
+(``SpecExpr.table``), which gives each clause its side in the objective,
+and reads the engine's value for a ``fom`` clause without copying the
+design's metrics. A design's id is ``design_id`` of its
+``name=repr(value)`` fragments in name order; ``design_from`` formats
+them per assignment, and ``optim.base.materialize`` joins the fragments
+its space formatted once (``SearchSpace.id_table``).
 
 ``Design`` and ``EvaluatedDesign`` are frozen, slotted dataclasses: a
 record has no ``__dict__``, and a run builds one per proposal and per
@@ -52,8 +51,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import MissingMetric
-from .specexpr import FOM_METRIC, Comparison, SpecExpr, check_spec
+from .specexpr import FOM_METRIC, SpecExpr
 
 
 SIM_OK = "ok"
@@ -232,81 +230,62 @@ class History:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _normalized_product(clauses: Sequence[Comparison],
-                        raw_metrics: Mapping[str, float]) -> Optional[float]:
-    """Product of each clause's metric over its threshold; ``None`` at a
-    zero threshold or a normalized value <= 0 or non-finite."""
-    product = 1.0
-    for clause in clauses:
-        if clause.metric not in raw_metrics:
-            raise MissingMetric(clause.metric)
-        if clause.threshold == 0:
-            return None
-        normalized = raw_metrics[clause.metric] / clause.threshold
-        if not math.isfinite(normalized) or normalized <= 0:
-            return None
-        product *= normalized
-    return product
-
-
-def compute_fom(
-    maximize: Sequence[Comparison],
-    minimize: Sequence[Comparison],
-    raw_metrics: Mapping[str, float],
-) -> Optional[float]:
-    """Normalized product objective; ``None`` marks a failed value.
-
-    Each metric is normalized by its clause threshold. Any normalized
-    value <= 0 or non-finite fails, as does a zero denominator; negative
-    raw metrics therefore fail rather than producing a signed objective.
-    A failed maximize-metric returns before a missing minimize-metric raises.
-    """
-    numerator = _normalized_product(maximize, raw_metrics)
-    denominator = None if numerator is None else _normalized_product(minimize, raw_metrics)
-    if not denominator:  # failed, or a product that underflowed to zero
-        return None
-    value = numerator / denominator
-    return value if math.isfinite(value) else None
-
-
 def assess(
     spec: SpecExpr, raw_metrics: Mapping[str, float]
 ) -> Tuple[Optional[float], bool, Dict[str, float]]:
-    """Compose direction split + objective + feasibility.
-
-    Returns (fom, feasible, normalized). Feasibility follows the user's
-    literal expression, evaluated on the raw metrics with the engine's
-    objective value standing in for the ``fom`` clause when present. The
-    split is the spec's own (``SpecExpr.objective``), and the metrics are
-    copied only when that stand-in is put in. Feasibility and the
-    normalized values are ``specexpr.check_spec``'s, so they follow
-    ``evaluate_spec``; a missing metric makes the design infeasible.
+    """(fom, feasible, normalized) of one design's raw metrics: each
+    clause's metric over its nonzero threshold, and the objective's
+    products in clause order. A failed FoM, a missing objective metric
+    included, gives ``(None, False, {})``. Any other missing metric makes
+    the design infeasible with no normalized values; only then are the
+    clauses compared, exactly and in declaration order up to the first
+    that fails, so an unknown operator raises ValueError only when every
+    clause before it holds.
     """
-    maximize, minimize, has_fom = spec.objective
-    try:
-        fom = compute_fom(maximize, minimize, raw_metrics)
-    except MissingMetric:
-        fom = None
-    if fom is None:
+    numerator = denominator = 1.0
+    normalized = {}
+    missing = False
+    for metric, _, threshold, side in spec.table:
+        if side:
+            if threshold == 0 or metric not in raw_metrics:
+                return None, False, {}
+            value = raw_metrics[metric] / threshold
+            if not math.isfinite(value) or value <= 0:
+                return None, False, {}
+            if side > 0:
+                numerator *= value
+            else:
+                denominator *= value
+            normalized[metric] = value
+        elif metric == FOM_METRIC:
+            if threshold != 0:
+                normalized[metric] = threshold  # divides the figure of merit below
+        elif metric not in raw_metrics:
+            missing = True
+        elif threshold != 0:
+            normalized[metric] = raw_metrics[metric] / threshold
+    if not denominator:  # a product that underflowed to zero
+        return None, False, {}
+    fom = numerator / denominator
+    if not math.isfinite(fom):
         return None, False, {}
 
-    spec_metrics = raw_metrics
-    if has_fom:
-        if FOM_METRIC in raw_metrics:
-            reported = raw_metrics[FOM_METRIC]
-            if reported != 0 and abs(reported - fom) / abs(reported) > 0.01:
-                import logging  # loaded only by a run that has a disagreement to log
+    if spec.has_fom:
+        reported = raw_metrics.get(FOM_METRIC)
+        if reported and abs(reported - fom) / abs(reported) > 0.01:
+            import logging  # loaded only by a run that has a disagreement to log
 
-                logging.getLogger(__name__).warning(
-                    "engine fom %.6g disagrees with reported fom %.6g by more than 1%%",
-                    fom, reported)
-        spec_metrics = {**raw_metrics, FOM_METRIC: fom}
-
-    try:
-        feasible, normalized = check_spec(spec, spec_metrics)
-    except MissingMetric:
+            logging.getLogger(__name__).warning(
+                "engine fom %.6g disagrees with reported fom %.6g by more than 1%%",
+                fom, reported)
+        if FOM_METRIC in normalized:
+            normalized[FOM_METRIC] = fom / normalized[FOM_METRIC]
+    if missing:
         return fom, False, {}
-    return fom, feasible, normalized
+    for metric, holds, threshold, _ in spec.table:
+        if not holds(fom if metric == FOM_METRIC else raw_metrics[metric], threshold):
+            return fom, False, normalized
+    return fom, True, normalized
 
 
 def pct_change(ago: Optional[float], now: Optional[float]) -> float:

@@ -5,9 +5,20 @@ Every exception raised on purpose by this package derives from
 Classes are grouped by the subsystem that raises them.
 """
 
+import sys
+
 
 class SizerForgeError(Exception):
     """Base class for all sizerforge errors."""
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message. An integer past Python's
+    int-to-string digit limit has no repr, so it is named by the limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 # --- configuration / templates ---------------------------------------------
@@ -61,12 +72,6 @@ class UnsupportedCombinator(SpecParseError):
         )
         self.position = position
         self.reason = f"unsupported combinator {token!r}"
-
-
-class MissingMetric(SizerForgeError):
-    def __init__(self, name):
-        super().__init__(f"metric {name!r} required but not present")
-        self.name = name
 
 
 # --- history ------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Two evaluator kinds sit behind one interface: a SPICE subprocess runner
 (batch-mode ngspice against rendered decks) and the analytic surrogate
-bench. ``evaluate_batch`` takes the run's parsed spec and its result
+bench. ``evaluate_batch`` assesses each fresh design against the spec
+its config parsed (``BenchmarkConfig.spec``), and takes the run's result
 cache. Results are cached in memory for the length of one run, keyed by
 design identity (one run has one config and one evaluator), so a design
 proposed again within the run is not simulated again. Cache hits cost zero
@@ -40,7 +41,6 @@ from .core import (
     assess,
 )
 from .errors import ConfigError, EvaluatorUnavailable, UnknownModel
-from .specexpr import SpecExpr
 from .surrogates import get_model
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -211,7 +211,6 @@ def evaluate_batch(
     designs: Sequence[Design],
     evaluator: EvaluatorSpec,
     *,
-    spec: SpecExpr,
     cache: ResultCache,
     start_eval_index: int = 1,
     iteration: int = 0,
@@ -258,6 +257,7 @@ def evaluate_batch(
             fresh = {key: future.result() for key, future in futures.items()}
     else:
         fresh = {key: evaluate(designs[i]) for key, i in first.items()}
+    spec = config.spec
     for key, (entry, _) in fresh.items():
         # each design is assessed once, when it is simulated
         entry["assessed"] = (assess(spec, entry["raw_metrics"]) if entry["sim_status"] == SIM_OK

@@ -33,7 +33,7 @@ import random
 from typing import Dict, Mapping
 
 from ..core import History
-from ..errors import BadParameter, InsufficientHistory, UnknownMethod
+from ..errors import BadParameter, InsufficientHistory, UnknownMethod, shown
 from ..space import SearchSpace
 from .annealing import propose_annealing
 from .base import ACQUISITIONS, Proposal, fresh, history_view, uniform_indices
@@ -86,7 +86,7 @@ def _check_range(name: str, value: object) -> None:
     rule = _RANGES[name]
     if not isinstance(rule[0], type):
         if value not in rule:
-            raise BadParameter(f"{name} must be one of {rule}, got {value!r}")
+            raise BadParameter(f"{name} must be one of {rule}, got {shown(value)}")
         return
     kind, low, high = rule
     accepted = (int, float) if kind is float else int
@@ -100,9 +100,9 @@ def _check_range(name: str, value: object) -> None:
     if kind is float and not math.isfinite(x):  # NaN passes every bound
         raise BadParameter(f"{name} must be finite, got {x}")
     if low is not None and x < low:
-        raise BadParameter(f"{name} must be >= {low}, got {x}")
+        raise BadParameter(f"{name} must be >= {low}, got {shown(x)}")
     if high is not None and x > high:
-        raise BadParameter(f"{name} must be <= {high}, got {x}")
+        raise BadParameter(f"{name} must be <= {high}, got {shown(x)}")
 
 
 def validate_method_config(config: MethodConfig) -> MethodConfig:
@@ -123,7 +123,7 @@ def validate_method_config(config: MethodConfig) -> MethodConfig:
         if name not in allowed:
             raise BadParameter(f"{name!r} is not a parameter of {method}")
     if config.n_samples < 1:
-        raise BadParameter(f"n_samples must be positive, got {config.n_samples}")
+        raise BadParameter(f"n_samples must be positive, got {shown(config.n_samples)}")
     for name in _RANGES:
         if name in params:
             _check_range(name, params[name])

@@ -15,13 +15,13 @@ Clauses with ``>``/``>=`` name metrics to be maximized; ``<``/``<=``
 name metrics to be minimized. The threshold of each clause is that
 metric's specification target.
 
-A spec splits its objective once, the first time it is assessed
-(``SpecExpr.objective``): the maximize and the minimize clauses other
-than ``fom``'s, and whether a ``fom`` clause is present. Beside it the
-spec keeps one table of its clauses (``SpecExpr.table``): a (metric,
-``operator`` comparison, threshold) entry per clause, which
-``evaluate_spec`` and ``core.assess`` read. A run parses its spec once,
-so every design of the run shares the split and the table.
+A spec keeps one table of its clauses (``SpecExpr.table``): a (metric,
+``operator`` comparison, threshold, side) row per clause, where the side
+places the clause in the objective: +1 in the numerator, -1 in the
+denominator, 0 for a ``fom`` clause or an unknown operator. It also keeps
+whether a ``fom`` clause is present (``SpecExpr.has_fom``). ``core.assess``
+scores every design from these two. A config parses its spec once
+(``BenchmarkConfig.spec``), so every design of a run shares them.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, List, Tuple
 
-from .errors import MissingMetric, SpecParseError, UnsupportedCombinator
+from .errors import SpecParseError, UnsupportedCombinator
 
 MAXIMIZE_OPS = (">", ">=")
-MINIMIZE_OPS = ("<", "<=")
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+# a clause's side in the objective: the numerator maximizes, the denominator minimizes
+_SIDES = {">": 1, ">=": 1, "<": -1, "<=": -1}
 
 # Metric name reserved for the engine-computed objective. Excluded from
 # the objective's own products to prevent self-reference.
@@ -78,24 +79,18 @@ class SpecExpr:
     clauses: Tuple[Comparison, ...]
 
     @cached_property
-    def objective(self) -> Tuple[Tuple[Comparison, ...], Tuple[Comparison, ...], bool]:
-        """(maximize, minimize, has_fom): the clauses of the objective's
-        numerator and denominator, ``fom``'s left out and declaration
-        order kept, and whether a ``fom`` clause is present. Computed on
-        first use and kept for the life of the spec."""
-        maximize, minimize = split_directions(self)
-        return (tuple(c for c in maximize if c.metric != FOM_METRIC),
-                tuple(c for c in minimize if c.metric != FOM_METRIC),
-                any(c.metric == FOM_METRIC for c in self.clauses))
+    def table(self) -> Tuple[Tuple[str, Callable[[float, float], bool], float, int], ...]:
+        """(metric, comparison, threshold, side) per clause, in declaration
+        order; ``comparison(value, threshold)`` is the clause operator's
+        ``operator`` function. Computed on first use and kept."""
+        return tuple((c.metric, _COMPARISONS.get(c.op) or _unknown(c.op), c.threshold,
+                      0 if c.metric == FOM_METRIC else _SIDES.get(c.op, 0))
+                     for c in self.clauses)
 
     @cached_property
-    def table(self) -> Tuple[Tuple[str, Callable[[float, float], bool], float], ...]:
-        """(metric, comparison, threshold) per clause, in declaration
-        order: the comparison is the ``operator`` function of the clause's
-        operator, ``comparison(value, threshold)``. Computed on first use
-        and kept for the life of the spec."""
-        return tuple((c.metric, _COMPARISONS.get(c.op) or _unknown(c.op), c.threshold)
-                     for c in self.clauses)
+    def has_fom(self) -> bool:
+        """Whether a clause names ``fom``, the engine's own objective."""
+        return any(c.metric == FOM_METRIC for c in self.clauses)
 
 
 def _tokenize(text: str):
@@ -165,42 +160,3 @@ def parse_spec(text: str) -> SpecExpr:
     if not clauses:
         raise SpecParseError(0, "empty expression")
     return SpecExpr(tuple(clauses))
-
-
-def check_spec(spec: SpecExpr, metrics: Mapping[str, float]) -> Tuple[bool, Dict[str, float]]:
-    """(feasible, normalized): whether every clause holds on ``metrics``,
-    and each clause's metric over its nonzero threshold.
-
-    Comparisons are exact floating comparisons, no epsilon. A metric
-    named by a clause but absent from ``metrics`` raises MissingMetric,
-    never a silent failure, before any clause is checked. Clauses are
-    checked in declaration order up to the first that fails, so an
-    unknown operator raises ValueError only when every clause before it
-    holds.
-    """
-    table = spec.table
-    for metric, _, _ in table:
-        if metric not in metrics:
-            raise MissingMetric(metric)
-    feasible = True
-    normalized = {}
-    for metric, holds, threshold in table:
-        value = metrics[metric]
-        if feasible and not holds(value, threshold):
-            feasible = False
-        if threshold != 0:
-            normalized[metric] = value / threshold
-    return feasible, normalized
-
-
-def evaluate_spec(spec: SpecExpr, metrics: Mapping[str, float]) -> bool:
-    """Whether every clause holds on ``metrics``: ``check_spec``'s verdict."""
-    return check_spec(spec, metrics)[0]
-
-
-def split_directions(spec: SpecExpr) -> Tuple[Tuple[Comparison, ...], Tuple[Comparison, ...]]:
-    """Split clauses into (maximize, minimize) sets, declaration order kept."""
-    maximize = tuple(c for c in spec.clauses if c.op in MAXIMIZE_OPS)
-    minimize = tuple(c for c in spec.clauses if c.op in MINIMIZE_OPS)
-    return maximize, minimize
-

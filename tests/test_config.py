@@ -1,6 +1,8 @@
 """Benchmark config parsing and deck rendering."""
 
+import dataclasses
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from sizerforge.config import (
     render_deck,
     render_template,
 )
+from sizerforge.core import assess
 from sizerforge.errors import (
     BadScaleRef,
     ConfigError,
@@ -29,6 +32,7 @@ from sizerforge.errors import (
     ValueOffGrid,
 )
 from sizerforge.harness import parse_matrix
+from sizerforge.specexpr import parse_spec
 from sizerforge.surrogates import (
     _MED_SCALES,
     _TELESCOPIC_VARS,
@@ -263,6 +267,31 @@ def test_the_oracle_refuses_a_grid_past_its_limit_before_enumerating():
         enumerate_oracle(model)
 
 
+def test_a_config_parses_its_spec_once_and_a_replaced_one_parses_its_own():
+    config = parse_config(MINIMAL)
+    assert config.spec == parse_spec("gain > 10 AND power < 5")
+    metrics = {"gain": 20.0, "power": 2.0}
+    assert assess(config.spec, metrics) == (5.0, True, {"gain": 2.0, "power": 0.4})
+    tighter = dataclasses.replace(config, user_specs_metric="gain > 40 AND power < 5")
+    assert tighter.spec is not config.spec and tighter.spec == parse_spec("gain > 40 AND power < 5")
+    assert assess(tighter.spec, metrics) == (1.25, False, {"gain": 0.5, "power": 0.4})
+    assert config.spec == parse_spec("gain > 10 AND power < 5")
+    with pytest.raises(SpecParseError):
+        dataclasses.replace(config, user_specs_metric="gain >> 10")
+
+
+def test_a_config_is_frozen():
+    config = parse_config(MINIMAL)
+    for name, value in (("user_specs_metric", "gain > 40"), ("spec", None), ("variables", [])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    assert config.user_specs_metric == "gain > 10 AND power < 5"
+    # the derived spec is neither an argument nor shown
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(config, spec=parse_spec("gain > 40"))
+    assert "spec=" not in repr(config)
+
+
 def test_unknown_keys_pass_through():
     config = parse_config(MINIMAL + "\nevaluator: surrogate\nsurrogate_model: sota_easy\n")
     assert config.passthrough["evaluator"] == "surrogate"
@@ -335,3 +364,25 @@ def test_malformed_yaml_is_a_config_error_under_either_parser(loader, source, pr
         with pytest.raises(ConfigError) as caught:
             parse(source)
         assert str(caught.value).startswith(f"{what} {problem}")
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_an_integer_literal_past_the_digit_limit_is_a_config_error(loader, monkeypatch, tmp_path,
+                                                                   capsys):
+    # Python refuses to read an integer of more digits than its limit; the
+    # refusal names the limit and the command line reports it as an error
+    monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+    digits = "1" * 5000
+    for command, parse, what, source in (
+            ("validate", parse_config, "config", MINIMAL.replace("L: 0.15", f"L: {digits}")),
+            ("bench", parse_matrix, "matrix file", MATRIX + f"trials_per_cell: {digits}\n")):
+        with pytest.raises(ConfigError) as caught:
+            parse(source)
+        message = str(caught.value)
+        assert message.startswith(f"{what} is not well-formed: ")
+        assert f"({sys.get_int_max_str_digits()} digits)" in message and digits not in message
+        path = tmp_path / f"{command}.yaml"
+        path.write_text(source)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")

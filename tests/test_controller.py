@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sizerforge import controller
-from sizerforge.agents import RuleBackend
+from sizerforge.agents import RuleBackend, rule
 from sizerforge.config import load_config, parse_config
 from sizerforge.controller import RunBudget, run, run_baseline
 from sizerforge.errors import BudgetOverrun, SingularKernel
@@ -243,3 +243,74 @@ def test_a_two_value_grid_is_planned_and_run():
                               "space_exhausted")
     assert result.best is not None
     assert result.evals_used <= 4  # the whole grid
+
+
+_STOP = {"action": "stop", "reasoning": "nothing to search", "confidence": "high",
+         "expected_improvement": "none expected", "convergence_assessment": "not assessed"}
+
+
+class _StopsAtOnce(RuleBackend):
+    """The rule policy, except that every inner decision stops its loop."""
+
+    def decide_inner(self, report, remaining, space, config):
+        return dict(_STOP)
+
+
+def test_a_run_that_stops_before_any_batch_names_the_stop(tmp_path):
+    # a stop is a valid first reply; the run searched nothing, so it did not
+    # exhaust its space, and it hands back no design
+    config = load_config(str(CONFIGS / "sota_med.yaml"))
+    result = run(config, RunBudget(), _StopsAtOnce(), 0, results_dir=str(tmp_path))
+    assert result.history.records == [] and result.evals_used == 0
+    assert result.outcome == "no_valid_design" and result.best is None
+    events = [e["event"] for e in result.decisions if e["kind"] == "event"]
+    assert events == ["run_stopped_before_search", "no_valid_design"]
+    inner = [e["payload"] for e in result.decisions if e["kind"] == "inner"]
+    assert inner == [_STOP]
+    assert not list(tmp_path.glob("loop*_report.txt"))
+
+
+class _PinsTwoAndUnfixes(RuleBackend):
+    """The rule policy, except that its plan pins two of the four variables,
+    each inner loop runs one small lhs batch and then stops, and each outer
+    decision unfixes one pinned variable as the rule policy would on
+    stagnation. Records the ``prior_unfixes`` each outer decision gets."""
+
+    def __init__(self):
+        super().__init__()
+        self.prior_unfixes = []
+        self.searched = set()
+
+    def plan(self, config, understanding, n_to_optimize):
+        return super().plan(config, understanding, 2)
+
+    def decide_inner(self, report, remaining, space, config):
+        if space.generation in self.searched:
+            return dict(_STOP)
+        self.searched.add(space.generation)
+        return {"action": "search", "method": "lhs", "n_samples": 4, "parameters": {},
+                "reasoning": "one small batch per loop", "confidence": "medium",
+                "expected_improvement": "incremental", "convergence_assessment": "not assessed"}
+
+    def decide_outer(self, report, space, prior_unfixes, sensitivity, config):
+        self.prior_unfixes.append(prior_unfixes)
+        return rule._unfix_best(space, sensitivity, prior_unfixes, "unfixing {var} with {n} values")
+
+
+def test_each_unfix_is_counted_and_widens_the_next_window():
+    # an unreachable fom clause keeps every loop from ending the run on a
+    # feasible design, so the run reaches both outer decisions
+    config = load_config(str(CONFIGS / "sota_med.yaml"))
+    config = dataclasses.replace(config, user_specs_metric=config.user_specs_metric.replace(
+        "fom > 0.100", "fom > 1000"))
+    assert config.spec.clauses[0].threshold == 1000
+    backend = _PinsTwoAndUnfixes()
+    result = run(config, RunBudget(), backend, 0)
+    assert not result.feasible_found and result.outcome == "outer_cap"
+    assert backend.prior_unfixes == [0, 1]
+    outer = [e["payload"] for e in result.decisions if e["kind"] == "outer"]
+    assert [o["action_taken"] for o in outer] == ["unfix_variables"] * 2
+    first, second, third = result.space_generations
+    assert len(first.fixed) == 2 and len(second.fixed) == 1 and third.fixed == {}
+    grown = [v for v in first.fixed if v in second.active] + [v for v in second.fixed]
+    assert [len(space.active[v]) for space, v in zip((second, third), grown)] == [5, 7]

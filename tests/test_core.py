@@ -16,20 +16,19 @@ from sizerforge.core import (
     History,
     IterationSummary,
     assess,
-    compute_fom,
     design_from,
     rank_key,
 )
 from sizerforge.diagnostics import analyze
-from sizerforge.errors import MissingMetric
 from sizerforge.space import full_space
-from sizerforge.specexpr import Comparison, SpecExpr, evaluate_spec, parse_spec, split_directions
+from sizerforge.specexpr import Comparison, SpecExpr, parse_spec
 
 BENCH = parse_spec("fom > 0.100 AND dc_gain_db > 55 AND ugbw > 10 AND power_dc < 50")
 
 
-def _clauses(text):
-    return split_directions(parse_spec(text))
+def _fom(text, metrics):
+    """The figure of merit ``assess`` gives ``metrics`` under the spec ``text``."""
+    return assess(parse_spec(text), metrics)[0]
 
 
 def _record(i, fom, feasible=False, method="lhs", iteration=1, cached=False, status="ok"):
@@ -52,15 +51,14 @@ def _record(i, fom, feasible=False, method="lhs", iteration=1, cached=False, sta
 
 
 def test_fom_is_ratio_of_normalized_products():
-    maximize, minimize = _clauses("gain > 50 AND bw > 10 AND power < 2")
-    fom = compute_fom(maximize, minimize, {"gain": 100.0, "bw": 20.0, "power": 1.0})
+    fom = _fom("gain > 50 AND bw > 10 AND power < 2", {"gain": 100.0, "bw": 20.0, "power": 1.0})
     # (100/50)*(20/10) / (1/2) = 8
     assert fom == pytest.approx(8.0, rel=1e-12)
 
 
 def test_fom_all_at_spec_is_exactly_one():
-    maximize, minimize = _clauses("gain > 50 AND bw > 10 AND power < 2")
-    assert compute_fom(maximize, minimize, {"gain": 50.0, "bw": 10.0, "power": 2.0}) == 1.0
+    assert _fom("gain > 50 AND bw > 10 AND power < 2",
+                {"gain": 50.0, "bw": 10.0, "power": 2.0}) == 1.0
 
 
 def test_fom_scale_invariance():
@@ -69,10 +67,8 @@ def test_fom_scale_invariance():
     for _ in range(50):
         g, p = rng.uniform(1, 100), rng.uniform(1, 100)
         scale = rng.uniform(0.01, 1000)
-        a = compute_fom(*_clauses("g > 10 AND p < 5"), {"g": g, "p": p})
-        b = compute_fom(
-            *_clauses(f"g > {10 * scale!r} AND p < 5"), {"g": g * scale, "p": p}
-        )
+        a = _fom("g > 10 AND p < 5", {"g": g, "p": p})
+        b = _fom(f"g > {10 * scale!r} AND p < 5", {"g": g * scale, "p": p})
         assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -88,21 +84,19 @@ def test_fom_scale_invariance():
     ],
 )
 def test_fom_failed_values_return_none(metrics):
-    maximize, minimize = _clauses("gain > 50 AND power < 2")
-    assert compute_fom(maximize, minimize, metrics) is None
+    assert assess(parse_spec("gain > 50 AND power < 2"), metrics) == (None, False, {})
 
 
 def test_fom_zero_threshold_returns_none():
-    maximize, minimize = _clauses("gain > 0 AND power < 2")
-    assert compute_fom(maximize, minimize, {"gain": 10.0, "power": 1.0}) is None
+    assert assess(parse_spec("gain > 0 AND power < 2"), {"gain": 10.0, "power": 1.0}) == (
+        None, False, {})
 
 
-def test_fom_missing_metric_raises():
-    maximize, minimize = _clauses("gain > 50 AND power < 2")
-    from sizerforge.errors import MissingMetric
-
-    with pytest.raises(MissingMetric):
-        compute_fom(maximize, minimize, {"gain": 10.0})
+def test_fom_missing_metric_fails():
+    # a missing numerator or denominator metric fails the figure of merit,
+    # whichever side it is on, and the design with it
+    for metrics in ({"gain": 10.0}, {"power": 1.0}, {}):
+        assert assess(parse_spec("gain > 50 AND power < 2"), metrics) == (None, False, {})
 
 
 # ---------------------------------------------------------------- assess
@@ -162,6 +156,46 @@ def test_assess_normalized_values():
 _REFERENCE_LOG = logging.getLogger("tests.reference_assess")
 
 
+class _Missing(Exception):
+    """A metric the reference needs and the design lacks."""
+
+
+def _reference_split(spec):
+    """``specexpr.split_directions`` as it was: (maximize, minimize)
+    clauses, declaration order kept."""
+    maximize = tuple(c for c in spec.clauses if c.op in (">", ">="))
+    minimize = tuple(c for c in spec.clauses if c.op in ("<", "<="))
+    return maximize, minimize
+
+
+def _reference_product(clauses, raw_metrics):
+    """``core._normalized_product`` as it was: the product of each clause's
+    metric over its threshold; ``None`` at a zero threshold or a normalized
+    value <= 0 or non-finite."""
+    product = 1.0
+    for clause in clauses:
+        if clause.metric not in raw_metrics:
+            raise _Missing(clause.metric)
+        if clause.threshold == 0:
+            return None
+        normalized = raw_metrics[clause.metric] / clause.threshold
+        if not math.isfinite(normalized) or normalized <= 0:
+            return None
+        product *= normalized
+    return product
+
+
+def _reference_fom(maximize, minimize, raw_metrics):
+    """``core.compute_fom`` as it was: the numerator's product over the
+    denominator's, ``None`` for a failed value."""
+    numerator = _reference_product(maximize, raw_metrics)
+    denominator = None if numerator is None else _reference_product(minimize, raw_metrics)
+    if not denominator:
+        return None
+    value = numerator / denominator
+    return value if math.isfinite(value) else None
+
+
 def _reference_holds(clause, value):
     """A clause's comparison as the if-chain wrote it."""
     if clause.op == ">":
@@ -181,19 +215,20 @@ def _reference_evaluate_spec(spec, metrics):
     first that fails."""
     for clause in spec.clauses:
         if clause.metric not in metrics:
-            raise MissingMetric(clause.metric)
+            raise _Missing(clause.metric)
     return all(_reference_holds(c, metrics[c.metric]) for c in spec.clauses)
 
 
 def _reference_assess(spec, raw_metrics):
-    """``assess`` as it was when it split the spec and copied the metrics
-    on every call: the reference its cached split must match."""
-    maximize, minimize = split_directions(spec)
+    """``assess`` as it was when it split the spec, computed the objective
+    and checked the spec in separate functions and copied the metrics on
+    every call: the reference its one walk of the clause table must match."""
+    maximize, minimize = _reference_split(spec)
     fom_max = tuple(c for c in maximize if c.metric != FOM_METRIC)
     fom_min = tuple(c for c in minimize if c.metric != FOM_METRIC)
     try:
-        fom = compute_fom(fom_max, fom_min, raw_metrics)
-    except MissingMetric:
+        fom = _reference_fom(fom_max, fom_min, raw_metrics)
+    except _Missing:
         fom = None
     if fom is None:
         return None, False, {}
@@ -210,7 +245,7 @@ def _reference_assess(spec, raw_metrics):
 
     try:
         feasible = _reference_evaluate_spec(spec, spec_metrics)
-    except MissingMetric:
+    except _Missing:
         return fom, False, {}
 
     normalized = {}
@@ -279,15 +314,6 @@ def test_assess_matches_the_split_per_call_reference(spec, metrics, reported):
         assert [(k, _hex(v)) for k, v in normalized.items()] == \
             [(k, _hex(v)) for k, v in want[2].items()]
     assert got_warnings == handler.messages * 2
-    assert _outcome(evaluate_spec, spec, metrics) == _outcome(_reference_evaluate_spec, spec, metrics)
-
-
-def _outcome(check, spec, metrics):
-    """What ``check(spec, metrics)`` returns, or the error it raises."""
-    try:
-        return check(spec, metrics)
-    except MissingMetric as exc:
-        return repr(exc)
 
 
 _UNKNOWN_OPS = SpecExpr((Comparison("gain", ">", 1.0), Comparison("power", "=<", 5.0),
@@ -295,22 +321,20 @@ _UNKNOWN_OPS = SpecExpr((Comparison("gain", ">", 1.0), Comparison("power", "=<",
 
 
 def test_an_unknown_operator_still_raises_value_error():
-    """An operator outside the language, reached with every clause before
-    it holding and no metric missing, raises ValueError from both; a
-    failed clause before it, or a missing metric even after it, decides
-    first, as it did."""
+    """An operator outside the language sits on neither side of the
+    objective. Reached with every clause before it holding and no metric
+    missing, it raises ValueError, as it did; a failed clause before it,
+    or a missing metric even after it, decides first."""
+    assert [side for *_, side in _UNKNOWN_OPS.table] == [1, 0, 0]
     metrics = {"gain": 2.0, "power": 3.0, "ugbw": 4.0}
-    for check in (evaluate_spec, _reference_evaluate_spec, assess, _reference_assess):
+    for check in (assess, _reference_assess):
         with pytest.raises(ValueError, match="^unknown operator '=<'$"):
             check(_UNKNOWN_OPS, metrics)
     failed, missing = {**metrics, "gain": 0.5}, {"gain": 2.0, "power": 3.0}
     assert assess(_UNKNOWN_OPS, failed) == _reference_assess(_UNKNOWN_OPS, failed) == (
         0.5, False, {"gain": 0.5, "power": 0.6, "ugbw": 4.0 / 9.0})
-    assert evaluate_spec(_UNKNOWN_OPS, failed) is False
     assert assess(_UNKNOWN_OPS, missing) == _reference_assess(_UNKNOWN_OPS, missing) == (
         2.0, False, {})
-    with pytest.raises(MissingMetric):
-        evaluate_spec(_UNKNOWN_OPS, missing)
 
 
 # ---------------------------------------------------------------- design ids

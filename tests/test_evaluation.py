@@ -26,7 +26,6 @@ from sizerforge import evaluation
 from sizerforge.core import METRIC_MISSING, SIM_FAILED, SIM_OK, assess, design_from
 from sizerforge.errors import ConfigError, EvaluatorUnavailable, UnknownModel
 from sizerforge.evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
-from sizerforge.specexpr import parse_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -73,8 +72,7 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, monkeypatch, 
     first = design_from({"a": 0.84, "b": 1.05})
     second = design_from({"a": 1.26, "b": 2.52})
     records = evaluate_batch(
-        config, [first, second, first], evaluator,
-        spec=parse_spec(config.user_specs_metric), cache=cache,
+        config, [first, second, first], evaluator, cache=cache,
         start_eval_index=4, iteration=2, method="lhs", workers=workers,
     )
 
@@ -92,8 +90,7 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, monkeypatch, 
         assert all(r.fom is None and not r.feasible for r in records)
     # a later batch of cache hits: each design was assessed once, and
     # every record of a design shares its cache entry's mappings
-    again = evaluate_batch(config, [second, first], evaluator,
-                           spec=parse_spec(config.user_specs_metric), cache=cache,
+    again = evaluate_batch(config, [second, first], evaluator, cache=cache,
                            start_eval_index=7, iteration=3, method="lhs", workers=workers)
     assert len(assessed) == (2 if status == SIM_OK else 0)
     assert [(r.fom, r.normalized) for r in again] == [(r.fom, r.normalized) for r in records[1::-1]]
@@ -110,8 +107,7 @@ def test_bytes_that_are_not_utf8_are_kept_as_replacement_characters(tmp_path):
     evaluator = EvaluatorSpec(kind="spice", executable=_standin(tmp_path, "garbles"),
                               workdir=str(tmp_path))
     design = design_from({"a": 0.84, "b": 1.05})
-    evaluate_batch(config, [design], evaluator, spec=parse_spec(config.user_specs_metric),
-                   cache=ResultCache(), keep_logs=True, results_dir=str(tmp_path / "out"))
+    evaluate_batch(config, [design], evaluator, cache=ResultCache(), keep_logs=True, results_dir=str(tmp_path / "out"))
     log = (tmp_path / "out" / "logs" / f"{design.id}.log").read_text(encoding="utf-8")
     assert log == "\ufffd\ufffd\ngain_db = 30\npower_uw = 40\n\n"
 
@@ -137,7 +133,7 @@ def test_a_spice_executable_missing_from_path_fails_up_front(tmp_path, monkeypat
     evaluator = EvaluatorSpec(kind="spice", executable="ngspice", workdir=str(tmp_path))
     with pytest.raises(EvaluatorUnavailable, match="'ngspice' not found on PATH"):
         evaluate_batch(config, [design_from({"a": 0.84, "b": 1.05})], evaluator,
-                       spec=parse_spec(config.user_specs_metric), cache=ResultCache())
+                       cache=ResultCache())
     assert os.listdir(tmp_path) == []
 
 

@@ -5,6 +5,7 @@ directory per trial."""
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,15 @@ def test_a_budget_allowance_below_one_is_a_config_error_naming_it(field, value):
         RunBudget(**{field: value})
     with pytest.raises(ConfigError, match=message):
         parse_matrix(f"circuits: [c.yaml]\nmethods: [lhs]\nbudget: {{{field}: {value}}}\n")
+
+
+@pytest.mark.parametrize("field", ["total_evals", "per_inner_loop", "max_outer_loops"])
+def test_a_budget_allowance_past_the_digit_limit_is_a_config_error_naming_the_limit(field):
+    # an integer past Python's int-to-string digit limit has no repr
+    with pytest.raises(ConfigError) as caught:
+        RunBudget(**{field: -10**5000})
+    assert str(caught.value) == (f"'{field}' must be at least 1, got an integer of more than "
+                                 f"{sys.get_int_max_str_digits()} digits")
 
 
 # each spelling a matrix accepts, and what run_method makes of it:

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 import types
 import weakref
 
@@ -142,6 +143,31 @@ def test_an_integer_parameter_past_its_bound_is_rejected(method, name, value):
         validate_method_config(MethodConfig(method=method, n_samples=5,
                                             parameters={name: value}))
     validate_method_config(MethodConfig(method=method, n_samples=5, parameters={name: high}))
+
+
+# past Python's int-to-string digit limit: such an integer has no repr
+HUGE = 10**5000
+PAST_LIMIT = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("method,name", INTEGER_PARAMETERS)
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_an_integer_parameter_past_the_digit_limit_is_refused_by_its_bound(method, name, sign):
+    low, high = _RANGES[name][1:]
+    bound = f"<= {high}" if sign > 0 else f">= {low}"
+    with pytest.raises(BadParameter) as caught:
+        validate_method_config(MethodConfig(method, 5, {name: sign * HUGE}))
+    assert str(caught.value) == f"{name} must be {bound}, got {PAST_LIMIT}"
+
+
+def test_a_sample_count_or_acquisition_past_the_digit_limit_is_a_bad_parameter():
+    with pytest.raises(BadParameter) as caught:
+        validate_method_config(MethodConfig("lhs", -HUGE))
+    assert str(caught.value) == f"n_samples must be positive, got {PAST_LIMIT}"
+    with pytest.raises(BadParameter) as caught:
+        validate_method_config(MethodConfig("bayesian", 5, {"acquisition_function": HUGE}))
+    assert str(caught.value) == (f"acquisition_function must be one of "
+                                 f"{_RANGES['acquisition_function']}, got {PAST_LIMIT}")
 
 
 class _CountingRandom(random.Random):

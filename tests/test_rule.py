@@ -14,7 +14,7 @@ from sizerforge.config import load_config
 from sizerforge.core import SIM_OK, EvaluatedDesign, History, design_from
 from sizerforge.diagnostics import analyze
 from sizerforge.errors import SchemaViolation
-from sizerforge.space import SearchSpace
+from sizerforge.space import SearchSpace, space_from_plan
 
 from conftest import build_stagnation_state
 
@@ -205,6 +205,23 @@ def test_the_understanding_plan_and_inner_decisions_validate_as_model_replies():
     for case in INNER:
         decision = _inner_decision(case)
         assert parse_agent_json(json.dumps(decision), "inner") == decision
+
+
+def test_a_plan_over_five_variables_pins_the_fifth_at_the_grid_median():
+    # every shipped config has 4 variables and a run plans min(4, variables),
+    # so only a wider config has a variable the plan pins
+    config = load_config(str(CONFIGS / "sota_med.yaml"))
+    config = dataclasses.replace(config, variables=config.variables + ["W_out_base"])
+    plan, space = rule_plan(config, rule_understand(config), min(4, len(config.variables)))
+    configuration = plan["optimization_configuration"]
+    assert list(configuration["variables_to_optimize"]) == config.variables[:4]
+    assert list(configuration["variables_fixed"]) == ["W_out_base"]
+    assert configuration["variables_fixed"]["W_out_base"]["fixed_value"] == W[len(W) // 2]
+    assert parse_agent_json(json.dumps(plan), "plan") == plan
+    assert space == space_from_plan(config, plan, 0)
+    assert space.fixed == {"W_out_base": W[len(W) // 2]}
+    assert space.active == {v: W[::2] for v in config.variables[:4]}
+    assert plan["search_space_summary"]["reduced_search_space"] == 5**4
 
 
 @pytest.mark.parametrize(
