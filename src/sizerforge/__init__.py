@@ -18,14 +18,15 @@ from .core import (
     EvaluatedDesign,
     History,
     IterationSummary,
+    SpecExpr,
     assess,
     design_from,
+    parse_spec,
 )
 from .diagnostics import DiagnosticsReport, analyze, render_text
 from .errors import SizerForgeError
 from .evaluation import EvaluatorSpec, evaluate_batch, evaluator_from_config
 from .space import SearchSpace, SpaceEdit, apply_edit, full_space, space_from_config
-from .specexpr import SpecExpr, parse_spec
 from .surrogates import enumerate_oracle, get_model
 
 __version__ = "0.1.0"

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core import MAXIMIZE_OPS
 from ..diagnostics import DiagnosticsReport
 from ..space import SearchSpace, SpaceEdit, apply_edit, space_from_plan, unfix_window
-from ..specexpr import MAXIMIZE_OPS
 from .schemas import SENSITIVITY_LEVELS
 
 PLATEAU_PCT = 2.0

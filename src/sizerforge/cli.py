@@ -24,6 +24,18 @@ from .evaluation import evaluator_from_config
 from .surrogates import enumerate_oracle, get_model
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value. One past Python's int-to-string digit
+    limit is refused by naming the limit, as ``errors.shown`` does, rather
+    than by echoing its digits."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = (f"an integer of more than {sys.get_int_max_str_digits()} digits"
+                 if text.strip().lstrip("+-").isdecimal() else repr(text))
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sizerforge")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -35,21 +47,21 @@ def _build_parser() -> argparse.ArgumentParser:
                             "here, replayable as autosizer:replay:DIR")
     p_run.add_argument("--method", default="autosizer",
                        help=f"{AUTOSIZER_SPELLING} or a baseline: {', '.join(BASELINES)}")
-    p_run.add_argument("--budget", type=int, default=RunBudget.total_evals)
-    p_run.add_argument("--inner-cap", type=int, default=RunBudget.per_inner_loop)
-    p_run.add_argument("--outer-cap", type=int, default=RunBudget.max_outer_loops,
+    p_run.add_argument("--budget", type=_integer, default=RunBudget.total_evals)
+    p_run.add_argument("--inner-cap", type=_integer, default=RunBudget.per_inner_loop)
+    p_run.add_argument("--outer-cap", type=_integer, default=RunBudget.max_outer_loops,
                        help="most outer loops; 1 is the single-loop ablation")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_integer, default=0)
     p_run.add_argument("--evaluator", choices=("spice", "surrogate"),
                        help="override the config's evaluator")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=_integer, default=1)
     p_run.add_argument("--keep-logs", action="store_true")
     p_run.add_argument("--results-dir", help="write artifacts under this directory")
 
     p_bench = sub.add_parser("bench", help="run a circuits x methods trial matrix")
     p_bench.add_argument("matrix")
     p_bench.add_argument("--out", help="write reports and per-trial artifacts here")
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_integer, default=1)
 
     p_report = sub.add_parser("report", help="re-render reports from a results directory")
     p_report.add_argument("results_dir")

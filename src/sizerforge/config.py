@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Tuple
 
 import yaml
 
+from .core import SpecExpr, parse_spec
 from .errors import (
     BadScaleRef,
     ConfigError,
@@ -38,7 +39,6 @@ from .errors import (
     TemplateUnresolvable,
     ValueOffGrid,
 )
-from .specexpr import SpecExpr, parse_spec
 
 # libyaml's parser when PyYAML is built with it: the same documents in a
 # fraction of the pure-Python parser's time
@@ -66,16 +66,6 @@ def render_template(template: str, mapping: Mapping[str, str]) -> str:
         return mapping[name]
 
     return _SLOT.sub(sub, template)
-
-
-def extract_placeholders(template: str) -> List[str]:
-    """All distinct slot names in declaration order, escapes skipped."""
-    seen = []
-    for m in _SLOT.finditer(template):
-        name = m.group(1)
-        if name and name not in seen:
-            seen.append(name)
-    return seen
 
 
 def read_number(key: str, value, kind: type = float):
@@ -247,11 +237,11 @@ def _resolvable_names(config: BenchmarkConfig) -> set:
 
 
 def _check_templates_resolvable(config: BenchmarkConfig) -> None:
-    known = _resolvable_names(config)
+    """Render each template once with every resolvable name blank: the
+    first slot nothing fills raises TemplateUnresolvable."""
+    blank = dict.fromkeys(_resolvable_names(config), "")
     for template in (config.subckt_template, config.testbench_template):
-        for placeholder in extract_placeholders(template):
-            if placeholder not in known:
-                raise TemplateUnresolvable(placeholder)
+        render_template(template, blank)
 
 
 def render_deck(config: BenchmarkConfig, assignment: Mapping[str, float]) -> RenderedDeck:

@@ -1,4 +1,18 @@
-"""Figure-of-merit computation, feasibility, design identity and history.
+"""The spec and its scorer, design identity and history.
+
+The specification language is deliberately tiny::
+
+    expr := cmp ('AND' cmp)*
+    cmp  := ident op number
+    op   := '>' | '>=' | '<' | '<='
+
+``AND`` is case-insensitive and whitespace is free-form. There is no OR,
+no NOT and no parenthesised grouping: those tokens are rejected loudly
+(:class:`~sizerforge.errors.UnsupportedCombinator`) rather than half
+supported, and a ``Comparison`` refuses any other operator when it is
+made. Clauses with ``>``/``>=`` name metrics to be maximized; ``<``/``<=``
+name metrics to be minimized. The threshold of each clause is that
+metric's specification target.
 
 ``rank_key`` is the one ranking of evaluated designs: highest figure of
 merit first, earliest eval index on ties. ``report_key`` puts every
@@ -25,14 +39,19 @@ products: the engine recomputes the figure of merit from the base
 metrics. If a simulator log also reports one, the engine's value wins
 and a disagreement above 1% logs a warning.
 
-What every design of a run shares is computed once, where it is fixed:
-``assess`` scores a design in one walk of the spec's clause table
-(``SpecExpr.table``), which gives each clause its side in the objective,
-and reads the engine's value for a ``fom`` clause without copying the
-design's metrics. A design's id is ``design_id`` of its
-``name=repr(value)`` fragments in name order; ``design_from`` formats
-them per assignment, and ``optim.base.materialize`` joins the fragments
-its space formatted once (``SearchSpace.id_table``).
+What every design of a run shares is computed once, where it is fixed.
+A spec keeps one table of its clauses (``SpecExpr.table``): a (metric,
+``operator`` comparison, threshold, side) row per clause, where the side
+places the clause in the objective: +1 in the numerator, -1 in the
+denominator, 0 for the ``fom`` clause. It also keeps whether a ``fom``
+clause is present (``SpecExpr.has_fom``). A config parses its spec once
+(``BenchmarkConfig.spec``), so every design of a run shares them.
+``assess`` scores a design in one walk of that table and reads the
+engine's value for a ``fom`` clause without copying the design's
+metrics. A design's id is ``design_id`` of its ``name=repr(value)``
+fragments in name order; ``design_from`` formats them per assignment,
+and ``optim.base.materialize`` joins the fragments its space formatted
+once (``SearchSpace.id_table``).
 
 ``Design`` and ``EvaluatedDesign`` are frozen, slotted dataclasses: a
 record has no ``__dict__``, and a run builds one per proposal and per
@@ -46,12 +65,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from itertools import groupby
-from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter, ge, gt, le, lt
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .specexpr import FOM_METRIC, SpecExpr
+from .errors import SpecParseError, UnsupportedCombinator
 
 
 SIM_OK = "ok"
@@ -230,21 +251,144 @@ class History:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+# ---------------------------------------------------------------- the spec
+
+MAXIMIZE_OPS = (">", ">=")
+# each operator's comparison and its clause's side in the objective: the
+# numerator maximizes, the denominator minimizes
+_OPERATORS = {">": (gt, 1), ">=": (ge, 1), "<": (lt, -1), "<=": (le, -1)}
+
+# Metric name reserved for the engine-computed objective. Excluded from
+# the objective's own products to prevent self-reference.
+FOM_METRIC = "fom"
+
+_TOKEN = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>>=|<=|>|<)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+_REJECTED_COMBINATORS = {"or", "not", "xor"}
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """A single clause ``metric op threshold``; an operator outside the
+    language is a ValueError."""
+
+    metric: str
+    op: str
+    threshold: float
+
+    def __post_init__(self):
+        if self.op not in _OPERATORS:
+            raise ValueError(f"unknown operator {self.op!r}")
+
+
+@dataclass(frozen=True)
+class SpecExpr:
+    clauses: Tuple[Comparison, ...]
+
+    @cached_property
+    def table(self) -> Tuple[Tuple[str, Callable[[float, float], bool], float, int], ...]:
+        """(metric, comparison, threshold, side) per clause, in declaration
+        order; ``comparison(value, threshold)`` is the clause operator's
+        ``operator`` function. Computed on first use and kept."""
+        return tuple((c.metric, _OPERATORS[c.op][0], c.threshold,
+                      0 if c.metric == FOM_METRIC else _OPERATORS[c.op][1])
+                     for c in self.clauses)
+
+    @cached_property
+    def has_fom(self) -> bool:
+        """Whether a clause names ``fom``, the engine's own objective."""
+        return any(c.metric == FOM_METRIC for c in self.clauses)
+
+
+def _tokenize(text: str):
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            ch = m.group()
+            if ch in "()":
+                raise UnsupportedCombinator(m.start(), ch)
+            raise SpecParseError(m.start(), f"unexpected character {ch!r}")
+        tokens.append((kind, m.group(), m.start()))
+    return tokens
+
+
+def parse_spec(text: str) -> SpecExpr:
+    """Parse ``text`` into a :class:`SpecExpr`.
+
+    Raises SpecParseError with the offending position, or
+    UnsupportedCombinator for OR/NOT/parentheses.
+    """
+    tokens = _tokenize(text)
+    pos = 0
+    clauses: List[Comparison] = []
+    seen = set()
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(kind, what):
+        nonlocal pos
+        tok = peek()
+        if tok is None:
+            raise SpecParseError(len(text), f"expected {what}, found end of input")
+        if tok[0] != kind:
+            raise SpecParseError(tok[2], f"expected {what}, found {tok[1]!r}")
+        pos += 1
+        return tok
+
+    while True:
+        ident = take("ident", "metric name")
+        name = ident[1]
+        if name.lower() in _REJECTED_COMBINATORS:
+            raise UnsupportedCombinator(ident[2], name)
+        if name.lower() == "and":
+            raise SpecParseError(ident[2], f"expected metric name, found {name!r}")
+        op = take("op", "comparison operator")
+        num = take("number", "number")
+        if name in seen:
+            raise SpecParseError(ident[2], f"duplicate metric {name!r}")
+        seen.add(name)
+        threshold = float(num[1])
+        clauses.append(Comparison(name, op[1], threshold))
+
+        tok = peek()
+        if tok is None:
+            break
+        if tok[0] == "ident" and tok[1].lower() == "and":
+            pos += 1
+            continue
+        if tok[0] == "ident" and tok[1].lower() in _REJECTED_COMBINATORS:
+            raise UnsupportedCombinator(tok[2], tok[1])
+        raise SpecParseError(tok[2], f"expected 'AND' or end of input, found {tok[1]!r}")
+
+    if not clauses:
+        raise SpecParseError(0, "empty expression")
+    return SpecExpr(tuple(clauses))
+
+
 def assess(
     spec: SpecExpr, raw_metrics: Mapping[str, float]
 ) -> Tuple[Optional[float], bool, Dict[str, float]]:
     """(fom, feasible, normalized) of one design's raw metrics: each
     clause's metric over its nonzero threshold, and the objective's
-    products in clause order. A failed FoM, a missing objective metric
-    included, gives ``(None, False, {})``. Any other missing metric makes
-    the design infeasible with no normalized values; only then are the
-    clauses compared, exactly and in declaration order up to the first
-    that fails, so an unknown operator raises ValueError only when every
-    clause before it holds.
+    products in clause order. A failed FoM, a missing metric included,
+    gives ``(None, False, {})``; otherwise the clauses are compared,
+    exactly and in declaration order up to the first that fails.
     """
     numerator = denominator = 1.0
     normalized = {}
-    missing = False
     for metric, _, threshold, side in spec.table:
         if side:
             if threshold == 0 or metric not in raw_metrics:
@@ -257,13 +401,8 @@ def assess(
             else:
                 denominator *= value
             normalized[metric] = value
-        elif metric == FOM_METRIC:
-            if threshold != 0:
-                normalized[metric] = threshold  # divides the figure of merit below
-        elif metric not in raw_metrics:
-            missing = True
-        elif threshold != 0:
-            normalized[metric] = raw_metrics[metric] / threshold
+        elif threshold != 0:  # the fom clause: its threshold divides the FoM below
+            normalized[metric] = threshold
     if not denominator:  # a product that underflowed to zero
         return None, False, {}
     fom = numerator / denominator
@@ -280,8 +419,6 @@ def assess(
                 fom, reported)
         if FOM_METRIC in normalized:
             normalized[FOM_METRIC] = fom / normalized[FOM_METRIC]
-    if missing:
-        return fom, False, {}
     for metric, holds, threshold, _ in spec.table:
         if not holds(fom if metric == FOM_METRIC else raw_metrics[metric], threshold):
             return fom, False, normalized

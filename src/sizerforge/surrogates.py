@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .core import SIM_OK, Design, EvaluatedDesign, assess, design_from, is_valid, report_key
+from .core import (SIM_OK, Design, EvaluatedDesign, assess, design_from, is_valid, parse_spec,
+                   report_key)
 from .errors import GridTooLarge, UnknownModel
-from .specexpr import parse_spec
 
 W_GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
 

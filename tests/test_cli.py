@@ -3,6 +3,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,28 @@ def test_run_refuses_a_run_setting_below_one(capsys, tmp_path, flag, value, fiel
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {field!r} must be at least 1, got {value}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--budget"), ("run", "--inner-cap"), ("run", "--outer-cap"), ("run", "--seed"),
+    ("run", "--workers"), ("bench", "--workers"),
+])
+def test_an_integer_flag_past_the_digit_limit_is_refused_in_a_short_message(
+        capsys, tmp_path, command, flag):
+    target = str(CONFIGS / "sota_easy.yaml")
+    limit = sys.get_int_max_str_digits()
+    for value, shown in [("1" * (limit + 700), f"an integer of more than {limit} digits"),
+                         ("-" + "9" * (limit + 1), f"an integer of more than {limit} digits"),
+                         ("ten", "'ten'")]:
+        with pytest.raises(SystemExit) as refused:
+            main([command, target, flag, value, "--results-dir" if command == "run" else "--out",
+                  str(tmp_path / "out")])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: invalid int value: {shown}\n")
+        assert len(captured.err) < 1000
     assert not any(tmp_path.iterdir())
 
 

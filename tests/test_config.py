@@ -11,7 +11,6 @@ import yaml
 from sizerforge import config as config_module
 from sizerforge.cli import main
 from sizerforge.config import (
-    extract_placeholders,
     format_value,
     load_config,
     parse_config,
@@ -32,7 +31,7 @@ from sizerforge.errors import (
     ValueOffGrid,
 )
 from sizerforge.harness import parse_matrix
-from sizerforge.specexpr import parse_spec
+from sizerforge.core import parse_spec
 from sizerforge.surrogates import (
     _MED_SCALES,
     _TELESCOPIC_VARS,
@@ -188,6 +187,16 @@ def test_unresolvable_template_placeholder():
     bad = MINIMAL.replace("w={W_b}", "w={W_typo}")
     with pytest.raises(TemplateUnresolvable):
         parse_config(bad)
+    # the first unfilled slot is named, an escaped brace is no slot, and
+    # the testbench's slots resolve to the rendered subcircuit and pins
+    bad = MINIMAL.replace("l={L}\n  .ends", "l={{L}} {L_typo} {W_typo}\n  .ends")
+    with pytest.raises(TemplateUnresolvable) as refused:
+        parse_config(bad)
+    assert refused.value.placeholder == "L_typo"
+    bad = MINIMAL.replace("  .end\n", "  {W_a} {L} {W_wide} {pdk_lib_path} {sim}\n  .end\n")
+    with pytest.raises(TemplateUnresolvable) as refused:
+        parse_config(bad)
+    assert refused.value.placeholder == "sim"
 
 
 def test_variable_block_must_be_null_valued():
@@ -296,11 +305,6 @@ def test_unknown_keys_pass_through():
     config = parse_config(MINIMAL + "\nevaluator: surrogate\nsurrogate_model: sota_easy\n")
     assert config.passthrough["evaluator"] == "surrogate"
     assert config.passthrough["surrogate_model"] == "sota_easy"
-
-
-def test_extract_placeholders_order_and_dedupe():
-    names = extract_placeholders("{a} {b} {a} {c}")
-    assert names == ["a", "b", "c"]
 
 
 def test_render_template_substitutes_slots_and_escapes():

@@ -7,7 +7,7 @@ import pytest
 
 from sizerforge.core import assess
 from sizerforge.errors import SpecParseError, UnsupportedCombinator
-from sizerforge.specexpr import parse_spec
+from sizerforge.core import parse_spec
 
 
 def _feasible(spec, metrics):

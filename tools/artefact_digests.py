@@ -16,18 +16,28 @@ their maps are equal:
     python3 tools/artefact_digests.py src > change.json
     cmp parent.json change.json
 
+``tests/data/artefact_digests.json`` holds the map of the committed
+package, and ``tests/test_artefacts.py`` checks it run by run. A change
+that moves picks re-records it, and the file's diff names the runs that
+moved:
+
+    python3 tools/artefact_digests.py src > tests/data/artefact_digests.json
+
 The matrix: the four baselines of ``controller.BASELINES`` and the
-two-loop ``run`` with the rule backend (plain, ``no_oe``, ``no_ssd``,
-one outer loop and ``cycle``) on sota_easy, sota_med and sota_hard, at
-60 and 300 evaluations, plus bo_baseline at 150, seeds 0-2: 171 runs.
-The ``cycle`` runs keep the rule policy's plan and outer loop, but their
-inner decision cycles the six orchestrated methods, 12 samples each with
-default parameters, and their spec asks for ``fom > 1000`` in place of
-any ``fom`` clause (or besides the others, where it has none), so no run
-stops on feasibility and every method proposes on a growing history. A
-run that raises is recorded as ``error:`` with the exception. BLAS runs
-on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise, so the
-Bayesian picks do not depend on the host's core count.
+two-loop run with the rule backend (plain, ``no_oe``, ``no_ssd``, one
+outer loop and ``cycle``) on sota_easy, sota_med and sota_hard, at 60
+and 300 evaluations, plus bo_baseline at 150, seeds 0-2: 171 runs. Every
+row but ``cycle`` runs through ``controller.run_method``, spelled as in
+``SPELLINGS``; the one-loop row is ``autosizer`` under
+``max_outer_loops=1``. The ``cycle`` runs keep the rule policy's plan
+and outer loop, but their inner decision cycles the six orchestrated
+methods, 12 samples each with default parameters, and their spec asks
+for ``fom > 1000`` in place of any ``fom`` clause (or besides the
+others, where it has none), so no run stops on feasibility and every
+method proposes on a growing history. A run that raises is recorded as
+``error:`` with the exception. BLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise, so the Bayesian picks do not
+depend on the host's core count.
 """
 
 from __future__ import annotations
@@ -48,6 +58,10 @@ CYCLE_SAMPLES = 12
 BUDGETS = (60, 300)
 SEEDS = (0, 1, 2)
 PATTERNS = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
+# the ``run_method`` spelling of each two-loop row but ``run_cycle``; a
+# baseline is spelled by its name
+SPELLINGS = {"run": "autosizer", "run_no_oe": "autosizer+no_oe",
+             "run_no_ssd": "autosizer+no_ssd", "run_one_loop": "autosizer"}
 
 
 def matrix(baselines):
@@ -98,18 +112,15 @@ def unreachable_fom(config):
 
 def run_one(sizerforge, config, method: str, total: int, seed: int, out: Path) -> None:
     controller = sizerforge.controller
-    if method in controller.BASELINES:
-        controller.run_baseline(config, method, controller.RunBudget(total_evals=total), seed,
-                                results_dir=str(out))
-        return
     budget = controller.RunBudget(total_evals=total)
     if method == "run_one_loop":
         budget = controller.RunBudget(total_evals=total, max_outer_loops=1)
-    backend = sizerforge.agents.RuleBackend()
     if method == "run_cycle":
-        config, backend = unreachable_fom(config), cycle_backend(sizerforge)
-    flags = {method[len("run_"):]: True} if method in ("run_no_oe", "run_no_ssd") else {}
-    controller.run(config, budget, backend, seed, results_dir=str(out), **flags)
+        controller.run(unreachable_fom(config), budget, cycle_backend(sizerforge), seed,
+                       results_dir=str(out))
+    else:
+        controller.run_method(config, SPELLINGS.get(method, method), budget, seed,
+                              results_dir=str(out))
 
 
 def main(argv) -> int:
