@@ -17,7 +17,9 @@ singular kernel, evaluate, charge, log, stall count) and its ``finish``
 (reported design, budget check, result, artefacts). Each keeps only its own stop rules and its
 own source of decisions. ``run`` passes the scope ``{"loop": i}`` to
 every batch step and baselines pass ``{}``; the scope is merged into
-each entry the step logs. A baseline that ends
+each entry the step logs. A proposal is the designs to evaluate; of
+how they were found it carries only a trust region's restart fraction,
+which the step logs as a ``turbo_restart`` event. A baseline that ends
 on ``STALL_LIMIT`` all-cached batches reports the outcome ``stalled``;
 one whose method has nothing left to propose reports ``space_exhausted``.
 
@@ -245,9 +247,9 @@ class _Run:
         if not designs:
             self.log("event", event="space_exhausted", **scope, iteration=iteration)
             return "space_exhausted"
-        if proposal.diagnostics.get("restarted"):
+        if proposal.restart is not None:
             self.log("event", event="turbo_restart", **scope, iteration=iteration,
-                     fraction=proposal.diagnostics.get("fraction"))
+                     fraction=proposal.restart)
         records = evaluate_batch(
             self.config,
             designs,

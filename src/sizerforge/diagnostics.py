@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from .core import EvaluatedDesign, History, pct_change, rank_key
+from .core import EvaluatedDesign, History, rank_key
 from .errors import EmptyHistory
 from .space import SearchSpace
 
@@ -160,7 +160,7 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
 
     progression = [s.best_fom_so_far for s in summaries]
     best_fom = progression[-1]
-    recent_pct = pct_change(progression[-2], progression[-1]) if len(progression) > 1 else None
+    recent_pct = summaries[-1].improvement_pct
 
     valid = history.valid_records()
     top = sorted(valid, key=rank_key, reverse=True)[:TOP_K]

@@ -5,7 +5,8 @@ The proxy is deliberately simple and documented: the figure of merit of
 the nearest evaluated in-space neighbor (L1 distance on index
 coordinates, earliest evaluation on ties), zero when nothing has been
 evaluated. The batch emitted for real evaluation is the sequence of
-unique accepted designs the chain visits that the history does not hold.
+unique accepted designs the chain visits that the history does not hold,
+and the proposal carries only that batch.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def propose_annealing(
 
     temperature = initial_temperature
     batch: List[Tuple[int, ...]] = []
-    accepted = 0
     steps = 0
     max_steps = MAX_STEPS_PER_SAMPLE * max(1, n_samples)
     while len(batch) < n_samples and steps < max_steps:
@@ -92,19 +92,9 @@ def propose_annealing(
             delta = proxy.value(candidate) - proxy.value(current)
             if metropolis_accept(delta, temperature, rng):
                 current = candidate
-                accepted += 1
                 if candidate not in seen:
                     seen.add(candidate)
                     batch.append(candidate)
         temperature *= cooling_rate
 
-    return Proposal(
-        designs=[materialize(space, row) for row in batch],
-        diagnostics={
-            "initial_temperature": initial_temperature,
-            "cooling_rate": cooling_rate,
-            "steps": steps,
-            "accepted_moves": accepted,
-            "final_temperature": temperature,
-        },
-    )
+    return Proposal([materialize(space, row) for row in batch])

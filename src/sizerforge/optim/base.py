@@ -8,7 +8,10 @@ values once (``SearchSpace.id_table``), so ``materialize`` only picks,
 joins and hashes them.
 
 Every proposer takes ``(space, history, n_samples, seed, **params)``
-and is a pure function of them. Each reads the history only through one
+and is a pure function of them. It returns a ``Proposal``: the designs
+to evaluate, in order, and of how they were found only the one fact the
+controller acts on, the fraction a trust region restarted at, which it
+logs as ``turbo_restart``. Each reads the history only through one
 view of it (``history_view``), built in one pass that checks each
 record against the space: the valid records inside the space with
 their index vectors, in history order; the incumbent among them, the
@@ -41,8 +44,8 @@ history holding the same records proposes the same designs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..core import Design, EvaluatedDesign, History, design_id, is_valid, rank_key
 from ..space import SearchSpace, index_rows
@@ -54,7 +57,8 @@ ACQUISITIONS = ("EI", "UCB", "LCB", "PI")
 @dataclass
 class Proposal:
     designs: List[Design]
-    diagnostics: Dict[str, object] = field(default_factory=dict)
+    # the fraction a trust region restarted at for this batch, else None
+    restart: Optional[float] = None
 
 
 def materialize(space: SearchSpace, indices: Sequence[int]) -> Design:

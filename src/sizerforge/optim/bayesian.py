@@ -25,7 +25,8 @@ product for N candidates and n training points, and O(N) updates of the
 running sums that the posterior mean is read from. No pick solves the
 whitened targets again. Every pick scores all candidates and masks the
 evaluated and the picked ones with -inf; argmax takes the first maximum,
-so ties go to the earlier candidate.
+so ties go to the earlier candidate. The proposal carries the picks'
+designs in pick order, and none of their scores.
 
 On the enumerated grid the GP is carried from batch to batch in the
 history's view (``base.history_view``). It holds the factor over the
@@ -107,7 +108,7 @@ def propose_bayesian(
         evaluated = np.array([], dtype=int)
         n_candidates = len(rows)
     if not n_candidates:
-        return Proposal(designs=[], diagnostics={"note": "no unevaluated candidates"})
+        return Proposal([])
 
     n_picks = min(n_samples, n_candidates)
     gp = view.gp if enumerated else None
@@ -119,7 +120,6 @@ def propose_bayesian(
     gp.fit(x, y)
     best = float(np.max(y))
     picks: List[int] = []
-    acq_values: List[float] = []
     for _ in range(n_picks):
         if picks:
             # constant liar: pretend the last pick returned the incumbent best
@@ -128,18 +128,8 @@ def propose_bayesian(
         scores = acquisition(acquisition_function, mu, sigma, best, weight)
         scores[evaluated] = -np.inf
         scores[picks] = -np.inf
-        chosen = int(np.argmax(scores))
-        picks.append(chosen)
-        acq_values.append(float(scores[chosen]))
+        picks.append(int(np.argmax(scores)))
     if enumerated:
         view.gp = gp
 
-    return Proposal(
-        designs=[materialize(space, gp.row(i)) for i in picks],
-        diagnostics={
-            "acquisition": acquisition_function,
-            "weight": weight,
-            "acquisition_values": acq_values,
-            "n_candidates": n_candidates,
-        },
-    )
+    return Proposal([materialize(space, gp.row(i)) for i in picks])

@@ -2,16 +2,14 @@
 mutation, elitism.
 
 Parents come from the valid in-space history. With fewer than two usable
-parents the method silently falls back to LHS seeding and says so in the
-proposal diagnostics instead of raising: the inner loop must keep moving
-on a cold start.
+parents the method falls back to LHS seeding instead of raising: the
+inner loop must keep moving on a cold start. The proposal is then the
+unevaluated rows of ``lhs_index_rows`` under the same seed.
 
 Elitism resubmits the incumbent best as the first batch entry; the
 evaluation cache serves it for free, and it guarantees the best value of
-every generation never drops below the running best.
-
-The diagnostics name the elite, or the fallback and the number of
-parents available.
+every generation never drops below the running best. The proposal
+carries only the designs: the elite first, or the fallback's LHS rows.
 """
 
 from __future__ import annotations
@@ -51,11 +49,7 @@ def propose_genetic(
     view = history_view(space, history)
     parents = view.obs
     if len(parents) < 2:
-        rows = lhs_index_rows(space, n, rng)
-        return Proposal(
-            designs=fresh(space, rows, view.seen),
-            diagnostics={"fallback": "lhs_seeding", "parents_available": len(parents)},
-        )
+        return Proposal(fresh(space, lhs_index_rows(space, n, rng), view.seen))
 
     # Every draw below is ``rng._randbelow(size)`` written out: k =
     # size.bit_length() bits, redrawn while the value is not below size.
@@ -97,7 +91,4 @@ def propose_genetic(
 
     # elitism: the incumbent re-enters first, a free cache hit; the
     # offspring drop every evaluated vector, the incumbent's included
-    return Proposal(
-        designs=([elite.design] + fresh(space, offspring_rows, view.seen))[:n],
-        diagnostics={"elite": elite.design.id},
-    )
+    return Proposal(([elite.design] + fresh(space, offspring_rows, view.seen))[:n])

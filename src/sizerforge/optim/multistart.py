@@ -6,7 +6,9 @@ candidates are interleaved round-robin across starts so every start gets
 a fair share of the batch after dedup and truncation.
 
 The degenerate radius-0 call returns the starts themselves verbatim (an
-explicit resample; the cache serves evaluated starts for free).
+explicit resample; the cache serves evaluated starts for free). The
+proposal carries the designs only; the padding rows are those of
+``lhs_index_rows`` under the same seed.
 """
 
 from __future__ import annotations
@@ -49,17 +51,11 @@ def propose_multistart(
     ranked = sorted(view.obs, key=lambda ob: rank_key(ob[0]), reverse=True)
     # the distinct vectors, best first
     starts = list(dict.fromkeys(tuple(row) for _, row in ranked))[:n_starts]
-    padded = 0
     if len(starts) < n_starts:
-        padded = n_starts - len(starts)
-        for row in lhs_index_rows(space, padded, rng):
-            starts.append(tuple(row))
+        starts.extend(tuple(row) for row in lhs_index_rows(space, n_starts - len(starts), rng))
 
     if search_radius == 0:
-        return Proposal(
-            designs=[materialize(space, row) for row in starts][:n_samples],
-            diagnostics={"n_starts": len(starts), "lhs_padding": padded, "radius": 0},
-        )
+        return Proposal([materialize(space, row) for row in starts[:n_samples]])
 
     iterators = [neighborhood_rows(row, sizes, search_radius) for row in starts]
     chosen: List[Tuple[int, ...]] = []
@@ -79,11 +75,4 @@ def propose_multistart(
             if len(chosen) == n_samples:
                 break
 
-    return Proposal(
-        designs=[materialize(space, row) for row in chosen],
-        diagnostics={
-            "n_starts": len(starts),
-            "lhs_padding": padded,
-            "radius": search_radius,
-        },
-    )
+    return Proposal([materialize(space, row) for row in chosen])

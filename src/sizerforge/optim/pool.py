@@ -10,9 +10,10 @@ it shows up in strategy guidance without its own definition.
 
 ``propose`` calls every proposer as ``(space, history, n_samples, seed,
 **params)``; every proposer is a pure function of these. A proposal
-carries no method label: the caller names the method it asks for. The
-baselines are presets of the orchestrated samplers: ga_baseline =
-genetic(population 20, crossover 0.8, mutation 0.1), bo_baseline =
+carries its designs and, from the trust-region baseline, a restart's
+fraction; no method label, since the caller names the method it asks
+for. The baselines are presets of the orchestrated samplers: ga_baseline
+= genetic(population 20, crossover 0.8, mutation 0.1), bo_baseline =
 bayesian(UCB, weight 2.0); turbo_baseline is trust-region LHS, which
 reads its region from the history. Only the orchestrated methods are the
 inner loop's to pick. Defaults not preset here are the proposers' own
@@ -161,39 +162,22 @@ def _propose_adaptive(
     rng = random.Random(seed)
     seeds = {k: rng.randrange(2**32) for k in ("explore", "exploit", "random")}
 
-    batches = []
+    designs = []
     if counts["explore_weight"]:
-        batches.append(propose_lhs(space, history, counts["explore_weight"], seeds["explore"]))
-    exploit_method = "multistart"
+        designs += propose_lhs(space, history, counts["explore_weight"], seeds["explore"]).designs
     if counts["exploit_weight"]:
         args = (space, history, counts["exploit_weight"], seeds["exploit"])
         try:
-            batches.append(_propose_bayesian(*args))
-            exploit_method = "bayesian"
+            designs += _propose_bayesian(*args).designs
         except InsufficientHistory:
-            batches.append(propose_multistart(*args))
-    random_designs = []
+            designs += propose_multistart(*args).designs
     if counts["random_weight"]:
         rrng = random.Random(seeds["random"])
         draws = [uniform_indices(space, rrng) for _ in range(counts["random_weight"])]
-        random_designs = fresh(space, draws, history_view(space, history).seen)
+        designs += fresh(space, draws, history_view(space, history).seen)
 
-    seen = set()
-    merged = []
-    for design in [d for b in batches for d in b.designs] + random_designs:
-        if design.id in seen:
-            continue
-        seen.add(design.id)
-        merged.append(design)
-    merged = merged[:n_samples]
-    return Proposal(
-        designs=merged,
-        diagnostics={
-            "split": counts,
-            "exploit_method": exploit_method,
-            "weights": weights,
-        },
-    )
+    # a design is its id: the first copy of each stays, in order
+    return Proposal(list(dict.fromkeys(designs))[:n_samples])
 
 
 # method -> (proposer, accepted parameter names, preset under the caller's)

@@ -42,4 +42,4 @@ def propose_lhs(space: SearchSpace, history: History, n_samples: int, seed: int)
     rng = random.Random(seed)
     rows = lhs_index_rows(space, n_samples, rng)
     seen = history_view(space, history).seen
-    return Proposal(designs=fresh(space, rows, seen), diagnostics={"requested": n_samples})
+    return Proposal(fresh(space, rows, seen))

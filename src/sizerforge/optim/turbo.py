@@ -10,7 +10,9 @@ restarts from a fresh full-space LHS and forgets the incumbent.
 The proposer keeps no state: ``trust_region`` replays this schedule over
 the history's batches, every one of which a turbo run proposed, so each
 call is a pure function of the space and the history like every other
-proposer's.
+proposer's. Its proposal carries the designs and, on a batch that
+restarts, the fraction it restarts at (``Proposal.restart``, always
+``INIT_FRACTION``), which the controller logs as ``turbo_restart``.
 """
 
 from __future__ import annotations
@@ -87,11 +89,4 @@ def propose_turbo_baseline(
         ]
 
     rows = lhs_index_rows(space, n_samples, rng, windows)
-    return Proposal(
-        designs=fresh(space, rows, view.seen),
-        diagnostics={
-            "fraction": fraction,
-            "restarted": restarted,
-            "windows": [list(w) for w in windows],
-        },
-    )
+    return Proposal(fresh(space, rows, view.seen), restart=fraction if restarted else None)

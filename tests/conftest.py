@@ -1,13 +1,27 @@
-"""Shared fixtures: a synthetic stagnating run used across test modules."""
+"""Shared fixtures: a synthetic stagnating run used across test modules, a
+history whose every simulation failed, and the artefact digest of
+``tools/artefact_digests.py``."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from sizerforge.core import Design, EvaluatedDesign, History
 from sizerforge.space import SearchSpace
+
+_TOOL = importlib.util.spec_from_file_location(
+    "artefact_digests", Path(__file__).resolve().parents[1] / "tools" / "artefact_digests.py")
+_tool = importlib.util.module_from_spec(_TOOL)
+with mock.patch.dict(os.environ):  # the tool pins BLAS to one thread on import
+    _TOOL.loader.exec_module(_tool)
+# the digest of a run's artefacts, as tools/artefact_digests.py takes it
+artefact_digest = _tool.digest
 
 W_GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
 
@@ -28,7 +42,7 @@ TOP_PAIRS = [
 ]
 
 
-def _record(hist, assignment, fom, iteration, method):
+def _record(hist, assignment, fom, iteration, method, sim_status="ok"):
     design = Design(
         id="d%04d" % (len(hist) + 1),
         assignment=dict(assignment),
@@ -36,11 +50,11 @@ def _record(hist, assignment, fom, iteration, method):
     hist.append(
         EvaluatedDesign(
             design=design,
-            raw_metrics={"fom": fom},
+            raw_metrics={"fom": fom} if fom is not None else {},
             normalized={},
             fom=fom,
             feasible=False,
-            sim_status="ok",
+            sim_status=sim_status,
             iteration=iteration,
             method=method,
             eval_index=hist.next_eval_index(),
@@ -49,14 +63,8 @@ def _record(hist, assignment, fom, iteration, method):
     )
 
 
-def build_stagnation_state():
-    """A 4-iteration, 72-design run whose best FoM froze at 0.099.
-
-    The top 10 designs all sit at W_diff's lower edge and fill W_load's
-    single-value list, so boundary clustering fires for both variables
-    alongside a 3-iteration stagnation flag.
-    """
-    space = SearchSpace(
+def _space():
+    return SearchSpace(
         active={
             "W_tail": W_GRID,
             "W_diff": (0.84, 1.26, 1.68, 2.10),
@@ -67,6 +75,16 @@ def build_stagnation_state():
         full_grid={v: W_GRID for v in ("W_tail", "W_diff", "W_casc", "W_load")},
         generation=1,
     )
+
+
+def build_stagnation_state():
+    """A 4-iteration, 72-design run whose best FoM froze at 0.099.
+
+    The top 10 designs all sit at W_diff's lower edge and fill W_load's
+    single-value list, so boundary clustering fires for both variables
+    alongside a 3-iteration stagnation flag.
+    """
+    space = _space()
 
     top_designs = [
         {"W_tail": tail, "W_diff": 0.84, "W_casc": casc, "W_load": 1.68}
@@ -113,3 +131,15 @@ def build_stagnation_state():
 @pytest.fixture
 def stagnation_state():
     return build_stagnation_state()
+
+
+@pytest.fixture
+def failed_state():
+    """Two lhs batches over the stagnating run's space, every simulation
+    failed: a history with no valid design."""
+    space = _space()
+    hist = History()
+    for iteration, tail in ((1, 0.84), (1, 1.26), (2, 2.10)):
+        _record(hist, {"W_tail": tail, "W_diff": 0.84, "W_casc": 1.68, "W_load": 1.68},
+                None, iteration, "lhs", sim_status="sim_failed")
+    return hist, space

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sizerforge.core import EvaluatedDesign, History, design_from
+from sizerforge.optim import annealing
 from sizerforge.optim.annealing import metropolis_accept, propose_annealing
 from sizerforge.space import SearchSpace
 
@@ -83,19 +84,45 @@ def test_cold_start_without_history():
     assert 0 < len(proposal.designs) <= 5
 
 
-def test_step_budget_bounds_the_walk():
-    space = _space()
-    proposal = propose_annealing(space, History(), 4, seed=3)
-    assert proposal.diagnostics["steps"] <= 60 * 4
+def _temperatures(monkeypatch):
+    """The temperature of each ``metropolis_accept`` call from here on."""
+    temperatures = []
+
+    def spy(delta, temperature, rng):
+        temperatures.append(temperature)
+        return metropolis_accept(delta, temperature, rng)
+
+    monkeypatch.setattr(annealing, "metropolis_accept", spy)
+    return temperatures
 
 
-def test_temperature_cools_geometrically():
+def test_step_budget_bounds_the_walk(monkeypatch):
+    # every grid point evaluated: no move yields a design, so the walk
+    # runs to its budget of 60 steps per requested design. Halving from
+    # 2.0 keeps each temperature an exact power of two: step s judges its
+    # move at 2 ** (2 - s)
     space = _space()
-    proposal = propose_annealing(space, History(), 5, seed=4,
+    hist = _seed_history([((a, b), 0.1 * a + 0.01 * b) for a in range(9) for b in range(9)])
+    temperatures = _temperatures(monkeypatch)
+    proposal = propose_annealing(space, hist, 4, seed=3, initial_temperature=2.0,
+                                 cooling_rate=0.5)
+    assert proposal.designs == []
+    steps = [2 - math.log2(t) for t in temperatures]
+    assert steps == sorted(set(steps)) and all(s == int(s) for s in steps)
+    assert steps[0] >= 1 and 60 * 4 - 5 <= steps[-1] <= 60 * 4
+
+
+def test_temperature_cools_geometrically(monkeypatch):
+    temperatures = _temperatures(monkeypatch)
+    proposal = propose_annealing(_space(), History(), 5, seed=4,
                                  initial_temperature=2.0, cooling_rate=0.9)
-    d = proposal.diagnostics
-    assert d["initial_temperature"] == 2.0
-    assert d["final_temperature"] == pytest.approx(2.0 * 0.9 ** d["steps"], rel=1e-9)
+    assert len(proposal.designs) == 5
+    # the k-th step judges its move at 2.0 * 0.9 ** (k - 1); a step that
+    # stays in place (a move off the grid's edge) judges none
+    exponents = [round(math.log(t / 2.0, 0.9)) for t in temperatures]
+    assert exponents[0] >= 0 and exponents == sorted(set(exponents))
+    for t, k in zip(temperatures, exponents):
+        assert t == pytest.approx(2.0 * 0.9 ** k, rel=1e-9)
 
 
 def test_determinism_per_seed():

@@ -14,16 +14,15 @@ its ablation keywords for the two-loop run, and the two-loop run also
 through its ``run_method`` spelling, as the matrix runs it.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
+from conftest import artefact_digest
 from sizerforge.agents import RuleBackend
 from sizerforge.config import load_config
 from sizerforge.controller import RunBudget, run, run_baseline, run_method
@@ -34,11 +33,6 @@ CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "data" / "artefact_digests.json"
 DIGESTS = json.loads(GOLDEN.read_text())
 
-_spec = importlib.util.spec_from_file_location("artefact_digests",
-                                               ROOT / "tools" / "artefact_digests.py")
-TOOL = importlib.util.module_from_spec(_spec)
-with mock.patch.dict(os.environ):  # the tool pins BLAS to one thread on import
-    _spec.loader.exec_module(TOOL)
 
 # baselines at 60 evaluations, seed 0
 BASELINE_CASES = sorted((algorithm, name)
@@ -59,7 +53,7 @@ def _check(result, budget, results_dir):
         range(1, len(result.history.records) + 1)
     )
     assert result.evals_used <= budget.total_evals
-    return TOOL.digest(results_dir)
+    return artefact_digest(results_dir)
 
 
 def _baseline_run(algorithm, name, workers, tmp_path, total_evals=60):

@@ -1,5 +1,6 @@
 """Gaussian-process regression and acquisition-driven batch proposals."""
 
+import contextlib
 import dataclasses
 import itertools
 import random as pyrandom
@@ -250,13 +251,42 @@ def test_first_pick_maximizes_the_acquisition():
     assert proposal.designs[0].assignment == want
 
 
+@contextlib.contextmanager
+def _scored():
+    """Each array ``acquisition`` returns to the proposer from here on, as
+    the proposer leaves it: the evaluated candidates and the earlier
+    picks masked with -inf. Its first maximum is the pick, and its
+    finite entries before the first pick are the unevaluated candidates."""
+    arrays = []
+
+    def spy(*args):
+        arrays.append(acquisition(*args))
+        return arrays[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bayesian_module, "acquisition", spy)
+        yield arrays
+
+
+def _pick_values(arrays):
+    """The acquisition value of each pick."""
+    return [float(scores[np.argmax(scores)]) for scores in arrays]
+
+
+def _candidates(arrays):
+    return int(np.isfinite(arrays[0]).sum()) if arrays else 0
+
+
 def test_batch_diversity_via_constant_liar():
     space = _space()
     hist = _seed_history(OBS)
-    proposal = propose_bayesian(space, hist, 5, seed=2, acquisition_function="EI")
+    with _scored() as arrays:
+        proposal = propose_bayesian(space, hist, 5, seed=2, acquisition_function="EI")
     ids = [d.id for d in proposal.designs]
     assert len(set(ids)) == 5
-    assert len(proposal.diagnostics["acquisition_values"]) == 5
+    # one acquisition per pick, and no pick scores a masked candidate
+    assert len(arrays) == 5
+    assert all(np.isfinite(_pick_values(arrays)))
 
 
 def test_determinism_per_seed():
@@ -455,16 +485,17 @@ def _assert_the_reference_picks(acquisition_function, shape):
     hist = _mixed_history(space, picked, fixed_off)
     n_samples = 5
 
-    got = propose_bayesian(space, hist, n_samples, seed, acquisition_function=acquisition_function)
+    with _scored() as arrays:
+        got = propose_bayesian(space, hist, n_samples, seed,
+                               acquisition_function=acquisition_function)
     got_ids = [d.id for d in got.designs]
     want_ids, want_values, want_n, ties = _reference_propose(
         space, hist, n_samples, seed, acquisition_function, got_ids
     )
     assert got_ids == want_ids
     assert ties <= TIE_PICKS.get((shape, acquisition_function), 0)
-    np.testing.assert_allclose(got.diagnostics["acquisition_values"], want_values,
-                               rtol=ACQ_RTOL, atol=ACQ_ATOL)
-    assert got.diagnostics["n_candidates"] == want_n
+    np.testing.assert_allclose(_pick_values(arrays), want_values, rtol=ACQ_RTOL, atol=ACQ_ATOL)
+    assert _candidates(arrays) == want_n
     assert not {r.design.id for r in hist.records} & set(want_ids)
 
 
@@ -479,13 +510,13 @@ def test_a_repeated_incumbent_matches_the_per_pick_reference(acquisition_functio
     for _ in range(20):
         hist.append(dataclasses.replace(incumbent, eval_index=hist.next_eval_index(),
                                         cached=True))
-    got = propose_bayesian(space, hist, 5, 4, acquisition_function=acquisition_function)
+    with _scored() as arrays:
+        got = propose_bayesian(space, hist, 5, 4, acquisition_function=acquisition_function)
     got_ids = [d.id for d in got.designs]
     want_ids, want_values, _, ties = _reference_propose(
         space, hist, 5, 4, acquisition_function, got_ids)
     assert (got_ids, ties) == (want_ids, 0)
-    np.testing.assert_allclose(got.diagnostics["acquisition_values"], want_values,
-                               rtol=ACQ_RTOL, atol=ACQ_ATOL)
+    np.testing.assert_allclose(_pick_values(arrays), want_values, rtol=ACQ_RTOL, atol=ACQ_ATOL)
 
 
 def test_predict_matches_the_two_solve_form():
@@ -755,17 +786,20 @@ def _record(hist, assignment, status="ok"):
 
 
 def _outcome(space, hist, n_samples, seed, acquisition_function):
-    """The proposal, or None on too short a history, and the view's GP as arrays."""
+    """The proposal, or None on too short a history, and as arrays the
+    picks' acquisition values, the candidate count and the view's GP."""
     try:
-        proposal = propose_bayesian(space, hist, n_samples, seed,
-                                    acquisition_function=acquisition_function)
+        with _scored() as arrays:
+            proposal = propose_bayesian(space, hist, n_samples, seed,
+                                        acquisition_function=acquisition_function)
     except InsufficientHistory:
         return None, []
+    state = [np.array(_pick_values(arrays)), _candidates(arrays)]
     if not proposal.designs:  # no candidate left: the batch touches no GP
-        return proposal, []
+        return proposal, state
     gp = history_view(space, hist).gp
-    return proposal, [gp.factor, gp.block, gp.rows, gp.y, gp._ss, gp._sums, gp.fitted_jitter,
-                      *gp.moments()]
+    return proposal, state + [gp.factor, gp.block, gp.rows, gp.y, gp._ss, gp._sums,
+                              gp.fitted_jitter, *gp.moments()]
 
 
 def _assert_warm_is_cold(space, hist, n_samples, seed, acquisition_function="EI"):
@@ -780,7 +814,6 @@ def _assert_warm_is_cold(space, hist, n_samples, seed, acquisition_function="EI"
         assert got is None
         return []
     assert [d.id for d in got.designs] == [d.id for d in want.designs]
-    assert got.diagnostics == want.diagnostics
     assert len(got_state) == len(want_state)
     for a, b in zip(got_state, want_state):
         assert np.array_equal(a, b)
@@ -930,8 +963,9 @@ def test_the_enumerated_grid_is_listed_only_for_the_offset_table(monkeypatch):
     for module in (gp_module, bayesian_module):
         monkeypatch.setattr(module, "grid_rows", counted, raising=False)
     for seed in (0, 1):
-        proposal = propose_bayesian(space, hist, 5, seed=seed)
-        assert proposal.diagnostics["n_candidates"] == 9**4 - len(history_view(space, hist).seen)
+        with _scored() as arrays:
+            proposal = propose_bayesian(space, hist, 5, seed=seed)
+        assert _candidates(arrays) == 9**4 - len(history_view(space, hist).seen)
         for k, design in enumerate(proposal.designs):
             hist.append(dataclasses.replace(hist.records[0], design=design, fom=0.5 + 0.01 * k,
                                             eval_index=hist.next_eval_index()))

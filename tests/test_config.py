@@ -220,6 +220,8 @@ MATRIX = "circuits: [c.yaml]\nmethods: [lhs]\n"
         ("bench", MATRIX + "trials_per_cell: true\n", "trials_per_cell"),
         ("bench", MATRIX + "trials_per_cell: 1\nseeds: [false]\n", "seeds"),
         ("bench", MATRIX + "base_seed: true\n", "base_seed"),
+        ("bench", MATRIX + "budget: [300]\n", "budget"),
+        ("validate", MINIMAL.replace("\n  W_a: null\n  W_b: null", " {}"), "variable"),
         ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[true, 2.0, 3.0]"), "W_values"),
         ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, wide]"), "W_values"),
         ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[1.0, .nan, 3.0]"), "W_values"),
@@ -229,7 +231,7 @@ MATRIX = "circuits: [c.yaml]\nmethods: [lhs]\n"
     ],
     ids=["trials_per_cell", "fractional_trials_per_cell", "budget", "fractional_budget",
          "infinite_budget", "seeds", "boolean_trials_per_cell", "boolean_seed",
-         "boolean_base_seed", "boolean_W_value", "W_values", "nan_W_value", "infinite_W_value",
+         "boolean_base_seed", "listed_budget", "empty_variable", "boolean_W_value", "W_values", "nan_W_value", "infinite_W_value",
          "infinite_param", "metrics"],
 )
 def test_malformed_values_are_config_errors_naming_the_key(command, source, key, tmp_path,
@@ -243,6 +245,36 @@ def test_malformed_values_are_config_errors_naming_the_key(command, source, key,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {key!r} must be ")
+
+
+@pytest.mark.parametrize(
+    "command, source, message",
+    [
+        ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[0.0, 2.0, 3.0]"),
+         "W_values must be positive"),
+        ("validate", MINIMAL.replace("W_wide: [W_a, 4]", "W_wide: [W_a]"),
+         "width_scales entry 'W_wide' must be [base, multiplier]"),
+        ("validate", MINIMAL.replace("W_wide: [W_a, 4]", "W_wide: [W_a, 0]"),
+         "width_scales multiplier for 'W_wide' must be positive"),
+        ("validate", MINIMAL.replace("metrics: [gain, power]", "metrics: []"),
+         "metrics list must be non-empty"),
+        ("bench", "methods: [lhs]\n", "matrix needs a non-empty 'circuits' list"),
+        ("bench", "circuits: [c.yaml]\n", "matrix needs a non-empty 'methods' list"),
+        ("bench", MATRIX + "trials_per_cell: 3\nseeds: [1, 2]\n",
+         "seeds length 2 must equal trials_per_cell 3"),
+    ],
+    ids=["nonpositive_W_value", "short_width_scale", "zero_multiplier", "empty_metrics",
+         "no_circuits", "no_methods", "seeds_length"],
+)
+def test_malformed_documents_are_config_errors(command, source, message, tmp_path, capsys):
+    parse = parse_matrix if command == "bench" else parse_config
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse(source)
+    path = tmp_path / "doc.yaml"
+    path.write_text(source)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("sota_*.yaml")), ids=lambda p: p.stem)

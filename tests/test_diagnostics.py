@@ -20,3 +20,12 @@ def test_an_empty_history_has_nothing_to_analyze(stagnation_state):
     _, space = stagnation_state
     with pytest.raises(EmptyHistory, match="no iteration summaries"):
         analyze(History(), space)
+
+
+def test_a_history_without_a_valid_design_renders_as_such(failed_state):
+    history, space = failed_state
+    text = render_text(analyze(history, space))
+    assert ("2 iterations completed with 3 designs evaluated. Methods used: lhs (3 designs). "
+            "No valid design found yet.\n") in text
+    assert ("Top design clustering: W_tail: no valid designs. W_diff: no valid designs. "
+            "W_casc: no valid designs. W_load: no valid designs.\n") in text

@@ -8,6 +8,7 @@ from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.optim import genetic
 from sizerforge.optim.base import fresh, history_view
 from sizerforge.optim.genetic import MUTATION_STEPS, crossover_uniform, propose_genetic
+from sizerforge.optim.sampling import lhs_index_rows
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -42,29 +43,26 @@ def _seed_history(space, pairs):
     return hist
 
 
+def _lhs_seeding(space, hist, n, seed):
+    """The cold start's batch: an LHS of n rows under the same seed, less
+    the evaluated ones."""
+    return fresh(space, lhs_index_rows(space, n, random.Random(seed)),
+                 history_view(space, hist).seen)
+
+
 def test_cold_start_falls_back_to_lhs_seeding():
-    proposal = propose_genetic(_space(), History(), 10, seed=1)
-    assert proposal.diagnostics["fallback"] == "lhs_seeding"
-    assert proposal.diagnostics["parents_available"] == 0
+    space = _space()
+    proposal = propose_genetic(space, History(), 10, seed=1)
     assert len(proposal.designs) == 10
+    assert proposal.designs == _lhs_seeding(space, History(), 10, 1)
 
 
 def test_single_parent_also_falls_back():
     space = _space()
     hist = _seed_history(space, [((0, 0), 0.5)])
-    proposal = propose_genetic(space, hist, 10, seed=1)
-    assert proposal.diagnostics["fallback"] == "lhs_seeding"
-    assert proposal.diagnostics["parents_available"] == 1
-
-
-def test_the_diagnostics_name_the_elite_or_the_fallback_and_nothing_else():
-    # a child's parents are not recorded: nothing reads them
-    space = _space()
-    cold = propose_genetic(space, _seed_history(space, [((0, 0), 0.5)]), 10, seed=1)
-    assert set(cold.diagnostics) == {"fallback", "parents_available"}
-    hist = _seed_history(space, [((0, 0), 0.2), ((3, 3), 0.9), ((5, 1), 0.4)])
-    for seed in range(5):
-        assert set(propose_genetic(space, hist, 8, seed=seed).diagnostics) == {"elite"}
+    for population in (None, 7):
+        proposal = propose_genetic(space, hist, 10, seed=1, population=population)
+        assert proposal.designs == _lhs_seeding(space, hist, population or 10, 1)
 
 
 def test_elite_leads_the_batch():
@@ -73,7 +71,7 @@ def test_elite_leads_the_batch():
     proposal = propose_genetic(space, hist, 8, seed=7)
     # incumbent best re-enters the batch even though history has it
     assert proposal.designs[0].assignment == {"W_a": GRID[3], "W_b": GRID[3]}
-    assert proposal.diagnostics["elite"] == proposal.designs[0].id
+    assert proposal.designs[0] == hist.records[1].design
     # all other entries are new
     evaluated = {r.design.id for r in hist.records}
     for d in proposal.designs[1:]:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from conftest import artefact_digest
 from sizerforge.agents import (
     HttpTransport,
     LlmBackend,
@@ -24,9 +25,9 @@ from sizerforge.agents import (
     rule_plan,
     rule_understand,
 )
-from sizerforge.agents.llm import inner_context, load_prompt, outer_context
+from sizerforge.agents.llm import inner_context, load_prompt, outer_context, plan_context
 from sizerforge.config import load_config, render_template
-from sizerforge.controller import RunBudget, run
+from sizerforge.controller import RunBudget, run, run_method
 from sizerforge.diagnostics import analyze
 from sizerforge.errors import ConfigError, LlmTransport, Timeout
 
@@ -287,6 +288,22 @@ def test_replayed_run_logs_every_repair_rejection_and_fallback(tmp_path, config)
     assert hashlib.sha256(log).hexdigest() == GOLDEN_REPLAY_LOG
 
 
+def test_no_cu_under_a_model_backend_plans_from_the_rule_understanding(tmp_path, config):
+    # the first reply is the plan's: no understanding call consumes it
+    plan = _wire_plan(config)
+    _replay(tmp_path / "replies", [json.dumps(plan), _inner("lhs", 10)])
+    result = run_method(config, f"autosizer:replay:{tmp_path / 'replies'}+no_cu",
+                        RunBudget(total_evals=20, per_inner_loop=10, max_outer_loops=1), 0,
+                        transcripts=str(tmp_path / "written"))
+    understand, planned = [e for e in result.decisions if e["kind"] in ("understand", "plan")]
+    assert (understand["backend"], understand["payload"]) == ("rule", rule_understand(config))
+    assert (planned["backend"], planned["payload"]) == ("llm", plan)
+    written = sorted((tmp_path / "written").iterdir())
+    assert [p.stem for p in written[:2]] == ["0001_plan", "0002_inner"]
+    assert json.loads(written[0].read_text())["prompt"] == render_template(
+        load_prompt("plan"), plan_context(config, rule_understand(config), 4))
+
+
 # ------------------------------------------------- the outer loop via replay
 
 
@@ -374,7 +391,7 @@ STOP_REPLY = {
 }
 
 # sota_hard, 60 evaluations, 30 per inner loop, three outer loops, seed 0
-GOLDEN_OUTER_REPLAY = "2896b0f8a37aec87712ff84a05a2c61ad57312c0471a70b7bbcb9b79a0f225fc"
+GOLDEN_OUTER_REPLAY = "997c4c9114842ce983dc0d805d8d95b06d03d778bb0a26921c1b5e0700fc1774"
 
 
 # sha256 of each prompt the replayed outer-loop run renders, in call order
@@ -393,14 +410,6 @@ OUTER_REPLAY_PROMPTS = {
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _artefact_digest(results_dir: Path) -> str:
-    h = hashlib.sha256()
-    patterns = ("decision_log.jsonl", "history.jsonl", "space_gen*.json", "loop*_report.txt")
-    for path in sorted({p for pattern in patterns for p in results_dir.glob(pattern)}):
-        h.update(path.name.encode() + b"\n" + path.read_bytes())
-    return h.hexdigest()
 
 
 def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_path, config):
@@ -450,7 +459,7 @@ def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_p
     assert spaces[1]["active"]["W_diff_base"] == [0.84, 1.05, 1.26]
     assert spaces[1]["fixed"] == {"W_casc_base": 1.68}
 
-    assert _artefact_digest(tmp_path / "out") == GOLDEN_OUTER_REPLAY
+    assert artefact_digest(tmp_path / "out") == GOLDEN_OUTER_REPLAY
     prompts = {p.stem: _sha256(json.loads(p.read_text())["prompt"])
                for p in sorted((tmp_path / "written").iterdir())}
     assert prompts == OUTER_REPLAY_PROMPTS
@@ -517,6 +526,16 @@ def test_prompts_render_the_stagnating_run(stagnation_state, config):
             "1. FOM 0.0990 @ W_casc=1.68, W_diff=0.84, W_load=1.68, W_tail=1.26\n") in outer
     assert "10. FOM 0.0972 @ W_casc=2.1, W_diff=0.84, W_load=1.68, W_tail=0.84\n" in outer
     assert {"inner": _sha256(inner), "outer": _sha256(outer)} == STAGNATION_PROMPTS
+
+
+def test_the_outer_context_of_a_history_without_a_valid_design(failed_state, config):
+    history, space = failed_state
+    context = outer_context(analyze(history, space), space, config)
+    assert context["impact_section"] == "\n".join(
+        f"- {var}: no valid top designs" for var in space.active)
+    assert context["best_fom"] == "none"
+    assert context["top_designs_section"] == "(no valid designs yet)"
+    assert context["progression_section"] == "Best-so-far FOM by iteration: [None, None]"
 
 
 def test_backend_messages_go_to_logging_by_default(tmp_path, config, caplog):

@@ -1,7 +1,10 @@
 """Multistart neighborhood sweeps around the best evaluated designs."""
 
+import random
+
 from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.optim.multistart import neighborhood_rows, propose_multistart
+from sizerforge.optim.sampling import lhs_index_rows
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -48,7 +51,6 @@ def test_radius_zero_returns_starts_verbatim():
     proposal = propose_multistart(space, hist, 10, seed=0, n_starts=3, search_radius=0)
     got = [(d.assignment["W_a"], d.assignment["W_b"]) for d in proposal.designs]
     assert got == [(GRID[2], GRID[2]), (GRID[5], GRID[5]), (GRID[7], GRID[1])]
-    assert proposal.diagnostics["radius"] == 0
 
 
 def test_starts_ranked_by_fom():
@@ -70,13 +72,24 @@ def test_history_repeats_skipped():
         assert d.id not in evaluated
 
 
+def _row(design):
+    return GRID.index(design.assignment["W_a"]), GRID.index(design.assignment["W_b"])
+
+
 def test_lhs_padding_on_thin_history():
     space = _space()
-    hist = _seed_history([((4, 4), 0.9)])
-    proposal = propose_multistart(space, hist, 12, seed=1, n_starts=5, search_radius=1)
-    assert proposal.diagnostics["lhs_padding"] == 4
-    assert proposal.diagnostics["n_starts"] == 5
-    assert 0 < len(proposal.designs) <= 12
+    for pairs in ([((4, 4), 0.9)], []):
+        hist = _seed_history(pairs)
+        # the evaluated starts, padded by an LHS of the missing ones under
+        # the same seed; radius 0 returns the starts themselves
+        padding = lhs_index_rows(space, 5 - len(pairs), random.Random(1))
+        starts = [row for row, _ in pairs] + [tuple(row) for row in padding]
+        proposal = propose_multistart(space, hist, 12, seed=1, n_starts=5, search_radius=0)
+        assert [_row(d) for d in proposal.designs] == starts
+        proposal = propose_multistart(space, hist, 12, seed=1, n_starts=5, search_radius=1)
+        assert 0 < len(proposal.designs) <= 12
+        for d in proposal.designs:
+            assert any(max(abs(a - b) for a, b in zip(_row(d), s)) <= 1 for s in starts)
 
 
 def test_batch_has_no_duplicates():

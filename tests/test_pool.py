@@ -23,7 +23,7 @@ from sizerforge.optim.pool import (
     propose,
     validate_method_config,
 )
-from sizerforge.optim import base, genetic
+from sizerforge.optim import base, genetic, pool
 from sizerforge.space import SearchSpace
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
@@ -229,23 +229,37 @@ def test_apportion_largest_remainder():
         _apportion(5, {"a": 0.0, "b": 0.0})
 
 
-def test_adaptive_mix_merges_and_dedupes():
+def _exploits(monkeypatch):
+    """The exploit proposers that return a batch to the adaptive mix from
+    here on, each with the number of designs asked of it."""
+    calls = []
+    for name in ("_propose_bayesian", "propose_multistart"):
+        def spy(space, history, n, seed, _original=getattr(pool, name), _name=name):
+            proposal = _original(space, history, n, seed)
+            calls.append((_name, n))
+            return proposal
+        monkeypatch.setattr(pool, name, spy)
+    return calls
+
+
+def test_adaptive_mix_merges_and_dedupes(monkeypatch):
     space = _space()
     hist = _history(6)
+    exploits = _exploits(monkeypatch)
     proposal = propose(space, MethodConfig(method="adaptive", n_samples=12, seed=4), history=hist)
     assert len(proposal.designs) <= 12
     ids = [d.id for d in proposal.designs]
     assert len(ids) == len(set(ids))
-    assert proposal.diagnostics["exploit_method"] == "bayesian"  # 6 >= 5 observations
-    split = proposal.diagnostics["split"]
-    assert sum(split.values()) == 12
+    # 6 >= 5 observations; 12 splits 5 explore, 5 exploit, 2 random
+    assert exploits == [("_propose_bayesian", 5)]
 
 
-def test_adaptive_thin_history_uses_multistart():
+def test_adaptive_thin_history_uses_multistart(monkeypatch):
     space = _space()
     hist = _history(3)
-    proposal = propose(space, MethodConfig(method="adaptive", n_samples=9, seed=4), history=hist)
-    assert proposal.diagnostics["exploit_method"] == "multistart"
+    exploits = _exploits(monkeypatch)
+    propose(space, MethodConfig(method="adaptive", n_samples=9, seed=4), history=hist)
+    assert exploits == [("propose_multistart", 4)]
 
 
 def test_method_config_seed_changes_proposals():
@@ -273,9 +287,10 @@ def test_adaptive_indexes_each_record_once(monkeypatch):
     space = _space()
     hist = _history(6)
     indexed = _counted_index_rows(monkeypatch)
+    exploits = _exploits(monkeypatch)
     config = MethodConfig(method="adaptive", n_samples=12, seed=4)
     first = propose(space, config, history=hist)
-    assert first.diagnostics["exploit_method"] == "bayesian"
+    assert exploits == [("_propose_bayesian", 5)]
     assert sum(indexed) == 6  # lhs, bayesian and the random draws share one pass
     for design in first.designs[:3]:
         hist.append(EvaluatedDesign(design=design, raw_metrics={}, normalized={}, fom=0.5,

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from sizerforge.core import EvaluatedDesign, History, design_from
+from sizerforge.core import EvaluatedDesign, History, design_from, is_valid, rank_key
 from sizerforge.errors import IllegalEdit, InsufficientHistory
 from sizerforge.optim.base import materialize
 from sizerforge.optim.pool import MethodConfig, propose
@@ -135,9 +135,12 @@ def test_proposals_stay_on_the_grid_inside_the_space_and_off_the_history(method,
     resubmitted = [d for d in proposal.designs if d.id in evaluated]
     if method == "multistart" and params["search_radius"] == 0:
         return
-    if method in ("genetic", "ga_baseline") and "elite" in proposal.diagnostics:
-        assert [d.id for d in resubmitted] == [proposal.diagnostics["elite"]]
-        assert proposal.designs[0].id == proposal.diagnostics["elite"]
+    rows = index_rows(space, [r.design for r in history.records])
+    parents = [r for r, row in zip(history.records, rows) if row is not None and is_valid(r)]
+    if method in ("genetic", "ga_baseline") and len(parents) >= 2:
+        # the elite, the first best valid record inside the space, leads
+        elite = max(parents, key=rank_key).design
+        assert resubmitted == [elite] and proposal.designs[0] == elite
         return
     assert resubmitted == []
 

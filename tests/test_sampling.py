@@ -89,9 +89,3 @@ def test_propose_lhs_drops_already_evaluated():
         _note(hist, d, 0.5)
     again = propose_lhs(space, hist, 10, seed=7)
     assert not set(d.id for d in again.designs) & set(d.id for d in first.designs)
-
-
-def test_propose_lhs_requested_count_in_diagnostics():
-    space = _space()
-    proposal = propose_lhs(space, History(), 30, seed=1)
-    assert proposal.diagnostics["requested"] == 30

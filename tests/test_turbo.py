@@ -5,6 +5,8 @@ proposer a history built batch by batch.
 """
 
 from sizerforge.core import EvaluatedDesign, History, design_from
+from sizerforge.optim import turbo
+from sizerforge.optim.sampling import lhs_index_rows
 from sizerforge.optim.turbo import (
     EXPAND_FACTOR,
     INIT_FRACTION,
@@ -63,21 +65,40 @@ def _fraction(hist):
     return trust_region(hist, SIZES)[0]
 
 
+def _searched(monkeypatch):
+    """The fraction of each ``window_bounds`` call and the windows of each
+    LHS the proposer draws, from here on."""
+    fractions, windows = [], []
+
+    def bounds(center, m, fraction):
+        fractions.append(fraction)
+        return window_bounds(center, m, fraction)
+
+    def lhs(space, n, rng, region):
+        windows.append([list(w) for w in region])
+        return lhs_index_rows(space, n, rng, region)
+
+    monkeypatch.setattr(turbo, "window_bounds", bounds)
+    monkeypatch.setattr(turbo, "lhs_index_rows", lhs)
+    return fractions, windows
+
+
 def test_schedule_constants():
     assert INIT_FRACTION == 0.8
     assert EXPAND_FACTOR == 2.0
     assert SHRINK_FACTOR == 0.5
 
 
-def test_fraction_follows_success_failure_script():
+def test_fraction_follows_success_failure_script(monkeypatch):
     # improvement, improvement, miss, tie, failed batch, improvement
     script = [0.5, 0.7, 0.6, 0.7, None, 0.9]
     trace = [_fraction(_history(script[:k])) for k in range(len(script) + 1)]
     assert trace == [0.8, 1.0, 1.0, 0.5, 0.25, 0.125, 0.25]
     # the proposer searches the region the schedule gives
+    fractions, _ = _searched(monkeypatch)
     proposal = propose_turbo_baseline(_space(), _history(script), 4, seed=0)
-    assert proposal.diagnostics["fraction"] == 0.25
-    assert not proposal.diagnostics["restarted"]
+    assert fractions == [0.25, 0.25]
+    assert proposal.restart is None
 
 
 def test_a_tie_is_not_an_improvement():
@@ -119,30 +140,32 @@ def test_window_width_and_edge_shift():
     assert window_bounds(3, 9, 1.0) == (0, 8)
 
 
-def test_cold_start_samples_full_grid():
+def test_cold_start_samples_full_grid(monkeypatch):
+    fractions, windows = _searched(monkeypatch)
     proposal = propose_turbo_baseline(_space(), History(), 10, seed=1)
-    assert proposal.diagnostics["windows"] == [[0, 8], [0, 8]]
-    assert not proposal.diagnostics["restarted"]
+    assert (fractions, windows) == ([], [[[0, 8], [0, 8]]])
+    assert proposal.restart is None
 
 
-def test_windows_center_on_incumbent():
+def test_windows_center_on_incumbent(monkeypatch):
     # 0.9 improves (fraction 1.0), 0.1 misses (fraction 0.5)
     hist = _history([((4, 4), 0.9), ((0, 0), 0.1)])
+    fractions, windows = _searched(monkeypatch)
     proposal = propose_turbo_baseline(_space(), hist, 8, seed=2)
-    assert proposal.diagnostics["fraction"] == 0.5
-    assert proposal.diagnostics["windows"] == [[2, 6], [2, 6]]
+    assert fractions == [0.5, 0.5]
+    assert windows == [[[2, 6], [2, 6]]]
     for d in proposal.designs:
         assert 2 <= GRID.index(d.assignment["W_a"]) <= 6
         assert 2 <= GRID.index(d.assignment["W_b"]) <= 6
 
 
-def test_collapsed_state_restarts_and_goes_global():
+def test_collapsed_state_restarts_and_goes_global(monkeypatch):
     # 1.0 after the improvement, then four misses: 0.0625 * 8 < 1 on every axis
     hist = _history([((4, 4), 0.9), 0.1, 0.1, 0.1, 0.1])
+    fractions, windows = _searched(monkeypatch)
     proposal = propose_turbo_baseline(_space(), hist, 8, seed=3)
-    assert proposal.diagnostics["restarted"]
-    assert proposal.diagnostics["fraction"] == INIT_FRACTION
-    assert proposal.diagnostics["windows"] == [[0, 8], [0, 8]]
+    assert proposal.restart == INIT_FRACTION
+    assert (fractions, windows) == ([], [[[0, 8], [0, 8]]])
 
 
 def test_fraction_cap_at_one():
