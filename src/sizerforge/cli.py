@@ -123,13 +123,20 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or undecodable bytes
+        raise SizerForgeError(f"cannot read {path}: {exc}") from None
+
+
 def cmd_report(args) -> int:
     from .harness import render_table
 
     root = Path(args.results_dir)
     for candidate in (root / "reports" / "matrix_results.json", root / "matrix_results.json"):
         if candidate.exists():
-            report = json.loads(candidate.read_text())
+            report = _read_json(candidate)
             try:
                 table = render_table(report)
             except KeyError as exc:  # a document from before a score was added
@@ -138,7 +145,7 @@ def cmd_report(args) -> int:
             return 0
     single = root / "result.json"
     if single.exists():
-        record = json.loads(single.read_text())
+        record = _read_json(single)
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
     raise SizerForgeError(f"no matrix_results.json or result.json under {root}")

@@ -30,15 +30,7 @@ from typing import Dict, List, Mapping, Tuple
 import yaml
 
 from .core import SpecExpr, parse_spec
-from .errors import (
-    BadScaleRef,
-    ConfigError,
-    MissingAssignment,
-    MissingKey,
-    NonMonotonicGrid,
-    TemplateUnresolvable,
-    ValueOffGrid,
-)
+from .errors import ConfigError, ValueOffGrid
 
 # libyaml's parser when PyYAML is built with it: the same documents in a
 # fraction of the pure-Python parser's time
@@ -50,8 +42,7 @@ _SLOT = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}")
 def render_template(template: str, mapping: Mapping[str, str]) -> str:
     """Substitute ``{name}`` slots from ``mapping``; ``{{``/``}}`` escape.
 
-    An unknown slot raises TemplateUnresolvable rather than passing
-    through.
+    An unknown slot raises ConfigError rather than passing through.
     """
 
     def sub(m: re.Match) -> str:
@@ -62,7 +53,7 @@ def render_template(template: str, mapping: Mapping[str, str]) -> str:
             return "}"
         name = m.group(1)
         if name not in mapping:
-            raise TemplateUnresolvable(name)
+            raise ConfigError(f"template placeholder {{{name}}} cannot be resolved")
         return mapping[name]
 
     return _SLOT.sub(sub, template)
@@ -160,12 +151,24 @@ def parse_yaml_mapping(source: str, what: str) -> dict:
     return doc
 
 
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the file at ``path``, else a ConfigError that
+    names the file ``what`` and its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def parse_config(source: str) -> BenchmarkConfig:
     doc = parse_yaml_mapping(source, "config")
 
     for key in _REQUIRED:
         if key not in doc:
-            raise MissingKey(key)
+            raise ConfigError(f"required config key missing: {key!r}")
 
     variable_block = doc["variable"]
     if not isinstance(variable_block, dict) or not variable_block:
@@ -178,9 +181,9 @@ def parse_config(source: str) -> BenchmarkConfig:
 
     w_values = [read_number("W_values", v) for v in read_list("W_values", doc["W_values"])]
     if any(v <= 0 for v in w_values):
-        raise NonMonotonicGrid("W_values must be positive")
+        raise ConfigError("W_values must be positive")
     if any(b <= a for a, b in zip(w_values, w_values[1:])):
-        raise NonMonotonicGrid("W_values must be strictly increasing")
+        raise ConfigError("W_values must be strictly increasing")
 
     width_scales: Dict[str, Tuple[str, float]] = {}
     for derived, entry in (doc.get("width_scales") or {}).items():
@@ -188,7 +191,7 @@ def parse_config(source: str) -> BenchmarkConfig:
             raise ConfigError(f"width_scales entry {derived!r} must be [base, multiplier]")
         base, multiplier = str(entry[0]), read_number(f"width_scales.{derived}", entry[1])
         if base not in variables:
-            raise BadScaleRef(derived, base)
+            raise ConfigError(f"width_scales entry {derived!r} references undeclared base {base!r}")
         if multiplier <= 0:
             raise ConfigError(f"width_scales multiplier for {derived!r} must be positive")
         width_scales[str(derived)] = (base, multiplier)
@@ -224,8 +227,7 @@ def parse_config(source: str) -> BenchmarkConfig:
 
 
 def load_config(path: str) -> BenchmarkConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path, "config"))
 
 
 def _resolvable_names(config: BenchmarkConfig) -> set:
@@ -238,7 +240,7 @@ def _resolvable_names(config: BenchmarkConfig) -> set:
 
 def _check_templates_resolvable(config: BenchmarkConfig) -> None:
     """Render each template once with every resolvable name blank: the
-    first slot nothing fills raises TemplateUnresolvable."""
+    first slot nothing fills raises ConfigError."""
     blank = dict.fromkeys(_resolvable_names(config), "")
     for template in (config.subckt_template, config.testbench_template):
         render_template(template, blank)
@@ -253,7 +255,7 @@ def render_deck(config: BenchmarkConfig, assignment: Mapping[str, float]) -> Ren
     """
     for var in config.variables:
         if var not in assignment:
-            raise MissingAssignment(var)
+            raise ConfigError(f"assignment missing variable {var!r}")
     grid = set(config.w_values)
     for var in config.variables:
         if assignment[var] not in grid:

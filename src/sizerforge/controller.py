@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Tuple
 from .agents import RuleBackend, make_backend, rule_decide_inner, rule_understand
 from .core import EvaluatedDesign, History, is_valid
 from .diagnostics import DiagnosticsReport, analyze, render_text
-from .errors import (BudgetOverrun, ConfigError, InsufficientHistory, SingularKernel,
+from .errors import (ConfigError, InsufficientHistory, SingularKernel, SizerForgeError,
                      UnknownMethod, shown)
 from .evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
 from .optim.pool import GA_BASELINE_PRESET, MethodConfig, propose
@@ -156,7 +156,7 @@ def child_seed(seed: int, loop: int, iteration: int) -> int:
 def _check_budget(used: int, budget: RunBudget) -> None:
     # a real check, not an assert: python -O must not drop it
     if used > budget.total_evals:
-        raise BudgetOverrun(
+        raise SizerForgeError(
             f"{used} fresh evaluations charged against a budget of {budget.total_evals}"
         )
 
@@ -200,6 +200,12 @@ class _Run:
         if keep_logs and self.evaluator.kind != "spice":
             raise ConfigError(f"keep_logs keeps simulator logs, and the {self.evaluator.kind} "
                               "evaluator runs no simulator")
+        if results_dir is not None:
+            # a file there would fail the artifacts' write once the budget is spent
+            root = Path(results_dir)
+            nearest = next(path for path in (root, *root.parents) if path.exists())
+            if not nearest.is_dir():
+                raise ConfigError(f"results directory {results_dir}: {nearest} is a file")
         self.cache = ResultCache()
         self.history = History()
         self.decisions: List[dict] = []

@@ -425,14 +425,15 @@ def assess(
     return fom, True, normalized
 
 
-def pct_change(ago: Optional[float], now: Optional[float]) -> float:
+def pct_change(ago: Optional[float], now: Optional[float]) -> Optional[float]:
     """Relative change from ``ago`` to ``now``, in percent.
 
-    An undefined ``now`` gives 0; with a zero (or undefined) reference
-    the value degenerates to +inf when ``now`` is positive, else 0.
+    An undefined ``now`` gives None: there is no trend before a valid
+    FoM. With a zero (or undefined) reference the value degenerates to
+    +inf when ``now`` is positive, else 0.
     """
     if now is None:
-        return 0.0
+        return None
     if ago is None or ago == 0:
         return math.inf if now > 0 else 0.0
     return 100.0 * (now - ago) / abs(ago)

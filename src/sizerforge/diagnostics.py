@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from .core import EvaluatedDesign, History, rank_key
-from .errors import EmptyHistory
+from .errors import SizerForgeError
 from .space import SearchSpace
 
 TOP_K = 10
@@ -156,7 +156,7 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
     """Pure function of a history snapshot and the current space."""
     summaries = history.summaries()
     if not summaries:
-        raise EmptyHistory("no iteration summaries to analyze")
+        raise SizerForgeError("no iteration summaries to analyze")
 
     progression = [s.best_fom_so_far for s in summaries]
     best_fom = progression[-1]

@@ -40,7 +40,7 @@ from .core import (
     SIM_OK,
     assess,
 )
-from .errors import ConfigError, EvaluatorUnavailable, UnknownModel
+from .errors import ConfigError, SizerForgeError
 from .surrogates import get_model
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -66,7 +66,7 @@ class EvaluatorSpec:
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
         if self.kind == "surrogate" and not self.model_id:
-            raise UnknownModel("surrogate evaluator needs a model id")
+            raise SizerForgeError("surrogate evaluator needs a model id")
 
 
 def evaluator_from_config(config: BenchmarkConfig, kind: Optional[str] = None) -> EvaluatorSpec:
@@ -225,13 +225,13 @@ def evaluate_batch(
     are marked ``cached`` and carry zero wall time; only the first
     occurrence runs. Individual failures become ``sim_failed`` records
     and never abort the batch. A missing SPICE executable aborts up
-    front with EvaluatorUnavailable.
+    front with a SizerForgeError.
     """
     if evaluator.kind == "spice":
         import shutil
 
         if shutil.which(evaluator.executable) is None:
-            raise EvaluatorUnavailable(
+            raise SizerForgeError(
                 f"spice executable {evaluator.executable!r} not found on PATH; "
                 "install it or select the surrogate evaluator"
             )

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .config import load_config, parse_yaml_mapping, read_list, read_number
+from .config import load_config, parse_yaml_mapping, read_list, read_number, read_text
 from .controller import RunBudget, RunResult, at_least_one, parse_method, run_method
 from .core import is_valid, report_key
 from .errors import ConfigError
@@ -133,7 +133,7 @@ def parse_matrix(source: str) -> TrialMatrix:
 
 
 def load_matrix(path: str) -> TrialMatrix:
-    return parse_matrix(Path(path).read_text())
+    return parse_matrix(read_text(path, "matrix file"))
 
 
 def _trajectory(result: RunResult) -> List[tuple]:

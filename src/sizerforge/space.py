@@ -28,7 +28,7 @@ from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import Design
-from .errors import IllegalEdit, PlanIncomplete, ValueOffGrid
+from .errors import PlanIncomplete, SizerForgeError, ValueOffGrid
 
 ACTIONS = (
     "continue_current",
@@ -87,20 +87,20 @@ class SearchSpace:
 def validate_space(space: SearchSpace) -> None:
     all_vars = set(space.full_grid)
     if set(space.active) & set(space.fixed):
-        raise IllegalEdit("active and fixed variable sets overlap")
+        raise SizerForgeError("active and fixed variable sets overlap")
     if set(space.active) | set(space.fixed) != all_vars:
-        raise IllegalEdit("active plus fixed must cover every variable")
+        raise SizerForgeError("active plus fixed must cover every variable")
     for var, values in space.active.items():
         grid = space.full_grid[var]
         if len(values) < 2:
-            raise IllegalEdit(f"active list for {var!r} needs at least 2 values")
+            raise SizerForgeError(f"active list for {var!r} needs at least 2 values")
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise IllegalEdit(f"active list for {var!r} must be strictly increasing")
+            raise SizerForgeError(f"active list for {var!r} must be strictly increasing")
         if not set(values) <= set(grid):
-            raise IllegalEdit(f"active list for {var!r} leaves the grid")
+            raise SizerForgeError(f"active list for {var!r} leaves the grid")
     for var, value in space.fixed.items():
         if value not in space.full_grid[var]:
-            raise IllegalEdit(f"fixed value {value!r} for {var!r} is off the grid")
+            raise SizerForgeError(f"fixed value {value!r} for {var!r} is off the grid")
 
 
 def full_space(full_grid: Mapping[str, Sequence[float]]) -> SearchSpace:
@@ -167,10 +167,10 @@ def _named(deltas: Mapping, variables: Mapping, action: str, verb: str) -> Itera
     """The deltas' items, once the action carries some and each names
     one of ``variables``."""
     if not deltas:
-        raise IllegalEdit(f"{action} carries no variables to {verb}")
+        raise SizerForgeError(f"{action} carries no variables to {verb}")
     for var in deltas:
         if var not in variables:
-            raise IllegalEdit(f"{action} cannot {verb} {var!r}")
+            raise SizerForgeError(f"{action} cannot {verb} {var!r}")
     return deltas.items()
 
 
@@ -184,11 +184,11 @@ def apply_edit(space: SearchSpace, edit: SpaceEdit) -> SearchSpace:
     result: value counts, order, grid membership and coverage.
     """
     if edit.action not in ACTIONS:
-        raise IllegalEdit(f"unknown action {edit.action!r}")
+        raise SizerForgeError(f"unknown action {edit.action!r}")
 
     if edit.action in ("continue_current", "converged"):
         if edit.expand or edit.narrow or edit.unfix or edit.fix:
-            raise IllegalEdit(f"{edit.action} must carry empty deltas")
+            raise SizerForgeError(f"{edit.action} must carry empty deltas")
         return replace(space, generation=space.generation + 1)
 
     active: Dict[str, Tuple[float, ...]] = {k: tuple(v) for k, v in space.active.items()}
@@ -200,9 +200,9 @@ def apply_edit(space: SearchSpace, edit: SpaceEdit) -> SearchSpace:
             lo, hi = grid.index(values[0]), grid.index(values[-1])
             lower, upper = int(sides.get("lower", 0)), int(sides.get("upper", 0))
             if min(lower, upper) < 0 or lower + upper == 0:
-                raise IllegalEdit(f"expand for {var!r} must add at least one value")
+                raise SizerForgeError(f"expand for {var!r} must add at least one value")
             if (lower and lo == 0) or (upper and hi == len(grid) - 1):
-                raise IllegalEdit(f"{var!r} boundary at grid end: boundary unexpandable")
+                raise SizerForgeError(f"{var!r} boundary at grid end: boundary unexpandable")
             # clip when fewer values remain
             active[var] = grid[max(0, lo - lower) : lo] + values + grid[hi + 1 : hi + 1 + upper]
 
@@ -210,7 +210,7 @@ def apply_edit(space: SearchSpace, edit: SpaceEdit) -> SearchSpace:
         for var, kept in _named(edit.narrow, space.active, edit.action, "narrow"):
             kept, current = tuple(kept), active[var]
             if all(current[i : i + len(kept)] != kept for i in range(len(current))):
-                raise IllegalEdit(f"narrow for {var!r} must keep a contiguous run")
+                raise SizerForgeError(f"narrow for {var!r} must keep a contiguous run")
             active[var] = kept
 
     else:  # unfix_variables, change_focus

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .core import (SIM_OK, Design, EvaluatedDesign, assess, design_from, is_valid, parse_spec,
                    report_key)
-from .errors import GridTooLarge, UnknownModel
+from .errors import SizerForgeError
 
 W_GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
 
@@ -110,7 +110,7 @@ def get_model(model_id: str) -> SurrogateModel:
     try:
         return REGISTRY[model_id]
     except KeyError:
-        raise UnknownModel(f"no surrogate model registered as {model_id!r}") from None
+        raise SizerForgeError(f"no surrogate model registered as {model_id!r}") from None
 
 
 def enumerate_oracle(model: SurrogateModel) -> OracleResult:
@@ -123,7 +123,7 @@ def enumerate_oracle(model: SurrogateModel) -> OracleResult:
     """
     total = math.prod(len(model.grids[v]) for v in model.variables)
     if total > ORACLE_GRID_LIMIT:
-        raise GridTooLarge(f"{total} grid points exceeds the oracle limit {ORACLE_GRID_LIMIT}")
+        raise SizerForgeError(f"{total} grid points exceeds the oracle limit {ORACLE_GRID_LIMIT}")
 
     spec = parse_spec(model.spec_text)
     first = best = None

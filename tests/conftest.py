@@ -1,9 +1,12 @@
 """Shared fixtures: a synthetic stagnating run used across test modules, a
 history whose every simulation failed, and the artefact digest of
-``tools/artefact_digests.py``."""
+``tools/artefact_digests.py``; the proposer tests' space and history
+builders; and ``raises_exactly``, for an error that raises a root class
+of ``sizerforge.errors`` itself."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import itertools
 import os
@@ -12,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from sizerforge.core import Design, EvaluatedDesign, History
+from sizerforge.core import Design, EvaluatedDesign, History, design_from
 from sizerforge.space import SearchSpace
 
 _TOOL = importlib.util.spec_from_file_location(
@@ -23,7 +26,52 @@ with mock.patch.dict(os.environ):  # the tool pins BLAS to one thread on import
 # the digest of a run's artefacts, as tools/artefact_digests.py takes it
 artefact_digest = _tool.digest
 
+
+@contextlib.contextmanager
+def raises_exactly(cls, message=None):
+    """``pytest.raises(cls)`` that refuses a subclass of ``cls`` and, given
+    ``message``, any other message: an error raised as a root class is
+    told from its siblings by its type and its words."""
+    with pytest.raises(cls) as caught:
+        yield caught
+    assert type(caught.value) is cls, f"{type(caught.value).__name__}: {caught.value}"
+    if message is not None:
+        assert str(caught.value) == message
+
+
 W_GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
+
+
+def grid_space():
+    """The proposer tests' 9 x 9 space: ``W_a`` and ``W_b`` over all of W_GRID."""
+    return SearchSpace(
+        active={"W_a": W_GRID, "W_b": W_GRID},
+        fixed={},
+        full_grid={"W_a": W_GRID, "W_b": W_GRID},
+        generation=0,
+    )
+
+
+def grid_history(pairs):
+    """One lhs batch over ``grid_space``: a record per ``((ia, ib), fom)``,
+    ``ia`` and ``ib`` indexing W_GRID."""
+    hist = History()
+    for (ia, ib), fom in pairs:
+        hist.append(
+            EvaluatedDesign(
+                design=design_from({"W_a": W_GRID[ia], "W_b": W_GRID[ib]}),
+                raw_metrics={},
+                normalized={},
+                fom=fom,
+                feasible=False,
+                sim_status="ok",
+                iteration=1,
+                method="lhs",
+                eval_index=hist.next_eval_index(),
+                wall_time=0.0,
+            )
+        )
+    return hist
 
 # top-10 (W_tail, W_casc) pairs chosen so the marginal counts are
 # tail {1.26: 3, 2.10: 3, 2.52: 2, 0.84: 2} and

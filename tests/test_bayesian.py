@@ -25,36 +25,7 @@ from sizerforge.optim.gp import (ROOM, GaussianProcess, acquisition, grid_rows, 
                                    offset_table)
 from sizerforge.space import SearchSpace, index_rows
 
-GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
-
-
-def _space():
-    return SearchSpace(
-        active={"W_a": GRID, "W_b": GRID},
-        fixed={},
-        full_grid={"W_a": GRID, "W_b": GRID},
-        generation=0,
-    )
-
-
-def _seed_history(pairs):
-    hist = History()
-    for (ia, ib), fom in pairs:
-        hist.append(
-            EvaluatedDesign(
-                design=design_from({"W_a": GRID[ia], "W_b": GRID[ib]}),
-                raw_metrics={},
-                normalized={},
-                fom=fom,
-                feasible=False,
-                sim_status="ok",
-                iteration=1,
-                method="lhs",
-                eval_index=hist.next_eval_index(),
-                wall_time=0.0,
-            )
-        )
-    return hist
+from conftest import W_GRID, grid_history, grid_space
 
 
 OBS = [((0, 0), 0.2), ((2, 6), 0.45), ((4, 4), 0.8), ((6, 2), 0.55), ((8, 8), 0.3)]
@@ -187,37 +158,37 @@ def test_ei_and_pi_equal_the_scipy_stats_norm_formulas_bit_for_bit(name):
 
 
 def test_needs_five_observations():
-    space = _space()
-    hist = _seed_history(OBS[:4])
+    space = grid_space()
+    hist = grid_history(OBS[:4])
     with pytest.raises(InsufficientHistory):
         propose_bayesian(space, hist, 5, seed=0)
 
 
 def test_out_of_space_records_do_not_count():
-    space = _space()
-    hist = _seed_history(OBS[:3])
+    space = grid_space()
+    hist = grid_history(OBS[:3])
     # two more records, but outside the active lists after a narrow
     narrow = SearchSpace(
-        active={"W_a": GRID[:3], "W_b": GRID[:3]},
+        active={"W_a": W_GRID[:3], "W_b": W_GRID[:3]},
         fixed={},
-        full_grid={"W_a": GRID, "W_b": GRID},
+        full_grid={"W_a": W_GRID, "W_b": W_GRID},
         generation=1,
     )
-    hist2 = _seed_history(OBS)
+    hist2 = grid_history(OBS)
     with pytest.raises(InsufficientHistory):
         propose_bayesian(narrow, hist2, 5, seed=0)
     del hist  # 3 valid everywhere is below the floor anyway
 
 
-def test_proposals_avoid_history_and_stay_in_space():
-    space = _space()
-    hist = _seed_history(OBS)
+def test_proposals_avoid_history_and_stay_ingrid_space():
+    space = grid_space()
+    hist = grid_history(OBS)
     proposal = propose_bayesian(space, hist, 6, seed=1)
     assert len(proposal.designs) == 6
     evaluated = {r.design.id for r in hist.records}
     for d in proposal.designs:
         assert d.id not in evaluated
-        assert d.assignment["W_a"] in GRID
+        assert d.assignment["W_a"] in W_GRID
     ids = [d.id for d in proposal.designs]
     assert len(set(ids)) == len(ids)
 
@@ -225,14 +196,14 @@ def test_proposals_avoid_history_and_stay_in_space():
 def test_first_pick_maximizes_the_acquisition():
     # recompute the scored sweep independently over the enumerated
     # candidate set and compare the argmax with the proposal's first pick
-    space = _space()
-    hist = _seed_history(OBS)
+    space = grid_space()
+    hist = grid_history(OBS)
     proposal = propose_bayesian(space, hist, 1, seed=5, acquisition_function="UCB",
                                 exploration_weight=2.0)
 
     observations = hist.valid_records()
     obs_rows = [
-        (GRID.index(r.design.assignment["W_a"]), GRID.index(r.design.assignment["W_b"]))
+        (W_GRID.index(r.design.assignment["W_a"]), W_GRID.index(r.design.assignment["W_b"]))
         for r in observations
     ]
     y = np.array([r.fom for r in observations])
@@ -241,13 +212,13 @@ def test_first_pick_maximizes_the_acquisition():
     rows = [
         row
         for row in rows
-        if design_from({"W_a": GRID[row[0]], "W_b": GRID[row[1]]}).id not in evaluated
+        if design_from({"W_a": W_GRID[row[0]], "W_b": W_GRID[row[1]]}).id not in evaluated
     ]
     gp = GaussianProcess(space.sizes(), np.array(rows)).fit(obs_rows, y)
     mu, sigma = gp.predict(np.array(rows))
     scores = acquisition("UCB", mu, sigma, float(np.max(y)), 2.0)
     best_row = rows[int(np.argmax(scores))]
-    want = {"W_a": GRID[best_row[0]], "W_b": GRID[best_row[1]]}
+    want = {"W_a": W_GRID[best_row[0]], "W_b": W_GRID[best_row[1]]}
     assert proposal.designs[0].assignment == want
 
 
@@ -278,8 +249,8 @@ def _candidates(arrays):
 
 
 def test_batch_diversity_via_constant_liar():
-    space = _space()
-    hist = _seed_history(OBS)
+    space = grid_space()
+    hist = grid_history(OBS)
     with _scored() as arrays:
         proposal = propose_bayesian(space, hist, 5, seed=2, acquisition_function="EI")
     ids = [d.id for d in proposal.designs]
@@ -289,16 +260,8 @@ def test_batch_diversity_via_constant_liar():
     assert all(np.isfinite(_pick_values(arrays)))
 
 
-def test_determinism_per_seed():
-    space = _space()
-    hist = _seed_history(OBS)
-    a = propose_bayesian(space, hist, 4, seed=3)
-    b = propose_bayesian(space, hist, 4, seed=3)
-    assert [d.id for d in a.designs] == [d.id for d in b.designs]
-
-
 def test_small_space_candidates_enumerate_fully():
-    space = _space()
+    space = grid_space()
     rows = grid_rows(space.sizes())
     assert len(rows) == 81
     # every index vector once, in the order of itertools.product
@@ -441,11 +404,11 @@ def _mixed_history(space, rows, fixed_off):
 def _narrowed_space(n_vars, n_active_values):
     names = [f"W_{k}" for k in range(n_vars)]
     return SearchSpace(
-        active={v: GRID[:n_active_values] for v in names[:-1]},
-        fixed={names[-1]: GRID[4]},
-        full_grid={v: GRID for v in names},
+        active={v: W_GRID[:n_active_values] for v in names[:-1]},
+        fixed={names[-1]: W_GRID[4]},
+        full_grid={v: W_GRID for v in names},
         generation=1,
-    ), {names[-1]: GRID[5]}
+    ), {names[-1]: W_GRID[5]}
 
 
 @pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB", "LCB"])
@@ -761,14 +724,14 @@ def test_a_gp_refuses_an_index_off_its_grid(whole_grid):
 # must be the one a fresh history holding the same records gives.
 
 WIDE = SearchSpace(
-    active={"W_a": GRID[:5], "W_b": GRID[2:7], "W_c": GRID[4:9]},
+    active={"W_a": W_GRID[:5], "W_b": W_GRID[2:7], "W_c": W_GRID[4:9]},
     fixed={},
-    full_grid={"W_a": GRID, "W_b": GRID, "W_c": GRID},
+    full_grid={"W_a": W_GRID, "W_b": W_GRID, "W_c": W_GRID},
 )
 # a narrow and a fix of W_c: some of WIDE's records fall outside
 NARROW = SearchSpace(
-    active={"W_a": GRID[1:4], "W_b": GRID[2:7]},
-    fixed={"W_c": GRID[6]},
+    active={"W_a": W_GRID[1:4], "W_b": W_GRID[2:7]},
+    fixed={"W_c": W_GRID[6]},
     full_grid=WIDE.full_grid,
     generation=1,
 )
@@ -853,7 +816,7 @@ def test_a_carried_gp_proposes_what_a_fresh_history_does(data):
                 hist.append(dataclasses.replace(best, eval_index=hist.next_eval_index(),
                                                 cached=True))
             elif extra == "outside":
-                _record(hist, {**design_in(space).assignment, "W_a": GRID[8]})
+                _record(hist, {**design_in(space).assignment, "W_a": W_GRID[8]})
             else:
                 _record(hist, design_in(space).assignment,
                         "ok" if extra in ("new", "incumbent") else "sim_failed")

@@ -1,5 +1,5 @@
-"""The command line: what ``run``, ``report``, ``validate`` and ``oracle`` print, and what
-``run`` and ``report`` refuse."""
+"""The command line: what ``run``, ``report``, ``validate`` and ``oracle`` print, what
+``run`` and ``report`` refuse, and a file no command can read."""
 
 import json
 import re
@@ -231,6 +231,62 @@ def test_report_refuses_a_directory_without_results(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: no matrix_results.json or result.json under {tmp_path}\n"
+
+
+UNREADABLE = {
+    "missing": "cannot read {what} {path}: No such file or directory",
+    "directory": "cannot read {what} {path}: Is a directory",
+    "not_utf8": ("{what} {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("command", ["run", "validate", "bench", "bench_circuit"])
+def test_a_file_the_cli_cannot_read_is_an_error_not_a_traceback(capsys, tmp_path, command, kind):
+    path = tmp_path / "input.yaml"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe")
+    what = "matrix file" if command == "bench" else "config"
+    argv = [command, str(path)]
+    if command == "bench_circuit":
+        matrix = tmp_path / "matrix.yaml"
+        matrix.write_text(f"circuits: ['{path}']\nmethods: [lhs]\n")
+        argv = ["bench", str(matrix)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: " + UNREADABLE[kind].format(what=what, path=path) + "\n")
+
+
+@pytest.mark.parametrize("under", ["", "run"], ids=["the_file", "under_the_file"])
+def test_run_refuses_a_results_directory_at_a_file_before_simulating(capsys, tmp_path,
+                                                                     monkeypatch, under):
+    simulated = []
+    monkeypatch.setattr("sizerforge.controller.evaluate_batch",
+                        lambda *args, **kwargs: simulated.append(args) or [])
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    results_dir = taken / under if under else taken
+    argv = ["run", str(CONFIGS / "sota_easy.yaml"), "--budget", "10", "--method", "lhs",
+            "--results-dir", str(results_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: results directory {results_dir}: {taken} is a file\n")
+    assert simulated == [] and taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("name", ["result.json", "matrix_results.json"])
+def test_report_refuses_a_malformed_results_document(capsys, tmp_path, name):
+    saved = tmp_path / name
+    saved.write_text('{"evals_used": ')
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: cannot read {saved}: Expecting value: line 1 column 16 (char 15)\n")
 
 
 def test_validate_reports_the_config_and_its_grid(capsys):

@@ -11,8 +11,10 @@ from sizerforge import controller
 from sizerforge.agents import RuleBackend, rule
 from sizerforge.config import load_config, parse_config
 from sizerforge.controller import RunBudget, run, run_baseline
-from sizerforge.errors import BudgetOverrun, SingularKernel
+from sizerforge.errors import SingularKernel, SizerForgeError
 from sizerforge.optim.gp import GaussianProcess
+
+from conftest import raises_exactly
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -54,11 +56,12 @@ def overcharging_evaluator(monkeypatch):
 def test_budget_overrun_raises(overcharging_evaluator, algorithm):
     config = load_config(str(CONFIGS / "sota_hard.yaml"))
     budget = RunBudget(total_evals=12)
-    with pytest.raises(BudgetOverrun, match="budget of 12"):
+    with raises_exactly(SizerForgeError) as caught:
         if algorithm == "autosizer":
             run(config, budget, RuleBackend(), 0)
         else:
             run_baseline(config, algorithm, budget, 0)
+    assert str(caught.value) == "13 fresh evaluations charged against a budget of 12"
 
 
 def test_baseline_stall_reports_stalled():

@@ -500,8 +500,9 @@ def test_improvement_pct_degenerate_reference():
     assert hist.summaries()[-1].improvement_pct == math.inf
     assert _recent_pct(hist) == math.inf
 
+    # no valid FoM yet: no trend, rather than a 0% plateau
     hist2 = History()
     hist2.append(_record(1, None, iteration=1))
     hist2.append(_record(2, None, iteration=2))
-    assert hist2.summaries()[-1].improvement_pct == 0.0
-    assert _recent_pct(hist2) == 0.0
+    assert hist2.summaries()[-1].improvement_pct is None
+    assert _recent_pct(hist2) is None

@@ -2,11 +2,11 @@
 
 from pathlib import Path
 
-import pytest
-
 from sizerforge.core import History
 from sizerforge.diagnostics import analyze, render_text
-from sizerforge.errors import EmptyHistory
+from sizerforge.errors import SizerForgeError
+
+from conftest import raises_exactly
 
 GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "stagnation_report.txt"
 
@@ -18,7 +18,7 @@ def test_render_text_matches_the_golden_report(stagnation_state):
 
 def test_an_empty_history_has_nothing_to_analyze(stagnation_state):
     _, space = stagnation_state
-    with pytest.raises(EmptyHistory, match="no iteration summaries"):
+    with raises_exactly(SizerForgeError, "no iteration summaries to analyze"):
         analyze(History(), space)
 
 

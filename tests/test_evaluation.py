@@ -24,8 +24,10 @@ from sizerforge.config import load_config, parse_config
 from sizerforge.controller import RunBudget, run_method
 from sizerforge import evaluation
 from sizerforge.core import METRIC_MISSING, SIM_FAILED, SIM_OK, assess, design_from
-from sizerforge.errors import ConfigError, EvaluatorUnavailable, UnknownModel
+from sizerforge.errors import ConfigError, SizerForgeError
 from sizerforge.evaluation import EvaluatorSpec, ResultCache, evaluate_batch, evaluator_from_config
+
+from conftest import raises_exactly
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -131,14 +133,15 @@ def test_a_spice_executable_missing_from_path_fails_up_front(tmp_path, monkeypat
     monkeypatch.setenv("PATH", str(tmp_path))
     config = load_config(str(CONFIGS / "sota_easy.yaml"))
     evaluator = EvaluatorSpec(kind="spice", executable="ngspice", workdir=str(tmp_path))
-    with pytest.raises(EvaluatorUnavailable, match="'ngspice' not found on PATH"):
+    with raises_exactly(SizerForgeError, "spice executable 'ngspice' not found on PATH; "
+                        "install it or select the surrogate evaluator"):
         evaluate_batch(config, [design_from({"a": 0.84, "b": 1.05})], evaluator,
                        cache=ResultCache())
     assert os.listdir(tmp_path) == []
 
 
 def test_a_surrogate_evaluator_needs_a_model_id():
-    with pytest.raises(UnknownModel, match="needs a model id"):
+    with raises_exactly(SizerForgeError, "surrogate evaluator needs a model id"):
         EvaluatorSpec(kind="surrogate")
 
 

@@ -612,7 +612,8 @@ def test_http_transport_does_not_retry_a_client_error(http, status):
     replies.extend([_Reply(status, "denied"), _Reply(200, _completion("ok"))])
     with pytest.raises(LlmTransport) as caught:
         transport.complete("prompt", {})
-    assert (caught.value.status, len(posts), sleeps) == (status, 1, [])
+    assert str(caught.value) == f"llm transport failure (status {status}): denied"
+    assert (len(posts), sleeps) == (1, [])
 
 
 def test_http_transport_retries_rate_limiting(http):

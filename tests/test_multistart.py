@@ -2,41 +2,10 @@
 
 import random
 
-from sizerforge.core import EvaluatedDesign, History, design_from
 from sizerforge.optim.multistart import neighborhood_rows, propose_multistart
 from sizerforge.optim.sampling import lhs_index_rows
-from sizerforge.space import SearchSpace
 
-GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
-
-
-def _space():
-    return SearchSpace(
-        active={"W_a": GRID, "W_b": GRID},
-        fixed={},
-        full_grid={"W_a": GRID, "W_b": GRID},
-        generation=0,
-    )
-
-
-def _seed_history(pairs):
-    hist = History()
-    for (ia, ib), fom in pairs:
-        hist.append(
-            EvaluatedDesign(
-                design=design_from({"W_a": GRID[ia], "W_b": GRID[ib]}),
-                raw_metrics={},
-                normalized={},
-                fom=fom,
-                feasible=False,
-                sim_status="ok",
-                iteration=1,
-                method="lhs",
-                eval_index=hist.next_eval_index(),
-                wall_time=0.0,
-            )
-        )
-    return hist
+from conftest import W_GRID, grid_history, grid_space
 
 
 def test_neighborhood_is_linf_ball_clipped_to_grid():
@@ -46,26 +15,26 @@ def test_neighborhood_is_linf_ball_clipped_to_grid():
 
 
 def test_radius_zero_returns_starts_verbatim():
-    space = _space()
-    hist = _seed_history([((2, 2), 0.9), ((5, 5), 0.7), ((7, 1), 0.5)])
+    space = grid_space()
+    hist = grid_history([((2, 2), 0.9), ((5, 5), 0.7), ((7, 1), 0.5)])
     proposal = propose_multistart(space, hist, 10, seed=0, n_starts=3, search_radius=0)
     got = [(d.assignment["W_a"], d.assignment["W_b"]) for d in proposal.designs]
-    assert got == [(GRID[2], GRID[2]), (GRID[5], GRID[5]), (GRID[7], GRID[1])]
+    assert got == [(W_GRID[2], W_GRID[2]), (W_GRID[5], W_GRID[5]), (W_GRID[7], W_GRID[1])]
 
 
 def test_starts_ranked_by_fom():
-    space = _space()
-    hist = _seed_history([((1, 1), 0.2), ((3, 3), 0.9), ((6, 6), 0.6)])
+    space = grid_space()
+    hist = grid_history([((1, 1), 0.2), ((3, 3), 0.9), ((6, 6), 0.6)])
     proposal = propose_multistart(space, hist, 30, seed=0, n_starts=2, search_radius=1)
     centers = {(3, 3), (6, 6)}
     for d in proposal.designs:
-        row = (GRID.index(d.assignment["W_a"]), GRID.index(d.assignment["W_b"]))
+        row = (W_GRID.index(d.assignment["W_a"]), W_GRID.index(d.assignment["W_b"]))
         assert any(max(abs(row[0] - c[0]), abs(row[1] - c[1])) <= 1 for c in centers)
 
 
 def test_history_repeats_skipped():
-    space = _space()
-    hist = _seed_history([((3, 3), 0.9), ((3, 4), 0.5)])
+    space = grid_space()
+    hist = grid_history([((3, 3), 0.9), ((3, 4), 0.5)])
     proposal = propose_multistart(space, hist, 20, seed=0, n_starts=1, search_radius=1)
     evaluated = {r.design.id for r in hist.records}
     for d in proposal.designs:
@@ -73,13 +42,13 @@ def test_history_repeats_skipped():
 
 
 def _row(design):
-    return GRID.index(design.assignment["W_a"]), GRID.index(design.assignment["W_b"])
+    return W_GRID.index(design.assignment["W_a"]), W_GRID.index(design.assignment["W_b"])
 
 
 def test_lhs_padding_on_thin_history():
-    space = _space()
+    space = grid_space()
     for pairs in ([((4, 4), 0.9)], []):
-        hist = _seed_history(pairs)
+        hist = grid_history(pairs)
         # the evaluated starts, padded by an LHS of the missing ones under
         # the same seed; radius 0 returns the starts themselves
         padding = lhs_index_rows(space, 5 - len(pairs), random.Random(1))
@@ -93,16 +62,8 @@ def test_lhs_padding_on_thin_history():
 
 
 def test_batch_has_no_duplicates():
-    space = _space()
-    hist = _seed_history([((2, 2), 0.8), ((2, 3), 0.7)])
+    space = grid_space()
+    hist = grid_history([((2, 2), 0.8), ((2, 3), 0.7)])
     proposal = propose_multistart(space, hist, 25, seed=2, n_starts=2, search_radius=2)
     ids = [d.id for d in proposal.designs]
     assert len(ids) == len(set(ids))
-
-
-def test_determinism_per_seed():
-    space = _space()
-    hist = _seed_history([((4, 4), 0.9)])
-    a = propose_multistart(space, hist, 10, seed=5, n_starts=3, search_radius=1)
-    b = propose_multistart(space, hist, 10, seed=5, n_starts=3, search_radius=1)
-    assert [d.id for d in a.designs] == [d.id for d in b.designs]

@@ -20,16 +20,17 @@ from sizerforge.errors import InsufficientHistory
 from sizerforge.optim.pool import METHODS, MethodConfig, propose
 from sizerforge.space import SearchSpace
 
-GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
+from conftest import W_GRID
+
 OFF_GRID = 2.73
 VARIABLES = ("W_a", "W_b", "W_c", "W_d", "W_e")
 
 
 def _space(active_lists, fixed):
     return SearchSpace(
-        active={v: tuple(GRID[i] for i in idx) for v, idx in active_lists.items()},
-        fixed={v: GRID[i] for v, i in fixed.items()},
-        full_grid={v: GRID for v in VARIABLES},
+        active={v: tuple(W_GRID[i] for i in idx) for v, idx in active_lists.items()},
+        fixed={v: W_GRID[i] for v, i in fixed.items()},
+        full_grid={v: W_GRID for v in VARIABLES},
     )
 
 
@@ -61,7 +62,7 @@ def _history(space, n, seed):
             design = rng.choice(hist.records).design  # repeat
         elif kind < 0.35:
             # mostly off the space, also off the grid at times
-            design = design_from({v: rng.choice(GRID + (OFF_GRID,)) for v in VARIABLES})
+            design = design_from({v: rng.choice(W_GRID + (OFF_GRID,)) for v in VARIABLES})
         else:
             assignment = dict(space.fixed)
             assignment.update({v: rng.choice(values) for v, values in space.active.items()})

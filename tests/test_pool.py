@@ -26,16 +26,7 @@ from sizerforge.optim.pool import (
 from sizerforge.optim import base, genetic, pool
 from sizerforge.space import SearchSpace
 
-GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
-
-
-def _space():
-    return SearchSpace(
-        active={"W_a": GRID, "W_b": GRID},
-        fixed={},
-        full_grid={"W_a": GRID, "W_b": GRID},
-        generation=0,
-    )
+from conftest import W_GRID, grid_space
 
 
 def _history(n=6):
@@ -43,7 +34,7 @@ def _history(n=6):
     for i in range(n):
         hist.append(
             EvaluatedDesign(
-                design=design_from({"W_a": GRID[i], "W_b": GRID[(i * 3) % 9]}),
+                design=design_from({"W_a": W_GRID[i], "W_b": W_GRID[(i * 3) % 9]}),
                 raw_metrics={},
                 normalized={},
                 fom=0.1 * (i + 1),
@@ -66,22 +57,22 @@ def test_baseline_presets_pinned():
 
 @pytest.mark.parametrize("method", ORCHESTRATED)
 def test_every_orchestrated_method_dispatches(method):
-    space = _space()
+    space = grid_space()
     hist = _history(6)
     proposal = propose(space, MethodConfig(method=method, n_samples=5, seed=1), history=hist)
     assert len(proposal.designs) <= 5 or method == "annealing"
     for d in proposal.designs:
-        assert d.assignment["W_a"] in GRID
+        assert d.assignment["W_a"] in W_GRID
 
 
 @pytest.mark.parametrize("method", ("ga_baseline", "bo_baseline", "turbo_baseline"))
 def test_baseline_methods_dispatch(method):
-    space = _space()
+    space = grid_space()
     hist = _history(6)
     proposal = propose(space, MethodConfig(method=method, n_samples=5, seed=1), history=hist)
     assert proposal.designs
     for d in proposal.designs:
-        assert d.assignment["W_a"] in GRID
+        assert d.assignment["W_a"] in W_GRID
 
 
 def test_optuna_alias_maps_to_bayesian_pi():
@@ -187,7 +178,7 @@ def test_a_genetic_proposal_at_both_bounds_stays_bounded(monkeypatch):
     monkeypatch.setattr(genetic, "random", types.SimpleNamespace(Random=_CountingRandom))
     monkeypatch.setattr(_CountingRandom, "draws", 0)
     high = {name: _RANGES[name][2] for name in ("tournament_size", "population")}
-    proposal = propose(_space(), MethodConfig("genetic", 5, high), _history(6))
+    proposal = propose(grid_space(), MethodConfig("genetic", 5, high), _history(6))
     assert len(proposal.designs) > 1
     tournaments = 2 * high["tournament_size"] * (high["population"] - 1)
     assert tournaments <= _CountingRandom.draws < 2 * tournaments + 2 * 2 * high["population"]
@@ -243,7 +234,7 @@ def _exploits(monkeypatch):
 
 
 def test_adaptive_mix_merges_and_dedupes(monkeypatch):
-    space = _space()
+    space = grid_space()
     hist = _history(6)
     exploits = _exploits(monkeypatch)
     proposal = propose(space, MethodConfig(method="adaptive", n_samples=12, seed=4), history=hist)
@@ -255,7 +246,7 @@ def test_adaptive_mix_merges_and_dedupes(monkeypatch):
 
 
 def test_adaptive_thin_history_uses_multistart(monkeypatch):
-    space = _space()
+    space = grid_space()
     hist = _history(3)
     exploits = _exploits(monkeypatch)
     propose(space, MethodConfig(method="adaptive", n_samples=9, seed=4), history=hist)
@@ -263,7 +254,7 @@ def test_adaptive_thin_history_uses_multistart(monkeypatch):
 
 
 def test_method_config_seed_changes_proposals():
-    space = _space()
+    space = grid_space()
     a = propose(space, MethodConfig(method="lhs", n_samples=8, seed=0), History())
     b = propose(space, MethodConfig(method="lhs", n_samples=8, seed=1), History())
     assert [d.id for d in a.designs] != [d.id for d in b.designs]
@@ -284,7 +275,7 @@ def _counted_index_rows(monkeypatch):
 
 
 def test_adaptive_indexes_each_record_once(monkeypatch):
-    space = _space()
+    space = grid_space()
     hist = _history(6)
     indexed = _counted_index_rows(monkeypatch)
     exploits = _exploits(monkeypatch)
@@ -306,12 +297,12 @@ def _record(design, eval_index, fom=0.5):
 
 
 def test_appending_a_batch_extends_the_same_view(monkeypatch):
-    space, hist = _space(), _history(6)
+    space, hist = grid_space(), _history(6)
     indexed = _counted_index_rows(monkeypatch)
     view = base.history_view(space, hist)
     assert (indexed, view.count, view.last) == ([6], 6, hist.records[-1])
     assert base.history_view(space, hist) is view and indexed == [6, 0]
-    hist.append_batch([_record(design_from({"W_a": GRID[8], "W_b": GRID[i]}), 7 + i)
+    hist.append_batch([_record(design_from({"W_a": W_GRID[8], "W_b": W_GRID[i]}), 7 + i)
                        for i in range(3)])
     assert base.history_view(space, hist) is view
     assert indexed == [6, 0, 3]  # only the appended records
@@ -321,7 +312,7 @@ def test_appending_a_batch_extends_the_same_view(monkeypatch):
 
 @pytest.mark.parametrize("edit", ["shorter", "last_replaced"])
 def test_a_history_that_does_not_extend_its_view_gets_a_fresh_one(monkeypatch, edit):
-    space, hist = _space(), _history(9)
+    space, hist = grid_space(), _history(9)
     stale = base.history_view(space, hist)
     if edit == "shorter":
         hist.records = hist.records[:6]
@@ -339,9 +330,9 @@ def test_a_history_that_does_not_extend_its_view_gets_a_fresh_one(monkeypatch, e
         assert propose(space, config, hist).designs == propose(space, config, alone).designs
 
 
-def test_a_history_keeps_only_the_view_of_the_current_space():
-    wide, hist = _space(), _history(6)
-    narrow = SearchSpace(active={"W_a": GRID[:5], "W_b": GRID}, fixed={},
+def test_a_history_keeps_only_the_view_of_the_currentgrid_space():
+    wide, hist = grid_space(), _history(6)
+    narrow = SearchSpace(active={"W_a": W_GRID[:5], "W_b": W_GRID}, fixed={},
                          full_grid=wide.full_grid, generation=1)
     config = MethodConfig(method="bayesian", n_samples=3, seed=0)
     propose(wide, config, history=hist)
@@ -358,7 +349,7 @@ def test_proposers_leave_the_shared_view_as_they_found_it():
     # annealing and multistart add the vectors they take to a set of their
     # own: written into the shared view, they would be dropped by every
     # proposer after them on this history but not on a fresh one
-    space, hist = _space(), _history(6)
+    space, hist = grid_space(), _history(6)
     for method in ("annealing", "multistart", "lhs", "turbo_baseline", "genetic"):
         config = MethodConfig(method=method, n_samples=12, seed=3)
         shared = propose(space, config, history=hist).designs

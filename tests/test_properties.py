@@ -1,5 +1,6 @@
 """Properties: every proposer stays on the grid, inside the space, off the
-history; every legal space edit yields a valid space.
+history, and proposes what its seed and the records fix; every legal
+space edit yields a valid space.
 
 Spaces are random (two to four variables, some pinned, active lists of
 two or more grid values) and so are histories: records inside and
@@ -13,7 +14,8 @@ at its grid end, narrow to a contiguous run of two or more values, unfix
 only pinned variables, and change focus between an active and a pinned
 one. Each legal edit yields exactly what its action names and leaves
 every other variable alone. Illegal edits break one rule each and must
-raise ``IllegalEdit``, never a lookup or value error.
+raise ``SizerForgeError`` itself, never a subclass such as ``ValueOffGrid``
+nor a lookup or value error.
 
 ``materialize`` builds, from a space's id fragments formatted once, the
 design ``design_from`` builds from the assignment: for every point of
@@ -28,10 +30,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sizerforge.core import EvaluatedDesign, History, design_from, is_valid, rank_key
-from sizerforge.errors import IllegalEdit, InsufficientHistory
+from sizerforge.errors import InsufficientHistory, SizerForgeError
 from sizerforge.optim.base import materialize
 from sizerforge.optim.pool import MethodConfig, propose
 from sizerforge.space import SearchSpace, SpaceEdit, apply_edit, index_rows, validate_space
+
+from conftest import raises_exactly
 
 GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89)
 NAMES = ("W_a", "W_b", "W_c", "W_d")
@@ -126,6 +130,14 @@ def test_proposals_stay_on_the_grid_inside_the_space_and_off_the_history(method,
         proposal = propose(space, config, history)
     except InsufficientHistory:
         return  # the controller falls back to lhs
+
+    # the seed and the records alone fix the designs: a second call, and a
+    # fresh history holding the same records (so no view carried over)
+    twin = History()
+    twin.append_batch(history.records)
+    ids = [d.id for d in proposal.designs]
+    assert [d.id for d in propose(space, config, history).designs] == ids
+    assert [d.id for d in propose(space, config, twin).designs] == ids
 
     for design in proposal.designs:
         assert all(design.assignment[v] in GRID for v in space.full_grid)
@@ -326,6 +338,6 @@ def test_every_illegal_edit_raises_illegal_edit(data):
     space = data.draw(spaces())
     edit = data.draw(illegal_edits(space))
     before = space.describe()
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError):
         apply_edit(space, edit)
     assert space.describe() == before

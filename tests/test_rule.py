@@ -11,14 +11,13 @@ import pytest
 from sizerforge.agents import parse_agent_json
 from sizerforge.agents.rule import rule_decide_inner, rule_decide_outer, rule_plan, rule_understand
 from sizerforge.config import load_config
-from sizerforge.core import SIM_OK, EvaluatedDesign, History, design_from
+from sizerforge.core import SIM_FAILED, SIM_OK, EvaluatedDesign, History, design_from
 from sizerforge.diagnostics import analyze
 from sizerforge.errors import SchemaViolation
 from sizerforge.space import SearchSpace, space_from_plan
 
-from conftest import build_stagnation_state
+from conftest import W_GRID, build_stagnation_state
 
-W = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -34,15 +33,15 @@ def _history(*batches):
 
 def _space(active, fixed=None):
     names = list(active) + list(fixed or {})
-    return SearchSpace(active=active, fixed=fixed or {}, full_grid={v: W for v in names})
+    return SearchSpace(active=active, fixed=fixed or {}, full_grid={v: W_GRID for v in names})
 
 
 # the 9 x 9 grid on a and b: 81 points, so lhs asks for 81 // 4 = 20
-GRID = _space({"a": W, "b": W})
+GRID = _space({"a": W_GRID, "b": W_GRID})
 
 
 def _foms(method, foms):
-    points = ({"a": a, "b": b} for a, b in itertools.product(W, W))
+    points = ({"a": a, "b": b} for a, b in itertools.product(W_GRID, W_GRID))
     return method, list(zip(points, foms))
 
 
@@ -113,6 +112,24 @@ def test_each_inner_branch(case):
     assert got == INNER[case][3]
 
 
+def test_a_history_without_a_valid_design_is_no_plateau():
+    # three batches of two methods whose every simulation failed: no trend
+    # is set, so the policy keeps stratifying rather than stopping
+    hist = History()
+    for iteration, method in enumerate(("lhs", "genetic", "lhs"), start=1):
+        for a in W_GRID[:3]:
+            hist.append(EvaluatedDesign(design_from({"a": a, "b": W_GRID[iteration]}), {}, {}, None,
+                                        False, SIM_FAILED, iteration, method,
+                                        hist.next_eval_index(), 0.0))
+    report = analyze(hist, GRID)
+    assert report.convergence["recent_improvement_pct"] is None
+    assert report.convergence["reason"] == "trend not yet established"
+    assert report.recommendations["actions"] == []
+    decision = rule_decide_inner(report, 50, GRID)
+    assert (decision["action"], decision["method"], decision["reasoning"]) == (
+        "search", "lhs", "thin history; keep stratifying")
+
+
 def _pinned_load():
     """The stagnating run with W_load pinned instead of active."""
     hist, space = build_stagnation_state()
@@ -126,7 +143,7 @@ def pinned_load():
     return hist, space, analyze(hist, space)
 
 
-@pytest.mark.parametrize("prior_unfixes, window", [(0, W[2:7]), (1, W[1:8])])
+@pytest.mark.parametrize("prior_unfixes, window", [(0, W_GRID[2:7]), (1, W_GRID[1:8])])
 def test_stagnation_unfixes_the_pinned_variable(pinned_load, prior_unfixes, window):
     hist, space, report = pinned_load
     decision, next_space = rule_decide_outer(report, space, prior_unfixes, {})
@@ -151,10 +168,10 @@ def test_boundary_at_the_grid_end_unfixes_instead(pinned_load):
         "flagged boundary sits at the grid end; unfixing W_load"
     )
     assert decision["changes_from_previous"] == "W_load promoted from fixed to active"
-    assert next_space.active["W_load"] == W[2:7]
+    assert next_space.active["W_load"] == W_GRID[2:7]
 
 
-# interior values of a 5-value window W[2:7]: no top design at its ends
+# interior values of a 5-value window W_GRID[2:7]: no top design at its ends
 MIDDLE = (1.47, 1.68, 1.89)
 
 
@@ -170,13 +187,13 @@ def _outer_edit(action):
         a = [1.68] * 8 + [1.47, 1.89]
         points = [({"a": x, "b": MIDDLE[i % 3], "c": 1.68}, 1.0 - 0.01 * i)
                   for i, x in enumerate(a)]
-        hist, space = _history(("lhs", points)), _space({"a": W[2:7], "b": W[2:7]}, {"c": 1.68})
+        hist, space = _history(("lhs", points)), _space({"a": W_GRID[2:7], "b": W_GRID[2:7]}, {"c": 1.68})
     else:
         # every design in the middle three values; the best rose by 1%
         points = [({"a": a, "b": b}, 0.5) for a, b in itertools.product(MIDDLE, MIDDLE)]
         best = [({"a": 1.68, "b": 1.68}, 1.0)], [({"a": 1.47, "b": 1.89}, 1.01)]
         hist = _history(("lhs", points + best[0]), ("lhs", best[1]))
-        space = _space({"a": W[2:7], "b": W[2:7]})
+        space = _space({"a": W_GRID[2:7], "b": W_GRID[2:7]})
     decision, next_space = rule_decide_outer(analyze(hist, space), space, 0, {})
     assert decision["action_taken"] == action
     return decision, next_space
@@ -186,7 +203,7 @@ def test_a_converged_variable_swaps_focus():
     decision, next_space = _outer_edit("change_focus")
     assert decision["changes_from_previous"] == "a fixed at 1.68, c activated"
     assert next_space.fixed == {"a": 1.68}
-    assert next_space.active == {"b": W[2:7], "c": W[2:7]}
+    assert next_space.active == {"b": W_GRID[2:7], "c": W_GRID[2:7]}
 
 
 def test_concentrated_top_designs_narrow_to_their_runs():
@@ -216,11 +233,11 @@ def test_a_plan_over_five_variables_pins_the_fifth_at_the_grid_median():
     configuration = plan["optimization_configuration"]
     assert list(configuration["variables_to_optimize"]) == config.variables[:4]
     assert list(configuration["variables_fixed"]) == ["W_out_base"]
-    assert configuration["variables_fixed"]["W_out_base"]["fixed_value"] == W[len(W) // 2]
+    assert configuration["variables_fixed"]["W_out_base"]["fixed_value"] == W_GRID[len(W_GRID) // 2]
     assert parse_agent_json(json.dumps(plan), "plan") == plan
     assert space == space_from_plan(config, plan, 0)
-    assert space.fixed == {"W_out_base": W[len(W) // 2]}
-    assert space.active == {v: W[::2] for v in config.variables[:4]}
+    assert space.fixed == {"W_out_base": W_GRID[len(W_GRID) // 2]}
+    assert space.active == {v: W_GRID[::2] for v in config.variables[:4]}
     assert plan["search_space_summary"]["reduced_search_space"] == 5**4
 
 

@@ -233,7 +233,7 @@ WRONG_KIND = [(schema, path) for schema in sorted(VALID) for path in _field_path
 def test_a_field_of_the_wrong_kind_is_named_by_its_full_path(schema, path, value):
     with pytest.raises(SchemaViolation) as caught:
         parse_agent_json(_broken(schema, path, value), schema)
-    assert caught.value.field == _named(path)
+    assert str(caught.value).startswith(f"schema violation at {_named(path)!r}: expected ")
 
 
 def test_a_stop_drops_its_search_fields_unchecked():

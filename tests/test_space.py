@@ -4,7 +4,7 @@ import pytest
 
 from sizerforge.config import load_config
 from sizerforge.core import design_from
-from sizerforge.errors import IllegalEdit, PlanIncomplete, ValueOffGrid
+from sizerforge.errors import PlanIncomplete, SizerForgeError, ValueOffGrid
 from sizerforge.space import (
     SearchSpace,
     SpaceEdit,
@@ -17,7 +17,7 @@ from sizerforge.space import (
     validate_space,
 )
 
-from conftest import W_GRID
+from conftest import W_GRID, raises_exactly
 
 GRID4 = {v: W_GRID for v in ("W_tail", "W_diff", "W_casc", "W_load")}
 
@@ -57,13 +57,13 @@ def test_cardinality_counts_only_active():
 
 def test_validate_space_rejects_off_grid_active():
     bad = _space({"W_tail": (0.84, 0.90), "W_diff": (0.84, 1.05)}, {"W_casc": 1.68, "W_load": 1.68})
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "active list for 'W_tail' leaves the grid"):
         validate_space(bad)
 
 
 def test_validate_space_rejects_unsorted_active():
     bad = _space({"W_tail": (1.05, 0.84), "W_diff": (0.84, 1.05)}, {"W_casc": 1.68, "W_load": 1.68})
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "active list for 'W_tail' must be strictly increasing"):
         validate_space(bad)
 
 
@@ -109,15 +109,15 @@ def test_expand_clips_at_grid_end():
 
 def test_expand_at_grid_end_is_illegal():
     space = _space({"W_tail": (0.84, 1.05)}, {"W_diff": 1.68, "W_casc": 1.68, "W_load": 1.68})
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "'W_tail' boundary at grid end: boundary unexpandable"):
         apply_edit(space, SpaceEdit(action="expand_ranges", expand={"W_tail": {"lower": 1}}))
 
 
 def test_expand_needs_positive_delta():
     space = _space({"W_tail": (1.26, 1.47)}, {"W_diff": 1.68, "W_casc": 1.68, "W_load": 1.68})
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "expand for 'W_tail' must add at least one value"):
         apply_edit(space, SpaceEdit(action="expand_ranges", expand={"W_tail": {}}))
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "expand_ranges carries no variables to expand"):
         apply_edit(space, SpaceEdit(action="expand_ranges", expand={}))
 
 
@@ -129,11 +129,11 @@ def test_narrow_keeps_contiguous_run():
 
 def test_narrow_rejects_gaps_singletons_and_strays():
     space = _space({"W_tail": (1.05, 1.26, 1.47, 1.68)}, {"W_diff": 1.68, "W_casc": 1.68, "W_load": 1.68})
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "narrow for 'W_tail' must keep a contiguous run"):
         apply_edit(space, SpaceEdit(action="narrow_ranges", narrow={"W_tail": (1.05, 1.47)}))
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "active list for 'W_tail' needs at least 2 values"):
         apply_edit(space, SpaceEdit(action="narrow_ranges", narrow={"W_tail": (1.26,)}))
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "narrow for 'W_tail' must keep a contiguous run"):
         apply_edit(space, SpaceEdit(action="narrow_ranges", narrow={"W_tail": (1.89, 2.10)}))
 
 
@@ -150,11 +150,11 @@ def test_unfix_promotes_fixed_variable():
 
 def test_unfix_requires_two_on_grid_values():
     space = _space({"W_tail": (1.26, 1.47)}, {"W_diff": 1.68, "W_casc": 1.89, "W_load": 1.68})
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "active list for 'W_casc' needs at least 2 values"):
         apply_edit(space, SpaceEdit(action="unfix_variables", unfix={"W_casc": (1.89,)}))
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "active list for 'W_casc' leaves the grid"):
         apply_edit(space, SpaceEdit(action="unfix_variables", unfix={"W_casc": (1.9, 2.0)}))
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "unfix_variables cannot unfix 'W_tail'"):
         apply_edit(space, SpaceEdit(action="unfix_variables", unfix={"W_tail": (1.26, 1.47)}))
 
 
@@ -175,7 +175,7 @@ def test_change_focus_swaps_fix_and_unfix():
 
 def test_change_focus_needs_both_sides():
     space = _space({"W_tail": (1.26, 1.47)}, {"W_casc": 1.89, "W_diff": 1.68, "W_load": 1.68})
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "change_focus carries no variables to unfix"):
         apply_edit(space, SpaceEdit(action="change_focus", fix={"W_tail": 1.26}))
 
 
@@ -186,13 +186,13 @@ def test_continue_and_converged_bump_generation_only():
         assert out.generation == space.generation + 1
         assert out.active == space.active
         assert out.fixed == space.fixed
-        with pytest.raises(IllegalEdit):
+        with raises_exactly(SizerForgeError, f"{action} must carry empty deltas"):
             apply_edit(space, SpaceEdit(action=action, expand={"W_tail": {"upper": 1}}))
 
 
 def test_unknown_action_rejected():
     space = _space({"W_tail": (1.26, 1.47)}, {"W_diff": 1.68, "W_casc": 1.68, "W_load": 1.68})
-    with pytest.raises(IllegalEdit):
+    with raises_exactly(SizerForgeError, "unknown action 'shrink_everything'"):
         apply_edit(space, SpaceEdit(action="shrink_everything"))
 
 

@@ -15,19 +15,10 @@ from sizerforge.optim.turbo import (
     trust_region,
     window_bounds,
 )
-from sizerforge.space import SearchSpace
 
-GRID = (0.84, 1.05, 1.26, 1.47, 1.68, 1.89, 2.10, 2.31, 2.52)
+from conftest import W_GRID, grid_space
+
 SIZES = [9, 9]
-
-
-def _space():
-    return SearchSpace(
-        active={"W_a": GRID, "W_b": GRID},
-        fixed={},
-        full_grid={"W_a": GRID, "W_b": GRID},
-        generation=0,
-    )
 
 
 def _add_batch(hist, pairs):
@@ -36,7 +27,7 @@ def _add_batch(hist, pairs):
     for (ia, ib), fom in pairs:
         hist.append(
             EvaluatedDesign(
-                design=design_from({"W_a": GRID[ia], "W_b": GRID[ib]}),
+                design=design_from({"W_a": W_GRID[ia], "W_b": W_GRID[ib]}),
                 raw_metrics={},
                 normalized={},
                 fom=fom,
@@ -96,7 +87,7 @@ def test_fraction_follows_success_failure_script(monkeypatch):
     assert trace == [0.8, 1.0, 1.0, 0.5, 0.25, 0.125, 0.25]
     # the proposer searches the region the schedule gives
     fractions, _ = _searched(monkeypatch)
-    proposal = propose_turbo_baseline(_space(), _history(script), 4, seed=0)
+    proposal = propose_turbo_baseline(grid_space(), _history(script), 4, seed=0)
     assert fractions == [0.25, 0.25]
     assert proposal.restart is None
 
@@ -142,7 +133,7 @@ def test_window_width_and_edge_shift():
 
 def test_cold_start_samples_full_grid(monkeypatch):
     fractions, windows = _searched(monkeypatch)
-    proposal = propose_turbo_baseline(_space(), History(), 10, seed=1)
+    proposal = propose_turbo_baseline(grid_space(), History(), 10, seed=1)
     assert (fractions, windows) == ([], [[[0, 8], [0, 8]]])
     assert proposal.restart is None
 
@@ -151,19 +142,19 @@ def test_windows_center_on_incumbent(monkeypatch):
     # 0.9 improves (fraction 1.0), 0.1 misses (fraction 0.5)
     hist = _history([((4, 4), 0.9), ((0, 0), 0.1)])
     fractions, windows = _searched(monkeypatch)
-    proposal = propose_turbo_baseline(_space(), hist, 8, seed=2)
+    proposal = propose_turbo_baseline(grid_space(), hist, 8, seed=2)
     assert fractions == [0.5, 0.5]
     assert windows == [[[2, 6], [2, 6]]]
     for d in proposal.designs:
-        assert 2 <= GRID.index(d.assignment["W_a"]) <= 6
-        assert 2 <= GRID.index(d.assignment["W_b"]) <= 6
+        assert 2 <= W_GRID.index(d.assignment["W_a"]) <= 6
+        assert 2 <= W_GRID.index(d.assignment["W_b"]) <= 6
 
 
 def test_collapsed_state_restarts_and_goes_global(monkeypatch):
     # 1.0 after the improvement, then four misses: 0.0625 * 8 < 1 on every axis
     hist = _history([((4, 4), 0.9), 0.1, 0.1, 0.1, 0.1])
     fractions, windows = _searched(monkeypatch)
-    proposal = propose_turbo_baseline(_space(), hist, 8, seed=3)
+    proposal = propose_turbo_baseline(grid_space(), hist, 8, seed=3)
     assert proposal.restart == INIT_FRACTION
     assert (fractions, windows) == ([], [[[0, 8], [0, 8]]])
 
@@ -171,11 +162,3 @@ def test_collapsed_state_restarts_and_goes_global(monkeypatch):
 def test_fraction_cap_at_one():
     assert _fraction(_history([1.0])) == 1.0
     assert _fraction(_history([1.0, 2.0])) == 1.0  # capped
-
-
-def test_determinism_per_seed():
-    space = _space()
-    hist = _history([((4, 4), 0.9)])
-    a = propose_turbo_baseline(space, hist, 10, seed=6)
-    b = propose_turbo_baseline(space, hist, 10, seed=6)
-    assert [d.id for d in a.designs] == [d.id for d in b.designs]
