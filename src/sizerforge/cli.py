@@ -141,6 +141,8 @@ def cmd_report(args) -> int:
                 table = render_table(report)
             except KeyError as exc:  # a document from before a score was added
                 raise SizerForgeError(f"{candidate} lacks {exc}; run the matrix again") from None
+            except (TypeError, ValueError):  # JSON of another shape
+                raise SizerForgeError(f"{candidate} is not a matrix results document") from None
             sys.stdout.write(table)
             return 0
     single = root / "result.json"

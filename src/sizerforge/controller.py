@@ -95,6 +95,15 @@ def at_least_one(key: str, count: int) -> int:
     return count
 
 
+def check_results_dir(results_dir: str) -> None:
+    """ConfigError when a file stands at ``results_dir`` or above it, which
+    would fail the artifacts' write once the budget is spent."""
+    root = Path(results_dir)
+    nearest = next(path for path in (root, *root.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"results directory {results_dir}: {nearest} is a file")
+
+
 @dataclass(frozen=True)
 class RunBudget:
     """Evaluation allowances for one run.
@@ -201,11 +210,7 @@ class _Run:
             raise ConfigError(f"keep_logs keeps simulator logs, and the {self.evaluator.kind} "
                               "evaluator runs no simulator")
         if results_dir is not None:
-            # a file there would fail the artifacts' write once the budget is spent
-            root = Path(results_dir)
-            nearest = next(path for path in (root, *root.parents) if path.exists())
-            if not nearest.is_dir():
-                raise ConfigError(f"results directory {results_dir}: {nearest} is a file")
+            check_results_dir(results_dir)
         self.cache = ResultCache()
         self.history = History()
         self.decisions: List[dict] = []

@@ -37,7 +37,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .config import load_config, parse_yaml_mapping, read_list, read_number, read_text
-from .controller import RunBudget, RunResult, at_least_one, parse_method, run_method
+from .controller import (RunBudget, RunResult, at_least_one, check_results_dir,
+                         parse_method, run_method)
 from .core import is_valid, report_key
 from .errors import ConfigError
 
@@ -227,8 +228,11 @@ def run_matrix(
     out_dir: Optional[str] = None,
     workers: int = 1,
 ) -> dict:
-    """Execute every cell x trial. Per-trial failures are recorded, never raised."""
+    """Execute every cell x trial. Per-trial failures are recorded, never
+    raised; a bad worker count or ``out_dir`` is refused before any trial."""
     at_least_one("workers", workers)
+    if out_dir:
+        check_results_dir(out_dir)
     seeds = matrix.seed_list()
     cells = []
     for circuit_path in matrix.circuits:

@@ -80,11 +80,15 @@ writes the PDF out; both are what ``scipy.stats.norm`` computes at loc 0
 and scale 1, bit for bit, without importing ``scipy.stats``.
 
 Only this module and ``bayesian`` import numpy and scipy; ``pool`` loads
-them on the first Bayesian proposal. Of scipy, this module loads the
-top-level package and, by ``_compiled``, two compiled modules from their
-files: the BLAS of ``scipy.linalg._fblas`` and ``ndtr`` from
-``scipy.special._special_ufuncs``, the objects that ``scipy.linalg.blas``
-and ``scipy.special`` hand out. No run imports those subpackages, whose
+them on the first Bayesian proposal. Of scipy this module runs no Python
+code, not even the package's ``__init__``: ``_compiled`` finds scipy's
+directory with ``importlib.util.find_spec`` and loads a compiled module
+from its file, under its full name, which runs the module's own numpy
+ABI check. Importing this module loads the BLAS of
+``scipy.linalg._fblas``; the first EI or PI score loads ``ndtr`` from
+``scipy.special._special_ufuncs`` (``_ndtr``), so UCB and LCB never map
+that library. Both are the objects that ``scipy.linalg.blas`` and
+``scipy.special`` hand out. No run imports those subpackages, whose
 ``__init__`` pulls in scipy's array-API layer, ``numpy.f2py`` and
 ``numpy.testing``. ``ACQUISITIONS`` lives in ``base``.
 """
@@ -95,26 +99,29 @@ import functools
 import math
 import os
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from types import ModuleType
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 from ..errors import SingularKernel
 
 
 def _compiled(package: str, name: str) -> ModuleType:
     """The compiled module ``scipy.<package>.<name>``, loaded from its file
-    without importing ``scipy.<package>``; ImportError when this scipy has
-    none. It keeps its full name, under which a later import of the
-    subpackage finds it loaded and hands out the same objects."""
-    finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), package),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    without importing ``scipy`` or ``scipy.<package>``; ImportError when
+    scipy is not installed or has no such module. It keeps its full name,
+    under which a later import of the subpackage finds it loaded and hands
+    out the same objects."""
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], package)
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec(f"scipy.{package}.{name}")
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no compiled module scipy.{package}.{name}")
+        raise ImportError(f"no compiled module scipy.{package}.{name} in {directory}")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -122,7 +129,13 @@ def _compiled(package: str, name: str) -> ModuleType:
 
 _fblas = _compiled("linalg", "_fblas")
 daxpy, dgemm, dtrsm, dtrsv = _fblas.daxpy, _fblas.dgemm, _fblas.dtrsm, _fblas.dtrsv
-ndtr = _compiled("special", "_special_ufuncs").ndtr
+
+
+@functools.cache
+def _ndtr() -> np.ufunc:
+    """scipy's standard normal CDF, loaded on the first EI or PI score."""
+    return _compiled("special", "_special_ufuncs").ndtr
+
 
 SQRT5 = math.sqrt(5.0)
 
@@ -415,7 +428,7 @@ def acquisition(name: str, mu: np.ndarray, sigma: np.ndarray,
     EI and PI use ``weight`` as the improvement margin xi; UCB uses it
     as the confidence multiplier beta. LCB is the exploration variant:
     it rewards uncertainty over mean value (beta * sigma - mu). EI and
-    PI take the normal CDF from ``ndtr``.
+    PI take the normal CDF from ``ndtr`` (``_ndtr``).
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -423,6 +436,7 @@ def acquisition(name: str, mu: np.ndarray, sigma: np.ndarray,
         return mu + weight * sigma
     if name == "LCB":
         return weight * sigma - mu
+    ndtr = _ndtr()
     safe = np.where(sigma > 0, sigma, 1.0)
     z = (mu - best - weight) / safe
     if name == "PI":

@@ -20,9 +20,9 @@ inner loop's to pick. Defaults not preset here are the proposers' own
 signature defaults.
 
 ``_propose_bayesian`` imports ``bayesian`` on the first Bayesian
-proposal, and with it numpy, the top-level ``scipy`` package and the
-three compiled scipy modules that ``gp`` computes with, loaded from
-their files without their subpackages.
+proposal, and with it numpy and scipy's BLAS, loaded from its file
+without scipy's ``__init__`` or ``scipy.linalg``; ``gp`` loads
+``ndtr``'s compiled module the same way on the first EI or PI score.
 Acquisition names come from ``base.ACQUISITIONS``.
 """
 

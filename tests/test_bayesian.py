@@ -3,11 +3,13 @@
 import contextlib
 import dataclasses
 import itertools
+import os
 import random as pyrandom
 import sys
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -83,12 +85,20 @@ def test_the_compiled_kernels_are_the_public_scipy_objects():
 
     for name in ("daxpy", "dgemm", "dtrsm", "dtrsv"):
         assert getattr(gp_module, name) is getattr(scipy.linalg.blas, name)
-    assert gp_module.ndtr is scipy.special.ndtr
+    assert gp_module._ndtr() is scipy.special.ndtr
 
 
 def test_a_compiled_module_that_scipy_lacks_is_an_import_error():
-    with pytest.raises(ImportError, match="scipy.linalg._no_such"):
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    with pytest.raises(ImportError) as raised:
         gp_module._compiled("linalg", "_no_such")
+    assert str(raised.value) == f"no compiled module scipy.linalg._no_such in {directory}"
+
+
+def test_a_compiled_module_without_scipy_is_an_import_error(monkeypatch):
+    monkeypatch.setattr(gp_module, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="^scipy is not installed$"):
+        gp_module._compiled("linalg", "_fblas")
 
 
 # ---------------------------------------------------------- acquisition

@@ -1,5 +1,5 @@
 """The command line: what ``run``, ``report``, ``validate`` and ``oracle`` print, what
-``run`` and ``report`` refuse, and a file no command can read."""
+``run``, ``bench`` and ``report`` refuse, and a file no command can read."""
 
 import json
 import re
@@ -277,6 +277,37 @@ def test_run_refuses_a_results_directory_at_a_file_before_simulating(capsys, tmp
     assert (captured.out, captured.err) == (
         "", f"error: results directory {results_dir}: {taken} is a file\n")
     assert simulated == [] and taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("under", ["", "bench"], ids=["the_file", "under_the_file"])
+def test_bench_refuses_an_output_directory_at_a_file_before_any_trial(capsys, tmp_path,
+                                                                      monkeypatch, under):
+    simulated = []
+    monkeypatch.setattr("sizerforge.controller.evaluate_batch",
+                        lambda *args, **kwargs: simulated.append(args) or [])
+    matrix = tmp_path / "matrix.yaml"
+    matrix.write_text(f"circuits: ['{CONFIGS / 'sota_easy.yaml'}']\nmethods: [lhs]\n"
+                      "trials_per_cell: 1\nbudget: {total_evals: 5}\n")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / under if under else taken
+    assert main(["bench", str(matrix), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: results directory {out}: {taken} is a file\n")
+    assert simulated == [] and taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("document", [
+    "[]", '{"cells": 3}', '{"cells": [3]}', '{"cells": [{"summary": {"success_interval": [0]}}]}',
+], ids=["a_list", "cells_a_number", "a_cell_a_number", "an_interval_of_one_bound"])
+def test_report_refuses_a_matrix_document_of_another_shape(capsys, tmp_path, document):
+    saved = tmp_path / "matrix_results.json"
+    saved.write_text(document)
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {saved} is not a matrix results document\n")
 
 
 @pytest.mark.parametrize("name", ["result.json", "matrix_results.json"])
