@@ -10,18 +10,17 @@ methods list formatted as the report formats them.
 Responses go through parse_agent_json plus op-specific validation (grid
 snapping, method and variable-name checks), which edits the wire dict
 in place; that dict is the decision. An inner search must name one of
-the orchestrated methods (or the optuna alias), never a baseline. A
-plan, and an outer reply that regenerates the space, passes one check,
-snap and build step (``planned_space``), and the space it builds is
-returned with the decision, so no caller builds it again; a
-``converged`` reply's configuration is never searched, so it is
-neither checked nor built. A rejected response earns exactly
-one retry with the rejection reason echoed into the re-prompt, after
-which the rule policy takes over. Transport failures take the same
-exit, and every fallback is kept on ``fallbacks``. Repairs, rejections
-and fallbacks go to the ``log`` callback, by default this module's
-``logging`` logger at INFO. A run never aborts because the model
-misbehaved.
+the orchestrated methods, never a baseline. A plan, and an outer reply
+that regenerates the space, passes one check, snap and build step
+(``planned_space``), and the space it builds is returned with the
+decision, so no caller builds it again; a ``converged`` reply's
+configuration is never searched, so it is neither checked nor built.
+A rejected response earns exactly one retry with the rejection reason
+echoed into the re-prompt, after which the rule policy takes over.
+Transport failures take the same exit, and every fallback is kept on
+``fallbacks``. Repairs, rejections and fallbacks go to the ``log``
+callback, by default this module's ``logging`` logger at INFO. A run
+never aborts because the model misbehaved.
 
 Transports share one interface, ``complete(prompt, params) -> text``:
 HttpTransport speaks the common chat-completion JSON shape, configured
@@ -547,18 +546,16 @@ class LlmBackend:
     ) -> dict:
         def validate(decision: dict) -> dict:
             if decision["action"] == "search":
-                checked = validate_method_config(
+                validate_method_config(
                     MethodConfig(
                         method=decision["method"],
                         n_samples=decision["n_samples"],
                         parameters=decision["parameters"],
                     )
                 )
-                if checked.method not in ORCHESTRATED:
+                if decision["method"] not in ORCHESTRATED:
                     raise UnknownMethod(f"unknown method {decision['method']!r}: the inner "
                                         f"loop orchestrates {', '.join(ORCHESTRATED)}")
-                decision["method"] = checked.method
-                decision["parameters"] = dict(checked.parameters)
                 if decision["n_samples"] > remaining:
                     self._log(
                         f"inner: n_samples {decision['n_samples']} clamped to "

@@ -153,8 +153,10 @@ def _simulate(evaluator: EvaluatorSpec, deck_path: str) -> Tuple[str, str, str]:
             timeout=evaluator.timeout_s,
         )
     except subprocess.TimeoutExpired as exc:
-        # the output read before the timeout is bytes, whatever the encoding
-        return (exc.stdout or b"").decode("utf-8", "replace"), SIM_FAILED, "timeout"
+        # the output read before the timeout is bytes, whatever the
+        # encoding; it is joined as on exit, stdout then stderr
+        raw_log = (exc.stdout or b"") + b"\n" + (exc.stderr or b"")
+        return raw_log.decode("utf-8", "replace"), SIM_FAILED, "timeout"
     except OSError as exc:
         return "", SIM_FAILED, f"simulator did not start: {exc.strerror or exc}"
     raw_log = proc.stdout + "\n" + proc.stderr

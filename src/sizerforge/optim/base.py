@@ -51,7 +51,7 @@ from ..core import Design, EvaluatedDesign, History, design_id, is_valid, rank_k
 from ..space import SearchSpace, index_rows
 
 # the Bayesian acquisitions, here so that ``pool`` checks one without numpy
-ACQUISITIONS = ("EI", "UCB", "LCB", "PI")
+ACQUISITIONS = ("EI", "UCB", "PI")
 
 
 @dataclass

@@ -61,7 +61,7 @@ ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000
 MIN_OBSERVATIONS = 5
 
-_DEFAULT_WEIGHT = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}
+_DEFAULT_WEIGHT = {"EI": 0.2, "PI": 0.2, "UCB": 2.0}
 
 
 def candidate_rows(space: SearchSpace, rng: random.Random) -> np.ndarray:

@@ -86,8 +86,8 @@ directory with ``importlib.util.find_spec`` and loads a compiled module
 from its file, under its full name, which runs the module's own numpy
 ABI check. Importing this module loads the BLAS of
 ``scipy.linalg._fblas``; the first EI or PI score loads ``ndtr`` from
-``scipy.special._special_ufuncs`` (``_ndtr``), so UCB and LCB never map
-that library. Both are the objects that ``scipy.linalg.blas`` and
+``scipy.special._special_ufuncs`` (``_ndtr``), so UCB never maps that
+library. Both are the objects that ``scipy.linalg.blas`` and
 ``scipy.special`` hand out. No run imports those subpackages, whose
 ``__init__`` pulls in scipy's array-API layer, ``numpy.f2py`` and
 ``numpy.testing``. ``ACQUISITIONS`` lives in ``base``.
@@ -426,16 +426,13 @@ def acquisition(name: str, mu: np.ndarray, sigma: np.ndarray,
     """Score candidates for maximization.
 
     EI and PI use ``weight`` as the improvement margin xi; UCB uses it
-    as the confidence multiplier beta. LCB is the exploration variant:
-    it rewards uncertainty over mean value (beta * sigma - mu). EI and
-    PI take the normal CDF from ``ndtr`` (``_ndtr``).
+    as the confidence multiplier beta. EI and PI take the normal CDF
+    from ``ndtr`` (``_ndtr``).
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if name == "UCB":
         return mu + weight * sigma
-    if name == "LCB":
-        return weight * sigma - mu
     ndtr = _ndtr()
     safe = np.where(sigma > 0, sigma, 1.0)
     z = (mu - best - weight) / safe

@@ -5,8 +5,6 @@ it accepts and a preset laid under the caller's parameters; ``_RANGES``
 bounds every parameter. A name outside a method's list, a value outside
 its range, or a number that is not finite, is a BadParameter before any
 sampling happens.
-"optuna" is accepted as an alias for bayesian with PI acquisition since
-it shows up in strategy guidance without its own definition.
 
 ``propose`` calls every proposer as ``(space, history, n_samples, seed,
 **params)``; every proposer is a pure function of these. A proposal
@@ -106,29 +104,20 @@ def _check_range(name: str, value: object) -> None:
         raise BadParameter(f"{name} must be <= {high}, got {shown(x)}")
 
 
-def validate_method_config(config: MethodConfig) -> MethodConfig:
-    """Normalize and validate; returns a possibly-rewritten config.
-
-    The only rewrite is the optuna alias. Unknown method names raise
-    UnknownMethod; unknown or ill-typed parameters raise BadParameter.
-    """
-    method = config.method
-    params = dict(config.parameters or {})
-    if method == "optuna":
-        method = "bayesian"
-        params.setdefault("acquisition_function", "PI")
-    if method not in METHODS:
+def validate_method_config(config: MethodConfig) -> None:
+    """Unknown method names raise UnknownMethod; unknown or ill-typed
+    parameters raise BadParameter."""
+    if config.method not in METHODS:
         raise UnknownMethod(f"unknown method {config.method!r}")
-    allowed = METHODS[method][1]
-    for name in params:
+    allowed = METHODS[config.method][1]
+    for name in config.parameters:
         if name not in allowed:
-            raise BadParameter(f"{name!r} is not a parameter of {method}")
+            raise BadParameter(f"{name!r} is not a parameter of {config.method}")
     if config.n_samples < 1:
         raise BadParameter(f"n_samples must be positive, got {shown(config.n_samples)}")
     for name in _RANGES:
-        if name in params:
-            _check_range(name, params[name])
-    return dataclasses.replace(config, method=method, parameters=params)
+        if name in config.parameters:
+            _check_range(name, config.parameters[name])
 
 
 def _propose_bayesian(*args, **params) -> Proposal:
@@ -196,7 +185,7 @@ METHODS = {
 
 def propose(space: SearchSpace, config: MethodConfig, history: History) -> Proposal:
     """Validate the config and dispatch to the named method."""
-    cfg = validate_method_config(config)
-    proposer, _, preset = METHODS[cfg.method]
-    params = {**preset, **cfg.parameters}
-    return proposer(space, history, cfg.n_samples, cfg.seed, **params)
+    validate_method_config(config)
+    proposer, _, preset = METHODS[config.method]
+    params = {**preset, **config.parameters}
+    return proposer(space, history, config.n_samples, config.seed, **params)

@@ -339,7 +339,7 @@ def _reference_posterior(x, y, query, jitter=1e-6):
 def _reference_propose(space, history, n_samples, seed, acquisition_function, follow):
     """The reference's picks, following the ids in ``follow`` through ties;
     also returns the candidate count and the number of ties taken."""
-    weight = {"EI": 0.2, "PI": 0.2, "UCB": 2.0, "LCB": 2.0}[acquisition_function]
+    weight = {"EI": 0.2, "PI": 0.2, "UCB": 2.0}[acquisition_function]
     obs = history_view(space, history).obs
     rng = pyrandom.Random(seed)
     sizes = [len(values) for values in space.active.values()]
@@ -421,7 +421,7 @@ def _narrowed_space(n_vars, n_active_values):
     ), {names[-1]: W_GRID[5]}
 
 
-@pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB", "LCB"])
+@pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB"])
 @pytest.mark.parametrize(
     "shape",
     [
@@ -440,9 +440,7 @@ def test_proposals_match_the_per_pick_reference(acquisition_function, shape):
 @pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB"])
 def test_an_eight_axis_grid_matches_the_per_pick_reference(acquisition_function):
     # 3^8 = 6561 candidates: past 7 axes np.sum would add the squares
-    # pairwise, and cdist and the offset table still add them in order.
-    # LCB is left out: on this history, symmetric across the axes, its
-    # fifth pick ties mirror-image candidates, and TIE_PICKS allows none
+    # pairwise, and cdist and the offset table still add them in order
     _assert_the_reference_picks(acquisition_function, (9, 3, 40, 3))
 
 
@@ -472,7 +470,7 @@ def _assert_the_reference_picks(acquisition_function, shape):
     assert not {r.design.id for r in hist.records} & set(want_ids)
 
 
-@pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB", "LCB"])
+@pytest.mark.parametrize("acquisition_function", ["EI", "PI", "UCB"])
 def test_a_repeated_incumbent_matches_the_per_pick_reference(acquisition_function):
     # GA elitism resubmits its incumbent every generation, and each cached
     # copy is a record of its own: 20 coincident training rows

@@ -3,14 +3,14 @@
 Each stand-in written per test is a shell script invoked as
 ``<script> -b DECK``, like batch-mode ngspice: one prints the metrics,
 one prints them after bytes that are not UTF-8, one exits non-zero, one
-sleeps past the timeout, one omits a metric and one has no interpreter
-line, so it cannot be started. A failing simulation becomes a record
-with its status and never aborts the batch or the run; a design repeated
-in the batch or in a later one is served from the cache with zero wall
-time and the assessment made when it was simulated. Whole runs go
-through the benchmark's stand-in ``perfbench/bin/ngspice``, which prints
-the surrogate's metrics for the deck it reads, so they must pick as
-their surrogate twin does.
+reports non-convergence on stderr and sleeps past the timeout, one omits
+a metric and one has no interpreter line, so it cannot be started. A
+failing simulation becomes a record with its status and never aborts the
+batch or the run; a design repeated in the batch or in a later one is
+served from the cache with zero wall time and the assessment made when
+it was simulated. Whole runs go through the benchmark's stand-in
+``perfbench/bin/ngspice``, which prints the surrogate's metrics for the
+deck it reads, so they must pick as their surrogate twin does.
 """
 
 import hashlib
@@ -38,7 +38,7 @@ STANDINS = {
     "prints": SH + 'echo "gain_db = 3.0e1"\necho "power_uw[0] = 40"\necho "deck $2"\n',
     "garbles": SH + "printf '\\377\\376\\n'\n" + 'echo "gain_db = 30"\necho "power_uw = 40"\n',
     "exits": SH + 'echo "gain_db = 30"\necho "power_uw = 40"\nexit 3\n',
-    "sleeps": SH + "exec sleep 10\n",
+    "sleeps": SH + 'echo "doAnalyses: TRAN:  Timestep too small" >&2\nexec sleep 10\n',
     "omits": SH + 'echo "gain_db = 30"\n',
     # no interpreter line: exec fails with ENOEXEC
     "unstartable": 'echo "gain_db = 30"\necho "power_uw = 40"\n',
@@ -112,6 +112,18 @@ def test_bytes_that_are_not_utf8_are_kept_as_replacement_characters(tmp_path):
     evaluate_batch(config, [design], evaluator, cache=ResultCache(), keep_logs=True, results_dir=str(tmp_path / "out"))
     log = (tmp_path / "out" / "logs" / f"{design.id}.log").read_text(encoding="utf-8")
     assert log == "\ufffd\ufffd\ngain_db = 30\npower_uw = 40\n\n"
+
+
+def test_a_timed_out_simulation_keeps_what_it_wrote_to_stderr(tmp_path):
+    config = load_config(str(CONFIGS / "sota_easy.yaml"))
+    evaluator = EvaluatorSpec(kind="spice", executable=_standin(tmp_path, "sleeps"),
+                              timeout_s=0.5, workdir=str(tmp_path))
+    design = design_from({"a": 0.84, "b": 1.05})
+    [record] = evaluate_batch(config, [design], evaluator, cache=ResultCache(), keep_logs=True,
+                              results_dir=str(tmp_path / "out"))
+    assert record.sim_status == SIM_FAILED
+    log = (tmp_path / "out" / "logs" / f"{design.id}.log").read_text(encoding="utf-8")
+    assert log == "\ndoAnalyses: TRAN:  Timestep too small\n"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -10,6 +10,7 @@ run-level test pins the whole decision log and every backend message.
 import hashlib
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,9 @@ from sizerforge.config import load_config, render_template
 from sizerforge.controller import RunBudget, run, run_method
 from sizerforge.diagnostics import analyze
 from sizerforge.errors import ConfigError, LlmTransport, Timeout
+from sizerforge.optim.base import ACQUISITIONS
+from sizerforge.optim.pool import ORCHESTRATED
+from sizerforge.space import ACTIONS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -143,6 +147,22 @@ def test_reply_rejected_twice_falls_back_to_the_rule_policy(tmp_path, config):
     assert messages == [
         "inner: response rejected (no JSON object found in response)",
         "inner: response rejected (schema violation at 'n_samples': expected positive integer)",
+        f"inner: falling back to the rule policy ({reason})",
+    ]
+
+
+def test_replies_naming_optuna_or_lcb_are_rejected_and_the_rule_policy_decides(tmp_path, config):
+    _, space = rule_plan(config, rule_understand(config), 4)
+    lcb = _inner("bayesian", 5, parameters={"acquisition_function": "LCB"})
+    backend, messages = _backend(tmp_path, [_inner("optuna", 5), lcb])
+    decision = backend.decide_inner(None, REMAINING, space, config=config)
+    assert decision == rule_decide_inner(None, REMAINING, space)
+    lcb_reason = "acquisition_function must be one of ('EI', 'UCB', 'PI'), got 'LCB'"
+    reason = f"inner: retry also rejected: {lcb_reason}"
+    assert backend.fallbacks == [{"op": "inner", "reason": reason}]
+    assert messages == [
+        "inner: response rejected (unknown method 'optuna')",
+        f"inner: response rejected ({lcb_reason})",
         f"inner: falling back to the rule policy ({reason})",
     ]
 
@@ -398,12 +418,12 @@ GOLDEN_OUTER_REPLAY = "997c4c9114842ce983dc0d805d8d95b06d03d778bb0a26921c1b5e070
 OUTER_REPLAY_PROMPTS = {
     "0001_understanding": "733f5e03a0decba78c422da298a4a09a60a724863d127cdea7b9039cbc395afa",
     "0002_plan": "6ed069bd6bccb366a8317a64903b01d9badcd0832aa86241d9562428591a6eb8",
-    "0003_inner": "d3ffac122534b54851d1386cd9770b6c1cc29b922dc5f48e694c3f63f51785f0",
-    "0004_inner": "6f4ae4062ce015223059e2b436e0d4ea920f9e33bd74d79b86c6a93b66139e46",
-    "0005_inner": "8c711df9f1f159f937977ce248154a1ea3f8b8b7d6416d8b50950a8d5eaed52d",
+    "0003_inner": "2ee7f1852126457e3caea795e4657e54db9ece0b9ac6328a5a59b14245b7a04c",
+    "0004_inner": "3d755513ec59017cc7dda88b52d60dd87e809c7049d2c65fbfa562844c0000b7",
+    "0005_inner": "19c4de3eecb6e52c60aac6a610fbaa0f18658f003cc8d49e526fc4a402a68269",
     "0006_outer": "6e37934fa085ac6df7909ec705c3f1f392d8a79911b30ea40df66c57e0df6b5f",
-    "0007_inner": "e5ac52340515fe065f1792327956f87fba804e0351d237923dcafdc323566f3e",
-    "0008_inner": "69f6b316940545a9f4f0d8d70c915c604dda3020682ddfb58a396f0aa8d38a03",
+    "0007_inner": "1fc7deb8bbb02d5eee7c8b500d9044299c0bd228e04c936d3d35764e7a908084",
+    "0008_inner": "4dff38849b6dc13bffc7d8129c33580f1159b01a341030b7b5b593c790811b3d",
     "0009_outer": "d4a6480872046edb0d592a3a76aa6ddc0d556777534aca0893a945d43f01a6ab",
 }
 
@@ -417,7 +437,7 @@ def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_p
         json.dumps(UNDERSTANDING_REPLY),
         json.dumps(PLAN_REPLY),
         _inner("lhs", 12),
-        _inner("optuna", 4),
+        _inner("bayesian", 4, parameters={"acquisition_function": "PI"}),
         json.dumps(STOP_REPLY),
         json.dumps(NARROW_REPLY),
         _inner("genetic", 6),
@@ -439,7 +459,7 @@ def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_p
     inner = [e["payload"] for e in entries if e["kind"] == "inner"]
     assert [(p["action"], p.get("method"), p.get("parameters")) for p in inner] == [
         ("search", "lhs", {}),
-        ("search", "bayesian", {"acquisition_function": "PI"}),  # the optuna alias
+        ("search", "bayesian", {"acquisition_function": "PI"}),
         ("stop", None, None),
         ("search", "genetic", {}),
         ("stop", None, None),
@@ -498,10 +518,19 @@ def test_converged_reply_is_accepted_whatever_configuration_it_carries(tmp_path,
     assert [e["generation"] for e in result.decisions if e["kind"] == "space"] == [0]
 
 
+def test_the_prompt_menus_are_the_code_tables():
+    inner, outer = load_prompt("inner"), load_prompt("outer")
+    headings = re.findall(r"^\*\*(\d+)\. '(\w+)'", inner, re.M)
+    assert headings == [(str(k), m) for k, m in enumerate(ORCHESTRATED, start=1)]
+    [menu] = re.findall(r"`acquisition_function`:(.*?)\n  - ", inner, re.S)
+    assert tuple(re.findall(r'"(\w+)"', menu)) == ACQUISITIONS
+    assert tuple(re.findall(r"^- `(\w+)`:", outer, re.M)) == ACTIONS
+
+
 # the stagnating run of conftest in both decision prompts, inside sota_hard's
 # netlist, grids and spec
 STAGNATION_PROMPTS = {
-    "inner": "bd1a59dce4345d630b05563fafbe161d22bd66be7f1392f3c1cba5388afa7039",
+    "inner": "f6c9277caac9241fe7843e4800a49575461068849fbbb2f559894bf71f393b68",
     "outer": "910163e57dbdb2517f0416647d79c6de99b7c36e4f082db8be1331ff6af1ac54",
 }
 

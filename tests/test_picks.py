@@ -89,7 +89,7 @@ SEEDS = (0, 7)
 # method -> extra parameter sets tried besides the defaults
 PARAMETERS = {
     "genetic": ({"population": 6, "mutation_rate": 0.5, "crossover_rate": 0.3},),
-    "bayesian": ({"acquisition_function": "PI"}, {"acquisition_function": "LCB"}),
+    "bayesian": ({"acquisition_function": "PI"},),
     "adaptive": ({"explore_weight": 0.0, "random_weight": 1.0},),
     "annealing": ({"initial_temperature": 3.0, "cooling_rate": 0.8},),
     "multistart": ({"search_radius": 0}, {"n_starts": 2, "search_radius": 1}),
@@ -101,7 +101,7 @@ PICK_DIGESTS = {
     "genetic":
         "cab30f12d7cb36ca691427849522f8100e7167eb06c6140e07ce6edab645ce03",
     "bayesian":
-        "e3a4ce993aad09c3512169726543bffdc936154b825ac0886cd9bc2de0c12e9b",
+        "eb1b0604345b40f8f57d41a6ac798fdb881a4c666976771577a8dab12bea5f62",
     "adaptive":
         "cae8b5622cadcb5dda2393d4b0e483c9e24942210a08428f16207fd9347dc1d7",
     "annealing":

@@ -26,7 +26,7 @@ from sizerforge.optim.pool import (
 from sizerforge.optim import base, genetic, pool
 from sizerforge.space import SearchSpace
 
-from conftest import W_GRID, grid_space
+from conftest import W_GRID, grid_space, raises_exactly
 
 
 def _history(n=6):
@@ -75,10 +75,9 @@ def test_baseline_methods_dispatch(method):
         assert d.assignment["W_a"] in W_GRID
 
 
-def test_optuna_alias_maps_to_bayesian_pi():
-    checked = validate_method_config(MethodConfig(method="optuna", n_samples=5))
-    assert checked.method == "bayesian"
-    assert checked.parameters["acquisition_function"] == "PI"
+def test_optuna_is_an_unknown_method():
+    with raises_exactly(UnknownMethod, "unknown method 'optuna'"):
+        validate_method_config(MethodConfig(method="optuna", n_samples=5))
 
 
 def test_unknown_method_rejected():
@@ -101,6 +100,7 @@ def test_unknown_parameter_rejected():
         ("genetic", {"tournament_size": 0}),
         ("genetic", {"population": 1}),
         ("bayesian", {"acquisition_function": "MAX"}),
+        ("bayesian", {"acquisition_function": "LCB"}),
         ("bayesian", {"exploration_weight": -1}),
         ("annealing", {"cooling_rate": 1.5}),
         ("annealing", {"initial_temperature": -2}),

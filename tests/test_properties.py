@@ -45,7 +45,7 @@ METHODS = {
     "genetic": st.fixed_dictionaries({"mutation_rate": st.sampled_from([0.0, 0.2, 1.0])}),
     "ga_baseline": st.just({}),
     "bayesian": st.fixed_dictionaries(
-        {"acquisition_function": st.sampled_from(["EI", "PI", "UCB", "LCB"])}
+        {"acquisition_function": st.sampled_from(["EI", "PI", "UCB"])}
     ),
     "bo_baseline": st.just({}),
     "adaptive": st.just({}),
