@@ -3,7 +3,7 @@
 Both backends expose the same four operations with the same signatures:
 ``understand(config)``, ``plan(config, understanding, n_to_optimize)``,
 ``decide_inner(report, remaining, space, config)`` and
-``decide_outer(report, space, prior_unfixes, sensitivity, config)``.
+``decide_outer(report, space, prior_unfixes, config)``.
 The search reaches them only through the diagnostics report, None before
 the first batch; ``remaining`` is at least 1. Each returns the decision
 as a dict, which the controller acts on and logs as it is; ``plan`` and
@@ -12,12 +12,14 @@ once (``decide_outer``'s is None on ``converged``). A model backend's
 decision is its validated wire dict (see ``schemas``). The rule
 backend's have the same shapes, except for an outer edit: it carries no
 regenerated ``optimization_configuration``, so it would not validate as
-a model reply. The controller never knows which backend is driving.
+a model reply. Each keeps ``fallbacks``: an ``{"op", "reason"}`` entry
+per rule decision made in a model's place, so never one for the rule
+backend. The controller never knows which backend is driving.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..space import SearchSpace
@@ -81,9 +83,9 @@ class RuleBackend:
         return rule_decide_inner(report, remaining, space)
 
     def decide_outer(
-        self, report, space, prior_unfixes: int, sensitivity: Mapping[str, str], config
+        self, report, space, prior_unfixes: int, config
     ) -> Tuple[dict, Optional[SearchSpace]]:
-        return rule_decide_outer(report, space, prior_unfixes, sensitivity)
+        return rule_decide_outer(report, space, prior_unfixes)
 
 
 def make_backend(spec: str, transcript_dir: Optional[str] = None):

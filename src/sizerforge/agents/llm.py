@@ -18,9 +18,10 @@ configuration is never searched, so it is neither checked nor built.
 A rejected response earns exactly one retry with the rejection reason
 echoed into the re-prompt, after which the rule policy takes over.
 Transport failures take the same exit, and every fallback is kept on
-``fallbacks``. Repairs, rejections and fallbacks go to the ``log``
-callback, by default this module's ``logging`` logger at INFO. A run
-never aborts because the model misbehaved.
+``fallbacks``, which the run's decision log records. Repairs, rejections
+and fallbacks go to the ``log`` callback, by default this module's
+``logging`` logger at INFO. A run never aborts because the model
+misbehaved.
 
 Transports share one interface, ``complete(prompt, params) -> text``:
 HttpTransport speaks the common chat-completion JSON shape, configured
@@ -462,7 +463,7 @@ class LlmBackend:
     """Decisions rendered as prompts, answered by a transport, parsed
     and validated; any failure after one echo-retry falls back to the
     rule policy so the run always proceeds. Fallbacks are collected on
-    ``self.fallbacks`` for the run report."""
+    ``self.fallbacks`` for the decision log."""
 
     name = "llm"
 
@@ -572,7 +573,6 @@ class LlmBackend:
         report: DiagnosticsReport,
         space: SearchSpace,
         prior_unfixes: int,
-        sensitivity: Mapping[str, str],
         config,
     ) -> Tuple[dict, Optional[SearchSpace]]:
         """The outer decision and the next space: the regenerated plan's
@@ -588,5 +588,5 @@ class LlmBackend:
 
         return self._decide(
             "outer", outer_context(report, space, config), validate,
-            lambda: rule_decide_outer(report, space, prior_unfixes, sensitivity),
+            lambda: rule_decide_outer(report, space, prior_unfixes),
         )

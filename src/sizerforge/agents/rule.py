@@ -13,20 +13,20 @@ evaluations left (at least one): stop on a diverse plateau, otherwise
 pick a method by history depth. Outer policy, in priority order: unfix
 on stagnation, expand on boundary clustering, change focus on converged
 variables, continue on progress, narrow only on overwhelming
-concentration, else converged. The plan and outer policies return the
-decision together with the space it leads to: the plan's space, or the
-outer policy's own edit applied; an unfix after an earlier one opens a
-wider window.
+concentration, else converged. An unfix, and a change of focus, opens
+the first fixed variable in declaration order. The plan and outer
+policies return the decision together with the space it leads to: the
+plan's space, or the outer policy's own edit applied; an unfix after an
+earlier one opens a wider window.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core import MAXIMIZE_OPS
 from ..diagnostics import DiagnosticsReport
 from ..space import SearchSpace, SpaceEdit, apply_edit, space_from_plan, unfix_window
-from .schemas import SENSITIVITY_LEVELS
 
 PLATEAU_PCT = 2.0
 EXPLOIT_STD = 0.01
@@ -64,11 +64,6 @@ def rule_understand(config) -> dict:
             "let boundary clustering and stagnation evidence drive later refinement",
         ],
     }
-
-
-def _by_sensitivity(names: List[str], sensitivity: Mapping[str, str]) -> List[str]:
-    """Sensitivity first (high > medium > low), then list order."""
-    return sorted(names, key=lambda v: SENSITIVITY_LEVELS.index(sensitivity.get(v, "medium")))
 
 
 def _even_indices(m: int, k: int = 5) -> List[int]:
@@ -270,17 +265,16 @@ def _edited(space: SearchSpace, edit: SpaceEdit, reason: str,
     return _outer(edit.action, reason, changes), apply_edit(space, edit)
 
 
-def _best_fixed_var(space: SearchSpace, sensitivity: Mapping[str, str]) -> str:
-    """The most sensitive fixed variable; the space must have one."""
-    return _by_sensitivity([v for v in space.full_grid if v in space.fixed], sensitivity)[0]
+def _first_fixed_var(space: SearchSpace) -> str:
+    """The first fixed variable in declaration order; the space must have one."""
+    return next(v for v in space.full_grid if v in space.fixed)
 
 
-def _unfix_best(space: SearchSpace, sensitivity: Mapping[str, str], prior_unfixes: int,
-                reason: str) -> Tuple[dict, SearchSpace]:
-    """Unfix the most sensitive fixed variable on a 5-value window (7 after
-    an earlier unfix). ``reason`` is a format string over ``var`` and
-    ``n``, the window length."""
-    var = _best_fixed_var(space, sensitivity)
+def _unfix_first(space: SearchSpace, prior_unfixes: int, reason: str) -> Tuple[dict, SearchSpace]:
+    """Unfix the first fixed variable on a 5-value window (7 after an
+    earlier unfix). ``reason`` is a format string over ``var`` and ``n``,
+    the window length."""
+    var = _first_fixed_var(space)
     n_values = 7 if prior_unfixes > 0 else 5
     window = unfix_window(space.full_grid[var], space.fixed[var], n_values)
     edit = SpaceEdit(action="unfix_variables", unfix={var: window})
@@ -300,20 +294,16 @@ def rule_decide_outer(
     report: DiagnosticsReport,
     space: SearchSpace,
     prior_unfixes: int,
-    sensitivity: Mapping[str, str],
 ) -> Tuple[dict, Optional[SearchSpace]]:
     """The outer decision and the space it leads to (None on converged).
 
-    ``prior_unfixes`` counts the run's earlier unfix decisions.
-    ``sensitivity`` maps variables to the plan's levels; it orders which
-    fixed variable an unfix opens, and a missing variable counts as
-    medium."""
+    ``prior_unfixes`` counts the run's earlier unfix decisions."""
     stagnant = any(i.kind == "stagnation" for i in report.issues)
     boundary_issues = [i for i in report.issues if i.kind != "stagnation"]
 
     if stagnant and space.fixed:
-        return _unfix_best(space, sensitivity, prior_unfixes,
-                           "stagnation detected; unfixing {var} with {n} values")
+        return _unfix_first(space, prior_unfixes,
+                            "stagnation detected; unfixing {var} with {n} values")
 
     if boundary_issues:
         # 2 adjacent grid values per flagged side; a side already at the
@@ -324,8 +314,8 @@ def rule_decide_outer(
             for i in boundary_issues
         )
         if dead_side and space.fixed:
-            return _unfix_best(space, sensitivity, prior_unfixes,
-                               "flagged boundary sits at the grid end; unfixing {var}")
+            return _unfix_first(space, prior_unfixes,
+                                "flagged boundary sits at the grid end; unfixing {var}")
 
         expand: Dict[str, Dict[str, int]] = {}
         for issue in boundary_issues:
@@ -350,7 +340,7 @@ def rule_decide_outer(
     if converged_vars and space.fixed:
         var = converged_vars[0]
         modal = report.impact[var]["counts"][0][0]
-        unfix_var = _best_fixed_var(space, sensitivity)
+        unfix_var = _first_fixed_var(space)
         window = unfix_window(space.full_grid[unfix_var], space.fixed[unfix_var], 5)
         return _edited(
             space,

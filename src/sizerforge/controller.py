@@ -37,10 +37,12 @@ count of earlier unfixes.
 Both emit an ordered decision log with no timestamps, so two runs with
 identical inputs (or a replayed transcript) compare byte for byte. Each
 agent decision is logged as the dict the backend returned, and the
-controller acts on that same dict; the log is serialized only when the
-run ends, so no decision is changed after it is logged. The plan and
-each outer decision come back with the space they lead to, which the
-controller searches as it is and never builds again.
+controller acts on that same dict; a decision the rule policy made in a
+model's place follows an ``agent_fallback`` event with the operation and
+the reason. The log is serialized only when the run ends, so no decision
+is changed after it is logged. The plan and each outer decision come
+back with the space they lead to, which the controller searches as it
+is and never builds again.
 
 A run is named the same way on the command line and in a matrix file:
 a baseline name, or ``autosizer[:BACKEND][+ABLATION]`` for the two-loop
@@ -226,6 +228,15 @@ class _Run:
         """Append one decision-log entry: a plain dict, free of timestamps."""
         self.decisions.append({"kind": kind, **payload})
 
+    def ask(self, backend, op: str, *args, **kwargs):
+        """``backend.op(*args)``, each fallback it took logged as an event
+        before the caller logs the rule decision made in its place."""
+        seen = len(backend.fallbacks)
+        answer = getattr(backend, op)(*args, **kwargs)
+        for fallback in backend.fallbacks[seen:]:
+            self.log("event", event="agent_fallback", **fallback)
+        return answer
+
     @property
     def iteration(self) -> int:
         """Iteration number of the next batch; each batch has its own."""
@@ -363,19 +374,15 @@ def run(
         understanding = rule_understand(config)
         job.log("understand", backend="rule", payload=understanding)
     else:
-        understanding = backend.understand(config)
+        understanding = job.ask(backend, "understand", config)
         job.log("understand", backend=backend.name, payload=understanding)
 
-    # the plan's sensitivity per optimized variable orders the rule
-    # policy's unfixes; a variable missing here counts as medium
-    sensitivity = {}
     if no_ssd:
         space = space_from_config(config)
         job.log("plan", backend="none", payload={"skipped": "full grid, no planning round"})
     else:
-        plan, space = backend.plan(config, understanding, min(4, len(config.variables)))
-        optimized = plan["optimization_configuration"]["variables_to_optimize"]
-        sensitivity = {var: entry["sensitivity"] for var, entry in optimized.items()}
+        plan, space = job.ask(backend, "plan", config, understanding,
+                              min(4, len(config.variables)))
         job.log("plan", backend=backend.name, payload=plan)
     snapshots = [space]
     job.log("space", **space.describe())
@@ -409,7 +416,8 @@ def run(
                     decision["method"] = "lhs"
                     decision["parameters"] = {}
             else:
-                decision = backend.decide_inner(report, remaining, space, config=config)
+                decision = job.ask(backend, "decide_inner", report, remaining, space,
+                                   config=config)
             iteration = job.iteration
             job.log("inner", **scope, iteration=iteration, payload=decision)
             if decision["action"] != "search":
@@ -442,9 +450,8 @@ def run(
             job.log("event", event=event, **scope)
             break
 
-        outer, next_space = backend.decide_outer(
-            report, space, prior_unfixes, sensitivity=sensitivity, config=config
-        )
+        outer, next_space = job.ask(backend, "decide_outer", report, space, prior_unfixes,
+                                    config=config)
         job.log("outer", **scope, payload=outer)
         if next_space is None:
             outcome = "converged"

@@ -295,9 +295,9 @@ class _PinsTwoAndUnfixes(RuleBackend):
                 "reasoning": "one small batch per loop", "confidence": "medium",
                 "expected_improvement": "incremental", "convergence_assessment": "not assessed"}
 
-    def decide_outer(self, report, space, prior_unfixes, sensitivity, config):
+    def decide_outer(self, report, space, prior_unfixes, config):
         self.prior_unfixes.append(prior_unfixes)
-        return rule._unfix_best(space, sensitivity, prior_unfixes, "unfixing {var} with {n} values")
+        return rule._unfix_first(space, prior_unfixes, "unfixing {var} with {n} values")
 
 
 def test_each_unfix_is_counted_and_widens_the_next_window():

@@ -8,6 +8,7 @@ run-level test pins the whole decision log and every backend message.
 """
 
 import hashlib
+import inspect
 import json
 import logging
 import re
@@ -21,6 +22,7 @@ from sizerforge.agents import (
     HttpTransport,
     LlmBackend,
     ReplayTransport,
+    RuleBackend,
     TranscriptWriter,
     rule_decide_inner,
     rule_plan,
@@ -235,7 +237,7 @@ def test_replies_past_pythons_limits_fall_back_to_the_rule_plan_and_the_run_fini
 
 
 # sota_hard, 40 evaluations, 20 per inner loop, two outer loops, seed 0
-GOLDEN_REPLAY_LOG = "3533ed9797e26f7963a1307aa4efdb8d8868cc55f8cc521fa9b16d2e770d53bc"
+GOLDEN_REPLAY_LOG = "2868a07f41afeb2465d20e36616a7befe0c906c8896caac846c3d832015c819c"
 
 
 def test_replayed_run_logs_every_repair_rejection_and_fallback(tmp_path, config):
@@ -292,6 +294,13 @@ def test_replayed_run_logs_every_repair_rejection_and_fallback(tmp_path, config)
         {"op": "inner", "reason": rejected_twice},
         {"op": "inner", "reason": exhausted},
     ]
+    # each fallback is logged just before the rule decision made in its place
+    events = [i for i, e in enumerate(entries) if e.get("event") == "agent_fallback"]
+    assert events == [7, 13]
+    assert [entries[i] for i in events] == [
+        {"kind": "event", "event": "agent_fallback", **f} for f in backend.fallbacks
+    ]
+    assert [entries[i + 1]["payload"] for i in events] == [inner[2], inner[4]]
     assert messages == [
         "understanding: stripped code fences",
         "plan repair: W_tail_base value 0.9 snapped to 0.84",
@@ -525,6 +534,15 @@ def test_the_prompt_menus_are_the_code_tables():
     [menu] = re.findall(r"`acquisition_function`:(.*?)\n  - ", inner, re.S)
     assert tuple(re.findall(r'"(\w+)"', menu)) == ACQUISITIONS
     assert tuple(re.findall(r"^- `(\w+)`:", outer, re.M)) == ACTIONS
+
+
+def test_both_backends_take_the_same_parameters():
+    def params(backend, op):
+        return list(inspect.signature(getattr(backend, op)).parameters)[1:]  # past self
+
+    for op in ("understand", "plan", "decide_inner", "decide_outer"):
+        assert params(RuleBackend, op) == params(LlmBackend, op), op
+    assert params(RuleBackend, "decide_outer") == ["report", "space", "prior_unfixes", "config"]
 
 
 # the stagnating run of conftest in both decision prompts, inside sota_hard's

@@ -146,7 +146,7 @@ def pinned_load():
 @pytest.mark.parametrize("prior_unfixes, window", [(0, W_GRID[2:7]), (1, W_GRID[1:8])])
 def test_stagnation_unfixes_the_pinned_variable(pinned_load, prior_unfixes, window):
     hist, space, report = pinned_load
-    decision, next_space = rule_decide_outer(report, space, prior_unfixes, {})
+    decision, next_space = rule_decide_outer(report, space, prior_unfixes)
     assert decision["action_taken"] == "unfix_variables"
     assert decision["regeneration_reasoning"] == (
         f"stagnation detected; unfixing W_load with {len(window)} values"
@@ -162,7 +162,7 @@ def test_boundary_at_the_grid_end_unfixes_instead(pinned_load):
     report = dataclasses.replace(
         report, issues=[i for i in report.issues if i.kind != "stagnation"]
     )
-    decision, next_space = rule_decide_outer(report, space, 0, {})
+    decision, next_space = rule_decide_outer(report, space, 0)
     assert decision["action_taken"] == "unfix_variables"
     assert decision["regeneration_reasoning"] == (
         "flagged boundary sits at the grid end; unfixing W_load"
@@ -175,6 +175,11 @@ def test_boundary_at_the_grid_end_unfixes_instead(pinned_load):
 MIDDLE = (1.47, 1.68, 1.89)
 
 
+def _pinned(active, fixed, declared):
+    """A space whose ``fixed`` dict lists its variables out of declaration order."""
+    return SearchSpace(active=active, fixed=fixed, full_grid={v: W_GRID for v in declared})
+
+
 def _outer_edit(action):
     """A rule outer decision of each regenerating action."""
     if action == "expand_ranges":
@@ -183,27 +188,39 @@ def _outer_edit(action):
     elif action == "unfix_variables":
         hist, space = _pinned_load()
     elif action == "change_focus":
-        # a sits at 1.68 in 8 of the 10 designs
+        # a sits at 1.68 in 8 of the 10 designs; c and d are pinned
         a = [1.68] * 8 + [1.47, 1.89]
-        points = [({"a": x, "b": MIDDLE[i % 3], "c": 1.68}, 1.0 - 0.01 * i)
+        points = [({"a": x, "b": MIDDLE[i % 3], "c": 1.68, "d": 1.68}, 1.0 - 0.01 * i)
                   for i, x in enumerate(a)]
-        hist, space = _history(("lhs", points)), _space({"a": W_GRID[2:7], "b": W_GRID[2:7]}, {"c": 1.68})
+        hist = _history(("lhs", points))
+        space = _pinned({"a": W_GRID[2:7], "b": W_GRID[2:7]}, {"d": 1.68, "c": 1.68}, "abcd")
     else:
         # every design in the middle three values; the best rose by 1%
         points = [({"a": a, "b": b}, 0.5) for a, b in itertools.product(MIDDLE, MIDDLE)]
         best = [({"a": 1.68, "b": 1.68}, 1.0)], [({"a": 1.47, "b": 1.89}, 1.01)]
         hist = _history(("lhs", points + best[0]), ("lhs", best[1]))
         space = _space({"a": W_GRID[2:7], "b": W_GRID[2:7]})
-    decision, next_space = rule_decide_outer(analyze(hist, space), space, 0, {})
+    decision, next_space = rule_decide_outer(analyze(hist, space), space, 0)
     assert decision["action_taken"] == action
     return decision, next_space
 
 
 def test_a_converged_variable_swaps_focus():
+    # to c, the earlier declared of the two fixed variables
     decision, next_space = _outer_edit("change_focus")
     assert decision["changes_from_previous"] == "a fixed at 1.68, c activated"
-    assert next_space.fixed == {"a": 1.68}
+    assert next_space.fixed == {"d": 1.68, "a": 1.68}
     assert next_space.active == {"b": W_GRID[2:7], "c": W_GRID[2:7]}
+
+
+def test_stagnation_unfixes_the_earliest_declared_fixed_variable():
+    hist, stagnant = build_stagnation_state()
+    active = {v: values for v, values in stagnant.active.items() if v not in ("W_casc", "W_load")}
+    space = _pinned(active, {"W_load": 1.68, "W_casc": 1.68}, stagnant.full_grid)
+    decision, next_space = rule_decide_outer(analyze(hist, space), space, 0)
+    assert decision["regeneration_reasoning"] == "stagnation detected; unfixing W_casc with 5 values"
+    assert next_space.active["W_casc"] == W_GRID[2:7]
+    assert next_space.fixed == {"W_load": 1.68}
 
 
 def test_concentrated_top_designs_narrow_to_their_runs():
