@@ -4,9 +4,9 @@ Each decision is a single prompt/response exchange, run by one
 ``LlmBackend._decide`` step for all four operations: the prompt and the
 schema share the operation's name (understanding, plan, inner, outer).
 The search reaches the two loop prompts only through the diagnostics
-report: the inner prompt embeds its ``render_text``, the outer prompt
-lays out its sections and its top designs, with the issue lines and the
-methods list formatted as the report formats them.
+report: both embed its ``render_text``, the text ``loopNN_report.txt``
+holds, and the outer prompt adds its top designs. No report field is
+formatted here.
 Responses go through parse_agent_json plus op-specific validation (grid
 snapping, method and variable-name checks), which edits the wire dict
 in place; that dict is the decision. An inner search must name one of
@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..config import format_value, render_template
-from ..diagnostics import DiagnosticsReport, methods_text, render_text
+from ..diagnostics import DiagnosticsReport, render_text
 from ..errors import (
     BadParameter,
     ConfigError,
@@ -364,32 +364,17 @@ def inner_context(
     space: SearchSpace,
     config,
 ) -> Dict[str, str]:
-    methods = "none yet"
-    best = "none yet"
-    iters = "0"
-    status_text = "No designs evaluated yet; this is the first iteration of the loop."
-    if report is not None:
-        s = report.status_summary
-        methods = methods_text(s["methods"]) or methods
-        if s["best_fom"] is not None:
-            best = f"{s['best_fom']:.4f}"
-        iters = str(s["iterations"])
-        status_text = render_text(report).rstrip("\n")
+    status = ("No designs evaluated yet; this is the first iteration of the run."
+              if report is None else render_text(report).rstrip("\n"))
     return {
         "user_specs": config.user_specs_metric,
         "search_space_cardinality": str(space.cardinality()),
         "budget_remaining": str(remaining),
-        "inner_iterations_used": iters,
-        "methods_tried": methods,
-        "best_fom": best,
-        "status_report": status_text,
+        "status_report": status,
     }
 
 
 def outer_context(report: DiagnosticsReport, space: SearchSpace, config) -> Dict[str, str]:
-    s = report.status_summary
-    c = report.convergence
-
     original = config.full_grid_cardinality()
     current = space.cardinality()
     factor = original / current if current else float("inf")
@@ -407,22 +392,6 @@ def outer_context(report: DiagnosticsReport, space: SearchSpace, config) -> Dict
         or "(none)"
     )
 
-    prog = "[" + ", ".join("None" if x is None else f"{x:.6g}" for x in c["progression"]) + "]"
-
-    issue_lines = "\n".join(issue.line() for issue in report.issues) or "(none detected)"
-
-    impact_lines = []
-    for var, stats in report.impact.items():
-        if not stats["counts"]:
-            impact_lines.append(f"- {var}: no valid top designs")
-            continue
-        shown = ", ".join(f"{format_value(v)}: {n}x" for v, n in stats["counts"][:3])
-        tag = " (converged)" if stats["converged"] else ""
-        impact_lines.append(
-            f"- {var}: top-design range [{format_value(stats['min'])}, "
-            f"{format_value(stats['max'])}], most common {shown}{tag}"
-        )
-
     top_lines = []
     for rank, record in enumerate(report.top, start=1):
         assignment = ", ".join(
@@ -430,11 +399,7 @@ def outer_context(report: DiagnosticsReport, space: SearchSpace, config) -> Dict
         )
         top_lines.append(f"{rank}. FOM {record.fom:.4f} @ {assignment}")
 
-    stagnant = any(i.kind == "stagnation" for i in report.issues)
-
     return {
-        "iterations_completed": str(s["iterations"]),
-        "total_designs": str(s["designs_evaluated"]),
         "netlist": config.subckt_template.strip("\n"),
         "available_variables": "\n".join(f"- {var}" for var in config.variables),
         "fixed_parameters": _param_lines(config),
@@ -444,13 +409,7 @@ def outer_context(report: DiagnosticsReport, space: SearchSpace, config) -> Dict
         "optimized_vars_section": active_lines,
         "fixed_vars_section": fixed_lines,
         "current_search_space": str(current),
-        "progression_section": f"Best-so-far FOM by iteration: {prog}",
-        "convergence_status": str(c["status"]),
-        "convergence_reason": str(c["reason"]),
-        "best_fom": f"{s['best_fom']:.4f}" if s["best_fom"] is not None else "none",
-        "stagnant": "yes" if stagnant else "no",
-        "impact_section": "\n".join(impact_lines) or "(no impact data)",
-        "issues_section": issue_lines,
+        "status_report": render_text(report).rstrip("\n"),
         "top_designs_section": "\n".join(top_lines) or "(no valid designs yet)",
         "target_metric": target_metric(config),
     }

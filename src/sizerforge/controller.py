@@ -39,7 +39,8 @@ identical inputs (or a replayed transcript) compare byte for byte. Each
 agent decision is logged as the dict the backend returned, and the
 controller acts on that same dict; a decision the rule policy made in a
 model's place follows an ``agent_fallback`` event with the operation and
-the reason. The log is serialized only when the run ends, so no decision
+the reason, and an understand or plan entry made so names ``rule`` as its
+backend. The log is serialized only when the run ends, so no decision
 is changed after it is logged. The plan and each outer decision come
 back with the space they lead to, which the controller searches as it
 is and never builds again.
@@ -229,13 +230,15 @@ class _Run:
         self.decisions.append({"kind": kind, **payload})
 
     def ask(self, backend, op: str, *args, **kwargs):
-        """``backend.op(*args)``, each fallback it took logged as an event
-        before the caller logs the rule decision made in its place."""
+        """``backend.op(*args)`` and the name of the policy that answered:
+        ``rule`` when the call fell back. Each fallback is logged as an
+        event before the caller logs the rule decision made in its place."""
         seen = len(backend.fallbacks)
         answer = getattr(backend, op)(*args, **kwargs)
-        for fallback in backend.fallbacks[seen:]:
+        fallbacks = backend.fallbacks[seen:]
+        for fallback in fallbacks:
             self.log("event", event="agent_fallback", **fallback)
-        return answer
+        return answer, "rule" if fallbacks else backend.name
 
     @property
     def iteration(self) -> int:
@@ -374,16 +377,16 @@ def run(
         understanding = rule_understand(config)
         job.log("understand", backend="rule", payload=understanding)
     else:
-        understanding = job.ask(backend, "understand", config)
-        job.log("understand", backend=backend.name, payload=understanding)
+        understanding, answered_by = job.ask(backend, "understand", config)
+        job.log("understand", backend=answered_by, payload=understanding)
 
     if no_ssd:
         space = space_from_config(config)
         job.log("plan", backend="none", payload={"skipped": "full grid, no planning round"})
     else:
-        plan, space = job.ask(backend, "plan", config, understanding,
-                              min(4, len(config.variables)))
-        job.log("plan", backend=backend.name, payload=plan)
+        (plan, space), answered_by = job.ask(backend, "plan", config, understanding,
+                                             min(4, len(config.variables)))
+        job.log("plan", backend=answered_by, payload=plan)
     snapshots = [space]
     job.log("space", **space.describe())
 
@@ -416,8 +419,8 @@ def run(
                     decision["method"] = "lhs"
                     decision["parameters"] = {}
             else:
-                decision = job.ask(backend, "decide_inner", report, remaining, space,
-                                   config=config)
+                decision, _ = job.ask(backend, "decide_inner", report, remaining, space,
+                                      config=config)
             iteration = job.iteration
             job.log("inner", **scope, iteration=iteration, payload=decision)
             if decision["action"] != "search":
@@ -450,8 +453,8 @@ def run(
             job.log("event", event=event, **scope)
             break
 
-        outer, next_space = job.ask(backend, "decide_outer", report, space, prior_unfixes,
-                                    config=config)
+        (outer, next_space), _ = job.ask(backend, "decide_outer", report, space,
+                                         prior_unfixes, config=config)
         job.log("outer", **scope, payload=outer)
         if next_space is None:
             outcome = "converged"

@@ -5,8 +5,9 @@ records once and ranks the top designs once. Its report is the only view
 of the search the decision policies get, inner and outer, rule and
 model-backed alike; the top designs ride on it as ``top``. render_text
 lays the same evidence out as a five-section human-readable block that
-is golden-file tested, so its wording is append-only; the model prompts
-reuse its issue line and methods list.
+is golden-file tested, so its wording is append-only. Both model loop
+prompts embed it whole; of the search the outer prompt adds only the
+top designs.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class Issue:
     severity: str
     variable: Optional[str] = None
 
-    def line(self) -> str:
-        """The issue as one bullet line, as reports and prompts list it."""
-        return f"- {self.variable or 'stagnation'}: {self.evidence} -> {self.severity} severity"
-
 
 @dataclass
 class DiagnosticsReport:
@@ -55,11 +52,6 @@ class DiagnosticsReport:
     impact: Dict[str, Dict[str, object]]
     recommendations: Dict[str, object]
     top: List[EvaluatedDesign]  # the TOP_K best valid records, best first; repeats stay
-
-
-def methods_text(methods: Mapping[str, int]) -> str:
-    """Designs per method, in first-use order: ``lhs (25 designs), ...``."""
-    return ", ".join(f"{m} ({n} designs)" for m, n in methods.items())
 
 
 def _fmt_value(x: float) -> str:
@@ -272,9 +264,10 @@ def analyze(history: History, space: SearchSpace) -> DiagnosticsReport:
 def render_text(report: DiagnosticsReport) -> str:
     """Five-section text block: status, convergence, issues, impact, advice."""
     s = report.status_summary
+    methods = ", ".join(f"{m} ({n} designs)" for m, n in s["methods"].items())
     status_lines = (
         f"{s['iterations']} iterations completed with {s['designs_evaluated']} designs "
-        f"evaluated. Methods used: {methods_text(s['methods'])}."
+        f"evaluated. Methods used: {methods}."
     )
     if s["best_fom"] is not None:
         status_lines += (
@@ -289,7 +282,10 @@ def render_text(report: DiagnosticsReport) -> str:
         f"FOM progression: {prog}. Status: {c['status']}. Reason: {c['reason']}."
     )
 
-    issues_block = "\n".join(issue.line() for issue in report.issues) or "- none"
+    issues_block = "\n".join(
+        f"- {i.variable or 'stagnation'}: {i.evidence} -> {i.severity} severity"
+        for i in report.issues
+    ) or "- none"
 
     impact_parts = []
     for var, stats in report.impact.items():

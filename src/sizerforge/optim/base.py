@@ -50,8 +50,10 @@ from typing import List, Optional, Sequence, Set, Tuple
 from ..core import Design, EvaluatedDesign, History, design_id, is_valid, rank_key
 from ..space import SearchSpace, index_rows
 
-# the Bayesian acquisitions, here so that ``pool`` checks one without numpy
-ACQUISITIONS = ("EI", "UCB", "PI")
+# each Bayesian acquisition and its default exploration weight, here so
+# that ``pool`` checks a name without numpy
+DEFAULT_WEIGHTS = {"EI": 0.2, "UCB": 2.0, "PI": 0.2}
+ACQUISITIONS = tuple(DEFAULT_WEIGHTS)
 
 
 @dataclass

@@ -54,14 +54,12 @@ import numpy as np
 from ..core import History
 from ..errors import InsufficientHistory
 from ..space import SearchSpace
-from .base import ACQUISITIONS, Proposal, history_view, materialize
+from .base import DEFAULT_WEIGHTS, Proposal, history_view, materialize
 from .gp import GaussianProcess, acquisition
 
 ENUMERATION_LIMIT = 20_000
 FALLBACK_CANDIDATES = 2_000
 MIN_OBSERVATIONS = 5
-
-_DEFAULT_WEIGHT = {"EI": 0.2, "PI": 0.2, "UCB": 2.0}
 
 
 def candidate_rows(space: SearchSpace, rng: random.Random) -> np.ndarray:
@@ -79,12 +77,12 @@ def propose_bayesian(
     acquisition_function: str = "EI",
     exploration_weight: Optional[float] = None,
 ) -> Proposal:
-    if acquisition_function not in ACQUISITIONS:
+    if acquisition_function not in DEFAULT_WEIGHTS:
         raise ValueError(f"unknown acquisition {acquisition_function!r}")
     weight = (
         exploration_weight
         if exploration_weight is not None
-        else _DEFAULT_WEIGHT[acquisition_function]
+        else DEFAULT_WEIGHTS[acquisition_function]
     )
     view = history_view(space, history)
     if len(view.obs) < MIN_OBSERVATIONS:

@@ -90,7 +90,8 @@ ABI check. Importing this module loads the BLAS of
 library. Both are the objects that ``scipy.linalg.blas`` and
 ``scipy.special`` hand out. No run imports those subpackages, whose
 ``__init__`` pulls in scipy's array-API layer, ``numpy.f2py`` and
-``numpy.testing``. ``ACQUISITIONS`` lives in ``base``.
+``numpy.testing``. The acquisition names and their default weights live
+in ``base`` (``DEFAULT_WEIGHTS``).
 """
 
 from __future__ import annotations

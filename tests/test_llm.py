@@ -28,10 +28,11 @@ from sizerforge.agents import (
     rule_plan,
     rule_understand,
 )
-from sizerforge.agents.llm import inner_context, load_prompt, outer_context, plan_context
-from sizerforge.config import load_config, render_template
+from sizerforge.agents.llm import (inner_context, load_prompt, outer_context, plan_context,
+                                   understanding_context)
+from sizerforge.config import _SLOT, load_config, render_template
 from sizerforge.controller import RunBudget, run, run_method
-from sizerforge.diagnostics import analyze
+from sizerforge.diagnostics import analyze, render_text
 from sizerforge.errors import ConfigError, LlmTransport, Timeout
 from sizerforge.optim.base import ACQUISITIONS
 from sizerforge.optim.pool import ORCHESTRATED
@@ -223,7 +224,7 @@ def test_replies_past_pythons_limits_fall_back_to_the_rule_plan_and_the_run_fini
 
     assert result.best is not None
     plan = next(e for e in result.decisions if e["kind"] == "plan")
-    assert (plan["backend"], plan["payload"]) == ("llm", _wire_plan(config))
+    assert (plan["backend"], plan["payload"]) == ("rule", _wire_plan(config))
     too_deep = ("invalid JSON: maximum recursion depth exceeded while decoding "
                 "a JSON array from a unicode string")
     reason = f"plan: retry also rejected: {too_deep}"
@@ -315,6 +316,18 @@ def test_replayed_run_logs_every_repair_rejection_and_fallback(tmp_path, config)
 
     log = (tmp_path / "out" / "decision_log.jsonl").read_bytes()
     assert hashlib.sha256(log).hexdigest() == GOLDEN_REPLAY_LOG
+
+
+def test_an_empty_transcript_logs_the_rule_understanding_and_plan_as_rule(tmp_path, config):
+    (tmp_path / "replies").mkdir()
+    result = run_method(config, f"autosizer:replay:{tmp_path / 'replies'}",
+                        RunBudget(total_evals=20, per_inner_loop=10, max_outer_loops=1), 0)
+    entries = result.decisions
+    understand, planned = [e for e in entries if e["kind"] in ("understand", "plan")]
+    assert (understand["backend"], understand["payload"]) == ("rule", rule_understand(config))
+    assert (planned["backend"], planned["payload"]) == ("rule", _wire_plan(config))
+    assert [(e["kind"], e.get("op")) for e in entries[:4]] == [
+        ("event", "understanding"), ("understand", None), ("event", "plan"), ("plan", None)]
 
 
 def test_no_cu_under_a_model_backend_plans_from_the_rule_understanding(tmp_path, config):
@@ -427,13 +440,13 @@ GOLDEN_OUTER_REPLAY = "997c4c9114842ce983dc0d805d8d95b06d03d778bb0a26921c1b5e070
 OUTER_REPLAY_PROMPTS = {
     "0001_understanding": "733f5e03a0decba78c422da298a4a09a60a724863d127cdea7b9039cbc395afa",
     "0002_plan": "6ed069bd6bccb366a8317a64903b01d9badcd0832aa86241d9562428591a6eb8",
-    "0003_inner": "2ee7f1852126457e3caea795e4657e54db9ece0b9ac6328a5a59b14245b7a04c",
-    "0004_inner": "3d755513ec59017cc7dda88b52d60dd87e809c7049d2c65fbfa562844c0000b7",
-    "0005_inner": "19c4de3eecb6e52c60aac6a610fbaa0f18658f003cc8d49e526fc4a402a68269",
-    "0006_outer": "6e37934fa085ac6df7909ec705c3f1f392d8a79911b30ea40df66c57e0df6b5f",
-    "0007_inner": "1fc7deb8bbb02d5eee7c8b500d9044299c0bd228e04c936d3d35764e7a908084",
-    "0008_inner": "4dff38849b6dc13bffc7d8129c33580f1159b01a341030b7b5b593c790811b3d",
-    "0009_outer": "d4a6480872046edb0d592a3a76aa6ddc0d556777534aca0893a945d43f01a6ab",
+    "0003_inner": "b28a76aaa8cf6853579d4f01cc0c0281ce281f8bb36e0708b167cae6a28940ad",
+    "0004_inner": "b06a1a6df06b6f357e97af13fdbbb46cc16465037acd9383006134ad66ef96d3",
+    "0005_inner": "cd86247bb6819d08d68a38d788a39368459f01b8b1b159b0cdc99b4c5b62e190",
+    "0006_outer": "63645f2da1a2bd9c9a069c385171091a591900955b0426544980058636ba11ce",
+    "0007_inner": "a8be32594cba94bf2b614abffc973947d556d5fe94e93809cf6b36b1b293a156",
+    "0008_inner": "b5414c8571eaed753363e481a383bb9c7feb506dba977a641b0b638090f21f7a",
+    "0009_outer": "035d77078d9638a22e19d84dade1cc6681c7f0868bc824fd3ad72b19b1a1f166",
 }
 
 
@@ -441,7 +454,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_path, config):
+def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(
+        tmp_path, config, monkeypatch):
+    rendered = []
+
+    def render(report):
+        rendered.append(render_text(report))
+        return rendered[-1]
+
+    monkeypatch.setattr("sizerforge.agents.llm.render_text", render)
     replies = [
         json.dumps(UNDERSTANDING_REPLY),
         json.dumps(PLAN_REPLY),
@@ -489,9 +510,17 @@ def test_replayed_outer_loop_regenerates_the_space_and_logs_the_wire_reply(tmp_p
     assert spaces[1]["fixed"] == {"W_casc_base": 1.68}
 
     assert artefact_digest(tmp_path / "out") == GOLDEN_OUTER_REPLAY
-    prompts = {p.stem: _sha256(json.loads(p.read_text())["prompt"])
+    prompts = {p.stem: json.loads(p.read_text())["prompt"]
                for p in sorted((tmp_path / "written").iterdir())}
-    assert prompts == OUTER_REPLAY_PROMPTS
+    assert {stem: _sha256(prompt) for stem, prompt in prompts.items()} == OUTER_REPLAY_PROMPTS
+    # every loop prompt past the first batch embeds the report it was
+    # rendered from, and each outer one the loop's report file
+    assert "No designs evaluated yet" in prompts["0003_inner"]
+    later = list(prompts)[3:]
+    assert len(rendered) == len(later)
+    assert all(text in prompts[stem] for stem, text in zip(later, rendered))
+    for stem, loop in (("0006_outer", 0), ("0009_outer", 1)):
+        assert (tmp_path / "out" / f"loop{loop:02d}_report.txt").read_text() in prompts[stem]
 
 
 def test_converged_reply_is_accepted_whatever_configuration_it_carries(tmp_path, config):
@@ -536,6 +565,24 @@ def test_the_prompt_menus_are_the_code_tables():
     assert tuple(re.findall(r"^- `(\w+)`:", outer, re.M)) == ACTIONS
 
 
+def test_each_prompt_context_fills_exactly_its_templates_slots(stagnation_state, config):
+    # render_template refuses a missing slot but ignores a key no slot reads
+    history, space = stagnation_state
+    report = analyze(history, space)
+    understanding = rule_understand(config)
+    contexts = {
+        "understanding": [understanding_context(config)],
+        "plan": [plan_context(config, understanding, 4)],
+        "inner": [inner_context(None, REMAINING, space, config),
+                  inner_context(report, REMAINING, space, config)],
+        "outer": [outer_context(report, space, config)],
+    }
+    for name, cases in contexts.items():
+        slots = {m.group(1) for m in _SLOT.finditer(load_prompt(name))} - {None}
+        for context in cases:
+            assert set(context) == slots, name
+
+
 def test_both_backends_take_the_same_parameters():
     def params(backend, op):
         return list(inspect.signature(getattr(backend, op)).parameters)[1:]  # past self
@@ -548,8 +595,8 @@ def test_both_backends_take_the_same_parameters():
 # the stagnating run of conftest in both decision prompts, inside sota_hard's
 # netlist, grids and spec
 STAGNATION_PROMPTS = {
-    "inner": "f6c9277caac9241fe7843e4800a49575461068849fbbb2f559894bf71f393b68",
-    "outer": "910163e57dbdb2517f0416647d79c6de99b7c36e4f082db8be1331ff6af1ac54",
+    "inner": "835d215e70dd03ee358650df28f5f1fb279c22ce6154755c2480660f1c3feb85",
+    "outer": "884d7c5c513843e71ee6f5f838bab97388e1c88fd6cd3c7d004ea6495f113e69",
 }
 
 
@@ -558,31 +605,27 @@ def test_prompts_render_the_stagnating_run(stagnation_state, config):
     report = analyze(history, space)
     inner = render_template(load_prompt("inner"), inner_context(report, REMAINING, space, config))
     outer = render_template(load_prompt("outer"), outer_context(report, space, config))
-    methods = "lhs (25 designs), bayesian (30 designs), annealing (17 designs)"
-    assert f"- Methods tried so far: {methods}\n" in inner
-    assert f"Methods used: {methods}." in inner
-    issues = (
-        "- W_diff: 10/10 top designs at lower boundary (0.84) -> high severity\n"
-        "- W_load: 10/10 top designs at upper boundary (1.68) -> high severity\n"
-        "- W_load: 10/10 top designs at lower boundary (1.68) -> high severity\n"
-        "- stagnation: best FOM unchanged for 3 iterations (0.0990) -> medium severity\n"
-    )
-    assert issues in inner and f"### Issues Detected\n{issues}" in outer
-    assert "Best-so-far FOM by iteration: [0.095, 0.099, 0.099, 0.099]\n" in outer
+    # the report reaches both prompts as loopNN_report.txt holds it, and only so
+    text = render_text(report)
+    assert f"\n{text}\nADVANCED SEARCH METHODS" in inner
+    assert f"## OPTIMIZATION RESULTS\n\n{text}\n### Top Designs\n" in outer
+    for rest in (inner.replace(text, ""), outer.replace(text, "").split("### Top Designs")[0]):
+        assert "0.09" not in rest and "(25 designs)" not in rest
     assert ("### Top Designs\n"
             "1. FOM 0.0990 @ W_casc=1.68, W_diff=0.84, W_load=1.68, W_tail=1.26\n") in outer
     assert "10. FOM 0.0972 @ W_casc=2.1, W_diff=0.84, W_load=1.68, W_tail=0.84\n" in outer
     assert {"inner": _sha256(inner), "outer": _sha256(outer)} == STAGNATION_PROMPTS
 
 
-def test_the_outer_context_of_a_history_without_a_valid_design(failed_state, config):
+def test_the_loop_contexts_of_a_history_without_a_valid_design(failed_state, config):
     history, space = failed_state
-    context = outer_context(analyze(history, space), space, config)
-    assert context["impact_section"] == "\n".join(
-        f"- {var}: no valid top designs" for var in space.active)
-    assert context["best_fom"] == "none"
+    report = analyze(history, space)
+    text = render_text(report).rstrip("\n")
+    assert "No valid design found yet." in text
+    assert inner_context(report, REMAINING, space, config)["status_report"] == text
+    context = outer_context(report, space, config)
+    assert context["status_report"] == text
     assert context["top_designs_section"] == "(no valid designs yet)"
-    assert context["progression_section"] == "Best-so-far FOM by iteration: [None, None]"
 
 
 def test_backend_messages_go_to_logging_by_default(tmp_path, config, caplog):
