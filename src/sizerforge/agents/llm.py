@@ -2,16 +2,18 @@
 
 Each decision is a single prompt/response exchange, run by one
 ``LlmBackend._decide`` step for all four operations: the prompt and the
-schema share the operation's name (understanding, plan, inner, outer).
+schema share the operation's name (understand, plan, inner, outer), as
+do its transcript files, its log lines and the ``op`` of its fallbacks,
+so each fallback names the decision-log entry made in its place.
 The search reaches the two loop prompts only through the diagnostics
 report: both embed its ``render_text``, the text ``loopNN_report.txt``
 holds, and the outer prompt adds its top designs. No report field is
 formatted here.
 Responses go through parse_agent_json plus op-specific validation (grid
-snapping, method and variable-name checks), which edits the wire dict
-in place; that dict is the decision. An inner search must name one of
-the orchestrated methods, never a baseline. A plan, and an outer reply
-that regenerates the space, passes one check, snap and build step
+snapping, the method pool's rules), which edits the wire dict in place;
+that dict is the decision. An inner search must name one of the
+orchestrated methods, never a baseline. A plan, and an outer reply that
+regenerates the space, passes one snap and build step
 (``planned_space``), and the space it builds is returned with the
 decision, so no caller builds it again; a ``converged`` reply's
 configuration is never searched, so it is neither checked nor built.
@@ -45,7 +47,6 @@ from ..diagnostics import DiagnosticsReport, render_text
 from ..errors import (
     BadParameter,
     ConfigError,
-    IllegalPlan,
     JsonUnparseable,
     LlmTransport,
     PlanIncomplete,
@@ -84,7 +85,6 @@ _REJECTABLE = (
     SchemaViolation,
     UnknownMethod,
     BadParameter,
-    IllegalPlan,
     PlanIncomplete,
     ValueOffGrid,
 )
@@ -250,39 +250,34 @@ def snap_to_grid(value: float, grid) -> float:
 
 def planned_space(plan: dict, config, generation: int,
                   log: Callable[[str], None]) -> SearchSpace:
-    """The space a plan-carrying reply leads to: the one check, snap and
-    build step of the plan and outer validators.
+    """The space a plan-carrying reply leads to: the one snap and build
+    step of the plan and outer validators.
 
-    A reply whose ``optimization_configuration`` names anything but an
-    optimization variable (a permanently-fixed param, say) is rejected.
-    Every off-grid value is then replaced in place by its nearest grid
-    value, active lists sorted and deduplicated, and the space built,
-    which raises on a plan that does not cover the variables."""
+    The optimization variables are snapped in declaration order: each
+    off-grid value is replaced in place by its nearest grid value, and
+    each active list sorted and deduplicated. Then the space is built,
+    which rejects a plan that does not name each variable exactly once
+    or that names anything else (a permanently-fixed param, say), so no
+    repair is logged for a name that is then rejected."""
     configuration = plan["optimization_configuration"]
-    allowed = set(config.variables)
-    for section in ("variables_to_optimize", "variables_fixed"):
-        for var in configuration[section]:
-            if var not in allowed:
-                raise IllegalPlan(
-                    f"{section} names {var!r}, which is not an optimization "
-                    "variable and cannot be optimized or unfixed"
-                )
-    for var, entry in configuration["variables_to_optimize"].items():
+    optimize, fixed = configuration["variables_to_optimize"], configuration["variables_fixed"]
+    for var in config.variables:
         grid = config.grid_for(var)
-        values = set()
-        for value in entry["search_space"]:
+        if var in optimize:
+            values = set()
+            for value in optimize[var]["search_space"]:
+                snapped = snap_to_grid(value, grid)
+                if snapped != value:
+                    log(f"plan repair: {var} value {value!r} snapped to {snapped!r}")
+                values.add(snapped)
+            optimize[var]["search_space"] = sorted(values)
+            optimize[var]["num_choices"] = len(values)
+        elif var in fixed:
+            value = fixed[var]["fixed_value"]
             snapped = snap_to_grid(value, grid)
             if snapped != value:
-                log(f"plan repair: {var} value {value!r} snapped to {snapped!r}")
-            values.add(snapped)
-        entry["search_space"] = sorted(values)
-        entry["num_choices"] = len(values)
-    for var, entry in configuration["variables_fixed"].items():
-        value = entry["fixed_value"]
-        snapped = snap_to_grid(value, config.grid_for(var))
-        if snapped != value:
-            log(f"plan repair: {var} fixed value {value!r} snapped to {snapped!r}")
-        entry["fixed_value"] = snapped
+                log(f"plan repair: {var} fixed value {value!r} snapped to {snapped!r}")
+            fixed[var]["fixed_value"] = snapped
     return space_from_plan(config, plan, generation)
 
 
@@ -309,7 +304,7 @@ def _param_lines(config) -> str:
     return "\n".join(lines) if lines else "(none)"
 
 
-def understanding_context(config) -> Dict[str, str]:
+def understand_context(config) -> Dict[str, str]:
     variables = list(config.variables)
     metrics = list(config.metrics)
     var_block = _grid_lines(config)
@@ -480,7 +475,7 @@ class LlmBackend:
 
     def understand(self, config) -> dict:
         # impact prose keyed by unknown metrics is tolerated
-        return self._decide("understanding", understanding_context(config), None,
+        return self._decide("understand", understand_context(config), None,
                             lambda: rule_understand(config))
 
     def plan(self, config, understanding: dict, n_to_optimize: int) -> Tuple[dict, SearchSpace]:

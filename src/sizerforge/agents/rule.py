@@ -25,10 +25,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core import MAXIMIZE_OPS
-from ..diagnostics import DiagnosticsReport
+from ..diagnostics import IMPROVEMENT_THRESHOLD_PCT, DiagnosticsReport
 from ..space import SearchSpace, SpaceEdit, apply_edit, space_from_plan, unfix_window
 
-PLATEAU_PCT = 2.0
 EXPLOIT_STD = 0.01
 
 
@@ -182,16 +181,12 @@ def rule_decide_inner(
 
     s = report.status_summary
     c = report.convergence
-    recent = c["recent_improvement_pct"]
+    plateau = c["status"] != "improving"  # the recent change is under the threshold
     distinct_methods = len(s["methods"])
-    if (
-        recent is not None
-        and recent < PLATEAU_PCT
-        and s["iterations"] >= 3
-        and distinct_methods >= 2
-    ):
+    if plateau and s["iterations"] >= 3 and distinct_methods >= 2:
         return _stop(
-            f"plateau: recent improvement {recent:.2f}% < {PLATEAU_PCT:g}% after "
+            f"plateau: recent improvement {c['recent_improvement_pct']:.2f}% < "
+            f"{IMPROVEMENT_THRESHOLD_PCT:g}% after "
             f"{s['iterations']} iterations and {distinct_methods} methods",
             "improvement exhausted under the current space",
         )
@@ -220,7 +215,7 @@ def rule_decide_inner(
         )
 
     if valid < 25:
-        mutation = 0.4 if (recent is not None and recent < PLATEAU_PCT) else 0.2
+        mutation = 0.4 if plateau else 0.2
         n = _clamp_samples(cardinality * 15 // 100, 20, remaining)
         return _search(
             "genetic",

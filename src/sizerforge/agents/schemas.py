@@ -1,14 +1,17 @@
 """The JSON wire formats of the agent's decisions, and their validation.
 
-Four schemas: circuit understanding, initial space plan, inner-loop
-method decision, outer-loop regeneration. A model's decision is its
-validated wire dict: the model backend returns it, the controller acts
-on it and the decision log records it as it is. The rule policy's
-decisions share these shapes, except its outer edits: they carry no
-``optimization_configuration``, so the outer schema rejects them (see
-``rule``). parse_agent_json applies a fixed repair ladder (strip
-fences, trim to the outermost balanced object) before validation,
-because model output often wraps the JSON in prose or markdown.
+Four schemas, named as the decisions they check: ``understand`` (the
+circuit understanding), ``plan`` (the initial space plan), ``inner``
+(the inner-loop method decision) and ``outer`` (the outer-loop
+regeneration). A model's decision is its validated wire dict: the model
+backend returns it, the controller acts on it and the decision log
+records it as it is. The rule policy's decisions share these shapes,
+except its outer edits: they carry no ``optimization_configuration``,
+so the outer schema rejects them (see ``rule``). Model output often
+wraps the JSON in prose or markdown, so parse_agent_json reads a reply
+once: it drops every line that starts with a markdown fence, decodes
+the first JSON object from its ``{`` with the standard library's
+``JSONDecoder.raw_decode``, and notes any prose around that object.
 
 Each wire section is a table that maps its fields, each named once, to
 their kinds. A kind checks one value and returns it, coerced, or raises
@@ -23,8 +26,10 @@ violation names its field by its path from the top of the reply,
 or ``optimization_configuration.variables_to_optimize.a.rank``.
 
 The inner and outer replies add the rules of their action. A ``search``
-needs ``method`` and ``n_samples`` (at least 1), and its ``parameters``
-default to an empty object; a ``stop`` drops those three unchecked. An
+needs ``method`` and ``n_samples``, and its ``parameters`` default to an
+empty object; a ``stop`` drops those three unchecked. Which methods,
+parameters and batch sizes a search may name is the optimizer pool's
+rule (``validate_method_config``), checked by the model backend. An
 outer reply other than ``continue_current`` or ``converged`` needs
 ``optimization_configuration``. A reply that carries one regenerates
 the space and also needs the ranking and summary; one that does not
@@ -48,43 +53,6 @@ INNER_ACTIONS = ("search", "stop")
 
 # a kind checks the value at a path and returns it, coerced
 Kind = Callable[[object, str], object]
-
-
-# ------------------------------------------------------------ raw repairs
-
-
-def _strip_fences(raw: str) -> str:
-    lines = [ln for ln in raw.splitlines() if not ln.lstrip().startswith("```")]
-    return "\n".join(lines)
-
-
-def _outermost_object(raw: str) -> str:
-    """Slice from the first '{' to its balanced partner, string-aware."""
-    start = raw.find("{")
-    if start < 0:
-        raise JsonUnparseable("no JSON object found in response")
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(raw)):
-        ch = raw[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return raw[start : i + 1]
-    raise JsonUnparseable("unbalanced braces in response")
 
 
 # ------------------------------------------------------------------ kinds
@@ -237,7 +205,7 @@ def _configuration(**revision: Kind) -> Kind:
     })
 
 
-_UNDERSTANDING = _section({
+_UNDERSTAND = _section({
     "circuit_topology_overview": _string,
     "optimization_variables_mapping": _string,
     "optimization_variables_impact": _strings_by_name,
@@ -295,10 +263,7 @@ def _validate_inner(data: dict) -> dict:
             if key not in data:
                 raise SchemaViolation(key, "required when action is search")
         data.setdefault("parameters", {})
-    _INNER(data)
-    if data.get("n_samples", 1) < 1:
-        raise SchemaViolation("n_samples", "positive integer")
-    return data
+    return _INNER(data)
 
 
 def _validate_outer(data: dict) -> dict:
@@ -317,18 +282,23 @@ def _validate_outer(data: dict) -> dict:
 
 
 _VALIDATORS = {
-    "understanding": _UNDERSTANDING,
+    "understand": _UNDERSTAND,
     "plan": _PLAN,
     "inner": _validate_inner,
     "outer": _validate_outer,
 }
 
 
+_DECODER = json.JSONDecoder()
+
+
 def parse_agent_json(raw: str, schema: str, repairs: Optional[List[str]] = None) -> dict:
     """Parse one agent response into its validated wire dict.
 
-    Repairs, in order: strip markdown fences, trim to the outermost
-    balanced JSON object. Each applied repair is appended to ``repairs``
+    Repairs, in order: drop every line that starts with a markdown
+    fence, then decode the first JSON object where its ``{`` stands;
+    text other than whitespace before or after that object is
+    surrounding prose. Each applied repair is appended to ``repairs``
     when a list is supplied.
     """
     if schema not in _VALIDATORS:
@@ -338,18 +308,18 @@ def parse_agent_json(raw: str, schema: str, repairs: Optional[List[str]] = None)
 
     text = raw
     if "```" in text:
-        text = _strip_fences(text)
+        text = "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("```"))
         if repairs is not None:
             repairs.append("stripped code fences")
-    candidate = _outermost_object(text)
-    if candidate.strip() != text.strip() and repairs is not None:
-        repairs.append("trimmed surrounding prose")
+    start = text.find("{")
+    if start < 0:
+        raise JsonUnparseable("no JSON object found in response")
     try:
-        data = json.loads(candidate)
+        data, end = _DECODER.raw_decode(text[start:])
     except (ValueError, RecursionError) as exc:
         # malformed JSON, an integer past Python's digit limit, or nesting
         # past the recursion limit
         raise JsonUnparseable(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise JsonUnparseable("top-level JSON value is not an object")
+    if (text[:start].strip() or text[start + end:].strip()) and repairs is not None:
+        repairs.append("trimmed surrounding prose")
     return _VALIDATORS[schema](data)

@@ -1,4 +1,4 @@
-"""Exception hierarchy for sizerforge.
+"""Exception hierarchy for sizerforge: 14 classes.
 
 Every exception raised on purpose by this package derives from
 :class:`SizerForgeError`, so callers can catch one type at an API boundary;
@@ -90,8 +90,4 @@ class LlmTransport(SizerForgeError):
 
 
 class Timeout(SizerForgeError):
-    pass
-
-
-class IllegalPlan(SizerForgeError):
     pass

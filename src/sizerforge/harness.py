@@ -109,15 +109,15 @@ def parse_matrix(source: str) -> TrialMatrix:
     for m in methods:
         parse_method(str(m))
 
-    trials = read_number("trials_per_cell", doc.get("trials_per_cell", DEFAULT_TRIALS), int)
-    at_least_one("trials_per_cell", trials)
     seeds = doc.get("seeds")
     if seeds is not None:
         seeds = [read_number("seeds", s, int) for s in read_list("seeds", seeds)]
-        if len(seeds) != trials:
-            raise ConfigError(
-                f"seeds length {len(seeds)} must equal trials_per_cell {trials}"
-            )
+    # listed seeds set the trial count, unless trials_per_cell is given too
+    trials = read_number("trials_per_cell", doc.get(
+        "trials_per_cell", DEFAULT_TRIALS if seeds is None else len(seeds)), int)
+    at_least_one("trials_per_cell", trials)
+    if seeds is not None and len(seeds) != trials:
+        raise ConfigError(f"seeds length {len(seeds)} must equal trials_per_cell {trials}")
     raw_budget = doc.get("budget", {})
     if not isinstance(raw_budget, dict):
         raise ConfigError("'budget' must be a mapping")
@@ -222,6 +222,11 @@ def _method_slug(method: str) -> str:
     return f"{slug}-{hashlib.sha256(method.encode()).hexdigest()[:16]}"
 
 
+def _trial_name(config, method: str, seed: int) -> str:
+    """A trial's directory name under ``trials/``."""
+    return f"{config.name}__{_method_slug(method)}__s{seed}"
+
+
 def run_matrix(
     matrix: TrialMatrix,
     *,
@@ -229,14 +234,22 @@ def run_matrix(
     workers: int = 1,
 ) -> dict:
     """Execute every cell x trial. Per-trial failures are recorded, never
-    raised; a bad worker count or ``out_dir`` is refused before any trial."""
+    raised. Refused before any trial: a bad worker count or ``out_dir``,
+    and two trials of one name (config name, method and seed), which
+    would share a row's label and a trial directory."""
     at_least_one("workers", workers)
     if out_dir:
         check_results_dir(out_dir)
     seeds = matrix.seed_list()
+    configs = [load_config(path) for path in matrix.circuits]
+    names = Counter(_trial_name(config, method, seed)
+                    for config in configs for method in matrix.methods for seed in seeds)
+    repeated = sorted(name for name, count in names.items() if count > 1)
+    if repeated:
+        raise ConfigError(f"matrix runs trials {repeated} more than once; give each circuit "
+                          "its own config name and list each method and seed once")
     cells = []
-    for circuit_path in matrix.circuits:
-        config = load_config(circuit_path)
+    for circuit_path, config in zip(matrix.circuits, configs):
         reference = None
         for method in matrix.methods:
             trials = []
@@ -262,8 +275,7 @@ def run_matrix(
                 }
                 trial_dir = None
                 if out_dir:
-                    slug = f"{config.name}__{_method_slug(method)}__s{seed}"
-                    trial_dir = str(Path(out_dir) / "trials" / slug)
+                    trial_dir = str(Path(out_dir) / "trials" / _trial_name(config, method, seed))
                 try:
                     result = run_method(config, method, matrix.budget, seed,
                                         workers=workers, results_dir=trial_dir)

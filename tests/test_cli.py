@@ -60,7 +60,7 @@ def test_run_records_one_transcript_per_model_call_and_they_replay(capsys, tmp_p
     assert main(argv) == 0
     first = capsys.readouterr().out
     written = sorted((tmp_path / "written").iterdir())
-    assert [p.name for p in written] == ["0001_understanding.json", "0002_plan.json",
+    assert [p.name for p in written] == ["0001_understand.json", "0002_plan.json",
                                          "0003_inner.json"]
     records = [json.loads(p.read_text()) for p in written]
     assert [r["response"] for r in records] == replies
@@ -89,7 +89,7 @@ def test_run_refuses_a_transcript_directory_a_run_has_written(capsys, tmp_path):
     assert main(argv) == 0
     capsys.readouterr()
     written = {p.name: p.read_text() for p in (tmp_path / "written").iterdir()}
-    assert list(written) == ["0001_understanding.json"]
+    assert list(written) == ["0001_understand.json"]
 
     assert main(argv + ["--results-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
@@ -296,6 +296,32 @@ def test_bench_refuses_an_output_directory_at_a_file_before_any_trial(capsys, tm
     assert (captured.out, captured.err) == (
         "", f"error: results directory {out}: {taken} is a file\n")
     assert simulated == [] and taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("circuits, methods, seeds, repeated", [
+    # both configs are named sota_med
+    (["configs/sota_med.yaml", "perfbench/configs/sota_med_spice.yaml"], ["autosizer"], [0],
+     ["sota_med__autosizer__s0"]),
+    (["configs/sota_easy.yaml"], ["lhs", "autosizer", "lhs"], [0, 1],
+     ["sota_easy__lhs__s0", "sota_easy__lhs__s1"]),
+    (["configs/sota_easy.yaml"], ["lhs"], [3, 4, 3], ["sota_easy__lhs__s3"]),
+], ids=["a_config_name_twice", "a_method_twice", "a_seed_twice"])
+def test_bench_refuses_two_trials_of_one_name_before_any_trial(capsys, tmp_path, monkeypatch,
+                                                              circuits, methods, seeds, repeated):
+    started = []
+    monkeypatch.setattr("sizerforge.harness.run_method",
+                        lambda *args, **kwargs: started.append(args))
+    root = CONFIGS.parent
+    matrix = tmp_path / "matrix.yaml"
+    matrix.write_text(f"circuits: {[str(root / c) for c in circuits]}\nmethods: {methods}\n"
+                      f"seeds: {seeds}\n")
+    out = tmp_path / "out"
+    assert main(["bench", str(matrix), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"error: matrix runs trials {repeated} more than once; give each circuit its own "
+        "config name and list each method and seed once\n"))
+    assert started == [] and not out.exists()
 
 
 @pytest.mark.parametrize("document", [

@@ -135,6 +135,15 @@ def test_parse_matrix_rejects_unknown_top_level_keys():
     assert matrix.seed_list() == [4, 5]
 
 
+def test_a_matrix_that_lists_seeds_takes_its_trial_count_from_them():
+    source = "circuits: [c.yaml]\nmethods: [lhs]\nseeds: [4, 5]\n"
+    matrix = parse_matrix(source)
+    assert (matrix.trials_per_cell, matrix.seed_list()) == (2, [4, 5])
+    assert parse_matrix(source + "trials_per_cell: 2\n") == matrix
+    with pytest.raises(ConfigError, match=r"^seeds length 2 must equal trials_per_cell 3$"):
+        parse_matrix(source + "trials_per_cell: 3\n")
+
+
 def test_parse_matrix_rejects_unknown_budget_keys():
     source = "circuits: [c.yaml]\nmethods: [lhs]\nbudget: {total_evals: 60, wall_clock_limit_s: 5}\n"
     with pytest.raises(ConfigError, match="wall_clock_limit_s"):

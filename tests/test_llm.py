@@ -29,7 +29,7 @@ from sizerforge.agents import (
     rule_understand,
 )
 from sizerforge.agents.llm import (inner_context, load_prompt, outer_context, plan_context,
-                                   understanding_context)
+                                   understand_context)
 from sizerforge.config import _SLOT, load_config, render_template
 from sizerforge.controller import RunBudget, run, run_method
 from sizerforge.diagnostics import analyze, render_text
@@ -98,7 +98,7 @@ def test_fenced_and_prose_wrapped_replies_are_repaired(tmp_path, config):
     plan, _ = backend.plan(config, got, 4)
     assert got == understanding
     assert plan == _wire_plan(config)
-    assert messages == ["understanding: stripped code fences", "plan: trimmed surrounding prose"]
+    assert messages == ["understand: stripped code fences", "plan: trimmed surrounding prose"]
     assert backend.fallbacks == []
 
 
@@ -145,11 +145,11 @@ def test_reply_rejected_twice_falls_back_to_the_rule_policy(tmp_path, config):
     backend, messages = _backend(tmp_path, ["no json here", _inner("lhs", 0)])
     decision = backend.decide_inner(None, REMAINING, space, config=config)
     assert decision == rule_decide_inner(None, REMAINING, space)
-    reason = "inner: retry also rejected: schema violation at 'n_samples': expected positive integer"
+    reason = "inner: retry also rejected: n_samples must be positive, got 0"
     assert backend.fallbacks == [{"op": "inner", "reason": reason}]
     assert messages == [
         "inner: response rejected (no JSON object found in response)",
-        "inner: response rejected (schema violation at 'n_samples': expected positive integer)",
+        "inner: response rejected (n_samples must be positive, got 0)",
         f"inner: falling back to the rule policy ({reason})",
     ]
 
@@ -192,8 +192,8 @@ def test_plan_naming_a_param_is_rejected_once_then_accepted(tmp_path, config):
     )
     plan, space = backend.plan(config, rule_understand(config), 4)
     assert (plan, space) == rule_plan(config, rule_understand(config), 4)
-    reason = ("variables_to_optimize names 'vcm', which is not an optimization "
-              "variable and cannot be optimized or unfixed")
+    reason = ("plan must cover every variable exactly once; missing=[], "
+              "unknown=['vcm']")
     assert messages == [f"plan: response rejected ({reason})"]
     assert backend.fallbacks == []
     prompts = [json.loads(p.read_text())["prompt"]
@@ -207,8 +207,8 @@ def test_exhausted_transcript_falls_back_to_the_rule_policy(tmp_path, config):
     understanding = backend.understand(config)
     assert understanding == rule_understand(config)
     reason = "llm transport failure (status 0): replay transcript exhausted"
-    assert backend.fallbacks == [{"op": "understanding", "reason": reason}]
-    assert messages == [f"understanding: falling back to the rule policy ({reason})"]
+    assert backend.fallbacks == [{"op": "understand", "reason": reason}]
+    assert messages == [f"understand: falling back to the rule policy ({reason})"]
 
 
 def test_replies_past_pythons_limits_fall_back_to_the_rule_plan_and_the_run_finishes(
@@ -303,7 +303,7 @@ def test_replayed_run_logs_every_repair_rejection_and_fallback(tmp_path, config)
     ]
     assert [entries[i + 1]["payload"] for i in events] == [inner[2], inner[4]]
     assert messages == [
-        "understanding: stripped code fences",
+        "understand: stripped code fences",
         "plan repair: W_tail_base value 0.9 snapped to 0.84",
         "plan: trimmed surrounding prose",
         "inner: response rejected (no JSON object found in response)",
@@ -327,11 +327,11 @@ def test_an_empty_transcript_logs_the_rule_understanding_and_plan_as_rule(tmp_pa
     assert (understand["backend"], understand["payload"]) == ("rule", rule_understand(config))
     assert (planned["backend"], planned["payload"]) == ("rule", _wire_plan(config))
     assert [(e["kind"], e.get("op")) for e in entries[:4]] == [
-        ("event", "understanding"), ("understand", None), ("event", "plan"), ("plan", None)]
+        ("event", "understand"), ("understand", None), ("event", "plan"), ("plan", None)]
 
 
 def test_no_cu_under_a_model_backend_plans_from_the_rule_understanding(tmp_path, config):
-    # the first reply is the plan's: no understanding call consumes it
+    # the first reply is the plan's: no understand call consumes it
     plan = _wire_plan(config)
     _replay(tmp_path / "replies", [json.dumps(plan), _inner("lhs", 10)])
     result = run_method(config, f"autosizer:replay:{tmp_path / 'replies'}+no_cu",
@@ -438,7 +438,7 @@ GOLDEN_OUTER_REPLAY = "997c4c9114842ce983dc0d805d8d95b06d03d778bb0a26921c1b5e070
 
 # sha256 of each prompt the replayed outer-loop run renders, in call order
 OUTER_REPLAY_PROMPTS = {
-    "0001_understanding": "733f5e03a0decba78c422da298a4a09a60a724863d127cdea7b9039cbc395afa",
+    "0001_understand": "733f5e03a0decba78c422da298a4a09a60a724863d127cdea7b9039cbc395afa",
     "0002_plan": "6ed069bd6bccb366a8317a64903b01d9badcd0832aa86241d9562428591a6eb8",
     "0003_inner": "b28a76aaa8cf6853579d4f01cc0c0281ce281f8bb36e0708b167cae6a28940ad",
     "0004_inner": "b06a1a6df06b6f357e97af13fdbbb46cc16465037acd9383006134ad66ef96d3",
@@ -571,7 +571,7 @@ def test_each_prompt_context_fills_exactly_its_templates_slots(stagnation_state,
     report = analyze(history, space)
     understanding = rule_understand(config)
     contexts = {
-        "understanding": [understanding_context(config)],
+        "understand": [understand_context(config)],
         "plan": [plan_context(config, understanding, 4)],
         "inner": [inner_context(None, REMAINING, space, config),
                   inner_context(report, REMAINING, space, config)],
@@ -636,9 +636,9 @@ def test_backend_messages_go_to_logging_by_default(tmp_path, config, caplog):
         backend.understand(config)  # the transcript is exhausted: rule fallback
     exhausted = "llm transport failure (status 0): replay transcript exhausted"
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("sizerforge.agents.llm", "INFO", "understanding: stripped code fences"),
+        ("sizerforge.agents.llm", "INFO", "understand: stripped code fences"),
         ("sizerforge.agents.llm", "INFO",
-         f"understanding: falling back to the rule policy ({exhausted})"),
+         f"understand: falling back to the rule policy ({exhausted})"),
     ]
 
 

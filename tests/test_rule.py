@@ -234,7 +234,7 @@ def test_the_understanding_plan_and_inner_decisions_validate_as_model_replies():
     config = load_config(str(CONFIGS / "sota_med.yaml"))
     understanding = rule_understand(config)
     plan, _ = rule_plan(config, understanding, 4)
-    assert parse_agent_json(json.dumps(understanding), "understanding") == understanding
+    assert parse_agent_json(json.dumps(understanding), "understand") == understanding
     assert parse_agent_json(json.dumps(plan), "plan") == plan
     for case in INNER:
         decision = _inner_decision(case)

@@ -8,12 +8,20 @@ from the top of the reply. The fields an action does not use are
 dropped unchecked. A reply past Python's own limits (a number past float
 range, an integer past the digit limit, nesting past the recursion
 limit) is refused like any other, never raised as Python's error.
+
+The decoder is pinned twice: a corpus of awkward replies (fences,
+braces in prose and in strings, two objects, unbalanced braces) with
+each one's verdict, and a property: any valid reply, wrapped in fence
+lines and prose without braces, decodes to itself with the repair notes
+those wrappers earn.
 """
 
 import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sizerforge.agents import parse_agent_json
 from sizerforge.errors import JsonUnparseable, SchemaViolation
@@ -42,7 +50,7 @@ def _summary():
 
 
 VALID = {
-    "understanding": {
+    "understand": {
         "circuit_topology_overview": "t",
         "optimization_variables_mapping": "m",
         "optimization_variables_impact": {"gain_db": "i"},
@@ -104,15 +112,15 @@ def _violation(field, expected):
 
 
 MALFORMED = [
-    # understanding
-    ("understanding", ("variable_interactions",), _DROP,
+    # understand
+    ("understand", ("variable_interactions",), _DROP,
      _violation("variable_interactions", "required field")),
-    ("understanding", ("sensitivity",), {"a": "high"}, _violation("sensitivity", "no such field")),
-    ("understanding", ("optimization_variables_impact",), {"gain_db": 3},
+    ("understand", ("sensitivity",), {"a": "high"}, _violation("sensitivity", "no such field")),
+    ("understand", ("optimization_variables_impact",), {"gain_db": 3},
      _violation("optimization_variables_impact", "object of strings")),
-    ("understanding", ("key_insights_for_optimization",), ["only", "two"],
+    ("understand", ("key_insights_for_optimization",), ["only", "two"],
      _violation("key_insights_for_optimization", "list of 3-5 strings")),
-    ("understanding", ("circuit_topology_overview",), 7,
+    ("understand", ("circuit_topology_overview",), 7,
      _violation("circuit_topology_overview", "string")),
     # plan
     ("plan", ("optimization_configuration", "variables_fixed"), _DROP,
@@ -154,7 +162,6 @@ MALFORMED = [
     ("inner", ("method",), _DROP, _violation("method", "required when action is search")),
     ("inner", ("method",), 3, _violation("method", "string")),
     ("inner", ("n_samples",), "ten", _violation("n_samples", "integer")),
-    ("inner", ("n_samples",), 0, _violation("n_samples", "positive integer")),
     ("inner", ("n_samples",), _DROP, _violation("n_samples", "required when action is search")),
     ("inner", ("parameters",), [], _violation("parameters", "object")),
     # outer
@@ -258,7 +265,7 @@ def test_a_reply_that_regenerates_nothing_drops_the_ranking_and_summary_unchecke
 @pytest.mark.parametrize("raw, message", [
     ("", "empty response"),
     ("I would rather not answer.", "no JSON object found in response"),
-    ('{"action": "stop"', "unbalanced braces in response"),
+    ('{"action": "stop"', "invalid JSON: Expecting ',' delimiter: line 1 column 18 (char 17)"),
     ("{'action': 'stop'}", "invalid JSON: Expecting property name enclosed in double quotes: "
                            "line 1 column 2 (char 1)"),
 ])
@@ -283,3 +290,78 @@ def test_a_reply_past_pythons_limits_is_refused_not_raised(raw, error, message):
     with pytest.raises(error) as caught:
         parse_agent_json(raw, "plan")
     assert str(caught.value).startswith(message)
+
+
+STOP = {"action": "stop", "reasoning": "r", "confidence": "high",
+        "expected_improvement": "none", "convergence_assessment": "plateau"}
+_STOP = json.dumps(STOP)
+TRICKY = {**STOP, "reasoning": 'a "{" and a } in \\"quotes\\" {{'}
+FENCE_NOTE, PROSE_NOTE = ["stripped code fences"], ["trimmed surrounding prose"]
+
+# each inner reply's verdict: the accepted dict and its repair notes, or
+# the class of its rejection
+CORPUS = {
+    "a_fence_line_holds_the_brace": ("```json {\n" + _STOP[1:] + "\n```", JsonUnparseable),
+    "a_fence_line_holds_an_outer_brace": ('```json {"outer":\n' + _STOP + "\n}\n```",
+                                          (STOP, FENCE_NOTE + PROSE_NOTE)),
+    "fences_and_prose": ("Here:\n```json\n" + _STOP + "\n```\nThanks.",
+                         (STOP, FENCE_NOTE + PROSE_NOTE)),
+    "indented_fences": ("  ```\n" + _STOP + "\n  ```", (STOP, FENCE_NOTE)),
+    "a_brace_in_prose_before": ("Use {braces} wisely: " + _STOP, JsonUnparseable),
+    "an_open_brace_in_prose_before": ("Note { this: " + _STOP, JsonUnparseable),
+    "a_close_brace_in_prose_before": ("} " + _STOP, (STOP, PROSE_NOTE)),
+    "two_objects": (_STOP + "\n" + json.dumps({**STOP, "confidence": "low"}), (STOP, PROSE_NOTE)),
+    "two_objects_side_by_side": (_STOP + _STOP, (STOP, PROSE_NOTE)),
+    "braces_and_escaped_quotes_in_strings": (json.dumps(TRICKY), (TRICKY, [])),
+    "and_braces_in_prose_around_them": ("ok } then " + json.dumps(TRICKY) + " {",
+                                        (TRICKY, PROSE_NOTE)),
+    "whitespace_around": ("\n\t " + _STOP + " \n", (STOP, [])),
+    "unbalanced_braces": ('{"action": "stop"', JsonUnparseable),
+    "an_unclosed_inner_object": ('{"action": "stop", "x": {"y": 1}', JsonUnparseable),
+    "a_bracket_closed_by_a_brace": ('{"action": [}', JsonUnparseable),
+    "no_object": ("no json here [1, 2]", JsonUnparseable),
+    "an_integer_past_the_digit_limit": ('{"action": ' + "1" * 4301 + "}", JsonUnparseable),
+    "and_prose_around_it": ("see " + _STOP[:-1] + ', "x": ' + "9" * 5000 + "} end",
+                            JsonUnparseable),
+    "arrays_past_the_recursion_limit": ('{"x": ' + "[" * 100000 + "]" * 100000 + "}",
+                                        JsonUnparseable),
+    "objects_past_the_recursion_limit": ('{"x": ' * 100000 + "1" + "}" * 100000,
+                                         JsonUnparseable),
+}
+
+
+@pytest.mark.parametrize("raw, verdict", CORPUS.values(), ids=CORPUS.keys())
+def test_the_decoder_corpus_keeps_its_verdicts(raw, verdict):
+    repairs = []
+    if isinstance(verdict, tuple):
+        assert (parse_agent_json(raw, "inner", repairs), repairs) == verdict
+    else:
+        with pytest.raises(verdict):
+            parse_agent_json(raw, "inner", repairs)
+
+
+# the plain-text fields of each reply, which take any string
+FREE_TEXT = {
+    "understand": ("circuit_topology_overview", "variable_interactions"),
+    "plan": ("optimization_target",),
+    "inner": ("reasoning", "convergence_assessment"),
+    "outer": ("regeneration_reasoning", "changes_from_previous"),
+}
+_BRACELESS = st.text(st.characters(blacklist_characters="{}`"), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_valid_reply_in_fences_and_prose_decodes_to_itself(data):
+    schema = data.draw(st.sampled_from(sorted(VALID)))
+    reply = copy.deepcopy(VALID[schema])
+    for key in FREE_TEXT[schema]:
+        reply[key] = data.draw(st.text(max_size=20))
+    body = json.dumps(reply, indent=data.draw(st.sampled_from([None, 2])))
+    fence = data.draw(st.sampled_from(["", "```", "```json"]))
+    before, after = data.draw(_BRACELESS), data.draw(_BRACELESS)
+    raw = f"{before}\n{fence}\n{body}\n```\n{after}" if fence else before + body + after
+    repairs = []
+    assert parse_agent_json(raw, schema, repairs) == reply
+    prose = (before + after).strip()
+    assert repairs == (FENCE_NOTE if fence else []) + (PROSE_NOTE if prose else [])
