@@ -308,7 +308,9 @@ def parse_agent_json(raw: str, schema: str, repairs: Optional[List[str]] = None)
 
     text = raw
     if "```" in text:
-        text = "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("```"))
+        # lines end at "\n" only: ``splitlines`` would also break at U+2028,
+        # U+2029 and U+0085, which a JSON string may hold unescaped
+        text = "\n".join(ln for ln in text.split("\n") if not ln.lstrip().startswith("```"))
         if repairs is not None:
             repairs.append("stripped code fences")
     start = text.find("{")

@@ -1,8 +1,9 @@
 """Command line entry points.
 
 Subcommands: run (one sizing run), bench (a trial matrix), report
-(re-render saved results), validate (check a config renders and
-parses), oracle (print a surrogate model's best feasible point).
+(re-render saved results), validate (check a config parses, which
+renders one deck of its templates), oracle (print a surrogate model's
+best feasible point).
 
 ``run --method`` takes the spelling a matrix file's ``methods`` take,
 a baseline name or ``autosizer[:BACKEND][+ABLATION]``, and hands it to
@@ -17,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config, render_deck
+from .config import load_config
 from .controller import AUTOSIZER_SPELLING, BASELINES, RunBudget, run_method
 from .errors import SizerForgeError
 from .evaluation import evaluator_from_config
@@ -155,9 +156,6 @@ def cmd_report(args) -> int:
 
 def cmd_validate(args) -> int:
     config = load_config(args.config)
-    # midpoint assignment: every template slot must resolve
-    assignment = {v: config.grid_for(v)[len(config.grid_for(v)) // 2] for v in config.variables}
-    render_deck(config, assignment)
     print(f"config: {config.name}")
     print(f"variables: {', '.join(config.variables)}")
     print(f"grid: {len(config.w_values)} values per variable, "

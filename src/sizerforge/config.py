@@ -15,6 +15,14 @@ A value of the wrong shape (a word or NaN for a number, a fraction for
 a count, a scalar for a list) is a ConfigError naming its key: see
 ``read_number`` and ``read_list``.
 
+``parse_config`` ends by rendering one deck through ``render_deck``, with
+every variable at its first grid value, so a template slot that no deck
+fills is a ConfigError when the config is parsed, not at the run's first
+simulation. ``render_deck`` is the one list of the slots: the
+subcircuit template may name the params, the variables, the derived
+widths, ``pdk_lib_path`` and ``subckt_name``; the testbench template may
+also name ``ota_subckt`` (the rendered subcircuit) and ``inst_pins``.
+
 Placeholder syntax is exactly single-brace ``{name}``; a doubled brace
 ``{{`` escapes a literal brace. The same engine renders the agent
 prompt templates.
@@ -180,6 +188,8 @@ def parse_config(source: str) -> BenchmarkConfig:
         variables.append(str(name))
 
     w_values = [read_number("W_values", v) for v in read_list("W_values", doc["W_values"])]
+    if not w_values:
+        raise ConfigError("W_values must be non-empty")
     if any(v <= 0 for v in w_values):
         raise ConfigError("W_values must be positive")
     if any(b <= a for a, b in zip(w_values, w_values[1:])):
@@ -222,28 +232,13 @@ def parse_config(source: str) -> BenchmarkConfig:
         testbench_template=str(doc["testbench_template"]),
         passthrough=passthrough,
     )
-    _check_templates_resolvable(config)
+    # the first slot the deck leaves unfilled raises ConfigError
+    render_deck(config, {var: w_values[0] for var in variables})
     return config
 
 
 def load_config(path: str) -> BenchmarkConfig:
     return parse_config(read_text(path, "config"))
-
-
-def _resolvable_names(config: BenchmarkConfig) -> set:
-    names = set(config.params)
-    names.update(config.variables)
-    names.update(config.width_scales)
-    names.update(("pdk_lib_path", "subckt_name", "ota_subckt", "inst_pins"))
-    return names
-
-
-def _check_templates_resolvable(config: BenchmarkConfig) -> None:
-    """Render each template once with every resolvable name blank: the
-    first slot nothing fills raises ConfigError."""
-    blank = dict.fromkeys(_resolvable_names(config), "")
-    for template in (config.subckt_template, config.testbench_template):
-        render_template(template, blank)
 
 
 def render_deck(config: BenchmarkConfig, assignment: Mapping[str, float]) -> RenderedDeck:

@@ -128,9 +128,10 @@ class EvaluatedDesign:
     eval_index: int  # global 1-based ordinal, dense
     wall_time: float
     cached: bool = False
+    reason: str = ""  # why a simulation failed; "" when it ran
 
     def to_record(self) -> dict:
-        return {
+        record = {
             "eval_index": self.eval_index,
             "design_id": self.design.id,
             "assignment": dict(self.design.assignment),
@@ -144,6 +145,9 @@ class EvaluatedDesign:
             "wall_time": self.wall_time,
             "cached": self.cached,
         }
+        if self.sim_status != SIM_OK:
+            record["reason"] = self.reason
+        return record
 
 
 @dataclass(frozen=True)

@@ -225,8 +225,9 @@ def evaluate_batch(
 
     Cache hits (including a duplicate design later in the same batch)
     are marked ``cached`` and carry zero wall time; only the first
-    occurrence runs. Individual failures become ``sim_failed`` records
-    and never abort the batch. A missing SPICE executable aborts up
+    occurrence runs. Individual failures become ``sim_failed`` or
+    ``metric_missing`` records, with the failure's ``reason``, and never
+    abort the batch. A missing SPICE executable aborts up
     front with a SizerForgeError.
     """
     if evaluator.kind == "spice":
@@ -276,5 +277,6 @@ def evaluate_batch(
         fom, feasible, normalized = entry["assessed"]
         records.append(EvaluatedDesign(
             design, entry["raw_metrics"], normalized, fom, feasible, entry["sim_status"],
-            iteration, method, start_eval_index + i, 0.0 if hit else fresh[key][1], hit))
+            iteration, method, start_eval_index + i, 0.0 if hit else fresh[key][1], hit,
+            entry["reason"]))
     return records

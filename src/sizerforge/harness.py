@@ -1,7 +1,7 @@
 """Trial orchestration and scoring: circuits x methods x seeded trials.
 
 A matrix file names circuits (config paths) and methods, and each cell
-runs trials_per_cell seeded trials through ``controller.run_method``. A
+runs one trial per seed through ``controller.run_method``. A
 method is spelled as ``sizerforge run --method`` takes it: a baseline
 name or ``autosizer[:BACKEND][+ABLATION]``, so the paper's ablation
 rows are matrix methods like any other.
@@ -50,15 +50,8 @@ Z95 = 1.959963984540054
 class TrialMatrix:
     circuits: List[str]
     methods: List[str]
-    trials_per_cell: int = DEFAULT_TRIALS
-    seeds: Optional[List[int]] = None  # explicit; else base_seed + index
-    base_seed: int = 0
+    seeds: List[int] = field(default_factory=lambda: list(range(DEFAULT_TRIALS)))
     budget: RunBudget = field(default_factory=RunBudget)
-
-    def seed_list(self) -> List[int]:
-        if self.seeds is not None:
-            return list(self.seeds)
-        return [self.base_seed + i for i in range(self.trials_per_cell)]
 
 
 @dataclass
@@ -89,8 +82,13 @@ class CellSummary:
     paired_split: Optional[Tuple[int, int, int]]
 
 
+# a matrix file's keys: its seeds are ``seeds``, else ``trials_per_cell``
+# of them counting up from ``base_seed``
+_MATRIX_KEYS = {"circuits", "methods", "trials_per_cell", "seeds", "base_seed", "budget"}
+
+
 def _refuse_unknown(what: str, mapping: dict, known) -> None:
-    unknown = set(mapping) - {f.name for f in fields(known)}
+    unknown = set(mapping) - set(known)
     if unknown:
         raise ConfigError(f"unknown {what} keys {sorted(map(str, unknown))}")
 
@@ -98,7 +96,7 @@ def _refuse_unknown(what: str, mapping: dict, known) -> None:
 def parse_matrix(source: str) -> TrialMatrix:
     """Matrix files share the config document format: one YAML mapping."""
     doc = parse_yaml_mapping(source, "matrix file")
-    _refuse_unknown("matrix", doc, TrialMatrix)
+    _refuse_unknown("matrix", doc, _MATRIX_KEYS)
 
     circuits = doc.get("circuits")
     methods = doc.get("methods")
@@ -121,14 +119,13 @@ def parse_matrix(source: str) -> TrialMatrix:
     raw_budget = doc.get("budget", {})
     if not isinstance(raw_budget, dict):
         raise ConfigError("'budget' must be a mapping")
-    _refuse_unknown("budget", raw_budget, RunBudget)
+    _refuse_unknown("budget", raw_budget, (f.name for f in fields(RunBudget)))
     budget = RunBudget(**{k: read_number(f"budget.{k}", v, int) for k, v in raw_budget.items()})
+    base_seed = read_number("base_seed", doc.get("base_seed", 0), int)
     return TrialMatrix(
         circuits=[str(c) for c in circuits],
         methods=[str(m) for m in methods],
-        trials_per_cell=trials,
-        seeds=seeds,
-        base_seed=read_number("base_seed", doc.get("base_seed", 0), int),
+        seeds=seeds if seeds is not None else [base_seed + i for i in range(trials)],
         budget=budget,
     )
 
@@ -240,7 +237,7 @@ def run_matrix(
     at_least_one("workers", workers)
     if out_dir:
         check_results_dir(out_dir)
-    seeds = matrix.seed_list()
+    seeds = list(matrix.seeds)
     configs = [load_config(path) for path in matrix.circuits]
     names = Counter(_trial_name(config, method, seed)
                     for config in configs for method in matrix.methods for seed in seeds)
@@ -307,7 +304,7 @@ def run_matrix(
         "matrix": {
             "circuits": list(matrix.circuits),
             "methods": list(matrix.methods),
-            "trials_per_cell": matrix.trials_per_cell,
+            "trials_per_cell": len(seeds),
             "seeds": seeds,
             "budget": asdict(matrix.budget),
         },

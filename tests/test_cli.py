@@ -2,6 +2,7 @@
 ``run``, ``bench`` and ``report`` refuse, and a file no command can read."""
 
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from sizerforge.agents import rule_plan, rule_understand
 from sizerforge.cli import main
 from sizerforge.config import load_config
+from sizerforge.controller import run_method
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -321,6 +323,50 @@ def test_bench_refuses_two_trials_of_one_name_before_any_trial(capsys, tmp_path,
     assert (captured.out, captured.err) == ("", (
         f"error: matrix runs trials {repeated} more than once; give each circuit its own "
         "config name and list each method and seed once\n"))
+    assert started == [] and not out.exists()
+
+
+# configs no deck renders from, each as (config, text replaced, its
+# replacement, the refusal): a subcircuit template naming a testbench slot,
+# on the SPICE path and the surrogate one, and a grid without a value
+UNRENDERABLE = {
+    "spice_inst_pins": (
+        "perfbench/configs/sota_med_spice.yaml",
+        ".subckt TELESCOPIC_OTA VBIASN VBIASNC VBIASP1 VBIASP2 VINN VINP VOUTN VOUTP VDD 0",
+        ".subckt TELESCOPIC_OTA {inst_pins}", "template placeholder {inst_pins} cannot be resolved"),
+    "surrogate_ota_subckt": (
+        "configs/sota_easy.yaml", ".subckt TOY_AMP VIN VOUT VDD 0", ".subckt TOY_AMP {ota_subckt}",
+        "template placeholder {ota_subckt} cannot be resolved"),
+    "empty_grid": ("configs/sota_easy.yaml", "W_values: [0.84, 1.05, 1.26, 1.47, 1.68, 1.89, "
+                   "2.10, 2.31, 2.52]", "W_values: []", "W_values must be non-empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRENDERABLE))
+def test_validate_run_and_bench_refuse_a_config_no_deck_renders_from(capsys, tmp_path,
+                                                                     monkeypatch, case):
+    path, old, new, message = UNRENDERABLE[case]
+    source = (CONFIGS.parent / path).read_text()
+    assert source.count(old) == 1
+    config = tmp_path / "config.yaml"
+    config.write_text(source.replace(old, new))
+    matrix = tmp_path / "matrix.yaml"
+    matrix.write_text(f"circuits: ['{config}']\nmethods: [autosizer]\ntrials_per_cell: 1\n")
+    # a SPICE run simulates through the benchmark's stand-in
+    monkeypatch.setenv("PATH", f"{CONFIGS.parent / 'perfbench' / 'bin'}{os.pathsep}"
+                               f"{os.environ['PATH']}")
+    started = []
+    for where in ("sizerforge.cli.run_method", "sizerforge.harness.run_method"):
+        monkeypatch.setattr(where, lambda *args, run=run_method, **kwargs:
+                            started.append(args) or run(*args, **kwargs))
+    out = tmp_path / "out"
+    for argv in (["validate", str(config)],
+                 ["run", str(config), "--budget", "10", "--results-dir", str(out)],
+                 ["bench", str(matrix), "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    # refused when the config is parsed: no run started, nothing written
     assert started == [] and not out.exists()
 
 

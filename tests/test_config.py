@@ -191,6 +191,14 @@ def test_unresolvable_template_placeholder():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("slot", ["inst_pins", "ota_subckt"])
+def test_a_subcircuit_template_cannot_name_a_testbench_slot(slot):
+    # only the testbench gets the pin list and the rendered subcircuit
+    bad = MINIMAL.replace(".subckt MINI IN OUT VDD 0", f".subckt MINI {{{slot}}}")
+    with raises_exactly(ConfigError, f"template placeholder {{{slot}}} cannot be resolved"):
+        parse_config(bad)
+
+
 def test_variable_block_must_be_null_valued():
     bad = MINIMAL.replace("W_a: null", "W_a: 1.0")
     with pytest.raises(ConfigError):
@@ -244,6 +252,7 @@ def test_malformed_values_are_config_errors_naming_the_key(command, source, key,
     [
         ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[0.0, 2.0, 3.0]"),
          "W_values must be positive"),
+        ("validate", MINIMAL.replace("[1.0, 2.0, 3.0]", "[]"), "W_values must be non-empty"),
         ("validate", MINIMAL.replace("W_wide: [W_a, 4]", "W_wide: [W_a]"),
          "width_scales entry 'W_wide' must be [base, multiplier]"),
         ("validate", MINIMAL.replace("W_wide: [W_a, 4]", "W_wide: [W_a, 0]"),
@@ -255,7 +264,7 @@ def test_malformed_values_are_config_errors_naming_the_key(command, source, key,
         ("bench", MATRIX + "trials_per_cell: 3\nseeds: [1, 2]\n",
          "seeds length 2 must equal trials_per_cell 3"),
     ],
-    ids=["nonpositive_W_value", "short_width_scale", "zero_multiplier", "empty_metrics",
+    ids=["nonpositive_W_value", "empty_W_values", "short_width_scale", "zero_multiplier", "empty_metrics",
          "no_circuits", "no_methods", "seeds_length"],
 )
 def test_malformed_documents_are_config_errors(command, source, message, tmp_path, capsys):

@@ -363,7 +363,7 @@ def test_slotted_records_keep_their_semantics():
     assert repr(record) == (
         f"EvaluatedDesign(design=Design(w=3.0), raw_metrics={{}}, normalized={{}}, fom=0.5, "
         f"feasible=False, sim_status='ok', iteration=1, method='lhs', eval_index=3, "
-        f"wall_time=0.0, cached=False)")
+        f"wall_time=0.0, cached=False, reason='')")
 
 
 # ---------------------------------------------------------------- history

@@ -85,6 +85,7 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, monkeypatch, 
     assert records[2].wall_time == 0.0
     assert all(r.wall_time > 0.0 for r in records[:2])
     assert cache.get(ResultCache.key_for(first))["reason"] == reason
+    assert [r.reason for r in records] == [reason] * 3
     if status == SIM_OK:
         assert dict(records[0].raw_metrics) == {"gain_db": 30.0, "power_uw": 40.0}
         assert records[0].fom is not None and records[0].feasible
@@ -102,6 +103,22 @@ def test_each_outcome_is_a_record_and_repeats_are_cached(tmp_path, monkeypatch, 
         assert record.normalized is entry["assessed"][2]
     # decks are temporary: nothing is left in the work directory but the stand-in
     assert os.listdir(tmp_path) == [f"ngspice_{name}"]
+
+
+@pytest.mark.parametrize("name", sorted(STANDINS))
+def test_a_failed_simulation_keeps_its_reason_in_the_history_file(tmp_path, name):
+    config = load_config(str(CONFIGS / "sota_easy.yaml"))
+    evaluator = EvaluatorSpec(kind="spice", executable=_standin(tmp_path, name),
+                              timeout_s=0.5, workdir=str(tmp_path))
+    out = tmp_path / "out"
+    run_method(config, "lhs", RunBudget(total_evals=2), 0, evaluator=evaluator,
+               results_dir=str(out))
+    lines = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
+    lines = [line for line in lines if line["kind"] == "evaluation"]
+    status, reason = EXPECTED[name]
+    assert len(lines) == 2 and all(line["sim_status"] == status for line in lines)
+    # only a failed simulation's record has a reason
+    assert all(line.get("reason") == (None if status == SIM_OK else reason) for line in lines)
 
 
 def test_bytes_that_are_not_utf8_are_kept_as_replacement_characters(tmp_path):

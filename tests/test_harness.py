@@ -26,8 +26,9 @@ def test_run_matrix_substitutes_engine_fom_for_the_fom_clause():
     # both specs have a fom clause
     paths = [str(CONFIGS / "sota_med.yaml"), str(CONFIGS / "sota_hard.yaml")]
     budget = RunBudget(total_evals=20)
-    matrix = TrialMatrix(circuits=paths, methods=["lhs"], trials_per_cell=2, budget=budget)
+    matrix = TrialMatrix(circuits=paths, methods=["lhs"], seeds=[0, 1], budget=budget)
     report = run_matrix(matrix)
+    assert (report["matrix"]["trials_per_cell"], report["matrix"]["seeds"]) == (2, [0, 1])
     trials = [t for cell in report["cells"] for t in cell["trials"]]
     assert len(trials) == 4
     for trial in trials:
@@ -43,7 +44,7 @@ def test_trajectory_ends_at_the_reported_design():
     # sota_easy's best FoM points fail the spec, so a trajectory over every
     # record ends above the feasible design the run reports
     matrix = TrialMatrix(circuits=[str(CONFIGS / "sota_easy.yaml")], methods=["autosizer"],
-                         seeds=[0, 1], trials_per_cell=2, budget=RunBudget(total_evals=60))
+                         seeds=[0, 1], budget=RunBudget(total_evals=60))
     trials = run_matrix(matrix)["cells"][0]["trials"]
     assert [t["feasible"] for t in trials] == [True, True]
     for trial in trials:
@@ -84,7 +85,7 @@ def test_a_cell_is_scored_in_fresh_evaluations_and_paired_by_seed(monkeypatch, t
 
     monkeypatch.setattr(harness, "run_method", stand_in)
     matrix = TrialMatrix(circuits=[str(CONFIGS / "sota_easy.yaml")],
-                         methods=["lhs", "bo_baseline", "ga_baseline"], trials_per_cell=3)
+                         methods=["lhs", "bo_baseline", "ga_baseline"], seeds=[0, 1, 2])
     report = run_matrix(matrix)
     reference, cell, crashed = (c["summary"] for c in report["cells"])
     # the cache hit is free: the first feasible record is evaluation first + 1
@@ -112,7 +113,7 @@ def test_a_two_seed_cell_pairs_each_seed_with_the_first_method():
     budget = RunBudget(total_evals=20)
     path = str(CONFIGS / "sota_med.yaml")
     matrix = TrialMatrix(circuits=[path], methods=["lhs", "bo_baseline"], seeds=[0, 1],
-                         trials_per_cell=2, budget=budget)
+                         budget=budget)
     lhs, bo = (cell["summary"] for cell in run_matrix(matrix)["cells"])
     firsts = {}
     for method in ("lhs", "bo_baseline"):
@@ -132,14 +133,18 @@ def test_parse_matrix_rejects_unknown_top_level_keys():
         parse_matrix(source)
     matrix = parse_matrix(source.replace("trails_per_cell: 20", "trials_per_cell: 2\n"
                                          "seeds: [4, 5]\nbase_seed: 1\nbudget: {}"))
-    assert matrix.seed_list() == [4, 5]
+    assert matrix.seeds == [4, 5]
 
 
 def test_a_matrix_that_lists_seeds_takes_its_trial_count_from_them():
     source = "circuits: [c.yaml]\nmethods: [lhs]\nseeds: [4, 5]\n"
     matrix = parse_matrix(source)
-    assert (matrix.trials_per_cell, matrix.seed_list()) == (2, [4, 5])
+    assert matrix.seeds == [4, 5]
     assert parse_matrix(source + "trials_per_cell: 2\n") == matrix
+    # without listed seeds, a matrix counts trials_per_cell seeds up from base_seed
+    unlisted = source.replace("seeds: [4, 5]\n", "")
+    assert parse_matrix(unlisted).seeds == [0, 1, 2]
+    assert parse_matrix(unlisted + "trials_per_cell: 2\nbase_seed: 7\n").seeds == [7, 8]
     with pytest.raises(ConfigError, match=r"^seeds length 2 must equal trials_per_cell 3$"):
         parse_matrix(source + "trials_per_cell: 3\n")
 
@@ -204,7 +209,7 @@ def test_run_matrix_writes_one_directory_per_trial_for_a_replay_method(tmp_path)
     replies.mkdir()
     matrix = TrialMatrix(circuits=[str(CONFIGS / "sota_easy.yaml")],
                          methods=[f"autosizer:replay:{replies}"], seeds=[0, 1],
-                         trials_per_cell=2, budget=RunBudget(total_evals=20))
+                         budget=RunBudget(total_evals=20))
     report = run_matrix(matrix, out_dir=str(tmp_path / "out"))
     assert all(t["ok"] for t in report["cells"][0]["trials"])
     trials = sorted((tmp_path / "out" / "trials").iterdir())
@@ -220,7 +225,7 @@ def test_run_matrix_gives_each_method_spelling_its_own_directory(tmp_path):
         replies.mkdir(parents=True)
     methods = [f"autosizer:replay:{tmp_path}/X/a/b", f"autosizer:replay:{tmp_path}/X/a-b", "lhs"]
     matrix = TrialMatrix(circuits=[str(CONFIGS / "sota_easy.yaml")], methods=methods,
-                         seeds=[0], trials_per_cell=1, budget=RunBudget(total_evals=10))
+                         seeds=[0], budget=RunBudget(total_evals=10))
     report = run_matrix(matrix, out_dir=str(tmp_path / "out"))
     assert all(t["ok"] for cell in report["cells"] for t in cell["trials"])
     trials = sorted((tmp_path / "out" / "trials").iterdir())

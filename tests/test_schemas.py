@@ -307,6 +307,7 @@ CORPUS = {
     "fences_and_prose": ("Here:\n```json\n" + _STOP + "\n```\nThanks.",
                          (STOP, FENCE_NOTE + PROSE_NOTE)),
     "indented_fences": ("  ```\n" + _STOP + "\n  ```", (STOP, FENCE_NOTE)),
+    "crlf_line_ends": ("```json\r\n" + _STOP + "\r\n```\r\n", (STOP, FENCE_NOTE)),
     "a_brace_in_prose_before": ("Use {braces} wisely: " + _STOP, JsonUnparseable),
     "an_open_brace_in_prose_before": ("Note { this: " + _STOP, JsonUnparseable),
     "a_close_brace_in_prose_before": ("} " + _STOP, (STOP, PROSE_NOTE)),
@@ -338,6 +339,18 @@ def test_the_decoder_corpus_keeps_its_verdicts(raw, verdict):
     else:
         with pytest.raises(verdict):
             parse_agent_json(raw, "inner", repairs)
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                         ids=["U+2028", "U+2029", "U+0085"])
+def test_a_fenced_reply_keeps_a_line_separator_in_a_string(char):
+    # JSON lets a string hold these unescaped; only "\n" ends a fence line
+    reply = {**STOP, "reasoning": f"a{char}b"}
+    body = json.dumps(reply, ensure_ascii=False)
+    assert parse_agent_json(body, "inner") == reply
+    repairs = []
+    assert parse_agent_json(f"```json\n{body}\n```", "inner", repairs) == reply
+    assert repairs == FENCE_NOTE
 
 
 # the plain-text fields of each reply, which take any string

@@ -49,8 +49,8 @@ def main(argv) -> int:
     for name in args.configs:
         for total in args.budgets:
             matrix = TrialMatrix(circuits=[str(src.parent / "configs" / f"{name}.yaml")],
-                                 methods=args.methods, trials_per_cell=len(seed_list),
-                                 seeds=seed_list, budget=RunBudget(total_evals=total))
+                                 methods=args.methods, seeds=seed_list,
+                                 budget=RunBudget(total_evals=total))
             print(f"{name}, {total} evaluations\n{render_table(run_matrix(matrix))}", flush=True)
     return 0
 
